@@ -42,7 +42,6 @@ from .fitting import (
 )
 from .parity import (
     ScanConfig,
-    detect_peaks,
     estimate_parity_lifetime,
     scan_window,
     simulate_offset_charge,
@@ -91,7 +90,7 @@ def _json_ready(obj):
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if np.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -100,7 +99,11 @@ def _json_ready(obj):
 
 
 def _dump_json(document: dict) -> str:
-    return json.dumps(_json_ready(document), indent=2, sort_keys=True) + "\n"
+    """Strict JSON text: non-finite floats are written as null."""
+    text = json.dumps(
+        _json_ready(document), indent=2, sort_keys=True, allow_nan=False
+    )
+    return text + "\n"
 
 
 def _write_or_print(text: str, out_dir: Path | None, filename: str):
@@ -346,7 +349,6 @@ def _cmd_parity_sim(args) -> int:
         f_max_ghz=f_max,
         n_freq=settings.n_freq,
         pixel_seconds=settings.pixel_seconds,
-        repetitions=settings.repetitions,
     )
     scan = synthesize_scan(
         config.params,
@@ -360,10 +362,9 @@ def _cmd_parity_sim(args) -> int:
     estimate = estimate_parity_lifetime(scan)
 
     peak_rows = []
-    for index, start in enumerate(scan.pixel_starts_s):
-        peaks = detect_peaks(
-            scan.frequencies_ghz, scan.amplitudes[index], scan.linewidth_mhz
-        )
+    for index, (start, peaks) in enumerate(
+        zip(scan.pixel_starts_s, estimate.peaks)
+    ):
         positions = list(peaks.positions_ghz) + [None, None]
         peak_rows.append([index, start, peaks.count, positions[0], positions[1]])
 

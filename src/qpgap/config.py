@@ -17,7 +17,6 @@ from pathlib import Path
 from .errors import ConfigError, GeometryError, QpgapError
 from .parity import (
     DEFAULT_PIXEL_SECONDS,
-    DEFAULT_REPETITIONS,
     DEFAULT_TLS_RATE,
     NoiseModel,
 )
@@ -55,7 +54,6 @@ class ScanSettings:
     linewidth_mhz: float = 1.0
     snr: float = 20.0
     pixel_seconds: float = DEFAULT_PIXEL_SECONDS
-    repetitions: int = DEFAULT_REPETITIONS
     n_freq: int = 161
     pad_linewidths: float = 5.0
 
@@ -276,7 +274,6 @@ def load_device_document(document: dict, text: str = "") -> DeviceConfig:
                 "linewidth_MHz",
                 "snr",
                 "pixel_seconds",
-                "repetitions",
                 "n_freq",
                 "pad_linewidths",
             }
@@ -289,9 +286,6 @@ def load_device_document(document: dict, text: str = "") -> DeviceConfig:
             snr=scan_section.optional("snr", scan_defaults.snr),
             pixel_seconds=scan_section.optional(
                 "pixel_seconds", scan_defaults.pixel_seconds
-            ),
-            repetitions=scan_section.optional(
-                "repetitions", scan_defaults.repetitions, kind=int
             ),
             n_freq=scan_section.optional("n_freq", scan_defaults.n_freq, kind=int),
             pad_linewidths=scan_section.optional(

@@ -24,7 +24,6 @@ from .transmon import TransmonParams, transition_frequency
 
 DEFAULT_TLS_RATE = 1.0 / 180.0
 DEFAULT_PIXEL_SECONDS = 0.2
-DEFAULT_REPETITIONS = 100
 
 _EVEN = 0
 _ODD = 1
@@ -194,7 +193,6 @@ class ScanConfig:
     f_max_ghz: float
     n_freq: int = 161
     pixel_seconds: float = DEFAULT_PIXEL_SECONDS
-    repetitions: int = DEFAULT_REPETITIONS
 
     def __post_init__(self):
         if self.f_max_ghz <= self.f_min_ghz:
@@ -203,8 +201,6 @@ class ScanConfig:
             raise DomainError(f"n_freq must be >= 3, got {self.n_freq}")
         if self.pixel_seconds <= 0:
             raise DomainError("pixel time must be positive")
-        if self.repetitions < 1:
-            raise DomainError("repetitions must be >= 1")
 
     def frequencies(self) -> np.ndarray:
         return np.linspace(self.f_min_ghz, self.f_max_ghz, self.n_freq)
@@ -241,7 +237,6 @@ class SpectroscopyScan:
     linewidth_mhz: float
     snr: float
     pixel_seconds: float
-    repetitions: int
     seed: int
 
     @property
@@ -260,7 +255,6 @@ class SpectroscopyScan:
             "f_min_ghz": float(self.frequencies_ghz[0]),
             "f_max_ghz": float(self.frequencies_ghz[-1]),
             "pixel_seconds": self.pixel_seconds,
-            "repetitions": self.repetitions,
             "linewidth_mhz": self.linewidth_mhz,
             "snr": self.snr,
         }
@@ -352,7 +346,6 @@ def synthesize_scan(
         linewidth_mhz=linewidth_mhz,
         snr=snr,
         pixel_seconds=config.pixel_seconds,
-        repetitions=config.repetitions,
         seed=seed,
     )
 
@@ -449,7 +442,8 @@ class LifetimeEstimate:
 
     ``kind`` is one of "upper_bound" (both branches visible inside single
     pixels), "lower_bound" (one branch, never alternating), "estimate"
-    (duration over observed alternations), or "inconclusive".
+    (duration over observed alternations), or "inconclusive".  ``peaks``
+    holds the detected peaks of every scan row, in pixel order.
     """
 
     kind: str
@@ -457,6 +451,7 @@ class LifetimeEstimate:
     alternations: int
     two_peak_fraction: float
     single_peak_fraction: float
+    peaks: tuple[PeakSet, ...] = field(repr=False)
 
     def describe(self) -> str:
         if self.kind == "upper_bound":
@@ -492,61 +487,44 @@ def estimate_parity_lifetime(
     scan duration when the branch never alternates.
     """
     lw_ghz = scan.linewidth_mhz / 1e3
-    counts = np.empty(scan.n_pixels, dtype=int)
-    assigned: list[tuple[int, int]] = []
-    for i in range(scan.n_pixels):
-        peaks = detect_peaks(
-            scan.frequencies_ghz,
-            scan.amplitudes[i],
-            scan.linewidth_mhz,
-            threshold_k,
+    peaks = tuple(
+        detect_peaks(
+            scan.frequencies_ghz, row, scan.linewidth_mhz, threshold_k
         )
-        counts[i] = peaks.count
-        if peaks.count != 1:
+        for row in scan.amplitudes
+    )
+    counts = np.array([row_peaks.count for row_peaks in peaks])
+    assigned: list[tuple[int, int]] = []
+    for i, row_peaks in enumerate(peaks):
+        if row_peaks.count != 1:
             continue
         f_even, f_odd = scan.branch_freqs_ghz[i]
         if abs(f_even - f_odd) < lw_ghz:
             continue
-        position = peaks.positions_ghz[0]
+        position = row_peaks.positions_ghz[0]
         distances = (abs(position - f_even), abs(position - f_odd))
         branch = int(np.argmin(distances))
         if distances[branch] > 3.0 * lw_ghz:
             continue
         assigned.append((i, branch))
 
-    two_peak_fraction = float(np.mean(counts == 2))
-    single_peak_fraction = float(np.mean(counts == 1))
-    if two_peak_fraction >= 0.9:
-        return LifetimeEstimate(
-            kind="upper_bound",
-            seconds=scan.pixel_seconds,
-            alternations=0,
-            two_peak_fraction=two_peak_fraction,
-            single_peak_fraction=single_peak_fraction,
-        )
     alternations = sum(
         1 for (_, a), (_, b) in zip(assigned, assigned[1:]) if a != b
     )
-    if alternations > 0:
-        return LifetimeEstimate(
-            kind="estimate",
-            seconds=scan.duration_s / alternations,
-            alternations=alternations,
-            two_peak_fraction=two_peak_fraction,
-            single_peak_fraction=single_peak_fraction,
-        )
-    if len(assigned) >= 0.5 * scan.n_pixels:
-        return LifetimeEstimate(
-            kind="lower_bound",
-            seconds=scan.duration_s,
-            alternations=0,
-            two_peak_fraction=two_peak_fraction,
-            single_peak_fraction=single_peak_fraction,
-        )
+    two_peak_fraction = float(np.mean(counts == 2))
+    if two_peak_fraction >= 0.9:
+        kind, seconds, alternations = "upper_bound", scan.pixel_seconds, 0
+    elif alternations > 0:
+        kind, seconds = "estimate", scan.duration_s / alternations
+    elif len(assigned) >= 0.5 * scan.n_pixels:
+        kind, seconds = "lower_bound", scan.duration_s
+    else:
+        kind, seconds = "inconclusive", math.nan
     return LifetimeEstimate(
-        kind="inconclusive",
-        seconds=math.nan,
+        kind=kind,
+        seconds=seconds,
         alternations=alternations,
         two_peak_fraction=two_peak_fraction,
-        single_peak_fraction=single_peak_fraction,
+        single_peak_fraction=float(np.mean(counts == 1)),
+        peaks=peaks,
     )

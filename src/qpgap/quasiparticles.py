@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special
 
 from .errors import DomainError, GeometryError
 from .numerics import adaptive_integral, root_find
@@ -445,6 +446,9 @@ def _edge_integral(delta_k: float, t_k: float, threshold_k: float) -> float:
     scale = delta_k / t_k
 
     def integrand(u: float) -> float:
+        # past u = 700 the exponential has underflowed and cosh overflows
+        if u > 700.0:
+            return 0.0
         c = math.cosh(u)
         return c * math.exp(-scale * (c - 1.0))
 
@@ -459,7 +463,8 @@ def above_barrier_fraction(
     Quasiparticles occupy the BCS density of states above ``delta_kelvin``
     with a Boltzmann factor at ``t_qp_kelvin``; the fraction above
     Delta + delta_delta is the part that can cross a barrier of height
-    ``delta_delta_k``.  A zero step returns exactly 1.
+    ``delta_delta_k``.  A zero step returns exactly 1.  The normalization
+    has the closed form Delta e^s K1(s) with s = Delta/T (DLMF 10.32.9).
     """
     if delta_delta_k < 0:
         raise DomainError(f"gap step must be non-negative, got {delta_delta_k}")
@@ -469,11 +474,11 @@ def above_barrier_fraction(
         raise DomainError(f"delta must be positive, got {delta_kelvin}")
     if delta_delta_k == 0.0:
         return 1.0
-    total = _edge_integral(delta_kelvin, t_qp_kelvin, delta_kelvin)
+    total = delta_kelvin * scipy.special.k1e(delta_kelvin / t_qp_kelvin)
     above = _edge_integral(
         delta_kelvin, t_qp_kelvin, delta_kelvin + delta_delta_k
     )
-    return above / total
+    return float(above / total)
 
 
 @dataclass(frozen=True)

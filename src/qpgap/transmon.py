@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as spla
-import scipy.optimize
 
 from .errors import DomainError, NearResonanceError, UnderdeterminedError
+from .fitting import least_squares
 from .numerics import root_find
 from .units import CONSTANTS
 
@@ -221,6 +221,12 @@ def parity_splitting(params: TransmonParams) -> float:
     return abs(f_even - f_odd)
 
 
+def _charge_elements(params: TransmonParams, vectors: np.ndarray) -> np.ndarray:
+    cut = params.effective_n_cut
+    charge = np.arange(-cut, cut + 1, dtype=float) - params.ng
+    return np.abs(vectors.T @ (charge[:, None] * vectors))
+
+
 def charge_matrix_elements(params: TransmonParams, levels: int) -> np.ndarray:
     """Magnitudes |<i| n |j>| of the charge operator between eigenstates.
 
@@ -235,11 +241,49 @@ def charge_matrix_elements(params: TransmonParams, levels: int) -> np.ndarray:
     """
     if levels < 2:
         raise DomainError(f"levels must be >= 2, got {levels}")
+    _, vectors = _eigensystem(params, levels)
+    return _charge_elements(params, vectors)
+
+
+def _level_shifts(
+    params: TransmonParams,
+    coupling: CavityCoupling,
+    requested: tuple[int, ...],
+    levels: int,
+) -> list[float]:
+    """Cavity shifts lambda_l (MHz) of the requested levels, in order.
+
+    One eigensystem supplies both the level energies and the charge
+    matrix elements.
+    """
+    for level in requested:
+        if level >= levels:
+            raise DomainError(f"level {level} outside truncation {levels}")
+    if levels < 2:
+        raise DomainError(f"levels must be >= 2, got {levels}")
     energies, vectors = _eigensystem(params, levels)
-    cut = params.effective_n_cut
-    charge = np.arange(-cut, cut + 1, dtype=float) - params.ng
-    weighted = charge[:, None] * vectors
-    return np.abs(vectors.T @ weighted)
+    elements = _charge_elements(params, vectors)
+    norm = elements[0, 1]
+    g_ghz = coupling.g_mhz / 1e3
+    shifts = []
+    for level in requested:
+        shift = 0.0
+        for other in range(levels):
+            if other == level:
+                continue
+            g_lj = g_ghz * elements[level, other] / norm
+            detuning = energies[level] - energies[other]
+            for sign in (-1.0, 1.0):
+                denom = detuning + sign * coupling.nu_r_ghz
+                if abs(denom) <= 10.0 * g_lj:
+                    raise NearResonanceError(
+                        f"levels ({level}, {other}) are near-resonant with "
+                        f"the cavity: |detuning -/+ nu_r| = {abs(denom):.4g} "
+                        f"GHz vs 10 g_lj = {10.0 * g_lj:.4g} GHz"
+                    )
+                shift += g_lj**2 / denom
+        shifts.append(shift * 1e3)
+    return shifts
 
 
 def dispersive_shift(
@@ -262,28 +306,7 @@ def dispersive_shift(
         If any included transition from ``level`` lies within ten coupling
         matrix elements of the cavity frequency.
     """
-    if level >= levels:
-        raise DomainError(f"level {level} outside truncation {levels}")
-    energies, _ = _eigensystem(params, levels)
-    elements = charge_matrix_elements(params, levels)
-    norm = elements[0, 1]
-    g_ghz = coupling.g_mhz / 1e3
-    shift = 0.0
-    for other in range(levels):
-        if other == level:
-            continue
-        g_lj = g_ghz * elements[level, other] / norm
-        detuning = energies[level] - energies[other]
-        for sign in (-1.0, 1.0):
-            denom = detuning + sign * coupling.nu_r_ghz
-            if abs(denom) <= 10.0 * g_lj:
-                raise NearResonanceError(
-                    f"levels ({level}, {other}) are near-resonant with the "
-                    f"cavity: |detuning -/+ nu_r| = {abs(denom):.4g} GHz vs "
-                    f"10 g_lj = {10.0 * g_lj:.4g} GHz"
-                )
-            shift += g_lj**2 / denom
-    return shift * 1e3
+    return _level_shifts(params, coupling, (level,), levels)[0]
 
 
 def chi_shift(
@@ -292,8 +315,7 @@ def chi_shift(
     levels: int = DEFAULT_SHIFT_LEVELS,
 ) -> float:
     """Dispersive shift chi = (lambda_e - lambda_g)/2 in MHz."""
-    lam_e = dispersive_shift(params, coupling, 1, levels)
-    lam_g = dispersive_shift(params, coupling, 0, levels)
+    lam_e, lam_g = _level_shifts(params, coupling, (1, 0), levels)
     return (lam_e - lam_g) / 2.0
 
 
@@ -363,45 +385,67 @@ class FrequencyTargets:
 _RATIO_BRACKET = (math.log(1.5), math.log(2000.0))
 
 
-def _sweet_spot_pair(ratio: float) -> tuple[float, float]:
-    unit = TransmonParams(EJ=ratio, EC=1.0)
-    return (
-        transition_frequency(unit.with_ng(0.0)),
-        transition_frequency(unit.with_ng(0.5)),
+def _solve_ratio(targets: FrequencyTargets) -> TransmonParams:
+    """Exact (EJ, EC) for two targets from the scaling E = EC F(EJ/EC, ng).
+
+    A scale-free observable of the unit-EC transmon pins EJ/EC in a 1-d
+    root find: the relative ge dispersion for (ng0, ng05) targets, else
+    f_ef/f_ge.  The measured scale (mean ge frequency, or f_ge) then sets
+    EC.  With both optional targets present the ng05 pair is used.
+    """
+    dispersion = targets.f_ge_ng05 is not None
+    measured = (
+        targets.f_ge_ng0,
+        targets.f_ge_ng05 if dispersion else targets.f_ef,
     )
 
+    def unit_pair(ratio: float) -> tuple[float, float]:
+        unit = TransmonParams(EJ=ratio, EC=1.0)
+        if dispersion:
+            half = unit.with_ng(0.5)
+            return transition_frequency(unit), transition_frequency(half)
+        spectrum = eigenspectrum(unit, levels=3)
+        return spectrum.f_ge, spectrum.f_ef
 
-def _seed_from_dispersion(f0: float, f1: float) -> tuple[float, float]:
-    # At fixed EJ/EC every eigenvalue scales linearly with EC, so the
-    # relative dispersion pins the ratio and the mean frequency sets EC.
-    mid = (f0 + f1) / 2.0
-    target = abs(f0 - f1) / mid
+    def observable(a: float, b: float) -> float:
+        return abs(a - b) / ((a + b) / 2.0) if dispersion else b / a
 
-    def mismatch(log_ratio: float) -> float:
-        a, b = _sweet_spot_pair(math.exp(log_ratio))
-        return abs(a - b) / ((a + b) / 2.0) - target
+    def scale(a: float, b: float) -> float:
+        return (a + b) / 2.0 if dispersion else a
 
-    log_ratio = root_find(mismatch, *_RATIO_BRACKET, abs_tol=1e-12)
+    target = observable(*measured)
+    log_ratio = root_find(
+        lambda x: observable(*unit_pair(math.exp(x))) - target,
+        *_RATIO_BRACKET,
+        abs_tol=1e-12,
+    )
     ratio = math.exp(log_ratio)
-    a, b = _sweet_spot_pair(ratio)
-    ec = mid / ((a + b) / 2.0)
-    return ratio * ec, ec
+    ec = scale(*measured) / scale(*unit_pair(ratio))
+    return TransmonParams(EJ=ratio * ec, EC=ec)
 
 
-def _seed_from_anharmonicity(f_ge: float, f_ef: float) -> tuple[float, float]:
-    ec = f_ge - f_ef
-    ej = (2.0 * f_ge - f_ef) ** 2 / (8.0 * ec)
-    return ej, ec
+def _target_residuals(
+    params: TransmonParams, targets: FrequencyTargets
+) -> np.ndarray:
+    """Model minus measured frequency (GHz) for every supplied target."""
+    residuals = [transition_frequency(params) - targets.f_ge_ng0]
+    if targets.f_ge_ng05 is not None:
+        residuals.append(
+            transition_frequency(params.with_ng(0.5)) - targets.f_ge_ng05
+        )
+    if targets.f_ef is not None:
+        residuals.append(transition_frequency(params, 1, 2) - targets.f_ef)
+    return np.array(residuals)
 
 
 def fit_ej_ec(targets: FrequencyTargets) -> TransmonParams:
     """Infer (EJ, EC) from measured transition frequencies.
 
-    A deterministic seed comes from the scaling structure of the
-    Hamiltonian (ge dispersion fixes EJ/EC; the mean ge frequency fixes
-    the scale) or from the perturbative anharmonicity when only f_ef is
-    given.  Nelder-Mead simplex descent then polishes the seed against
-    every supplied target.
+    Every level scales as E = EC F(EJ/EC, ng), so two targets are solved
+    exactly: a scale-free observable of the unit-EC transmon fixes EJ/EC
+    by a bracketed 1-d root find and the measured scale fixes EC.  With
+    all three targets the (ng0, ng05) solution seeds a Levenberg-Marquardt
+    refinement of log(EJ), log(EC) against every target.
 
     Returns
     -------
@@ -409,44 +453,20 @@ def fit_ej_ec(targets: FrequencyTargets) -> TransmonParams:
         Parameters whose model frequencies match exactly determined
         targets to better than 1 kHz.
     """
-    if targets.f_ge_ng05 is not None:
-        seed = _seed_from_dispersion(targets.f_ge_ng0, targets.f_ge_ng05)
-    else:
-        seed = _seed_from_anharmonicity(targets.f_ge_ng0, targets.f_ef)
-
-    residual_terms = []
-    residual_terms.append(
-        lambda p: transition_frequency(p.with_ng(0.0)) - targets.f_ge_ng0
-    )
-    if targets.f_ge_ng05 is not None:
-        residual_terms.append(
-            lambda p: transition_frequency(p.with_ng(0.5)) - targets.f_ge_ng05
+    fitted = _solve_ratio(targets)
+    if targets.f_ge_ng05 is not None and targets.f_ef is not None:
+        lm = least_squares(
+            lambda x: _target_residuals(
+                TransmonParams(EJ=math.exp(x[0]), EC=math.exp(x[1])), targets
+            ),
+            [math.log(fitted.EJ), math.log(fitted.EC)],
         )
-    if targets.f_ef is not None:
-        residual_terms.append(
-            lambda p: transition_frequency(p.with_ng(0.0), 1, 2) - targets.f_ef
+        return TransmonParams(EJ=math.exp(lm.x[0]), EC=math.exp(lm.x[1]))
+    worst = float(np.max(np.abs(_target_residuals(fitted, targets))))
+    if worst > 1e-6:
+        raise DomainError(
+            f"targets admit no transmon solution: residual {worst:.3g} GHz"
         )
-
-    def objective(log_params: np.ndarray) -> float:
-        ej, ec = np.exp(log_params)
-        params = TransmonParams(EJ=float(ej), EC=float(ec))
-        return sum(term(params) ** 2 for term in residual_terms)
-
-    result = scipy.optimize.minimize(
-        objective,
-        np.log(seed),
-        method="Nelder-Mead",
-        options={"xatol": 1e-13, "fatol": 1e-26, "maxiter": 600},
-    )
-    ej, ec = np.exp(result.x)
-    fitted = TransmonParams(EJ=float(ej), EC=float(ec))
-    exactly_determined = len(residual_terms) == 2
-    if exactly_determined:
-        worst = max(abs(term(fitted)) for term in residual_terms)
-        if worst > 1e-6:
-            raise DomainError(
-                f"targets admit no transmon solution: residual {worst:.3g} GHz"
-            )
     return fitted
 
 

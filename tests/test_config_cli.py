@@ -1,12 +1,14 @@
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from qpgap.cli import main
+from qpgap.cli import _dump_json, main
 from qpgap.config import load_device_config, load_device_document
 from qpgap.errors import ConfigError
 from qpgap.transmon import TransmonParams, transition_frequency
@@ -321,6 +323,73 @@ def test_fit_t2_without_t1_source_fails(configs_dir, data_dir, tmp_path, capsys)
     ])
     assert code == 2
     assert "T1" in capsys.readouterr().err
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_values_are_written_as_null():
+    text = _dump_json({"a": math.inf, "b": np.nan, "c": [1.5, -math.inf]})
+    assert _strict_json(text) == {"a": None, "b": None, "c": [1.5, None]}
+
+
+def test_inconclusive_scan_meta_is_strict_json(configs_dir, tmp_path, capsys):
+    code = _run([
+        "parity-sim", configs_dir / "device_3p.json", "--duration", "1000",
+        "--seed", "389263331", "--out", tmp_path,
+    ])
+    assert code == 0
+    meta = _strict_json((tmp_path / "scan_meta.json").read_text())
+    assert meta["estimate"]["kind"] == "inconclusive"
+    assert meta["estimate"]["seconds"] is None
+    assert "repetitions" not in meta
+
+
+def test_scan_repetitions_is_an_unknown_field(configs_dir, tmp_path, capsys):
+    doc = _document(configs_dir)
+    doc["scan"] = {"repetitions": 100}
+    path = tmp_path / "reps.json"
+    path.write_text(json.dumps(doc))
+    code = _run(["spectrum", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "scan.repetitions: unknown field" in captured.err
+
+
+def _hot_quasiparticles(configs_dir, tmp_path, drop_gamma: bool):
+    doc = _document(configs_dir, "device_1p.json")
+    doc["qp_environment"]["T_qp_K"] = 0.1
+    if drop_gamma:
+        del doc["noise"]["gamma_parity_per_s"]
+    path = tmp_path / "hot.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_hot_quasiparticles_run_cleanly(configs_dir, tmp_path, capsys):
+    path = _hot_quasiparticles(configs_dir, tmp_path, drop_gamma=False)
+    assert _run(["qp", path]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum"],
+        ["qp"],
+        ["parity-sim", "--duration", "2", "--format", "json"],
+    ],
+)
+def test_hot_quasiparticles_with_computed_parity_rate(
+    configs_dir, tmp_path, capsys, argv
+):
+    path = _hot_quasiparticles(configs_dir, tmp_path, drop_gamma=True)
+    assert _run([argv[0], path, *argv[1:]]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_bad_config_exits_2(configs_dir, tmp_path, capsys):

@@ -307,3 +307,13 @@ def test_merged_branches_are_inconclusive():
     estimate = estimate_parity_lifetime(scan)
     assert estimate.kind == "inconclusive"
     assert "inconclusive" in estimate.describe()
+
+
+def test_estimate_keeps_the_per_row_peaks():
+    scan = _run_scan(0.01, duration=20.0, seed=61, n_freq=61)
+    estimate = estimate_parity_lifetime(scan)
+    rows = [
+        detect_peaks(scan.frequencies_ghz, row, scan.linewidth_mhz)
+        for row in scan.amplitudes
+    ]
+    assert list(estimate.peaks) == rows

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from qpgap.errors import BracketError, DomainError, GeometryError
 from qpgap.numerics import root_find
@@ -11,6 +12,7 @@ from qpgap.quasiparticles import (
     QPEnvironment,
     StackSegment,
     ThicknessTcTable,
+    _edge_integral,
     above_barrier_fraction,
     barrier_adequate,
     crossover_temperature,
@@ -210,6 +212,22 @@ def test_above_barrier_fraction_limits():
     assert hot > cold
     with pytest.raises(DomainError):
         above_barrier_fraction(-0.1, 0.040, DELTA_130)
+
+
+@pytest.mark.parametrize("ratio", [1.0, 5.0, 20.0, 57.0, 200.0])
+def test_gap_edge_norm_matches_quadrature(ratio):
+    # the normalization is Delta e^s K1(s); quadrature must agree with it
+    t_qp = DELTA_130 / ratio
+    closed = DELTA_130 * scipy.special.k1e(ratio)
+    assert _edge_integral(DELTA_130, t_qp, DELTA_130) == pytest.approx(
+        closed, rel=1e-12
+    )
+    fraction = above_barrier_fraction(0.1, t_qp, DELTA_130)
+    assert 0.0 < fraction < 1.0
+    quadrature = _edge_integral(
+        DELTA_130, t_qp, DELTA_130 + 0.1
+    ) / _edge_integral(DELTA_130, t_qp, DELTA_130)
+    assert fraction == pytest.approx(quadrature, rel=1e-12)
 
 
 # ------------------------------------------------------------- thickness

@@ -8,6 +8,7 @@ from qpgap.errors import (
     NearResonanceError,
     UnderdeterminedError,
 )
+from qpgap import transmon
 from qpgap.transmon import (
     CavityCoupling,
     FrequencyTargets,
@@ -373,3 +374,82 @@ def test_junction_relation_rejects_bad_inputs():
         ej_from_normal_resistance(0.0, 47.6)
     with pytest.raises(DomainError):
         ej_from_normal_resistance(7000.0, -1.0)
+
+
+def _targets_of(truth: TransmonParams, kind: str) -> FrequencyTargets:
+    at_zero = eigenspectrum(truth, levels=3)
+    f_ge_ng05 = transition_frequency(truth.with_ng(0.5))
+    return FrequencyTargets(
+        f_ge_ng0=at_zero.f_ge,
+        f_ge_ng05=f_ge_ng05 if kind in ("ng05", "both") else None,
+        f_ef=at_zero.f_ef if kind in ("ef", "both") else None,
+    )
+
+
+def _worst_residual(params: TransmonParams, targets: FrequencyTargets):
+    at_zero = eigenspectrum(params, levels=3)
+    residuals = [at_zero.f_ge - targets.f_ge_ng0]
+    if targets.f_ge_ng05 is not None:
+        residuals.append(
+            transition_frequency(params.with_ng(0.5)) - targets.f_ge_ng05
+        )
+    if targets.f_ef is not None:
+        residuals.append(at_zero.f_ef - targets.f_ef)
+    return max(abs(r) for r in residuals)
+
+
+@pytest.mark.parametrize("kind", ["ng05", "ef"])
+@pytest.mark.parametrize("ratio", [14.0, 26.0, 60.0, 145.0])
+def test_fit_round_trip_across_transmon_regime(kind, ratio):
+    truth = TransmonParams(EJ=ratio * 0.3, EC=0.3)
+    targets = _targets_of(truth, kind)
+    fitted = fit_ej_ec(targets)
+    assert _worst_residual(fitted, targets) < 1e-9
+    if kind == "ef" or ratio <= 26.0:
+        # the ge dispersion fixes EJ/EC only while it is resolvable
+        assert fitted.EJ == pytest.approx(truth.EJ, rel=1e-9)
+        assert fitted.EC == pytest.approx(truth.EC, rel=1e-9)
+
+
+def test_fit_with_three_targets():
+    truth = TransmonParams(EJ=6.92, EC=0.429)
+    targets = _targets_of(truth, "both")
+    fitted = fit_ej_ec(targets)
+    assert fitted.EJ == pytest.approx(truth.EJ, rel=1e-9)
+    assert fitted.EC == pytest.approx(truth.EC, rel=1e-9)
+    # inconsistent targets: least squares beats the exact (ng0, ng05) pair
+    skewed = FrequencyTargets(
+        targets.f_ge_ng0, targets.f_ge_ng05, targets.f_ef + 0.01
+    )
+    pair = fit_ej_ec(
+        FrequencyTargets(skewed.f_ge_ng0, f_ge_ng05=skewed.f_ge_ng05)
+    )
+    compromise = fit_ej_ec(skewed)
+    assert _worst_residual(compromise, skewed) < _worst_residual(pair, skewed)
+
+
+def test_cavity_shifts_solve_one_eigensystem_per_point(monkeypatch):
+    params = TransmonParams(EJ=7.417, EC=0.403)
+    calls = []
+    original = transmon._eigensystem
+
+    def counting(params, levels):
+        calls.append(levels)
+        return original(params, levels)
+
+    monkeypatch.setattr(transmon, "_eigensystem", counting)
+    dispersive_shift(params, _coupling(), level=0)
+    assert len(calls) == 1
+    calls.clear()
+    chi_shift(params, _coupling())
+    assert len(calls) == 1
+    calls.clear()
+    resonator_dispersion(params, _coupling(), method="chi")
+    assert len(calls) == 2
+
+
+def test_chi_is_half_the_level_shift_difference_exactly():
+    params = TransmonParams(EJ=7.417, EC=0.403)
+    lam_e = dispersive_shift(params, _coupling(), level=1)
+    lam_g = dispersive_shift(params, _coupling(), level=0)
+    assert chi_shift(params, _coupling()) == (lam_e - lam_g) / 2.0
