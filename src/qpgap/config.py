@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -91,6 +92,41 @@ def _line_of(text: str, key: str) -> int | None:
     return None
 
 
+def _finite(value, where: str, line: int | None) -> float:
+    """``value`` as a finite float; anything else is a ConfigError.
+
+    JSON admits ``NaN`` and ``Infinity``, and integers too large for a
+    float, so every number read from a config passes through here.
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{where}: expected a number, got {value!r}", line)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(
+            f"{where}: expected a finite number, got {number}", line
+        )
+    return number
+
+
+def _number_pairs(
+    raw, where: str, line: int | None
+) -> tuple[tuple[float, float], ...]:
+    """A JSON list of [a, b] number pairs as a tuple of finite float pairs."""
+    if not isinstance(raw, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 for pair in raw
+    ):
+        raise ConfigError(
+            f"{where} must be a list of [number, number] pairs", line
+        )
+    return tuple(
+        (_finite(a, f"{where}[{i}]", line), _finite(b, f"{where}[{i}]", line))
+        for i, (a, b) in enumerate(raw)
+    )
+
+
 class _Section:
     """Typed accessor for one JSON object with line-aware errors."""
 
@@ -103,9 +139,11 @@ class _Section:
         self.name = name
         self.text = text
 
+    def _line(self, key: str) -> int | None:
+        return _line_of(self.text, key) or _line_of(self.text, self.name)
+
     def _fail(self, key: str, message: str):
-        line = _line_of(self.text, key) or _line_of(self.text, self.name)
-        raise ConfigError(f"{self.name}.{key}: {message}", line)
+        raise ConfigError(f"{self.name}.{key}: {message}", self._line(key))
 
     def require(self, key: str, kind=float):
         if key not in self.data:
@@ -120,9 +158,7 @@ class _Section:
     def convert(self, key: str, kind):
         value = self.data[key]
         if kind is float:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                self._fail(key, f"expected a number, got {value!r}")
-            return float(value)
+            return _finite(value, f"{self.name}.{key}", self._line(key))
         if kind is int:
             if not isinstance(value, int) or isinstance(value, bool):
                 self._fail(key, f"expected an integer, got {value!r}")
@@ -203,14 +239,12 @@ def load_device_document(document: dict, text: str = "") -> DeviceConfig:
 
         table = None
         if "thickness_tc_table" in document:
-            raw_table = document["thickness_tc_table"]
-            if not isinstance(raw_table, list):
-                raise ConfigError(
-                    "thickness_tc_table must be a list of [nm, K] pairs",
+            table = ThicknessTcTable(
+                anchors=_number_pairs(
+                    document["thickness_tc_table"],
+                    "thickness_tc_table",
                     _line_of(text, "thickness_tc_table"),
                 )
-            table = ThicknessTcTable(
-                anchors=tuple((float(t), float(tc)) for t, tc in raw_table)
             )
         profile = profile_from_document(document["gap_profile"], table)
 
@@ -229,8 +263,10 @@ def load_device_document(document: dict, text: str = "") -> DeviceConfig:
         defaults = QPEnvironment()
         anchors = defaults.tau_anchors
         if "tau_anchors" in env_data:
-            anchors = tuple(
-                (float(e), float(tau)) for e, tau in env_data["tau_anchors"]
+            anchors = _number_pairs(
+                env_data["tau_anchors"],
+                "qp_environment.tau_anchors",
+                _line_of(text, "tau_anchors"),
             )
         env = QPEnvironment(
             x_nqp=env_section.optional("x_nqp", defaults.x_nqp),

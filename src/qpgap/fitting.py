@@ -61,6 +61,8 @@ class DataSeries:
         v = np.asarray(self.value_s, dtype=float)
         if t.ndim != 1 or t.shape != v.shape or len(t) == 0:
             raise DomainError("T and value arrays must be equal-length 1-d")
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
+            raise DomainError("temperatures and values must be finite")
         if np.any(t <= 0) or np.any(v <= 0):
             raise DomainError("temperatures and values must be positive")
         s = self.sigma_s
@@ -68,6 +70,8 @@ class DataSeries:
             s = np.asarray(s, dtype=float)
             if s.shape != t.shape:
                 raise DomainError("sigma array must match data length")
+            if not np.isfinite(s).all():
+                raise DomainError("sigmas must be finite")
             if np.any(s <= 0):
                 raise DomainError("sigmas must be positive")
         order = np.lexsort(
@@ -122,6 +126,12 @@ def dataseries_from_csv(path: str | Path, kind: str) -> DataSeries:
                 raise ConfigError(
                     f"{path}: malformed row {row_number}: {dict(row)}",
                 ) from exc
+            numbers = [t_k, raw] + ([sigma_raw] if has_sigma else [])
+            if not all(map(math.isfinite, numbers)):
+                raise ConfigError(
+                    f"{path}: non-finite value in row {row_number}: "
+                    f"{dict(row)}"
+                )
             if raw <= 0:
                 raise ConfigError(
                     f"{path}: non-positive value in row {row_number}"

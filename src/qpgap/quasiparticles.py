@@ -84,12 +84,14 @@ class GapSegment:
     delta_k: float
 
     def __post_init__(self):
-        if self.length_um <= 0:
+        if not 0 < self.length_um < math.inf:
             raise GeometryError(
-                f"segment length must be positive, got {self.length_um}"
+                f"segment length must be positive and finite, got {self.length_um}"
             )
-        if self.delta_k <= 0:
-            raise GeometryError(f"segment gap must be positive, got {self.delta_k}")
+        if not 0 < self.delta_k < math.inf:
+            raise GeometryError(
+                f"segment gap must be positive and finite, got {self.delta_k}"
+            )
 
 
 @dataclass(frozen=True)

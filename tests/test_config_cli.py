@@ -401,6 +401,78 @@ def test_bad_config_exits_2(configs_dir, tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+def _assert_clean_exit_2(code, capsys):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+def _set(doc, path, value):
+    *parents, key = path
+    for part in parents:
+        doc = doc[part]
+    doc[key] = value
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("transmon", "EJ_GHz"), math.nan),
+        (("transmon", "EC_GHz"), math.inf),
+        (("cavity", "g_MHz"), -math.inf),
+        (("transmon", "EJ_GHz"), 10**400),
+        (("scan", "pixel_seconds"), math.nan),
+        (("scan", "snr"), math.nan),
+        (("scan", "linewidth_MHz"), math.nan),
+        (("noise", "gamma_parity_per_s"), math.inf),
+        (("thickness_tc_table",), [[25.0, math.nan], [60.0, 1.2]]),
+        (("thickness_tc_table",), [[25.0, "1.6"], [60.0, 1.2]]),
+        (("thickness_tc_table",), [[25.0], [60.0, 1.2]]),
+        (("qp_environment", "tau_anchors"), [[0.5, math.inf], [14.0, 1e-11]]),
+        (("qp_environment", "tau_anchors"), 5),
+        (("gap_profile", "segments", 0, "length_um"), math.inf),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv", [["spectrum"], ["parity-sim", "--duration", "2", "--format", "json"]]
+)
+def test_non_finite_config_numbers_exit_2(
+    configs_dir, tmp_path, capsys, path, value, argv
+):
+    doc = _document(configs_dir, "device_1np.json")
+    doc.setdefault("scan", {})
+    _set(doc, path, value)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))  # writes NaN and Infinity literals
+    _assert_clean_exit_2(_run([argv[0], config, *argv[1:]]), capsys)
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_csv_values_exit_2(
+    configs_dir, data_dir, tmp_path, capsys, column, bad
+):
+    lines = (data_dir / "t1_vs_temperature_1np.csv").read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[column] = bad
+    lines[3] = ",".join(cells)
+    data = tmp_path / "bad.csv"
+    data.write_text("\n".join(lines) + "\n")
+    code = _run(["fit", "t1", data, configs_dir / "device_1np.json"])
+    assert "non-finite value in row 4" in _assert_clean_exit_2(code, capsys)
+
+
+@pytest.mark.parametrize("duration", ["nan", "inf", "0"])
+def test_bad_scan_duration_exits_2(configs_dir, capsys, duration):
+    code = _run([
+        "parity-sim", configs_dir / "device_1np.json", "--duration", duration,
+        "--format", "json",
+    ])
+    _assert_clean_exit_2(code, capsys)
+
+
 # ---------------------------------------------------------- determinism
 
 

@@ -73,6 +73,19 @@ def test_series_validation():
         DataSeries(kind="t1", t_kelvin=t, value_s=v, sigma_s=np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_series_rejects_non_finite_arrays(bad):
+    t = np.array([0.1, 0.2])
+    v = np.array([1e-5, 2e-5])
+    with pytest.raises(DomainError):
+        DataSeries(kind="t1", t_kelvin=np.array([0.1, bad]), value_s=v)
+    with pytest.raises(DomainError):
+        DataSeries(kind="t1", t_kelvin=t, value_s=np.array([bad, 2e-5]))
+    with pytest.raises(DomainError):
+        DataSeries(kind="t1", t_kelvin=t, value_s=v,
+                   sigma_s=np.array([1e-6, bad]))
+
+
 def test_rates_view_propagates_sigma():
     series = DataSeries(
         kind="t1",

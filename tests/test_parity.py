@@ -1,12 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from qpgap.errors import CoverageError, DomainError
 from qpgap.parity import (
+    _ROWS,
+    DEFAULT_PIXEL_SECONDS,
     ChargeTrace,
     NoiseModel,
     ParityTrace,
+    PeakSet,
     ScanConfig,
+    SpectroscopyScan,
     detect_peaks,
     estimate_parity_lifetime,
     scan_window,
@@ -14,7 +20,11 @@ from qpgap.parity import (
     simulate_parity,
     synthesize_scan,
 )
-from qpgap.transmon import TransmonParams, parity_frequencies
+from qpgap.transmon import (
+    TransmonParams,
+    parity_frequencies,
+    transition_frequency,
+)
 
 SENSITIVE = TransmonParams(EJ=5.92, EC=0.400)  # 26 MHz parity splitting
 INSENSITIVE = TransmonParams(EJ=21.67, EC=0.150)
@@ -128,6 +138,29 @@ def test_noise_model_rejects_negative_rates():
         NoiseModel(gamma_parity_per_s=1.0, tls_rate_per_s=-0.1)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"gamma_parity_per_s": math.nan},
+        {"gamma_parity_per_s": math.inf},
+        {"gamma_parity_per_s": 1.0, "tls_rate_per_s": math.nan},
+    ],
+)
+def test_noise_model_rejects_non_finite_rates(kwargs):
+    with pytest.raises(DomainError):
+        NoiseModel(**kwargs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_simulators_reject_bad_durations_and_rates(bad):
+    with pytest.raises(DomainError):
+        simulate_parity(1.0, bad, seed=1)
+    with pytest.raises(DomainError):
+        simulate_offset_charge(NoiseModel(1.0), bad, seed=1)
+    with pytest.raises(DomainError):
+        simulate_parity(bad, 1.0, seed=1)
+
+
 # ------------------------------------------------------------- synthesis
 
 
@@ -181,6 +214,21 @@ def test_scan_rejects_uncovered_branches():
     )
     with pytest.raises(CoverageError):
         synthesize_scan(SENSITIVE, parity, charge, narrow)
+
+
+def test_scan_config_rejects_nan():
+    with pytest.raises(DomainError):
+        ScanConfig(f_min_ghz=4.0, f_max_ghz=4.5, pixel_seconds=math.nan)
+    with pytest.raises(DomainError):
+        ScanConfig(f_min_ghz=math.nan, f_max_ghz=4.5)
+
+
+@pytest.mark.parametrize("field", ["linewidth_mhz", "snr"])
+def test_scan_rejects_nan_linewidth_and_snr(field):
+    parity = simulate_parity(0.0, 1.0, seed=1)
+    with pytest.raises(DomainError):
+        synthesize_scan(SENSITIVE, parity, _flat_charge(1.0),
+                        _scan_config(1.0), **{field: math.nan})
 
 
 def test_scan_rejects_mismatched_traces():
@@ -317,3 +365,375 @@ def test_estimate_keeps_the_per_row_peaks():
         for row in scan.amplitudes
     ]
     assert list(estimate.peaks) == rows
+
+
+# ------------------------------------------- oracle for the array-wise path
+#
+# The per-pixel synthesis loop and the per-row detector that the array-wise
+# code replaced, kept here as the reference it must match bit for bit.
+
+
+def _reference_segments(parity_trace, charge_trace, t0, t1):
+    """Yield (start, end, parity, ng) pieces of the joint trajectory."""
+    p_lo = int(np.searchsorted(parity_trace.switch_times, t0, side="right"))
+    p_hi = int(np.searchsorted(parity_trace.switch_times, t1, side="left"))
+    c_lo = int(np.searchsorted(charge_trace.jump_times, t0, side="right"))
+    c_hi = int(np.searchsorted(charge_trace.jump_times, t1, side="left"))
+    events = sorted(
+        [(float(t), "p") for t in parity_trace.switch_times[p_lo:p_hi]]
+        + [(float(t), "c") for t in charge_trace.jump_times[c_lo:c_hi]]
+    )
+    parity = (parity_trace.initial_parity + p_lo) % 2
+    ng_index = c_lo
+    cursor = t0
+    for time, kind in events:
+        if time > cursor:
+            yield cursor, time, parity, float(charge_trace.ng_values[ng_index])
+            cursor = time
+        if kind == "p":
+            parity = (parity + 1) % 2
+        else:
+            ng_index += 1
+    if t1 > cursor:
+        yield cursor, t1, parity, float(charge_trace.ng_values[ng_index])
+
+
+def _reference_scan(params, parity_trace, charge_trace, config,
+                    linewidth_mhz, snr, seed):
+    """(amplitudes, branch_freqs) from the per-pixel loop."""
+    cache = {}
+
+    def branches(ng):
+        key = float(ng)
+        if key not in cache:
+            cache[key] = (
+                transition_frequency(params.with_ng(key)),
+                transition_frequency(params.with_ng(key + 0.5)),
+            )
+        return cache[key]
+
+    n_pixels = int(parity_trace.duration_s / config.pixel_seconds + 1e-9)
+    freqs = config.frequencies()
+    hwhm_ghz = linewidth_mhz / 2e3
+    noise_rng = np.random.default_rng(
+        np.random.SeedSequence(seed).spawn(1)[0]
+    )
+    amplitudes = np.empty((n_pixels, len(freqs)))
+    branch_freqs = np.empty((n_pixels, 2))
+    pixel_starts = np.arange(n_pixels) * config.pixel_seconds
+    for i in range(n_pixels):
+        t0 = pixel_starts[i]
+        t1 = t0 + config.pixel_seconds
+        row = np.zeros(len(freqs))
+        for start, end, parity, ng in _reference_segments(
+            parity_trace, charge_trace, t0, t1
+        ):
+            weight = (end - start) / config.pixel_seconds
+            center = branches(ng)[parity]
+            row += weight / (1.0 + ((freqs - center) / hwhm_ghz) ** 2)
+        ng_mid = charge_trace.ng_at((t0 + t1) / 2.0)
+        branch_freqs[i] = branches(ng_mid)
+        amplitudes[i] = row + noise_rng.normal(0.0, 1.0 / snr, size=len(freqs))
+    return amplitudes, branch_freqs
+
+
+def _reference_peaks(freqs, row, linewidth_mhz, threshold_k=5.0):
+    """The per-row threshold-and-cluster detector."""
+    median = float(np.median(row))
+    sigma = 1.4826 * float(np.median(np.abs(row - median)))
+    threshold = median + threshold_k * sigma
+    inner = (row[1:-1] > row[:-2]) & (row[1:-1] >= row[2:])
+    is_max = np.zeros(len(row), dtype=bool)
+    is_max[1:-1] = inner
+    is_max[0] = row[0] > row[1]
+    is_max[-1] = row[-1] > row[-2]
+    candidates = np.flatnonzero(is_max & (row > threshold))
+    if len(candidates) == 0:
+        return PeakSet(count=0, positions_ghz=(), threshold=threshold)
+    lw_ghz = linewidth_mhz / 1e3
+    clusters = [[int(candidates[0])]]
+    for idx in candidates[1:]:
+        if freqs[idx] - freqs[clusters[-1][-1]] <= lw_ghz:
+            clusters[-1].append(int(idx))
+        else:
+            clusters.append([int(idx)])
+    peaks = []
+    for members in clusters:
+        best = max(members, key=lambda j: row[j])
+        peaks.append((row[best], freqs[best]))
+    peaks.sort(reverse=True)
+    kept = sorted(pos for _, pos in peaks[:2])
+    return PeakSet(count=len(kept), positions_ghz=tuple(kept),
+                   threshold=threshold)
+
+
+def _reference_estimate(scan, threshold_k=5.0):
+    """(kind, seconds, alternations, two, single) from the per-row loop."""
+    lw_ghz = scan.linewidth_mhz / 1e3
+    peaks = [
+        _reference_peaks(scan.frequencies_ghz, row, scan.linewidth_mhz,
+                         threshold_k)
+        for row in scan.amplitudes
+    ]
+    counts = np.array([p.count for p in peaks])
+    assigned = []
+    for i, row_peaks in enumerate(peaks):
+        if row_peaks.count != 1:
+            continue
+        f_even, f_odd = scan.branch_freqs_ghz[i]
+        if abs(f_even - f_odd) < lw_ghz:
+            continue
+        position = row_peaks.positions_ghz[0]
+        distances = (abs(position - f_even), abs(position - f_odd))
+        branch = int(np.argmin(distances))
+        if distances[branch] > 3.0 * lw_ghz:
+            continue
+        assigned.append(branch)
+    alternations = sum(1 for a, b in zip(assigned, assigned[1:]) if a != b)
+    two = float(np.mean(counts == 2))
+    if two >= 0.9:
+        kind, seconds, alternations = "upper_bound", scan.pixel_seconds, 0
+    elif alternations > 0:
+        kind, seconds = "estimate", scan.duration_s / alternations
+    elif len(assigned) >= 0.5 * scan.n_pixels:
+        kind, seconds = "lower_bound", scan.duration_s
+    else:
+        kind, seconds = "inconclusive", math.nan
+    return peaks, (kind, seconds, alternations, two,
+                   float(np.mean(counts == 1)))
+
+
+def _assert_matches_reference(params, parity, charge, config,
+                              linewidth_mhz=1.0, snr=20.0, seed=3):
+    scan = synthesize_scan(params, parity, charge, config,
+                           linewidth_mhz=linewidth_mhz, snr=snr, seed=seed)
+    amplitudes, branch_freqs = _reference_scan(
+        params, parity, charge, config, linewidth_mhz, snr, seed
+    )
+    assert np.array_equal(scan.amplitudes, amplitudes)
+    assert np.array_equal(scan.branch_freqs_ghz, branch_freqs)
+    estimate = estimate_parity_lifetime(scan)
+    peaks, verdict = _reference_estimate(scan)
+    assert list(estimate.peaks) == peaks
+    kind, seconds, alternations, two, single = verdict
+    assert (estimate.kind, estimate.alternations) == (kind, alternations)
+    assert (estimate.two_peak_fraction, estimate.single_peak_fraction) == (
+        two, single
+    )
+    assert estimate.seconds == seconds or (
+        math.isnan(estimate.seconds) and math.isnan(seconds)
+    )
+    return scan
+
+
+def _charge(jump_times, ng_values, duration_s):
+    return ChargeTrace(
+        jump_times=np.asarray(jump_times, dtype=float),
+        ng_values=np.asarray(ng_values, dtype=float),
+        duration_s=duration_s,
+    )
+
+
+def test_switch_on_a_pixel_boundary_matches_reference():
+    # 0.2 and 0.4 are exactly the starts of pixels 1 and 2
+    parity = ParityTrace(switch_times=np.array([0.2, 0.4, 0.5]),
+                         duration_s=1.0)
+    charge = _charge([0.4, 0.6], [0.1, 0.3, 0.8], 1.0)
+    _assert_matches_reference(SENSITIVE, parity, charge, _scan_config(1.0))
+
+
+def test_simultaneous_switch_and_jump_match_reference():
+    parity = ParityTrace(switch_times=np.array([0.05, 0.3, 0.9]),
+                         duration_s=1.0, initial_parity=1)
+    charge = _charge([0.3, 0.9], [0.0, 0.45, 0.2], 1.0)
+    _assert_matches_reference(SENSITIVE, parity, charge, _scan_config(1.0))
+
+
+def test_hundreds_of_segments_in_one_pixel_match_reference():
+    switches = np.linspace(0.2, 0.4, 402)[1:-1]
+    parity = ParityTrace(switch_times=switches, duration_s=1.0)
+    charge = _charge([0.25, 0.31, 0.37, 0.7], [0.1, 0.2, 0.3, 0.4, 0.5], 1.0)
+    _assert_matches_reference(SENSITIVE, parity, charge, _scan_config(1.0))
+
+
+def test_one_pixel_scan_matches_reference():
+    parity = ParityTrace(switch_times=np.array([0.05, 0.12]),
+                         duration_s=0.2)
+    charge = _charge([0.12], [0.6, 0.15], 0.2)
+    scan = _assert_matches_reference(
+        SENSITIVE, parity, charge, _scan_config(0.2)
+    )
+    assert scan.n_pixels == 1
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 40.0])
+def test_partial_row_block_matches_reference(gamma):
+    n_pixels = _ROWS + 3
+    duration = n_pixels * DEFAULT_PIXEL_SECONDS
+    parity = simulate_parity(gamma, duration, seed=81)
+    charge = simulate_offset_charge(
+        NoiseModel(gamma_parity_per_s=gamma, tls_rate_per_s=0.2),
+        duration, seed=82,
+    )
+    scan = _assert_matches_reference(
+        SENSITIVE, parity, charge, _scan_config(duration, n_freq=61)
+    )
+    assert scan.n_pixels == n_pixels
+
+
+@pytest.mark.parametrize(
+    "gamma, duration, n_freq", [(1000.0, 2.0, 161), (0.01, 400.0, 61)]
+)
+def test_simulated_regimes_match_reference(gamma, duration, n_freq):
+    parity = simulate_parity(gamma, duration, seed=90)
+    charge = simulate_offset_charge(
+        NoiseModel(gamma_parity_per_s=gamma), duration, seed=91
+    )
+    _assert_matches_reference(
+        SENSITIVE, parity, charge, _scan_config(duration, n_freq=n_freq),
+        seed=92,
+    )
+
+
+def test_coverage_error_names_first_uncovered_charge():
+    f_even, _ = parity_frequencies(SENSITIVE)
+    narrow = ScanConfig(
+        f_min_ghz=f_even - 0.002, f_max_ghz=f_even + 0.002, n_freq=21
+    )
+    parity = simulate_parity(0.0, 1.0, seed=1)
+    charge = _charge([0.3, 0.6], [0.25, 0.0, 0.5], 1.0)
+    with pytest.raises(
+        CoverageError,
+        match=r"^branch at \d+\.\d{6} GHz \(ng=0\.2500\) outside grid "
+        r"\[\d+\.\d{6}, \d+\.\d{6}\] GHz$",
+    ):
+        synthesize_scan(SENSITIVE, parity, charge, narrow)
+
+
+def _cluster_rows():
+    """Rows with 0, 1, 2 and more clusters, plateaus and tied maxima."""
+    freqs = np.linspace(4.30, 4.50, 161)
+    rng = np.random.default_rng(17)
+    base = rng.normal(0.0, 0.01, size=(8, freqs.size))
+    rows = base.copy()
+    rows[1, 40] = 1.0                                 # one peak
+    rows[2, [30, 120]] = [0.8, 0.6]                   # two peaks
+    rows[3, [20, 60, 100, 140]] = [0.5, 0.9, 0.7, 0.6]  # four peaks
+    rows[4, [50, 52]] = 1.0                           # tied within a cluster
+    rows[4, 51] = 0.5
+    rows[5, [20, 60, 100]] = 0.7                      # tied across clusters
+    rows[6, [80, 81, 82]] = 0.9                       # plateau
+    rows[7, [10, 12, 14, 90]] = [0.6, 0.9, 0.6, 0.4]  # one wide cluster
+    return freqs, rows
+
+
+def _comparable(peaks):
+    """A PeakSet as a tuple in which NaN thresholds compare equal."""
+    threshold = "nan" if math.isnan(peaks.threshold) else peaks.threshold
+    return peaks.count, peaks.positions_ghz, threshold
+
+
+@pytest.mark.parametrize("width", [161, 160])
+@pytest.mark.parametrize("linewidth_mhz", [1.0, 5.0])
+def test_batched_detection_matches_reference(linewidth_mhz, width):
+    # odd and even row lengths take different median paths; a NaN sample
+    # makes its row's median NaN, as np.median does
+    freqs, rows = _cluster_rows()
+    rng = np.random.default_rng(23)
+    noisy = rng.normal(0.0, 0.05, size=(600, freqs.size))
+    noisy[::3, 70] += 1.0
+    noisy[::5, 75] += 0.8
+    noisy[7, 33] = np.nan
+    rows = np.vstack([rows, noisy])[:, :width]
+    freqs = freqs[:width]
+    expected = [_reference_peaks(freqs, row, linewidth_mhz) for row in rows]
+    scan = SpectroscopyScan(
+        frequencies_ghz=freqs,
+        pixel_starts_s=np.arange(len(rows)) * 0.2,
+        amplitudes=rows,
+        branch_freqs_ghz=np.tile([4.35, 4.45], (len(rows), 1)),
+        linewidth_mhz=linewidth_mhz,
+        snr=20.0,
+        pixel_seconds=0.2,
+        seed=0,
+    )
+    expected = [_comparable(peaks) for peaks in expected]
+    found = estimate_parity_lifetime(scan).peaks
+    assert [_comparable(peaks) for peaks in found] == expected
+    for row, peaks in zip(rows, expected):
+        assert _comparable(detect_peaks(freqs, row, linewidth_mhz)) == peaks
+    assert {peaks[0] for peaks in expected} == {0, 1, 2}
+
+
+def test_cluster_rows_pick_first_maximum_and_top_two():
+    freqs, rows = _cluster_rows()
+    found = [detect_peaks(freqs, row, linewidth_mhz=5.0) for row in rows]
+    assert found[0].count == 0
+    assert found[1].positions_ghz == (freqs[40],)
+    assert found[2].positions_ghz == (freqs[30], freqs[120])
+    assert found[3].positions_ghz == (freqs[60], freqs[100])
+    assert found[4].positions_ghz == (freqs[50],)
+    # equal amplitudes: the higher frequencies win
+    assert found[5].positions_ghz == (freqs[60], freqs[100])
+    assert found[6].positions_ghz == (freqs[80],)
+    assert found[7].positions_ghz == (freqs[12], freqs[90])
+
+
+def test_jumps_at_pixel_midpoints_match_reference():
+    # branch_freqs_ghz is taken at (t0 + t1) / 2, which for some pixels
+    # rounds differently from t0 + pixel_seconds / 2; a jump exactly there
+    # counts as already happened
+    n_pixels = 40
+    duration = n_pixels * DEFAULT_PIXEL_SECONDS
+    starts = np.arange(n_pixels) * DEFAULT_PIXEL_SECONDS
+    midpoints = (starts + (starts + DEFAULT_PIXEL_SECONDS)) / 2.0
+    assert np.any(midpoints != starts + DEFAULT_PIXEL_SECONDS / 2.0)
+    charge = _charge(midpoints, np.linspace(0.0, 0.9, n_pixels + 1), duration)
+    parity = simulate_parity(2.0, duration, seed=5)
+    _assert_matches_reference(
+        SENSITIVE, parity, charge, _scan_config(duration, n_freq=61)
+    )
+
+
+# Grid and linewidth with exact binary spacing, so that ties are exact.
+_DYADIC_FREQS = 4.0 + np.arange(161) / 1024
+_DYADIC_LW_MHZ = 1.953125  # 2 / 1024 GHz
+
+
+def _dyadic_scan(rows, branch_freqs):
+    rows = np.asarray(rows, dtype=float)
+    return SpectroscopyScan(
+        frequencies_ghz=_DYADIC_FREQS,
+        pixel_starts_s=np.arange(len(rows)) * 0.2,
+        amplitudes=rows,
+        branch_freqs_ghz=np.asarray(branch_freqs, dtype=float),
+        linewidth_mhz=_DYADIC_LW_MHZ,
+        snr=20.0,
+        pixel_seconds=0.2,
+        seed=0,
+    )
+
+
+def test_gap_of_exactly_one_linewidth_joins_the_cluster():
+    row = np.zeros(161)
+    row[[40, 41, 42, 100]] = [0.9, 0.2, 1.0, 0.8]
+    peaks = detect_peaks(_DYADIC_FREQS, row, _DYADIC_LW_MHZ)
+    assert peaks.positions_ghz == (_DYADIC_FREQS[42], _DYADIC_FREQS[100])
+    assert peaks == _reference_peaks(_DYADIC_FREQS, row, _DYADIC_LW_MHZ)
+
+
+def test_equidistant_peak_is_attributed_to_even_branch():
+    # rows alternate between a peak on the odd branch, with the branches
+    # exactly one linewidth apart (still resolved), and a peak exactly
+    # midway between the branches, which counts as even, at exactly three
+    # linewidths from each (still attributable)
+    position = _DYADIC_FREQS[80]
+    rows = np.zeros((10, 161))
+    rows[:, 80] = 1.0
+    odd_row = (position - 2 / 1024, position)
+    tie_row = (position - 6 / 1024, position + 6 / 1024)
+    scan = _dyadic_scan(rows, [odd_row, tie_row] * 5)
+    estimate = estimate_parity_lifetime(scan)
+    assert (estimate.kind, estimate.alternations) == ("estimate", 9)
+    _, verdict = _reference_estimate(scan)
+    assert verdict[:3] == (estimate.kind, estimate.seconds, 9)
