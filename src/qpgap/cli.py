@@ -26,9 +26,6 @@ from .config import DeviceConfig, load_device_config
 from .errors import (
     ConfigError,
     ConvergenceError,
-    CoverageError,
-    DomainError,
-    GeometryError,
     NearResonanceError,
     QpgapError,
 )
@@ -179,7 +176,7 @@ def _cmd_spectrum(args) -> int:
         "kind", "ng", "f_ge_GHz", "f_ef_GHz", "f_ge_odd_GHz",
         "parity_splitting_GHz", "eps_ge_GHz", "eps_ef_GHz",
     ]
-    out_dir = _prepare_out(args)
+    out_dir = args.out
     if args.format == "json":
         grid = [
             {
@@ -206,8 +203,6 @@ def _cmd_spectrum(args) -> int:
                 sys.stdout.write(f"# {key} = {_fmt(value)}\n")
 
     if args.svg:
-        if out_dir is None:
-            raise ConfigError("--svg requires --out")
         grid_rows = [row for row in rows if row[0] == "grid"]
         ngs = [row[1] for row in grid_rows]
         svg = svgplot.line_plot(
@@ -286,7 +281,7 @@ def _cmd_qp(args) -> int:
     )
 
     header = ["T_K", "x_qp", "gamma1_per_s", "T1_us", "parity_rate_per_s"]
-    out_dir = _prepare_out(args)
+    out_dir = args.out
     if args.format == "json":
         document = {
             "grid": [dict(zip(header, row)) for row in grid_rows],
@@ -305,8 +300,6 @@ def _cmd_qp(args) -> int:
             (out_dir / "qp_grid.csv").write_text(grid_text)
 
     if args.svg:
-        if out_dir is None:
-            raise ConfigError("--svg requires --out")
         svg = svgplot.line_plot(
             [
                 (
@@ -334,6 +327,8 @@ def _cmd_qp(args) -> int:
 def _cmd_parity_sim(args) -> int:
     config = load_device_config(args.config)
     seed = config.seed if args.seed is None else args.seed
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     settings = config.scan
     duration = args.duration
 
@@ -387,7 +382,7 @@ def _cmd_parity_sim(args) -> int:
         }
     )
 
-    out_dir = _prepare_out(args)
+    out_dir = args.out
     if args.format == "json":
         document = dict(metadata)
         document["peaks"] = [
@@ -402,8 +397,6 @@ def _cmd_parity_sim(args) -> int:
         ]
         _write_or_print(_dump_json(document), out_dir, "scan_meta.json")
     else:
-        if out_dir is None:
-            raise ConfigError("csv scan output requires --out")
         header = ["time_s"] + [
             f"f_{_fmt(freq)}" for freq in scan.frequencies_ghz
         ]
@@ -420,8 +413,6 @@ def _cmd_parity_sim(args) -> int:
         (out_dir / "scan_meta.json").write_text(_dump_json(metadata))
 
     if args.svg:
-        if out_dir is None:
-            raise ConfigError("--svg requires --out")
         svg = svgplot.heatmap(
             scan.amplitudes.T,
             x_values=scan.frequencies_ghz,
@@ -508,7 +499,7 @@ def _cmd_fit(args) -> int:
         )
     ]
 
-    out_dir = _prepare_out(args)
+    out_dir = args.out
     stem = f"fit_{args.kind}"
     if args.format == "json":
         document = dict(report)
@@ -549,8 +540,6 @@ def _cmd_fit(args) -> int:
             (out_dir / f"{stem}_residuals.csv").write_text(residual_text)
 
     if args.svg:
-        if out_dir is None:
-            raise ConfigError("--svg requires --out")
         t_fine = np.linspace(float(data.t_kelvin.min()),
                              float(data.t_kelvin.max()), 200)
         svg = svgplot.line_plot(
@@ -569,17 +558,25 @@ def _cmd_fit(args) -> int:
 # -------------------------------------------------------------------- main
 
 
-def _prepare_out(args) -> Path | None:
+def _prepare_out(args) -> None:
+    """Check the output flags and create ``--out``, before any work."""
     if args.out is None:
-        return None
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
+        if args.svg:
+            raise ConfigError("--svg requires --out")
+        if args.command == "parity-sim" and args.format == "csv":
+            raise ConfigError("csv scan output requires --out")
+        return
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
 
 
 def _add_common(parser):
     parser.add_argument("config", help="device config JSON file")
-    parser.add_argument("--out", help="output directory (default: stdout)")
+    parser.add_argument(
+        "--out", type=Path, help="output directory (default: stdout)"
+    )
     parser.add_argument(
         "--format", choices=("csv", "json"), default="csv",
         help="output format (default csv)",
@@ -655,10 +652,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _prepare_out(args)
         return args.func(args)
-    except (ConfigError, DomainError, GeometryError, CoverageError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except ConvergenceError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -16,11 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, GeometryError, QpgapError
-from .parity import (
-    DEFAULT_PIXEL_SECONDS,
-    DEFAULT_TLS_RATE,
-    NoiseModel,
-)
+from .parity import DEFAULT_PIXEL_SECONDS, NoiseModel
 from .quasiparticles import (
     GapProfile,
     QPEnvironment,
@@ -111,6 +107,14 @@ def _finite(value, where: str, line: int | None) -> float:
     return number
 
 
+def _positive(value, where: str, line: int | None) -> float:
+    """``value`` as a finite float greater than zero."""
+    number = _finite(value, where, line)
+    if number <= 0:
+        raise ConfigError(f"{where}: must be positive, got {number}", line)
+    return number
+
+
 def _number_pairs(
     raw, where: str, line: int | None
 ) -> tuple[tuple[float, float], ...]:
@@ -127,82 +131,100 @@ def _number_pairs(
     )
 
 
-class _Section:
-    """Typed accessor for one JSON object with line-aware errors."""
-
-    def __init__(self, data: dict, name: str, text: str):
-        if not isinstance(data, dict):
-            raise ConfigError(
-                f"section {name!r} must be an object", _line_of(text, name)
-            )
-        self.data = data
-        self.name = name
-        self.text = text
-
-    def _line(self, key: str) -> int | None:
-        return _line_of(self.text, key) or _line_of(self.text, self.name)
-
-    def _fail(self, key: str, message: str):
-        raise ConfigError(f"{self.name}.{key}: {message}", self._line(key))
-
-    def require(self, key: str, kind=float):
-        if key not in self.data:
-            self._fail(key, "missing required field")
-        return self.convert(key, kind)
-
-    def optional(self, key: str, default, kind=float):
-        if key not in self.data or self.data[key] is None:
-            return default
-        return self.convert(key, kind)
-
-    def convert(self, key: str, kind):
-        value = self.data[key]
-        if kind is float:
-            return _finite(value, f"{self.name}.{key}", self._line(key))
-        if kind is int:
-            if not isinstance(value, int) or isinstance(value, bool):
-                self._fail(key, f"expected an integer, got {value!r}")
-            return value
-        if kind is str:
-            if not isinstance(value, str):
-                self._fail(key, f"expected a string, got {value!r}")
-            return value
-        return value
-
-    def reject_unknown(self, allowed: set[str]):
-        unknown = set(self.data) - allowed
-        if unknown:
-            key = sorted(unknown)[0]
-            self._fail(key, "unknown field")
+def _integer(value, where: str, line: int | None) -> int:
+    """``value`` as an int; a bool, float or string is a ConfigError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}", line)
+    return value
 
 
-def _resolve_transmon(section: _Section) -> TransmonParams:
-    has_energies = "EJ_GHz" in section.data or "EC_GHz" in section.data
-    has_targets = "targets" in section.data
-    if has_energies == has_targets:
-        line = _line_of(section.text, "transmon")
+# One table per section: (JSON key, constructor keyword, converter,
+# required).  An omitted or null optional key is left out, so the
+# constructor's own default applies.
+_TRANSMON_NG = (("ng", "ng", _finite, False),)
+_TRANSMON = (
+    ("EJ_GHz", "EJ", _finite, True),
+    ("EC_GHz", "EC", _finite, True),
+) + _TRANSMON_NG
+_TARGETS = (
+    ("f_ge_ng0_GHz", "f_ge_ng0", _finite, True),
+    ("f_ge_ng05_GHz", "f_ge_ng05", _finite, False),
+    ("f_ef_GHz", "f_ef", _finite, False),
+)
+_CAVITY = (
+    ("g_MHz", "g_mhz", _finite, True),
+    ("nu_r_GHz", "nu_r_ghz", _finite, True),
+    ("Q_loaded", "q_loaded", _finite, True),
+)
+_QP_ENVIRONMENT = (
+    ("x_nqp", "x_nqp", _finite, False),
+    ("diffusion_m2_per_s", "diffusion_m2_per_s", _finite, False),
+    ("tau_anchors", "tau_anchors", _number_pairs, False),
+    ("xi_um", "xi_um", _finite, False),
+    ("nu0_per_eV_um3", "nu0_per_ev_um3", _finite, False),
+    ("T_qp_K", "t_qp_kelvin", _finite, False),
+)
+_NOISE = (
+    ("gamma_parity_per_s", "gamma_parity_per_s", _finite, False),
+    ("tls_rate_per_s", "tls_rate_per_s", _finite, False),
+)
+_SCAN = (
+    ("linewidth_MHz", "linewidth_mhz", _finite, False),
+    ("snr", "snr", _finite, False),
+    ("pixel_seconds", "pixel_seconds", _finite, False),
+    ("n_freq", "n_freq", _integer, False),
+    ("pad_linewidths", "pad_linewidths", _finite, False),
+)
+_DEPHASING = (
+    ("chi_MHz", "chi_override_mhz", _finite, False),
+    ("kappa_MHz", "kappa_override_mhz", _finite, False),
+)
+_MEASURED = tuple(
+    (key, key, _positive, False)
+    for key in ("T1_us", "T2star_us", "T2echo_us")
+)
+
+
+def _fields(data, name: str, text: str, table) -> dict:
+    """Constructor keywords read from section ``name`` by its ``table``.
+
+    Errors name the field and the first source line mentioning it.
+    """
+
+    def line(key: str) -> int | None:
+        return _line_of(text, key) or _line_of(text, name)
+
+    if not isinstance(data, dict):
+        raise ConfigError(f"section {name!r} must be an object", line(name))
+    unknown = sorted(set(data) - {key for key, *_ in table})
+    if unknown:
+        key = unknown[0]
+        raise ConfigError(f"{name}.{key}: unknown field", line(key))
+    values = {}
+    for key, keyword, convert, required in table:
+        if data.get(key) is None:
+            if required:
+                raise ConfigError(
+                    f"{name}.{key}: missing required field", line(key)
+                )
+            continue
+        values[keyword] = convert(data[key], f"{name}.{key}", line(key))
+    return values
+
+
+def _resolve_transmon(data, text: str) -> TransmonParams:
+    if not isinstance(data, dict) or "targets" not in data:
+        return TransmonParams(**_fields(data, "transmon", text, _TRANSMON))
+    if "EJ_GHz" in data or "EC_GHz" in data:
         raise ConfigError(
             "transmon: provide exactly one of (EJ_GHz, EC_GHz) or targets",
-            line,
+            _line_of(text, "transmon"),
         )
-    ng = section.optional("ng", 0.0)
-    n_cut = section.optional("n_cut", 0, kind=int)
-    if has_energies:
-        section.reject_unknown({"EJ_GHz", "EC_GHz", "ng", "n_cut"})
-        ej = section.require("EJ_GHz")
-        ec = section.require("EC_GHz")
-        return TransmonParams(EJ=ej, EC=ec, ng=ng, n_cut=n_cut)
-    section.reject_unknown({"targets", "ng", "n_cut"})
-    targets = _Section(section.data["targets"], "transmon.targets", section.text)
-    targets.reject_unknown({"f_ge_ng0_GHz", "f_ge_ng05_GHz", "f_ef_GHz"})
-    fitted = fit_ej_ec(
-        FrequencyTargets(
-            f_ge_ng0=targets.require("f_ge_ng0_GHz"),
-            f_ge_ng05=targets.optional("f_ge_ng05_GHz", None),
-            f_ef=targets.optional("f_ef_GHz", None),
-        )
-    )
-    return TransmonParams(EJ=fitted.EJ, EC=fitted.EC, ng=ng, n_cut=n_cut)
+    rest = {key: value for key, value in data.items() if key != "targets"}
+    ng = _fields(rest, "transmon", text, _TRANSMON_NG)
+    targets = _fields(data["targets"], "transmon.targets", text, _TARGETS)
+    fitted = fit_ej_ec(FrequencyTargets(**targets))
+    return TransmonParams(EJ=fitted.EJ, EC=fitted.EC, **ng)
 
 
 def load_device_document(document: dict, text: str = "") -> DeviceConfig:
@@ -226,136 +248,37 @@ def load_device_document(document: dict, text: str = "") -> DeviceConfig:
     if not isinstance(name, str) or not name:
         raise ConfigError("name must be a non-empty string", _line_of(text, "name"))
 
+    def section(key: str, table) -> dict:
+        return _fields(document.get(key, {}), key, text, table)
+
+    params = _resolve_transmon(document["transmon"], text)
+    cavity = CavityCoupling(**section("cavity", _CAVITY))
+
+    table = None
+    if "thickness_tc_table" in document:
+        table = ThicknessTcTable(
+            anchors=_number_pairs(
+                document["thickness_tc_table"],
+                "thickness_tc_table",
+                _line_of(text, "thickness_tc_table"),
+            )
+        )
     try:
-        params = _resolve_transmon(_Section(document["transmon"], "transmon", text))
-
-        cavity_section = _Section(document["cavity"], "cavity", text)
-        cavity_section.reject_unknown({"g_MHz", "nu_r_GHz", "Q_loaded"})
-        cavity = CavityCoupling(
-            g_mhz=cavity_section.require("g_MHz"),
-            nu_r_ghz=cavity_section.require("nu_r_GHz"),
-            q_loaded=cavity_section.require("Q_loaded"),
-        )
-
-        table = None
-        if "thickness_tc_table" in document:
-            table = ThicknessTcTable(
-                anchors=_number_pairs(
-                    document["thickness_tc_table"],
-                    "thickness_tc_table",
-                    _line_of(text, "thickness_tc_table"),
-                )
-            )
         profile = profile_from_document(document["gap_profile"], table)
-
-        env_data = document.get("qp_environment", {})
-        env_section = _Section(env_data, "qp_environment", text)
-        env_section.reject_unknown(
-            {
-                "x_nqp",
-                "diffusion_m2_per_s",
-                "tau_anchors",
-                "xi_um",
-                "nu0_per_eV_um3",
-                "T_qp_K",
-            }
-        )
-        defaults = QPEnvironment()
-        anchors = defaults.tau_anchors
-        if "tau_anchors" in env_data:
-            anchors = _number_pairs(
-                env_data["tau_anchors"],
-                "qp_environment.tau_anchors",
-                _line_of(text, "tau_anchors"),
-            )
-        env = QPEnvironment(
-            x_nqp=env_section.optional("x_nqp", defaults.x_nqp),
-            diffusion_m2_per_s=env_section.optional(
-                "diffusion_m2_per_s", defaults.diffusion_m2_per_s
-            ),
-            tau_anchors=anchors,
-            xi_um=env_section.optional("xi_um", defaults.xi_um),
-            nu0_per_ev_um3=env_section.optional(
-                "nu0_per_eV_um3", defaults.nu0_per_ev_um3
-            ),
-            t_qp_kelvin=env_section.optional("T_qp_K", defaults.t_qp_kelvin),
-        )
-
-        noise_data = document.get("noise", {})
-        noise_section = _Section(noise_data, "noise", text)
-        noise_section.reject_unknown(
-            {"gamma_parity_per_s", "tls_rate_per_s", "base_rate_per_s",
-             "base_temperature_K"}
-        )
-        gamma = noise_section.optional("gamma_parity_per_s", None)
-        computed = gamma is None
-        if computed:
-            gamma = parity_rate_model(
-                profile,
-                env,
-                t_kelvin=noise_section.optional("base_temperature_K", 0.025),
-                base_rate_per_s=noise_section.optional("base_rate_per_s", 1.0e3),
-            )
-        noise = NoiseModel(
-            gamma_parity_per_s=gamma,
-            tls_rate_per_s=noise_section.optional(
-                "tls_rate_per_s", DEFAULT_TLS_RATE
-            ),
-        )
-
-        scan_data = document.get("scan", {})
-        scan_section = _Section(scan_data, "scan", text)
-        scan_section.reject_unknown(
-            {
-                "linewidth_MHz",
-                "snr",
-                "pixel_seconds",
-                "n_freq",
-                "pad_linewidths",
-            }
-        )
-        scan_defaults = ScanSettings()
-        scan = ScanSettings(
-            linewidth_mhz=scan_section.optional(
-                "linewidth_MHz", scan_defaults.linewidth_mhz
-            ),
-            snr=scan_section.optional("snr", scan_defaults.snr),
-            pixel_seconds=scan_section.optional(
-                "pixel_seconds", scan_defaults.pixel_seconds
-            ),
-            n_freq=scan_section.optional("n_freq", scan_defaults.n_freq, kind=int),
-            pad_linewidths=scan_section.optional(
-                "pad_linewidths", scan_defaults.pad_linewidths
-            ),
-        )
-
-        chi_override = None
-        kappa_override = None
-        if "dephasing" in document:
-            dephasing = _Section(document["dephasing"], "dephasing", text)
-            dephasing.reject_unknown({"chi_MHz", "kappa_MHz"})
-            chi_override = dephasing.optional("chi_MHz", None)
-            kappa_override = dephasing.optional("kappa_MHz", None)
-
-        measured = {}
-        if "measured" in document:
-            measured_section = _Section(document["measured"], "measured", text)
-            measured_section.reject_unknown(
-                {"T1_us", "T2star_us", "T2echo_us"}
-            )
-            for key in ("T1_us", "T2star_us", "T2echo_us"):
-                value = measured_section.optional(key, None)
-                if value is not None:
-                    measured[key] = value
-
-        seed = 0
-        if "seed" in document:
-            root = _Section(document, "config", text)
-            seed = root.convert("seed", int)
-    except (GeometryError,) as exc:
+    except GeometryError as exc:
         raise ConfigError(
             f"gap_profile: {exc}", _line_of(text, "gap_profile")
         ) from exc
+
+    env = QPEnvironment(**section("qp_environment", _QP_ENVIRONMENT))
+    noise = section("noise", _NOISE)
+    computed = "gamma_parity_per_s" not in noise
+    if computed:
+        noise["gamma_parity_per_s"] = parity_rate_model(profile, env)
+    scan = ScanSettings(**section("scan", _SCAN))
+    seed = _integer(
+        document.get("seed", 0), "config.seed", _line_of(text, "seed")
+    )
 
     return DeviceConfig(
         name=name,
@@ -363,14 +286,13 @@ def load_device_document(document: dict, text: str = "") -> DeviceConfig:
         cavity=cavity,
         profile=profile,
         env=env,
-        noise=noise,
+        noise=NoiseModel(**noise),
         scan=scan,
         seed=seed,
-        chi_override_mhz=chi_override,
-        kappa_override_mhz=kappa_override,
-        measured=measured,
+        measured=section("measured", _MEASURED),
         source_hash=config_hash(document),
         gamma_parity_computed=computed,
+        **section("dephasing", _DEPHASING),
     )
 
 
@@ -383,7 +305,7 @@ def load_device_config(path: str | Path) -> DeviceConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
         document = json.loads(text)

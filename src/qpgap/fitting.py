@@ -101,52 +101,59 @@ def dataseries_from_csv(path: str | Path, kind: str) -> DataSeries:
     :class:`ConfigError` naming the offending row on malformed input.
     """
     path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise ConfigError(f"{path}: empty file")
-        fields = [name.strip() for name in reader.fieldnames]
-        if "T_K" not in fields:
-            raise ConfigError(f"{path}: missing required column T_K")
-        has_us = "value_us" in fields
-        has_rate = "rate_per_s" in fields
-        if has_us == has_rate:
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    reader = csv.DictReader(text.splitlines())
+    if reader.fieldnames is None:
+        raise ConfigError(f"{path}: empty file")
+    fields = [name.strip() for name in reader.fieldnames]
+    if "T_K" not in fields:
+        raise ConfigError(f"{path}: missing required column T_K")
+    has_us = "value_us" in fields
+    has_rate = "rate_per_s" in fields
+    if has_us == has_rate:
+        raise ConfigError(
+            f"{path}: need exactly one of value_us or rate_per_s columns"
+        )
+    value_col = "value_us" if has_us else "rate_per_s"
+    has_sigma = "sigma" in fields
+    t, v, s = [], [], []
+    for row_number, row in enumerate(reader, start=2):
+        try:
+            t_k = float(row["T_K"])
+            raw = float(row[value_col])
+            sigma_raw = float(row["sigma"]) if has_sigma else None
+        except (TypeError, ValueError, KeyError) as exc:
             raise ConfigError(
-                f"{path}: need exactly one of value_us or rate_per_s columns"
+                f"{path}: malformed row {row_number}: {dict(row)}",
+            ) from exc
+        numbers = [t_k, raw] + ([sigma_raw] if has_sigma else [])
+        if not all(map(math.isfinite, numbers)):
+            raise ConfigError(
+                f"{path}: non-finite value in row {row_number}: "
+                f"{dict(row)}"
             )
-        value_col = "value_us" if has_us else "rate_per_s"
-        has_sigma = "sigma" in fields
-        t, v, s = [], [], []
-        for row_number, row in enumerate(reader, start=2):
+        if raw <= 0:
+            raise ConfigError(
+                f"{path}: non-positive value in row {row_number}"
+            )
+        if has_us:
+            value = raw * 1e-6
+            sigma = sigma_raw * 1e-6 if sigma_raw is not None else None
+        elif sigma_raw is None:
+            value, sigma = 1.0 / raw, None
+        else:
             try:
-                t_k = float(row["T_K"])
-                raw = float(row[value_col])
-                sigma_raw = float(row["sigma"]) if has_sigma else None
-            except (TypeError, ValueError, KeyError) as exc:
+                value, sigma = 1.0 / raw, sigma_raw / raw**2
+            except OverflowError:
                 raise ConfigError(
-                    f"{path}: malformed row {row_number}: {dict(row)}",
-                ) from exc
-            numbers = [t_k, raw] + ([sigma_raw] if has_sigma else [])
-            if not all(map(math.isfinite, numbers)):
-                raise ConfigError(
-                    f"{path}: non-finite value in row {row_number}: "
-                    f"{dict(row)}"
-                )
-            if raw <= 0:
-                raise ConfigError(
-                    f"{path}: non-positive value in row {row_number}"
-                )
-            if has_us:
-                value = raw * 1e-6
-                sigma = sigma_raw * 1e-6 if sigma_raw is not None else None
-            else:
-                value = 1.0 / raw
-                sigma = (
-                    sigma_raw / raw**2 if sigma_raw is not None else None
-                )
-            t.append(t_k)
-            v.append(value)
-            s.append(sigma)
+                    f"{path}: rate out of range in row {row_number}"
+                ) from None
+        t.append(t_k)
+        v.append(value)
+        s.append(sigma)
     if not t:
         raise ConfigError(f"{path}: no data rows")
     sigma_arr = None
@@ -560,9 +567,14 @@ def t2_rate_model(
     t = np.asarray(t_kelvin, dtype=float)
     out = np.empty(len(t))
     for i, temperature in enumerate(t):
+        t1_seconds = t1_model(float(temperature))
+        if not t1_seconds > 0:
+            raise DomainError(
+                f"T1 model gives {t1_seconds} s at {temperature} K"
+            )
         n_th = bose_occupation(nu_r_ghz, float(temperature)) + n0
         out[i] = (
-            1.0 / (2.0 * t1_model(float(temperature)))
+            1.0 / (2.0 * t1_seconds)
             + shot_noise_dephasing(chi_mhz, kappa_mhz, n_th)
             + gamma_offset_per_s
         )
@@ -601,6 +613,10 @@ def fit_t2_vs_temperature(
     excess = rates - base
     offset0 = max(float(np.min(excess)), 0.0)
     slope = shot_noise_dephasing(chi_mhz, kappa_mhz, 1e-6) / 1e-6
+    if not slope > 0:
+        raise DomainError(
+            f"chi = {chi_mhz} MHz leaves T2* insensitive to the photon number"
+        )
     n0_guess = (float(np.median(excess)) - offset0) / slope
     n0_guess = min(max(n0_guess, 1e-4), 0.5)
     guess = np.array([n0_guess, offset0])

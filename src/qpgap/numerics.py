@@ -7,7 +7,6 @@ consume a value that missed its requested tolerance.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable
 
 import scipy.integrate
@@ -33,24 +32,14 @@ def adaptive_integral(
     quadrature cannot certify the requested tolerance, carrying the best
     estimate on the exception.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
-        try:
-            value, abserr = scipy.integrate.quad(
-                func, lower, upper, epsabs=abs_tol, epsrel=rel_tol, limit=limit
-            )
-        except scipy.integrate.IntegrationWarning as exc:
-            with warnings.catch_warnings():
-                warnings.simplefilter(
-                    "ignore", scipy.integrate.IntegrationWarning
-                )
-                value, _ = scipy.integrate.quad(
-                    func, lower, upper, epsabs=abs_tol, epsrel=rel_tol,
-                    limit=limit,
-                )
-            raise ConvergenceError(
-                f"quadrature did not converge: {exc}", best=value
-            ) from exc
+    value, abserr, _, *failure = scipy.integrate.quad(
+        func, lower, upper, epsabs=abs_tol, epsrel=rel_tol, limit=limit,
+        full_output=1,
+    )
+    if failure:
+        raise ConvergenceError(
+            f"quadrature did not converge: {failure[0]}", best=value
+        )
     if abserr > max(rel_tol * abs(value), abs_tol):
         raise ConvergenceError(
             f"quadrature error estimate {abserr:.3e} exceeds tolerance for "

@@ -185,6 +185,13 @@ class StackSegment:
                 "specify exactly one of thickness_nm or delta_K per segment"
             )
 
+    def resolve(self, table: ThicknessTcTable | None = None) -> GapSegment:
+        """The segment with its gap, from the thickness table if not given."""
+        delta = self.delta_k
+        if delta is None:
+            delta = delta_from_tc(tc_from_thickness(self.thickness_nm, table))
+        return GapSegment(self.length_um, delta)
+
 
 def profile_from_stack(
     segments: list[StackSegment] | tuple[StackSegment, ...],
@@ -200,15 +207,27 @@ def profile_from_stack(
         raise GeometryError(
             f"junction index {junction_index} leaves no segment on one side"
         )
-    resolved = []
-    for seg in segments:
-        if seg.delta_k is not None:
-            delta = seg.delta_k
-        else:
-            delta = delta_from_tc(tc_from_thickness(seg.thickness_nm, table))
-        resolved.append(GapSegment(seg.length_um, delta))
+    resolved = tuple(seg.resolve(table) for seg in segments)
     junction_um = sum(seg.length_um for seg in resolved[:junction_index])
-    return GapProfile(tuple(resolved), junction_um)
+    return GapProfile(resolved, junction_um)
+
+
+# JSON key of a gap-profile segment -> StackSegment field
+_SEGMENT_FIELDS = {
+    "length_um": "length_um",
+    "thickness_nm": "thickness_nm",
+    "delta_K": "delta_k",
+}
+
+
+def _json_number(value, where: str) -> float:
+    """A JSON number as a float; strings, bools and other types are errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise GeometryError(f"{where}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise GeometryError(f"{where}: number too large") from None
 
 
 def profile_from_document(
@@ -216,38 +235,41 @@ def profile_from_document(
 ) -> GapProfile:
     """Parse the JSON gap-profile document.
 
-    Each segment carries ``length_um`` plus either ``thickness_nm`` or
-    ``delta_K``; ``junction_um`` names an interior boundary.
+    ``segments`` is a list of at least two objects, each with
+    ``length_um`` plus either ``thickness_nm`` or ``delta_K``;
+    ``junction_um`` names an interior boundary.  Every value must be a
+    JSON number.
     """
-    try:
-        raw_segments = document["segments"]
-        junction_um = float(document["junction_um"])
-    except (KeyError, TypeError) as exc:
-        raise GeometryError(f"gap profile document missing field: {exc}") from exc
-    if not raw_segments or len(raw_segments) < 2:
-        raise GeometryError("gap profile needs at least two segments")
+    if not isinstance(document, dict) or "junction_um" not in document:
+        raise GeometryError("gap profile needs segments and junction_um")
+    unknown = set(document) - {"segments", "junction_um"}
+    if unknown:
+        raise GeometryError(f"unknown fields {sorted(unknown)}")
+    raw_segments = document.get("segments")
+    if not (
+        isinstance(raw_segments, list)
+        and len(raw_segments) >= 2
+        and all(isinstance(raw, dict) for raw in raw_segments)
+    ):
+        raise GeometryError("segments must be a list of at least two objects")
+    junction_um = _json_number(document["junction_um"], "junction_um")
     segments = []
     for i, raw in enumerate(raw_segments):
-        unknown = set(raw) - {"length_um", "thickness_nm", "delta_K"}
+        unknown = set(raw) - set(_SEGMENT_FIELDS)
         if unknown:
             raise GeometryError(
                 f"segment {i}: unknown fields {sorted(unknown)}"
             )
         if "length_um" not in raw:
             raise GeometryError(f"segment {i}: missing length_um")
-        has_thickness = "thickness_nm" in raw
-        has_delta = "delta_K" in raw
-        if has_thickness == has_delta:
-            raise GeometryError(
-                f"segment {i}: specify exactly one of thickness_nm or delta_K"
-            )
-        if has_delta:
-            delta = float(raw["delta_K"])
-        else:
-            delta = delta_from_tc(
-                tc_from_thickness(float(raw["thickness_nm"]), table)
-            )
-        segments.append(GapSegment(float(raw["length_um"]), delta))
+        values = {
+            _SEGMENT_FIELDS[key]: _json_number(value, f"segment {i}: {key}")
+            for key, value in raw.items()
+        }
+        try:
+            segments.append(StackSegment(**values).resolve(table))
+        except GeometryError as exc:
+            raise GeometryError(f"segment {i}: {exc}") from None
     return GapProfile(tuple(segments), junction_um)
 
 

@@ -33,11 +33,11 @@ class TransmonParams:
     Parameters
     ----------
     EJ:
-        Josephson energy in GHz, >= 0.
+        Josephson energy in GHz, finite and >= 0.
     EC:
-        Charging energy in GHz, > 0.
+        Charging energy in GHz, finite and > 0.
     ng:
-        Dimensionless offset charge in Cooper-pair units.
+        Dimensionless offset charge in Cooper-pair units, finite.
     n_cut:
         Requested charge-basis cutoff.  The effective cutoff is raised
         automatically when this is too small for converged spectra.
@@ -49,10 +49,14 @@ class TransmonParams:
     n_cut: int = 0
 
     def __post_init__(self):
-        if self.EJ < 0:
-            raise DomainError(f"EJ must be non-negative, got {self.EJ}")
-        if self.EC <= 0:
-            raise DomainError(f"EC must be positive, got {self.EC}")
+        if not 0 <= self.EJ < math.inf:
+            raise DomainError(
+                f"EJ must be non-negative and finite, got {self.EJ}"
+            )
+        if not 0 < self.EC < math.inf:
+            raise DomainError(f"EC must be positive and finite, got {self.EC}")
+        if not math.isfinite(self.ng):
+            raise DomainError(f"ng must be finite, got {self.ng}")
         if self.n_cut < 0:
             raise DomainError(f"n_cut must be non-negative, got {self.n_cut}")
 

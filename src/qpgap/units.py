@@ -8,7 +8,7 @@ factor is written out anywhere else in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -33,8 +33,8 @@ class Constants:
     RK:
         von Klitzing resistance h/e^2, ohm.
     bcs_ratio:
-        Weak-coupling gap ratio Delta/(kB Tc).  Exposed as a plain field
-        so calculations can be re-run with a different ratio.
+        Weak-coupling gap ratio Delta/(kB Tc) used by every module;
+        ``thermal.delta_from_tc`` also takes an explicit ratio.
     """
 
     kB_over_h: float = _KB_J_PER_K / _H_J_S / 1e9
@@ -42,11 +42,6 @@ class Constants:
     kB_in_eV: float = _KB_J_PER_K / _E_COULOMB
     RK: float = _H_J_S / _E_COULOMB**2
     bcs_ratio: float = 1.764
-
-    def with_bcs_ratio(self, ratio: float) -> "Constants":
-        if ratio <= 0:
-            raise DomainError(f"bcs_ratio must be positive, got {ratio}")
-        return replace(self, bcs_ratio=ratio)
 
 
 CONSTANTS = Constants()

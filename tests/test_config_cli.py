@@ -433,6 +433,10 @@ def _set(doc, path, value):
         (("qp_environment", "tau_anchors"), [[0.5, math.inf], [14.0, 1e-11]]),
         (("qp_environment", "tau_anchors"), 5),
         (("gap_profile", "segments", 0, "length_um"), math.inf),
+        (("gap_profile", "segments"), 5),
+        (("gap_profile", "segments", 0, "length_um"), "x"),
+        (("gap_profile", "segments", 0, "thickness_nm"), "20"),
+        (("measured", "T1_us"), 0),
     ],
 )
 @pytest.mark.parametrize(
@@ -447,6 +451,108 @@ def test_non_finite_config_numbers_exit_2(
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(doc))  # writes NaN and Infinity literals
     _assert_clean_exit_2(_run([argv[0], config, *argv[1:]]), capsys)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("transmon", "n_cut"), 40),
+        (("noise", "base_rate_per_s"), 5.0),
+        (("noise", "base_temperature_K"), 0.2),
+    ],
+)
+def test_removed_config_keys_are_unknown_fields(
+    configs_dir, tmp_path, capsys, path, value
+):
+    doc = _document(configs_dir, "device_1np.json")
+    _set(doc, path, value)
+    config = tmp_path / "removed.json"
+    config.write_text(json.dumps(doc))
+    err = _assert_clean_exit_2(_run(["spectrum", config]), capsys)
+    assert f"{'.'.join(path)}: unknown field" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "CONFIG", "--svg"],
+        ["qp", "CONFIG", "--svg"],
+        ["parity-sim", "CONFIG", "--format", "json", "--svg"],
+        ["fit", "t1", "DATA", "CONFIG", "--svg"],
+    ],
+)
+def test_output_flags_needing_out_fail_before_any_work(
+    configs_dir, data_dir, capsys, argv
+):
+    paths = {
+        "CONFIG": configs_dir / "device_1np.json",
+        "DATA": data_dir / "t1_vs_temperature_1np.csv",
+    }
+    code = _run([paths.get(arg, arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert "requires --out" in captured.err
+    assert captured.out == ""
+
+
+def test_out_naming_a_file_exits_2(configs_dir, tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("")
+    code = _run(["spectrum", configs_dir / "device_1np.json", "--out", target])
+    assert "output directory" in _assert_clean_exit_2(code, capsys)
+
+
+def test_unreadable_inputs_exit_2(configs_dir, data_dir, tmp_path, capsys):
+    config = configs_dir / "device_1np.json"
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for argv in (
+        ["fit", "t1", tmp_path / "absent.csv", config],
+        ["fit", "t1", binary, config],
+        ["spectrum", binary],
+    ):
+        assert "cannot read" in _assert_clean_exit_2(_run(argv), capsys)
+
+
+def test_rate_too_large_to_square_exits_2(configs_dir, tmp_path, capsys):
+    data = tmp_path / "rates.csv"
+    data.write_text(
+        "T_K,rate_per_s,sigma\n0.025,1e200,1\n0.05,2000,100\n0.1,3000,100\n"
+    )
+    code = _run(["fit", "t1", data, configs_dir / "device_1np.json"])
+    assert "out of range in row 2" in _assert_clean_exit_2(code, capsys)
+
+
+def test_negative_seed_exits_2(configs_dir, tmp_path, capsys):
+    config = configs_dir / "device_1np.json"
+    argv = ["parity-sim", config, "--duration", "2", "--format", "json"]
+    _assert_clean_exit_2(_run([*argv, "--seed", "-1"]), capsys)
+    doc = _document(configs_dir, "device_1np.json")
+    doc["seed"] = -1
+    negative = tmp_path / "negative_seed.json"
+    negative.write_text(json.dumps(doc))
+    _assert_clean_exit_2(_run([argv[0], negative, *argv[2:]]), capsys)
+
+
+def test_degenerate_t2_fits_exit_2(configs_dir, data_dir, tmp_path, capsys):
+    t1_data = data_dir / "t1_vs_temperature_1p.csv"
+    t2_data = data_dir / "t2star_vs_temperature_1p.csv"
+    # the T1 model fitted to t1_data gives T1 = 0 at 1e308 K
+    lines = t2_data.read_text().splitlines()
+    lines[-1] = "1e308," + lines[-1].split(",", 1)[1]
+    far = tmp_path / "far.csv"
+    far.write_text("\n".join(lines) + "\n")
+    code = _run(["fit", "t2", far, configs_dir / "device_1p.json",
+                 "--t1-data", t1_data])
+    assert "T1 model" in _assert_clean_exit_2(code, capsys)
+    # without a dispersive shift T2* carries no photon-number information
+    doc = _document(configs_dir, "device_1p.json")
+    doc["dephasing"]["chi_MHz"] = 0.0
+    no_chi = tmp_path / "no_chi.json"
+    no_chi.write_text(json.dumps(doc))
+    code = _run(["fit", "t2", t2_data, no_chi])
+    assert "photon number" in _assert_clean_exit_2(code, capsys)
 
 
 @pytest.mark.parametrize("column", [0, 1, 2])

@@ -278,6 +278,23 @@ def test_profile_document_accepts_thicknesses():
     assert profile_from_document(doc) == PROTECTED
 
 
+@pytest.mark.parametrize(
+    "segments, junction_um",
+    [
+        (5, 23.0),
+        ([{"length_um": 20.0, "delta_K": 2.3}, 7], 20.0),
+        ([{"length_um": "20", "delta_K": 2.3}] * 2, 20.0),
+        ([{"length_um": 20.0, "thickness_nm": True}] * 2, 20.0),
+        ([{"length_um": 20.0, "delta_K": None}] * 2, 20.0),
+        ([{"length_um": 20.0, "delta_K": 2.3}] * 2, "20"),
+        ([{"length_um": 10**400, "delta_K": 2.3}] * 2, 20.0),
+    ],
+)
+def test_profile_document_rejects_mistyped_values(segments, junction_um):
+    with pytest.raises(GeometryError):
+        profile_from_document({"segments": segments, "junction_um": junction_um})
+
+
 def test_profile_geometry_errors():
     seg = GapSegment(10.0, 2.3)
     with pytest.raises(GeometryError):

@@ -121,6 +121,14 @@ def test_negative_ej_rejected():
         TransmonParams(EJ=5.0, EC=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["EJ", "EC", "ng"])
+def test_non_finite_params_rejected(field, bad):
+    values = {"EJ": 5.0, "EC": 0.2, "ng": 0.0, field: bad}
+    with pytest.raises(DomainError, match=f"{field} must be"):
+        TransmonParams(**values)
+
+
 # ------------------------------------------------------- quoted spectra
 
 

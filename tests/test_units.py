@@ -3,6 +3,7 @@ import math
 import pytest
 
 from qpgap.errors import DomainError
+from qpgap.thermal import delta_from_tc
 from qpgap.units import (
     CONSTANTS,
     EnergyValue,
@@ -65,16 +66,9 @@ def test_energy_value_rejects_unknown_unit():
         EnergyValue(1.0, "K").to("meV")
 
 
-def test_with_bcs_ratio_returns_new_constants():
-    alt = CONSTANTS.with_bcs_ratio(1.90)
-    assert alt.bcs_ratio == 1.90
-    assert CONSTANTS.bcs_ratio == 1.764
-    assert alt.kB_over_h == CONSTANTS.kB_over_h
-
-
 def test_bcs_ratio_must_be_positive():
     with pytest.raises(DomainError):
-        CONSTANTS.with_bcs_ratio(0.0)
+        delta_from_tc(1.0, bcs_ratio=0.0)
 
 
 def test_conversions_propagate_nan():
