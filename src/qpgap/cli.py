@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -34,8 +35,6 @@ from .fitting import (
     fit_t1_vs_temperature,
     fit_t2_vs_temperature,
     pure_dephasing_from_echo,
-    t1_rate_model,
-    t2_rate_model,
 )
 from .parity import (
     ScanConfig,
@@ -103,11 +102,12 @@ def _dump_json(document: dict) -> str:
     return text + "\n"
 
 
-def _write_or_print(text: str, out_dir: Path | None, filename: str):
-    if out_dir is None:
+def _emit(args, filename: str, text: str) -> None:
+    """Write ``text`` to ``--out/filename``, or to stdout without ``--out``."""
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        (out_dir / filename).write_text(text)
+        (args.out / filename).write_text(text)
 
 
 def _csv_table(header: list[str], rows: list[list]) -> str:
@@ -115,6 +115,19 @@ def _csv_table(header: list[str], rows: list[list]) -> str:
     for row in rows:
         lines.append(",".join(_fmt(cell) for cell in row))
     return "\n".join(lines) + "\n"
+
+
+def _records(header: list[str], rows: list[list]) -> list[dict]:
+    """The JSON form of a table: one object per row, keyed by column."""
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _plot(args, filename: str, title: str, x_label: str, y_label: str,
+          *curves):
+    """Write (x, y) curves as a line plot; curve i gets ``color_for(2 i)``."""
+    series = [(x, y, svgplot.color_for(2 * i))
+              for i, (x, y) in enumerate(curves)]
+    _emit(args, filename, svgplot.line_plot(series, x_label, y_label, title))
 
 
 def _resolve_chi_kappa(config: DeviceConfig) -> tuple[float, float]:
@@ -129,13 +142,16 @@ def _resolve_chi_kappa(config: DeviceConfig) -> tuple[float, float]:
 
 # ---------------------------------------------------------------- spectrum
 
+_SPECTRUM_GRID = [
+    "ng", "f_ge_GHz", "f_ef_GHz", "f_ge_odd_GHz", "parity_splitting_GHz",
+]
 
-def _cmd_spectrum(args) -> int:
-    config = load_device_config(args.config)
+
+def _cmd_spectrum(args, config: DeviceConfig) -> int:
     params = config.params
     ng_grid = np.linspace(0.0, 0.5, args.ng_points)
 
-    rows = []
+    grid = []
     for ng in ng_grid:
         spectrum = eigenspectrum(params.with_ng(ng), levels=3)
         f_even_ge = spectrum.transition(0, 1)
@@ -143,9 +159,8 @@ def _cmd_spectrum(args) -> int:
         f_odd_ge = eigenspectrum(
             params.with_ng(ng + 0.5), levels=2
         ).transition(0, 1)
-        rows.append(
-            ["grid", ng, f_even_ge, f_even_ef, f_odd_ge,
-             abs(f_even_ge - f_odd_ge), None, None]
+        grid.append(
+            [ng, f_even_ge, f_even_ef, f_odd_ge, abs(f_even_ge - f_odd_ge)]
         )
 
     eps_ge = charge_dispersion(params, "ge")
@@ -162,88 +177,65 @@ def _cmd_spectrum(args) -> int:
         "EJ_GHz": params.EJ,
         "EC_GHz": params.EC,
         "EJ_over_EC": params.EJ / params.EC,
-        "f_ge_ng0_GHz": rows[0][2],
-        "f_ef_ng0_GHz": rows[0][3],
-        "anharmonicity_GHz": rows[0][3] - rows[0][2],
+        "f_ge_ng0_GHz": grid[0][1],
+        "f_ef_ng0_GHz": grid[0][2],
+        "anharmonicity_GHz": grid[0][2] - grid[0][1],
         "eps_ge_GHz": eps_ge,
         "eps_ef_GHz": eps_ef,
         "chi_MHz": chi,
         "resonator_dispersion_kHz": pull,
     }
-    rows.append(["summary", None, None, None, None, None, eps_ge, eps_ef])
 
-    header = [
-        "kind", "ng", "f_ge_GHz", "f_ef_GHz", "f_ge_odd_GHz",
-        "parity_splitting_GHz", "eps_ge_GHz", "eps_ef_GHz",
-    ]
-    out_dir = args.out
     if args.format == "json":
-        grid = [
-            {
-                "ng": row[1],
-                "f_ge_GHz": row[2],
-                "f_ef_GHz": row[3],
-                "f_ge_odd_GHz": row[4],
-                "parity_splitting_GHz": row[5],
-            }
-            for row in rows
-            if row[0] == "grid"
-        ]
         document = {
             "config": config.name,
             "config_hash": config.source_hash,
-            "grid": grid,
+            "grid": _records(_SPECTRUM_GRID, grid),
             "summary": summary,
         }
-        _write_or_print(_dump_json(document), out_dir, "spectrum.json")
+        _emit(args, "spectrum.json", _dump_json(document))
     else:
-        _write_or_print(_csv_table(header, rows), out_dir, "spectrum.csv")
-        if out_dir is None:
+        rows = [["grid", *row, None, None] for row in grid]
+        rows.append(["summary", *[None] * len(_SPECTRUM_GRID), eps_ge, eps_ef])
+        header = ["kind", *_SPECTRUM_GRID, "eps_ge_GHz", "eps_ef_GHz"]
+        _emit(args, "spectrum.csv", _csv_table(header, rows))
+        if args.out is None:
             for key, value in summary.items():
                 sys.stdout.write(f"# {key} = {_fmt(value)}\n")
 
     if args.svg:
-        grid_rows = [row for row in rows if row[0] == "grid"]
-        ngs = [row[1] for row in grid_rows]
-        svg = svgplot.line_plot(
-            [
-                (ngs, [row[2] for row in grid_rows], svgplot.color_for(0)),
-                (ngs, [row[4] for row in grid_rows], svgplot.color_for(2)),
-            ],
-            x_label="offset charge ng",
-            y_label="f_ge (GHz)",
-            title=f"{config.name} parity branches",
-        )
-        (out_dir / "spectrum.svg").write_text(svg)
+        _plot(args, "spectrum.svg", f"{config.name} parity branches",
+              "offset charge ng", "f_ge (GHz)",
+              (ng_grid, [row[1] for row in grid]),
+              (ng_grid, [row[3] for row in grid]))
     return 0
 
 
 # ---------------------------------------------------------------------- qp
 
+_QP_GRID = ["T_K", "x_qp", "gamma1_per_s", "T1_us", "parity_rate_per_s"]
 
-def _cmd_qp(args) -> int:
-    config = load_device_config(args.config)
+
+def _cmd_qp(args, config: DeviceConfig) -> int:
     env = config.env
     profile = config.profile
     params = config.params
     delta_k = profile.junction_delta_k
     delta_ghz = kelvin_to_ghz(delta_k)
     delta_ev = kelvin_to_ev(delta_k)
-    spectrum = eigenspectrum(params, levels=2)
-    f_ge = spectrum.transition(0, 1)
+    f_ge = eigenspectrum(params, levels=2).transition(0, 1)
 
     temperatures = np.linspace(args.t_min, args.t_max, args.t_points)
-    grid_rows = []
+    grid = []
     for t_kelvin in temperatures:
         x_total = thermal_qp_fraction(t_kelvin, delta_k, x_nqp=env.x_nqp)
         gamma1 = nqp_decay_rate(params.EJ, params.EC, f_ge, delta_ghz, x_total)
         parity = parity_rate_model(profile, env, t_kelvin=t_kelvin)
-        grid_rows.append(
+        grid.append(
             [t_kelvin, x_total, gamma1,
              1e6 / gamma1 if gamma1 > 0 else None, parity]
         )
 
-    crossover = crossover_temperature(env.x_nqp, delta_k)
     summary: dict = {
         "config": config.name,
         "config_hash": config.source_hash,
@@ -251,7 +243,7 @@ def _cmd_qp(args) -> int:
         "delta_junction_GHz": delta_ghz,
         "f_ge_GHz": f_ge,
         "x_nqp": env.x_nqp,
-        "crossover_K": crossover,
+        "crossover_K": crossover_temperature(env.x_nqp, delta_k),
         "n_nqp_per_um3": volume_density(env.x_nqp, env.nu0_per_ev_um3,
                                         delta_ev),
     }
@@ -280,52 +272,30 @@ def _cmd_qp(args) -> int:
         profile, env, t_kelvin=args.t_min
     )
 
-    header = ["T_K", "x_qp", "gamma1_per_s", "T1_us", "parity_rate_per_s"]
-    out_dir = args.out
     if args.format == "json":
-        document = {
-            "grid": [dict(zip(header, row)) for row in grid_rows],
-            "summary": summary,
-        }
-        _write_or_print(_dump_json(document), out_dir, "qp.json")
+        document = {"grid": _records(_QP_GRID, grid), "summary": summary}
+        _emit(args, "qp.json", _dump_json(document))
     else:
-        summary_text = _csv_table(
-            ["key", "value"], [[key, value] for key, value in summary.items()]
-        )
-        grid_text = _csv_table(header, grid_rows)
-        if out_dir is None:
-            sys.stdout.write(summary_text + "\n" + grid_text)
-        else:
-            (out_dir / "qp_summary.csv").write_text(summary_text)
-            (out_dir / "qp_grid.csv").write_text(grid_text)
+        summary_text = _csv_table(["key", "value"], list(summary.items()))
+        if args.out is None:  # a blank line between the two tables
+            summary_text += "\n"
+        _emit(args, "qp_summary.csv", summary_text)
+        _emit(args, "qp_grid.csv", _csv_table(_QP_GRID, grid))
 
     if args.svg:
-        svg = svgplot.line_plot(
-            [
-                (
-                    [row[0] for row in grid_rows],
-                    [np.log10(row[2]) for row in grid_rows],
-                    svgplot.color_for(0),
-                ),
-                (
-                    [row[0] for row in grid_rows],
-                    [np.log10(max(row[4], 1e-30)) for row in grid_rows],
-                    svgplot.color_for(2),
-                ),
-            ],
-            x_label="temperature (K)",
-            y_label="log10 rate (1/s)",
-            title=f"{config.name} qp rates",
-        )
-        (out_dir / "qp.svg").write_text(svg)
+        _plot(args, "qp.svg", f"{config.name} qp rates",
+              "temperature (K)", "log10 rate (1/s)",
+              (temperatures, [np.log10(row[2]) for row in grid]),
+              (temperatures, [np.log10(max(row[4], 1e-30)) for row in grid]))
     return 0
 
 
 # -------------------------------------------------------------- parity-sim
 
+_PEAKS = ["pixel", "time_s", "count", "f1_GHz", "f2_GHz"]
 
-def _cmd_parity_sim(args) -> int:
-    config = load_device_config(args.config)
+
+def _cmd_parity_sim(args, config: DeviceConfig) -> int:
     seed = config.seed if args.seed is None else args.seed
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
@@ -363,65 +333,42 @@ def _cmd_parity_sim(args) -> int:
         positions = list(peaks.positions_ghz) + [None, None]
         peak_rows.append([index, start, peaks.count, positions[0], positions[1]])
 
-    metadata = scan.metadata()
-    metadata.update(
-        {
-            "config": config.name,
-            "config_hash": config.source_hash,
-            "gamma_parity_per_s": config.noise.gamma_parity_per_s,
-            "gamma_parity_computed": config.gamma_parity_computed,
-            "true_switch_count": parity_trace.switch_count,
-            "verdict": estimate.describe(),
-            "estimate": {
-                "kind": estimate.kind,
-                "seconds": estimate.seconds,
-                "alternations": estimate.alternations,
-                "two_peak_fraction": estimate.two_peak_fraction,
-                "single_peak_fraction": estimate.single_peak_fraction,
-            },
-        }
-    )
+    metadata = {
+        **scan.metadata(),
+        "config": config.name,
+        "config_hash": config.source_hash,
+        "gamma_parity_per_s": config.noise.gamma_parity_per_s,
+        "gamma_parity_computed": config.gamma_parity_computed,
+        "true_switch_count": parity_trace.switch_count,
+        "verdict": estimate.describe(),
+        "estimate": {
+            "kind": estimate.kind,
+            "seconds": estimate.seconds,
+            "alternations": estimate.alternations,
+            "two_peak_fraction": estimate.two_peak_fraction,
+            "single_peak_fraction": estimate.single_peak_fraction,
+        },
+    }
 
-    out_dir = args.out
     if args.format == "json":
-        document = dict(metadata)
-        document["peaks"] = [
-            {
-                "pixel": row[0],
-                "time_s": row[1],
-                "count": row[2],
-                "f1_GHz": row[3],
-                "f2_GHz": row[4],
-            }
-            for row in peak_rows
-        ]
-        _write_or_print(_dump_json(document), out_dir, "scan_meta.json")
+        document = {**metadata, "peaks": _records(_PEAKS, peak_rows)}
+        _emit(args, "scan_meta.json", _dump_json(document))
     else:
-        header = ["time_s"] + [
-            f"f_{_fmt(freq)}" for freq in scan.frequencies_ghz
-        ]
+        header = ["time_s"] + [f"f_{_fmt(f)}" for f in scan.frequencies_ghz]
         rows = [
-            [start] + list(scan.amplitudes[index])
-            for index, start in enumerate(scan.pixel_starts_s)
+            [start, *row]
+            for start, row in zip(scan.pixel_starts_s, scan.amplitudes)
         ]
-        (out_dir / "scan.csv").write_text(_csv_table(header, rows))
-        (out_dir / "peaks.csv").write_text(
-            _csv_table(
-                ["pixel", "time_s", "count", "f1_GHz", "f2_GHz"], peak_rows
-            )
-        )
-        (out_dir / "scan_meta.json").write_text(_dump_json(metadata))
+        _emit(args, "scan.csv", _csv_table(header, rows))
+        _emit(args, "peaks.csv", _csv_table(_PEAKS, peak_rows))
+        _emit(args, "scan_meta.json", _dump_json(metadata))
 
     if args.svg:
         svg = svgplot.heatmap(
-            scan.amplitudes.T,
-            x_values=scan.frequencies_ghz,
-            y_values=scan.pixel_starts_s,
-            x_label="frequency (GHz)",
-            y_label="time (s)",
-            title=f"{config.name} parity scan",
+            scan.amplitudes.T, scan.frequencies_ghz, scan.pixel_starts_s,
+            "frequency (GHz)", "time (s)", f"{config.name} parity scan",
         )
-        (out_dir / "scan.svg").write_text(svg)
+        _emit(args, "scan.svg", svg)
 
     sys.stdout.write(estimate.describe() + "\n")
     return 0
@@ -429,27 +376,25 @@ def _cmd_parity_sim(args) -> int:
 
 # --------------------------------------------------------------------- fit
 
+_RESIDUALS = [
+    "T_K", "rate_per_s", "model_per_s", "residual_per_s", "sigma_per_s",
+]
 
-def _cmd_fit(args) -> int:
-    config = load_device_config(args.config)
+
+def _cmd_fit(args, config: DeviceConfig) -> int:
     if args.kind == "t1":
         data = dataseries_from_csv(args.data, kind="t1")
         result = fit_t1_vs_temperature(data)
-        fitted = [result.values[k] for k in result.param_names]
-
-        def model_fn(t_kelvin):
-            return t1_rate_model(t_kelvin, *fitted)
-
     else:
         data = dataseries_from_csv(args.data, kind="t2star")
         chi, kappa = _resolve_chi_kappa(config)
         if args.t1_data is not None:
-            t1_series = dataseries_from_csv(args.t1_data, kind="t1")
-            t1_result = fit_t1_vs_temperature(t1_series)
-            t1_params = [t1_result.values[k] for k in t1_result.param_names]
+            t1_fit = fit_t1_vs_temperature(
+                dataseries_from_csv(args.t1_data, kind="t1")
+            )
 
             def t1_model(t_kelvin: float) -> float:
-                return 1.0 / float(t1_rate_model(t_kelvin, *t1_params))
+                return 1.0 / float(t1_fit.rate(t_kelvin))
 
         elif "T1_us" in config.measured:
             t1_seconds = config.measured["T1_us"] * 1e-6
@@ -465,17 +410,9 @@ def _cmd_fit(args) -> int:
             data, chi_mhz=chi, kappa_mhz=kappa,
             nu_r_ghz=config.cavity.nu_r_ghz, t1_model=t1_model,
         )
-        t2_params = [result.values[k] for k in result.param_names]
 
-        def model_fn(t_kelvin):
-            return t2_rate_model(
-                t_kelvin, t2_params[0], t2_params[1], chi, kappa,
-                config.cavity.nu_r_ghz, t1_model,
-            )
-
-    report = result.to_report()
-    report["config"] = config.name
-    report["config_hash"] = config.source_hash
+    report = {**result.to_report(), "config": config.name,
+              "config_hash": config.source_hash}
     if (
         args.kind == "t2"
         and "T2star_us" in config.measured
@@ -488,7 +425,7 @@ def _cmd_fit(args) -> int:
             )
         )
 
-    model_rates = model_fn(data.t_kelvin)
+    model_rates = result.rate(data.t_kelvin)
     rates, rate_sigmas = data.rates()
     if rate_sigmas is None:
         rate_sigmas = np.full(len(data), np.nan)
@@ -499,59 +436,31 @@ def _cmd_fit(args) -> int:
         )
     ]
 
-    out_dir = args.out
     stem = f"fit_{args.kind}"
     if args.format == "json":
-        document = dict(report)
-        document["residuals"] = [
-            dict(
-                zip(
-                    ["T_K", "rate_per_s", "model_per_s", "residual_per_s",
-                     "sigma_per_s"],
-                    row,
-                )
-            )
-            for row in residual_rows
-        ]
-        _write_or_print(_dump_json(document), out_dir, f"{stem}.json")
+        document = {**report, "residuals": _records(_RESIDUALS, residual_rows)}
+        _emit(args, f"{stem}.json", _dump_json(document))
     else:
-        lines = [f"model = {report['model']}\n"]
+        lines = [f"model = {report['model']}"]
         for name in result.param_names:
             sigma = report["sigmas"][name]
             sigma_text = _fmt(sigma) if np.isfinite(sigma) else "n/a"
-            lines.append(
-                f"{name} = {_fmt(report['params'][name])} +- {sigma_text}\n"
-            )
-        for key, value in report["derived"].items():
-            lines.append(f"{key} = {_fmt(value)}\n")
-        lines.append(f"ssr = {_fmt(report['ssr'])}\n")
-        lines.append(f"iterations = {report['iterations']}\n")
-        lines.append(f"n_points = {report['n_points']}\n")
-        text = "".join(lines)
-        residual_text = _csv_table(
-            ["T_K", "rate_per_s", "model_per_s", "residual_per_s",
-             "sigma_per_s"],
-            residual_rows,
-        )
-        if out_dir is None:
-            sys.stdout.write(text)
-        else:
-            (out_dir / f"{stem}.txt").write_text(text)
-            (out_dir / f"{stem}_residuals.csv").write_text(residual_text)
+            value = _fmt(report["params"][name])
+            lines.append(f"{name} = {value} +- {sigma_text}")
+        tail = {key: report[key] for key in ("ssr", "iterations", "n_points")}
+        for key, value in {**report["derived"], **tail}.items():
+            lines.append(f"{key} = {_fmt(value)}")
+        _emit(args, f"{stem}.txt", "".join(line + "\n" for line in lines))
+        if args.out is not None:
+            _emit(args, f"{stem}_residuals.csv",
+                  _csv_table(_RESIDUALS, residual_rows))
 
     if args.svg:
         t_fine = np.linspace(float(data.t_kelvin.min()),
                              float(data.t_kelvin.max()), 200)
-        svg = svgplot.line_plot(
-            [
-                (data.t_kelvin, rates, svgplot.color_for(0)),
-                (t_fine, model_fn(t_fine), svgplot.color_for(2)),
-            ],
-            x_label="temperature (K)",
-            y_label="rate (1/s)",
-            title=f"{config.name} {args.kind} fit",
-        )
-        (out_dir / f"{stem}.svg").write_text(svg)
+        _plot(args, f"{stem}.svg", f"{config.name} {args.kind} fit",
+              "temperature (K)", "rate (1/s)",
+              (data.t_kelvin, rates), (t_fine, result.rate(t_fine)))
     return 0
 
 
@@ -572,6 +481,26 @@ def _prepare_out(args) -> None:
         raise ConfigError(f"cannot create output directory: {exc}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 2 as ``error: <message>``."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _positive(cast):
+    """An argparse type: ``cast`` the text and require a finite value > 0."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not 0 < value < math.inf:
+            raise ValueError(text)
+        return value
+
+    parse.__name__ = f"positive {cast.__name__}"
+    return parse
+
+
 def _add_common(parser):
     parser.add_argument("config", help="device config JSON file")
     parser.add_argument(
@@ -587,7 +516,7 @@ def _add_common(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qpgap",
         description="transmon spectra, quasiparticle rates, and parity scans "
         "for gap-engineered devices",
@@ -602,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(spectrum)
     spectrum.add_argument(
-        "--ng-points", type=int, default=26,
+        "--ng-points", type=_positive(int), default=26,
         help="offset-charge grid points on [0, 0.5] (default 26)",
     )
     spectrum.set_defaults(func=_cmd_spectrum)
@@ -611,11 +540,11 @@ def build_parser() -> argparse.ArgumentParser:
         "qp", help="quasiparticle rates and gap-profile verdicts"
     )
     _add_common(qp)
-    qp.add_argument("--t-min", type=float, default=0.02,
+    qp.add_argument("--t-min", type=_positive(float), default=0.02,
                     help="grid start in K (default 0.02)")
-    qp.add_argument("--t-max", type=float, default=0.4,
+    qp.add_argument("--t-max", type=_positive(float), default=0.4,
                     help="grid end in K (default 0.4)")
-    qp.add_argument("--t-points", type=int, default=39,
+    qp.add_argument("--t-points", type=_positive(int), default=39,
                     help="grid size (default 39)")
     qp.set_defaults(func=_cmd_qp)
 
@@ -624,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(parity)
     parity.add_argument(
-        "--duration", type=float, default=10.0,
+        "--duration", type=_positive(float), default=10.0,
         help="scan duration in seconds (default 10)",
     )
     parity.add_argument(
@@ -649,17 +578,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _prepare_out(args)
-        return args.func(args)
-    except ConvergenceError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
+        return args.func(args, load_device_config(args.config))
     except QpgapError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return 3 if isinstance(exc, ConvergenceError) else 2
 
 
 if __name__ == "__main__":

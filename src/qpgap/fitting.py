@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -74,6 +75,8 @@ class DataSeries:
                 raise DomainError("sigmas must be finite")
             if np.any(s <= 0):
                 raise DomainError("sigmas must be positive")
+        if not _rates_finite(v, s).all():
+            raise DomainError("rate (1/value) or its sigma overflows")
         order = np.lexsort(
             (s if s is not None else np.zeros_like(t), v, t)
         )
@@ -92,6 +95,15 @@ class DataSeries:
         if self.sigma_s is None:
             return rate, None
         return rate, self.sigma_s / self.value_s**2
+
+
+def _rates_finite(value_s: np.ndarray, sigma_s: np.ndarray | None) -> np.ndarray:
+    """Per point: are the rate 1/value and its sigma sigma/value**2 finite?"""
+    with np.errstate(over="ignore", divide="ignore"):
+        finite = np.isfinite(1.0 / value_s)
+        if sigma_s is not None:
+            finite &= np.isfinite(sigma_s / value_s**2)
+    return finite
 
 
 def dataseries_from_csv(path: str | Path, kind: str) -> DataSeries:
@@ -147,7 +159,7 @@ def dataseries_from_csv(path: str | Path, kind: str) -> DataSeries:
         else:
             try:
                 value, sigma = 1.0 / raw, sigma_raw / raw**2
-            except OverflowError:
+            except (OverflowError, ZeroDivisionError):
                 raise ConfigError(
                     f"{path}: rate out of range in row {row_number}"
                 ) from None
@@ -156,13 +168,16 @@ def dataseries_from_csv(path: str | Path, kind: str) -> DataSeries:
         s.append(sigma)
     if not t:
         raise ConfigError(f"{path}: no data rows")
-    sigma_arr = None
-    if has_sigma:
-        sigma_arr = np.array(s, dtype=float)
+    value_arr = np.array(v)
+    sigma_arr = np.array(s, dtype=float) if has_sigma else None
+    overflowing = ~_rates_finite(value_arr, sigma_arr)
+    if overflowing.any():
+        row_number = int(np.argmax(overflowing)) + 2
+        raise ConfigError(f"{path}: rate out of range in row {row_number}")
     return DataSeries(
         kind=kind,
         t_kelvin=np.array(t),
-        value_s=np.array(v),
+        value_s=value_arr,
         sigma_s=sigma_arr,
     )
 
@@ -354,7 +369,11 @@ def _covariance(residual_fn, x, residual, ssr, rel_step, lower, upper):
 
 @dataclass(frozen=True)
 class FitResult:
-    """Named parameters with one-sigma uncertainties and derived quantities."""
+    """Named parameters with one-sigma uncertainties and derived quantities.
+
+    ``rate(t_kelvin)`` evaluates the fitted rate model (1/s) at the fitted
+    parameter values.
+    """
 
     model: str
     param_names: tuple[str, ...]
@@ -365,6 +384,7 @@ class FitResult:
     n_points: int
     iterations: int
     derived: dict[str, float]
+    rate: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
 
     def to_report(self) -> dict:
         return {
@@ -397,8 +417,10 @@ def t1_rate_model(
     """Relaxation-rate model: plateau plus thermally activated term."""
     delta = delta_from_tc(tc_kelvin)
     t = np.asarray(t_kelvin, dtype=float)
-    ratio = delta / t
-    thermal = np.sqrt(2.0 * np.pi / ratio) * np.exp(-ratio)
+    # far outside the data range the thermal term saturates to 0 or inf
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = delta / t
+        thermal = np.sqrt(2.0 * np.pi / ratio) * np.exp(-ratio)
     return gamma_plateau_per_s + amplitude_per_s * thermal
 
 
@@ -477,6 +499,7 @@ def fit_t1_vs_temperature(data: DataSeries) -> FitResult:
         n_points=len(data),
         iterations=lm.iterations,
         derived=derived,
+        rate=lambda t_kelvin: t1_rate_model(t_kelvin, *values.values()),
     )
 
 
@@ -593,7 +616,8 @@ def fit_t2_vs_temperature(
     The model is 1/T2*(T) = 1/(2 T1(T)) + Gamma_phi(chi, kappa,
     n_th(T) + n0) + gamma_offset, with n_th(T) the Bose occupation of the
     readout mode.  The derived block reports the effective resonator
-    temperature whose occupation equals the fitted n0.
+    temperature whose occupation equals the fitted n0.  ``t1_model`` is
+    called once per distinct data temperature.
     """
     if data.kind != "t2star":
         raise DomainError(f"expected a t2star series, got {data.kind!r}")
@@ -601,15 +625,19 @@ def fit_t2_vs_temperature(
         raise DomainError(f"need at least 3 points, got {len(data)}")
     t = data.t_kelvin
     rates, sigma_rates = data.rates()
+    # the T1 term does not depend on the fitted parameters
+    t1_at_point = functools.cache(t1_model)
 
     def model(params: np.ndarray) -> np.ndarray:
         return t2_rate_model(
-            t, params[0], params[1], chi_mhz, kappa_mhz, nu_r_ghz, t1_model
+            t, params[0], params[1], chi_mhz, kappa_mhz, nu_r_ghz, t1_at_point
         )
 
     residual = _weighted_residual(model, rates, sigma_rates)
 
-    base = t2_rate_model(t, 0.0, 0.0, chi_mhz, kappa_mhz, nu_r_ghz, t1_model)
+    base = t2_rate_model(
+        t, 0.0, 0.0, chi_mhz, kappa_mhz, nu_r_ghz, t1_at_point
+    )
     excess = rates - base
     offset0 = max(float(np.min(excess)), 0.0)
     slope = shot_noise_dephasing(chi_mhz, kappa_mhz, 1e-6) / 1e-6
@@ -641,4 +669,7 @@ def fit_t2_vs_temperature(
         n_points=len(data),
         iterations=lm.iterations,
         derived=derived,
+        rate=lambda t_kelvin: t2_rate_model(
+            t_kelvin, *values.values(), chi_mhz, kappa_mhz, nu_r_ghz, t1_model
+        ),
     )

@@ -25,6 +25,10 @@ DEFAULT_SHIFT_LEVELS = 10
 
 _MIN_CUT = 10
 
+# Largest EJ/EC accepted: the charge basis grows as sqrt(EJ/EC), and at
+# this ratio it already holds about 11k states (effective_n_cut ~ 5.6k).
+MAX_EJ_OVER_EC = 1e7
+
 
 @dataclass(frozen=True)
 class TransmonParams:
@@ -35,7 +39,8 @@ class TransmonParams:
     EJ:
         Josephson energy in GHz, finite and >= 0.
     EC:
-        Charging energy in GHz, finite and > 0.
+        Charging energy in GHz, finite and > 0, with EJ/EC at most
+        ``MAX_EJ_OVER_EC``.
     ng:
         Dimensionless offset charge in Cooper-pair units, finite.
     n_cut:
@@ -55,6 +60,11 @@ class TransmonParams:
             )
         if not 0 < self.EC < math.inf:
             raise DomainError(f"EC must be positive and finite, got {self.EC}")
+        if self.EJ > MAX_EJ_OVER_EC * self.EC:
+            raise DomainError(
+                f"EJ/EC must be at most {MAX_EJ_OVER_EC:g}, got EJ = "
+                f"{self.EJ} GHz and EC = {self.EC} GHz"
+            )
         if not math.isfinite(self.ng):
             raise DomainError(f"ng must be finite, got {self.ng}")
         if self.n_cut < 0:

@@ -437,6 +437,7 @@ def _set(doc, path, value):
         (("gap_profile", "segments", 0, "length_um"), "x"),
         (("gap_profile", "segments", 0, "thickness_nm"), "20"),
         (("measured", "T1_us"), 0),
+        (("transmon", "EC_GHz"), 1e-300),
     ],
 )
 @pytest.mark.parametrize(
@@ -524,6 +525,21 @@ def test_rate_too_large_to_square_exits_2(configs_dir, tmp_path, capsys):
     assert "out of range in row 2" in _assert_clean_exit_2(code, capsys)
 
 
+@pytest.mark.parametrize(
+    "text, row",
+    [
+        ("T_K,value_us,sigma\n0.025,12,1\n0.05,1e-300,1\n0.1,11,1\n", 3),
+        ("T_K,rate_per_s,sigma\n0.025,1e-200,1\n0.05,2000,100\n", 2),
+    ],
+    ids=["value_us", "rate_per_s"],
+)
+def test_overflowing_rates_exit_2(configs_dir, tmp_path, capsys, text, row):
+    data = tmp_path / "rates.csv"
+    data.write_text(text)
+    code = _run(["fit", "t1", data, configs_dir / "device_1np.json"])
+    assert f"out of range in row {row}" in _assert_clean_exit_2(code, capsys)
+
+
 def test_negative_seed_exits_2(configs_dir, tmp_path, capsys):
     config = configs_dir / "device_1np.json"
     argv = ["parity-sim", config, "--duration", "2", "--format", "json"]
@@ -577,6 +593,45 @@ def test_bad_scan_duration_exits_2(configs_dir, capsys, duration):
         "--format", "json",
     ])
     _assert_clean_exit_2(code, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parity-sim", "CONFIG", "--duration", "abc"],
+        ["fit", "t3", "DATA", "CONFIG"],
+        ["spectrum", "CONFIG", "--ng-points", "0"],
+        ["spectrum", "CONFIG", "--ng-points", "-3"],
+        ["qp", "CONFIG", "--t-points", "-1"],
+        ["qp", "CONFIG", "--t-points", "0", "--svg", "--out", "OUT"],
+        ["qp", "CONFIG", "--t-min", "nan"],
+        ["qp", "CONFIG", "--t-max", "inf"],
+        ["qp", "CONFIG", "--bogus"],
+    ],
+)
+def test_argument_errors_exit_2(configs_dir, data_dir, tmp_path, capsys, argv):
+    paths = {
+        "CONFIG": configs_dir / "device_1np.json",
+        "DATA": data_dir / "t1_vs_temperature_1np.csv",
+        "OUT": tmp_path / "out",
+    }
+    code = _run([paths.get(arg, arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "usage:" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_and_version_exit_0(capsys):
+    for argv in (["--version"], ["qp", "--help"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("qpgap ")
+    assert "--t-points" in out
 
 
 # ---------------------------------------------------------- determinism

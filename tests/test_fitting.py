@@ -86,6 +86,15 @@ def test_series_rejects_non_finite_arrays(bad):
                    sigma_s=np.array([1e-6, bad]))
 
 
+@pytest.mark.parametrize(
+    "value, sigma", [(1e-310, None), (1e-200, np.array([1e-6, 1e-6]))]
+)
+def test_series_rejects_overflowing_rates(value, sigma):
+    with pytest.raises(DomainError, match="overflows"):
+        DataSeries(kind="t1", t_kelvin=np.array([0.1, 0.2]),
+                   value_s=np.array([value, 2e-5]), sigma_s=sigma)
+
+
 def test_rates_view_propagates_sigma():
     series = DataSeries(
         kind="t1",
@@ -387,3 +396,38 @@ def test_bundled_datasets_regenerate_byte_identically(data_dir, tmp_path):
 
     for path in write_example_datasets(tmp_path):
         assert path.read_bytes() == (data_dir / path.name).read_bytes()
+
+
+def test_fit_result_rate_is_the_fitted_model(data_dir):
+    t1_fit = fit_t1_vs_temperature(
+        dataseries_from_csv(data_dir / "t1_vs_temperature_1p.csv", "t1")
+    )
+    t1_model = _t1_curve(*t1_fit.values.values())
+    t2_fit = fit_t2_vs_temperature(
+        dataseries_from_csv(
+            data_dir / "t2star_vs_temperature_1p.csv", "t2star"
+        ),
+        0.55, 0.36, 7.24, t1_model,
+    )
+    temps = np.linspace(0.02, 0.4, 50)
+    expected_t1 = t1_rate_model(temps, *t1_fit.values.values())
+    expected_t2 = t2_rate_model(
+        temps, *t2_fit.values.values(), 0.55, 0.36, 7.24, t1_model
+    )
+    assert t1_fit.rate(temps).tobytes() == expected_t1.tobytes()
+    assert t2_fit.rate(temps).tobytes() == expected_t2.tobytes()
+
+
+def test_t2_fit_evaluates_t1_once_per_temperature():
+    t1_curve = _t1_curve(2.2e4, 1.31, 4.0e10)
+    calls = []
+
+    def t1_model(t_kelvin: float) -> float:
+        calls.append(t_kelvin)
+        return t1_curve(t_kelvin)
+
+    temps = np.linspace(0.025, 0.25, 12)
+    rates = t2_rate_model(temps, 0.027, 2.0e4, 0.55, 0.36, 7.24, t1_curve)
+    series = DataSeries(kind="t2star", t_kelvin=temps, value_s=1.0 / rates)
+    fit_t2_vs_temperature(series, 0.55, 0.36, 7.24, t1_model)
+    assert calls == temps.tolist()
