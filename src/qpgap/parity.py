@@ -44,6 +44,14 @@ _BLOCK = 4096
 # bounds the per-block temporaries (segment tables, gathered Lorentzians).
 _ROWS = 256
 
+# The most work one input may ask for: scan samples (pixels x n_freq, 8
+# bytes each in the amplitude array, about 12 bytes each in scan.csv) and
+# expected events (rate x duration) of one Poisson process.  The shipped
+# configs stay far below both (a 1000 s scan at 161 frequencies is 805k
+# samples).
+MAX_SCAN_SAMPLES = 20_000_000
+MAX_EXPECTED_EVENTS = 10_000_000
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -76,6 +84,12 @@ def _exponential_arrivals(
     """Arrival times of a Poisson process on [0, duration)."""
     if rate_per_s == 0.0:
         return np.empty(0)
+    expected = rate_per_s * duration_s
+    if not expected <= MAX_EXPECTED_EVENTS:
+        raise DomainError(
+            f"rate {rate_per_s:g}/s over {duration_s:g} s expects "
+            f"{expected:.3g} events, more than {MAX_EXPECTED_EVENTS:.3g}"
+        )
     times = []
     t = 0.0
     while t < duration_s:
@@ -214,6 +228,10 @@ class ScanConfig:
             raise DomainError("frequency window is empty")
         if self.n_freq < 3:
             raise DomainError(f"n_freq must be >= 3, got {self.n_freq}")
+        if self.n_freq > MAX_SCAN_SAMPLES:
+            raise DomainError(
+                f"n_freq must be at most {MAX_SCAN_SAMPLES}, got {self.n_freq}"
+            )
         if not 0 < self.pixel_seconds < math.inf:
             raise DomainError("pixel time must be positive")
 
@@ -334,9 +352,15 @@ def synthesize_scan(
         raise DomainError(f"snr must be positive, got {snr}")
     if abs(parity_trace.duration_s - charge_trace.duration_s) > 1e-9:
         raise DomainError("parity and charge traces cover different durations")
-    n_pixels = int(parity_trace.duration_s / config.pixel_seconds + 1e-9)
-    if n_pixels < 1:
+    pixels = parity_trace.duration_s / config.pixel_seconds + 1e-9
+    if pixels < 1:
         raise DomainError("trace shorter than one pixel")
+    if not pixels * config.n_freq <= MAX_SCAN_SAMPLES:
+        raise DomainError(
+            f"scan of {pixels:.3g} pixels x {config.n_freq} frequencies "
+            f"exceeds {MAX_SCAN_SAMPLES:.3g} samples"
+        )
+    n_pixels = int(pixels)
 
     freqs = config.frequencies()
     branches, ng_slot = _branch_table(

@@ -10,14 +10,14 @@ diffusion scales.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .errors import DomainError, GeometryError
-from .numerics import adaptive_integral, root_find
+from .numerics import root_find
 from .thermal import delta_from_tc, thermal_qp_term
 from .units import CONSTANTS
 
@@ -456,27 +456,66 @@ def x_qp_from_density(
     return n_per_um3 / (2.0 * nu0_per_ev_um3 * delta_ev)
 
 
+# Panel edges of the gap-edge rule, as the fall of the Boltzmann exponent
+# s (cosh u - 1) from the lower limit: geometric, the last past the point
+# where exp underflows relative to the integrand at the lower limit.
+_EDGE_PANELS = np.array([0.0, 1.0, 4.0, 16.0, 64.0, 256.0, 745.0])
+_EDGE_NODES = 64
+# Below this Delta/T the first panel spans over 70 in u, where cosh(u)
+# outgrows the rule: the 48- and 64-node rules then differ by over 1e-12.
+_MIN_GAP_OVER_T = 1e-30
+
+
+@functools.cache
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _gap_edge_integrals(
+    scale: float, excess, order: int = _EDGE_NODES
+) -> np.ndarray:
+    """I(u0) = integral_u0^inf cosh(u) exp(-s (cosh u - 1)) du, s = ``scale``.
+
+    E = Delta cosh(u) turns exp(Delta/T) integral_E0^inf rho(E) exp(-E/T) dE
+    into Delta I(u0), removing the inverse square-root singularity at the
+    gap edge; I(0) = e^s K1(s) (DLMF 10.32.9).  ``excess`` holds the
+    cosh(u0) - 1 = (E0 - Delta)/Delta of each lower limit.  One composite
+    Gauss-Legendre rule of ``order`` nodes per panel integrates every
+    limit at once; its panels start at u0, with edges where the Boltzmann
+    exponent has fallen by 1, 4, 16, 64, 256 and 745.  Writing
+    cosh u - 1 = 2 sinh^2(u/2) keeps the exponent exact near the gap edge.
+    """
+    if scale < _MIN_GAP_OVER_T:
+        raise DomainError(
+            f"Delta/T_qp = {scale:.3e} is below {_MIN_GAP_OVER_T:g}"
+        )
+    nodes, weights = _legendre_rule(order)
+    excesses = np.asarray(excess, float)[:, None] + _EDGE_PANELS / scale
+    bounds = 2.0 * np.arcsinh(np.sqrt(excesses / 2.0))
+    mid = 0.5 * (bounds[:, 1:] + bounds[:, :-1])
+    half = 0.5 * (bounds[:, 1:] - bounds[:, :-1])
+    u = mid[..., None] + half[..., None] * nodes
+    q = 2.0 * np.sinh(0.5 * u) ** 2
+    panels = ((1.0 + q) * np.exp(-scale * q)) @ weights
+    return np.sum(half * panels, axis=1)
+
+
 def _edge_integral(delta_k: float, t_k: float, threshold_k: float) -> float:
     """Integral of the BCS density of states times a Boltzmann factor.
 
-    Computes exp(Delta/T) * integral_threshold^inf rho(E) exp(-E/T) dE via
-    the substitution E = Delta cosh(u), which removes the inverse
-    square-root singularity at the gap edge and keeps the integrand free
-    of underflow for any Delta/T.
+    Computes exp(Delta/T) * integral_threshold^inf rho(E) exp(-E/T) dE
+    as Delta I(u0) of :func:`_gap_edge_integrals`.
     """
     if threshold_k < delta_k:
         raise DomainError("threshold must lie at or above the gap edge")
-    u_low = math.acosh(threshold_k / delta_k) if threshold_k > delta_k else 0.0
-    scale = delta_k / t_k
-
-    def integrand(u: float) -> float:
-        # past u = 700 the exponential has underflowed and cosh overflows
-        if u > 700.0:
-            return 0.0
-        c = math.cosh(u)
-        return c * math.exp(-scale * (c - 1.0))
-
-    return delta_k * adaptive_integral(integrand, u_low, math.inf)
+    excess = (threshold_k - delta_k) / delta_k
+    return delta_k * float(_gap_edge_integrals(delta_k / t_k, [excess])[0])
 
 
 def above_barrier_fraction(
@@ -487,8 +526,9 @@ def above_barrier_fraction(
     Quasiparticles occupy the BCS density of states above ``delta_kelvin``
     with a Boltzmann factor at ``t_qp_kelvin``; the fraction above
     Delta + delta_delta is the part that can cross a barrier of height
-    ``delta_delta_k``.  A zero step returns exactly 1.  The normalization
-    has the closed form Delta e^s K1(s) with s = Delta/T (DLMF 10.32.9).
+    ``delta_delta_k``.  A zero step returns exactly 1.  Numerator and
+    normalization (Delta e^s K1(s), s = Delta/T) come from one quadrature
+    rule, :func:`_gap_edge_integrals`.
     """
     if delta_delta_k < 0:
         raise DomainError(f"gap step must be non-negative, got {delta_delta_k}")
@@ -498,9 +538,8 @@ def above_barrier_fraction(
         raise DomainError(f"delta must be positive, got {delta_kelvin}")
     if delta_delta_k == 0.0:
         return 1.0
-    total = delta_kelvin * scipy.special.k1e(delta_kelvin / t_qp_kelvin)
-    above = _edge_integral(
-        delta_kelvin, t_qp_kelvin, delta_kelvin + delta_delta_k
+    above, total = _gap_edge_integrals(
+        delta_kelvin / t_qp_kelvin, [delta_delta_k / delta_kelvin, 0.0]
     )
     return float(above / total)
 

@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from qpgap.cli import _dump_json, main
+from qpgap.cli import _csv_table, _dump_json, _float_csv, main
 from qpgap.config import load_device_config, load_device_document
 from qpgap.errors import ConfigError
+from qpgap.parity import MAX_EXPECTED_EVENTS, MAX_SCAN_SAMPLES
 from qpgap.transmon import TransmonParams, transition_frequency
 
 DEVICES = (
@@ -665,3 +666,55 @@ def test_outputs_identical_across_runs_and_threads(configs_dir, tmp_path):
     assert first == second
     assert first == threaded
     assert set(first) == {"peaks.csv", "scan.csv", "scan_meta.json"}
+
+
+@pytest.mark.parametrize(
+    "section, values, message",
+    [
+        ("scan", {"n_freq": MAX_SCAN_SAMPLES + 1}, "n_freq"),
+        ("scan", {"pixel_seconds": 1.0 / (MAX_SCAN_SAMPLES // 161 + 1)},
+         "samples"),
+        ("noise", {"gamma_parity_per_s": MAX_EXPECTED_EVENTS + 1.0},
+         "events"),
+        ("noise", {"gamma_parity_per_s": 1.0,
+                   "tls_rate_per_s": MAX_EXPECTED_EVENTS + 1.0}, "events"),
+    ],
+)
+def test_work_past_the_limits_exits_2(configs_dir, tmp_path, capsys,
+                                      section, values, message):
+    # each input asks for just over one limit and is refused before any
+    # allocation or arrival loop; the runs at 1 s stay small
+    doc = _document(configs_dir, "device_1np.json")
+    doc.setdefault(section, {}).update(values)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code = _run(["parity-sim", path, "--duration", "1", "--format", "json"])
+    assert message in _assert_clean_exit_2(code, capsys)
+
+
+def test_overflowing_pixel_count_exits_2(configs_dir, tmp_path, capsys):
+    doc = _document(configs_dir, "device_1np.json")
+    doc["scan"] = {"pixel_seconds": 1e-300}
+    doc["noise"] = {"gamma_parity_per_s": 0.0, "tls_rate_per_s": 0.0}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    code = _run([
+        "parity-sim", path, "--duration", "1e10", "--format", "json",
+    ])
+    assert "samples" in _assert_clean_exit_2(code, capsys)
+
+
+def test_float_csv_matches_per_cell_formatting():
+    rng = np.random.default_rng(3)
+    cells = np.concatenate([
+        rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64),
+        rng.normal(scale=1e3, size=4000),
+        [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+         2.2250738585072014e-308, 0.1, 1e16, 9999999999.5, 123456789012.0],
+    ])
+    table = cells.reshape(-1, 4)
+    header = ["time_s", "f_a", "f_b", "f_c"]
+    assert _float_csv(header, table) == _csv_table(header, table.tolist())
+    empty = np.empty((0, 4))
+    assert _float_csv(header, empty) == _csv_table(header, [])
+

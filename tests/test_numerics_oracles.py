@@ -1,0 +1,208 @@
+"""The in-package solvers against scipy, which serves here as an oracle only.
+
+``root_find`` ports scipy's brentq and must return the same bits on every
+call the package makes; the gap-edge rule must agree with the closed-form
+normalization and with itself at a lower order; and importing the CLI must
+not pull in the scipy modules these replace.
+"""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.integrate
+import scipy.optimize
+import scipy.special
+
+import qpgap.numerics
+import qpgap.quasiparticles
+import qpgap.transmon
+from qpgap.errors import ConvergenceError, DomainError
+from qpgap.fitting import resonator_thermometry
+from qpgap.numerics import adaptive_integral, root_find
+from qpgap.quasiparticles import _gap_edge_integrals, crossover_temperature
+from qpgap.thermal import delta_from_tc
+from qpgap.transmon import (
+    FrequencyTargets,
+    TransmonParams,
+    eigenspectrum,
+    fit_ej_ec,
+    transition_frequency,
+)
+
+
+@pytest.fixture
+def brent_calls(monkeypatch):
+    """Record every root_find call the package makes, with its result."""
+    calls = []
+
+    def recording(func, lower, upper, abs_tol=1e-12, max_iter=200):
+        root = root_find(func, lower, upper, abs_tol, max_iter)
+        calls.append((func, lower, upper, abs_tol, max_iter, root))
+        return root
+
+    for module in (qpgap.numerics, qpgap.transmon, qpgap.quasiparticles):
+        monkeypatch.setattr(module, "root_find", recording)
+    return calls
+
+
+def _assert_same_bits_as_brentq(calls):
+    assert calls
+    for func, lower, upper, abs_tol, max_iter, root in calls:
+        oracle = scipy.optimize.brentq(
+            func, lower, upper, xtol=abs_tol, maxiter=max_iter
+        )
+        assert root == oracle, (lower, upper, root, oracle)
+
+
+@pytest.mark.parametrize("ratio", [14.0, 26.0, 60.0, 145.0])
+@pytest.mark.parametrize("kind", ["ng05", "ef"])
+def test_ratio_inversion_matches_brentq_bit_for_bit(brent_calls, ratio, kind):
+    truth = TransmonParams(EJ=ratio * 0.25, EC=0.25)
+    if kind == "ng05":
+        targets = FrequencyTargets(
+            f_ge_ng0=transition_frequency(truth),
+            f_ge_ng05=transition_frequency(truth.with_ng(0.5)),
+        )
+    else:
+        targets = FrequencyTargets(
+            f_ge_ng0=transition_frequency(truth),
+            f_ef=eigenspectrum(truth, levels=3).f_ef,
+        )
+    fit_ej_ec(targets)
+    _assert_same_bits_as_brentq(brent_calls)
+
+
+@pytest.mark.parametrize("x_nqp", [1e-8, 8e-7, 1e-5])
+def test_crossover_temperature_matches_brentq(brent_calls, x_nqp):
+    crossover_temperature(x_nqp, delta_from_tc(1.31))
+    _assert_same_bits_as_brentq(brent_calls)
+
+
+@pytest.mark.parametrize("gamma_phi", [1e2, 56e3, 1e6])
+def test_thermometry_matches_brentq(brent_calls, gamma_phi):
+    resonator_thermometry(gamma_phi, 0.55, 0.36, 7.24)
+    _assert_same_bits_as_brentq(brent_calls)
+
+
+@pytest.mark.parametrize(
+    "func, lower, upper, abs_tol",
+    [
+        (lambda x: x * x - 2.0, 0.0, 2.0, 1e-12),
+        (math.cos, 1.0, 2.0, 1e-14),
+        (lambda x: math.exp(x) - 10.0, -3.0, 7.0, 1e-12),
+        (lambda x: (x - 0.3) ** 5, -1.0, 1.0, 1e-12),
+        (lambda x: math.atan(1e3 * (x - 0.1)), -5.0, 5.0, 1e-10),
+        (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, 1e-15),
+    ],
+)
+def test_analytic_brackets_match_brentq(func, lower, upper, abs_tol):
+    assert root_find(func, lower, upper, abs_tol) == scipy.optimize.brentq(
+        func, lower, upper, xtol=abs_tol, maxiter=200
+    )
+
+
+def test_exhausted_iterations_raise_convergence_error():
+    with pytest.raises(ConvergenceError) as info:
+        root_find(lambda x: (x - 0.3) ** 5, -1.0, 1.0, max_iter=3)
+    assert -1.0 <= info.value.best <= 1.0
+
+
+@pytest.mark.parametrize("where", ["lower", "upper", "inside"])
+def test_nan_function_value_names_x(where):
+    evaluations = []
+
+    def func(x):
+        evaluations.append(x)
+        if where == "lower" and x == -1.0 or where == "upper" and x == 2.0:
+            return math.nan
+        return math.nan if where == "inside" and -1.0 < x < 2.0 else x
+
+    with pytest.raises(DomainError, match=r"NaN at x = "):
+        root_find(func, -1.0, 2.0)
+    assert len(evaluations) <= 3
+
+
+def test_gap_edge_rule_certificate_and_normalization():
+    # the 48- and 64-node rules agree, and I(0) is e^s K1(s)
+    scales = np.geomspace(0.5, 1000.0, 30)
+    excess = np.concatenate([[0.0], np.geomspace(1e-4, 3.0, 20)])
+    for scale in scales:
+        fine = _gap_edge_integrals(scale, excess)
+        coarse = _gap_edge_integrals(scale, excess, order=48)
+        resolved = fine > 1e-300
+        drift = np.abs(coarse[resolved] / fine[resolved] - 1.0)
+        assert np.all(drift < 1e-12), scale
+        assert fine[0] == pytest.approx(scipy.special.k1e(scale), rel=1e-13)
+
+
+@pytest.mark.parametrize("scale", [0.5, 5.0, 57.3, 400.0])
+@pytest.mark.parametrize("excess", [1e-4, 0.02, 0.23, 1.0, 3.0])
+def test_gap_edge_fraction_against_adaptive_quadrature(scale, excess):
+    def integrand(u):
+        q = 2.0 * math.sinh(0.5 * u) ** 2
+        return (1.0 + q) * math.exp(-scale * q)
+
+    start = 2.0 * math.asinh(math.sqrt(excess / 2.0))
+    end = 2.0 * math.asinh(math.sqrt((excess + 800.0 / scale) / 2.0))
+    oracle = scipy.integrate.quad(
+        integrand, start, end, epsabs=0.0, epsrel=1e-13, limit=500
+    )[0] / scipy.special.k1e(scale)
+    above, total = _gap_edge_integrals(scale, [excess, 0.0])
+    if oracle > 1e-300:
+        assert above / total == pytest.approx(oracle, rel=1e-12)
+
+
+def test_gap_edge_rule_rejects_unresolvable_temperature():
+    with pytest.raises(DomainError):
+        qpgap.quasiparticles.above_barrier_fraction(0.1, 1e31, 2.0)
+
+
+@pytest.mark.parametrize(
+    "func, lower, upper",
+    [
+        (lambda x: math.sqrt(x), 0.0, 1.0),
+        (lambda x: math.exp(-x) * math.cos(x), 0.0, math.inf),
+        (lambda x: 1.0 / (1.0 + x * x), -math.inf, 0.0),
+        (lambda x: math.sin(50.0 * x), 0.0, 3.0),
+        (lambda x: x * x, 2.0, -1.0),
+    ],
+)
+def test_adaptive_integral_against_quad(func, lower, upper):
+    oracle = scipy.integrate.quad(func, lower, upper, limit=200)[0]
+    assert adaptive_integral(func, lower, upper) == pytest.approx(
+        oracle, rel=1e-9
+    )
+
+
+def test_adaptive_integral_stops_at_float_resolution():
+    # bisection towards the pole reaches adjacent floats before the limit
+    with pytest.raises(ConvergenceError) as info:
+        adaptive_integral(
+            lambda x: 1.0 / (x - 0.5) if x != 0.5 else 0.0, 0.0, 1.0
+        )
+    assert math.isfinite(info.value.best)
+
+
+def test_cli_import_leaves_replaced_scipy_modules_unloaded():
+    code = (
+        "import sys, qpgap.cli\n"
+        "names = ('scipy.optimize', 'scipy.integrate', 'scipy.special')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(names)))\n"
+    )
+    src = str(Path(qpgap.numerics.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_adaptive_integral_refuses_a_nan_integrand():
+    with pytest.raises(ConvergenceError):
+        adaptive_integral(lambda x: math.nan if x > 0.7 else x, 0.0, 1.0)

@@ -7,6 +7,8 @@ from qpgap.errors import CoverageError, DomainError
 from qpgap.parity import (
     _ROWS,
     DEFAULT_PIXEL_SECONDS,
+    MAX_EXPECTED_EVENTS,
+    MAX_SCAN_SAMPLES,
     ChargeTrace,
     NoiseModel,
     ParityTrace,
@@ -737,3 +739,41 @@ def test_equidistant_peak_is_attributed_to_even_branch():
     assert (estimate.kind, estimate.alternations) == ("estimate", 9)
     _, verdict = _reference_estimate(scan)
     assert verdict[:3] == (estimate.kind, estimate.seconds, 9)
+
+
+# ------------------------------------------------------------ work bounds
+
+
+def test_event_budget_refuses_one_event_past_the_limit():
+    # refused before the first draw: nothing near the limit is simulated
+    duration = 1000.0
+    rate = (MAX_EXPECTED_EVENTS + 1) / duration
+    with pytest.raises(DomainError, match="events"):
+        simulate_parity(rate, duration, seed=1)
+    model = NoiseModel(0.0, tls_rate_per_s=rate)
+    with pytest.raises(DomainError, match="events"):
+        simulate_offset_charge(model, duration, seed=1)
+    with pytest.raises(DomainError, match="events"):
+        simulate_parity(1e300, 1e300, seed=1)
+
+
+def test_scan_budget_refuses_one_pixel_past_the_limit():
+    n_freq = 100
+    with pytest.raises(DomainError, match="n_freq"):
+        _scan_config(1.0, n_freq=MAX_SCAN_SAMPLES + 1)
+    f_min, f_max = scan_window(SENSITIVE, linewidth_mhz=1.0)
+    # one pixel row past the limit, and a pixel count that overflows
+    for duration, pixel_seconds in (
+        (1.0, 1.0 / (MAX_SCAN_SAMPLES // n_freq + 1)),
+        (1e10, 1e-300),
+    ):
+        config = ScanConfig(
+            f_min_ghz=f_min, f_max_ghz=f_max, n_freq=n_freq,
+            pixel_seconds=pixel_seconds,
+        )
+        with pytest.raises(DomainError, match="samples"):
+            synthesize_scan(
+                SENSITIVE, simulate_parity(0.0, duration, seed=1),
+                _flat_charge(duration), config,
+            )
+
