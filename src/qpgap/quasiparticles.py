@@ -380,6 +380,12 @@ def crossover_temperature(x_nqp: float, delta_kelvin: float) -> float:
         raise DomainError(f"x_nqp must be positive, got {x_nqp}")
     if delta_kelvin <= 0:
         raise DomainError(f"delta must be positive, got {delta_kelvin}")
+    if delta_kelvin / 2.0 <= _CROSSOVER_T_MIN:
+        raise DomainError(
+            f"crossover search needs Delta/2 above the "
+            f"{_CROSSOVER_T_MIN * 1e3:g} mK floor, got Delta = "
+            f"{delta_kelvin:.6g} K"
+        )
     return root_find(
         lambda t: thermal_qp_term(t, delta_kelvin) - x_nqp,
         _CROSSOVER_T_MIN,

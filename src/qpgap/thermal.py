@@ -103,7 +103,9 @@ def thermal_qp_term(t_kelvin: float, delta_kelvin: float) -> float:
         raise DomainError(f"temperature must be positive, got {t_kelvin}")
     if delta_kelvin <= 0:
         raise DomainError(f"delta must be positive, got {delta_kelvin}")
-    ratio = delta_kelvin / t_kelvin
+    # Python floats: a subnormal ratio overflows 2 pi/ratio to inf quietly,
+    # where a numpy scalar would print a RuntimeWarning
+    ratio = float(delta_kelvin) / float(t_kelvin)
     return math.sqrt(2.0 * math.pi / ratio) * math.exp(-ratio)
 
 

@@ -8,13 +8,19 @@ in Cooper-pair units, and a parity flip shifts ng by 0.5.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as spla
+from scipy.linalg.lapack import dstebz, dstein
 
-from .errors import DomainError, NearResonanceError, UnderdeterminedError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    NearResonanceError,
+    UnderdeterminedError,
+)
 from .fitting import least_squares
 from .numerics import root_find
 from .units import CONSTANTS
@@ -28,6 +34,11 @@ _MIN_CUT = 10
 # Largest EJ/EC accepted: the charge basis grows as sqrt(EJ/EC), and at
 # this ratio it already holds about 11k states (effective_n_cut ~ 5.6k).
 MAX_EJ_OVER_EC = 1e7
+
+# Solves kept by the memo.  One call sequence, a spectrum grid of 26 offset
+# charges (even and odd branch) plus the sweet-spot dispersions and cavity
+# shifts, makes 55 distinct solves.
+_SOLVE_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -146,6 +157,54 @@ def build_hamiltonian(params: TransmonParams) -> np.ndarray:
     return matrix
 
 
+def _check_info(routine: str, info: int) -> None:
+    if info != 0:
+        raise ConvergenceError(f"LAPACK {routine} failed with info = {info}")
+
+
+def _tridiagonal_eigh(
+    diagonal: np.ndarray, off_diagonal: np.ndarray, levels: int, vectors: bool
+):
+    """Lowest ``levels`` eigenvalues (and eigenvectors) of a tridiagonal band.
+
+    Makes the LAPACK calls of ``scipy.linalg.eigvalsh_tridiagonal`` and
+    ``eigh_tridiagonal`` with ``select="i"`` (bisection by ``dstebz``,
+    inverse iteration by ``dstein``) with the same arguments, so the
+    results are bit-identical, without the wrappers' argument handling.
+    """
+    if levels < 2:
+        raise DomainError(f"levels must be >= 2, got {levels}")
+    if levels > len(diagonal):
+        raise DomainError(
+            f"levels={levels} exceeds Hilbert space dimension {len(diagonal)}"
+        )
+    m, energies, iblock, isplit, info = dstebz(
+        diagonal, off_diagonal, 2, 0.0, 1.0, 1, levels, 0.0,
+        "B" if vectors else "E",
+    )
+    _check_info("dstebz", info)
+    energies = energies[:m]
+    if not vectors:
+        return energies
+    states, info = dstein(diagonal, off_diagonal, energies, iblock, isplit)
+    _check_info("dstein", info)
+    # dstebz orders by split-off block; the caller wants ascending energies
+    order = np.argsort(energies)
+    return energies[order], states[:, order]
+
+
+@functools.lru_cache(maxsize=_SOLVE_CACHE_SIZE)
+def _solve(params: TransmonParams, levels: int, vectors: bool):
+    """Memoized :func:`_tridiagonal_eigh` of the charge-basis Hamiltonian.
+
+    The returned arrays are shared by every caller and read-only.
+    """
+    result = _tridiagonal_eigh(*_tridiagonal_bands(params), levels, vectors)
+    for array in result if vectors else (result,):
+        array.flags.writeable = False
+    return result
+
+
 def eigenspectrum(params: TransmonParams, levels: int = 3) -> Spectrum:
     """Lowest eigenenergies of the transmon Hamiltonian.
 
@@ -159,35 +218,15 @@ def eigenspectrum(params: TransmonParams, levels: int = 3) -> Spectrum:
     Returns
     -------
     Spectrum
-        Energies in GHz, ascending, referenced to the raw Hamiltonian.
+        Energies in GHz, ascending, referenced to the raw Hamiltonian, in a
+        read-only array.
     """
-    if levels < 2:
-        raise DomainError(f"levels must be >= 2, got {levels}")
-    diagonal, off_diagonal = _tridiagonal_bands(params)
-    if levels > len(diagonal):
-        raise DomainError(
-            f"levels={levels} exceeds Hilbert space dimension {len(diagonal)}"
-        )
-    energies = spla.eigvalsh_tridiagonal(
-        diagonal,
-        off_diagonal,
-        select="i",
-        select_range=(0, levels - 1),
-        check_finite=False,
-    )
-    return Spectrum(energies=energies, params=params)
+    return Spectrum(energies=_solve(params, levels, False), params=params)
 
 
 def _eigensystem(params: TransmonParams, levels: int):
-    diagonal, off_diagonal = _tridiagonal_bands(params)
-    energies, vectors = spla.eigh_tridiagonal(
-        diagonal,
-        off_diagonal,
-        select="i",
-        select_range=(0, levels - 1),
-        check_finite=False,
-    )
-    return energies, vectors
+    """Lowest ``levels`` energies and eigenvectors (columns), read-only."""
+    return _solve(params, levels, True)
 
 
 def transition_frequency(
@@ -253,8 +292,6 @@ def charge_matrix_elements(params: TransmonParams, levels: int) -> np.ndarray:
     ndarray
         (levels, levels) symmetric matrix of magnitudes.
     """
-    if levels < 2:
-        raise DomainError(f"levels must be >= 2, got {levels}")
     _, vectors = _eigensystem(params, levels)
     return _charge_elements(params, vectors)
 
@@ -273,8 +310,6 @@ def _level_shifts(
     for level in requested:
         if level >= levels:
             raise DomainError(f"level {level} outside truncation {levels}")
-    if levels < 2:
-        raise DomainError(f"levels must be >= 2, got {levels}")
     energies, vectors = _eigensystem(params, levels)
     elements = _charge_elements(params, vectors)
     norm = elements[0, 1]

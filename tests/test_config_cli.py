@@ -393,6 +393,22 @@ def test_hot_quasiparticles_with_computed_parity_rate(
     assert capsys.readouterr().err == ""
 
 
+def test_subnormal_gap_exits_2_without_warnings(configs_dir, tmp_path, capsys):
+    # 2 pi T/Delta overflows in the thermal quasiparticle term
+    doc = _document(configs_dir, "device_1p.json")
+    for segment, delta_k in zip(
+        doc["gap_profile"]["segments"], (5e-324, 1e308, 5e-324)
+    ):
+        del segment["thickness_nm"]
+        segment["delta_K"] = delta_k
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(doc))
+    code = _run(["qp", path, "--t-points", "3", "--format", "json"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bad_config_exits_2(configs_dir, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

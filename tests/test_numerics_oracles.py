@@ -2,8 +2,9 @@
 
 ``root_find`` ports scipy's brentq and must return the same bits on every
 call the package makes; the gap-edge rule must agree with the closed-form
-normalization and with itself at a lower order; and importing the CLI must
-not pull in the scipy modules these replace.
+normalization and with itself at a lower order; importing the CLI must
+not pull in the scipy modules these replace; and the direct LAPACK
+eigensolve must return the bits of scipy's tridiagonal wrappers.
 """
 
 import math
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.optimize
 import scipy.special
 
@@ -27,10 +29,14 @@ from qpgap.numerics import adaptive_integral, root_find
 from qpgap.quasiparticles import _gap_edge_integrals, crossover_temperature
 from qpgap.thermal import delta_from_tc
 from qpgap.transmon import (
+    CavityCoupling,
     FrequencyTargets,
     TransmonParams,
+    charge_dispersion,
+    chi_shift,
     eigenspectrum,
     fit_ej_ec,
+    resonator_dispersion,
     transition_frequency,
 )
 
@@ -206,3 +212,94 @@ def test_cli_import_leaves_replaced_scipy_modules_unloaded():
 def test_adaptive_integral_refuses_a_nan_integrand():
     with pytest.raises(ConvergenceError):
         adaptive_integral(lambda x: math.nan if x > 0.7 else x, 0.0, 1.0)
+
+
+@pytest.fixture
+def fresh_memo():
+    """An empty transmon solve memo, emptied again afterwards."""
+    qpgap.transmon._solve.cache_clear()
+    yield
+    qpgap.transmon._solve.cache_clear()
+
+
+@pytest.mark.parametrize("levels", [2, 3, 10])
+@pytest.mark.parametrize("ng", [0.0, 0.25, 0.5, 0.731])
+@pytest.mark.parametrize("ratio", [0.0, 1.0, 14.0, 60.0, 145.0, 2000.0])
+def test_tridiagonal_eigh_matches_scipy_bit_for_bit(
+    fresh_memo, ratio, ng, levels
+):
+    # EJ = 0 leaves the matrix diagonal: LAPACK splits it into 1x1 blocks
+    params = TransmonParams(EJ=ratio * 0.3, EC=0.3, ng=ng)
+    diagonal, off_diagonal = qpgap.transmon._tridiagonal_bands(params)
+    select = dict(select="i", select_range=(0, levels - 1), check_finite=False)
+    oracle = scipy.linalg.eigvalsh_tridiagonal(
+        diagonal, off_diagonal, **select
+    )
+    oracle_energies, oracle_vectors = scipy.linalg.eigh_tridiagonal(
+        diagonal, off_diagonal, **select
+    )
+
+    energies = qpgap.transmon._tridiagonal_eigh(
+        diagonal, off_diagonal, levels, vectors=False
+    )
+    assert energies.tobytes() == oracle.tobytes()
+    system = qpgap.transmon._tridiagonal_eigh(
+        diagonal, off_diagonal, levels, vectors=True
+    )
+    memoized = qpgap.transmon._eigensystem(params, levels)
+    for pair in (system, memoized):
+        assert pair[0].tobytes() == oracle_energies.tobytes()
+        assert pair[1].shape == oracle_vectors.shape
+        assert pair[1].tobytes() == oracle_vectors.tobytes()
+    assert eigenspectrum(params, levels).energies.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_lapack_info_is_a_convergence_error(fresh_memo, monkeypatch, routine):
+    original = getattr(qpgap.transmon, routine)
+
+    def failing(*args):
+        *results, _ = original(*args)
+        return (*results, 1)
+
+    monkeypatch.setattr(qpgap.transmon, routine, failing)
+    with pytest.raises(ConvergenceError, match=f"{routine} failed .* = 1"):
+        qpgap.transmon._eigensystem(TransmonParams(EJ=14.0, EC=1.0), 3)
+
+
+def test_memoized_results_are_read_only(fresh_memo):
+    params = TransmonParams(EJ=14.0, EC=1.0)
+    spectrum = eigenspectrum(params, levels=3)
+    before = spectrum.energies.copy()
+    with pytest.raises(ValueError):
+        spectrum.energies[0] = 0.0
+    again = eigenspectrum(params, levels=3).energies
+    assert again.tobytes() == before.tobytes()
+    for array in qpgap.transmon._eigensystem(params, 3):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_call_sequence_solves_each_point_once(fresh_memo, monkeypatch):
+    original = qpgap.transmon.dstebz
+    calls = []
+
+    def counting(d, e, select, vl, vu, il, iu, tol, order):
+        calls.append((d.tobytes(), e.tobytes(), iu, order))
+        return original(d, e, select, vl, vu, il, iu, tol, order)
+
+    monkeypatch.setattr(qpgap.transmon, "dstebz", counting)
+    params = TransmonParams(EJ=7.417, EC=0.403)
+    coupling = CavityCoupling(g_mhz=122.0, nu_r_ghz=7.24, q_loaded=2.0e4)
+    # the spectrum subcommand's grid, even and odd branch
+    for ng in np.linspace(0.0, 0.5, 26):
+        eigenspectrum(params.with_ng(ng), levels=3)
+        eigenspectrum(params.with_ng(ng + 0.5), levels=2)
+    charge_dispersion(params, "ge")
+    charge_dispersion(params, "ef")
+    chi_shift(params, coupling)
+    resonator_dispersion(params, coupling, method="ground")
+    resonator_dispersion(params, coupling, method="chi")
+    assert len(calls) == len(set(calls))
+    # 26 + 26 grid solves, ge at (ng 0, 2 levels), shifts at ng 0 and 0.5
+    assert len(calls) == 55

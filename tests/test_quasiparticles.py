@@ -75,6 +75,14 @@ def test_crossover_without_crossing_raises():
         crossover_temperature(0.5, DELTA_131)
 
 
+@pytest.mark.parametrize("delta_kelvin", [1e-300, 0.02])
+def test_crossover_needs_gap_above_search_floor(delta_kelvin):
+    # the search window [10 mK, Delta/2] is empty
+    floor = f"10 mK floor, got Delta = {delta_kelvin:.6g} K"
+    with pytest.raises(DomainError, match=floor):
+        crossover_temperature(8.0e-7, delta_kelvin)
+
+
 def test_fraction_inferred_from_relaxation_time():
     f_ge = transition_frequency(TransmonParams(EJ=21.67, EC=0.150))
     x = x_qp_from_rate(

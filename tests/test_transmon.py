@@ -114,6 +114,33 @@ def test_spectrum_validates_level_count():
         eigenspectrum(p, levels=0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, n: charge_matrix_elements(p, n),
+        lambda p, n: dispersive_shift(p, _coupling(), level=0, levels=n),
+        lambda p, n: chi_shift(p, _coupling(), levels=n),
+        lambda p, n: resonator_dispersion(p, _coupling(), levels=n),
+        lambda p, n: resonator_dispersion(
+            p, _coupling(), method="chi", levels=n
+        ),
+    ],
+    ids=[
+        "charge_matrix_elements",
+        "dispersive_shift",
+        "chi_shift",
+        "resonator_dispersion_ground",
+        "resonator_dispersion_chi",
+    ],
+)
+def test_levels_above_dimension_is_a_domain_error(call):
+    # the same check as test_spectrum_validates_level_count, via eigensystems
+    p = TransmonParams(EJ=1.0, EC=1.0)
+    assert 2 * p.effective_n_cut + 1 < 50
+    with pytest.raises(DomainError, match="exceeds Hilbert space dimension"):
+        call(p, 50)
+
+
 def test_negative_ej_rejected():
     with pytest.raises(DomainError):
         TransmonParams(EJ=-1.0, EC=0.2)
