@@ -65,6 +65,10 @@ from .units import kelvin_to_ev, kelvin_to_ghz
 from . import svgplot
 
 
+# Rows of a float table formatted and written at a time.
+_CSV_ROWS = 256
+
+
 def _fmt(value) -> str:
     """Render a scalar for CSV output."""
     if value is None:
@@ -102,12 +106,18 @@ def _dump_json(document: dict) -> str:
     return text + "\n"
 
 
-def _emit(args, filename: str, text: str) -> None:
-    """Write ``text`` to ``--out/filename``, or to stdout without ``--out``."""
+def _emit(args, filename: str, chunks) -> None:
+    """Write text to ``--out/filename``, or to stdout without ``--out``.
+
+    ``chunks`` is one string or an iterable of strings, written in order.
+    """
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        (args.out / filename).write_text(text)
+        with open(args.out / filename, "w") as handle:
+            handle.writelines(chunks)
 
 
 def _csv_table(header: list[str], rows: list[list]) -> str:
@@ -117,12 +127,23 @@ def _csv_table(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _float_csv_chunks(header: list[str], table: np.ndarray):
+    """``_csv_table`` of a float array in blocks of ``_CSV_ROWS`` rows.
+
+    One %-format per row gives the same bytes as ``_csv_table``; a block
+    at a time keeps one block's Python floats and text alive, not the
+    whole table's.
+    """
+    row_format = ",".join(["%.10g"] * table.shape[1]) + "\n"
+    yield ",".join(header) + "\n"
+    for start in range(0, len(table), _CSV_ROWS):
+        block = table[start:start + _CSV_ROWS].tolist()
+        yield "".join(row_format % tuple(row) for row in block)
+
+
 def _float_csv(header: list[str], table: np.ndarray) -> str:
-    """``_csv_table`` of a float array: one %-format per row, same bytes."""
-    row_format = ",".join(["%.10g"] * table.shape[1])
-    lines = [",".join(header)]
-    lines.extend(row_format % tuple(row) for row in table.tolist())
-    return "\n".join(lines) + "\n"
+    """All of :func:`_float_csv_chunks` as one string."""
+    return "".join(_float_csv_chunks(header, table))
 
 
 def _records(header: list[str], rows: list[list]) -> list[dict]:
@@ -364,7 +385,7 @@ def _cmd_parity_sim(args, config: DeviceConfig) -> int:
     else:
         header = ["time_s"] + [f"f_{_fmt(f)}" for f in scan.frequencies_ghz]
         table = np.column_stack([scan.pixel_starts_s, scan.amplitudes])
-        _emit(args, "scan.csv", _float_csv(header, table))
+        _emit(args, "scan.csv", _float_csv_chunks(header, table))
         _emit(args, "peaks.csv", _csv_table(_PEAKS, peak_rows))
         _emit(args, "scan_meta.json", _dump_json(metadata))
 

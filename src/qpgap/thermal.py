@@ -117,4 +117,7 @@ def thermal_qp_term_array(t_kelvin: np.ndarray, delta_kelvin: float) -> np.ndarr
     if delta_kelvin <= 0:
         raise DomainError(f"delta must be positive, got {delta_kelvin}")
     ratio = delta_kelvin / t
-    return np.sqrt(2.0 * np.pi / ratio) * np.exp(-ratio)
+    # as in the scalar form, a subnormal ratio overflows 2 pi/ratio to inf
+    # quietly
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.sqrt(2.0 * np.pi / ratio) * np.exp(-ratio)

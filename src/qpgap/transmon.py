@@ -9,11 +9,15 @@ in Cooper-pair units, and a parity flip shifts ng by 0.5.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dstein
+import scipy
 
 from .errors import (
     ConvergenceError,
@@ -24,6 +28,34 @@ from .errors import (
 from .fitting import least_squares
 from .numerics import root_find
 from .units import CONSTANTS
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK module, loaded without ``scipy.linalg``.
+
+    ``scipy.linalg.lapack`` re-exports the routines of this extension, but
+    importing it first runs the ``scipy.linalg`` package, whose array-API
+    layer pulls in ``numpy.f2py``, ``numpy.testing`` and more, none of it
+    needed for LAPACK and most of a cold start's import time.  The module
+    is registered under its full name, so a later ``import scipy.linalg``
+    reuses it.
+    """
+    search = [os.path.join(entry, "linalg") for entry in scipy.__path__]
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", search)
+    if spec is None:
+        raise ImportError(
+            f"scipy's LAPACK extension _flapack not found in {search}"
+        )
+    spec.name = "scipy.linalg._flapack"
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dstebz = _flapack.dstebz
+dstein = _flapack.dstein
 
 # Levels kept in perturbative cavity-shift sums.  Going to 12 levels moves
 # the shift of every shipped device configuration by less than 1 percent.

@@ -8,7 +8,13 @@ import sys
 import numpy as np
 import pytest
 
-from qpgap.cli import _csv_table, _dump_json, _float_csv, main
+from qpgap.cli import (
+    _csv_table,
+    _dump_json,
+    _float_csv,
+    _float_csv_chunks,
+    main,
+)
 from qpgap.config import load_device_config, load_device_document
 from qpgap.errors import ConfigError
 from qpgap.parity import MAX_EXPECTED_EVENTS, MAX_SCAN_SAMPLES
@@ -734,3 +740,11 @@ def test_float_csv_matches_per_cell_formatting():
     empty = np.empty((0, 4))
     assert _float_csv(header, empty) == _csv_table(header, [])
 
+
+def test_float_csv_is_written_in_row_blocks():
+    header = ["time_s", "f_a", "f_b"]
+    table = np.arange(600 * 3, dtype=float).reshape(600, 3) / 7.0
+    chunks = list(_float_csv_chunks(header, table))
+    # the header, then blocks of 256 rows
+    assert [chunk.count("\n") for chunk in chunks] == [1, 256, 256, 88]
+    assert "".join(chunks) == _csv_table(header, table.tolist())

@@ -209,6 +209,59 @@ def test_cli_import_leaves_replaced_scipy_modules_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def _run_python(code: str, *path_entries: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter with ``path_entries`` and ``src/``
+    first on the import path."""
+    src = str(Path(qpgap.numerics.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(
+        None, [*path_entries, src, os.environ.get("PYTHONPATH")]
+    ))
+    return subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    code = (
+        "import sys, qpgap.cli\n"
+        "names = ('scipy.linalg', 'scipy._lib._array_api')\n"
+        "print(sorted(m for m in names if m in sys.modules))\n"
+    )
+    assert _run_python(code).stdout.strip() == "[]"
+
+
+def test_scipy_linalg_imports_after_transmon_and_agrees():
+    code = (
+        "import sys, qpgap.transmon as t\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "import scipy.linalg\n"
+        "params = t.TransmonParams(EJ=14.0 * 0.3, EC=0.3, ng=0.25)\n"
+        "d, e = t._tridiagonal_bands(params)\n"
+        "ours = t._tridiagonal_eigh(d, e, 3, vectors=True)\n"
+        "theirs = scipy.linalg.eigh_tridiagonal(\n"
+        "    d, e, select='i', select_range=(0, 2), check_finite=False)\n"
+        "print(all(a.tobytes() == b.tobytes() for a, b in zip(ours, theirs)))\n"
+        "print(scipy.linalg.lapack.dstebz is t.dstebz)\n"
+    )
+    assert _run_python(code).stdout.split() == ["True", "True"]
+
+
+def test_missing_lapack_extension_names_the_searched_directory(tmp_path):
+    # a scipy package without the compiled LAPACK module
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    code = (
+        "try:\n"
+        "    import qpgap.transmon\n"
+        "except ImportError as error:\n"
+        "    print(error)\n"
+    )
+    out = _run_python(code, str(tmp_path)).stdout
+    assert "_flapack" in out
+    assert str(tmp_path / "scipy" / "linalg") in out
+
+
 def test_adaptive_integral_refuses_a_nan_integrand():
     with pytest.raises(ConvergenceError):
         adaptive_integral(lambda x: math.nan if x > 0.7 else x, 0.0, 1.0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,24 @@ def test_thermal_qp_term_array_matches_scalar():
     vec = thermal_qp_term_array(temps, delta)
     scalars = [thermal_qp_term(float(t), delta) for t in temps]
     np.testing.assert_allclose(vec, scalars, rtol=1e-13)
+
+
+def test_thermal_qp_term_array_overflows_quietly_like_scalar():
+    # a subnormal gap overflows 2 pi/ratio to inf, as the scalar form does
+    temps = np.array([1.0, 0.05])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vec = thermal_qp_term_array(temps, 5e-324)
+    assert vec.tolist() == [thermal_qp_term(float(t), 5e-324) for t in temps]
+    assert np.all(np.isposinf(vec))
+
+
+def test_thermal_qp_term_array_finite_values_unchanged():
+    delta = 2.2932
+    temps = np.linspace(0.02, 0.4, 17)
+    ratio = delta / temps
+    expected = np.sqrt(2.0 * np.pi / ratio) * np.exp(-ratio)
+    assert thermal_qp_term_array(temps, delta).tobytes() == expected.tobytes()
 
 
 def test_thermal_qp_term_is_monotone_in_temperature():
