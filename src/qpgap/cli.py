@@ -355,12 +355,17 @@ def _cmd_parity_sim(args, config: DeviceConfig) -> int:
     )
     estimate = estimate_parity_lifetime(scan)
 
-    peak_rows = []
-    for index, (start, peaks) in enumerate(
-        zip(scan.pixel_starts_s, estimate.peaks)
-    ):
-        positions = list(peaks.positions_ghz) + [None, None]
-        peak_rows.append([index, start, peaks.count, positions[0], positions[1]])
+    # NaN pads a row with fewer than two peaks: an empty cell, or null
+    low, high = (
+        [None if math.isnan(f) else f for f in column]
+        for column in estimate.positions_ghz.T.tolist()
+    )
+    peak_rows = [
+        [index, start, count, f1, f2]
+        for index, (start, count, f1, f2) in enumerate(zip(
+            scan.pixel_starts_s.tolist(), estimate.counts.tolist(), low, high
+        ))
+    ]
 
     metadata = {
         **scan.metadata(),
@@ -453,8 +458,8 @@ def _cmd_fit(args, config: DeviceConfig) -> int:
 
     model_rates = result.rate(data.t_kelvin)
     rates, rate_sigmas = data.rates()
-    if rate_sigmas is None:
-        rate_sigmas = np.full(len(data), np.nan)
+    if rate_sigmas is None:  # an empty cell, or null
+        rate_sigmas = [None] * len(data)
     residual_rows = [
         [t, rate, model, rate - model, sigma]
         for t, rate, model, sigma in zip(

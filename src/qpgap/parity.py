@@ -10,9 +10,14 @@ synthetic record.
 Both sides work array-wise on blocks of pixel rows.  Synthesis merges the
 switch and jump times once, tabulates each pixel's segments as (weight,
 state) slots, and adds the slots' Lorentzians in time order, one Lorentzian
-denominator per distinct (offset charge, parity) state; detection finds the
-thresholds, local maxima and clusters of a whole block at once.  Results
-are bit-identical to a per-pixel loop over the same segments.
+denominator per distinct (offset charge, parity) state.  A block adds one
+slot of every row at a time, unless it has more slots than rows (fast
+switching): then each row gathers and sums its own slots in one reduction,
+in pieces of a bounded number of slots.  Detection finds the thresholds,
+local maxima and clusters of a whole block at once and keeps them as
+arrays; the verdict and the CLI's peak table read those arrays, and a
+per-row :class:`PeakSet` is built only on request.  Results are
+bit-identical to a per-pixel loop over the same segments.
 
 All random draws derive from a single master seed through independent
 spawned streams, so traces and scans are reproducible bit for bit
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +49,10 @@ _BLOCK = 4096
 # Scans are synthesized and graded in blocks of this many pixel rows, which
 # bounds the per-block temporaries (segment tables, gathered Lorentzians).
 _ROWS = 256
+
+# A block with more segment slots than rows is summed one row at a time,
+# gathering at most this many slots of a row at once.
+_SLOTS = 256
 
 # The most work one input may ask for: scan samples (pixels x n_freq, 8
 # bytes each in the amplitude array, about 12 bytes each in scan.csv) and
@@ -178,7 +188,9 @@ def simulate_parity(
     if not 0 < duration_s < math.inf:
         raise DomainError(f"duration must be positive, got {duration_s}")
     if initial_parity not in _PARITY_NAMES:
-        raise DomainError(f"initial parity must be 'even' or 'odd'")
+        raise DomainError(
+            f"initial parity must be 'even' or 'odd', got {initial_parity!r}"
+        )
     rng = np.random.default_rng(seed)
     times = _exponential_arrivals(gamma_per_s, duration_s, rng)
     return ParityTrace(
@@ -324,6 +336,36 @@ def _branch_table(
     return np.array(branches), slot
 
 
+def _add_row_by_row(
+    rows: np.ndarray,
+    denominators: np.ndarray,
+    weights: np.ndarray,
+    state: np.ndarray,
+    segments: np.ndarray,
+) -> None:
+    """Set each row to the sum of its segments' weighted Lorentzians.
+
+    Row i adds its first ``segments[i]`` slots in time order, as the slot
+    loop of :func:`synthesize_scan` does; the padding slots past them have
+    zero width and would add +0.0.  A piece of at most ``_SLOTS`` slots is
+    gathered, divided by its weights and reduced along the slot axis, which
+    numpy adds strictly in order; the running row is added into the first
+    slot of each later piece, so the chained pieces give the same bits.
+    """
+    term = np.empty((min(weights.shape[1], _SLOTS), rows.shape[1]))
+    for row, weight, slot, count in zip(
+        rows, weights, state, segments.tolist()
+    ):
+        for start in range(0, count, _SLOTS):
+            stop = min(start + _SLOTS, count)
+            piece = term[:stop - start]
+            np.take(denominators, slot[start:stop], axis=0, out=piece)
+            np.divide(weight[start:stop, None], piece, out=piece)
+            if start:
+                piece[0] += row
+            np.add.reduce(piece, axis=0, out=row)
+
+
 def synthesize_scan(
     params: TransmonParams,
     parity_trace: ParityTrace,
@@ -408,11 +450,14 @@ def synthesize_scan(
         weights = np.diff(bounds, axis=1) / config.pixel_seconds
         state = states[np.minimum(event[:, 1:], hi[:, None])]
         rows = amplitudes[first:first + _ROWS]
-        rows[:] = 0.0
-        term = np.empty_like(rows)
-        for k in range(n_slots):
-            np.take(denominators, state[:, k], axis=0, out=term)
-            rows += np.divide(weights[:, k, None], term, out=term)
+        if n_slots > len(rows):
+            _add_row_by_row(rows, denominators, weights, state, hi - lo + 1)
+        else:
+            rows[:] = 0.0
+            term = np.empty_like(rows)
+            for k in range(n_slots):
+                np.take(denominators, state[:, k], axis=0, out=term)
+                rows += np.divide(weights[:, k, None], term, out=term)
         rows += noise_rng.normal(0.0, 1.0 / snr, size=rows.shape)
 
     midpoints = (pixel_starts + (pixel_starts + config.pixel_seconds)) / 2.0
@@ -561,8 +606,12 @@ class LifetimeEstimate:
 
     ``kind`` is one of "upper_bound" (both branches visible inside single
     pixels), "lower_bound" (one branch, never alternating), "estimate"
-    (duration over observed alternations), or "inconclusive".  ``peaks``
-    holds the detected peaks of every scan row, in pixel order.
+    (duration over observed alternations), or "inconclusive".
+
+    The detection pass is kept as arrays, one entry per scan row in pixel
+    order: ``counts`` (0, 1 or 2 peaks), ``positions_ghz`` ((n_rows, 2),
+    ascending, NaN where a row has fewer peaks) and ``thresholds``.
+    ``peaks`` builds one :class:`PeakSet` per row from them on first read.
     """
 
     kind: str
@@ -570,7 +619,14 @@ class LifetimeEstimate:
     alternations: int
     two_peak_fraction: float
     single_peak_fraction: float
-    peaks: tuple[PeakSet, ...] = field(repr=False)
+    counts: np.ndarray = field(repr=False, compare=False)
+    positions_ghz: np.ndarray = field(repr=False, compare=False)
+    thresholds: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def peaks(self) -> tuple[PeakSet, ...]:
+        """The detected peaks of every scan row, in pixel order."""
+        return _peak_sets(self.counts, self.positions_ghz, self.thresholds)
 
     def describe(self) -> str:
         if self.kind == "upper_bound":
@@ -638,5 +694,7 @@ def estimate_parity_lifetime(
         alternations=alternations,
         two_peak_fraction=two_peak_fraction,
         single_peak_fraction=float(np.mean(counts == 1)),
-        peaks=_peak_sets(counts, positions, thresholds),
+        counts=counts,
+        positions_ghz=positions,
+        thresholds=thresholds,
     )

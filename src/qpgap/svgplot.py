@@ -154,18 +154,20 @@ def heatmap(
     x = np.asarray(x_values, dtype=float)
     y = np.asarray(y_values, dtype=float)
 
-    def _bin(values: np.ndarray, axis_len: int) -> list[np.ndarray]:
+    def _starts(axis_len: int) -> np.ndarray:
+        """First index of each cell; at most one cell per index, so the
+        starts strictly increase and no cell is empty."""
         bins = min(axis_len, max_cells)
-        edges = np.linspace(0, axis_len, bins + 1).astype(int)
-        return [np.arange(edges[i], edges[i + 1]) for i in range(bins)]
+        return np.linspace(0, axis_len, bins + 1).astype(int)[:-1]
 
-    x_groups = _bin(x, data.shape[0])
-    y_groups = _bin(y, data.shape[1])
-    reduced = np.empty((len(x_groups), len(y_groups)))
-    for i, gx in enumerate(x_groups):
-        block = data[gx]
-        for j, gy in enumerate(y_groups):
-            reduced[i, j] = block[:, gy].max()
+    # the CLI passes a scan as [frequency, time]; reducing the long time
+    # axis first keeps the intermediate array small
+    reduced = np.maximum.reduceat(
+        np.maximum.reduceat(data, _starts(data.shape[1]), axis=1),
+        _starts(data.shape[0]),
+        axis=0,
+    )
+    n_x, n_y = reduced.shape
     lo, hi = float(reduced.min()), float(reduced.max())
     span = hi - lo if hi > lo else 1.0
 
@@ -178,11 +180,12 @@ def heatmap(
         y_label,
         title,
     )
-    cell_w = (_WIDTH - 2 * _MARGIN) / len(x_groups)
-    cell_h = (_HEIGHT - 2 * _MARGIN) / len(y_groups)
-    for i in range(len(x_groups)):
-        for j in range(len(y_groups)):
-            color = _color((reduced[i, j] - lo) / span)
+    cell_w = (_WIDTH - 2 * _MARGIN) / n_x
+    cell_h = (_HEIGHT - 2 * _MARGIN) / n_y
+    for i in range(n_x):
+        shades = ((reduced[i] - lo) / span).tolist()
+        for j in range(n_y):
+            color = _color(shades[j])
             cx = _MARGIN + i * cell_w
             cy = _HEIGHT - _MARGIN - (j + 1) * cell_h
             parts.append(

@@ -298,6 +298,56 @@ def test_fit_t1_json_report(configs_dir, data_dir, tmp_path):
     assert report["config_hash"]
 
 
+def test_fit_without_sigma_column_leaves_sigma_empty(
+    configs_dir, data_dir, tmp_path
+):
+    lines = (data_dir / "t1_vs_temperature_1np.csv").read_text().splitlines()
+    data = tmp_path / "t1.csv"
+    data.write_text("".join(",".join(line.split(",")[:2]) + "\n"
+                            for line in lines))
+    config = configs_dir / "device_1np.json"
+    csv_dir, json_dir = tmp_path / "csv", tmp_path / "json"
+    csv_dir.mkdir()
+    json_dir.mkdir()
+    assert _run(["fit", "t1", data, config, "--out", csv_dir]) == 0
+    assert _run(["fit", "t1", data, config, "--format", "json",
+                 "--out", json_dir]) == 0
+    rows = (csv_dir / "fit_t1_residuals.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(lines) - 1
+    assert all(row.split(",")[-1] == "" for row in rows)
+    assert "nan" not in "".join(rows)
+    report = json.loads((json_dir / "fit_t1.json").read_text())
+    assert [r["sigma_per_s"] for r in report["residuals"]] == [None] * len(rows)
+
+
+@pytest.mark.parametrize("snr, counts", [(None, {1, 2}), (5.0, {0, 1})])
+def test_peak_cells_are_empty_past_the_count(configs_dir, tmp_path, snr,
+                                             counts):
+    config = configs_dir / "device_3p.json"
+    if snr is not None:
+        document = _document(configs_dir, "device_3p.json")
+        document["scan"] = {"snr": snr}
+        config = tmp_path / "device.json"
+        config.write_text(json.dumps(document))
+    csv_dir, json_dir = tmp_path / "csv", tmp_path / "json"
+    csv_dir.mkdir()
+    json_dir.mkdir()
+    argv = ["parity-sim", config, "--duration", "20", "--seed", "203"]
+    assert _run(argv + ["--out", csv_dir]) == 0
+    assert _run(argv + ["--format", "json", "--out", json_dir]) == 0
+    rows = [line.split(",") for line in
+            (csv_dir / "peaks.csv").read_text().splitlines()[1:]]
+    records = json.loads((json_dir / "scan_meta.json").read_text())["peaks"]
+    assert len(rows) == len(records) == 100
+    for index, (row, record) in enumerate(zip(rows, records)):
+        count = int(row[2])
+        assert row[0] == str(index) and record["pixel"] == index
+        assert [cell != "" for cell in row[3:]] == [count > 0, count > 1]
+        positions = [record["f1_GHz"], record["f2_GHz"]]
+        assert [f is not None for f in positions] == [count > 0, count > 1]
+    assert {int(row[2]) for row in rows} == counts
+
+
 def test_fit_t2_with_t1_data(configs_dir, data_dir, tmp_path):
     code = _run([
         "fit", "t2", data_dir / "t2star_vs_temperature_1p.csv",

@@ -6,6 +6,11 @@ chosen so that no mutation enlarges a scan past a few thousand pixels of
 the configured frequency grid (``n_freq`` only shrinks, the smallest
 positive number is 1e-3 s per pixel, the duration is fixed) or a charge
 basis past a few thousand states.
+
+Scan sizes and noise rates are fuzzed in-process against the work bounds
+of ``qpgap.parity``: past ``MAX_SCAN_SAMPLES`` or ``MAX_EXPECTED_EVENTS``
+a scan is refused with DomainError before any work, and below 10^5
+samples it is synthesized and graded.
 """
 
 import contextlib
@@ -15,10 +20,24 @@ import json
 import math
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qpgap.cli import main
+from qpgap.errors import DomainError
+from qpgap.parity import (
+    MAX_EXPECTED_EVENTS,
+    MAX_SCAN_SAMPLES,
+    NoiseModel,
+    ScanConfig,
+    estimate_parity_lifetime,
+    scan_window,
+    simulate_offset_charge,
+    simulate_parity,
+    synthesize_scan,
+)
+from qpgap.transmon import TransmonParams
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((REPO / "configs").glob("*.json"))
@@ -138,3 +157,65 @@ def test_mutated_inputs_keep_the_exit_contract(tmp_path_factory, data):
     assert "Traceback" not in err
     if code != 0:
         assert err.startswith("error:"), err
+
+
+SCAN_DEVICE = TransmonParams(EJ=5.92, EC=0.400)
+SMALL_SAMPLES = 100_000
+
+
+def _scan(n_freq, pixel_seconds, duration, gamma, tls_rate):
+    """Simulate, synthesize and grade one scan of SCAN_DEVICE."""
+    model = NoiseModel(gamma_parity_per_s=gamma, tls_rate_per_s=tls_rate)
+    parity = simulate_parity(gamma, duration, seed=1)
+    charge = simulate_offset_charge(model, duration, seed=2)
+    f_min, f_max = scan_window(SCAN_DEVICE, linewidth_mhz=1.0)
+    config = ScanConfig(f_min_ghz=f_min, f_max_ghz=f_max, n_freq=n_freq,
+                        pixel_seconds=pixel_seconds)
+    scan = synthesize_scan(SCAN_DEVICE, parity, charge, config, seed=3)
+    return scan, estimate_parity_lifetime(scan)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_scan_sizes_and_rates_keep_the_work_bounds(data):
+    limit = data.draw(
+        st.sampled_from([None, "n_freq", "samples", "parity", "tls"]),
+        label="limit",
+    )
+    n_freq = data.draw(st.integers(3, 1000), label="n_freq")
+    pixel_seconds = data.draw(st.floats(1e-6, 1e3), label="pixel_seconds")
+    if limit == "samples":
+        pixels = data.draw(
+            st.floats(1.001 * MAX_SCAN_SAMPLES, 1e250), label="samples"
+        ) / n_freq
+    else:
+        pixels = data.draw(
+            st.integers(1, SMALL_SAMPLES // n_freq), label="pixels"
+        )
+    duration = pixels * pixel_seconds
+    gamma = data.draw(st.floats(0.0, 2000.0), label="switches") / duration
+    tls_rate = data.draw(st.floats(0.0, 20.0), label="jumps") / duration
+    if limit == "n_freq":
+        n_freq = data.draw(
+            st.integers(MAX_SCAN_SAMPLES + 1, 10**12), label="big_n_freq"
+        )
+    elif limit in ("parity", "tls"):
+        rate = data.draw(
+            st.floats(1.001 * MAX_EXPECTED_EVENTS, 1e300), label="events"
+        ) / duration
+        if limit == "parity":
+            gamma = rate
+        else:
+            tls_rate = rate
+
+    if limit is None:
+        scan, estimate = _scan(n_freq, pixel_seconds, duration, gamma,
+                               tls_rate)
+        assert scan.amplitudes.shape == (pixels, n_freq)
+        assert estimate.kind in (
+            "upper_bound", "lower_bound", "estimate", "inconclusive"
+        )
+    else:
+        match = limit if limit in ("n_freq", "samples") else "events"
+        with pytest.raises(DomainError, match=match):
+            _scan(n_freq, pixel_seconds, duration, gamma, tls_rate)

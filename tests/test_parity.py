@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qpgap import parity as parity_module
 from qpgap.errors import CoverageError, DomainError
 from qpgap.parity import (
     _ROWS,
@@ -739,6 +740,48 @@ def test_equidistant_peak_is_attributed_to_even_branch():
     assert (estimate.kind, estimate.alternations) == ("estimate", 9)
     _, verdict = _reference_estimate(scan)
     assert verdict[:3] == (estimate.kind, estimate.seconds, 9)
+
+
+def test_estimate_builds_peak_sets_only_when_read(monkeypatch):
+    built = []
+
+    def counting_peak_set(**fields):
+        built.append(fields)
+        return PeakSet(**fields)
+
+    monkeypatch.setattr(parity_module, "PeakSet", counting_peak_set)
+    scan = _run_scan(0.01, duration=20.0, seed=61, n_freq=61)
+    estimate = estimate_parity_lifetime(scan)
+    assert built == []
+    peaks = estimate.peaks
+    assert len(built) == scan.n_pixels
+    assert estimate.peaks is peaks  # built once, then cached
+    assert len(built) == scan.n_pixels
+    counts = [p.count for p in peaks]
+    assert counts == estimate.counts.tolist()
+
+
+def test_row_wise_and_slot_loop_blocks_match_reference():
+    # 300 switches inside pixel 0 give the first block of 256 rows more
+    # slots than rows (summed row by row, in two chained pieces for pixel
+    # 0); the second block of 44 rows has a few switches and takes the
+    # slot loop
+    n_pixels = _ROWS + 44
+    duration = n_pixels * DEFAULT_PIXEL_SECONDS
+    dense = np.linspace(0.0, DEFAULT_PIXEL_SECONDS, 302)[1:-1]
+    sparse = _ROWS * DEFAULT_PIXEL_SECONDS + np.array([0.3, 1.1, 4.7, 6.05])
+    parity = ParityTrace(switch_times=np.concatenate([dense, sparse]),
+                         duration_s=duration)
+    charge = _charge([0.1, 30.0, 55.0], [0.1, 0.35, 0.6, 0.2], duration)
+    scan = _assert_matches_reference(
+        SENSITIVE, parity, charge, _scan_config(duration, n_freq=61)
+    )
+    assert scan.n_pixels == n_pixels
+
+
+def test_initial_parity_error_names_the_value():
+    with pytest.raises(DomainError, match="got 'up'"):
+        simulate_parity(1.0, 1.0, seed=1, initial_parity="up")
 
 
 # ------------------------------------------------------------ work bounds
