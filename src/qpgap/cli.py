@@ -141,11 +141,6 @@ def _float_csv_chunks(header: list[str], table: np.ndarray):
         yield "".join(row_format % tuple(row) for row in block)
 
 
-def _float_csv(header: list[str], table: np.ndarray) -> str:
-    """All of :func:`_float_csv_chunks` as one string."""
-    return "".join(_float_csv_chunks(header, table))
-
-
 def _records(header: list[str], rows: list[list]) -> list[dict]:
     """The JSON form of a table: one object per row, keyed by column."""
     return [dict(zip(header, row)) for row in rows]

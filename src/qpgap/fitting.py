@@ -29,10 +29,12 @@ from .quasiparticles import crossover_temperature
 
 _SERIES_KINDS = ("t1", "t2star", "t2echo")
 
-DEFAULT_REL_STEP = 1e-6
-DEFAULT_STEP_TOL = 1e-10
-DEFAULT_SSR_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
+# forward-difference step relative to each parameter, and the relative
+# step and relative decrease of the squared residual that end a fit
+_REL_STEP = 1e-6
+_STEP_TOL = 1e-10
+_SSR_TOL = 1e-12
 
 _LAMBDA_INIT = 1e-3
 _LAMBDA_UP = 10.0
@@ -218,13 +220,12 @@ def _forward_jacobian(
     residual_fn: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     r0: np.ndarray,
-    rel_step: float,
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> np.ndarray:
     jac = np.empty((len(r0), len(x)))
     for j in range(len(x)):
-        h = rel_step * (abs(x[j]) if x[j] != 0.0 else 1.0)
+        h = _REL_STEP * (abs(x[j]) if x[j] != 0.0 else 1.0)
         if x[j] + h > upper[j]:
             h = -h
         probe = x.copy()
@@ -242,16 +243,13 @@ def least_squares(
     residual_fn: Callable[[np.ndarray], np.ndarray],
     x0: Sequence[float],
     bounds: Sequence[tuple[float, float]] | None = None,
-    rel_step: float = DEFAULT_REL_STEP,
     max_iter: int = DEFAULT_MAX_ITER,
-    step_tol: float = DEFAULT_STEP_TOL,
-    ssr_tol: float = DEFAULT_SSR_TOL,
 ) -> LMResult:
     """Levenberg-Marquardt minimization of a residual vector.
 
     Iterates damped normal-equation steps with Marquardt scaling until the
-    relative step falls below ``step_tol`` or the relative decrease of the
-    squared residual falls below ``ssr_tol``.  Box bounds are handled by an
+    relative step falls below 1e-10 or the relative decrease of the
+    squared residual falls below 1e-12.  Box bounds are handled by an
     active set: parameters pinned at a bound with the gradient pointing
     outward are frozen for that iteration, and accepted steps are clipped
     back into the box.
@@ -284,7 +282,7 @@ def least_squares(
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        jac = _forward_jacobian(residual_fn, x, residual, rel_step, lower, upper)
+        jac = _forward_jacobian(residual_fn, x, residual, lower, upper)
         normal = jac.T @ jac
         gradient = jac.T @ residual
         diag = np.diag(normal).copy()
@@ -327,7 +325,7 @@ def least_squares(
                 ssr = trial_ssr
                 lam = max(lam / _LAMBDA_DOWN, 1e-12)
                 accepted = True
-                if rel_move < step_tol or rel_change < ssr_tol:
+                if rel_move < _STEP_TOL or rel_change < _SSR_TOL:
                     converged = True
                 break
             lam *= _LAMBDA_UP
@@ -337,7 +335,7 @@ def least_squares(
         if converged:
             break
 
-    covariance = _covariance(residual_fn, x, residual, ssr, rel_step, lower, upper)
+    covariance = _covariance(residual_fn, x, residual, ssr, lower, upper)
     result = LMResult(
         x=x,
         covariance=covariance,
@@ -353,9 +351,9 @@ def least_squares(
     return result
 
 
-def _covariance(residual_fn, x, residual, ssr, rel_step, lower, upper):
+def _covariance(residual_fn, x, residual, ssr, lower, upper):
     m, n = len(residual), len(x)
-    jac = _forward_jacobian(residual_fn, x, residual, rel_step, lower, upper)
+    jac = _forward_jacobian(residual_fn, x, residual, lower, upper)
     normal = jac.T @ jac
     try:
         inverse = np.linalg.inv(normal)
@@ -541,23 +539,31 @@ def resonator_thermometry(
 ) -> ThermometryResult:
     """Invert the shot-noise rate to a photon number and temperature.
 
-    The dephasing rate is strictly monotone in n_th, so the inversion is a
-    bracketed root find on n_th in [0, 10], followed by the Bose inversion
-    for the temperature.  A zero rate returns the n_th = 0, T = 0 lower
-    limit with the flag set.
+    The inversion of :func:`shot_noise_dephasing` is exact: with
+    r = 2|chi|/kappa and x = Gamma_phi/(pi kappa) (kappa in Hz), the square
+    root there has real part a = 1 + x, which gives
+    n_th = x(2 + x)(a^2 + r^2) / (2r(a sqrt(x(2 + x) + r^2) + r)), a form
+    without cancellation.  The Bose inversion then gives the temperature.
+    A zero rate returns the n_th = 0, T = 0 lower limit with the flag set.
     """
-    if gamma_phi_per_s < 0:
-        raise DomainError(f"rate must be non-negative, got {gamma_phi_per_s}")
+    if not 0.0 <= gamma_phi_per_s < math.inf:
+        raise DomainError(
+            f"rate must be non-negative and finite, got {gamma_phi_per_s}"
+        )
+    if not kappa_mhz > 0:
+        raise DomainError(f"kappa must be positive, got {kappa_mhz}")
+    if chi_mhz == 0.0:
+        raise DomainError("chi = 0 MHz: the rate does not depend on n_th")
     if gamma_phi_per_s == 0.0:
         return ThermometryResult(n_th=0.0, temperature_k=0.0, at_lower_limit=True)
-    from .numerics import root_find
-
-    n_th = root_find(
-        lambda n: shot_noise_dephasing(chi_mhz, kappa_mhz, n) - gamma_phi_per_s,
-        0.0,
-        10.0,
-        abs_tol=1e-12,
-    )
+    r = 2.0 * abs(chi_mhz) / kappa_mhz
+    x = gamma_phi_per_s / (math.pi * kappa_mhz * 1e6)
+    a = 1.0 + x
+    growth = x * (2.0 + x)
+    root = a * math.sqrt(growth + r * r) + r
+    n_th = growth * (a * a + r * r) / (2.0 * r * root)
+    if not math.isfinite(n_th):
+        raise DomainError(f"n_th for {gamma_phi_per_s} 1/s is out of float range")
     return ThermometryResult(
         n_th=n_th,
         temperature_k=temperature_from_occupation(nu_r_ghz, n_th),

@@ -512,18 +512,6 @@ def _gap_edge_integrals(
     return np.sum(half * panels, axis=1)
 
 
-def _edge_integral(delta_k: float, t_k: float, threshold_k: float) -> float:
-    """Integral of the BCS density of states times a Boltzmann factor.
-
-    Computes exp(Delta/T) * integral_threshold^inf rho(E) exp(-E/T) dE
-    as Delta I(u0) of :func:`_gap_edge_integrals`.
-    """
-    if threshold_k < delta_k:
-        raise DomainError("threshold must lie at or above the gap edge")
-    excess = (threshold_k - delta_k) / delta_k
-    return delta_k * float(_gap_edge_integrals(delta_k / t_k, [excess])[0])
-
-
 def above_barrier_fraction(
     delta_delta_k: float, t_qp_kelvin: float, delta_kelvin: float
 ) -> float:

@@ -51,6 +51,11 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return ticks
 
 
+def _range(lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi) of an axis, widened to (lo, lo + 1) when lo equals hi."""
+    return (lo, hi) if hi != lo else (lo, lo + 1.0)
+
+
 def _axes(x_lo, x_hi, y_lo, y_hi, x_label, y_label, title):
     def sx(x):
         return _MARGIN + (x - x_lo) / (x_hi - x_lo) * (_WIDTH - 2 * _MARGIN)
@@ -112,12 +117,8 @@ def line_plot(
     """Render (x, y, color) polyline series on shared linear axes."""
     xs = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
     ys = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _range(float(xs.min()), float(xs.max()))
+    y_lo, y_hi = _range(float(ys.min()), float(ys.max()))
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     parts, sx, sy = _axes(x_lo, x_hi, y_lo, y_hi, x_label, y_label, title)
@@ -172,10 +173,8 @@ def heatmap(
     span = hi - lo if hi > lo else 1.0
 
     parts, sx, sy = _axes(
-        float(x.min()),
-        float(x.max()),
-        float(y.min()),
-        float(y.max()),
+        *_range(float(x.min()), float(x.max())),
+        *_range(float(y.min()), float(y.max())),
         x_label,
         y_label,
         title,

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DomainError
 from .units import CONSTANTS
 
@@ -107,17 +105,3 @@ def thermal_qp_term(t_kelvin: float, delta_kelvin: float) -> float:
     # where a numpy scalar would print a RuntimeWarning
     ratio = float(delta_kelvin) / float(t_kelvin)
     return math.sqrt(2.0 * math.pi / ratio) * math.exp(-ratio)
-
-
-def thermal_qp_term_array(t_kelvin: np.ndarray, delta_kelvin: float) -> np.ndarray:
-    """Vectorized :func:`thermal_qp_term` over a temperature grid."""
-    t = np.asarray(t_kelvin, dtype=float)
-    if np.any(t <= 0):
-        raise DomainError("temperatures must be positive")
-    if delta_kelvin <= 0:
-        raise DomainError(f"delta must be positive, got {delta_kelvin}")
-    ratio = delta_kelvin / t
-    # as in the scalar form, a subnormal ratio overflows 2 pi/ratio to inf
-    # quietly
-    with np.errstate(over="ignore", divide="ignore"):
-        return np.sqrt(2.0 * np.pi / ratio) * np.exp(-ratio)

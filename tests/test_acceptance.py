@@ -23,7 +23,6 @@ from qpgap.fitting import (
     shot_noise_dephasing,
     t1_rate_model,
 )
-from qpgap.numerics import adaptive_integral
 from qpgap.parity import (
     NoiseModel,
     ScanConfig,
@@ -34,6 +33,7 @@ from qpgap.parity import (
     synthesize_scan,
 )
 from qpgap.quasiparticles import (
+    _gap_edge_integrals,
     crossover_temperature,
     delta_ev_from_tc,
     diffusion_length,
@@ -266,15 +266,11 @@ def test_criterion_10_numerical_hygiene(tmp_path, configs_dir, data_dir):
             )
             assert drift < 1e-9
 
-        # gap-edge occupation integrand in the cosh substitution
+        # gap-edge occupation integral in the cosh substitution, from the
+        # composite Gauss-Legendre rule the package runs
         delta, t_qp = 2.2932, 0.040
         scale = delta / t_qp
-
-        def integrand(u: float) -> float:
-            c = math.cosh(u)
-            return c * math.exp(-scale * (c - 1.0))
-
-        value = adaptive_integral(integrand, 0.0, math.inf)
+        value = float(_gap_edge_integrals(scale, [0.0])[0])
         grid = np.linspace(0.0, 1.2, 1_000_001)
         cosh = np.cosh(grid)
         oracle = float(

@@ -11,7 +11,6 @@ import pytest
 from qpgap.cli import (
     _csv_table,
     _dump_json,
-    _float_csv,
     _float_csv_chunks,
     main,
 )
@@ -253,6 +252,21 @@ def test_parity_sim_files_and_verdict(configs_dir, tmp_path, capsys):
     peak_lines = (tmp_path / "peaks.csv").read_text().splitlines()
     assert peak_lines[0] == "pixel,time_s,count,f1_GHz,f2_GHz"
     assert len(peak_lines) == 11
+    assert (tmp_path / "scan.svg").read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize(
+    "config, duration", [("device_3p.json", "0.2"), ("device_1np.json", "0.39")]
+)
+def test_one_pixel_scan_writes_svg(configs_dir, tmp_path, capsys,
+                                   config, duration):
+    # one pixel puts a single time on the heatmap's axis
+    code = _run([
+        "parity-sim", configs_dir / config, "--duration", duration,
+        "--out", tmp_path, "--svg",
+    ])
+    assert code == 0, capsys.readouterr().err
+    assert len((tmp_path / "scan.csv").read_text().splitlines()) == 2
     assert (tmp_path / "scan.svg").read_text().startswith("<svg")
 
 
@@ -786,9 +800,10 @@ def test_float_csv_matches_per_cell_formatting():
     ])
     table = cells.reshape(-1, 4)
     header = ["time_s", "f_a", "f_b", "f_c"]
-    assert _float_csv(header, table) == _csv_table(header, table.tolist())
+    text = "".join(_float_csv_chunks(header, table))
+    assert text == _csv_table(header, table.tolist())
     empty = np.empty((0, 4))
-    assert _float_csv(header, empty) == _csv_table(header, [])
+    assert "".join(_float_csv_chunks(header, empty)) == _csv_table(header, [])
 
 
 def test_float_csv_is_written_in_row_blocks():

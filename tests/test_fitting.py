@@ -262,6 +262,22 @@ def test_thermometry_inverts_shot_noise():
     assert not result.at_lower_limit
 
 
+def test_thermometry_round_trip_is_exact():
+    # the closed-form inverse meets the forward rate over eight decades of
+    # n_th, past the old root-find bracket of n_th <= 10, for both signs
+    # of chi and for chi far below and above kappa / 2
+    for chi in (-0.55, 0.05, 0.55, 2.0):
+        for n_th in np.geomspace(1e-6, 1e2):
+            rate = shot_noise_dephasing(chi, 0.36, float(n_th))
+            result = resonator_thermometry(rate, chi, 0.36, 7.24)
+            assert result.n_th == pytest.approx(n_th, rel=1e-9), (chi, n_th)
+
+
+def test_thermometry_rejects_zero_chi():
+    with pytest.raises(DomainError, match="chi"):
+        resonator_thermometry(56e3, 0.0, 0.36, 7.24)
+
+
 def test_thermometry_quoted_photon_number():
     result = resonator_thermometry(56e3, 0.55, 0.36, 7.24)
     assert result.n_th == pytest.approx(0.027, rel=0.05)

@@ -105,12 +105,12 @@ def _mutate_csv(data, text):
     return "\n".join(",".join(row) for row in rows) + "\n"
 
 
-def _argv(command, config, t1, t2):
+def _argv(command, config, t1, t2, out):
     return {
         "spectrum": ["spectrum", config],
         "qp": ["qp", config],
         "parity-sim": ["parity-sim", config, "--duration", "1",
-                       "--format", "json"],
+                       "--format", "json", "--out", out, "--svg"],
         "fit t1": ["fit", "t1", t1, config],
         "fit t2": ["fit", "t2", t2, config, "--t1-data", t1],
     }[command]
@@ -148,7 +148,9 @@ def test_mutated_inputs_keep_the_exit_contract(tmp_path_factory, data):
     for name, text in texts.items():
         (work / name).write_text(text)
 
-    argv = _argv(command, *(str(work / name) for name in texts))
+    argv = _argv(
+        command, *(str(work / name) for name in texts), str(work / "out")
+    )
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)

@@ -1,52 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 
-from qpgap.errors import BracketError, ConvergenceError
-from qpgap.numerics import adaptive_integral, root_find
-
-
-def test_polynomial_integral_exact():
-    assert adaptive_integral(lambda x: x * x, 0.0, 3.0) == pytest.approx(
-        9.0, rel=1e-12
-    )
-
-
-def test_gaussian_integral_over_infinite_domain():
-    value = adaptive_integral(
-        lambda x: math.exp(-x * x), -math.inf, math.inf
-    )
-    assert value == pytest.approx(math.sqrt(math.pi), rel=1e-10)
-
-
-def test_semi_infinite_exponential():
-    assert adaptive_integral(lambda x: math.exp(-x), 0.0, math.inf) == (
-        pytest.approx(1.0, rel=1e-10)
-    )
-
-
-def test_integral_against_dense_trapezoid_oracle():
-    """Gap-edge integrand versus a one-million-node trapezoid rule."""
-    delta, temp = 2.2932, 0.040
-    scale = delta / temp
-
-    def integrand(u):
-        c = np.cosh(u)
-        return c * np.exp(-scale * (c - 1.0))
-
-    # the integrand decays like exp(-scale u^2 / 2) near 0; u = 1.2
-    # already puts the tail below 1e-300
-    grid = np.linspace(0.0, 1.2, 1_000_001)
-    oracle = np.trapezoid(integrand(grid), grid)
-    value = adaptive_integral(lambda u: float(integrand(u)), 0.0, math.inf)
-    assert value == pytest.approx(oracle, rel=1e-6)
-
-
-def test_divergent_integral_raises_with_best_estimate():
-    with pytest.raises(ConvergenceError) as info:
-        adaptive_integral(lambda x: 1.0 / x, 1.0, math.inf, limit=20)
-    assert info.value.best is not None
+from qpgap.errors import BracketError
+from qpgap.numerics import root_find
 
 
 def test_root_find_simple_quadratic():

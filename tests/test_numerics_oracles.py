@@ -24,8 +24,7 @@ import qpgap.numerics
 import qpgap.quasiparticles
 import qpgap.transmon
 from qpgap.errors import ConvergenceError, DomainError
-from qpgap.fitting import resonator_thermometry
-from qpgap.numerics import adaptive_integral, root_find
+from qpgap.numerics import root_find
 from qpgap.quasiparticles import _gap_edge_integrals, crossover_temperature
 from qpgap.thermal import delta_from_tc
 from qpgap.transmon import (
@@ -86,12 +85,6 @@ def test_ratio_inversion_matches_brentq_bit_for_bit(brent_calls, ratio, kind):
 @pytest.mark.parametrize("x_nqp", [1e-8, 8e-7, 1e-5])
 def test_crossover_temperature_matches_brentq(brent_calls, x_nqp):
     crossover_temperature(x_nqp, delta_from_tc(1.31))
-    _assert_same_bits_as_brentq(brent_calls)
-
-
-@pytest.mark.parametrize("gamma_phi", [1e2, 56e3, 1e6])
-def test_thermometry_matches_brentq(brent_calls, gamma_phi):
-    resonator_thermometry(gamma_phi, 0.55, 0.36, 7.24)
     _assert_same_bits_as_brentq(brent_calls)
 
 
@@ -168,32 +161,6 @@ def test_gap_edge_rule_rejects_unresolvable_temperature():
         qpgap.quasiparticles.above_barrier_fraction(0.1, 1e31, 2.0)
 
 
-@pytest.mark.parametrize(
-    "func, lower, upper",
-    [
-        (lambda x: math.sqrt(x), 0.0, 1.0),
-        (lambda x: math.exp(-x) * math.cos(x), 0.0, math.inf),
-        (lambda x: 1.0 / (1.0 + x * x), -math.inf, 0.0),
-        (lambda x: math.sin(50.0 * x), 0.0, 3.0),
-        (lambda x: x * x, 2.0, -1.0),
-    ],
-)
-def test_adaptive_integral_against_quad(func, lower, upper):
-    oracle = scipy.integrate.quad(func, lower, upper, limit=200)[0]
-    assert adaptive_integral(func, lower, upper) == pytest.approx(
-        oracle, rel=1e-9
-    )
-
-
-def test_adaptive_integral_stops_at_float_resolution():
-    # bisection towards the pole reaches adjacent floats before the limit
-    with pytest.raises(ConvergenceError) as info:
-        adaptive_integral(
-            lambda x: 1.0 / (x - 0.5) if x != 0.5 else 0.0, 0.0, 1.0
-        )
-    assert math.isfinite(info.value.best)
-
-
 def test_cli_import_leaves_replaced_scipy_modules_unloaded():
     code = (
         "import sys, qpgap.cli\n"
@@ -260,11 +227,6 @@ def test_missing_lapack_extension_names_the_searched_directory(tmp_path):
     out = _run_python(code, str(tmp_path)).stdout
     assert "_flapack" in out
     assert str(tmp_path / "scipy" / "linalg") in out
-
-
-def test_adaptive_integral_refuses_a_nan_integrand():
-    with pytest.raises(ConvergenceError):
-        adaptive_integral(lambda x: math.nan if x > 0.7 else x, 0.0, 1.0)
 
 
 @pytest.fixture

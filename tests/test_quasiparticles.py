@@ -12,7 +12,7 @@ from qpgap.quasiparticles import (
     QPEnvironment,
     StackSegment,
     ThicknessTcTable,
-    _edge_integral,
+    _gap_edge_integrals,
     above_barrier_fraction,
     barrier_adequate,
     crossover_temperature,
@@ -226,16 +226,13 @@ def test_above_barrier_fraction_limits():
 def test_gap_edge_norm_matches_quadrature(ratio):
     # the normalization is Delta e^s K1(s); quadrature must agree with it
     t_qp = DELTA_130 / ratio
-    closed = DELTA_130 * scipy.special.k1e(ratio)
-    assert _edge_integral(DELTA_130, t_qp, DELTA_130) == pytest.approx(
-        closed, rel=1e-12
-    )
+    scale = DELTA_130 / t_qp
+    norm = _gap_edge_integrals(scale, [0.0])[0]
+    assert norm == pytest.approx(scipy.special.k1e(ratio), rel=1e-12)
     fraction = above_barrier_fraction(0.1, t_qp, DELTA_130)
     assert 0.0 < fraction < 1.0
-    quadrature = _edge_integral(
-        DELTA_130, t_qp, DELTA_130 + 0.1
-    ) / _edge_integral(DELTA_130, t_qp, DELTA_130)
-    assert fraction == pytest.approx(quadrature, rel=1e-12)
+    above = _gap_edge_integrals(scale, [0.1 / DELTA_130])[0]
+    assert fraction == pytest.approx(above / norm, rel=1e-12)
 
 
 # ------------------------------------------------------------- thickness

@@ -86,3 +86,15 @@ def test_heatmap_of_a_constant_matrix_matches_the_reference():
     assert svgplot.heatmap(*args, max_cells=4) == _reference_heatmap(
         *args, max_cells=4
     )
+
+
+def test_heatmap_of_one_row_widens_its_time_axis():
+    # a one-pixel scan: every cell sits at one time, which the axis widens
+    # by 1 as line_plot does
+    matrix = np.linspace(0.0, 1.0, 7)[:, None]
+    svg = svgplot.heatmap(matrix, np.linspace(4.3, 4.5, 7), np.array([0.2]),
+                          "frequency (GHz)", "time (s)", "one pixel")
+    axes, _, _ = svgplot._axes(4.3, 4.5, 0.2, 1.2, "frequency (GHz)",
+                               "time (s)", "one pixel")
+    assert svg.count("<rect") == 2 + 7
+    assert "\n".join(axes) in svg

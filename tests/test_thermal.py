@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from qpgap.thermal import (
     temperature_from_occupation,
     temperature_from_population,
     thermal_qp_term,
-    thermal_qp_term_array,
     two_level_population,
 )
 
@@ -109,37 +107,11 @@ def test_thermal_qp_term_closed_form():
     assert thermal_qp_term(t, delta) == pytest.approx(expected, rel=1e-12)
 
 
-def test_thermal_qp_term_array_matches_scalar():
-    delta = 2.2932
-    temps = np.linspace(0.02, 0.4, 17)
-    vec = thermal_qp_term_array(temps, delta)
-    scalars = [thermal_qp_term(float(t), delta) for t in temps]
-    np.testing.assert_allclose(vec, scalars, rtol=1e-13)
-
-
-def test_thermal_qp_term_array_overflows_quietly_like_scalar():
-    # a subnormal gap overflows 2 pi/ratio to inf, as the scalar form does
-    temps = np.array([1.0, 0.05])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        vec = thermal_qp_term_array(temps, 5e-324)
-    assert vec.tolist() == [thermal_qp_term(float(t), 5e-324) for t in temps]
-    assert np.all(np.isposinf(vec))
-
-
-def test_thermal_qp_term_array_finite_values_unchanged():
-    delta = 2.2932
-    temps = np.linspace(0.02, 0.4, 17)
-    ratio = delta / temps
-    expected = np.sqrt(2.0 * np.pi / ratio) * np.exp(-ratio)
-    assert thermal_qp_term_array(temps, delta).tobytes() == expected.tobytes()
-
-
 def test_thermal_qp_term_is_monotone_in_temperature():
     delta = 2.2932
     temps = np.linspace(0.02, 1.0, 200)
-    vec = thermal_qp_term_array(temps, delta)
-    assert np.all(np.diff(vec) > 0)
+    terms = [thermal_qp_term(float(t), delta) for t in temps]
+    assert np.all(np.diff(terms) > 0)
 
 
 def test_thermal_qp_term_underflow_is_zero_not_error():
