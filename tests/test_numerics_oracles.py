@@ -24,6 +24,7 @@ import qpgap.numerics
 import qpgap.quasiparticles
 import qpgap.transmon
 from qpgap.errors import ConvergenceError, DomainError
+from qpgap.fitting import resonator_thermometry, shot_noise_dephasing
 from qpgap.numerics import root_find
 from qpgap.quasiparticles import _gap_edge_integrals, crossover_temperature
 from qpgap.thermal import delta_from_tc
@@ -86,6 +87,21 @@ def test_ratio_inversion_matches_brentq_bit_for_bit(brent_calls, ratio, kind):
 def test_crossover_temperature_matches_brentq(brent_calls, x_nqp):
     crossover_temperature(x_nqp, delta_from_tc(1.31))
     _assert_same_bits_as_brentq(brent_calls)
+
+
+@pytest.mark.parametrize("gamma_phi", [1e2, 56e3, 1e6])
+def test_thermometry_matches_brentq(brent_calls, gamma_phi):
+    # the closed-form inverse makes no root_find call; brentq on the
+    # forward rate, solved to float resolution, is its oracle
+    result = resonator_thermometry(gamma_phi, 0.55, 0.36, 7.24)
+    assert not brent_calls
+    oracle = scipy.optimize.brentq(
+        lambda n: shot_noise_dephasing(0.55, 0.36, n) - gamma_phi,
+        0.0,
+        10.0,
+        xtol=1e-300,
+    )
+    assert result.n_th == pytest.approx(oracle, rel=1e-9)
 
 
 @pytest.mark.parametrize(
