@@ -1,45 +1,28 @@
-"""Weighted nonlinear least squares and the coherence-vs-temperature models.
+"""Coherence-vs-temperature data series, rate models and their fits.
 
-The Levenberg-Marquardt engine is self-contained: forward-difference
-Jacobian, Marquardt diagonal scaling, box bounds by step clipping, and
-deterministic float-for-float behavior.  Data series are sorted on load so
-a fit is invariant under any reordering of its input points.
+Each fit hands :func:`qpgap.numerics.least_squares` its weighted
+residuals together with their Jacobian in closed form.  Data series are
+sorted on load so a fit is invariant under any reordering of its input
+points.
 """
 
 from __future__ import annotations
 
-import cmath
 import csv
 import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    RankDeficiencyError,
-)
+from .errors import ConfigError, DomainError
+from .numerics import least_squares
 from .thermal import bose_occupation, delta_from_tc, thermal_qp_term, temperature_from_occupation
 from .quasiparticles import crossover_temperature
 
 _SERIES_KINDS = ("t1", "t2star", "t2echo")
-
-DEFAULT_MAX_ITER = 200
-# forward-difference step relative to each parameter, and the relative
-# step and relative decrease of the squared residual that end a fit
-_REL_STEP = 1e-6
-_STEP_TOL = 1e-10
-_SSR_TOL = 1e-12
-
-_LAMBDA_INIT = 1e-3
-_LAMBDA_UP = 10.0
-_LAMBDA_DOWN = 10.0
-_LAMBDA_MAX = 1e14
 
 
 @dataclass(frozen=True)
@@ -201,171 +184,6 @@ def dataseries_to_csv(series: DataSeries, path: str | Path) -> None:
 
 
 @dataclass(frozen=True)
-class LMResult:
-    """Raw optimizer output: parameters, covariance, and diagnostics."""
-
-    x: np.ndarray
-    covariance: np.ndarray | None
-    ssr: float
-    iterations: int
-    converged: bool
-
-    def sigmas(self) -> np.ndarray:
-        if self.covariance is None:
-            return np.full(len(self.x), np.inf)
-        return np.sqrt(np.diag(self.covariance))
-
-
-def _forward_jacobian(
-    residual_fn: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    r0: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> np.ndarray:
-    jac = np.empty((len(r0), len(x)))
-    for j in range(len(x)):
-        h = _REL_STEP * (abs(x[j]) if x[j] != 0.0 else 1.0)
-        if x[j] + h > upper[j]:
-            h = -h
-        probe = x.copy()
-        probe[j] = min(max(x[j] + h, lower[j]), upper[j])
-        actual = probe[j] - x[j]
-        if actual == 0.0:
-            raise DomainError(
-                f"parameter {j} is pinned by its bounds; cannot differentiate"
-            )
-        jac[:, j] = (residual_fn(probe) - r0) / actual
-    return jac
-
-
-def least_squares(
-    residual_fn: Callable[[np.ndarray], np.ndarray],
-    x0: Sequence[float],
-    bounds: Sequence[tuple[float, float]] | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> LMResult:
-    """Levenberg-Marquardt minimization of a residual vector.
-
-    Iterates damped normal-equation steps with Marquardt scaling until the
-    relative step falls below 1e-10 or the relative decrease of the
-    squared residual falls below 1e-12.  Box bounds are handled by an
-    active set: parameters pinned at a bound with the gradient pointing
-    outward are frozen for that iteration, and accepted steps are clipped
-    back into the box.
-
-    Raises
-    ------
-    RankDeficiencyError
-        If a model parameter leaves the residuals exactly unchanged, which
-        makes the scaled normal equations singular.
-    ConvergenceError
-        When the iteration cap is exhausted; carries the best parameters.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    n = len(x)
-    if bounds is None:
-        lower = np.full(n, -np.inf)
-        upper = np.full(n, np.inf)
-    else:
-        if len(bounds) != n:
-            raise DomainError("bounds length must match parameter count")
-        lower = np.array([b[0] for b in bounds], dtype=float)
-        upper = np.array([b[1] for b in bounds], dtype=float)
-    if np.any(x < lower) or np.any(x > upper):
-        raise DomainError(f"initial guess {x.tolist()} violates bounds")
-
-    residual = np.asarray(residual_fn(x), dtype=float)
-    ssr = float(residual @ residual)
-    lam = _LAMBDA_INIT
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, max_iter + 1):
-        jac = _forward_jacobian(residual_fn, x, residual, lower, upper)
-        normal = jac.T @ jac
-        gradient = jac.T @ residual
-        diag = np.diag(normal).copy()
-        if np.any(diag == 0.0):
-            dead = int(np.flatnonzero(diag == 0.0)[0])
-            raise RankDeficiencyError(
-                f"parameter {dead} has zero influence on the residuals",
-                best=LMResult(x, None, ssr, iterations, False),
-            )
-        free = ~(
-            ((x <= lower) & (gradient > 0.0))
-            | ((x >= upper) & (gradient < 0.0))
-        )
-        if not np.any(free):
-            # every parameter is pinned at a bound that the gradient
-            # pushes against: a constrained stationary point
-            converged = True
-            break
-        accepted = False
-        while lam <= _LAMBDA_MAX:
-            damped = normal[np.ix_(free, free)] + lam * np.diag(diag[free])
-            try:
-                delta_free = np.linalg.solve(damped, -gradient[free])
-            except np.linalg.LinAlgError:
-                lam *= _LAMBDA_UP
-                continue
-            delta = np.zeros(n)
-            delta[free] = delta_free
-            trial = np.clip(x + delta, lower, upper)
-            step = trial - x
-            trial_residual = np.asarray(residual_fn(trial), dtype=float)
-            trial_ssr = float(trial_residual @ trial_residual)
-            if trial_ssr <= ssr:
-                rel_change = (ssr - trial_ssr) / max(ssr, 1e-300)
-                rel_move = float(
-                    np.max(np.abs(step) / np.maximum(np.abs(x), 1e-300))
-                )
-                x = trial
-                residual = trial_residual
-                ssr = trial_ssr
-                lam = max(lam / _LAMBDA_DOWN, 1e-12)
-                accepted = True
-                if rel_move < _STEP_TOL or rel_change < _SSR_TOL:
-                    converged = True
-                break
-            lam *= _LAMBDA_UP
-        if not accepted:
-            # No downhill direction at any damping: a stationary point.
-            converged = True
-        if converged:
-            break
-
-    covariance = _covariance(residual_fn, x, residual, ssr, lower, upper)
-    result = LMResult(
-        x=x,
-        covariance=covariance,
-        ssr=ssr,
-        iterations=iterations,
-        converged=converged,
-    )
-    if not converged:
-        raise ConvergenceError(
-            f"no convergence after {max_iter} iterations (ssr={ssr:.6e})",
-            best=result,
-        )
-    return result
-
-
-def _covariance(residual_fn, x, residual, ssr, lower, upper):
-    m, n = len(residual), len(x)
-    jac = _forward_jacobian(residual_fn, x, residual, lower, upper)
-    normal = jac.T @ jac
-    try:
-        inverse = np.linalg.inv(normal)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(inverse)):
-        return None
-    scale = ssr / (m - n) if m > n else ssr
-    return inverse * scale
-
-
-@dataclass(frozen=True)
 class FitResult:
     """Named parameters with one-sigma uncertainties and derived quantities.
 
@@ -396,14 +214,29 @@ class FitResult:
         }
 
 
-def _weighted_residual(model_fn, rates, sigma_rates):
-    weights = 1.0 / sigma_rates if sigma_rates is not None else None
+def _weighted(model_fn, jacobian_fn, rates, sigma_rates):
+    """Residual and Jacobian callables of a fit, weighted by 1/sigma."""
+    if sigma_rates is None:
+        return (lambda params: model_fn(params) - rates), jacobian_fn
+    weights = 1.0 / sigma_rates
 
     def residual(params: np.ndarray) -> np.ndarray:
-        diff = model_fn(params) - rates
-        return diff * weights if weights is not None else diff
+        return (model_fn(params) - rates) * weights
 
-    return residual
+    def jacobian(params: np.ndarray) -> np.ndarray:
+        return jacobian_fn(params) * weights[:, None]
+
+    return residual, jacobian
+
+
+def _thermal_terms(t: np.ndarray, tc_kelvin: float):
+    """Delta/T and sqrt(2 pi T/Delta) exp(-Delta/T), Delta = bcs_ratio * Tc."""
+    delta = delta_from_tc(tc_kelvin)
+    # far outside the data range the thermal term saturates to 0 or inf
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = delta / t
+        thermal = np.sqrt(2.0 * np.pi / ratio) * np.exp(-ratio)
+    return ratio, thermal
 
 
 def t1_rate_model(
@@ -413,13 +246,33 @@ def t1_rate_model(
     amplitude_per_s: float,
 ) -> np.ndarray:
     """Relaxation-rate model: plateau plus thermally activated term."""
-    delta = delta_from_tc(tc_kelvin)
-    t = np.asarray(t_kelvin, dtype=float)
-    # far outside the data range the thermal term saturates to 0 or inf
-    with np.errstate(over="ignore", divide="ignore"):
-        ratio = delta / t
-        thermal = np.sqrt(2.0 * np.pi / ratio) * np.exp(-ratio)
+    _, thermal = _thermal_terms(np.asarray(t_kelvin, dtype=float), tc_kelvin)
     return gamma_plateau_per_s + amplitude_per_s * thermal
+
+
+def _t1_jacobian(
+    t: np.ndarray, gamma_plateau_per_s: float, tc_kelvin: float,
+    amplitude_per_s: float,
+) -> np.ndarray:
+    """Columns d/dGamma_plateau, d/dTc and d/dA of :func:`t1_rate_model`."""
+    ratio, thermal = _thermal_terms(t, tc_kelvin)
+    jac = np.empty((len(t), 3))
+    jac[:, 0] = 1.0
+    # where Delta/T overflows, the thermal term and its slope are both 0
+    growth = np.minimum(ratio + 0.5, np.finfo(float).max)
+    jac[:, 1] = -amplitude_per_s * thermal * growth / tc_kelvin
+    jac[:, 2] = thermal
+    return jac
+
+
+def _t1_problem(data: DataSeries):
+    """Weighted residual and Jacobian callables of a T1(T) fit."""
+    t = data.t_kelvin
+    return _weighted(
+        lambda params: t1_rate_model(t, *params),
+        lambda params: _t1_jacobian(t, *params),
+        *data.rates(),
+    )
 
 
 def _t1_initial_guess(t, rates):
@@ -463,15 +316,9 @@ def fit_t1_vs_temperature(data: DataSeries) -> FitResult:
             f"temperature span too small: max {t[-1]:.4g} K <= "
             f"1.5 x min {t[0]:.4g} K"
         )
-    rates, sigma_rates = data.rates()
-
-    def model(params: np.ndarray) -> np.ndarray:
-        return t1_rate_model(t, params[0], params[1], params[2])
-
-    residual = _weighted_residual(model, rates, sigma_rates)
-    guess = _t1_initial_guess(t, rates)
+    guess = _t1_initial_guess(t, data.rates()[0])
     bounds = [(0.0, np.inf), (0.05, 20.0), (1e-300, np.inf)]
-    lm = least_squares(residual, guess, bounds=bounds)
+    lm = least_squares(*_t1_problem(data), guess, bounds=bounds)
 
     names = ("gamma_plateau_per_s", "tc_K", "amplitude_per_s")
     values = dict(zip(names, (float(v) for v in lm.x)))
@@ -510,16 +357,39 @@ def shot_noise_dephasing(
     8 i chi n_th / kappa) - 1], with chi and kappa converted to angular
     rates internally.  Exactly zero at n_th = 0.
     """
+    n_th_array = np.array([n_th], dtype=float)
+    return float(_shot_noise_rates(chi_mhz, kappa_mhz, n_th_array)[0])
+
+
+def _shot_noise_root(chi_mhz: float, kappa_mhz: float, n_th: np.ndarray):
+    """r = 2 chi/kappa and sqrt((1 + i r)^2 + 4 i r n_th) per photon number."""
+    ratio = 2.0 * chi_mhz / kappa_mhz
+    return ratio, np.sqrt((1.0 + 1j * ratio) ** 2 + 4j * ratio * n_th)
+
+
+def _shot_noise_rates(
+    chi_mhz: float, kappa_mhz: float, n_th: np.ndarray
+) -> np.ndarray:
+    """:func:`shot_noise_dephasing` over an array of photon numbers."""
     if kappa_mhz <= 0:
         raise DomainError(f"kappa must be positive, got {kappa_mhz}")
-    if n_th < 0:
-        raise DomainError(f"n_th must be non-negative, got {n_th}")
-    if n_th == 0.0:
-        return 0.0
-    ratio = 2.0 * chi_mhz / kappa_mhz
-    inner = (1.0 + 1j * ratio) ** 2 + 4j * ratio * n_th
+    negative = n_th < 0
+    if negative.any():
+        raise DomainError(f"n_th must be non-negative, got {n_th[negative][0]}")
+    _, root = _shot_noise_root(chi_mhz, kappa_mhz, n_th)
     kappa_angular = 2.0 * math.pi * kappa_mhz * 1e6
-    return (kappa_angular / 2.0) * (cmath.sqrt(inner) - 1.0).real
+    rates = (kappa_angular / 2.0) * (root - 1.0).real
+    rates[n_th == 0.0] = 0.0
+    return rates
+
+
+def _shot_noise_slopes(
+    chi_mhz: float, kappa_mhz: float, n_th: np.ndarray
+) -> np.ndarray:
+    """d Gamma_phi / d n_th = kappa_angular Re[i r / sqrt(inner)]."""
+    ratio, root = _shot_noise_root(chi_mhz, kappa_mhz, n_th)
+    kappa_angular = 2.0 * math.pi * kappa_mhz * 1e6
+    return kappa_angular * (1j * ratio / root).real
 
 
 @dataclass(frozen=True)
@@ -593,21 +463,54 @@ def t2_rate_model(
     t1_model: Callable[[float], float],
 ) -> np.ndarray:
     """Ramsey rate model: T1 contribution, photon shot noise, and an offset."""
-    t = np.asarray(t_kelvin, dtype=float)
-    out = np.empty(len(t))
-    for i, temperature in enumerate(t):
-        t1_seconds = t1_model(float(temperature))
+    terms = _t2_terms(np.asarray(t_kelvin, dtype=float), nu_r_ghz, t1_model)
+    return _t2_rates(terms, n0, gamma_offset_per_s, chi_mhz, kappa_mhz)
+
+
+def _t2_terms(
+    t: np.ndarray, nu_r_ghz: float, t1_model: Callable[[float], float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The parameter-free parts of the T2* model at each temperature.
+
+    Returns the T1 contribution 1/(2 T1) and the readout mode's Bose
+    occupation, calling ``t1_model`` once per point in order.
+    """
+    t1_term = np.empty(len(t))
+    occupation = np.empty(len(t))
+    for i, temperature in enumerate(t.tolist()):
+        t1_seconds = t1_model(temperature)
         if not t1_seconds > 0:
             raise DomainError(
                 f"T1 model gives {t1_seconds} s at {temperature} K"
             )
-        n_th = bose_occupation(nu_r_ghz, float(temperature)) + n0
-        out[i] = (
-            1.0 / (2.0 * t1_seconds)
-            + shot_noise_dephasing(chi_mhz, kappa_mhz, n_th)
-            + gamma_offset_per_s
-        )
-    return out
+        t1_term[i] = 1.0 / (2.0 * t1_seconds)
+        occupation[i] = bose_occupation(nu_r_ghz, temperature)
+    return t1_term, occupation
+
+
+def _t2_rates(terms, n0, gamma_offset_per_s, chi_mhz, kappa_mhz) -> np.ndarray:
+    """The T2* rate model on precomputed :func:`_t2_terms`."""
+    t1_term, occupation = terms
+    shot_noise = _shot_noise_rates(chi_mhz, kappa_mhz, occupation + n0)
+    return t1_term + shot_noise + gamma_offset_per_s
+
+
+def _t2_jacobian(terms, n0, chi_mhz, kappa_mhz) -> np.ndarray:
+    """Columns d/dn0 and d/dgamma_offset of :func:`_t2_rates`."""
+    _, occupation = terms
+    jac = np.empty((len(occupation), 2))
+    jac[:, 0] = _shot_noise_slopes(chi_mhz, kappa_mhz, occupation + n0)
+    jac[:, 1] = 1.0
+    return jac
+
+
+def _t2_problem(data: DataSeries, chi_mhz, kappa_mhz, terms):
+    """Weighted residual and Jacobian callables of a T2*(T) fit."""
+    return _weighted(
+        lambda params: _t2_rates(terms, *params, chi_mhz, kappa_mhz),
+        lambda params: _t2_jacobian(terms, params[0], chi_mhz, kappa_mhz),
+        *data.rates(),
+    )
 
 
 def fit_t2_vs_temperature(
@@ -629,22 +532,11 @@ def fit_t2_vs_temperature(
         raise DomainError(f"expected a t2star series, got {data.kind!r}")
     if len(data) < 3:
         raise DomainError(f"need at least 3 points, got {len(data)}")
-    t = data.t_kelvin
-    rates, sigma_rates = data.rates()
-    # the T1 term does not depend on the fitted parameters
-    t1_at_point = functools.cache(t1_model)
-
-    def model(params: np.ndarray) -> np.ndarray:
-        return t2_rate_model(
-            t, params[0], params[1], chi_mhz, kappa_mhz, nu_r_ghz, t1_at_point
-        )
-
-    residual = _weighted_residual(model, rates, sigma_rates)
-
-    base = t2_rate_model(
-        t, 0.0, 0.0, chi_mhz, kappa_mhz, nu_r_ghz, t1_at_point
-    )
-    excess = rates - base
+    # the T1 term and the Bose occupations do not depend on the fitted
+    # parameters; repeated temperatures share one t1_model call
+    terms = _t2_terms(data.t_kelvin, nu_r_ghz, functools.cache(t1_model))
+    base = _t2_rates(terms, 0.0, 0.0, chi_mhz, kappa_mhz)
+    excess = data.rates()[0] - base
     offset0 = max(float(np.min(excess)), 0.0)
     slope = shot_noise_dephasing(chi_mhz, kappa_mhz, 1e-6) / 1e-6
     if not slope > 0:
@@ -655,7 +547,9 @@ def fit_t2_vs_temperature(
     n0_guess = min(max(n0_guess, 1e-4), 0.5)
     guess = np.array([n0_guess, offset0])
     bounds = [(0.0, 2.0), (0.0, np.inf)]
-    lm = least_squares(residual, guess, bounds=bounds)
+    lm = least_squares(
+        *_t2_problem(data, chi_mhz, kappa_mhz, terms), guess, bounds=bounds
+    )
 
     names = ("n0", "gamma_offset_per_s")
     values = dict(zip(names, (float(v) for v in lm.x)))

@@ -25,8 +25,7 @@ from .errors import (
     NearResonanceError,
     UnderdeterminedError,
 )
-from .fitting import least_squares
-from .numerics import root_find
+from .numerics import least_squares, root_find
 from .units import CONSTANTS
 
 
@@ -519,6 +518,39 @@ def _target_residuals(
     return np.array(residuals)
 
 
+def _level_gradients(params: TransmonParams, levels: int) -> np.ndarray:
+    """dE_m/d(log EJ) and dE_m/d(log EC) of the lowest levels, (levels, 2).
+
+    Hellmann-Feynman on the charge-basis matrix: dE_m/dEC =
+    4 sum_n (n - ng)^2 v_n^2 and dE_m/dEJ = -sum_n v_n v_(n+1), exact for
+    the truncated basis at a fixed cutoff.
+    """
+    _, vectors = _eigensystem(params, levels)
+    cut = params.effective_n_cut
+    charge = np.arange(-cut, cut + 1, dtype=float) - params.ng
+    d_ec = 4.0 * (charge**2 @ vectors**2)
+    d_ej = -np.sum(vectors[:-1] * vectors[1:], axis=0)
+    return np.column_stack([params.EJ * d_ej, params.EC * d_ec])
+
+
+def _target_jacobian(
+    params: TransmonParams, targets: FrequencyTargets
+) -> np.ndarray:
+    """Rows of :func:`_target_residuals` differentiated by (log EJ, log EC)."""
+    at_zero = _level_gradients(params, 3 if targets.f_ef is not None else 2)
+    rows = [at_zero[1] - at_zero[0]]
+    if targets.f_ge_ng05 is not None:
+        at_half = _level_gradients(params.with_ng(0.5), 2)
+        rows.append(at_half[1] - at_half[0])
+    if targets.f_ef is not None:
+        rows.append(at_zero[2] - at_zero[1])
+    return np.array(rows)
+
+
+def _log_params(x: np.ndarray) -> TransmonParams:
+    return TransmonParams(EJ=math.exp(x[0]), EC=math.exp(x[1]))
+
+
 def fit_ej_ec(targets: FrequencyTargets) -> TransmonParams:
     """Infer (EJ, EC) from measured transition frequencies.
 
@@ -526,7 +558,8 @@ def fit_ej_ec(targets: FrequencyTargets) -> TransmonParams:
     exactly: a scale-free observable of the unit-EC transmon fixes EJ/EC
     by a bracketed 1-d root find and the measured scale fixes EC.  With
     all three targets the (ng0, ng05) solution seeds a Levenberg-Marquardt
-    refinement of log(EJ), log(EC) against every target.
+    refinement of log(EJ), log(EC) against every target, with the
+    Jacobian from :func:`_level_gradients`.
 
     Returns
     -------
@@ -537,12 +570,11 @@ def fit_ej_ec(targets: FrequencyTargets) -> TransmonParams:
     fitted = _solve_ratio(targets)
     if targets.f_ge_ng05 is not None and targets.f_ef is not None:
         lm = least_squares(
-            lambda x: _target_residuals(
-                TransmonParams(EJ=math.exp(x[0]), EC=math.exp(x[1])), targets
-            ),
+            lambda x: _target_residuals(_log_params(x), targets),
+            lambda x: _target_jacobian(_log_params(x), targets),
             [math.log(fitted.EJ), math.log(fitted.EC)],
         )
-        return TransmonParams(EJ=math.exp(lm.x[0]), EC=math.exp(lm.x[1]))
+        return _log_params(lm.x)
     worst = float(np.max(np.abs(_target_residuals(fitted, targets))))
     if worst > 1e-6:
         raise DomainError(

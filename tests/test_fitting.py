@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qpgap.datasets import synthetic_t1_series, synthetic_t2_series
+from qpgap import fitting
 from qpgap.errors import (
     ConfigError,
     ConvergenceError,
@@ -150,7 +151,10 @@ def test_linear_least_squares_is_exact():
     def residual(p):
         return p[0] * x_data + p[1] - y
 
-    result = least_squares(residual, [1.0, 0.0])
+    def jacobian(p):
+        return np.column_stack([x_data, np.ones(20)])
+
+    result = least_squares(residual, jacobian, [1.0, 0.0])
     assert result.x[0] == pytest.approx(3.0, abs=1e-8)
     assert result.x[1] == pytest.approx(0.5, abs=1e-8)
     assert result.ssr < 1e-15
@@ -164,7 +168,10 @@ def test_linear_covariance_matches_closed_form():
     def residual(p):
         return p[0] * x_data + p[1] - y
 
-    result = least_squares(residual, [1.0, 0.0])
+    def jacobian(p):
+        return np.column_stack([x_data, np.ones(50)])
+
+    result = least_squares(residual, jacobian, [1.0, 0.0])
     design = np.column_stack([x_data, np.ones(50)])
     expected = np.linalg.inv(design.T @ design) * result.ssr / (50 - 2)
     np.testing.assert_allclose(result.covariance, expected, rtol=1e-4)
@@ -177,7 +184,11 @@ def test_nonlinear_round_trip():
     def residual(p):
         return p[0] * np.exp(-p[1] * x_data) - y
 
-    result = least_squares(residual, [1.0, 0.5])
+    def jacobian(p):
+        decay = np.exp(-p[1] * x_data)
+        return np.column_stack([decay, -p[0] * x_data * decay])
+
+    result = least_squares(residual, jacobian, [1.0, 0.5])
     assert result.x[0] == pytest.approx(2.5, rel=1e-6)
     assert result.x[1] == pytest.approx(1.3, rel=1e-6)
 
@@ -189,10 +200,34 @@ def test_bounds_clip_the_solution():
     def residual(p):
         return p[0] * x_data - y
 
-    result = least_squares(residual, [1.0], bounds=[(0.0, 2.0)])
+    def jacobian(p):
+        return x_data[:, None]
+
+    result = least_squares(residual, jacobian, [1.0], bounds=[(0.0, 2.0)])
     assert result.x[0] == pytest.approx(2.0, abs=1e-9)
     with pytest.raises(DomainError):
-        least_squares(residual, [5.0], bounds=[(0.0, 2.0)])
+        least_squares(residual, jacobian, [5.0], bounds=[(0.0, 2.0)])
+
+
+def test_parameter_fixed_by_equal_bounds_stays_put():
+    # a parameter with lower == upper is held, not differentiated away
+    x_data = np.linspace(0.0, 1.0, 20)
+    y = 3.0 * x_data + 0.5
+
+    def residual(p):
+        return p[0] * x_data + p[1] - y
+
+    def jacobian(p):
+        return np.column_stack([x_data, np.ones(20)])
+
+    result = least_squares(
+        residual, jacobian, [1.0, 0.25], bounds=[(0.0, 10.0), (0.25, 0.25)]
+    )
+    assert result.converged
+    assert result.x[1] == 0.25
+    # the least-squares slope through the origin shifted by 0.25
+    slope = float(x_data @ (y - 0.25) / (x_data @ x_data))
+    assert result.x[0] == pytest.approx(slope, rel=1e-9)
 
 
 def test_unused_parameter_raises_rank_deficiency():
@@ -201,8 +236,11 @@ def test_unused_parameter_raises_rank_deficiency():
     def residual(p):
         return np.full(3, p[0]) - y
 
+    def jacobian(p):
+        return np.column_stack([np.ones(3), np.zeros(3)])
+
     with pytest.raises(RankDeficiencyError):
-        least_squares(residual, [0.0, 1.0])
+        least_squares(residual, jacobian, [0.0, 1.0])
 
 
 def test_iteration_cap_raises_with_best_point():
@@ -210,11 +248,73 @@ def test_iteration_cap_raises_with_best_point():
     def residual(p):
         return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
 
+    def jacobian(p):
+        return np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]])
+
     with pytest.raises(ConvergenceError) as info:
-        least_squares(residual, [-1.2, 1.0], max_iter=2)
+        least_squares(residual, jacobian, [-1.2, 1.0], max_iter=2)
     best = info.value.best
     start = np.array([10.0 * (1.0 - 1.44), 2.2])
     assert best.ssr < float(start @ start)
+
+
+# ---------------------------------------------------- closed-form Jacobians
+
+T1_TRUTH = (8.3e4, 1.31, 4.6e10)  # criterion 9
+T2_TRUTH = (0.027, 2.0e4)
+T2_TEMPS = np.linspace(0.025, 0.25, 12)
+
+
+def _t2_jacobian_case(series, t1_model, params, check_jacobian):
+    terms = fitting._t2_terms(series.t_kelvin, 7.24, t1_model)
+    residual, jacobian = fitting._t2_problem(series, 0.55, 0.36, terms)
+    check_jacobian(residual, jacobian, params)
+
+
+@pytest.mark.parametrize("device", ["1np", "1p"])
+def test_t1_jacobian_at_shipped_fit(data_dir, check_jacobian, device):
+    series = dataseries_from_csv(
+        data_dir / f"t1_vs_temperature_{device}.csv", "t1"
+    )
+    fit = fit_t1_vs_temperature(series)
+    check_jacobian(*fitting._t1_problem(series), list(fit.values.values()))
+
+
+def test_t1_jacobian_at_criterion_truth(check_jacobian):
+    series = synthetic_t1_series(*T1_TRUTH, TEMPS, 0.05, seed=0)
+    check_jacobian(*fitting._t1_problem(series), T1_TRUTH)
+    unweighted = DataSeries("t1", series.t_kelvin, series.value_s)
+    check_jacobian(*fitting._t1_problem(unweighted), T1_TRUTH)
+
+
+def test_t1_jacobian_is_finite_where_the_gap_ratio_overflows():
+    # at T = 5e-324 K, Delta/T is inf and the thermal term underflows to 0
+    t = np.array([5e-324, 0.1, 0.2])
+    with np.errstate(all="raise"):
+        jac = fitting._t1_jacobian(t, 2.0e4, 0.55, 1.5e6)
+    assert np.isfinite(jac).all()
+    assert jac[0].tolist() == [1.0, 0.0, 0.0]
+
+
+def test_t2_jacobian_at_shipped_fit(data_dir, check_jacobian):
+    t1_fit = fit_t1_vs_temperature(
+        dataseries_from_csv(data_dir / "t1_vs_temperature_1p.csv", "t1")
+    )
+    t1_model = _t1_curve(*t1_fit.values.values())
+    series = dataseries_from_csv(
+        data_dir / "t2star_vs_temperature_1p.csv", "t2star"
+    )
+    fit = fit_t2_vs_temperature(series, 0.55, 0.36, 7.24, t1_model)
+    _t2_jacobian_case(series, t1_model, list(fit.values.values()),
+                      check_jacobian)
+
+
+def test_t2_jacobian_at_criterion_truth(check_jacobian):
+    t1_model = _t1_curve(2.2e4, 1.31, 4.0e10)
+    series = synthetic_t2_series(
+        *T2_TRUTH, 0.55, 0.36, 7.24, t1_model, T2_TEMPS, 0.03, seed=0
+    )
+    _t2_jacobian_case(series, t1_model, T2_TRUTH, check_jacobian)
 
 
 # ------------------------------------------------------------ shot noise

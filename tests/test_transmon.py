@@ -463,6 +463,26 @@ def test_fit_with_three_targets():
     assert _worst_residual(compromise, skewed) < _worst_residual(pair, skewed)
 
 
+def test_log_ej_ec_jacobian_matches_central_differences(check_jacobian):
+    # Hellmann-Feynman rows of the three-target refinement, at the truth
+    # and at the compromise for skewed targets
+    truth = TransmonParams(EJ=6.92, EC=0.429)
+    targets = _targets_of(truth, "both")
+    skewed = FrequencyTargets(
+        targets.f_ge_ng0, targets.f_ge_ng05, targets.f_ef + 0.01
+    )
+    for params, goal in ((truth, targets), (fit_ej_ec(skewed), skewed)):
+        check_jacobian(
+            lambda x: transmon._target_residuals(
+                transmon._log_params(x), goal
+            ),
+            lambda x: transmon._target_jacobian(
+                transmon._log_params(x), goal
+            ),
+            [math.log(params.EJ), math.log(params.EC)],
+        )
+
+
 def test_cavity_shifts_solve_one_eigensystem_per_point(monkeypatch):
     params = TransmonParams(EJ=7.417, EC=0.403)
     calls = []
