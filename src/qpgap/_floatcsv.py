@@ -1,0 +1,148 @@
+"""``%.10g`` CSV text of a float table, from array operations.
+
+Python formats one float at a time, about 0.3 us each, which made writing
+the 5000 x 161 ``scan.csv`` of a 1000 s ``parity-sim`` most of its run.
+Its cells are mostly amplitudes between 0.001 and 1, which ``%.10g``
+writes as ``0.`` and up to two zeros, then ten significant digits with
+the trailing zeros dropped.  Those cells are formatted a block at a time:
+
+* the magnitude, scaled by an exact power of ten to ten integer digits,
+  is rounded to an integer in float arithmetic.  The product is within
+  half an ulp of the exact one and every half-integer below 2**34 is a
+  float, so that rounding is the correctly rounded one unless the
+  product is itself a half-integer;
+* each cell is 16 bytes, two words built from lookup tables: the
+  separator before it, its sign, ``0.`` and the leading zeros, then its
+  digits in groups of 2, 4 and 4.  A group followed only by zero groups
+  is looked up with its own trailing zeros blanked.  Blank (zero) bytes
+  are dropped from the text.
+
+Every other cell (zero, non-finite, another exponent, a half-integer
+product or one rounding to eleven digits) is written as ``%.10g`` and
+the block's text is %-formatted with their values, so the text is byte
+for byte ``"%.10g,...,%.10g\\n" % tuple(row)`` for each row.
+The work arrays are allocated once per table and reused for every block:
+fresh arrays map fresh memory pages, and those page faults alone took as
+long as the formatting.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+_EXPONENTS = (-1, -2, -3)  # of the cells formatted here
+# the bytes after the separator of a cell that Python formats: "%.10g"
+_HOLE = int.from_bytes(b"%.10g", "little")
+
+
+def _group_words(width: int, shift: int) -> np.ndarray:
+    """ASCII of every ``width``-digit group as a word shifted left by
+    ``shift`` bytes: first the plain text, then the text with its trailing
+    zeros blanked."""
+    group = np.arange(10**width, dtype=np.uint64)
+    plain = np.zeros_like(group)
+    stripped = np.zeros_like(group)
+    trailing = np.ones(group.shape, dtype=bool)  # digits so far all zero
+    for place in range(width - 1, -1, -1):  # last digit first
+        digit = group // np.uint64(10**(width - 1 - place)) % np.uint64(10)
+        char = (digit + np.uint64(ord("0"))) << np.uint64(8 * (shift + place))
+        trailing &= digit == 0
+        plain |= char
+        stripped |= np.where(trailing, np.uint64(0), char)
+    return np.concatenate([plain, stripped])
+
+
+_FIRST = _group_words(2, 6)  # bytes 6-7 of the first word
+_SECOND = _group_words(4, 0)  # bytes 0-3 of the second word
+_THIRD = _group_words(4, 4)[10**4:]  # bytes 4-7, always stripped
+# bytes 2-5 of the first word: "0." and the leading zeros, right-aligned
+_PREFIX = np.array([
+    int.from_bytes(("0." + "0" * (-exp - 1)).rjust(4, "\0").encode(), "little")
+    << 16
+    for exp in _EXPONENTS
+], dtype=np.uint64)
+_SCALE = np.array([10.0 ** (9 - exp) for exp in _EXPONENTS])
+_MINUS = np.uint64(ord("-") << 8)
+
+
+def format_blocks(table: np.ndarray, rows: int):
+    """Yield ``"".join("%.10g,...,%.10g\\n" % tuple(row) for row in block)``
+    for each block of ``rows`` rows of a 2-d float ``table``."""
+    width = table.shape[1]
+    if width == 0:  # rows without cells
+        for start in range(0, len(table), rows):
+            yield "\n" * len(table[start:start + rows])
+    if width == 0 or len(table) == 0:
+        return
+    size = min(rows, len(table)) * width
+    values, magnitude, exponent, scaled, number, part = (
+        np.empty(size) for _ in range(6)
+    )
+    slot, first, second, third = (
+        np.empty(size, dtype=np.intp) for _ in range(4)
+    )
+    fast, slow, test, zero = (np.empty(size, dtype=bool) for _ in range(4))
+    word, lookup = (np.empty(size, dtype=np.uint64) for _ in range(2))
+    # a word pair per cell, then one for the newline that ends a block
+    words = np.zeros((size + 1, 2), dtype=np.uint64)
+    separator = np.full(size, ord(","), dtype=np.uint64)
+    separator[::width] = ord("\n")
+    separator[0] = 0
+    hole = separator | np.uint64(_HOLE << 8)
+
+    for start in range(0, len(table), rows):
+        block = table[start:start + rows]
+        n_cells = block.size
+        values[:n_cells] = block.ravel()
+        values[n_cells:] = 0.5  # a filler formatted here, never written
+
+        np.abs(values, out=magnitude)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.log10(magnitude, out=exponent)
+            np.floor(exponent, out=exponent)
+            # the exponent's slot; fmax and fmin map nan to 0
+            np.subtract(-1.0, exponent, out=part)
+            np.fmax(part, 0.0, out=part)
+            np.fmin(part, len(_EXPONENTS) - 1, out=part)
+            slot[:] = part
+            np.multiply(magnitude, np.take(_SCALE, slot, out=part), out=scaled)
+            np.rint(scaled, out=number)
+            np.greater_equal(exponent, _EXPONENTS[-1], out=fast)
+            fast &= np.less_equal(exponent, _EXPONENTS[0], out=test)
+            fast &= np.greater(number, 1e9, out=test)
+            fast &= np.less(number, 1e10, out=test)
+            np.abs(np.subtract(scaled, number, out=part), out=part)
+            fast &= np.less(part, 0.5, out=test)
+        np.logical_not(fast, out=slow)
+        np.copyto(number, 1e9, where=slow)
+
+        # digits in groups of 2, 4 and 4 (float division and flooring are
+        # exact here); a group followed only by zero groups is looked up
+        # stripped
+        first[:] = np.floor(np.divide(number, 1e8, out=part), out=part)
+        number -= np.multiply(part, 1e8, out=part)
+        second[:] = np.floor(np.divide(number, 1e4, out=part), out=part)
+        number -= np.multiply(part, 1e4, out=part)
+        third[:] = number
+        np.equal(third, 0, out=zero)
+        np.add(second, 10**4, out=second, where=zero)
+        zero &= np.equal(second, 10**4, out=test)
+        np.add(first, 100, out=first, where=zero)
+
+        np.take(_FIRST, first, out=word)
+        word |= np.take(_PREFIX, slot, out=lookup)
+        word |= separator
+        np.bitwise_or(word, _MINUS, out=word, where=np.less(values, 0, out=test))
+        np.copyto(word, hole, where=slow)
+        words[:size, 0] = word
+        np.take(_SECOND, second, out=word)
+        word |= np.take(_THIRD, third, out=lookup)
+        np.copyto(word, 0, where=slow)
+        words[:size, 1] = word
+        words[n_cells] = (ord("\n"), 0)
+
+        text = words[:n_cells + 1].tobytes().translate(None, b"\0")
+        python = values[:n_cells][slow[:n_cells]]
+        if len(python):
+            text %= tuple(python.tolist())
+        yield text.decode("ascii")

@@ -10,6 +10,11 @@ Subcommands:
 Exit codes: 0 on success, 2 for invalid input or configuration, 3 for
 numerical failure.  Output is deterministic for a fixed config and seed;
 no timestamps are written.
+
+Every command loads the config, and with it ``transmon`` and
+``quasiparticles``.  ``parity-sim`` alone imports ``parity``, ``fit``
+alone ``fitting``, and ``svgplot`` is imported only for ``--svg``, so a
+cold run loads no module it does not use.
 """
 
 from __future__ import annotations
@@ -30,20 +35,6 @@ from .errors import (
     NearResonanceError,
     QpgapError,
 )
-from .fitting import (
-    dataseries_from_csv,
-    fit_t1_vs_temperature,
-    fit_t2_vs_temperature,
-    pure_dephasing_from_echo,
-)
-from .parity import (
-    ScanConfig,
-    estimate_parity_lifetime,
-    scan_window,
-    simulate_offset_charge,
-    simulate_parity,
-    synthesize_scan,
-)
 from .quasiparticles import (
     barrier_adequate,
     crossover_temperature,
@@ -62,7 +53,6 @@ from .transmon import (
     resonator_dispersion,
 )
 from .units import kelvin_to_ev, kelvin_to_ghz
-from . import svgplot
 
 
 # Rows of a float table formatted and written at a time.
@@ -130,15 +120,14 @@ def _csv_table(header: list[str], rows: list[list]) -> str:
 def _float_csv_chunks(header: list[str], table: np.ndarray):
     """``_csv_table`` of a float array in blocks of ``_CSV_ROWS`` rows.
 
-    One %-format per row gives the same bytes as ``_csv_table``; a block
-    at a time keeps one block's Python floats and text alive, not the
-    whole table's.
+    :func:`qpgap._floatcsv.format_blocks` gives the same bytes as
+    ``_csv_table`` from array operations; a block at a time keeps one
+    block's work arrays and text alive, not the whole table's.
     """
-    row_format = ",".join(["%.10g"] * table.shape[1]) + "\n"
+    from ._floatcsv import format_blocks
+
     yield ",".join(header) + "\n"
-    for start in range(0, len(table), _CSV_ROWS):
-        block = table[start:start + _CSV_ROWS].tolist()
-        yield "".join(row_format % tuple(row) for row in block)
+    yield from format_blocks(table, _CSV_ROWS)
 
 
 def _records(header: list[str], rows: list[list]) -> list[dict]:
@@ -149,6 +138,8 @@ def _records(header: list[str], rows: list[list]) -> list[dict]:
 def _plot(args, filename: str, title: str, x_label: str, y_label: str,
           *curves):
     """Write (x, y) curves as a line plot; curve i gets ``color_for(2 i)``."""
+    from . import svgplot
+
     series = [(x, y, svgplot.color_for(2 * i))
               for i, (x, y) in enumerate(curves)]
     _emit(args, filename, svgplot.line_plot(series, x_label, y_label, title))
@@ -319,7 +310,38 @@ def _cmd_qp(args, config: DeviceConfig) -> int:
 _PEAKS = ["pixel", "time_s", "count", "f1_GHz", "f2_GHz"]
 
 
+# one row format per number of known peak positions; a NaN position is
+# an empty cell
+_PEAK_ROW_FORMATS = (
+    "%d,%.10g,%d,,\n", "%d,%.10g,%d,%.10g,\n", "%d,%.10g,%d,%.10g,%.10g\n",
+)
+
+
+def _peaks_csv(starts: np.ndarray, counts: np.ndarray,
+               positions: np.ndarray) -> str:
+    """``_csv_table(_PEAKS, rows)`` of the detector arrays, one %-format
+    per row.  ``positions`` ascend along each row with NaN last, as
+    :func:`qpgap.parity.estimate_parity_lifetime` leaves them."""
+    known = np.count_nonzero(~np.isnan(positions), axis=1).tolist()
+    rows = zip(starts.tolist(), counts.tolist(), positions.tolist(), known)
+    lines = [",".join(_PEAKS) + "\n"]
+    lines += [
+        _PEAK_ROW_FORMATS[n] % (index, start, count, *pair[:n])
+        for index, (start, count, pair, n) in enumerate(rows)
+    ]
+    return "".join(lines)
+
+
 def _cmd_parity_sim(args, config: DeviceConfig) -> int:
+    from .parity import (
+        ScanConfig,
+        estimate_parity_lifetime,
+        scan_window,
+        simulate_offset_charge,
+        simulate_parity,
+        synthesize_scan,
+    )
+
     seed = config.seed if args.seed is None else args.seed
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
@@ -350,18 +372,6 @@ def _cmd_parity_sim(args, config: DeviceConfig) -> int:
     )
     estimate = estimate_parity_lifetime(scan)
 
-    # NaN pads a row with fewer than two peaks: an empty cell, or null
-    low, high = (
-        [None if math.isnan(f) else f for f in column]
-        for column in estimate.positions_ghz.T.tolist()
-    )
-    peak_rows = [
-        [index, start, count, f1, f2]
-        for index, (start, count, f1, f2) in enumerate(zip(
-            scan.pixel_starts_s.tolist(), estimate.counts.tolist(), low, high
-        ))
-    ]
-
     metadata = {
         **scan.metadata(),
         "config": config.name,
@@ -380,16 +390,32 @@ def _cmd_parity_sim(args, config: DeviceConfig) -> int:
     }
 
     if args.format == "json":
+        # NaN pads a row with fewer than two peaks: null
+        low, high = (
+            [None if math.isnan(f) else f for f in column]
+            for column in estimate.positions_ghz.T.tolist()
+        )
+        peak_rows = [
+            [index, start, count, f1, f2]
+            for index, (start, count, f1, f2) in enumerate(zip(
+                scan.pixel_starts_s.tolist(), estimate.counts.tolist(),
+                low, high,
+            ))
+        ]
         document = {**metadata, "peaks": _records(_PEAKS, peak_rows)}
         _emit(args, "scan_meta.json", _dump_json(document))
     else:
         header = ["time_s"] + [f"f_{_fmt(f)}" for f in scan.frequencies_ghz]
         table = np.column_stack([scan.pixel_starts_s, scan.amplitudes])
         _emit(args, "scan.csv", _float_csv_chunks(header, table))
-        _emit(args, "peaks.csv", _csv_table(_PEAKS, peak_rows))
+        _emit(args, "peaks.csv", _peaks_csv(
+            scan.pixel_starts_s, estimate.counts, estimate.positions_ghz
+        ))
         _emit(args, "scan_meta.json", _dump_json(metadata))
 
     if args.svg:
+        from . import svgplot
+
         svg = svgplot.heatmap(
             scan.amplitudes.T, scan.frequencies_ghz, scan.pixel_starts_s,
             "frequency (GHz)", "time (s)", f"{config.name} parity scan",
@@ -408,6 +434,13 @@ _RESIDUALS = [
 
 
 def _cmd_fit(args, config: DeviceConfig) -> int:
+    from .fitting import (
+        dataseries_from_csv,
+        fit_t1_vs_temperature,
+        fit_t2_vs_temperature,
+        pure_dephasing_from_echo,
+    )
+
     if args.kind == "t1":
         data = dataseries_from_csv(args.data, kind="t1")
         result = fit_t1_vs_temperature(data)

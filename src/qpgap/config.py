@@ -12,11 +12,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
+from ._record import Record
 from .errors import ConfigError, GeometryError, QpgapError
-from .parity import DEFAULT_PIXEL_SECONDS, NoiseModel
+from .noise import DEFAULT_PIXEL_SECONDS, NoiseModel
 from .quasiparticles import (
     GapProfile,
     QPEnvironment,
@@ -44,34 +44,57 @@ _TOP_LEVEL_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class ScanSettings:
+class ScanSettings(Record):
     """Scan synthesis settings carried by a device config."""
 
-    linewidth_mhz: float = 1.0
-    snr: float = 20.0
-    pixel_seconds: float = DEFAULT_PIXEL_SECONDS
-    n_freq: int = 161
-    pad_linewidths: float = 5.0
+    __slots__ = ("linewidth_mhz", "snr", "pixel_seconds", "n_freq",
+                 "pad_linewidths")
+
+    def __init__(
+        self,
+        linewidth_mhz: float = 1.0,
+        snr: float = 20.0,
+        pixel_seconds: float = DEFAULT_PIXEL_SECONDS,
+        n_freq: int = 161,
+        pad_linewidths: float = 5.0,
+    ):
+        self._assign(linewidth_mhz, snr, pixel_seconds, n_freq, pad_linewidths)
 
 
-@dataclass(frozen=True)
-class DeviceConfig:
-    """Validated device description ready for the physics modules."""
+class DeviceConfig(Record):
+    """Validated device description ready for the physics modules.
 
-    name: str
-    params: TransmonParams
-    cavity: CavityCoupling
-    profile: GapProfile
-    env: QPEnvironment
-    noise: NoiseModel
-    scan: ScanSettings
-    seed: int
-    chi_override_mhz: float | None = None
-    kappa_override_mhz: float | None = None
-    measured: dict = field(default_factory=dict)
-    source_hash: str = ""
-    gamma_parity_computed: bool = False
+    ``measured`` defaults to a new empty dict.
+    """
+
+    __slots__ = (
+        "name", "params", "cavity", "profile", "env", "noise", "scan", "seed",
+        "chi_override_mhz", "kappa_override_mhz", "measured", "source_hash",
+        "gamma_parity_computed",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        params: TransmonParams,
+        cavity: CavityCoupling,
+        profile: GapProfile,
+        env: QPEnvironment,
+        noise: NoiseModel,
+        scan: ScanSettings,
+        seed: int,
+        chi_override_mhz: float | None = None,
+        kappa_override_mhz: float | None = None,
+        measured: dict | None = None,
+        source_hash: str = "",
+        gamma_parity_computed: bool = False,
+    ):
+        self._assign(
+            name, params, cavity, profile, env, noise, scan, seed,
+            chi_override_mhz, kappa_override_mhz,
+            {} if measured is None else measured, source_hash,
+            gamma_parity_computed,
+        )
 
 
 def config_hash(document: dict) -> str:

@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._record import Record
 from .errors import ConfigError, DomainError
 from .numerics import least_squares
 from .thermal import bose_occupation, delta_from_tc, thermal_qp_term, temperature_from_occupation
@@ -25,33 +26,35 @@ from .quasiparticles import crossover_temperature
 _SERIES_KINDS = ("t1", "t2star", "t2echo")
 
 
-@dataclass(frozen=True)
-class DataSeries:
+class DataSeries(Record):
     """Measured coherence times versus temperature.
 
     Values are stored in seconds; points are sorted by (T, value, sigma)
     at construction so that fits do not depend on input order.
     """
 
-    kind: str
-    t_kelvin: np.ndarray
-    value_s: np.ndarray
-    sigma_s: np.ndarray | None = None
+    __slots__ = ("kind", "t_kelvin", "value_s", "sigma_s")
 
-    def __post_init__(self):
-        if self.kind not in _SERIES_KINDS:
+    def __init__(
+        self,
+        kind: str,
+        t_kelvin: np.ndarray,
+        value_s: np.ndarray,
+        sigma_s: np.ndarray | None = None,
+    ):
+        if kind not in _SERIES_KINDS:
             raise DomainError(
-                f"kind must be one of {_SERIES_KINDS}, got {self.kind!r}"
+                f"kind must be one of {_SERIES_KINDS}, got {kind!r}"
             )
-        t = np.asarray(self.t_kelvin, dtype=float)
-        v = np.asarray(self.value_s, dtype=float)
+        t = np.asarray(t_kelvin, dtype=float)
+        v = np.asarray(value_s, dtype=float)
         if t.ndim != 1 or t.shape != v.shape or len(t) == 0:
             raise DomainError("T and value arrays must be equal-length 1-d")
         if not (np.isfinite(t).all() and np.isfinite(v).all()):
             raise DomainError("temperatures and values must be finite")
         if np.any(t <= 0) or np.any(v <= 0):
             raise DomainError("temperatures and values must be positive")
-        s = self.sigma_s
+        s = sigma_s
         if s is not None:
             s = np.asarray(s, dtype=float)
             if s.shape != t.shape:
@@ -65,10 +68,8 @@ class DataSeries:
         order = np.lexsort(
             (s if s is not None else np.zeros_like(t), v, t)
         )
-        object.__setattr__(self, "t_kelvin", t[order])
-        object.__setattr__(self, "value_s", v[order])
-        object.__setattr__(
-            self, "sigma_s", s[order] if s is not None else None
+        self._assign(
+            kind, t[order], v[order], s[order] if s is not None else None
         )
 
     def __len__(self) -> int:
@@ -275,11 +276,28 @@ def _t1_problem(data: DataSeries):
     )
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-d array, NaN if it holds one.
+
+    ``np.median`` imports ``numpy.ma`` on its first call, which cost a cold
+    ``fit`` run more than 20 ms.
+    """
+    ordered = np.sort(values)
+    if np.isnan(ordered[-1]):  # the sort puts NaN last
+        return math.nan
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[half])
+    return float((ordered[half - 1] + ordered[half]) / 2)
+
+
 def _t1_initial_guess(t, rates):
-    plateau = float(np.median(rates[: max(3, len(rates) // 4)]))
+    plateau = _median(rates[: max(3, len(rates) // 4)])
     plateau = max(plateau, 1e-12)
     tc_fallback = 1.3
-    t_a, t_b = t[-2], t[-1]
+    # Python floats: t_b / t_a overflows to inf quietly (the estimate then
+    # falls back), where numpy scalars would print a RuntimeWarning
+    t_a, t_b = float(t[-2]), float(t[-1])
     rise_a = rates[-2] - plateau
     rise_b = rates[-1] - plateau
     delta0 = delta_from_tc(tc_fallback)
@@ -392,13 +410,13 @@ def _shot_noise_slopes(
     return kappa_angular * (1j * ratio / root).real
 
 
-@dataclass(frozen=True)
-class ThermometryResult:
+class ThermometryResult(Record):
     """Photon occupation and effective temperature behind a dephasing rate."""
 
-    n_th: float
-    temperature_k: float
-    at_lower_limit: bool
+    __slots__ = ("n_th", "temperature_k", "at_lower_limit")
+
+    def __init__(self, n_th: float, temperature_k: float, at_lower_limit: bool):
+        self._assign(n_th, temperature_k, at_lower_limit)
 
 
 def resonator_thermometry(
@@ -543,7 +561,7 @@ def fit_t2_vs_temperature(
         raise DomainError(
             f"chi = {chi_mhz} MHz leaves T2* insensitive to the photon number"
         )
-    n0_guess = (float(np.median(excess)) - offset0) / slope
+    n0_guess = (_median(excess) - offset0) / slope
     n0_guess = min(max(n0_guess, 1e-4), 0.5)
     guess = np.array([n0_guess, offset0])
     bounds = [(0.0, 2.0), (0.0, np.inf)]

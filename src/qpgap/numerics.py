@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._record import Record
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -123,15 +123,20 @@ def root_find(
     )
 
 
-@dataclass(frozen=True)
-class LMResult:
+class LMResult(Record):
     """Raw optimizer output: parameters, covariance, and diagnostics."""
 
-    x: np.ndarray
-    covariance: np.ndarray | None
-    ssr: float
-    iterations: int
-    converged: bool
+    __slots__ = ("x", "covariance", "ssr", "iterations", "converged")
+
+    def __init__(
+        self,
+        x: np.ndarray,
+        covariance: np.ndarray | None,
+        ssr: float,
+        iterations: int,
+        converged: bool,
+    ):
+        self._assign(x, covariance, ssr, iterations, converged)
 
     def sigmas(self) -> np.ndarray:
         if self.covariance is None:

@@ -27,16 +27,15 @@ regardless of execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from ._record import Record
 from .errors import CoverageError, DomainError
+# the noise rates live in .noise, where the config loader reads them
+from .noise import DEFAULT_PIXEL_SECONDS, DEFAULT_TLS_RATE, NoiseModel
 from .transmon import TransmonParams, transition_frequency
-
-DEFAULT_TLS_RATE = 1.0 / 180.0
-DEFAULT_PIXEL_SECONDS = 0.2
 
 _EVEN = 0
 _ODD = 1
@@ -63,31 +62,6 @@ MAX_SCAN_SAMPLES = 20_000_000
 MAX_EXPECTED_EVENTS = 10_000_000
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Rates of the two noise processes acting on the qubit.
-
-    ``gamma_parity_per_s`` is the charge-parity switching rate and
-    ``tls_rate_per_s`` the offset-charge reconfiguration rate; each jump
-    shifts ng by a uniform amount reduced modulo one Cooper pair.
-    """
-
-    gamma_parity_per_s: float
-    tls_rate_per_s: float = DEFAULT_TLS_RATE
-
-    def __post_init__(self):
-        if not 0 <= self.gamma_parity_per_s < math.inf:
-            raise DomainError(
-                "parity rate must be non-negative and finite, got "
-                f"{self.gamma_parity_per_s}"
-            )
-        if not 0 <= self.tls_rate_per_s < math.inf:
-            raise DomainError(
-                "TLS rate must be non-negative and finite, got "
-                f"{self.tls_rate_per_s}"
-            )
-
-
 def _exponential_arrivals(
     rate_per_s: float, duration_s: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -111,18 +85,24 @@ def _exponential_arrivals(
     return merged[merged < duration_s]
 
 
-@dataclass(frozen=True)
-class ParityTrace:
+class ParityTrace(Record):
     """Telegraph record of charge parity over [0, duration).
 
     ``switch_times`` are the strictly increasing parity-flip instants;
     parity starts at ``initial_parity`` (0 even, 1 odd) and flips at each.
     """
 
-    switch_times: np.ndarray
-    duration_s: float
-    initial_parity: int = _EVEN
-    seed: int | None = field(default=None, repr=False)
+    __slots__ = ("switch_times", "duration_s", "initial_parity", "seed")
+    _hidden = ("seed",)
+
+    def __init__(
+        self,
+        switch_times: np.ndarray,
+        duration_s: float,
+        initial_parity: int = _EVEN,
+        seed: int | None = None,
+    ):
+        self._assign(switch_times, duration_s, initial_parity, seed)
 
     def parity_at(self, t: float) -> int:
         """Parity (0 even, 1 odd) at time ``t``."""
@@ -149,18 +129,24 @@ class ParityTrace:
         return len(self.switch_times)
 
 
-@dataclass(frozen=True)
-class ChargeTrace:
+class ChargeTrace(Record):
     """Piecewise-constant offset charge over [0, duration).
 
     ``ng_values`` has one more entry than ``jump_times``; the first entry
     is the initial offset charge.
     """
 
-    jump_times: np.ndarray
-    ng_values: np.ndarray
-    duration_s: float
-    seed: int | None = field(default=None, repr=False)
+    __slots__ = ("jump_times", "ng_values", "duration_s", "seed")
+    _hidden = ("seed",)
+
+    def __init__(
+        self,
+        jump_times: np.ndarray,
+        ng_values: np.ndarray,
+        duration_s: float,
+        seed: int | None = None,
+    ):
+        self._assign(jump_times, ng_values, duration_s, seed)
 
     def ng_at(self, t: float) -> float:
         idx = int(np.searchsorted(self.jump_times, t, side="right"))
@@ -226,16 +212,19 @@ def simulate_offset_charge(
     )
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(Record):
     """Frequency grid and pixel integration settings of a scan."""
 
-    f_min_ghz: float
-    f_max_ghz: float
-    n_freq: int = 161
-    pixel_seconds: float = DEFAULT_PIXEL_SECONDS
+    __slots__ = ("f_min_ghz", "f_max_ghz", "n_freq", "pixel_seconds")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        f_min_ghz: float,
+        f_max_ghz: float,
+        n_freq: int = 161,
+        pixel_seconds: float = DEFAULT_PIXEL_SECONDS,
+    ):
+        self._assign(f_min_ghz, f_max_ghz, n_freq, pixel_seconds)
         if not self.f_max_ghz > self.f_min_ghz:
             raise DomainError("frequency window is empty")
         if self.n_freq < 3:
@@ -265,8 +254,7 @@ def scan_window(
     return f_low - pad, f_high + pad
 
 
-@dataclass(frozen=True)
-class SpectroscopyScan:
+class SpectroscopyScan(Record):
     """Synthetic parity-resolved spectroscopy record.
 
     ``amplitudes`` has one row per time pixel and one column per grid
@@ -275,14 +263,24 @@ class SpectroscopyScan:
     overlay on the scan.
     """
 
-    frequencies_ghz: np.ndarray
-    pixel_starts_s: np.ndarray
-    amplitudes: np.ndarray
-    branch_freqs_ghz: np.ndarray
-    linewidth_mhz: float
-    snr: float
-    pixel_seconds: float
-    seed: int
+    __slots__ = (
+        "frequencies_ghz", "pixel_starts_s", "amplitudes", "branch_freqs_ghz",
+        "linewidth_mhz", "snr", "pixel_seconds", "seed",
+    )
+
+    def __init__(
+        self,
+        frequencies_ghz: np.ndarray,
+        pixel_starts_s: np.ndarray,
+        amplitudes: np.ndarray,
+        branch_freqs_ghz: np.ndarray,
+        linewidth_mhz: float,
+        snr: float,
+        pixel_seconds: float,
+        seed: int,
+    ):
+        self._assign(frequencies_ghz, pixel_starts_s, amplitudes,
+                     branch_freqs_ghz, linewidth_mhz, snr, pixel_seconds, seed)
 
     @property
     def n_pixels(self) -> int:
@@ -476,13 +474,15 @@ def synthesize_scan(
     )
 
 
-@dataclass(frozen=True)
-class PeakSet:
+class PeakSet(Record):
     """Detected peaks in one scan row: count (capped at 2) and positions."""
 
-    count: int
-    positions_ghz: tuple[float, ...]
-    threshold: float
+    __slots__ = ("count", "positions_ghz", "threshold")
+
+    def __init__(
+        self, count: int, positions_ghz: tuple[float, ...], threshold: float
+    ):
+        self._assign(count, positions_ghz, threshold)
 
 
 def _row_medians(block: np.ndarray) -> np.ndarray:
@@ -600,8 +600,7 @@ def detect_peaks(
     )[0]
 
 
-@dataclass(frozen=True)
-class LifetimeEstimate:
+class LifetimeEstimate(Record):
     """Parity-lifetime verdict recovered from a scan.
 
     ``kind`` is one of "upper_bound" (both branches visible inside single
@@ -614,14 +613,26 @@ class LifetimeEstimate:
     ``peaks`` builds one :class:`PeakSet` per row from them on first read.
     """
 
-    kind: str
-    seconds: float
-    alternations: int
-    two_peak_fraction: float
-    single_peak_fraction: float
-    counts: np.ndarray = field(repr=False, compare=False)
-    positions_ghz: np.ndarray = field(repr=False, compare=False)
-    thresholds: np.ndarray = field(repr=False, compare=False)
+    __slots__ = (
+        "kind", "seconds", "alternations", "two_peak_fraction",
+        "single_peak_fraction", "counts", "positions_ghz", "thresholds",
+        "__dict__",  # holds the cached ``peaks``
+    )
+    _hidden = _uncompared = ("counts", "positions_ghz", "thresholds")
+
+    def __init__(
+        self,
+        kind: str,
+        seconds: float,
+        alternations: int,
+        two_peak_fraction: float,
+        single_peak_fraction: float,
+        counts: np.ndarray,
+        positions_ghz: np.ndarray,
+        thresholds: np.ndarray,
+    ):
+        self._assign(kind, seconds, alternations, two_peak_fraction,
+                     single_peak_fraction, counts, positions_ghz, thresholds)
 
     @cached_property
     def peaks(self) -> tuple[PeakSet, ...]:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .errors import DomainError, GeometryError
 from .numerics import root_find
 from .thermal import delta_from_tc, thermal_qp_term
@@ -33,8 +32,7 @@ DEFAULT_T_QP = 0.040
 _CROSSOVER_T_MIN = 0.010
 
 
-@dataclass(frozen=True)
-class ThicknessTcTable:
+class ThicknessTcTable(Record):
     """Clamped piecewise-linear map from film thickness to Tc.
 
     Anchors are (thickness_nm, tc_kelvin) pairs, strictly increasing in
@@ -43,9 +41,13 @@ class ThicknessTcTable:
     the nearest anchor.
     """
 
-    anchors: tuple[tuple[float, float], ...] = ((25.0, 1.6), (40.0, 1.3))
+    __slots__ = ("anchors",)
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        anchors: tuple[tuple[float, float], ...] = ((25.0, 1.6), (40.0, 1.3)),
+    ):
+        self._assign(anchors)
         if len(self.anchors) < 2:
             raise DomainError("thickness table needs at least two anchors")
         thicknesses = [t for t, _ in self.anchors]
@@ -76,14 +78,13 @@ def tc_from_thickness(
     return (table or DEFAULT_THICKNESS_TABLE).tc(thickness_nm)
 
 
-@dataclass(frozen=True)
-class GapSegment:
+class GapSegment(Record):
     """One homogeneous superconducting segment: length (um) and gap (kelvin)."""
 
-    length_um: float
-    delta_k: float
+    __slots__ = ("length_um", "delta_k")
 
-    def __post_init__(self):
+    def __init__(self, length_um: float, delta_k: float):
+        self._assign(length_um, delta_k)
         if not 0 < self.length_um < math.inf:
             raise GeometryError(
                 f"segment length must be positive and finite, got {self.length_um}"
@@ -94,18 +95,17 @@ class GapSegment:
             )
 
 
-@dataclass(frozen=True)
-class GapProfile:
+class GapProfile(Record):
     """Piecewise-constant gap along the electrodes with one junction.
 
     ``junction_um`` must coincide with an interior segment boundary, so at
     least one segment lies on each side of the junction.
     """
 
-    segments: tuple[GapSegment, ...]
-    junction_um: float
+    __slots__ = ("segments", "junction_um")
 
-    def __post_init__(self):
+    def __init__(self, segments: tuple[GapSegment, ...], junction_um: float):
+        self._assign(segments, junction_um)
         if len(self.segments) < 2:
             raise GeometryError("profile needs at least two segments")
         if self._junction_index() is None:
@@ -171,15 +171,18 @@ class GapProfile:
         }
 
 
-@dataclass(frozen=True)
-class StackSegment:
+class StackSegment(Record):
     """Fabrication-stack segment: length plus thickness or an explicit gap."""
 
-    length_um: float
-    thickness_nm: float | None = None
-    delta_k: float | None = None
+    __slots__ = ("length_um", "thickness_nm", "delta_k")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        length_um: float,
+        thickness_nm: float | None = None,
+        delta_k: float | None = None,
+    ):
+        self._assign(length_um, thickness_nm, delta_k)
         if (self.thickness_nm is None) == (self.delta_k is None):
             raise GeometryError(
                 "specify exactly one of thickness_nm or delta_K per segment"
@@ -273,8 +276,7 @@ def profile_from_document(
     return GapProfile(tuple(segments), junction_um)
 
 
-@dataclass(frozen=True)
-class QPEnvironment:
+class QPEnvironment(Record):
     """Quasiparticle environment: density, transport, and thermal scales.
 
     Attributes
@@ -295,17 +297,25 @@ class QPEnvironment:
         Effective quasiparticle temperature near the gap edge.
     """
 
-    x_nqp: float = 8.0e-7
-    diffusion_m2_per_s: float = 0.01
-    tau_anchors: tuple[tuple[float, float], ...] = (
-        (0.5, 1.0e-5),
-        (14.0, 1.0e-11),
+    __slots__ = (
+        "x_nqp", "diffusion_m2_per_s", "tau_anchors", "xi_um",
+        "nu0_per_ev_um3", "t_qp_kelvin",
     )
-    xi_um: float = 0.1
-    nu0_per_ev_um3: float = 1.6e10
-    t_qp_kelvin: float = DEFAULT_T_QP
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        x_nqp: float = 8.0e-7,
+        diffusion_m2_per_s: float = 0.01,
+        tau_anchors: tuple[tuple[float, float], ...] = (
+            (0.5, 1.0e-5),
+            (14.0, 1.0e-11),
+        ),
+        xi_um: float = 0.1,
+        nu0_per_ev_um3: float = 1.6e10,
+        t_qp_kelvin: float = DEFAULT_T_QP,
+    ):
+        self._assign(x_nqp, diffusion_m2_per_s, tau_anchors, xi_um,
+                     nu0_per_ev_um3, t_qp_kelvin)
         if self.x_nqp < 0:
             raise DomainError(f"x_nqp must be non-negative, got {self.x_nqp}")
         if self.diffusion_m2_per_s <= 0:
@@ -538,16 +548,23 @@ def above_barrier_fraction(
     return float(above / total)
 
 
-@dataclass(frozen=True)
-class SideVerdict:
+class SideVerdict(Record):
     """Geometry verdict for one side of the junction."""
 
-    side: str
-    adjacent_delta_k: float
-    delta_delta_k: float
-    length_um: float
-    required_um: float
-    adequate: bool
+    __slots__ = ("side", "adjacent_delta_k", "delta_delta_k", "length_um",
+                 "required_um", "adequate")
+
+    def __init__(
+        self,
+        side: str,
+        adjacent_delta_k: float,
+        delta_delta_k: float,
+        length_um: float,
+        required_um: float,
+        adequate: bool,
+    ):
+        self._assign(side, adjacent_delta_k, delta_delta_k, length_um,
+                     required_um, adequate)
 
     @property
     def margin(self) -> float:
@@ -557,13 +574,13 @@ class SideVerdict:
         return self.length_um / self.required_um
 
 
-@dataclass(frozen=True)
-class GeometryVerdict:
+class GeometryVerdict(Record):
     """Both per-side verdicts plus the combined adequacy rule."""
 
-    left: SideVerdict
-    right: SideVerdict
-    adequate: bool
+    __slots__ = ("left", "right", "adequate")
+
+    def __init__(self, left: SideVerdict, right: SideVerdict, adequate: bool):
+        self._assign(left, right, adequate)
 
 
 def barrier_adequate(

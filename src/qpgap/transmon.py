@@ -14,11 +14,10 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy
 
+from ._record import Record
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -72,8 +71,7 @@ MAX_EJ_OVER_EC = 1e7
 _SOLVE_CACHE_SIZE = 128
 
 
-@dataclass(frozen=True)
-class TransmonParams:
+class TransmonParams(Record):
     """Transmon parameters in GHz with offset charge in 2e units.
 
     Parameters
@@ -90,12 +88,16 @@ class TransmonParams:
         automatically when this is too small for converged spectra.
     """
 
-    EJ: float
-    EC: float
-    ng: float = 0.0
-    n_cut: int = 0
+    __slots__ = ("EJ", "EC", "ng", "n_cut")
 
-    def __post_init__(self):
+    def __init__(self, EJ: float, EC: float, ng: float = 0.0, n_cut: int = 0):
+        # set one by one, not through _assign: a record per solve, and the
+        # loop in _assign costs about 1 us more
+        set_field = object.__setattr__
+        set_field(self, "EJ", EJ)
+        set_field(self, "EC", EC)
+        set_field(self, "ng", ng)
+        set_field(self, "n_cut", n_cut)
         if not 0 <= self.EJ < math.inf:
             raise DomainError(
                 f"EJ must be non-negative and finite, got {self.EJ}"
@@ -122,15 +124,13 @@ class TransmonParams:
         return TransmonParams(self.EJ, self.EC, ng, self.n_cut)
 
 
-@dataclass(frozen=True)
-class CavityCoupling:
+class CavityCoupling(Record):
     """Readout cavity parameters: g in MHz, nu_r in GHz, loaded quality factor."""
 
-    g_mhz: float
-    nu_r_ghz: float
-    q_loaded: float
+    __slots__ = ("g_mhz", "nu_r_ghz", "q_loaded")
 
-    def __post_init__(self):
+    def __init__(self, g_mhz: float, nu_r_ghz: float, q_loaded: float):
+        self._assign(g_mhz, nu_r_ghz, q_loaded)
         if self.g_mhz <= 0:
             raise DomainError(f"g must be positive, got {self.g_mhz}")
         if self.nu_r_ghz <= 0:
@@ -144,12 +144,16 @@ class CavityCoupling:
         return self.nu_r_ghz / self.q_loaded * 1e3
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """Eigenenergies (GHz, ascending) of a transmon at fixed parameters."""
 
-    energies: np.ndarray
-    params: TransmonParams = field(repr=False)
+    __slots__ = ("energies", "params")
+    _hidden = ("params",)
+
+    def __init__(self, energies: np.ndarray, params: TransmonParams):
+        # one per eigenspectrum call; see TransmonParams.__init__
+        object.__setattr__(self, "energies", energies)
+        object.__setattr__(self, "params", params)
 
     def transition(self, i: int, j: int) -> float:
         """Transition frequency E_j - E_i in GHz."""
@@ -422,8 +426,7 @@ def resonator_dispersion(
     return abs(at_half - at_zero) * 1e3
 
 
-@dataclass(frozen=True)
-class FrequencyTargets:
+class FrequencyTargets(Record):
     """Measured transition frequencies (GHz) used to infer EJ and EC.
 
     ``f_ge_ng0`` is required.  ``f_ge_ng05`` is the ge frequency at the
@@ -431,11 +434,15 @@ class FrequencyTargets:
     At least one of the two optional targets must be present.
     """
 
-    f_ge_ng0: float
-    f_ge_ng05: float | None = None
-    f_ef: float | None = None
+    __slots__ = ("f_ge_ng0", "f_ge_ng05", "f_ef")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        f_ge_ng0: float,
+        f_ge_ng05: float | None = None,
+        f_ef: float | None = None,
+    ):
+        self._assign(f_ge_ng0, f_ge_ng05, f_ef)
         if self.f_ge_ng0 <= 0:
             raise DomainError(f"f_ge must be positive, got {self.f_ge_ng0}")
         if self.f_ge_ng05 is None and self.f_ef is None:

@@ -8,8 +8,7 @@ factor is written out anywhere else in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import DomainError
 
 # 2019 SI exact values
@@ -18,8 +17,7 @@ _H_J_S = 6.62607015e-34
 _E_COULOMB = 1.602176634e-19
 
 
-@dataclass(frozen=True)
-class Constants:
+class Constants(Record):
     """Conversion factors and the BCS gap ratio.
 
     Attributes
@@ -37,11 +35,17 @@ class Constants:
         ``thermal.delta_from_tc`` also takes an explicit ratio.
     """
 
-    kB_over_h: float = _KB_J_PER_K / _H_J_S / 1e9
-    h_over_kB: float = 1e9 * _H_J_S / _KB_J_PER_K
-    kB_in_eV: float = _KB_J_PER_K / _E_COULOMB
-    RK: float = _H_J_S / _E_COULOMB**2
-    bcs_ratio: float = 1.764
+    __slots__ = ("kB_over_h", "h_over_kB", "kB_in_eV", "RK", "bcs_ratio")
+
+    def __init__(
+        self,
+        kB_over_h: float = _KB_J_PER_K / _H_J_S / 1e9,
+        h_over_kB: float = 1e9 * _H_J_S / _KB_J_PER_K,
+        kB_in_eV: float = _KB_J_PER_K / _E_COULOMB,
+        RK: float = _H_J_S / _E_COULOMB**2,
+        bcs_ratio: float = 1.764,
+    ):
+        self._assign(kB_over_h, h_over_kB, kB_in_eV, RK, bcs_ratio)
 
 
 CONSTANTS = Constants()
@@ -83,17 +87,16 @@ _TO_KELVIN = {"GHz": ghz_to_kelvin, "K": lambda x: x, "eV": ev_to_kelvin}
 _FROM_KELVIN = {"GHz": kelvin_to_ghz, "K": lambda x: x, "eV": kelvin_to_ev}
 
 
-@dataclass(frozen=True)
-class EnergyValue:
+class EnergyValue(Record):
     """An energy tagged with its unit ("GHz", "K", or "eV")."""
 
-    value: float
-    unit: str
+    __slots__ = ("value", "unit")
 
-    def __post_init__(self):
-        if self.unit not in _UNITS:
+    def __init__(self, value: float, unit: str):
+        self._assign(value, unit)
+        if unit not in _UNITS:
             raise DomainError(
-                f"unknown energy unit {self.unit!r}; expected one of {_UNITS}"
+                f"unknown energy unit {unit!r}; expected one of {_UNITS}"
             )
 
     def to(self, unit: str) -> "EnergyValue":

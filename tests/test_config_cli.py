@@ -658,6 +658,23 @@ def test_degenerate_t2_fits_exit_2(configs_dir, data_dir, tmp_path, capsys):
     assert "photon number" in _assert_clean_exit_2(code, capsys)
 
 
+def test_far_t1_point_exits_2_with_one_error_line(configs_dir, tmp_path):
+    # t_b / t_a of the initial guess overflows for a point at 1e308 K; run
+    # as a process, so a warning would reach stderr instead of raising
+    data = tmp_path / "far.csv"
+    data.write_text(
+        "T_K,value_us,sigma\n0.03,50,1\n0.1,48,1\n0.2,30,1\n1e308,10,1\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "qpgap.cli", "fit", "t1", str(data),
+         str(configs_dir / "device_1p.json")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1, result.stderr
+
+
 @pytest.mark.parametrize("column", [0, 1, 2])
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_non_finite_csv_values_exit_2(
@@ -804,6 +821,36 @@ def test_float_csv_matches_per_cell_formatting():
     assert text == _csv_table(header, table.tolist())
     empty = np.empty((0, 4))
     assert "".join(_float_csv_chunks(header, empty)) == _csv_table(header, [])
+
+
+def test_float_csv_matches_per_cell_formatting_below_one():
+    # cells between 0.001 and 1 are formatted from arrays, not by Python:
+    # random digits, short decimals, exact ties at the eleventh digit
+    # (a / 2**11 in [0.1, 1) and so on) with their neighbours, the floats
+    # nearest to such decimal ties, and the neighbours of the exponent
+    # edges
+    rng = np.random.default_rng(11)
+    ties = np.concatenate([
+        np.arange(205, 2048, 2) / 2.0**11,
+        np.arange(41, 410, 2) / 2.0**12,
+        np.arange(9, 82, 2) / 2.0**13,
+    ])
+    edges = np.array([1e-4, 1e-3, 1e-2, 0.1, 1.0])
+    cells = np.concatenate([
+        rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-4.2, 0.2, 20000),
+        *[np.round(rng.uniform(-1.0, 1.0, 1000), d) for d in range(1, 14)],
+        rng.integers(10**9, 10**10, 4000) / 10.0 ** rng.integers(10, 13, 4000),
+        (rng.integers(10**9, 10**10, 20000) + 0.5)
+        / 10.0 ** rng.integers(10, 13, 20000),
+        ties, np.nextafter(ties, 0.0), np.nextafter(ties, 1.0), -ties,
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+        edges * (1 - 5e-11), edges * 0.99999999995, -edges,
+    ])
+    cells = cells[: len(cells) // 7 * 7]
+    table = cells.reshape(-1, 7)
+    header = [f"c{i}" for i in range(7)]
+    text = "".join(_float_csv_chunks(header, table))
+    assert text == _csv_table(header, table.tolist())
 
 
 def test_float_csv_is_written_in_row_blocks():
