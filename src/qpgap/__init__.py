@@ -45,8 +45,8 @@ _EXPORTS = {
         "SideVerdict", "StackSegment", "ThicknessTcTable",
         "above_barrier_fraction", "barrier_adequate", "crossover_temperature",
         "delta_ev_from_tc", "diffusion_length", "nqp_decay_rate",
-        "parity_rate_model", "profile_from_document", "profile_from_stack",
-        "tau_eps", "tc_from_thickness", "thermal_qp_fraction", "trap_adequate",
+        "parity_rate_model", "profile_from_stack", "tau_eps",
+        "tc_from_thickness", "thermal_qp_fraction", "trap_adequate",
         "volume_density", "x_qp_from_density", "x_qp_from_rate",
     ),
     "parity": (

@@ -390,16 +390,12 @@ def _cmd_parity_sim(args, config: DeviceConfig) -> int:
     }
 
     if args.format == "json":
-        # NaN pads a row with fewer than two peaks: null
-        low, high = (
-            [None if math.isnan(f) else f for f in column]
-            for column in estimate.positions_ghz.T.tolist()
-        )
+        # NaN pads a row with fewer than two peaks; _dump_json writes null
         peak_rows = [
-            [index, start, count, f1, f2]
-            for index, (start, count, f1, f2) in enumerate(zip(
+            [index, start, count, *positions]
+            for index, (start, count, positions) in enumerate(zip(
                 scan.pixel_starts_s.tolist(), estimate.counts.tolist(),
-                low, high,
+                estimate.positions_ghz.tolist(),
             ))
         ]
         document = {**metadata, "peaks": _records(_PEAKS, peak_rows)}

@@ -20,28 +20,13 @@ from .noise import DEFAULT_PIXEL_SECONDS, NoiseModel
 from .quasiparticles import (
     GapProfile,
     QPEnvironment,
+    StackSegment,
     ThicknessTcTable,
     parity_rate_model,
-    profile_from_document,
 )
 from .transmon import CavityCoupling, FrequencyTargets, TransmonParams, fit_ej_ec
 
 SCHEMA_VERSION = 1
-
-_TOP_LEVEL_KEYS = {
-    "schema_version",
-    "name",
-    "transmon",
-    "cavity",
-    "gap_profile",
-    "thickness_tc_table",
-    "qp_environment",
-    "noise",
-    "scan",
-    "dephasing",
-    "measured",
-    "seed",
-}
 
 
 class ScanSettings(Record):
@@ -111,59 +96,96 @@ def _line_of(text: str, key: str) -> int | None:
     return None
 
 
-def _finite(value, where: str, line: int | None) -> float:
+def _finite(value, where: str) -> float:
     """``value`` as a finite float; anything else is a ConfigError.
 
     JSON admits ``NaN`` and ``Infinity``, and integers too large for a
     float, so every number read from a config passes through here.
     """
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{where}: expected a number, got {value!r}", line)
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise ConfigError(
-            f"{where}: expected a finite number, got {number}", line
-        )
+        raise ConfigError(f"{where}: expected a finite number, got {number}")
     return number
 
 
-def _positive(value, where: str, line: int | None) -> float:
+def _positive(value, where: str) -> float:
     """``value`` as a finite float greater than zero."""
-    number = _finite(value, where, line)
+    number = _finite(value, where)
     if number <= 0:
-        raise ConfigError(f"{where}: must be positive, got {number}", line)
+        raise ConfigError(f"{where}: must be positive, got {number}")
     return number
 
 
-def _number_pairs(
-    raw, where: str, line: int | None
-) -> tuple[tuple[float, float], ...]:
+def _number_pairs(raw, where: str) -> tuple[tuple[float, float], ...]:
     """A JSON list of [a, b] number pairs as a tuple of finite float pairs."""
     if not isinstance(raw, list) or not all(
         isinstance(pair, list) and len(pair) == 2 for pair in raw
     ):
-        raise ConfigError(
-            f"{where} must be a list of [number, number] pairs", line
-        )
+        raise ConfigError(f"{where} must be a list of [number, number] pairs")
     return tuple(
-        (_finite(a, f"{where}[{i}]", line), _finite(b, f"{where}[{i}]", line))
+        (_finite(a, f"{where}[{i}]"), _finite(b, f"{where}[{i}]"))
         for i, (a, b) in enumerate(raw)
     )
 
 
-def _integer(value, where: str, line: int | None) -> int:
+def _integer(value, where: str) -> int:
     """``value`` as an int; a bool, float or string is a ConfigError."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}", line)
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _name(value, where: str) -> str:
+    """``value`` as a non-empty string."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(
+            f"{where}: expected a non-empty string, got {value!r}"
+        )
+    return value
+
+
+def _schema_version(value, where: str) -> int:
+    """``value`` if it equals the supported schema version."""
+    if value != SCHEMA_VERSION:
+        raise ConfigError(f"{where} must be {SCHEMA_VERSION}, got {value!r}")
+    return value
+
+
+def _objects(raw, where: str) -> list:
+    """A JSON list of objects, each read later by its own table."""
+    if not isinstance(raw, list) or not all(isinstance(x, dict) for x in raw):
+        raise ConfigError(f"{where} must be a list of objects")
+    return raw
+
+
+def _section(value, where: str):
+    """A section, read later by its own table."""
     return value
 
 
 # One table per section: (JSON key, constructor keyword, converter,
 # required).  An omitted or null optional key is left out, so the
-# constructor's own default applies.
+# constructor's own default applies.  The document's own table keeps
+# each section as it is, for the section's table to read.
+_DOCUMENT = (
+    ("schema_version", "schema_version", _schema_version, True),
+    ("name", "name", _name, True),
+    ("transmon", "transmon", _section, True),
+    ("cavity", "cavity", _section, True),
+    ("gap_profile", "gap_profile", _section, True),
+    ("thickness_tc_table", "thickness_tc_table", _number_pairs, False),
+    ("qp_environment", "qp_environment", _section, False),
+    ("noise", "noise", _section, False),
+    ("scan", "scan", _section, False),
+    ("dephasing", "dephasing", _section, False),
+    ("measured", "measured", _section, False),
+    ("seed", "seed", _integer, False),
+)
 _TRANSMON_NG = (("ng", "ng", _finite, False),)
 _TRANSMON = (
     ("EJ_GHz", "EJ", _finite, True),
@@ -178,6 +200,15 @@ _CAVITY = (
     ("g_MHz", "g_mhz", _finite, True),
     ("nu_r_GHz", "nu_r_ghz", _finite, True),
     ("Q_loaded", "q_loaded", _finite, True),
+)
+_GAP_PROFILE = (
+    ("segments", "segments", _objects, True),
+    ("junction_um", "junction_um", _finite, True),
+)
+_SEGMENT = (
+    ("length_um", "length_um", _positive, True),
+    ("thickness_nm", "thickness_nm", _positive, False),
+    ("delta_K", "delta_k", _positive, False),
 )
 _QP_ENVIRONMENT = (
     ("x_nqp", "x_nqp", _finite, False),
@@ -231,7 +262,10 @@ def _fields(data, name: str, text: str, table) -> dict:
                     f"{name}.{key}: missing required field", line(key)
                 )
             continue
-        values[keyword] = convert(data[key], f"{name}.{key}", line(key))
+        try:
+            values[keyword] = convert(data[key], f"{name}.{key}")
+        except ConfigError as exc:
+            raise ConfigError(str(exc), line(key)) from None
     return values
 
 
@@ -250,68 +284,54 @@ def _resolve_transmon(data, text: str) -> TransmonParams:
     return TransmonParams(EJ=fitted.EJ, EC=fitted.EC, **ng)
 
 
-def load_device_document(document: dict, text: str = "") -> DeviceConfig:
-    """Validate a parsed config document into a :class:`DeviceConfig`."""
-    if not isinstance(document, dict):
-        raise ConfigError("config root must be an object")
-    version = document.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version must be {SCHEMA_VERSION}, got {version!r}",
-            _line_of(text, "schema_version"),
-        )
-    unknown = set(document) - _TOP_LEVEL_KEYS
-    if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigError(f"unknown top-level key {key!r}", _line_of(text, key))
-    for required in ("name", "transmon", "cavity", "gap_profile"):
-        if required not in document:
-            raise ConfigError(f"missing required section {required!r}")
-    name = document["name"]
-    if not isinstance(name, str) or not name:
-        raise ConfigError("name must be a non-empty string", _line_of(text, "name"))
-
-    def section(key: str, table) -> dict:
-        return _fields(document.get(key, {}), key, text, table)
-
-    params = _resolve_transmon(document["transmon"], text)
-    cavity = CavityCoupling(**section("cavity", _CAVITY))
-
-    table = None
-    if "thickness_tc_table" in document:
-        table = ThicknessTcTable(
-            anchors=_number_pairs(
-                document["thickness_tc_table"],
-                "thickness_tc_table",
-                _line_of(text, "thickness_tc_table"),
-            )
-        )
+def _resolve_profile(
+    data, text: str, tc_table: ThicknessTcTable | None
+) -> GapProfile:
+    profile = _fields(data, "gap_profile", text, _GAP_PROFILE)
+    segments = [
+        _fields(raw, f"gap_profile.segments[{i}]", text, _SEGMENT)
+        for i, raw in enumerate(profile["segments"])
+    ]
     try:
-        profile = profile_from_document(document["gap_profile"], table)
+        return GapProfile(
+            tuple(StackSegment(**kw).resolve(tc_table) for kw in segments),
+            profile["junction_um"],
+        )
     except GeometryError as exc:
         raise ConfigError(
             f"gap_profile: {exc}", _line_of(text, "gap_profile")
         ) from exc
+
+
+def load_device_document(document: dict, text: str = "") -> DeviceConfig:
+    """Validate a parsed config document into a :class:`DeviceConfig`."""
+    top = _fields(document, "config", text, _DOCUMENT)
+
+    def section(key: str, table) -> dict:
+        return _fields(top.get(key, {}), key, text, table)
+
+    params = _resolve_transmon(top["transmon"], text)
+    cavity = CavityCoupling(**section("cavity", _CAVITY))
+    tc_table = None
+    if "thickness_tc_table" in top:
+        tc_table = ThicknessTcTable(anchors=top["thickness_tc_table"])
+    profile = _resolve_profile(top["gap_profile"], text, tc_table)
 
     env = QPEnvironment(**section("qp_environment", _QP_ENVIRONMENT))
     noise = section("noise", _NOISE)
     computed = "gamma_parity_per_s" not in noise
     if computed:
         noise["gamma_parity_per_s"] = parity_rate_model(profile, env)
-    scan = ScanSettings(**section("scan", _SCAN))
-    seed = _integer(
-        document.get("seed", 0), "config.seed", _line_of(text, "seed")
-    )
 
     return DeviceConfig(
-        name=name,
+        name=top["name"],
         params=params,
         cavity=cavity,
         profile=profile,
         env=env,
         noise=NoiseModel(**noise),
-        scan=scan,
-        seed=seed,
+        scan=ScanSettings(**section("scan", _SCAN)),
+        seed=top.get("seed", 0),
         measured=section("measured", _MEASURED),
         source_hash=config_hash(document),
         gamma_parity_computed=computed,

@@ -10,6 +10,26 @@ from .errors import DomainError
 from .fitting import DataSeries, dataseries_to_csv, t1_rate_model, t2_rate_model
 
 
+def _noisy_series(
+    kind: str, t: np.ndarray, rates: np.ndarray, noise_fraction: float,
+    seed: int,
+) -> DataSeries:
+    """Times 1/rate after Gaussian noise of ``noise_fraction`` x rate.
+
+    The quoted sigma equals the noise actually applied, so round-trip fits
+    see correctly calibrated weights.
+    """
+    if noise_fraction < 0:
+        raise DomainError("noise fraction must be non-negative")
+    rng = np.random.default_rng(seed)
+    sigma = noise_fraction * rates
+    noisy = rates + rng.normal(0.0, 1.0, size=len(t)) * sigma
+    noisy = np.maximum(noisy, rates * 0.05)
+    sigma_s = sigma / noisy**2 if noise_fraction > 0 else None
+    return DataSeries(kind=kind, t_kelvin=t, value_s=1.0 / noisy,
+                      sigma_s=sigma_s)
+
+
 def synthetic_t1_series(
     gamma_plateau_per_s: float,
     tc_kelvin: float,
@@ -18,22 +38,10 @@ def synthetic_t1_series(
     noise_fraction: float = 0.05,
     seed: int = 0,
 ) -> DataSeries:
-    """T1(T) points drawn from the relaxation-rate model with Gaussian noise.
-
-    The quoted sigma equals the noise actually applied, so round-trip fits
-    see correctly calibrated weights.
-    """
-    if noise_fraction < 0:
-        raise DomainError("noise fraction must be non-negative")
+    """T1(T) points drawn from the relaxation-rate model with Gaussian noise."""
     t = np.asarray(temperatures_k, dtype=float)
-    rng = np.random.default_rng(seed)
     rates = t1_rate_model(t, gamma_plateau_per_s, tc_kelvin, amplitude_per_s)
-    sigma = noise_fraction * rates
-    noisy = rates + rng.normal(0.0, 1.0, size=len(t)) * sigma
-    noisy = np.maximum(noisy, rates * 0.05)
-    values = 1.0 / noisy
-    sigma_s = sigma / noisy**2 if noise_fraction > 0 else None
-    return DataSeries(kind="t1", t_kelvin=t, value_s=values, sigma_s=sigma_s)
+    return _noisy_series("t1", t, rates, noise_fraction, seed)
 
 
 def synthetic_t2_series(
@@ -48,21 +56,11 @@ def synthetic_t2_series(
     seed: int = 0,
 ) -> DataSeries:
     """T2*(T) points drawn from the Ramsey rate model with Gaussian noise."""
-    if noise_fraction < 0:
-        raise DomainError("noise fraction must be non-negative")
     t = np.asarray(temperatures_k, dtype=float)
-    rng = np.random.default_rng(seed)
     rates = t2_rate_model(
         t, n0, gamma_offset_per_s, chi_mhz, kappa_mhz, nu_r_ghz, t1_model
     )
-    sigma = noise_fraction * rates
-    noisy = rates + rng.normal(0.0, 1.0, size=len(t)) * sigma
-    noisy = np.maximum(noisy, rates * 0.05)
-    values = 1.0 / noisy
-    sigma_s = sigma / noisy**2 if noise_fraction > 0 else None
-    return DataSeries(
-        kind="t2star", t_kelvin=t, value_s=values, sigma_s=sigma_s
-    )
+    return _noisy_series("t2star", t, rates, noise_fraction, seed)
 
 
 # quasiparticle decay coefficient (rate at x_qp = 1) of the two example

@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 
 from ._record import Record
-from .errors import ConfigError, DomainError
-from .numerics import least_squares
+from .errors import BracketError, ConfigError, DomainError
+from .numerics import least_squares, sort_median
 from .thermal import bose_occupation, delta_from_tc, thermal_qp_term, temperature_from_occupation
 from .quasiparticles import crossover_temperature
 
@@ -276,23 +276,8 @@ def _t1_problem(data: DataSeries):
     )
 
 
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a 1-d array, NaN if it holds one.
-
-    ``np.median`` imports ``numpy.ma`` on its first call, which cost a cold
-    ``fit`` run more than 20 ms.
-    """
-    ordered = np.sort(values)
-    if np.isnan(ordered[-1]):  # the sort puts NaN last
-        return math.nan
-    half = len(ordered) // 2
-    if len(ordered) % 2:
-        return float(ordered[half])
-    return float((ordered[half - 1] + ordered[half]) / 2)
-
-
 def _t1_initial_guess(t, rates):
-    plateau = _median(rates[: max(3, len(rates) // 4)])
+    plateau = float(sort_median(rates[: max(3, len(rates) // 4)]))
     plateau = max(plateau, 1e-12)
     tc_fallback = 1.3
     # Python floats: t_b / t_a overflows to inf quietly (the estimate then
@@ -349,9 +334,15 @@ def fit_t1_vs_temperature(data: DataSeries) -> FitResult:
         variance = float(grad @ lm.covariance @ grad)
         derived["x_nqp_sigma"] = math.sqrt(max(variance, 0.0))
     if x_nqp > 0:
-        derived["crossover_K"] = crossover_temperature(
-            x_nqp, delta_from_tc(tc)
-        )
+        try:
+            derived["crossover_K"] = crossover_temperature(
+                x_nqp, delta_from_tc(tc)
+            )
+        except BracketError as exc:
+            raise DomainError(
+                f"no thermal crossover for the fitted x_nqp = {x_nqp:.6g} "
+                f"and Tc = {tc:.6g} K: {exc}"
+            ) from exc
     return FitResult(
         model="t1_vs_temperature",
         param_names=names,
@@ -561,7 +552,7 @@ def fit_t2_vs_temperature(
         raise DomainError(
             f"chi = {chi_mhz} MHz leaves T2* insensitive to the photon number"
         )
-    n0_guess = (_median(excess) - offset0) / slope
+    n0_guess = (float(sort_median(excess)) - offset0) / slope
     n0_guess = min(max(n0_guess, 1e-4), 0.5)
     guess = np.array([n0_guess, offset0])
     bounds = [(0.0, 2.0), (0.0, np.inf)]

@@ -35,6 +35,7 @@ from ._record import Record
 from .errors import CoverageError, DomainError
 # the noise rates live in .noise, where the config loader reads them
 from .noise import DEFAULT_PIXEL_SECONDS, DEFAULT_TLS_RATE, NoiseModel
+from .numerics import sort_median
 from .transmon import TransmonParams, transition_frequency
 
 _EVEN = 0
@@ -485,18 +486,6 @@ class PeakSet(Record):
         self._assign(count, positions_ghz, threshold)
 
 
-def _row_medians(block: np.ndarray) -> np.ndarray:
-    """``np.median(block, axis=1)`` from one sort per row, which is faster
-    than the partition ``np.median`` runs to find NaNs."""
-    ordered = np.sort(block, axis=1)
-    half = block.shape[1] // 2
-    if block.shape[1] % 2:
-        middle = ordered[:, half]
-    else:
-        middle = (ordered[:, half - 1] + ordered[:, half]) / 2
-    return np.where(np.isnan(ordered[:, -1]), np.nan, middle)
-
-
 def _detect_rows(
     freqs: np.ndarray,
     amplitudes: np.ndarray,
@@ -519,8 +508,8 @@ def _detect_rows(
     thresholds = np.empty(n_rows)
     for first in range(0, n_rows, _ROWS):
         block = amplitudes[first:first + _ROWS]
-        median = _row_medians(block)
-        sigma = 1.4826 * _row_medians(np.abs(block - median[:, None]))
+        median = sort_median(block)
+        sigma = 1.4826 * sort_median(np.abs(block - median[:, None]))
         threshold = median + threshold_k * sigma
         thresholds[first:first + _ROWS] = threshold
 

@@ -122,10 +122,6 @@ class GapProfile(Record):
             edges.append(edges[-1] + seg.length_um)
         return edges
 
-    @property
-    def total_length_um(self) -> float:
-        return self.boundaries_um()[-1]
-
     def _junction_index(self) -> int | None:
         edges = self.boundaries_um()
         tol = 1e-9 * max(1.0, edges[-1])
@@ -159,16 +155,6 @@ class GapProfile(Record):
     def junction_delta_k(self) -> float:
         """Junction gap, taken as the smaller adjacent electrode gap."""
         return min(self.adjacent_deltas())
-
-    def to_document(self) -> dict:
-        """JSON-ready description with explicit gaps."""
-        return {
-            "segments": [
-                {"length_um": seg.length_um, "delta_K": seg.delta_k}
-                for seg in self.segments
-            ],
-            "junction_um": self.junction_um,
-        }
 
 
 class StackSegment(Record):
@@ -213,67 +199,6 @@ def profile_from_stack(
     resolved = tuple(seg.resolve(table) for seg in segments)
     junction_um = sum(seg.length_um for seg in resolved[:junction_index])
     return GapProfile(resolved, junction_um)
-
-
-# JSON key of a gap-profile segment -> StackSegment field
-_SEGMENT_FIELDS = {
-    "length_um": "length_um",
-    "thickness_nm": "thickness_nm",
-    "delta_K": "delta_k",
-}
-
-
-def _json_number(value, where: str) -> float:
-    """A JSON number as a float; strings, bools and other types are errors."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise GeometryError(f"{where}: expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise GeometryError(f"{where}: number too large") from None
-
-
-def profile_from_document(
-    document: dict, table: ThicknessTcTable | None = None
-) -> GapProfile:
-    """Parse the JSON gap-profile document.
-
-    ``segments`` is a list of at least two objects, each with
-    ``length_um`` plus either ``thickness_nm`` or ``delta_K``;
-    ``junction_um`` names an interior boundary.  Every value must be a
-    JSON number.
-    """
-    if not isinstance(document, dict) or "junction_um" not in document:
-        raise GeometryError("gap profile needs segments and junction_um")
-    unknown = set(document) - {"segments", "junction_um"}
-    if unknown:
-        raise GeometryError(f"unknown fields {sorted(unknown)}")
-    raw_segments = document.get("segments")
-    if not (
-        isinstance(raw_segments, list)
-        and len(raw_segments) >= 2
-        and all(isinstance(raw, dict) for raw in raw_segments)
-    ):
-        raise GeometryError("segments must be a list of at least two objects")
-    junction_um = _json_number(document["junction_um"], "junction_um")
-    segments = []
-    for i, raw in enumerate(raw_segments):
-        unknown = set(raw) - set(_SEGMENT_FIELDS)
-        if unknown:
-            raise GeometryError(
-                f"segment {i}: unknown fields {sorted(unknown)}"
-            )
-        if "length_um" not in raw:
-            raise GeometryError(f"segment {i}: missing length_um")
-        values = {
-            _SEGMENT_FIELDS[key]: _json_number(value, f"segment {i}: {key}")
-            for key, value in raw.items()
-        }
-        try:
-            segments.append(StackSegment(**values).resolve(table))
-        except GeometryError as exc:
-            raise GeometryError(f"segment {i}: {exc}") from None
-    return GapProfile(tuple(segments), junction_um)
 
 
 class QPEnvironment(Record):

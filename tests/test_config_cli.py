@@ -2,12 +2,15 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qpgap import config as config_module
 from qpgap.cli import (
     _csv_table,
     _dump_json,
@@ -138,6 +141,53 @@ def test_targets_parameterization_resolves(configs_dir):
     config = load_device_config(configs_dir / "device_2p.json")
     assert config.params.EJ == pytest.approx(6.92, rel=0.03)
     assert config.params.EC == pytest.approx(0.429, rel=0.03)
+
+
+# ------------------------------------------------------------ schema doc
+
+SCHEMA_DOC = Path(__file__).resolve().parent.parent / "docs" / "schema.md"
+# heading of each docs/schema.md section -> the config tables it documents
+SCHEMA_SECTIONS = {
+    "Top-level keys": ("_DOCUMENT",),
+    "`transmon`": ("_TRANSMON", "_TRANSMON_NG", "_TARGETS"),
+    "`cavity`": ("_CAVITY",),
+    "`gap_profile`": ("_GAP_PROFILE", "_SEGMENT"),
+    "`qp_environment`": ("_QP_ENVIRONMENT",),
+    "`noise`": ("_NOISE",),
+    "`scan`": ("_SCAN",),
+    "`dephasing`": ("_DEPHASING",),
+    "`measured`": ("_MEASURED",),
+}
+
+
+def _schema_section(heading: str) -> str:
+    text = SCHEMA_DOC.read_text()
+    start = text.index(f"\n### {heading}\n")
+    end = re.search(r"\n##", text[start + 1:])
+    return text[start:start + 1 + end.start()]
+
+
+def test_schema_doc_covers_every_config_table():
+    tables = {
+        name for name, value in vars(config_module).items()
+        if re.fullmatch(r"_[A-Z_]+", name) and isinstance(value, tuple)
+    }
+    documented = {name for names in SCHEMA_SECTIONS.values() for name in names}
+    assert documented == tables
+
+
+@pytest.mark.parametrize("heading", SCHEMA_SECTIONS)
+def test_schema_doc_names_exactly_the_table_keys(heading):
+    section = _schema_section(heading)
+    keys = {
+        key
+        for name in SCHEMA_SECTIONS[heading]
+        for key, *_ in getattr(config_module, name)
+    }
+    missing = sorted(key for key in keys if f"`{key}`" not in section)
+    assert not missing
+    rows = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+    assert set(rows) <= keys
 
 
 # ------------------------------------------------------------ cli: runs
@@ -673,6 +723,8 @@ def test_far_t1_point_exits_2_with_one_error_line(configs_dir, tmp_path):
     assert result.returncode == 2
     assert result.stderr.startswith("error: ")
     assert result.stderr.count("\n") == 1, result.stderr
+    assert "fitted x_nqp = " in result.stderr
+    assert "Tc = " in result.stderr
 
 
 @pytest.mark.parametrize("column", [0, 1, 2])

@@ -1,10 +1,18 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.special
 
-from qpgap.errors import BracketError, DomainError, GeometryError
+from qpgap.config import load_device_document
+from qpgap.errors import (
+    BracketError,
+    ConfigError,
+    DomainError,
+    GeometryError,
+)
 from qpgap.numerics import root_find
 from qpgap.quasiparticles import (
     GapProfile,
@@ -20,7 +28,6 @@ from qpgap.quasiparticles import (
     diffusion_length,
     nqp_decay_rate,
     parity_rate_model,
-    profile_from_document,
     profile_from_stack,
     tau_eps,
     tc_from_thickness,
@@ -265,14 +272,24 @@ def test_profile_resolves_gaps_from_thicknesses():
     assert PROTECTED.junction_delta_k == pytest.approx(DELTA_130)
 
 
-def test_profile_document_round_trip():
-    doc = PROTECTED.to_document()
-    rebuilt = profile_from_document(doc)
-    assert rebuilt == PROTECTED
+def _gap_profile_error(configs_dir, gap_profile):
+    """The ConfigError of device_2np.json with ``gap_profile`` swapped in,
+    and the first line of the loaded text that names each key."""
+    doc = json.loads((configs_dir / "device_2np.json").read_text())
+    doc["gap_profile"] = gap_profile
+    text = json.dumps(doc, indent=1)
+    lines = {}
+    for number, line in enumerate(text.splitlines(), start=1):
+        for key in re.findall(r'"(\w+)":', line):
+            lines.setdefault(key, number)
+    with pytest.raises(ConfigError) as caught:
+        load_device_document(doc, text)
+    return caught.value, lines
 
 
-def test_profile_document_accepts_thicknesses():
-    doc = {
+def test_profile_document_accepts_thicknesses(configs_dir):
+    doc = json.loads((configs_dir / "device_2np.json").read_text())
+    doc["gap_profile"] = {
         "segments": [
             {"length_um": 20.0, "thickness_nm": 40.0},
             {"length_um": 3.0, "thickness_nm": 25.0},
@@ -280,24 +297,70 @@ def test_profile_document_accepts_thicknesses():
         ],
         "junction_um": 23.0,
     }
-    assert profile_from_document(doc) == PROTECTED
+    assert load_device_document(doc, json.dumps(doc)).profile == PROTECTED
+
+
+# the ids are those pytest derives from (segments, junction_um) alone
+@pytest.mark.parametrize(
+    "segments, junction_um, key",
+    [
+        pytest.param(5, 23.0, "segments", id="5-23.0"),
+        pytest.param(
+            [{"length_um": 20.0, "delta_K": 2.3}, 7], 20.0, "segments",
+            id="segments1-20.0",
+        ),
+        pytest.param(
+            [{"length_um": "20", "delta_K": 2.3}] * 2, 20.0, "length_um",
+            id="segments2-20.0",
+        ),
+        pytest.param(
+            [{"length_um": 20.0, "thickness_nm": True}] * 2, 20.0,
+            "thickness_nm", id="segments3-20.0",
+        ),
+        # a null delta_K is omitted, leaving each segment without a gap
+        pytest.param(
+            [{"length_um": 20.0, "delta_K": None}] * 2, 20.0, "gap_profile",
+            id="segments4-20.0",
+        ),
+        pytest.param(
+            [{"length_um": 20.0, "delta_K": 2.3}] * 2, "20", "junction_um",
+            id="segments5-20",
+        ),
+        pytest.param(
+            [{"length_um": 10**400, "delta_K": 2.3}] * 2, 20.0, "length_um",
+            id="segments6-20.0",
+        ),
+    ],
+)
+def test_profile_document_rejects_mistyped_values(
+    configs_dir, segments, junction_um, key
+):
+    error, lines = _gap_profile_error(
+        configs_dir, {"segments": segments, "junction_um": junction_um}
+    )
+    assert error.line == lines[key]
+    assert key in str(error)
 
 
 @pytest.mark.parametrize(
-    "segments, junction_um",
+    "gap_profile, key",
     [
-        (5, 23.0),
-        ([{"length_um": 20.0, "delta_K": 2.3}, 7], 20.0),
-        ([{"length_um": "20", "delta_K": 2.3}] * 2, 20.0),
-        ([{"length_um": 20.0, "thickness_nm": True}] * 2, 20.0),
-        ([{"length_um": 20.0, "delta_K": None}] * 2, 20.0),
-        ([{"length_um": 20.0, "delta_K": 2.3}] * 2, "20"),
-        ([{"length_um": 10**400, "delta_K": 2.3}] * 2, 20.0),
+        ({"segments": [], "junction_um": 1.0}, "gap_profile"),
+        (
+            {
+                "segments": [
+                    {"length_um": 1.0, "delta_K": 2.3, "extra": 1},
+                    {"length_um": 1.0, "delta_K": 2.3},
+                ],
+                "junction_um": 1.0,
+            },
+            "extra",
+        ),
     ],
 )
-def test_profile_document_rejects_mistyped_values(segments, junction_um):
-    with pytest.raises(GeometryError):
-        profile_from_document({"segments": segments, "junction_um": junction_um})
+def test_profile_document_geometry_errors(configs_dir, gap_profile, key):
+    error, lines = _gap_profile_error(configs_dir, gap_profile)
+    assert error.line == lines[key]
 
 
 def test_profile_geometry_errors():
@@ -316,18 +379,6 @@ def test_profile_geometry_errors():
         StackSegment(10.0, thickness_nm=25.0, delta_k=2.3)
     with pytest.raises(GeometryError):
         profile_from_stack(_stack(40.0), 0)
-    with pytest.raises(GeometryError):
-        profile_from_document({"segments": [], "junction_um": 1.0})
-    with pytest.raises(GeometryError):
-        profile_from_document(
-            {
-                "segments": [
-                    {"length_um": 1.0, "delta_K": 2.3, "extra": 1},
-                    {"length_um": 1.0, "delta_K": 2.3},
-                ],
-                "junction_um": 1.0,
-            }
-        )
 
 
 def test_side_segments_order_from_junction_outward():
