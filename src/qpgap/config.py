@@ -15,7 +15,7 @@ import math
 from pathlib import Path
 
 from ._record import Record
-from .errors import ConfigError, GeometryError, QpgapError
+from .errors import ConfigError, DomainError, GeometryError, QpgapError
 from .noise import DEFAULT_PIXEL_SECONDS, NoiseModel
 from .quasiparticles import (
     GapProfile,
@@ -88,12 +88,64 @@ def config_hash(document: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _line_of(text: str, key: str) -> int | None:
-    needle = f'"{key}"'
-    for number, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return number
-    return None
+def _source_lines(text: str) -> dict:
+    """The line of every key and list element of the JSON ``text``.
+
+    Keys are found by their path, a tuple of keys and list indices, so a
+    key that many objects repeat gets the line of its own object.  A
+    key's line is the one its name is on, an element's the one it starts
+    on.  Only error paths read this; ``text`` that is not JSON keeps the
+    lines read before the fault.
+    """
+    lines = {}
+    scan = json.JSONDecoder().scan_once
+    mark = [0, 1]  # a position and its line; the positions read only grow
+
+    def line(pos: int) -> int:
+        mark[1] += text.count("\n", mark[0], pos)
+        mark[0] = pos
+        return mark[1]
+
+    def skip(pos: int) -> int:
+        return json.decoder.WHITESPACE.match(text, pos).end()
+
+    def value(pos: int, path: tuple) -> int:
+        """Read the value at ``pos``; return the position past it."""
+        pos = skip(pos)
+        close = {"{": "}", "[": "]"}.get(text[pos])
+        if close is None:
+            return scan(text, pos)[1]
+        pos = skip(pos + 1)
+        index = 0
+        while text[pos] != close:
+            if close == "}":
+                key, pos = json.decoder.scanstring(text, pos + 1)
+                lines[path + (key,)] = line(pos)
+                pos = value(skip(pos) + 1, path + (key,))
+            else:
+                lines[path + (index,)] = line(pos)
+                pos = value(pos, path + (index,))
+            index += 1
+            pos = skip(pos)
+            if text[pos] == ",":
+                pos = skip(pos + 1)
+        return pos + 1
+
+    try:
+        value(0, ())
+    except (IndexError, ValueError, StopIteration, RecursionError):
+        pass
+    return lines
+
+
+def _line_of(text: str, path: tuple) -> int | None:
+    return _source_lines(text).get(path)
+
+
+def _where(path: tuple) -> str:
+    """``path`` as errors name it: ``gap_profile.segments[2]``."""
+    name = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+    return name[1:] or "config"
 
 
 def _finite(value, where: str) -> float:
@@ -239,17 +291,20 @@ _MEASURED = tuple(
 )
 
 
-def _fields(data, name: str, text: str, table) -> dict:
-    """Constructor keywords read from section ``name`` by its ``table``.
+def _fields(data, path: tuple, text: str, table) -> dict:
+    """Constructor keywords read from the section at ``path`` by ``table``.
 
-    Errors name the field and the first source line mentioning it.
+    Errors name the field and the source line of its key, or of the
+    section when the key is missing.
     """
+    name = _where(path)
 
-    def line(key: str) -> int | None:
-        return _line_of(text, key) or _line_of(text, name)
+    def line(key: str | None = None) -> int | None:
+        lines = _source_lines(text)
+        return lines.get(path + (key,)) or lines.get(path)
 
     if not isinstance(data, dict):
-        raise ConfigError(f"section {name!r} must be an object", line(name))
+        raise ConfigError(f"section {name!r} must be an object", line())
     unknown = sorted(set(data) - {key for key, *_ in table})
     if unknown:
         key = unknown[0]
@@ -269,17 +324,28 @@ def _fields(data, name: str, text: str, table) -> dict:
     return values
 
 
+def _record(cls, key: str, text: str, **fields):
+    """``cls(**fields)``; its own checks name section ``key`` and its line."""
+    try:
+        return cls(**fields)
+    except DomainError as exc:
+        raise ConfigError(f"{key}: {exc}", _line_of(text, (key,))) from exc
+
+
 def _resolve_transmon(data, text: str) -> TransmonParams:
     if not isinstance(data, dict) or "targets" not in data:
-        return TransmonParams(**_fields(data, "transmon", text, _TRANSMON))
+        fields = _fields(data, ("transmon",), text, _TRANSMON)
+        return _record(TransmonParams, "transmon", text, **fields)
     if "EJ_GHz" in data or "EC_GHz" in data:
         raise ConfigError(
             "transmon: provide exactly one of (EJ_GHz, EC_GHz) or targets",
-            _line_of(text, "transmon"),
+            _line_of(text, ("transmon",)),
         )
     rest = {key: value for key, value in data.items() if key != "targets"}
-    ng = _fields(rest, "transmon", text, _TRANSMON_NG)
-    targets = _fields(data["targets"], "transmon.targets", text, _TARGETS)
+    ng = _fields(rest, ("transmon",), text, _TRANSMON_NG)
+    targets = _fields(
+        data["targets"], ("transmon", "targets"), text, _TARGETS
+    )
     fitted = fit_ej_ec(FrequencyTargets(**targets))
     return TransmonParams(EJ=fitted.EJ, EC=fitted.EC, **ng)
 
@@ -287,9 +353,10 @@ def _resolve_transmon(data, text: str) -> TransmonParams:
 def _resolve_profile(
     data, text: str, tc_table: ThicknessTcTable | None
 ) -> GapProfile:
-    profile = _fields(data, "gap_profile", text, _GAP_PROFILE)
+    path = ("gap_profile",)
+    profile = _fields(data, path, text, _GAP_PROFILE)
     segments = [
-        _fields(raw, f"gap_profile.segments[{i}]", text, _SEGMENT)
+        _fields(raw, path + ("segments", i), text, _SEGMENT)
         for i, raw in enumerate(profile["segments"])
     ]
     try:
@@ -299,25 +366,28 @@ def _resolve_profile(
         )
     except GeometryError as exc:
         raise ConfigError(
-            f"gap_profile: {exc}", _line_of(text, "gap_profile")
+            f"gap_profile: {exc}", _line_of(text, path)
         ) from exc
 
 
 def load_device_document(document: dict, text: str = "") -> DeviceConfig:
     """Validate a parsed config document into a :class:`DeviceConfig`."""
-    top = _fields(document, "config", text, _DOCUMENT)
+    top = _fields(document, (), text, _DOCUMENT)
 
     def section(key: str, table) -> dict:
-        return _fields(top.get(key, {}), key, text, table)
+        return _fields(top.get(key, {}), (key,), text, table)
 
     params = _resolve_transmon(top["transmon"], text)
-    cavity = CavityCoupling(**section("cavity", _CAVITY))
+    cavity = _record(CavityCoupling, "cavity", text,
+                     **section("cavity", _CAVITY))
     tc_table = None
     if "thickness_tc_table" in top:
-        tc_table = ThicknessTcTable(anchors=top["thickness_tc_table"])
+        tc_table = _record(ThicknessTcTable, "thickness_tc_table", text,
+                           anchors=top["thickness_tc_table"])
     profile = _resolve_profile(top["gap_profile"], text, tc_table)
 
-    env = QPEnvironment(**section("qp_environment", _QP_ENVIRONMENT))
+    env = _record(QPEnvironment, "qp_environment", text,
+                  **section("qp_environment", _QP_ENVIRONMENT))
     noise = section("noise", _NOISE)
     computed = "gamma_parity_per_s" not in noise
     if computed:
@@ -329,8 +399,8 @@ def load_device_document(document: dict, text: str = "") -> DeviceConfig:
         cavity=cavity,
         profile=profile,
         env=env,
-        noise=NoiseModel(**noise),
-        scan=ScanSettings(**section("scan", _SCAN)),
+        noise=_record(NoiseModel, "noise", text, **noise),
+        scan=_record(ScanSettings, "scan", text, **section("scan", _SCAN)),
         seed=top.get("seed", 0),
         measured=section("measured", _MEASURED),
         source_hash=config_hash(document),

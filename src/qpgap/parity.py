@@ -7,17 +7,20 @@ branches of each pixel by their exact dwell fractions inside it, and the
 detector side recovers peak counts and a parity-lifetime verdict from the
 synthetic record.
 
-Both sides work array-wise on blocks of pixel rows.  Synthesis merges the
-switch and jump times once, tabulates each pixel's segments as (weight,
-state) slots, and adds the slots' Lorentzians in time order, one Lorentzian
-denominator per distinct (offset charge, parity) state.  A block adds one
-slot of every row at a time, unless it has more slots than rows (fast
-switching): then each row gathers and sums its own slots in one reduction,
-in pieces of a bounded number of slots.  Detection finds the thresholds,
-local maxima and clusters of a whole block at once and keeps them as
-arrays; the verdict and the CLI's peak table read those arrays, and a
-per-row :class:`PeakSet` is built only on request.  Results are
-bit-identical to a per-pixel loop over the same segments.
+Both sides work array-wise.  Synthesis merges the switch and jump times
+once and cuts every pixel into segments between events.  It sums the
+segment weights of each (offset charge, parity) state a pixel visits, in
+time order, and adds one Lorentzian per visited state, in the order the
+pixel first visits them, so a pixel that switches hundreds of times adds
+two or three terms.  The terms go into the scan in blocks of pixel rows.
+The result is bit-identical to a per-pixel loop that sums each state's
+dwell in time order and adds the states in first-visit order; a loop
+that adds one Lorentzian per segment gives the same bits wherever a
+pixel visits each state at most once.  Detection finds the thresholds of
+a block of rows at once, tests the local-maximum condition only at the
+samples above them, and clusters the survivors; it keeps the results as
+arrays, which the verdict and the CLI's peak table read, and builds a
+per-row :class:`PeakSet` only on request.
 
 All random draws derive from a single master seed through independent
 spawned streams, so traces and scans are reproducible bit for bit
@@ -47,12 +50,9 @@ _PARITY_NAMES = {"even": _EVEN, "odd": _ODD}
 _BLOCK = 4096
 
 # Scans are synthesized and graded in blocks of this many pixel rows, which
-# bounds the per-block temporaries (segment tables, gathered Lorentzians).
+# bounds the per-block temporaries (gathered Lorentzians, noise draws,
+# detection masks).
 _ROWS = 256
-
-# A block with more segment slots than rows is summed one row at a time,
-# gathering at most this many slots of a row at once.
-_SLOTS = 256
 
 # The most work one input may ask for: scan samples (pixels x n_freq, 8
 # bytes each in the amplitude array, about 12 bytes each in scan.csv) and
@@ -335,34 +335,55 @@ def _branch_table(
     return np.array(branches), slot
 
 
-def _add_row_by_row(
-    rows: np.ndarray,
-    denominators: np.ndarray,
-    weights: np.ndarray,
-    state: np.ndarray,
-    segments: np.ndarray,
-) -> None:
-    """Set each row to the sum of its segments' weighted Lorentzians.
+def _pixel_terms(
+    times: np.ndarray,
+    states: np.ndarray,
+    t0: np.ndarray,
+    pixel_seconds: float,
+    n_states: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The Lorentzian terms of every pixel: one per visited state.
 
-    Row i adds its first ``segments[i]`` slots in time order, as the slot
-    loop of :func:`synthesize_scan` does; the padding slots past them have
-    zero width and would add +0.0.  A piece of at most ``_SLOTS`` slots is
-    gathered, divided by its weights and reduced along the slot axis, which
-    numpy adds strictly in order; the running row is added into the first
-    slot of each later piece, so the chained pieces give the same bits.
+    Pixel i spans [t0, t0 + pixel_seconds]; events at either end lie
+    outside it.  Its segments run between t0, its events in time order and
+    its end, and segment k has the state after event lo + k.  A term's
+    dwell is the sum of its state's segment weights in time order, and a
+    pixel's terms follow the order in which its states are first visited
+    by a segment of nonzero width.  Returns each pixel's first term and
+    term count, and every term's dwell and state, in pixel order.
     """
-    term = np.empty((min(weights.shape[1], _SLOTS), rows.shape[1]))
-    for row, weight, slot, count in zip(
-        rows, weights, state, segments.tolist()
-    ):
-        for start in range(0, count, _SLOTS):
-            stop = min(start + _SLOTS, count)
-            piece = term[:stop - start]
-            np.take(denominators, slot[start:stop], axis=0, out=piece)
-            np.divide(weight[start:stop, None], piece, out=piece)
-            if start:
-                piece[0] += row
-            np.add.reduce(piece, axis=0, out=row)
+    t1 = t0 + pixel_seconds
+    lo = np.searchsorted(times, t0, side="right")
+    hi = np.searchsorted(times, t1, side="left")
+    count = hi - lo + 1
+    last = np.cumsum(count) - 1
+    first = last - (hi - lo)
+    # segment j ends at event[j], or at t1 when it is its pixel's last
+    event = np.repeat(lo - first, count)
+    event += np.arange(len(event))
+    end = np.append(times, np.inf)[event]
+    end[last] = t1
+    weight = np.empty_like(end)
+    np.subtract(end[1:], end[:-1], out=weight[1:])
+    weight[first] = end[first] - t0
+    weight /= pixel_seconds
+    state = states[event]
+    # merge the visits of each (pixel, state); a zero-width segment (at
+    # coincident events) visits nothing and would add +0.0
+    pixel = np.repeat(np.arange(len(t0)), count)
+    if not weight.all():
+        visited = np.flatnonzero(weight)
+        weight, pixel, state = weight[visited], pixel[visited], state[visited]
+    key = pixel * n_states
+    key += state
+    _, first_visit, term = np.unique(
+        key, return_index=True, return_inverse=True
+    )
+    dwell = np.bincount(term, weights=weight)
+    first_visit.sort()
+    count = np.bincount(pixel[first_visit], minlength=len(t0))
+    return (np.cumsum(count) - count, count, dwell[term[first_visit]],
+            state[first_visit])
 
 
 def synthesize_scan(
@@ -412,51 +433,36 @@ def synthesize_scan(
     denominators = 1.0 + ((freqs - branches.reshape(-1, 1)) / hwhm_ghz) ** 2
 
     # Switches and jumps merged into one event list; ``states[m]`` is the
-    # joint state after the first m events.  ``edges`` ends in a sentinel
-    # so that one past the last event is a valid index.
+    # joint state after the first m events.
     jump_times = charge_trace.jump_times
     times = np.concatenate([jump_times, parity_trace.switch_times])
     order = np.argsort(times, kind="stable")
     times = times[order]
-    is_switch = order >= len(jump_times)
-    flips = np.concatenate([[0], np.cumsum(is_switch)])
-    jumps = np.concatenate([[0], np.cumsum(~is_switch)])
-    states = 2 * ng_slot[jumps] + (parity_trace.initial_parity + flips) % 2
-    edges = np.append(times, np.inf)
+    flips = np.zeros(len(times) + 1, dtype=np.intp)
+    np.cumsum(order >= len(jump_times), out=flips[1:])
+    states = 2 * ng_slot[np.arange(len(flips)) - flips]
+    states += (flips + parity_trace.initial_parity) & 1
 
+    pixel_starts = np.arange(n_pixels) * config.pixel_seconds
+    head, n_terms, dwell, state = _pixel_terms(
+        times, states, pixel_starts, config.pixel_seconds, len(denominators)
+    )
     noise_rng = np.random.default_rng(
         np.random.SeedSequence(seed).spawn(1)[0]
     )
-    pixel_starts = np.arange(n_pixels) * config.pixel_seconds
     amplitudes = np.empty((n_pixels, len(freqs)))
     for first in range(0, n_pixels, _ROWS):
-        # Pixel i spans [t0, t1]; events at t0 or t1 lie outside it.  Its
-        # segment k runs from boundary k to k + 1, where the boundaries are
-        # t0, its events in time order, then t1 repeated: slots past the
-        # last event have zero width and add +0.0.
-        t0 = pixel_starts[first:first + _ROWS]
-        t1 = t0 + config.pixel_seconds
-        lo = np.searchsorted(times, t0, side="right")
-        hi = np.searchsorted(times, t1, side="left")
-        n_slots = int((hi - lo).max()) + 1
-        event = lo[:, None] + np.arange(-1, n_slots)  # event at boundary k
-        bounds = np.where(
-            event < hi[:, None],
-            edges[np.clip(event, 0, len(times))],
-            t1[:, None],
-        )
-        bounds[:, 0] = t0
-        weights = np.diff(bounds, axis=1) / config.pixel_seconds
-        state = states[np.minimum(event[:, 1:], hi[:, None])]
+        # every row takes its first term in place, then its later terms
+        # in order, the rows that have a k-th term together
         rows = amplitudes[first:first + _ROWS]
-        if n_slots > len(rows):
-            _add_row_by_row(rows, denominators, weights, state, hi - lo + 1)
-        else:
-            rows[:] = 0.0
-            term = np.empty_like(rows)
-            for k in range(n_slots):
-                np.take(denominators, state[:, k], axis=0, out=term)
-                rows += np.divide(weights[:, k, None], term, out=term)
+        heads = head[first:first + _ROWS]
+        terms = n_terms[first:first + _ROWS]
+        np.take(denominators, state[heads], axis=0, out=rows)
+        np.divide(dwell[heads, None], rows, out=rows)
+        for k in range(1, terms.max()):
+            sub = np.flatnonzero(terms > k)
+            kth = heads[sub] + k
+            rows[sub] += dwell[kth, None] / denominators[state[kth]]
         rows += noise_rng.normal(0.0, 1.0 / snr, size=rows.shape)
 
     midpoints = (pixel_starts + (pixel_starts + config.pixel_seconds)) / 2.0
@@ -502,46 +508,48 @@ def _detect_rows(
     if not linewidth_mhz > 0:
         raise DomainError(f"linewidth must be positive, got {linewidth_mhz}")
     lw_ghz = linewidth_mhz / 1e3
-    n_rows = amplitudes.shape[0]
+    n_rows, n_freq = amplitudes.shape
     counts = np.zeros(n_rows, dtype=np.intp)
     positions = np.full((n_rows, 2), np.nan)
     thresholds = np.empty(n_rows)
     for first in range(0, n_rows, _ROWS):
         block = amplitudes[first:first + _ROWS]
         median = sort_median(block)
-        sigma = 1.4826 * sort_median(np.abs(block - median[:, None]))
+        deviation = block - median[:, None]
+        sigma = 1.4826 * sort_median(np.abs(deviation, out=deviation))
         threshold = median + threshold_k * sigma
         thresholds[first:first + _ROWS] = threshold
 
-        is_max = np.empty(block.shape, dtype=bool)
-        is_max[:, 1:-1] = (block[:, 1:-1] > block[:, :-2]) & (
-            block[:, 1:-1] >= block[:, 2:]
+        # Local maxima among the samples above threshold: a sample tops its
+        # left neighbour and at least equals its right one; the first and
+        # last columns must top their one neighbour.
+        flat = block.reshape(-1)
+        index = np.flatnonzero(block > threshold[:, None])
+        amp = flat[index]
+        row, col = np.divmod(index, n_freq)
+        first_col, last_col = col == 0, col == n_freq - 1
+        right = flat.take(index + 1, mode="clip")
+        is_max = (first_col | (amp > flat.take(index - 1, mode="clip"))) & (
+            last_col | np.where(first_col, amp > right, amp >= right)
         )
-        is_max[:, 0] = block[:, 0] > block[:, 1]
-        is_max[:, -1] = block[:, -1] > block[:, -2]
-        row, col = np.nonzero(is_max & (block > threshold[:, None]))
+        row, amp, pos = row[is_max], amp[is_max], freqs[col[is_max]]
         if len(row) == 0:
             continue
 
         # A candidate joins its row's previous candidate's cluster when it
         # lies within one linewidth of it; a cluster peaks at its first
-        # maximum.
-        opens = np.ones(len(row), dtype=bool)
-        opens[1:] = (row[1:] != row[:-1]) | ~(
-            freqs[col[1:]] - freqs[col[:-1]] <= lw_ghz
-        )
-        cluster = np.cumsum(opens)
-        amp = block[row, col]
-        best = np.lexsort((col, -amp, cluster))[np.flatnonzero(opens)]
-        row, amp, pos = row[best], amp[best], freqs[col[best]]
+        # maximum (the stable sort keeps column order among equals).
+        opens = np.empty(len(row), dtype=bool)
+        opens[0] = True
+        np.not_equal(row[1:], row[:-1], out=opens[1:])
+        opens[1:] |= ~(pos[1:] - pos[:-1] <= lw_ghz)
+        best = np.lexsort((-amp, np.cumsum(opens)))[opens]
+        row, amp, pos = row[best], amp[best], pos[best]
 
         # Each row keeps its two strongest peaks by (amplitude, frequency).
         order = np.lexsort((-pos, -amp, row))
         row, pos = row[order], pos[order]
-        index = np.arange(len(row))
-        rank = index - np.maximum.accumulate(
-            np.where(np.r_[True, row[1:] != row[:-1]], index, 0)
-        )
+        rank = np.arange(len(row)) - np.searchsorted(row, row)
         kept = rank < 2
         row = row + first
         counts[row[rank == 0]] = 1

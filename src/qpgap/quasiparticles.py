@@ -10,7 +10,6 @@ diffusion scales.
 
 from __future__ import annotations
 
-import functools
 import math
 import numpy as np
 
@@ -401,25 +400,64 @@ def x_qp_from_density(
 # s (cosh u - 1) from the lower limit: geometric, the last past the point
 # where exp underflows relative to the integrand at the lower limit.
 _EDGE_PANELS = np.array([0.0, 1.0, 4.0, 16.0, 64.0, 256.0, 745.0])
-_EDGE_NODES = 64
 # Below this Delta/T the first panel spans over 70 in u, where cosh(u)
 # outgrows the rule: the 48- and 64-node rules then differ by over 1e-12.
 _MIN_GAP_OVER_T = 1e-30
+# The 64-node Gauss-Legendre rule on [-1, 1], bit for bit numpy's
+# leggauss(64), which is symmetric: its 32 non-negative nodes and their
+# weights as float.hex literals, so that no run imports numpy.polynomial.
+_EDGE_HALF_RULE = (
+    ("0x1.8ef487a8cbc32p-6", "0x1.8ee0567ee2e5dp-5"),
+    ("0x1.2afad5ee95ad0p-4", "0x1.8dee238192cdcp-5"),
+    ("0x1.f182ff48e8a26p-4", "0x1.8c0a5097676c0p-5"),
+    ("0x1.5b6e88ad5c00fp-3", "0x1.89360387fe3b9p-5"),
+    ("0x1.bd489b79ec83bp-3", "0x1.8572f41fbb53dp-5"),
+    ("0x1.0f0a26c56e49cp-2", "0x1.80c36b24bdd21p-5"),
+    ("0x1.3ecb6c46c76cbp-2", "0x1.7b2a40f3ccde2p-5"),
+    ("0x1.6dcb1f0620fffp-2", "0x1.74aadbc614fb9p-5"),
+    ("0x1.9becb55272c9dp-2", "0x1.6d492da0c2510p-5"),
+    ("0x1.c9142c5898fc5p-2", "0x1.6509b1efb8dfcp-5"),
+    ("0x1.f52619257c3a1p-2", "0x1.5bf16accdf431p-5"),
+    ("0x1.1003dca600f34p-1", "0x1.5205ddf5a36e2p-5"),
+    ("0x1.24cf81925487fp-1", "0x1.474d117092830p-5"),
+    ("0x1.38e95ace7b3c3p-1", "0x1.3bcd87e50de1ep-5"),
+    ("0x1.4c4533c68b412p-1", "0x1.2f8e3ca7574e3p-5"),
+    ("0x1.5ed74b4532f83p-1", "0x1.22969f7b5c8bdp-5"),
+    ("0x1.70945a96f12c4p-1", "0x1.14ee9010d92e3p-5"),
+    ("0x1.81719c62ec68ep-1", "0x1.069e593b92368p-5"),
+    ("0x1.9164d335425e2p-1", "0x1.ef5d57d53b4b8p-6"),
+    ("0x1.a0644fb6d8db8p-1", "0x1.d05133c3af946p-6"),
+    ("0x1.ae66f68eedbc6p-1", "0x1.b02b2071c0c76p-6"),
+    ("0x1.bb6445eadae2cp-1", "0x1.8efea34684612p-6"),
+    ("0x1.c7545aa8c0dadp-1", "0x1.6cdfe10bba36ep-6"),
+    ("0x1.d22ff5221288ap-1", "0x1.49e391bd2143cp-6"),
+    ("0x1.dbf07d935a5afp-1", "0x1.261ef40a7a2d6p-6"),
+    ("0x1.e490081f2891bp-1", "0x1.01a7c0a5c98d9p-6"),
+    ("0x1.ec09586b58faap-1", "0x1.b9283b35df8d9p-7"),
+    ("0x1.f257e4db5aabcp-1", "0x1.6df524de84deap-7"),
+    ("0x1.f777d976cfadap-1", "0x1.21e400109d33cp-7"),
+    ("0x1.fb661ac8c85a9p-1", "0x1.aa46b24145aa3p-8"),
+    ("0x1.fe204ab274eccp-1", "0x1.0fc7ac3ac3b55p-8"),
+    ("0x1.ffa4e911f7533p-1", "0x1.d379f1845dadfp-10"),
+)
 
 
-@functools.cache
-def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
-    from numpy.polynomial.legendre import leggauss
-
-    nodes, weights = leggauss(order)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
+def _symmetric_rule(half) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of a rule from its non-negative half."""
+    nodes, weights = np.array(
+        [[float.fromhex(x), float.fromhex(w)] for x, w in half]
+    ).T
+    nodes = np.concatenate([-nodes[::-1], nodes])
+    weights = np.concatenate([weights[::-1], weights])
+    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
+_EDGE_RULE = _symmetric_rule(_EDGE_HALF_RULE)
+
+
 def _gap_edge_integrals(
-    scale: float, excess, order: int = _EDGE_NODES
+    scale: float, excess, rule: tuple = _EDGE_RULE
 ) -> np.ndarray:
     """I(u0) = integral_u0^inf cosh(u) exp(-s (cosh u - 1)) du, s = ``scale``.
 
@@ -427,7 +465,7 @@ def _gap_edge_integrals(
     into Delta I(u0), removing the inverse square-root singularity at the
     gap edge; I(0) = e^s K1(s) (DLMF 10.32.9).  ``excess`` holds the
     cosh(u0) - 1 = (E0 - Delta)/Delta of each lower limit.  One composite
-    Gauss-Legendre rule of ``order`` nodes per panel integrates every
+    Gauss-Legendre ``rule`` (nodes, weights) per panel integrates every
     limit at once; its panels start at u0, with edges where the Boltzmann
     exponent has fallen by 1, 4, 16, 64, 256 and 745.  Writing
     cosh u - 1 = 2 sinh^2(u/2) keeps the exponent exact near the gap edge.
@@ -436,7 +474,7 @@ def _gap_edge_integrals(
         raise DomainError(
             f"Delta/T_qp = {scale:.3e} is below {_MIN_GAP_OVER_T:g}"
         )
-    nodes, weights = _legendre_rule(order)
+    nodes, weights = rule
     excesses = np.asarray(excess, float)[:, None] + _EDGE_PANELS / scale
     bounds = 2.0 * np.arcsinh(np.sqrt(excesses / 2.0))
     mid = 0.5 * (bounds[:, 1:] + bounds[:, :-1])

@@ -130,6 +130,65 @@ def test_wrong_value_type_names_the_line(tmp_path, configs_dir):
         load_device_config(path)
 
 
+def _load_error(doc) -> tuple[ConfigError, list[str]]:
+    """The ConfigError of ``doc`` written one key per line, and its lines."""
+    text = json.dumps(doc, indent=1)
+    with pytest.raises(ConfigError) as caught:
+        load_device_document(doc, text)
+    return caught.value, text.splitlines()
+
+
+def test_repeated_keys_name_their_own_line(configs_dir):
+    # every segment has length_um and thickness_nm: the error points at
+    # the third segment's key, not the first line naming it
+    doc = _document(configs_dir, "device_1np.json")
+    doc["gap_profile"]["segments"][2]["thickness_nm"] = "20"
+    error, lines = _load_error(doc)
+    assert lines[error.line - 1].strip() == '"thickness_nm": "20"'
+    assert [i for i, line in enumerate(lines, 1) if "thickness_nm" in line][
+        -1
+    ] == error.line
+    assert "gap_profile.segments[2].thickness_nm" in str(error)
+    # a key missing from a segment points at the segment's first line
+    doc = _document(configs_dir, "device_1np.json")
+    del doc["gap_profile"]["segments"][1]["length_um"]
+    error, lines = _load_error(doc)
+    assert "gap_profile.segments[1].length_um: missing" in str(error)
+    assert lines[error.line - 1].strip() == "{"
+    assert '"thickness_nm": 25.0' in lines[error.line]
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("thickness_tc_table",), [[25, 1.6], [40, 1.7]],
+         "thickness_tc_table: Tc must be non-increasing"),
+        (("qp_environment", "tau_anchors"), [[0.5, 1e-5]],
+         "qp_environment: tau_anchors needs at least two points"),
+        (("qp_environment", "xi_um"), -0.1,
+         "qp_environment: coherence length must be positive"),
+        (("cavity", "Q_loaded"), -5, "cavity: Q must be positive"),
+        (("noise", "tls_rate_per_s"), -1.0, "noise: TLS rate must be"),
+        (("transmon", "EC_GHz"), -0.2, "transmon: EC must be positive"),
+    ],
+    ids=["thickness_tc_table", "tau_anchors", "xi_um", "cavity", "noise",
+         "transmon"],
+)
+def test_record_checks_name_their_section_and_line(
+    configs_dir, tmp_path, capsys, path, value, message
+):
+    doc = _document(configs_dir, "device_1np.json")
+    doc.setdefault(path[0], {})
+    _set(doc, path, value)
+    error, lines = _load_error(doc)
+    assert str(error).startswith(f"line {error.line}: {message}")
+    assert lines[error.line - 1].strip().startswith(f'"{path[0]}":')
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc, indent=1))
+    err = _assert_clean_exit_2(_run(["spectrum", config]), capsys)
+    assert err == f"error: {error}\n"
+
+
 def test_bad_gap_profile_is_a_config_error(configs_dir):
     doc = _document(configs_dir)
     doc["gap_profile"]["junction_um"] = 11.0

@@ -71,6 +71,19 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, extra):
     assert set(svg) == BASE | extra | {"qpgap.svgplot"}
 
 
+def test_qp_loads_no_numpy_polynomial(tmp_path):
+    # the gap-edge integrals of qp's barrier fractions and of a parity rate
+    # computed from the profile take their Legendre rule from a table
+    code = (
+        "import json, sys\n"
+        "from qpgap.cli import main\n"
+        "assert main(json.loads(sys.argv[1])) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.poly')))\n"
+    )
+    argv = ["qp", "configs/device_1p.json", "--out", str(tmp_path)]
+    assert _python(code, json.dumps(argv)).splitlines()[-1] == "[]"
+
+
 def test_bare_import_loads_no_submodule_and_resolves_them():
     code = (
         "import sys, qpgap\n"

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 import scipy.integrate
 import scipy.linalg
 import scipy.optimize
@@ -148,11 +149,19 @@ def test_gap_edge_rule_certificate_and_normalization():
     excess = np.concatenate([[0.0], np.geomspace(1e-4, 3.0, 20)])
     for scale in scales:
         fine = _gap_edge_integrals(scale, excess)
-        coarse = _gap_edge_integrals(scale, excess, order=48)
+        coarse = _gap_edge_integrals(scale, excess, rule=leggauss(48))
         resolved = fine > 1e-300
         drift = np.abs(coarse[resolved] / fine[resolved] - 1.0)
         assert np.all(drift < 1e-12), scale
         assert fine[0] == pytest.approx(scipy.special.k1e(scale), rel=1e-13)
+
+
+def test_edge_rule_is_numpys_64_node_legendre_rule():
+    nodes, weights = qpgap.quasiparticles._EDGE_RULE
+    expected_nodes, expected_weights = leggauss(64)
+    assert np.array_equal(nodes, expected_nodes)
+    assert np.array_equal(weights, expected_weights)
+    assert not (nodes.flags.writeable or weights.flags.writeable)
 
 
 @pytest.mark.parametrize("scale", [0.5, 5.0, 57.3, 400.0])

@@ -372,8 +372,13 @@ def test_estimate_keeps_the_per_row_peaks():
 
 # ------------------------------------------- oracle for the array-wise path
 #
-# The per-pixel synthesis loop and the per-row detector that the array-wise
-# code replaced, kept here as the reference it must match bit for bit.
+# Per-pixel synthesis loops and the per-row detector that the array-wise
+# code replaced, kept here as the references it must match.  The scan
+# matches the per-state loop bit for bit: each pixel sums the dwell of
+# every (offset charge, parity) state in time order and adds one
+# Lorentzian per state, in the order the states are first visited.  The
+# per-segment loop adds one Lorentzian per segment instead; it differs
+# only in the last bits of pixels that revisit a state.
 
 
 def _reference_segments(parity_trace, charge_trace, t0, t1):
@@ -402,8 +407,12 @@ def _reference_segments(parity_trace, charge_trace, t0, t1):
 
 
 def _reference_scan(params, parity_trace, charge_trace, config,
-                    linewidth_mhz, snr, seed):
-    """(amplitudes, branch_freqs) from the per-pixel loop."""
+                    linewidth_mhz, snr, seed, per_state=True):
+    """(amplitudes, branch_freqs) from the per-pixel loop.
+
+    Each segment's weight is its width over the pixel time; ``per_state``
+    sums the weights of a state in time order before dividing.
+    """
     cache = {}
 
     def branches(ng):
@@ -428,10 +437,18 @@ def _reference_scan(params, parity_trace, charge_trace, config,
         t0 = pixel_starts[i]
         t1 = t0 + config.pixel_seconds
         row = np.zeros(len(freqs))
-        for start, end, parity, ng in _reference_segments(
-            parity_trace, charge_trace, t0, t1
-        ):
-            weight = (end - start) / config.pixel_seconds
+        terms = [
+            ((ng, parity), (end - start) / config.pixel_seconds)
+            for start, end, parity, ng in _reference_segments(
+                parity_trace, charge_trace, t0, t1
+            )
+        ]
+        if per_state:
+            dwell = {}  # first insertion fixes the order: first visit
+            for state, weight in terms:
+                dwell[state] = dwell.get(state, 0.0) + weight
+            terms = list(dwell.items())
+        for (ng, parity), weight in terms:
             center = branches(ng)[parity]
             row += weight / (1.0 + ((freqs - center) / hwhm_ghz) ** 2)
         ng_mid = charge_trace.ng_at((t0 + t1) / 2.0)
@@ -515,6 +532,12 @@ def _assert_matches_reference(params, parity, charge, config,
     )
     assert np.array_equal(scan.amplitudes, amplitudes)
     assert np.array_equal(scan.branch_freqs_ghz, branch_freqs)
+    per_segment, _ = _reference_scan(
+        params, parity, charge, config, linewidth_mhz, snr, seed,
+        per_state=False,
+    )
+    np.testing.assert_allclose(scan.amplitudes, per_segment, rtol=0,
+                               atol=1e-13)
     estimate = estimate_parity_lifetime(scan)
     peaks, verdict = _reference_estimate(scan)
     assert list(estimate.peaks) == peaks
@@ -717,6 +740,92 @@ def _dyadic_scan(rows, branch_freqs):
     )
 
 
+def test_pixels_visiting_each_state_once_keep_the_per_segment_bits():
+    # no pixel comes back to a state it has left, so summing per state
+    # adds the same terms in the same order as summing per segment
+    n_pixels = 30
+    duration = n_pixels * DEFAULT_PIXEL_SECONDS
+    parity = ParityTrace(switch_times=np.array([0.05, 0.5, 1.23, 3.31]),
+                         duration_s=duration, initial_parity=1)
+    charge = _charge([0.1, 0.52, 1.3, 4.0], [0.1, 0.35, 0.6, 0.2, 0.9],
+                     duration)
+    config = _scan_config(duration, n_freq=61)
+    for i in range(n_pixels):
+        t0 = i * DEFAULT_PIXEL_SECONDS
+        states = [
+            (ng, p) for _, _, p, ng in _reference_segments(
+                parity, charge, t0, t0 + DEFAULT_PIXEL_SECONDS
+            )
+        ]
+        assert len(set(states)) == len(states)
+    scan = _assert_matches_reference(SENSITIVE, parity, charge, config)
+    per_segment, _ = _reference_scan(
+        SENSITIVE, parity, charge, config, 1.0, 20.0, 3, per_state=False
+    )
+    assert np.array_equal(scan.amplitudes, per_segment)
+
+
+def test_revisited_states_sum_their_dwell_first():
+    # pixel 0 goes even, odd, even: one even term of dwell 0.25 + 0.5,
+    # added before the odd one
+    parity = ParityTrace(switch_times=np.array([0.05, 0.1]), duration_s=0.2)
+    charge = _flat_charge(0.2, ng=0.1)
+    config = _scan_config(0.2)
+    scan = synthesize_scan(SENSITIVE, parity, charge, config,
+                           linewidth_mhz=1.0, snr=1e300, seed=5)
+    f_even, f_odd = parity_frequencies(SENSITIVE.with_ng(0.1))
+    freqs = scan.frequencies_ghz
+    hwhm = 1.0 / 2e3
+    weights = np.diff([0.0, 0.05, 0.1, 0.2]) / 0.2
+    expected = (weights[0] + weights[2]) / (
+        1.0 + ((freqs - f_even) / hwhm) ** 2
+    ) + weights[1] / (1.0 + ((freqs - f_odd) / hwhm) ** 2)
+    noise = np.random.default_rng(
+        np.random.SeedSequence(5).spawn(1)[0]
+    ).normal(0.0, 1e-300, size=freqs.size)
+    assert np.array_equal(scan.amplitudes[0], expected + noise)
+
+
+def _edge_rows():
+    """Rows whose maxima tie at the first column, the last column and
+    between equal interior neighbours; no row is noisy, so MAD is zero
+    and every positive sample is above threshold."""
+    rows = np.zeros((8, 161))
+    rows[0, [0, 1]] = 1.0                  # tie at column 0: no peak
+    rows[1, [0, 1]] = [1.0, 0.5]           # column 0 tops its neighbour
+    rows[2, [-2, -1]] = 1.0                # tie at column -1: peak at -2
+    rows[3, [-2, -1]] = [0.5, 1.0]         # column -1 tops its neighbour
+    rows[4, [40, 42]] = 0.5                # equal neighbours of 41
+    rows[4, 41] = 0.9
+    rows[5, [60, 61, 62]] = [0.7, 0.7, 0.3]  # equal left pair: 60 peaks
+    rows[6, [90, 91, 92]] = [0.3, 0.7, 0.7]  # equal right pair: 91 peaks
+    rows[7, [0, -1]] = 0.6                 # both ends, rows 6 and 8 beside
+    return rows
+
+
+def test_edge_and_tied_maxima_match_reference():
+    rows = _edge_rows()
+    expected = [
+        _reference_peaks(_DYADIC_FREQS, row, _DYADIC_LW_MHZ) for row in rows
+    ]
+    assert [p.positions_ghz for p in expected] == [
+        (),
+        (_DYADIC_FREQS[0],),
+        (_DYADIC_FREQS[-2],),
+        (_DYADIC_FREQS[-1],),
+        (_DYADIC_FREQS[41],),
+        (_DYADIC_FREQS[60],),
+        (_DYADIC_FREQS[91],),
+        (_DYADIC_FREQS[0], _DYADIC_FREQS[-1]),
+    ]
+    found = [detect_peaks(_DYADIC_FREQS, row, _DYADIC_LW_MHZ) for row in rows]
+    assert found == expected
+    # the rows of one block: a row's first and last samples sit next to
+    # its neighbours' last and first ones in memory
+    scan = _dyadic_scan(rows, np.tile([4.01, 4.1], (len(rows), 1)))
+    assert list(estimate_parity_lifetime(scan).peaks) == expected
+
+
 def test_gap_of_exactly_one_linewidth_joins_the_cluster():
     row = np.zeros(161)
     row[[40, 41, 42, 100]] = [0.9, 0.2, 1.0, 0.8]
@@ -762,10 +871,10 @@ def test_estimate_builds_peak_sets_only_when_read(monkeypatch):
 
 
 def test_row_wise_and_slot_loop_blocks_match_reference():
-    # 300 switches inside pixel 0 give the first block of 256 rows more
-    # slots than rows (summed row by row, in two chained pieces for pixel
-    # 0); the second block of 44 rows has a few switches and takes the
-    # slot loop
+    # 300 switches inside pixel 0 of the first block of 256 rows (one
+    # pixel revisiting two states 150 times each, next to 255 single-state
+    # pixels); the second block of 44 rows has a few switches, so some of
+    # its rows add a second term and the others only their first
     n_pixels = _ROWS + 44
     duration = n_pixels * DEFAULT_PIXEL_SECONDS
     dense = np.linspace(0.0, DEFAULT_PIXEL_SECONDS, 302)[1:-1]
