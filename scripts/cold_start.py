@@ -11,7 +11,8 @@ and timed in fresh interpreters, with one BLAS thread:
   ``PYTHONDONTWRITEBYTECODE=1`` on the bare copy, so every run compiles
   the package's modules, as a fresh checkout does; ``cached`` runs use a
   second copy whose bytecode was written beforehand.
-* the seven commands of the benchmark's ``cli_cold`` workload, as
+* the seven commands of the benchmark's ``cli_cold`` workload
+  (``COMMANDS`` of ``perfbench/cli_cold.py`` beside this script), as
   ``python -m qpgap.cli`` with ``PYTHONDONTWRITEBYTECODE=1`` on the bare
   copy, timed as the child's wall time.
 
@@ -35,22 +36,12 @@ import tempfile
 import time
 from pathlib import Path
 
-# the benchmark's cli_cold commands; "{out}" is a fresh output directory
-COMMANDS = {
-    "qp_1p": ["qp", "configs/device_1p.json"],
-    "spectrum_2np": ["spectrum", "configs/device_2np.json", "--out", "{out}",
-                     "--svg"],
-    "spectrum_2p": ["spectrum", "configs/device_2p.json"],
-    "parity_sim_2np": ["parity-sim", "configs/device_2np.json", "--duration",
-                       "2", "--out", "{out}", "--svg"],
-    "parity_sim_3p": ["parity-sim", "configs/device_3p.json", "--duration",
-                      "1000", "--out", "{out}"],
-    "fit_t1_1np": ["fit", "t1", "data/t1_vs_temperature_1np.csv",
-                   "configs/device_1np.json"],
-    "fit_t2_1p": ["fit", "t2", "data/t2star_vs_temperature_1p.csv",
-                  "configs/device_1p.json", "--t1-data",
-                  "data/t1_vs_temperature_1p.csv"],
-}
+HERE = Path(__file__).resolve().parent.parent
+# the benchmark's cli_cold commands, read from perfbench/cli_cold.py and
+# never edited; OUT ("{out}") stands for a fresh output directory
+sys.path.insert(0, str(HERE / "perfbench"))
+from cli_cold import COMMANDS, OUT  # noqa: E402
+
 IMPORTS = {"import numpy, scipy": "numpy, scipy", "import qpgap.cli": "qpgap.cli"}
 IMPORT_PROBE = ("import time; t = time.perf_counter(); import {modules}; "
                 "print(time.perf_counter() - t)")
@@ -96,7 +87,7 @@ class Checkout:
         return env
 
     def argv(self, command: str) -> list[str]:
-        return [a.replace("{out}", str(self.out)) for a in COMMANDS[command]]
+        return [a.replace(OUT, str(self.out)) for a in COMMANDS[command]]
 
     def time_import(self, modules: str, cached: bool) -> float:
         proc = subprocess.run(
@@ -151,7 +142,7 @@ def main() -> int:
                         help="rounds of every case (default 15)")
     parser.add_argument("--json", type=Path, help="also write the samples")
     args = parser.parse_args()
-    roots = args.root or [Path(__file__).resolve().parent.parent]
+    roots = args.root or [HERE]
 
     with tempfile.TemporaryDirectory() as scratch:
         checkouts = [Checkout(root.resolve(), Path(scratch), f"checkout{i}")

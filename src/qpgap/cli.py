@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -636,10 +637,21 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _prepare_out(args)
-        return args.func(args, load_device_config(args.config))
+        code = args.func(args, load_device_config(args.config))
+        sys.stdout.flush()  # a full or closed stdout fails here, not at exit
+        return code
     except QpgapError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3 if isinstance(exc, ConvergenceError) else 2
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write output: {exc}\n")
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout itself failed: drop what it still holds
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        return 2
 
 
 if __name__ == "__main__":

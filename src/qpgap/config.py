@@ -16,7 +16,7 @@ from pathlib import Path
 
 from ._record import Record
 from .errors import ConfigError, DomainError, GeometryError, QpgapError
-from .noise import DEFAULT_PIXEL_SECONDS, NoiseModel
+from .noise import DEFAULT_PIXEL_SECONDS, MAX_SCAN_SAMPLES, NoiseModel
 from .quasiparticles import (
     GapProfile,
     QPEnvironment,
@@ -192,6 +192,16 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _scan_width(value, where: str) -> int:
+    """``value`` as a frequency count from 3 to ``MAX_SCAN_SAMPLES``."""
+    number = _integer(value, where)
+    if not 3 <= number <= MAX_SCAN_SAMPLES:
+        raise ConfigError(
+            f"{where}: must be from 3 to {MAX_SCAN_SAMPLES}, got {number}"
+        )
+    return number
+
+
 def _name(value, where: str) -> str:
     """``value`` as a non-empty string."""
     if not isinstance(value, str) or not value:
@@ -275,10 +285,10 @@ _NOISE = (
     ("tls_rate_per_s", "tls_rate_per_s", _finite, False),
 )
 _SCAN = (
-    ("linewidth_MHz", "linewidth_mhz", _finite, False),
-    ("snr", "snr", _finite, False),
-    ("pixel_seconds", "pixel_seconds", _finite, False),
-    ("n_freq", "n_freq", _integer, False),
+    ("linewidth_MHz", "linewidth_mhz", _positive, False),
+    ("snr", "snr", _positive, False),
+    ("pixel_seconds", "pixel_seconds", _positive, False),
+    ("n_freq", "n_freq", _scan_width, False),
     ("pad_linewidths", "pad_linewidths", _finite, False),
 )
 _DEPHASING = (
@@ -324,11 +334,11 @@ def _fields(data, path: tuple, text: str, table) -> dict:
     return values
 
 
-def _record(cls, key: str, text: str, **fields):
-    """``cls(**fields)``; its own checks name section ``key`` and its line."""
+def _record(build, key: str, text: str, **fields):
+    """``build(**fields)``; its own checks name section ``key`` and its line."""
     try:
-        return cls(**fields)
-    except DomainError as exc:
+        return build(**fields)
+    except (DomainError, GeometryError) as exc:
         raise ConfigError(f"{key}: {exc}", _line_of(text, (key,))) from exc
 
 
@@ -343,11 +353,11 @@ def _resolve_transmon(data, text: str) -> TransmonParams:
         )
     rest = {key: value for key, value in data.items() if key != "targets"}
     ng = _fields(rest, ("transmon",), text, _TRANSMON_NG)
-    targets = _fields(
-        data["targets"], ("transmon", "targets"), text, _TARGETS
-    )
-    fitted = fit_ej_ec(FrequencyTargets(**targets))
-    return TransmonParams(EJ=fitted.EJ, EC=fitted.EC, **ng)
+    targets = _fields(data["targets"], ("transmon", "targets"), text, _TARGETS)
+    targets = _record(FrequencyTargets, "transmon", text, **targets)
+    fitted = _record(fit_ej_ec, "transmon", text, targets=targets)
+    return _record(TransmonParams, "transmon", text,
+                   EJ=fitted.EJ, EC=fitted.EC, **ng)
 
 
 def _resolve_profile(
@@ -355,19 +365,13 @@ def _resolve_profile(
 ) -> GapProfile:
     path = ("gap_profile",)
     profile = _fields(data, path, text, _GAP_PROFILE)
-    segments = [
-        _fields(raw, path + ("segments", i), text, _SEGMENT)
-        for i, raw in enumerate(profile["segments"])
-    ]
-    try:
-        return GapProfile(
-            tuple(StackSegment(**kw).resolve(tc_table) for kw in segments),
-            profile["junction_um"],
-        )
-    except GeometryError as exc:
-        raise ConfigError(
-            f"gap_profile: {exc}", _line_of(text, path)
-        ) from exc
+    segments = []
+    for i, raw in enumerate(profile["segments"]):
+        fields = _fields(raw, path + ("segments", i), text, _SEGMENT)
+        segment = _record(StackSegment, "gap_profile", text, **fields)
+        segments.append(segment.resolve(tc_table))
+    return _record(GapProfile, "gap_profile", text, segments=tuple(segments),
+                   junction_um=profile["junction_um"])
 
 
 def load_device_document(document: dict, text: str = "") -> DeviceConfig:
@@ -424,6 +428,8 @@ def load_device_config(path: str | Path) -> DeviceConfig:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: {exc.msg}", exc.lineno) from exc
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply") from None
     try:
         return load_device_document(document, text)
     except ConfigError:

@@ -48,29 +48,16 @@ class DataSeries(Record):
             )
         t = np.asarray(t_kelvin, dtype=float)
         v = np.asarray(value_s, dtype=float)
-        if t.ndim != 1 or t.shape != v.shape or len(t) == 0:
-            raise DomainError("T and value arrays must be equal-length 1-d")
-        if not (np.isfinite(t).all() and np.isfinite(v).all()):
-            raise DomainError("temperatures and values must be finite")
-        if np.any(t <= 0) or np.any(v <= 0):
-            raise DomainError("temperatures and values must be positive")
-        s = sigma_s
-        if s is not None:
-            s = np.asarray(s, dtype=float)
-            if s.shape != t.shape:
-                raise DomainError("sigma array must match data length")
-            if not np.isfinite(s).all():
-                raise DomainError("sigmas must be finite")
-            if np.any(s <= 0):
-                raise DomainError("sigmas must be positive")
-        if not _rates_finite(v, s).all():
-            raise DomainError("rate (1/value) or its sigma overflows")
-        order = np.lexsort(
-            (s if s is not None else np.zeros_like(t), v, t)
-        )
-        self._assign(
-            kind, t[order], v[order], s[order] if s is not None else None
-        )
+        s = None if sigma_s is None else np.asarray(sigma_s, dtype=float)
+        if (t.ndim != 1 or len(t) == 0 or v.shape != t.shape
+                or (s is not None and s.shape != t.shape)):
+            raise DomainError("T, value and sigma must be equal-length 1-d")
+        bad = _first_bad_point(t, v, s)
+        if bad is not None:
+            index, reason = bad
+            raise DomainError(f"{reason} at point {index} (T = {t[index]} K)")
+        order = np.lexsort((v, t) if s is None else (s, v, t))
+        self._assign(kind, t[order], v[order], None if s is None else s[order])
 
     def __len__(self) -> int:
         return len(self.t_kelvin)
@@ -83,13 +70,32 @@ class DataSeries(Record):
         return rate, self.sigma_s / self.value_s**2
 
 
-def _rates_finite(value_s: np.ndarray, sigma_s: np.ndarray | None) -> np.ndarray:
-    """Per point: are the rate 1/value and its sigma sigma/value**2 finite?"""
-    with np.errstate(over="ignore", divide="ignore"):
-        finite = np.isfinite(1.0 / value_s)
-        if sigma_s is not None:
-            finite &= np.isfinite(sigma_s / value_s**2)
-    return finite
+def _first_bad_point(
+    t: np.ndarray, value_s: np.ndarray, sigma_s: np.ndarray | None
+) -> tuple[int, str] | None:
+    """The first point, in input order, that is not a valid measurement.
+
+    Returns its index and the first check it fails, or None when every
+    point passes: T, value and sigma must be finite, then positive, then
+    the rate 1/value and its sigma sigma/value**2 finite and non-zero.
+    A rate is the inverse of its value, so the same checks hold for a
+    series given as rates.
+    """
+    given = np.array([t, value_s] if sigma_s is None else [t, value_s, sigma_s])
+    with np.errstate(all="ignore"):
+        rates = np.array([1.0 / value_s] if sigma_s is None
+                         else [1.0 / value_s, sigma_s / value_s**2])
+        checks = (
+            ("non-finite value", np.isfinite(given).all(axis=0)),
+            ("non-positive value", (given > 0).all(axis=0)),
+            ("1/value or sigma/value**2 overflows or is zero: rate out of "
+             "range", (np.isfinite(rates) & (rates != 0)).all(axis=0)),
+        )
+    valid = np.all([ok for _, ok in checks], axis=0)
+    if valid.all():
+        return None
+    index = int(np.argmin(valid))
+    return index, next(reason for reason, ok in checks if not ok[index])
 
 
 def dataseries_from_csv(path: str | Path, kind: str) -> DataSeries:
@@ -106,66 +112,40 @@ def dataseries_from_csv(path: str | Path, kind: str) -> DataSeries:
     reader = csv.DictReader(text.splitlines())
     if reader.fieldnames is None:
         raise ConfigError(f"{path}: empty file")
-    fields = [name.strip() for name in reader.fieldnames]
+    reader.fieldnames = fields = [name.strip() for name in reader.fieldnames]
     if "T_K" not in fields:
         raise ConfigError(f"{path}: missing required column T_K")
     has_us = "value_us" in fields
-    has_rate = "rate_per_s" in fields
-    if has_us == has_rate:
+    if has_us == ("rate_per_s" in fields):
         raise ConfigError(
             f"{path}: need exactly one of value_us or rate_per_s columns"
         )
-    value_col = "value_us" if has_us else "rate_per_s"
-    has_sigma = "sigma" in fields
-    t, v, s = [], [], []
+    columns = [name for name in ("T_K", "value_us", "rate_per_s", "sigma")
+               if name in fields]
+    rows = []
     for row_number, row in enumerate(reader, start=2):
         try:
-            t_k = float(row["T_K"])
-            raw = float(row[value_col])
-            sigma_raw = float(row["sigma"]) if has_sigma else None
-        except (TypeError, ValueError, KeyError) as exc:
+            rows.append([float(row[name]) for name in columns])
+        except (TypeError, ValueError) as exc:
             raise ConfigError(
                 f"{path}: malformed row {row_number}: {dict(row)}",
             ) from exc
-        numbers = [t_k, raw] + ([sigma_raw] if has_sigma else [])
-        if not all(map(math.isfinite, numbers)):
-            raise ConfigError(
-                f"{path}: non-finite value in row {row_number}: "
-                f"{dict(row)}"
-            )
-        if raw <= 0:
-            raise ConfigError(
-                f"{path}: non-positive value in row {row_number}"
-            )
-        if has_us:
-            value = raw * 1e-6
-            sigma = sigma_raw * 1e-6 if sigma_raw is not None else None
-        elif sigma_raw is None:
-            value, sigma = 1.0 / raw, None
-        else:
-            try:
-                value, sigma = 1.0 / raw, sigma_raw / raw**2
-            except (OverflowError, ZeroDivisionError):
-                raise ConfigError(
-                    f"{path}: rate out of range in row {row_number}"
-                ) from None
-        t.append(t_k)
-        v.append(value)
-        s.append(sigma)
-    if not t:
+    if not rows:
         raise ConfigError(f"{path}: no data rows")
-    value_arr = np.array(v)
-    sigma_arr = np.array(s, dtype=float) if has_sigma else None
-    overflowing = ~_rates_finite(value_arr, sigma_arr)
-    if overflowing.any():
-        row_number = int(np.argmax(overflowing)) + 2
-        raise ConfigError(f"{path}: rate out of range in row {row_number}")
-    return DataSeries(
-        kind=kind,
-        t_kelvin=np.array(t),
-        value_s=value_arr,
-        sigma_s=sigma_arr,
-    )
+    table = np.array(rows)
+    if has_us:
+        table[:, 1:] *= 1e-6
+    t, value, *sigma = table.T
+    sigma = sigma[0] if sigma else None
+    # rates are checked as given: the point check's rates 1/rate and
+    # sigma/rate**2 are the value and sigma they convert to
+    bad = _first_bad_point(t, value, sigma)
+    if bad is not None:
+        raise ConfigError(f"{path}: {bad[1]} in row {bad[0] + 2}")
+    if not has_us:
+        rate = value
+        value, sigma = 1.0 / rate, None if sigma is None else sigma / rate**2
+    return DataSeries(kind=kind, t_kelvin=t, value_s=value, sigma_s=sigma)
 
 
 def dataseries_to_csv(series: DataSeries, path: str | Path) -> None:

@@ -1,4 +1,4 @@
-"""Rates of the qubit's noise processes and the default scan pixel time.
+"""Rates of the qubit's noise processes and the scan's pixel time and size.
 
 The config loader reads these without loading the parity simulator;
 :mod:`qpgap.parity` re-exports them.
@@ -13,6 +13,11 @@ from .errors import DomainError
 
 DEFAULT_TLS_RATE = 1.0 / 180.0
 DEFAULT_PIXEL_SECONDS = 0.2
+# The most scan samples one input may ask for: pixels x n_freq, 8 bytes
+# each in the amplitude array, about 12 bytes each in scan.csv.  The
+# shipped configs stay far below it (a 1000 s scan at 161 frequencies is
+# 805k samples).
+MAX_SCAN_SAMPLES = 20_000_000
 
 
 class NoiseModel(Record):

@@ -36,8 +36,10 @@ import numpy as np
 
 from ._record import Record
 from .errors import CoverageError, DomainError
-# the noise rates live in .noise, where the config loader reads them
-from .noise import DEFAULT_PIXEL_SECONDS, DEFAULT_TLS_RATE, NoiseModel
+# the noise rates and the scan limit live in .noise, where the config
+# loader reads them
+from .noise import (DEFAULT_PIXEL_SECONDS, DEFAULT_TLS_RATE,
+                    MAX_SCAN_SAMPLES, NoiseModel)
 from .numerics import sort_median
 from .transmon import TransmonParams, transition_frequency
 
@@ -54,12 +56,8 @@ _BLOCK = 4096
 # detection masks).
 _ROWS = 256
 
-# The most work one input may ask for: scan samples (pixels x n_freq, 8
-# bytes each in the amplitude array, about 12 bytes each in scan.csv) and
-# expected events (rate x duration) of one Poisson process.  The shipped
-# configs stay far below both (a 1000 s scan at 161 frequencies is 805k
-# samples).
-MAX_SCAN_SAMPLES = 20_000_000
+# The most work one input may ask for: expected events (rate x duration)
+# of one Poisson process, and scan samples (``noise.MAX_SCAN_SAMPLES``).
 MAX_EXPECTED_EVENTS = 10_000_000
 
 

@@ -85,6 +85,17 @@ def test_json_syntax_error_carries_line(tmp_path):
         load_device_config(path)
 
 
+def test_deeply_nested_json_is_a_config_error(tmp_path, configs_dir):
+    text = (configs_dir / "device_1np.json").read_text().rstrip()
+    depth = 100_000
+    path = tmp_path / "nested.json"
+    path.write_text(text[:-1] + ', "measured": {"T1_us": '
+                    + "[" * depth + "]" * depth + "}}\n")
+    with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: JSON "
+                       "nested too deeply"):
+        load_device_config(path)
+
+
 def test_schema_version_is_checked(tmp_path, configs_dir):
     doc = _document(configs_dir)
     doc["schema_version"] = 99
@@ -187,6 +198,39 @@ def test_record_checks_name_their_section_and_line(
     config.write_text(json.dumps(doc, indent=1))
     err = _assert_clean_exit_2(_run(["spectrum", config]), capsys)
     assert err == f"error: {error}\n"
+
+
+def test_targets_errors_name_the_transmon_line(configs_dir):
+    doc = _document(configs_dir, "device_2p.json")
+    del doc["transmon"]["targets"]["f_ge_ng05_GHz"]
+    doc["transmon"]["targets"].pop("f_ef_GHz", None)
+    error, lines = _load_error(doc)
+    assert str(error).startswith(
+        f"line {error.line}: transmon: a single ge frequency cannot"
+    )
+    assert lines[error.line - 1].strip().startswith('"transmon":')
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("linewidth_MHz", 0.0, "must be positive, got 0.0"),
+        ("snr", -20.0, "must be positive, got -20.0"),
+        ("pixel_seconds", 0, "must be positive, got 0.0"),
+        ("n_freq", 2, "must be from 3 to 20000000, got 2"),
+    ],
+)
+def test_scan_keys_are_checked_at_load(configs_dir, tmp_path, capsys, key,
+                                       value, message):
+    doc = _document(configs_dir, "device_1np.json")
+    doc.setdefault("scan", {})[key] = value
+    text = json.dumps(doc, indent=1)
+    config = tmp_path / "scan.json"
+    config.write_text(text)
+    line = next(i for i, row in enumerate(text.splitlines(), start=1)
+                if f'"{key}":' in row)
+    err = _assert_clean_exit_2(_run(["spectrum", config]), capsys)
+    assert err == f"error: line {line}: scan.{key}: {message}\n"
 
 
 def test_bad_gap_profile_is_a_config_error(configs_dir):
@@ -698,6 +742,28 @@ def test_out_naming_a_file_exits_2(configs_dir, tmp_path, capsys):
     target.write_text("")
     code = _run(["spectrum", configs_dir / "device_1np.json", "--out", target])
     assert "output directory" in _assert_clean_exit_2(code, capsys)
+
+
+def test_unwritable_output_file_exits_2(configs_dir, tmp_path, capsys):
+    (tmp_path / "spectrum.csv").mkdir()
+    code = _run(["spectrum", configs_dir / "device_1np.json", "--out",
+                 tmp_path])
+    assert "error: cannot write output: [Errno 21]" in _assert_clean_exit_2(
+        code, capsys)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full on this system")
+def test_full_stdout_exits_2_with_one_error_line(configs_dir):
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "qpgap.cli", "spectrum",
+             str(configs_dir / "device_1np.json")],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: cannot write output: ")
+    assert result.stderr.count("\n") == 1, result.stderr
 
 
 def test_unreadable_inputs_exit_2(configs_dir, data_dir, tmp_path, capsys):

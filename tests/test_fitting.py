@@ -141,6 +141,49 @@ def test_csv_errors_name_the_row(tmp_path):
         dataseries_from_csv(path, "t1")
 
 
+def test_csv_header_names_are_stripped(tmp_path):
+    path = tmp_path / "spaced.csv"
+    path.write_text("T_K, value_us , sigma\n0.1,12,1\n0.2,30,2\n")
+    series = dataseries_from_csv(path, "t1")
+    np.testing.assert_array_equal(series.value_s, np.array([12, 30]) * 1e-6)
+    np.testing.assert_array_equal(series.sigma_s, np.array([1, 2]) * 1e-6)
+
+
+_OUT_OF_RANGE = "1/value or sigma/value**2 overflows or is zero: rate out of range"
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("T_K,value_us\n0.1,12\n-0.2,30\n", "non-positive value"),
+        ("T_K,value_us,sigma\n0.1,12,1\n0.2,30,0\n", "non-positive value"),
+        # 1e-320 us is 0 s
+        ("T_K,value_us\n0.1,12\n0.2,1e-320\n", "non-positive value"),
+        # its value 1/rate overflows
+        ("T_K,rate_per_s\n0.1,5e4\n0.2,1e-320\n", _OUT_OF_RANGE),
+        ("T_K,rate_per_s\n0.1,5e4\n0.2,inf\n", "non-finite value"),
+    ],
+    ids=["T_K", "sigma", "value_us-underflow", "rate_per_s-tiny", "rate-inf"],
+)
+def test_csv_point_errors_name_the_file_and_row(tmp_path, text, reason):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as caught:
+        dataseries_from_csv(path, "t1")
+    assert str(caught.value) == f"{path}: {reason} in row 3"
+
+
+def test_series_error_names_the_point():
+    with pytest.raises(DomainError, match=r"non-positive value at point 1 "
+                       r"\(T = 0.2 K\)"):
+        DataSeries(kind="t1", t_kelvin=np.array([0.1, 0.2, 0.3]),
+                   value_s=np.array([1e-5, -2e-5, 0.0]))
+    # a rate sigma that underflows to zero would weigh its point infinitely
+    with pytest.raises(DomainError, match="at point 0"):
+        DataSeries(kind="t1", t_kelvin=np.array([0.1]),
+                   value_s=np.array([1e200]), sigma_s=np.array([1e-200]))
+
+
 # ------------------------------------------------------------- optimizer
 
 
