@@ -130,7 +130,11 @@ def cases(checkout: Checkout) -> dict:
 
 
 def summary(samples: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    # quantiles needs two samples; a single sample is its own quartiles
+    q1, median, q3 = (
+        statistics.quantiles(samples, n=4, method="inclusive")
+        if len(samples) > 1 else samples * 3
+    )
     return {"min": min(samples), "q1": q1, "median": median, "q3": q3}
 
 

@@ -15,10 +15,10 @@ untimed warm-up operation, then operations 0 .. ``--ops`` - 1, which cycle
 over the fast, moderate and protected regimes.
 
 Prints, per regime and checkout, the median and quartiles in ms over all
-rounds, and the Lorentzian terms of the scans: ``segments`` is the count
-a loop over each pixel's segments adds (one per piece between events),
-``states`` the count a sum over each pixel's distinct (offset charge,
-parity) states adds.  Both depend only on the traces, so every checkout
+rounds (a regime no operation visits is left out), and the Lorentzian
+terms of the scans: ``segments`` is the count a loop over each pixel's
+segments adds (one per piece between events), ``states`` the count a sum
+over each pixel's distinct (offset charge, parity) states adds.  Both depend only on the traces, so every checkout
 shares them.  ``--json FILE`` also writes the samples.
 """
 
@@ -75,16 +75,24 @@ def worker(root: Path, seed: int, ops: int) -> dict:
         counted = term_counts(out["parity"], out["charge"], scan.n_pixels,
                               scan.pixel_seconds)
         terms[item[0]] = [t + c for t, c in zip(terms[item[0]], counted)]
+    # a regime that no operation visited is left out
     ms = {}
     for regime in parity_scan.CYCLE:
         for layer in ("synthesize", "estimate"):
             name = f"parity.{layer}.{regime}"
-            ms[name] = [1e3 * d for d in tracer.durations(name)]
+            durations = tracer.durations(name)
+            if durations:
+                ms[name] = [1e3 * d for d in durations]
+    terms = {regime: counts for regime, counts in terms.items() if counts[0]}
     return {"ms": ms, "terms": terms}
 
 
 def summary(samples: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    # quantiles needs two samples; a single sample is its own quartiles
+    q1, median, q3 = (
+        statistics.quantiles(samples, n=4, method="inclusive")
+        if len(samples) > 1 else samples * 3
+    )
     return {"q1": q1, "median": median, "q3": q3}
 
 

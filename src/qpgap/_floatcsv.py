@@ -67,12 +67,10 @@ _MINUS = np.uint64(ord("-") << 8)
 
 def format_blocks(table: np.ndarray, rows: int):
     """Yield ``"".join("%.10g,...,%.10g\\n" % tuple(row) for row in block)``
-    for each block of ``rows`` rows of a 2-d float ``table``."""
+    for each block of ``rows`` rows of a 2-d float ``table`` with at least
+    one column."""
     width = table.shape[1]
-    if width == 0:  # rows without cells
-        for start in range(0, len(table), rows):
-            yield "\n" * len(table[start:start + rows])
-    if width == 0 or len(table) == 0:
+    if len(table) == 0:
         return
     size = min(rows, len(table)) * width
     values, magnitude, exponent, scaled, number, part = (

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -109,7 +110,9 @@ def dataseries_from_csv(path: str | Path, kind: str) -> DataSeries:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    reader = csv.DictReader(text.splitlines())
+    # lines end at "\n" only, as read_text writes them: splitlines would
+    # also split at form feeds, off the file's line numbers
+    reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
         raise ConfigError(f"{path}: empty file")
     reader.fieldnames = fields = [name.strip() for name in reader.fieldnames]
@@ -122,14 +125,16 @@ def dataseries_from_csv(path: str | Path, kind: str) -> DataSeries:
         )
     columns = [name for name in ("T_K", "value_us", "rate_per_s", "sigma")
                if name in fields]
-    rows = []
-    for row_number, row in enumerate(reader, start=2):
+    # the reader skips blank lines: each row is named by its line number
+    rows, line_numbers = [], []
+    for row in reader:
         try:
             rows.append([float(row[name]) for name in columns])
         except (TypeError, ValueError) as exc:
             raise ConfigError(
-                f"{path}: malformed row {row_number}: {dict(row)}",
+                f"{path}: malformed row {reader.line_num}: {dict(row)}",
             ) from exc
+        line_numbers.append(reader.line_num)
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     table = np.array(rows)
@@ -141,7 +146,7 @@ def dataseries_from_csv(path: str | Path, kind: str) -> DataSeries:
     # sigma/rate**2 are the value and sigma they convert to
     bad = _first_bad_point(t, value, sigma)
     if bad is not None:
-        raise ConfigError(f"{path}: {bad[1]} in row {bad[0] + 2}")
+        raise ConfigError(f"{path}: {bad[1]} in row {line_numbers[bad[0]]}")
     if not has_us:
         rate = value
         value, sigma = 1.0 / rate, None if sigma is None else sigma / rate**2
@@ -195,11 +200,33 @@ class FitResult:
         }
 
 
+def _fit_report(model: str, names, lm, n_points, derived, curve) -> FitResult:
+    """The :class:`FitResult` of an LM fit, its parameters named ``names``.
+
+    ``curve(t_kelvin, *params)`` is the fitted rate model; the report's
+    ``rate`` evaluates it at the fitted values.
+    """
+    values = dict(zip(names, (float(v) for v in lm.x)))
+    return FitResult(
+        model=model,
+        param_names=names,
+        values=values,
+        sigmas=dict(zip(names, (float(s) for s in lm.sigmas()))),
+        covariance=lm.covariance,
+        ssr=lm.ssr,
+        n_points=n_points,
+        iterations=lm.iterations,
+        derived=derived,
+        rate=lambda t_kelvin: curve(t_kelvin, *values.values()),
+    )
+
+
 def _weighted(model_fn, jacobian_fn, rates, sigma_rates):
-    """Residual and Jacobian callables of a fit, weighted by 1/sigma."""
-    if sigma_rates is None:
-        return (lambda params: model_fn(params) - rates), jacobian_fn
-    weights = 1.0 / sigma_rates
+    """Residual and Jacobian callables of a fit, weighted by 1/sigma.
+
+    A series without sigmas weighs every point 1.0, which changes no bit.
+    """
+    weights = np.ones(len(rates)) if sigma_rates is None else 1.0 / sigma_rates
 
     def residual(params: np.ndarray) -> np.ndarray:
         return (model_fn(params) - rates) * weights
@@ -303,9 +330,6 @@ def fit_t1_vs_temperature(data: DataSeries) -> FitResult:
     bounds = [(0.0, np.inf), (0.05, 20.0), (1e-300, np.inf)]
     lm = least_squares(*_t1_problem(data), guess, bounds=bounds)
 
-    names = ("gamma_plateau_per_s", "tc_K", "amplitude_per_s")
-    values = dict(zip(names, (float(v) for v in lm.x)))
-    sigmas = dict(zip(names, (float(s) for s in lm.sigmas())))
     plateau, tc, amplitude = lm.x
     x_nqp = plateau / amplitude
     derived = {"x_nqp_inferred": float(x_nqp)}
@@ -323,18 +347,9 @@ def fit_t1_vs_temperature(data: DataSeries) -> FitResult:
                 f"no thermal crossover for the fitted x_nqp = {x_nqp:.6g} "
                 f"and Tc = {tc:.6g} K: {exc}"
             ) from exc
-    return FitResult(
-        model="t1_vs_temperature",
-        param_names=names,
-        values=values,
-        sigmas=sigmas,
-        covariance=lm.covariance,
-        ssr=lm.ssr,
-        n_points=len(data),
-        iterations=lm.iterations,
-        derived=derived,
-        rate=lambda t_kelvin: t1_rate_model(t_kelvin, *values.values()),
-    )
+    names = ("gamma_plateau_per_s", "tc_K", "amplitude_per_s")
+    return _fit_report("t1_vs_temperature", names, lm, len(data), derived,
+                       t1_rate_model)
 
 
 def shot_noise_dephasing(
@@ -540,25 +555,16 @@ def fit_t2_vs_temperature(
         *_t2_problem(data, chi_mhz, kappa_mhz, terms), guess, bounds=bounds
     )
 
-    names = ("n0", "gamma_offset_per_s")
-    values = dict(zip(names, (float(v) for v in lm.x)))
-    sigmas = dict(zip(names, (float(s) for s in lm.sigmas())))
+    n0 = float(lm.x[0])
     derived = {}
-    if values["n0"] > 0:
+    if n0 > 0:
         derived["t_resonator_effective_K"] = temperature_from_occupation(
-            nu_r_ghz, values["n0"]
+            nu_r_ghz, n0
         )
-    return FitResult(
-        model="t2star_vs_temperature",
-        param_names=names,
-        values=values,
-        sigmas=sigmas,
-        covariance=lm.covariance,
-        ssr=lm.ssr,
-        n_points=len(data),
-        iterations=lm.iterations,
-        derived=derived,
-        rate=lambda t_kelvin: t2_rate_model(
-            t_kelvin, *values.values(), chi_mhz, kappa_mhz, nu_r_ghz, t1_model
+    return _fit_report(
+        "t2star_vs_temperature", ("n0", "gamma_offset_per_s"), lm, len(data),
+        derived,
+        lambda t_kelvin, *params: t2_rate_model(
+            t_kelvin, *params, chi_mhz, kappa_mhz, nu_r_ghz, t1_model
         ),
     )

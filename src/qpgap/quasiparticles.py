@@ -107,12 +107,7 @@ class GapProfile(Record):
         self._assign(segments, junction_um)
         if len(self.segments) < 2:
             raise GeometryError("profile needs at least two segments")
-        if self._junction_index() is None:
-            boundaries = ", ".join(f"{b:g}" for b in self.boundaries_um()[1:-1])
-            raise GeometryError(
-                f"junction at {self.junction_um:g} um is not an interior "
-                f"segment boundary (boundaries: {boundaries})"
-            )
+        self.junction_index  # raises when the junction is off a boundary
 
     def boundaries_um(self) -> list[float]:
         """Cumulative segment boundaries, starting at 0."""
@@ -121,20 +116,19 @@ class GapProfile(Record):
             edges.append(edges[-1] + seg.length_um)
         return edges
 
-    def _junction_index(self) -> int | None:
+    @property
+    def junction_index(self) -> int:
+        """Number of segments to the left of the junction."""
         edges = self.boundaries_um()
         tol = 1e-9 * max(1.0, edges[-1])
         for i in range(1, len(edges) - 1):
             if abs(edges[i] - self.junction_um) <= tol:
                 return i
-        return None
-
-    @property
-    def junction_index(self) -> int:
-        """Number of segments to the left of the junction."""
-        index = self._junction_index()
-        assert index is not None
-        return index
+        boundaries = ", ".join(f"{b:g}" for b in edges[1:-1])
+        raise GeometryError(
+            f"junction at {self.junction_um:g} um is not an interior "
+            f"segment boundary (boundaries: {boundaries})"
+        )
 
     def side_segments(self, side: str) -> tuple[GapSegment, ...]:
         """Segments on one side of the junction, junction-adjacent first."""
@@ -546,6 +540,23 @@ class GeometryVerdict(Record):
         self._assign(left, right, adequate)
 
 
+def _grade_sides(profile: GapProfile, rule, combine) -> GeometryVerdict:
+    """Both sides' verdicts from one per-side ``rule``, joined by ``combine``.
+
+    ``rule(segments)`` takes one side's segments, junction-adjacent first,
+    and returns that side's gap step, length, required length and
+    adequacy; ``combine`` (``any`` or ``all``) joins the two adequacies.
+    """
+    sides = []
+    for side in ("left", "right"):
+        segments = profile.side_segments(side)
+        sides.append(SideVerdict(side, segments[0].delta_k, *rule(segments)))
+    left, right = sides
+    return GeometryVerdict(
+        left, right, combine((left.adequate, right.adequate))
+    )
+
+
 def barrier_adequate(
     profile: GapProfile,
     env: QPEnvironment | None = None,
@@ -564,30 +575,18 @@ def barrier_adequate(
         raise DomainError(f"safety factor must be positive, got {safety_factor}")
     required = safety_factor * env.xi_um
     adjacent_max = max(profile.adjacent_deltas())
-    verdicts = {}
-    for side in ("left", "right"):
-        segments = profile.side_segments(side)
+
+    def rule(segments):
         adjacent = segments[0]
-        side_min = min(seg.delta_k for seg in segments)
-        step = adjacent.delta_k - side_min
+        step = adjacent.delta_k - min(seg.delta_k for seg in segments)
         adequate = (
             adjacent.delta_k >= adjacent_max
             and step > 0.0
             and adjacent.length_um >= required
         )
-        verdicts[side] = SideVerdict(
-            side=side,
-            adjacent_delta_k=adjacent.delta_k,
-            delta_delta_k=step,
-            length_um=adjacent.length_um,
-            required_um=required,
-            adequate=adequate,
-        )
-    return GeometryVerdict(
-        left=verdicts["left"],
-        right=verdicts["right"],
-        adequate=verdicts["left"].adequate or verdicts["right"].adequate,
-    )
+        return step, adjacent.length_um, required, adequate
+
+    return _grade_sides(profile, rule, any)
 
 
 def trap_adequate(
@@ -600,31 +599,16 @@ def trap_adequate(
     so that an entering quasiparticle relaxes before reaching the junction.
     """
     env = env or DEFAULT_ENVIRONMENT
-    verdicts = {}
-    for side in ("left", "right"):
-        segments = profile.side_segments(side)
+
+    def rule(segments):
         adjacent = segments[0]
-        side_max = max(seg.delta_k for seg in segments)
-        step = side_max - adjacent.delta_k
-        if step > 0.0:
-            required = diffusion_length(step, env)
-            adequate = adjacent.length_um >= required
-        else:
-            required = math.inf
-            adequate = False
-        verdicts[side] = SideVerdict(
-            side=side,
-            adjacent_delta_k=adjacent.delta_k,
-            delta_delta_k=step,
-            length_um=adjacent.length_um,
-            required_um=required,
-            adequate=adequate,
-        )
-    return GeometryVerdict(
-        left=verdicts["left"],
-        right=verdicts["right"],
-        adequate=verdicts["left"].adequate and verdicts["right"].adequate,
-    )
+        step = max(seg.delta_k for seg in segments) - adjacent.delta_k
+        if not step > 0.0:
+            return step, adjacent.length_um, math.inf, False
+        required = diffusion_length(step, env)
+        return step, adjacent.length_um, required, adjacent.length_um >= required
+
+    return _grade_sides(profile, rule, all)
 
 
 def parity_rate_model(

@@ -173,6 +173,28 @@ def test_csv_point_errors_name_the_file_and_row(tmp_path, text, reason):
     assert str(caught.value) == f"{path}: {reason} in row 3"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("T_K,value_us\n0.03,40\n\n0.1,42\n0.2,-3\n",
+         "non-positive value in row 5"),
+        ("T_K,value_us\n0.03,40\n\n0.1,oops\n",
+         "malformed row 4: {'T_K': '0.1', 'value_us': 'oops'}"),
+        # a form feed is white space to float(), not a line break
+        ("T_K,value_us\n0.1,12\x0c\n0.2,-3\n", "non-positive value in row 3"),
+        ("", "empty file"),
+    ],
+    ids=["point", "malformed", "form-feed", "empty"],
+)
+def test_csv_errors_name_the_line(tmp_path, text, message):
+    # the row number is the file's line number, blank lines included
+    path = tmp_path / "blank.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as caught:
+        dataseries_from_csv(path, "t1")
+    assert str(caught.value) == f"{path}: {message}"
+
+
 def test_series_error_names_the_point():
     with pytest.raises(DomainError, match=r"non-positive value at point 1 "
                        r"\(T = 0.2 K\)"):
@@ -590,3 +612,35 @@ def test_t2_fit_evaluates_t1_once_per_temperature():
     series = DataSeries(kind="t2star", t_kelvin=temps, value_s=1.0 / rates)
     fit_t2_vs_temperature(series, 0.55, 0.36, 7.24, t1_model)
     assert calls == temps.tolist()
+
+
+def _fit_bits(fit):
+    """Values, sigmas, ssr (as float.hex), covariance bytes and iterations."""
+    floats = [*fit.values.values(), *fit.sigmas.values(), fit.ssr]
+    return ([float(x).hex() for x in floats], fit.covariance.tobytes(),
+            fit.iterations)
+
+
+def _unit_rate_sigmas(series):
+    """The series with no sigmas, and with sigmas that are 1/s in rate."""
+    args = (series.kind, series.t_kelvin, series.value_s)
+    return DataSeries(*args), DataSeries(*args, sigma_s=series.value_s**2)
+
+
+def test_unweighted_fits_match_unit_sigma_fits_bit_for_bit():
+    plain, unit = _unit_rate_sigmas(
+        synthetic_t1_series(8.3e4, 1.31, 4.6e10, TEMPS, 0.05, seed=5)
+    )
+    assert unit.rates()[1].tolist() == [1.0] * len(unit)
+    assert _fit_bits(fit_t1_vs_temperature(plain)) == _fit_bits(
+        fit_t1_vs_temperature(unit)
+    )
+    t1_model = _t1_curve(2.2e4, 1.31, 4.0e10)
+    plain, unit = _unit_rate_sigmas(synthetic_t2_series(
+        0.027, 2.0e4, 0.55, 0.36, 7.24, t1_model,
+        np.linspace(0.025, 0.25, 12), 0.03, seed=5,
+    ))
+    assert unit.rates()[1].tolist() == [1.0] * len(unit)
+    fits = [fit_t2_vs_temperature(series, 0.55, 0.36, 7.24, t1_model)
+            for series in (plain, unit)]
+    assert _fit_bits(fits[0]) == _fit_bits(fits[1])
