@@ -59,6 +59,11 @@ from .units import kelvin_to_ev, kelvin_to_ghz
 # Rows of a float table formatted and written at a time.
 _CSV_ROWS = 256
 
+# The most points --ng-points or --t-points accepts.  A spectrum point
+# costs two eigensolves (5000 points take about 1 s), so the cap keeps a
+# run near 20 s.
+MAX_GRID_POINTS = 100_000
+
 
 def _fmt(value) -> str:
     """Render a scalar for CSV output."""
@@ -259,7 +264,9 @@ def _cmd_qp(args, config: DeviceConfig) -> int:
         "delta_junction_GHz": delta_ghz,
         "f_ge_GHz": f_ge,
         "x_nqp": env.x_nqp,
-        "crossover_K": crossover_temperature(env.x_nqp, delta_k),
+        # at x_nqp = 0 the thermal fraction exceeds it at every temperature
+        "crossover_K": (crossover_temperature(env.x_nqp, delta_k)
+                        if env.x_nqp > 0 else None),
         "n_nqp_per_um3": volume_density(env.x_nqp, env.nu0_per_ev_um3,
                                         delta_ev),
     }
@@ -301,7 +308,7 @@ def _cmd_qp(args, config: DeviceConfig) -> int:
     if args.svg:
         _plot(args, "qp.svg", f"{config.name} qp rates",
               "temperature (K)", "log10 rate (1/s)",
-              (temperatures, [np.log10(row[2]) for row in grid]),
+              (temperatures, [np.log10(max(row[2], 1e-30)) for row in grid]),
               (temperatures, [np.log10(max(row[4], 1e-30)) for row in grid]))
     return 0
 
@@ -544,13 +551,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _positive(cast):
-    """An argparse type: ``cast`` the text and require a finite value > 0."""
+def _positive(cast, limit=math.inf):
+    """An argparse type: ``cast`` the text and require 0 < value <= limit.
+
+    The value must also be finite.
+    """
 
     def parse(text: str):
         value = cast(text)
         if not 0 < value < math.inf:
             raise ValueError(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {limit}, got {value}"
+            )
         return value
 
     parse.__name__ = f"positive {cast.__name__}"
@@ -587,8 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(spectrum)
     spectrum.add_argument(
-        "--ng-points", type=_positive(int), default=26,
-        help="offset-charge grid points on [0, 0.5] (default 26)",
+        "--ng-points", type=_positive(int, MAX_GRID_POINTS), default=26,
+        help="offset-charge grid points on [0, 0.5] (default 26, at most "
+        f"{MAX_GRID_POINTS})",
     )
     spectrum.set_defaults(func=_cmd_spectrum)
 
@@ -600,8 +615,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="grid start in K (default 0.02)")
     qp.add_argument("--t-max", type=_positive(float), default=0.4,
                     help="grid end in K (default 0.4)")
-    qp.add_argument("--t-points", type=_positive(int), default=39,
-                    help="grid size (default 39)")
+    qp.add_argument("--t-points", type=_positive(int, MAX_GRID_POINTS),
+                    default=39,
+                    help=f"grid size (default 39, at most {MAX_GRID_POINTS})")
     qp.set_defaults(func=_cmd_qp)
 
     parity = subparsers.add_parser(

@@ -34,16 +34,11 @@ class ScanSettings(Record):
 
     __slots__ = ("linewidth_mhz", "snr", "pixel_seconds", "n_freq",
                  "pad_linewidths")
-
-    def __init__(
-        self,
-        linewidth_mhz: float = 1.0,
-        snr: float = 20.0,
-        pixel_seconds: float = DEFAULT_PIXEL_SECONDS,
-        n_freq: int = 161,
-        pad_linewidths: float = 5.0,
-    ):
-        self._assign(linewidth_mhz, snr, pixel_seconds, n_freq, pad_linewidths)
+    _defaults = {
+        "linewidth_mhz": 1.0, "snr": 20.0,
+        "pixel_seconds": DEFAULT_PIXEL_SECONDS, "n_freq": 161,
+        "pad_linewidths": 5.0,
+    }
 
 
 class DeviceConfig(Record):
@@ -250,7 +245,8 @@ _DOCUMENT = (
 )
 _TRANSMON_NG = (("ng", "ng", _finite, False),)
 _TRANSMON = (
-    ("EJ_GHz", "EJ", _finite, True),
+    # TransmonParams takes EJ = 0 (the charging limit); a device does not
+    ("EJ_GHz", "EJ", _positive, True),
     ("EC_GHz", "EC", _finite, True),
 ) + _TRANSMON_NG
 _TARGETS = (

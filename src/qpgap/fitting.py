@@ -401,9 +401,6 @@ class ThermometryResult(Record):
 
     __slots__ = ("n_th", "temperature_k", "at_lower_limit")
 
-    def __init__(self, n_th: float, temperature_k: float, at_lower_limit: bool):
-        self._assign(n_th, temperature_k, at_lower_limit)
-
 
 def resonator_thermometry(
     gamma_phi_per_s: float,

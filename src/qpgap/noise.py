@@ -29,11 +29,9 @@ class NoiseModel(Record):
     """
 
     __slots__ = ("gamma_parity_per_s", "tls_rate_per_s")
+    _defaults = {"tls_rate_per_s": DEFAULT_TLS_RATE}
 
-    def __init__(
-        self, gamma_parity_per_s: float, tls_rate_per_s: float = DEFAULT_TLS_RATE
-    ):
-        self._assign(gamma_parity_per_s, tls_rate_per_s)
+    def _check(self) -> None:
         if not 0 <= self.gamma_parity_per_s < math.inf:
             raise DomainError(
                 "parity rate must be non-negative and finite, got "

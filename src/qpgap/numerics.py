@@ -130,16 +130,6 @@ class LMResult(Record):
 
     __slots__ = ("x", "covariance", "ssr", "iterations", "converged")
 
-    def __init__(
-        self,
-        x: np.ndarray,
-        covariance: np.ndarray | None,
-        ssr: float,
-        iterations: int,
-        converged: bool,
-    ):
-        self._assign(x, covariance, ssr, iterations, converged)
-
     def sigmas(self) -> np.ndarray:
         if self.covariance is None:
             return np.full(len(self.x), np.inf)

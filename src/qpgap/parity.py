@@ -93,15 +93,7 @@ class ParityTrace(Record):
 
     __slots__ = ("switch_times", "duration_s", "initial_parity", "seed")
     _hidden = ("seed",)
-
-    def __init__(
-        self,
-        switch_times: np.ndarray,
-        duration_s: float,
-        initial_parity: int = _EVEN,
-        seed: int | None = None,
-    ):
-        self._assign(switch_times, duration_s, initial_parity, seed)
+    _defaults = {"initial_parity": _EVEN, "seed": None}
 
     def parity_at(self, t: float) -> int:
         """Parity (0 even, 1 odd) at time ``t``."""
@@ -137,15 +129,7 @@ class ChargeTrace(Record):
 
     __slots__ = ("jump_times", "ng_values", "duration_s", "seed")
     _hidden = ("seed",)
-
-    def __init__(
-        self,
-        jump_times: np.ndarray,
-        ng_values: np.ndarray,
-        duration_s: float,
-        seed: int | None = None,
-    ):
-        self._assign(jump_times, ng_values, duration_s, seed)
+    _defaults = {"seed": None}
 
     def ng_at(self, t: float) -> float:
         idx = int(np.searchsorted(self.jump_times, t, side="right"))
@@ -215,15 +199,9 @@ class ScanConfig(Record):
     """Frequency grid and pixel integration settings of a scan."""
 
     __slots__ = ("f_min_ghz", "f_max_ghz", "n_freq", "pixel_seconds")
+    _defaults = {"n_freq": 161, "pixel_seconds": DEFAULT_PIXEL_SECONDS}
 
-    def __init__(
-        self,
-        f_min_ghz: float,
-        f_max_ghz: float,
-        n_freq: int = 161,
-        pixel_seconds: float = DEFAULT_PIXEL_SECONDS,
-    ):
-        self._assign(f_min_ghz, f_max_ghz, n_freq, pixel_seconds)
+    def _check(self) -> None:
         if not self.f_max_ghz > self.f_min_ghz:
             raise DomainError("frequency window is empty")
         if self.n_freq < 3:
@@ -266,20 +244,6 @@ class SpectroscopyScan(Record):
         "frequencies_ghz", "pixel_starts_s", "amplitudes", "branch_freqs_ghz",
         "linewidth_mhz", "snr", "pixel_seconds", "seed",
     )
-
-    def __init__(
-        self,
-        frequencies_ghz: np.ndarray,
-        pixel_starts_s: np.ndarray,
-        amplitudes: np.ndarray,
-        branch_freqs_ghz: np.ndarray,
-        linewidth_mhz: float,
-        snr: float,
-        pixel_seconds: float,
-        seed: int,
-    ):
-        self._assign(frequencies_ghz, pixel_starts_s, amplitudes,
-                     branch_freqs_ghz, linewidth_mhz, snr, pixel_seconds, seed)
 
     @property
     def n_pixels(self) -> int:
@@ -484,11 +448,6 @@ class PeakSet(Record):
 
     __slots__ = ("count", "positions_ghz", "threshold")
 
-    def __init__(
-        self, count: int, positions_ghz: tuple[float, ...], threshold: float
-    ):
-        self._assign(count, positions_ghz, threshold)
-
 
 def _detect_rows(
     freqs: np.ndarray,
@@ -614,20 +573,6 @@ class LifetimeEstimate(Record):
         "__dict__",  # holds the cached ``peaks``
     )
     _hidden = _uncompared = ("counts", "positions_ghz", "thresholds")
-
-    def __init__(
-        self,
-        kind: str,
-        seconds: float,
-        alternations: int,
-        two_peak_fraction: float,
-        single_peak_fraction: float,
-        counts: np.ndarray,
-        positions_ghz: np.ndarray,
-        thresholds: np.ndarray,
-    ):
-        self._assign(kind, seconds, alternations, two_peak_fraction,
-                     single_peak_fraction, counts, positions_ghz, thresholds)
 
     @cached_property
     def peaks(self) -> tuple[PeakSet, ...]:

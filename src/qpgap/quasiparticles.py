@@ -41,12 +41,9 @@ class ThicknessTcTable(Record):
     """
 
     __slots__ = ("anchors",)
+    _defaults = {"anchors": ((25.0, 1.6), (40.0, 1.3))}
 
-    def __init__(
-        self,
-        anchors: tuple[tuple[float, float], ...] = ((25.0, 1.6), (40.0, 1.3)),
-    ):
-        self._assign(anchors)
+    def _check(self) -> None:
         if len(self.anchors) < 2:
             raise DomainError("thickness table needs at least two anchors")
         thicknesses = [t for t, _ in self.anchors]
@@ -82,8 +79,7 @@ class GapSegment(Record):
 
     __slots__ = ("length_um", "delta_k")
 
-    def __init__(self, length_um: float, delta_k: float):
-        self._assign(length_um, delta_k)
+    def _check(self) -> None:
         if not 0 < self.length_um < math.inf:
             raise GeometryError(
                 f"segment length must be positive and finite, got {self.length_um}"
@@ -103,8 +99,7 @@ class GapProfile(Record):
 
     __slots__ = ("segments", "junction_um")
 
-    def __init__(self, segments: tuple[GapSegment, ...], junction_um: float):
-        self._assign(segments, junction_um)
+    def _check(self) -> None:
         if len(self.segments) < 2:
             raise GeometryError("profile needs at least two segments")
         self.junction_index  # raises when the junction is off a boundary
@@ -154,14 +149,9 @@ class StackSegment(Record):
     """Fabrication-stack segment: length plus thickness or an explicit gap."""
 
     __slots__ = ("length_um", "thickness_nm", "delta_k")
+    _defaults = {"thickness_nm": None, "delta_k": None}
 
-    def __init__(
-        self,
-        length_um: float,
-        thickness_nm: float | None = None,
-        delta_k: float | None = None,
-    ):
-        self._assign(length_um, thickness_nm, delta_k)
+    def _check(self) -> None:
         if (self.thickness_nm is None) == (self.delta_k is None):
             raise GeometryError(
                 "specify exactly one of thickness_nm or delta_K per segment"
@@ -219,21 +209,13 @@ class QPEnvironment(Record):
         "x_nqp", "diffusion_m2_per_s", "tau_anchors", "xi_um",
         "nu0_per_ev_um3", "t_qp_kelvin",
     )
+    _defaults = {
+        "x_nqp": 8.0e-7, "diffusion_m2_per_s": 0.01,
+        "tau_anchors": ((0.5, 1.0e-5), (14.0, 1.0e-11)), "xi_um": 0.1,
+        "nu0_per_ev_um3": 1.6e10, "t_qp_kelvin": DEFAULT_T_QP,
+    }
 
-    def __init__(
-        self,
-        x_nqp: float = 8.0e-7,
-        diffusion_m2_per_s: float = 0.01,
-        tau_anchors: tuple[tuple[float, float], ...] = (
-            (0.5, 1.0e-5),
-            (14.0, 1.0e-11),
-        ),
-        xi_um: float = 0.1,
-        nu0_per_ev_um3: float = 1.6e10,
-        t_qp_kelvin: float = DEFAULT_T_QP,
-    ):
-        self._assign(x_nqp, diffusion_m2_per_s, tau_anchors, xi_um,
-                     nu0_per_ev_um3, t_qp_kelvin)
+    def _check(self) -> None:
         if self.x_nqp < 0:
             raise DomainError(f"x_nqp must be non-negative, got {self.x_nqp}")
         if self.diffusion_m2_per_s <= 0:
@@ -511,18 +493,6 @@ class SideVerdict(Record):
     __slots__ = ("side", "adjacent_delta_k", "delta_delta_k", "length_um",
                  "required_um", "adequate")
 
-    def __init__(
-        self,
-        side: str,
-        adjacent_delta_k: float,
-        delta_delta_k: float,
-        length_um: float,
-        required_um: float,
-        adequate: bool,
-    ):
-        self._assign(side, adjacent_delta_k, delta_delta_k, length_um,
-                     required_um, adequate)
-
     @property
     def margin(self) -> float:
         """Available length over required length (0 when nothing is required)."""
@@ -535,9 +505,6 @@ class GeometryVerdict(Record):
     """Both per-side verdicts plus the combined adequacy rule."""
 
     __slots__ = ("left", "right", "adequate")
-
-    def __init__(self, left: SideVerdict, right: SideVerdict, adequate: bool):
-        self._assign(left, right, adequate)
 
 
 def _grade_sides(profile: GapProfile, rule, combine) -> GeometryVerdict:

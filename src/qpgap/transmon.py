@@ -129,8 +129,7 @@ class CavityCoupling(Record):
 
     __slots__ = ("g_mhz", "nu_r_ghz", "q_loaded")
 
-    def __init__(self, g_mhz: float, nu_r_ghz: float, q_loaded: float):
-        self._assign(g_mhz, nu_r_ghz, q_loaded)
+    def _check(self) -> None:
         if self.g_mhz <= 0:
             raise DomainError(f"g must be positive, got {self.g_mhz}")
         if self.nu_r_ghz <= 0:
@@ -348,6 +347,11 @@ def _level_shifts(
     energies, vectors = _eigensystem(params, levels)
     elements = _charge_elements(params, vectors)
     norm = elements[0, 1]
+    if norm == 0.0:  # at EJ = 0 the charge states do not mix
+        raise DomainError(
+            "cavity shifts scale g by the charge matrix element <0|n|1>, "
+            f"which vanishes at EJ = {params.EJ} GHz, ng = {params.ng}"
+        )
     g_ghz = coupling.g_mhz / 1e3
     shifts = []
     for level in requested:
@@ -435,14 +439,9 @@ class FrequencyTargets(Record):
     """
 
     __slots__ = ("f_ge_ng0", "f_ge_ng05", "f_ef")
+    _defaults = {"f_ge_ng05": None, "f_ef": None}
 
-    def __init__(
-        self,
-        f_ge_ng0: float,
-        f_ge_ng05: float | None = None,
-        f_ef: float | None = None,
-    ):
-        self._assign(f_ge_ng0, f_ge_ng05, f_ef)
+    def _check(self) -> None:
         if self.f_ge_ng0 <= 0:
             raise DomainError(f"f_ge must be positive, got {self.f_ge_ng0}")
         if self.f_ge_ng05 is None and self.f_ef is None:

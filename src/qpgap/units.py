@@ -36,16 +36,13 @@ class Constants(Record):
     """
 
     __slots__ = ("kB_over_h", "h_over_kB", "kB_in_eV", "RK", "bcs_ratio")
-
-    def __init__(
-        self,
-        kB_over_h: float = _KB_J_PER_K / _H_J_S / 1e9,
-        h_over_kB: float = 1e9 * _H_J_S / _KB_J_PER_K,
-        kB_in_eV: float = _KB_J_PER_K / _E_COULOMB,
-        RK: float = _H_J_S / _E_COULOMB**2,
-        bcs_ratio: float = 1.764,
-    ):
-        self._assign(kB_over_h, h_over_kB, kB_in_eV, RK, bcs_ratio)
+    _defaults = {
+        "kB_over_h": _KB_J_PER_K / _H_J_S / 1e9,
+        "h_over_kB": 1e9 * _H_J_S / _KB_J_PER_K,
+        "kB_in_eV": _KB_J_PER_K / _E_COULOMB,
+        "RK": _H_J_S / _E_COULOMB**2,
+        "bcs_ratio": 1.764,
+    }
 
 
 CONSTANTS = Constants()
@@ -92,11 +89,10 @@ class EnergyValue(Record):
 
     __slots__ = ("value", "unit")
 
-    def __init__(self, value: float, unit: str):
-        self._assign(value, unit)
-        if unit not in _UNITS:
+    def _check(self) -> None:
+        if self.unit not in _UNITS:
             raise DomainError(
-                f"unknown energy unit {unit!r}; expected one of {_UNITS}"
+                f"unknown energy unit {self.unit!r}; expected one of {_UNITS}"
             )
 
     def to(self, unit: str) -> "EnergyValue":

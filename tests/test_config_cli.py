@@ -616,6 +616,33 @@ def test_hot_quasiparticles_with_computed_parity_rate(
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--format", "csv"],
+        ["--format", "json"],
+        ["--t-min", "0.001", "--t-points", "3", "--svg", "--out", "OUT"],
+    ],
+)
+def test_qp_without_nonequilibrium_quasiparticles(
+    configs_dir, tmp_path, capsys, options
+):
+    doc = _document(configs_dir, "device_1p.json")
+    doc["qp_environment"]["x_nqp"] = 0
+    path = tmp_path / "x0.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = _run(["qp", path, *[out if o == "OUT" else o for o in options]])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    if "json" in options:
+        assert json.loads(captured.out)["summary"]["crossover_K"] is None
+    elif "csv" in options:
+        assert "\ncrossover_K,\n" in captured.out
+    else:
+        assert (out / "qp.svg").exists()
+
+
 def test_subnormal_gap_exits_2_without_warnings(configs_dir, tmp_path, capsys):
     # 2 pi T/Delta overflows in the thermal quasiparticle term
     doc = _document(configs_dir, "device_1p.json")
@@ -678,6 +705,7 @@ def _set(doc, path, value):
         (("gap_profile", "segments", 0, "thickness_nm"), "20"),
         (("measured", "T1_us"), 0),
         (("transmon", "EC_GHz"), 1e-300),
+        (("transmon", "EJ_GHz"), 0),
     ],
 )
 @pytest.mark.parametrize(
@@ -888,6 +916,8 @@ def test_bad_scan_duration_exits_2(configs_dir, capsys, duration):
         ["qp", "CONFIG", "--t-min", "nan"],
         ["qp", "CONFIG", "--t-max", "inf"],
         ["qp", "CONFIG", "--bogus"],
+        ["spectrum", "CONFIG", "--ng-points", "100001"],
+        ["qp", "CONFIG", "--t-points", "100001"],
     ],
 )
 def test_argument_errors_exit_2(configs_dir, data_dir, tmp_path, capsys, argv):

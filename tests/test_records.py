@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import qpgap
+from qpgap._record import Record
 from qpgap.config import DeviceConfig, ScanSettings
 from qpgap.fitting import DataSeries, FitResult, ThermometryResult
 from qpgap.numerics import LMResult
@@ -260,6 +261,64 @@ def test_fit_result_stays_a_dataclass():
     assert changed.values == {"a": 2.0} and changed.model == fit.model
     with pytest.raises(dataclasses.FrozenInstanceError):
         fit.ssr = 1.0
+
+
+# records that build their fields themselves: the two made per eigensolve,
+# and the two that convert arguments or make a fresh default
+OWN_INIT = {"TransmonParams", "Spectrum", "DataSeries", "DeviceConfig"}
+BASE_INIT = sorted(
+    name for name in SAMPLES
+    if isinstance(SAMPLES[name](), Record) and name not in OWN_INIT
+)
+
+
+def test_only_records_that_convert_define_init():
+    defined = {
+        name for name in SAMPLES
+        if isinstance(SAMPLES[name](), Record)
+        and "__init__" in vars(type(SAMPLES[name]()))
+    }
+    assert defined == OWN_INIT
+
+
+@pytest.mark.parametrize("name", sorted(set(BASE_INIT) | OWN_INIT))
+def test_keyword_construction_equals_positional(name):
+    record = SAMPLES[name]()
+    cls = type(record)
+    values = [getattr(record, field) for field in cls._fields]
+    positional = cls(*values)
+    keyword = cls(**dict(zip(cls._fields, values)))
+    for built in (positional, keyword):
+        assert type(built) is cls
+        np.testing.assert_equal(
+            [getattr(built, field) for field in cls._fields], values
+        )
+
+
+@pytest.mark.parametrize("name", BASE_INIT)
+def test_bad_arguments_are_type_errors_naming_the_record(name):
+    record = SAMPLES[name]()
+    cls = type(record)
+    values = [getattr(record, field) for field in cls._fields]
+    required = [f for f in cls._fields if f not in cls._defaults]
+    if required:
+        first = cls._fields.index(required[0])
+        with pytest.raises(TypeError, match=f"{name}.*{required[0]}"):
+            cls(*values[:first])
+    with pytest.raises(TypeError, match=f"{name}.*'bogus'"):
+        cls(*values, bogus=1)
+    with pytest.raises(TypeError, match=f"{name}.*got {len(values) + 1}"):
+        cls(*values, 1)
+    field = cls._fields[0]
+    with pytest.raises(TypeError, match=f"{name}.*{field}"):
+        cls(*values, **{field: values[0]})
+
+
+def test_defaults_must_name_fields():
+    with pytest.raises(TypeError, match="Odd._defaults.*'b'"):
+        class Odd(Record):
+            __slots__ = ("a",)
+            _defaults = {"a": 0, "b": 1}
 
 
 def test_lifetime_peaks_are_cached():

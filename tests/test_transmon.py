@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -282,6 +283,15 @@ def test_chi_values_for_shipped_devices():
 def test_coupling_requires_positive_g():
     with pytest.raises(DomainError):
         _coupling(0.0)
+
+
+def test_chi_at_zero_ej_is_a_domain_error():
+    # the charge states do not mix, so <0|n|1> is 0 at every ng
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ng in (0.0, 0.25, 0.5):
+            with pytest.raises(DomainError, match="vanishes at EJ = 0.0 GHz"):
+                chi_shift(TransmonParams(0.0, 0.2, ng), _coupling())
 
 
 def test_chi_scales_quadratically_in_g():
