@@ -1,6 +1,6 @@
 """Digest the CLI's outputs over a fixed matrix of runs.
 
-    python3 scripts/output_digests.py [--root CHECKOUT]
+    python3 scripts/output_digests.py [--root CHECKOUT [--root OTHER]]
 
 Runs ``python -m qpgap.cli`` from the checkout (default: the one holding
 this script) with its ``src/`` on the import path, over the five shipped
@@ -10,8 +10,12 @@ stdout, plus ``parity-sim configs/device_3p.json --duration 1000 --out
 DIR``: 101 runs.  A run's digest is the sha256 of its exit code, stdout,
 stderr and every file it wrote.  Prints one ``<sha256>  <run>`` line per
 run, then the combined digest: the sha256 of the per-run hex digests
-concatenated in run order.  Two checkouts whose outputs are byte-identical
-print the same lines, so compare the output of two ``--root`` values.
+concatenated in run order.
+
+With two ``--root`` values each run is made on both checkouts, and only
+the runs whose digests differ are printed, as ``<first>  <second>
+<run>``; then each checkout's combined digest (``<sha256>  all  <root>``)
+and the count of moved runs.  Byte-identical outputs print no run lines.
 """
 
 from __future__ import annotations
@@ -76,18 +80,34 @@ def run_digest(root: Path, argv: list[str], out: Path | None) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--root", type=Path,
-                        default=Path(__file__).resolve().parent.parent,
-                        help="qpgap checkout to run (default: this one)")
-    root = parser.parse_args().root.resolve()
-    combined = hashlib.sha256()
+    parser.add_argument("--root", type=Path, action="append",
+                        help="qpgap checkout to run; give two to compare "
+                             "them (default: this one)")
+    roots = parser.parse_args().root or [Path(__file__).parent.parent]
+    if len(roots) > 2:
+        parser.error("give at most two --root values")
+    roots = [root.resolve() for root in roots]
+    combined = [hashlib.sha256() for _ in roots]
+    matrix = runs()
+    moved = 0
     with tempfile.TemporaryDirectory() as scratch:
-        for index, (name, argv, writes) in enumerate(runs()):
-            out = Path(scratch) / str(index) if writes else None
-            hexdigest = run_digest(root, argv, out)
-            combined.update(hexdigest.encode())
-            print(f"{hexdigest}  {name}", flush=True)
-    print(f"{combined.hexdigest()}  all")
+        for index, (name, argv, writes) in enumerate(matrix):
+            digests = []
+            for side, (root, total) in enumerate(zip(roots, combined)):
+                out = Path(scratch) / f"{side}.{index}" if writes else None
+                digests.append(run_digest(root, argv, out))
+                total.update(digests[-1].encode())
+            if len(roots) == 1:
+                print(f"{digests[0]}  {name}", flush=True)
+            elif digests[0] != digests[1]:
+                moved += 1
+                print(f"{digests[0]}  {digests[1]}  {name}", flush=True)
+    if len(roots) == 1:
+        print(f"{combined[0].hexdigest()}  all")
+        return 0
+    for root, total in zip(roots, combined):
+        print(f"{total.hexdigest()}  all  {root}")
+    print(f"{moved} of {len(matrix)} runs moved")
     return 0
 
 

@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .config import DeviceConfig, load_device_config
 from .errors import (
+    BracketError,
     ConfigError,
     ConvergenceError,
     NearResonanceError,
@@ -237,6 +238,18 @@ def _cmd_spectrum(args, config: DeviceConfig) -> int:
 _QP_GRID = ["T_K", "x_qp", "gamma1_per_s", "T1_us", "parity_rate_per_s"]
 
 
+def _crossover_k(x_nqp: float, delta_k: float) -> float | None:
+    """The crossover temperature, or None where the curves do not cross.
+
+    At x_nqp = 0 the thermal fraction exceeds it at every temperature; a
+    bracket error means no crossing inside [10 mK, Delta/2].
+    """
+    try:
+        return crossover_temperature(x_nqp, delta_k) if x_nqp > 0 else None
+    except BracketError:
+        return None
+
+
 def _cmd_qp(args, config: DeviceConfig) -> int:
     env = config.env
     profile = config.profile
@@ -264,9 +277,7 @@ def _cmd_qp(args, config: DeviceConfig) -> int:
         "delta_junction_GHz": delta_ghz,
         "f_ge_GHz": f_ge,
         "x_nqp": env.x_nqp,
-        # at x_nqp = 0 the thermal fraction exceeds it at every temperature
-        "crossover_K": (crossover_temperature(env.x_nqp, delta_k)
-                        if env.x_nqp > 0 else None),
+        "crossover_K": _crossover_k(env.x_nqp, delta_k),
         "n_nqp_per_um3": volume_density(env.x_nqp, env.nu0_per_ev_um3,
                                         delta_ev),
     }
@@ -359,7 +370,9 @@ def _cmd_parity_sim(args, config: DeviceConfig) -> int:
     parity_trace = simulate_parity(
         config.noise.gamma_parity_per_s, duration, seed=seed
     )
-    charge_trace = simulate_offset_charge(config.noise, duration, seed=seed + 1)
+    charge_trace = simulate_offset_charge(
+        config.noise, duration, seed=seed + 1, ng_initial=config.params.ng
+    )
     f_min, f_max = scan_window(
         config.params, settings.linewidth_mhz, settings.pad_linewidths
     )

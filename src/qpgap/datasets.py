@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import non_negative
 from .fitting import DataSeries, dataseries_to_csv, t1_rate_model, t2_rate_model
 
 
@@ -19,8 +19,7 @@ def _noisy_series(
     The quoted sigma equals the noise actually applied, so round-trip fits
     see correctly calibrated weights.
     """
-    if noise_fraction < 0:
-        raise DomainError("noise fraction must be non-negative")
+    non_negative("noise fraction", noise_fraction)
     rng = np.random.default_rng(seed)
     sigma = noise_fraction * rates
     noisy = rates + rng.normal(0.0, 1.0, size=len(t)) * sigma

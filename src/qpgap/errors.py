@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule for a magnitude.
+
+A physical magnitude (a temperature, a gap, a rate, a length) is valid
+when it is finite and positive, or finite and non-negative where zero
+means "absent".  :func:`positive` and :func:`non_negative` hold that rule
+once: NaN and infinities fail it, so no library function returns a silent
+NaN or inf for a NaN or infinite argument; it raises :class:`DomainError`
+naming the argument instead.
+"""
+
+import math
 
 
 class QpgapError(Exception):
@@ -52,3 +62,17 @@ class ConvergenceError(QpgapError, RuntimeError):
 
 class RankDeficiencyError(ConvergenceError):
     """The least-squares normal equations are singular."""
+
+
+def positive(name: str, value: float) -> None:
+    """Raise :class:`DomainError` unless ``0 < value < inf``."""
+    if not 0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
+def non_negative(name: str, value: float) -> None:
+    """Raise :class:`DomainError` unless ``0 <= value < inf``."""
+    if not 0 <= value < math.inf:
+        raise DomainError(
+            f"{name} must be non-negative and finite, got {value}"
+        )

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from ._record import Record
-from .errors import BracketError, ConfigError, DomainError
+from .errors import ConfigError, DomainError, non_negative, positive
 from .numerics import least_squares, sort_median
 from .thermal import bose_occupation, delta_from_tc, thermal_qp_term, temperature_from_occupation
 from .quasiparticles import crossover_temperature
@@ -342,7 +342,7 @@ def fit_t1_vs_temperature(data: DataSeries) -> FitResult:
             derived["crossover_K"] = crossover_temperature(
                 x_nqp, delta_from_tc(tc)
             )
-        except BracketError as exc:
+        except DomainError as exc:  # no sign change, or x_nqp overflowed
             raise DomainError(
                 f"no thermal crossover for the fitted x_nqp = {x_nqp:.6g} "
                 f"and Tc = {tc:.6g} K: {exc}"
@@ -375,8 +375,7 @@ def _shot_noise_rates(
     chi_mhz: float, kappa_mhz: float, n_th: np.ndarray
 ) -> np.ndarray:
     """:func:`shot_noise_dephasing` over an array of photon numbers."""
-    if kappa_mhz <= 0:
-        raise DomainError(f"kappa must be positive, got {kappa_mhz}")
+    positive("kappa", kappa_mhz)
     negative = n_th < 0
     if negative.any():
         raise DomainError(f"n_th must be non-negative, got {n_th[negative][0]}")
@@ -417,12 +416,8 @@ def resonator_thermometry(
     without cancellation.  The Bose inversion then gives the temperature.
     A zero rate returns the n_th = 0, T = 0 lower limit with the flag set.
     """
-    if not 0.0 <= gamma_phi_per_s < math.inf:
-        raise DomainError(
-            f"rate must be non-negative and finite, got {gamma_phi_per_s}"
-        )
-    if not kappa_mhz > 0:
-        raise DomainError(f"kappa must be positive, got {kappa_mhz}")
+    non_negative("rate", gamma_phi_per_s)
+    positive("kappa", kappa_mhz)
     if chi_mhz == 0.0:
         raise DomainError("chi = 0 MHz: the rate does not depend on n_th")
     if gamma_phi_per_s == 0.0:
@@ -444,8 +439,8 @@ def resonator_thermometry(
 
 def pure_dephasing_from_echo(t2star_s: float, t2echo_s: float) -> float:
     """Pure dephasing rate (1/s) from Ramsey and echo coherence times."""
-    if t2star_s <= 0 or t2echo_s <= 0:
-        raise DomainError("coherence times must be positive")
+    positive("T2*", t2star_s)
+    positive("T2echo", t2echo_s)
     if t2star_s > t2echo_s:
         raise DomainError(
             f"T2* = {t2star_s:g} s exceeds T2echo = {t2echo_s:g} s; "

@@ -6,10 +6,8 @@ The config loader reads these without loading the parity simulator;
 
 from __future__ import annotations
 
-import math
-
 from ._record import Record
-from .errors import DomainError
+from .errors import non_negative
 
 DEFAULT_TLS_RATE = 1.0 / 180.0
 DEFAULT_PIXEL_SECONDS = 0.2
@@ -32,13 +30,5 @@ class NoiseModel(Record):
     _defaults = {"tls_rate_per_s": DEFAULT_TLS_RATE}
 
     def _check(self) -> None:
-        if not 0 <= self.gamma_parity_per_s < math.inf:
-            raise DomainError(
-                "parity rate must be non-negative and finite, got "
-                f"{self.gamma_parity_per_s}"
-            )
-        if not 0 <= self.tls_rate_per_s < math.inf:
-            raise DomainError(
-                "TLS rate must be non-negative and finite, got "
-                f"{self.tls_rate_per_s}"
-            )
+        non_negative("parity rate", self.gamma_parity_per_s)
+        non_negative("TLS rate", self.tls_rate_per_s)

@@ -217,6 +217,11 @@ def least_squares(
             delta = np.zeros(n)
             delta[free] = delta_free
             trial = np.clip(x + delta, lower, upper)
+            if not np.isfinite(trial).all():
+                # an overflowed step: the models reject a NaN or inf
+                # parameter, so it is a failed trial, not an evaluation
+                lam *= _LAMBDA_UP
+                continue
             step = trial - x
             trial_residual = np.asarray(residual_fn(trial), dtype=float)
             trial_ssr = float(trial_residual @ trial_residual)

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from ._record import Record
-from .errors import CoverageError, DomainError
+from .errors import CoverageError, DomainError, non_negative, positive
 # the noise rates and the scan limit live in .noise, where the config
 # loader reads them
 from .noise import (DEFAULT_PIXEL_SECONDS, DEFAULT_TLS_RATE,
@@ -150,12 +150,8 @@ def simulate_parity(
     A zero rate returns a trace with no switches.  The same seed gives an
     identical trace on every platform and thread count.
     """
-    if not 0 <= gamma_per_s < math.inf:
-        raise DomainError(
-            f"rate must be non-negative and finite, got {gamma_per_s}"
-        )
-    if not 0 < duration_s < math.inf:
-        raise DomainError(f"duration must be positive, got {duration_s}")
+    non_negative("rate", gamma_per_s)
+    positive("duration", duration_s)
     if initial_parity not in _PARITY_NAMES:
         raise DomainError(
             f"initial parity must be 'even' or 'odd', got {initial_parity!r}"
@@ -181,8 +177,7 @@ def simulate_offset_charge(
     Jumps arrive as a Poisson process at the model's TLS rate; each jump
     adds a uniform(0, 1) shift to ng, reduced modulo 1.
     """
-    if not 0 < duration_s < math.inf:
-        raise DomainError(f"duration must be positive, got {duration_s}")
+    positive("duration", duration_s)
     rng = np.random.default_rng(seed)
     times = _exponential_arrivals(model.tls_rate_per_s, duration_s, rng)
     values = np.empty(len(times) + 1)
@@ -210,8 +205,7 @@ class ScanConfig(Record):
             raise DomainError(
                 f"n_freq must be at most {MAX_SCAN_SAMPLES}, got {self.n_freq}"
             )
-        if not 0 < self.pixel_seconds < math.inf:
-            raise DomainError("pixel time must be positive")
+        positive("pixel time", self.pixel_seconds)
 
     def frequencies(self) -> np.ndarray:
         return np.linspace(self.f_min_ghz, self.f_max_ghz, self.n_freq)
@@ -370,10 +364,8 @@ def synthesize_scan(
         If any branch frequency visited during the scan falls outside the
         frequency grid.
     """
-    if not linewidth_mhz > 0:
-        raise DomainError(f"linewidth must be positive, got {linewidth_mhz}")
-    if not snr > 0:
-        raise DomainError(f"snr must be positive, got {snr}")
+    positive("linewidth", linewidth_mhz)
+    positive("snr", snr)
     if abs(parity_trace.duration_s - charge_trace.duration_s) > 1e-9:
         raise DomainError("parity and charge traces cover different durations")
     pixels = parity_trace.duration_s / config.pixel_seconds + 1e-9
@@ -460,10 +452,8 @@ def _detect_rows(
     Returns per-row peak counts, (n_rows, 2) peak positions in ascending
     order padded with NaN, and thresholds.  Rows are processed in blocks.
     """
-    if not threshold_k > 0:
-        raise DomainError(f"threshold_k must be positive, got {threshold_k}")
-    if not linewidth_mhz > 0:
-        raise DomainError(f"linewidth must be positive, got {linewidth_mhz}")
+    positive("threshold_k", threshold_k)
+    positive("linewidth", linewidth_mhz)
     lw_ghz = linewidth_mhz / 1e3
     n_rows, n_freq = amplitudes.shape
     counts = np.zeros(n_rows, dtype=np.intp)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from ._record import Record
-from .errors import DomainError, GeometryError
+from .errors import DomainError, GeometryError, non_negative, positive
 from .numerics import root_find
 from .thermal import delta_from_tc, thermal_qp_term
 from .units import CONSTANTS
@@ -57,8 +57,7 @@ class ThicknessTcTable(Record):
 
     def tc(self, thickness_nm: float) -> float:
         """Critical temperature (kelvin) for a film of given thickness."""
-        if thickness_nm <= 0:
-            raise DomainError(f"thickness must be positive, got {thickness_nm}")
+        positive("thickness", thickness_nm)
         thicknesses = [t for t, _ in self.anchors]
         tcs = [tc for _, tc in self.anchors]
         return float(np.interp(thickness_nm, thicknesses, tcs))
@@ -216,16 +215,11 @@ class QPEnvironment(Record):
     }
 
     def _check(self) -> None:
-        if self.x_nqp < 0:
-            raise DomainError(f"x_nqp must be non-negative, got {self.x_nqp}")
-        if self.diffusion_m2_per_s <= 0:
-            raise DomainError("diffusion constant must be positive")
-        if self.xi_um <= 0:
-            raise DomainError("coherence length must be positive")
-        if self.nu0_per_ev_um3 <= 0:
-            raise DomainError("density of states must be positive")
-        if self.t_qp_kelvin <= 0:
-            raise DomainError("quasiparticle temperature must be positive")
+        non_negative("x_nqp", self.x_nqp)
+        positive("diffusion constant", self.diffusion_m2_per_s)
+        positive("coherence length", self.xi_um)
+        positive("density of states", self.nu0_per_ev_um3)
+        positive("quasiparticle temperature", self.t_qp_kelvin)
         if len(self.tau_anchors) < 2:
             raise DomainError("tau_anchors needs at least two points")
         energies = [e for e, _ in self.tau_anchors]
@@ -248,8 +242,7 @@ def tau_eps(energy_kelvin: float, env: QPEnvironment | None = None) -> float:
     the anchor range the nearest segment's power law extrapolates.
     """
     env = env or DEFAULT_ENVIRONMENT
-    if energy_kelvin <= 0:
-        raise DomainError(f"energy must be positive, got {energy_kelvin}")
+    positive("energy", energy_kelvin)
     log_e = np.log([e for e, _ in env.tau_anchors])
     log_tau = np.log([tau for _, tau in env.tau_anchors])
     x = math.log(energy_kelvin)
@@ -275,8 +268,7 @@ def thermal_qp_fraction(
     t_kelvin: float, delta_kelvin: float, x_nqp: float = 0.0
 ) -> float:
     """Total quasiparticle fraction: non-equilibrium floor plus thermal term."""
-    if x_nqp < 0:
-        raise DomainError(f"x_nqp must be non-negative, got {x_nqp}")
+    non_negative("x_nqp", x_nqp)
     return x_nqp + thermal_qp_term(t_kelvin, delta_kelvin)
 
 
@@ -286,10 +278,8 @@ def crossover_temperature(x_nqp: float, delta_kelvin: float) -> float:
     Searches [10 mK, Delta/2]; raises a bracket error when the thermal
     curve does not cross ``x_nqp`` inside that window.
     """
-    if x_nqp <= 0:
-        raise DomainError(f"x_nqp must be positive, got {x_nqp}")
-    if delta_kelvin <= 0:
-        raise DomainError(f"delta must be positive, got {delta_kelvin}")
+    positive("x_nqp", x_nqp)
+    positive("delta", delta_kelvin)
     if delta_kelvin / 2.0 <= _CROSSOVER_T_MIN:
         raise DomainError(
             f"crossover search needs Delta/2 above the "
@@ -316,16 +306,11 @@ def nqp_decay_rate(
     Gamma = 32 EJ sqrt(Delta / 2 f_ge) sqrt(EC / 8 EJ) x_qp with all
     energies converted to Hz.
     """
-    for name, value in (
-        ("EJ", ej_ghz),
-        ("EC", ec_ghz),
-        ("f_ge", f_ge_ghz),
-        ("delta", delta_ghz),
-    ):
-        if value <= 0:
-            raise DomainError(f"{name} must be positive, got {value}")
-    if x_qp < 0:
-        raise DomainError(f"x_qp must be non-negative, got {x_qp}")
+    positive("EJ", ej_ghz)
+    positive("EC", ec_ghz)
+    positive("f_ge", f_ge_ghz)
+    positive("delta", delta_ghz)
+    non_negative("x_qp", x_qp)
     ej_hz = ej_ghz * 1e9
     return (
         32.0
@@ -344,8 +329,7 @@ def x_qp_from_rate(
     delta_ghz: float,
 ) -> float:
     """Quasiparticle fraction that produces a given relaxation rate."""
-    if rate_per_s < 0:
-        raise DomainError(f"rate must be non-negative, got {rate_per_s}")
+    non_negative("rate", rate_per_s)
     unit = nqp_decay_rate(ej_ghz, ec_ghz, f_ge_ghz, delta_ghz, 1.0)
     return rate_per_s / unit
 
@@ -354,10 +338,9 @@ def volume_density(
     x_qp: float, nu0_per_ev_um3: float, delta_ev: float
 ) -> float:
     """Quasiparticle volume density n = x 2 nu0 Delta, per cubic micrometer."""
-    if x_qp < 0:
-        raise DomainError(f"x_qp must be non-negative, got {x_qp}")
-    if nu0_per_ev_um3 <= 0 or delta_ev <= 0:
-        raise DomainError("nu0 and delta must be positive")
+    non_negative("x_qp", x_qp)
+    positive("nu0", nu0_per_ev_um3)
+    positive("delta", delta_ev)
     return x_qp * 2.0 * nu0_per_ev_um3 * delta_ev
 
 
@@ -365,10 +348,9 @@ def x_qp_from_density(
     n_per_um3: float, nu0_per_ev_um3: float, delta_ev: float
 ) -> float:
     """Quasiparticle fraction from a volume density (inverse of volume_density)."""
-    if n_per_um3 < 0:
-        raise DomainError(f"density must be non-negative, got {n_per_um3}")
-    if nu0_per_ev_um3 <= 0 or delta_ev <= 0:
-        raise DomainError("nu0 and delta must be positive")
+    non_negative("density", n_per_um3)
+    positive("nu0", nu0_per_ev_um3)
+    positive("delta", delta_ev)
     return n_per_um3 / (2.0 * nu0_per_ev_um3 * delta_ev)
 
 
@@ -473,12 +455,9 @@ def above_barrier_fraction(
     normalization (Delta e^s K1(s), s = Delta/T) come from one quadrature
     rule, :func:`_gap_edge_integrals`.
     """
-    if delta_delta_k < 0:
-        raise DomainError(f"gap step must be non-negative, got {delta_delta_k}")
-    if t_qp_kelvin <= 0:
-        raise DomainError(f"T_qp must be positive, got {t_qp_kelvin}")
-    if delta_kelvin <= 0:
-        raise DomainError(f"delta must be positive, got {delta_kelvin}")
+    non_negative("gap step", delta_delta_k)
+    positive("T_qp", t_qp_kelvin)
+    positive("delta", delta_kelvin)
     if delta_delta_k == 0.0:
         return 1.0
     above, total = _gap_edge_integrals(
@@ -538,8 +517,7 @@ def barrier_adequate(
     low-energy tunneling in both directions.
     """
     env = env or DEFAULT_ENVIRONMENT
-    if safety_factor <= 0:
-        raise DomainError(f"safety factor must be positive, got {safety_factor}")
+    positive("safety factor", safety_factor)
     required = safety_factor * env.xi_um
     adjacent_max = max(profile.adjacent_deltas())
 
@@ -594,10 +572,8 @@ def parity_rate_model(
     protecting barrier the full base rate applies.
     """
     env = env or DEFAULT_ENVIRONMENT
-    if base_rate_per_s < 0:
-        raise DomainError("base rate must be non-negative")
-    if thermal_prefactor_per_s < 0:
-        raise DomainError("thermal prefactor must be non-negative")
+    non_negative("base rate", base_rate_per_s)
+    non_negative("thermal prefactor", thermal_prefactor_per_s)
     verdict = barrier_adequate(profile, env)
     steps = [
         side.delta_delta_k

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, positive
 from .units import CONSTANTS
 
 # Above this ratio hf/kBT the Bose denominator exp(x)-1 equals exp(x) to
@@ -22,11 +22,9 @@ def delta_from_tc(tc_kelvin: float, bcs_ratio: float | None = None) -> float:
     bcs_ratio:
         Gap ratio Delta/(kB Tc); defaults to the weak-coupling value.
     """
-    if tc_kelvin <= 0:
-        raise DomainError(f"Tc must be positive, got {tc_kelvin}")
+    positive("Tc", tc_kelvin)
     ratio = CONSTANTS.bcs_ratio if bcs_ratio is None else bcs_ratio
-    if ratio <= 0:
-        raise DomainError(f"bcs_ratio must be positive, got {ratio}")
+    positive("bcs_ratio", ratio)
     return ratio * tc_kelvin
 
 
@@ -36,8 +34,7 @@ def bcs_dos(energy: float, delta: float) -> float:
     Returns E/sqrt(E^2 - Delta^2) for E > Delta and 0 at or below the
     gap edge.  ``energy`` and ``delta`` must share one unit.
     """
-    if delta <= 0:
-        raise DomainError(f"delta must be positive, got {delta}")
+    positive("delta", delta)
     if energy <= delta:
         return 0.0
     return energy / math.sqrt(energy * energy - delta * delta)
@@ -49,10 +46,8 @@ def bose_occupation(f_ghz: float, t_kelvin: float) -> float:
     Evaluated in log space for large hf/kBT so that occupations far below
     1e-100 come back as accurate subnormals instead of overflowing.
     """
-    if f_ghz <= 0:
-        raise DomainError(f"frequency must be positive, got {f_ghz}")
-    if t_kelvin <= 0:
-        raise DomainError(f"temperature must be positive, got {t_kelvin}")
+    positive("frequency", f_ghz)
+    positive("temperature", t_kelvin)
     x = f_ghz * CONSTANTS.h_over_kB / t_kelvin
     if x > _LARGE_EXPONENT:
         return math.exp(-x)
@@ -61,10 +56,8 @@ def bose_occupation(f_ghz: float, t_kelvin: float) -> float:
 
 def two_level_population(f_ghz: float, t_kelvin: float) -> float:
     """Thermal excited-state population of a two-level system."""
-    if f_ghz <= 0:
-        raise DomainError(f"frequency must be positive, got {f_ghz}")
-    if t_kelvin <= 0:
-        raise DomainError(f"temperature must be positive, got {t_kelvin}")
+    positive("frequency", f_ghz)
+    positive("temperature", t_kelvin)
     x = f_ghz * CONSTANTS.h_over_kB / t_kelvin
     if x > _LARGE_EXPONENT:
         return math.exp(-x)
@@ -77,8 +70,7 @@ def temperature_from_population(f_ghz: float, p_excited: float) -> float:
     Inverts :func:`two_level_population`; only populations strictly
     between 0 and 1/2 correspond to a finite positive temperature.
     """
-    if f_ghz <= 0:
-        raise DomainError(f"frequency must be positive, got {f_ghz}")
+    positive("frequency", f_ghz)
     if not 0.0 < p_excited < 0.5:
         raise DomainError(
             f"excited population must lie in (0, 0.5), got {p_excited}"
@@ -88,19 +80,15 @@ def temperature_from_population(f_ghz: float, p_excited: float) -> float:
 
 def temperature_from_occupation(f_ghz: float, n_th: float) -> float:
     """Effective temperature (kelvin) from a Bose occupation number."""
-    if f_ghz <= 0:
-        raise DomainError(f"frequency must be positive, got {f_ghz}")
-    if n_th <= 0:
-        raise DomainError(f"occupation must be positive, got {n_th}")
+    positive("frequency", f_ghz)
+    positive("occupation", n_th)
     return f_ghz * CONSTANTS.h_over_kB / math.log1p(1.0 / n_th)
 
 
 def thermal_qp_term(t_kelvin: float, delta_kelvin: float) -> float:
     """Thermal-equilibrium quasiparticle fraction sqrt(2 pi T/Delta) e^(-Delta/T)."""
-    if t_kelvin <= 0:
-        raise DomainError(f"temperature must be positive, got {t_kelvin}")
-    if delta_kelvin <= 0:
-        raise DomainError(f"delta must be positive, got {delta_kelvin}")
+    positive("temperature", t_kelvin)
+    positive("delta", delta_kelvin)
     # Python floats: a subnormal ratio overflows 2 pi/ratio to inf quietly,
     # where a numpy scalar would print a RuntimeWarning
     ratio = float(delta_kelvin) / float(t_kelvin)

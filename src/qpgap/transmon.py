@@ -23,6 +23,7 @@ from .errors import (
     DomainError,
     NearResonanceError,
     UnderdeterminedError,
+    positive,
 )
 from .numerics import least_squares, root_find
 from .units import CONSTANTS
@@ -130,12 +131,9 @@ class CavityCoupling(Record):
     __slots__ = ("g_mhz", "nu_r_ghz", "q_loaded")
 
     def _check(self) -> None:
-        if self.g_mhz <= 0:
-            raise DomainError(f"g must be positive, got {self.g_mhz}")
-        if self.nu_r_ghz <= 0:
-            raise DomainError(f"nu_r must be positive, got {self.nu_r_ghz}")
-        if self.q_loaded <= 0:
-            raise DomainError(f"Q must be positive, got {self.q_loaded}")
+        positive("g", self.g_mhz)
+        positive("nu_r", self.nu_r_ghz)
+        positive("Q", self.q_loaded)
 
     @property
     def kappa_mhz(self) -> float:
@@ -442,18 +440,14 @@ class FrequencyTargets(Record):
     _defaults = {"f_ge_ng05": None, "f_ef": None}
 
     def _check(self) -> None:
-        if self.f_ge_ng0 <= 0:
-            raise DomainError(f"f_ge must be positive, got {self.f_ge_ng0}")
+        positive("f_ge", self.f_ge_ng0)
         if self.f_ge_ng05 is None and self.f_ef is None:
             raise UnderdeterminedError(
                 "a single ge frequency cannot determine both EJ and EC; "
                 "provide f_ge_ng05 or f_ef"
             )
         if self.f_ge_ng05 is not None:
-            if self.f_ge_ng05 <= 0:
-                raise DomainError(
-                    f"f_ge_ng05 must be positive, got {self.f_ge_ng05}"
-                )
+            positive("f_ge_ng05", self.f_ge_ng05)
             dispersion = abs(self.f_ge_ng0 - self.f_ge_ng05)
             if dispersion >= min(self.f_ge_ng0, self.f_ge_ng05):
                 raise DomainError(
@@ -461,11 +455,13 @@ class FrequencyTargets(Record):
                     f"{dispersion:.4g} GHz is not small against the ge "
                     "frequency"
                 )
-        if self.f_ef is not None and self.f_ef >= self.f_ge_ng0:
-            raise DomainError(
-                "inconsistent targets: f_ef must lie below f_ge "
-                "(transmon anharmonicity is negative)"
-            )
+        if self.f_ef is not None:
+            positive("f_ef", self.f_ef)
+            if self.f_ef >= self.f_ge_ng0:
+                raise DomainError(
+                    "inconsistent targets: f_ef must lie below f_ge "
+                    "(transmon anharmonicity is negative)"
+                )
 
 
 _RATIO_BRACKET = (math.log(1.5), math.log(2000.0))
@@ -595,17 +591,13 @@ def ej_from_normal_resistance(rn_ohm: float, delta_ghz: float) -> float:
     Uses the tunnel-junction relation EJ = (Delta/8) (RK/Rn) with the von
     Klitzing resistance RK.
     """
-    if rn_ohm <= 0:
-        raise DomainError(f"Rn must be positive, got {rn_ohm}")
-    if delta_ghz <= 0:
-        raise DomainError(f"delta must be positive, got {delta_ghz}")
+    positive("Rn", rn_ohm)
+    positive("delta", delta_ghz)
     return (delta_ghz / 8.0) * (CONSTANTS.RK / rn_ohm)
 
 
 def normal_resistance_from_ej(ej_ghz: float, delta_ghz: float) -> float:
     """Junction normal-state resistance (ohm) that yields ``ej_ghz``."""
-    if ej_ghz <= 0:
-        raise DomainError(f"EJ must be positive, got {ej_ghz}")
-    if delta_ghz <= 0:
-        raise DomainError(f"delta must be positive, got {delta_ghz}")
+    positive("EJ", ej_ghz)
+    positive("delta", delta_ghz)
     return (delta_ghz / 8.0) * (CONSTANTS.RK / ej_ghz)

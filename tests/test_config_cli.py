@@ -408,6 +408,22 @@ def test_parity_sim_files_and_verdict(configs_dir, tmp_path, capsys):
     assert (tmp_path / "scan.svg").read_text().startswith("<svg")
 
 
+def test_parity_sim_starts_the_charge_trace_at_the_config_ng(
+    configs_dir, tmp_path, capsys
+):
+    # at ng = 1/4 the even and odd branches coincide: one peak per pixel
+    doc = _document(configs_dir, "device_2np.json")
+    doc["transmon"]["ng"] = 0.25
+    path = tmp_path / "ng.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert _run(["parity-sim", path, "--duration", "2", "--out", out]) == 0
+    rows = [line.split(",") for line in
+            (out / "peaks.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 10
+    assert {row[2] for row in rows} == {"1"}
+
+
 @pytest.mark.parametrize(
     "config, duration", [("device_3p.json", "0.2"), ("device_1np.json", "0.39")]
 )
@@ -616,19 +632,30 @@ def test_hot_quasiparticles_with_computed_parity_rate(
     assert capsys.readouterr().err == ""
 
 
+_QP_OPTIONS = (
+    ["--format", "csv"],
+    ["--format", "json"],
+    ["--t-min", "0.001", "--t-points", "3", "--svg", "--out", "OUT"],
+)
+
+
+# x_nqp = 0 never meets the thermal curve; 1e-300 and 0.5 meet it outside
+# the crossover search window [10 mK, Delta/2].  All three report a null
+# crossover_K; the x_nqp = 0 cases keep their plain options ids.
 @pytest.mark.parametrize(
-    "options",
+    "x_nqp, options",
     [
-        ["--format", "csv"],
-        ["--format", "json"],
-        ["--t-min", "0.001", "--t-points", "3", "--svg", "--out", "OUT"],
+        pytest.param(x_nqp, options, id=f"{prefix}options{index}")
+        for x_nqp, prefix in ((0, ""), (1e-300, "x_nqp=1e-300-"),
+                              (0.5, "x_nqp=0.5-"))
+        for index, options in enumerate(_QP_OPTIONS)
     ],
 )
 def test_qp_without_nonequilibrium_quasiparticles(
-    configs_dir, tmp_path, capsys, options
+    configs_dir, tmp_path, capsys, x_nqp, options
 ):
     doc = _document(configs_dir, "device_1p.json")
-    doc["qp_environment"]["x_nqp"] = 0
+    doc["qp_environment"]["x_nqp"] = x_nqp
     path = tmp_path / "x0.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
