@@ -46,8 +46,9 @@ _EXPORTS = {
         "above_barrier_fraction", "barrier_adequate", "crossover_temperature",
         "delta_ev_from_tc", "diffusion_length", "nqp_decay_rate",
         "parity_rate_model", "profile_from_stack", "tau_eps",
-        "tc_from_thickness", "thermal_qp_fraction", "trap_adequate",
-        "volume_density", "x_qp_from_density", "x_qp_from_rate",
+        "tc_from_thickness", "thermal_crossover", "thermal_qp_fraction",
+        "trap_adequate", "volume_density", "x_qp_from_density",
+        "x_qp_from_rate",
     ),
     "parity": (
         "ChargeTrace", "LifetimeEstimate", "ParityTrace", "PeakSet",

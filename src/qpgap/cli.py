@@ -31,7 +31,6 @@ import numpy as np
 from . import __version__
 from .config import DeviceConfig, load_device_config
 from .errors import (
-    BracketError,
     ConfigError,
     ConvergenceError,
     NearResonanceError,
@@ -39,10 +38,10 @@ from .errors import (
 )
 from .quasiparticles import (
     barrier_adequate,
-    crossover_temperature,
     diffusion_length,
     nqp_decay_rate,
     parity_rate_model,
+    thermal_crossover,
     thermal_qp_fraction,
     trap_adequate,
     volume_density,
@@ -238,18 +237,6 @@ def _cmd_spectrum(args, config: DeviceConfig) -> int:
 _QP_GRID = ["T_K", "x_qp", "gamma1_per_s", "T1_us", "parity_rate_per_s"]
 
 
-def _crossover_k(x_nqp: float, delta_k: float) -> float | None:
-    """The crossover temperature, or None where the curves do not cross.
-
-    At x_nqp = 0 the thermal fraction exceeds it at every temperature; a
-    bracket error means no crossing inside [10 mK, Delta/2].
-    """
-    try:
-        return crossover_temperature(x_nqp, delta_k) if x_nqp > 0 else None
-    except BracketError:
-        return None
-
-
 def _cmd_qp(args, config: DeviceConfig) -> int:
     env = config.env
     profile = config.profile
@@ -277,7 +264,7 @@ def _cmd_qp(args, config: DeviceConfig) -> int:
         "delta_junction_GHz": delta_ghz,
         "f_ge_GHz": f_ge,
         "x_nqp": env.x_nqp,
-        "crossover_K": _crossover_k(env.x_nqp, delta_k),
+        "crossover_K": thermal_crossover(env.x_nqp, delta_k),
         "n_nqp_per_um3": volume_density(env.x_nqp, env.nu0_per_ev_um3,
                                         delta_ev),
     }

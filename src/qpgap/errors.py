@@ -3,9 +3,12 @@
 A physical magnitude (a temperature, a gap, a rate, a length) is valid
 when it is finite and positive, or finite and non-negative where zero
 means "absent".  :func:`positive` and :func:`non_negative` hold that rule
-once: NaN and infinities fail it, so no library function returns a silent
-NaN or inf for a NaN or infinite argument; it raises :class:`DomainError`
-naming the argument instead.
+once for the range-checked scalar arguments of ``thermal``,
+``quasiparticles``, ``transmon``, ``fitting``, ``parity``, ``noise`` and
+``datasets``: NaN and infinities fail it with a :class:`DomainError`
+naming the argument.  Array, list and ordering rules, gap segments
+(:class:`GeometryError`) and an infinite T1 in the T2 budget (a zero
+rate) are checked where they are used; unit conversions check nothing.
 """
 
 import math

@@ -22,7 +22,7 @@ from ._record import Record
 from .errors import ConfigError, DomainError, non_negative, positive
 from .numerics import least_squares, sort_median
 from .thermal import bose_occupation, delta_from_tc, thermal_qp_term, temperature_from_occupation
-from .quasiparticles import crossover_temperature
+from .quasiparticles import thermal_crossover
 
 _SERIES_KINDS = ("t1", "t2star", "t2echo")
 
@@ -312,7 +312,9 @@ def fit_t1_vs_temperature(data: DataSeries) -> FitResult:
     The model is Gamma1(T) = Gamma_plateau + A sqrt(2 pi T / Delta)
     exp(-Delta/T) with Delta = bcs_ratio * Tc.  Derived outputs: the
     inferred non-equilibrium fraction x_nqp = Gamma_plateau / A with its
-    propagated uncertainty, and the thermal crossover temperature.
+    propagated uncertainty, and the thermal crossover temperature.  A
+    fitted x_nqp above 0 with no crossover (see :func:`thermal_crossover`)
+    is a domain error.
 
     Preconditions: at least four points spanning max(T) > 1.5 min(T).
     """
@@ -337,16 +339,16 @@ def fit_t1_vs_temperature(data: DataSeries) -> FitResult:
         grad = np.array([1.0 / amplitude, 0.0, -plateau / amplitude**2])
         variance = float(grad @ lm.covariance @ grad)
         derived["x_nqp_sigma"] = math.sqrt(max(variance, 0.0))
-    if x_nqp > 0:
-        try:
-            derived["crossover_K"] = crossover_temperature(
-                x_nqp, delta_from_tc(tc)
-            )
-        except DomainError as exc:  # no sign change, or x_nqp overflowed
-            raise DomainError(
-                f"no thermal crossover for the fitted x_nqp = {x_nqp:.6g} "
-                f"and Tc = {tc:.6g} K: {exc}"
-            ) from exc
+    crossover = None
+    if math.isfinite(x_nqp):  # plateau / amplitude can overflow
+        crossover = thermal_crossover(x_nqp, delta_from_tc(tc))
+    if crossover is not None:
+        derived["crossover_K"] = crossover
+    elif x_nqp > 0:
+        raise DomainError(
+            f"no thermal crossover for the fitted x_nqp = {x_nqp:.6g} "
+            f"and Tc = {tc:.6g} K inside [10 mK, Delta/2]"
+        )
     names = ("gamma_plateau_per_s", "tc_K", "amplitude_per_s")
     return _fit_report("t1_vs_temperature", names, lm, len(data), derived,
                        t1_rate_model)

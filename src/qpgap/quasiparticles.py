@@ -14,7 +14,9 @@ import math
 import numpy as np
 
 from ._record import Record
-from .errors import DomainError, GeometryError, non_negative, positive
+from .errors import (
+    BracketError, DomainError, GeometryError, non_negative, positive
+)
 from .numerics import root_find
 from .thermal import delta_from_tc, thermal_qp_term
 from .units import CONSTANTS
@@ -292,6 +294,21 @@ def crossover_temperature(x_nqp: float, delta_kelvin: float) -> float:
         delta_kelvin / 2.0,
         abs_tol=1e-10,
     )
+
+
+def thermal_crossover(x_nqp: float, delta_kelvin: float) -> float | None:
+    """The crossover temperature, or None where there is none to report.
+
+    None at x_nqp = 0, which the thermal fraction exceeds at every
+    temperature, and where the thermal curve does not cross ``x_nqp``
+    inside [10 mK, Delta/2].  Invalid magnitudes and a gap too small for
+    the window still raise.
+    """
+    non_negative("x_nqp", x_nqp)
+    try:
+        return crossover_temperature(x_nqp, delta_kelvin) if x_nqp else None
+    except BracketError:
+        return None
 
 
 def nqp_decay_rate(

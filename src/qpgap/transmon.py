@@ -23,6 +23,7 @@ from .errors import (
     DomainError,
     NearResonanceError,
     UnderdeterminedError,
+    non_negative,
     positive,
 )
 from .numerics import least_squares, root_find
@@ -99,12 +100,8 @@ class TransmonParams(Record):
         set_field(self, "EC", EC)
         set_field(self, "ng", ng)
         set_field(self, "n_cut", n_cut)
-        if not 0 <= self.EJ < math.inf:
-            raise DomainError(
-                f"EJ must be non-negative and finite, got {self.EJ}"
-            )
-        if not 0 < self.EC < math.inf:
-            raise DomainError(f"EC must be positive and finite, got {self.EC}")
+        non_negative("EJ", EJ)
+        positive("EC", EC)
         if self.EJ > MAX_EJ_OVER_EC * self.EC:
             raise DomainError(
                 f"EJ/EC must be at most {MAX_EJ_OVER_EC:g}, got EJ = "
@@ -112,8 +109,7 @@ class TransmonParams(Record):
             )
         if not math.isfinite(self.ng):
             raise DomainError(f"ng must be finite, got {self.ng}")
-        if self.n_cut < 0:
-            raise DomainError(f"n_cut must be non-negative, got {self.n_cut}")
+        non_negative("n_cut", n_cut)
 
     @property
     def effective_n_cut(self) -> int:

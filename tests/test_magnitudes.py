@@ -40,6 +40,7 @@ from qpgap.quasiparticles import (
     nqp_decay_rate,
     parity_rate_model,
     tau_eps,
+    thermal_crossover,
     thermal_qp_fraction,
     volume_density,
     x_qp_from_density,
@@ -126,6 +127,10 @@ CASES = {
         "x_nqp", lambda v: crossover_temperature(v, 2.0)),
     "crossover_temperature.delta": (
         "delta", lambda v: crossover_temperature(1e-6, v)),
+    "thermal_crossover.x_nqp": (
+        "x_nqp", lambda v: thermal_crossover(v, 2.0)),
+    "thermal_crossover.delta": (
+        "delta", lambda v: thermal_crossover(1e-6, v)),
     "nqp_decay_rate.EJ": ("EJ", lambda v: _nqp_rate(ej_ghz=v)),
     "nqp_decay_rate.EC": ("EC", lambda v: _nqp_rate(ec_ghz=v)),
     "nqp_decay_rate.f_ge": ("f_ge", lambda v: _nqp_rate(f_ge_ghz=v)),
@@ -158,6 +163,10 @@ CASES = {
         "thermal prefactor",
         lambda v: parity_rate_model(PROFILE, thermal_prefactor_per_s=v)),
     # transmon
+    "TransmonParams.EJ": ("EJ", lambda v: TransmonParams(EJ=v, EC=0.3)),
+    "TransmonParams.EC": ("EC", lambda v: TransmonParams(EJ=20.0, EC=v)),
+    "TransmonParams.n_cut": (
+        "n_cut", lambda v: TransmonParams(EJ=20.0, EC=0.3, n_cut=v)),
     "CavityCoupling.g": ("g", lambda v: CavityCoupling(v, 7.2, 2e4)),
     "CavityCoupling.nu_r": ("nu_r", lambda v: CavityCoupling(80.0, v, 2e4)),
     "CavityCoupling.Q": ("Q", lambda v: CavityCoupling(80.0, 7.2, v)),
@@ -239,8 +248,7 @@ def test_rule_bounds(rule, zero_ok, wording):
 
 
 def test_fit_t1_names_an_overflowed_x_nqp(monkeypatch):
-    # plateau / amplitude overflows to inf, which crossover_temperature
-    # rejects as a magnitude: the fit still reports no crossover
+    # plateau / amplitude overflows to inf: the fit reports no crossover
     fitted = LMResult(np.array([1e10, 1.2, 1e-300]), None, 0.0, 1, True)
     monkeypatch.setattr(fitting, "least_squares", lambda *a, **k: fitted)
     series = synthetic_t1_series(2e4, 1.2, 4e10, np.linspace(0.03, 0.3, 5))
@@ -249,3 +257,19 @@ def test_fit_t1_names_an_overflowed_x_nqp(monkeypatch):
         match="^no thermal crossover for the fitted x_nqp = inf and Tc = 1.2 K",
     ):
         fitting.fit_t1_vs_temperature(series)
+
+
+@pytest.mark.parametrize("x_nqp", [0.0, 1e-300, 0.5])
+def test_thermal_crossover_is_none_outside_the_window(x_nqp):
+    # 0 lies below the thermal fraction everywhere; 1e-300 and 0.5 cross
+    # it below 10 mK and above Delta/2
+    assert thermal_crossover(x_nqp, 2.0) is None
+
+
+def test_thermal_crossover_inside_the_window():
+    assert thermal_crossover(1e-6, 2.0) == crossover_temperature(1e-6, 2.0)
+
+
+def test_thermal_crossover_keeps_the_small_gap_error():
+    with pytest.raises(DomainError, match="^crossover search needs Delta/2"):
+        thermal_crossover(1e-6, 0.02)
