@@ -333,22 +333,25 @@ def fit_t1_vs_temperature(data: DataSeries) -> FitResult:
     lm = least_squares(*_t1_problem(data), guess, bounds=bounds)
 
     plateau, tc, amplitude = lm.x
-    x_nqp = plateau / amplitude
-    derived = {"x_nqp_inferred": float(x_nqp)}
-    if lm.covariance is not None:
+    # at an amplitude near its 1e-300 bound these overflow; an infinite
+    # x_nqp has no crossover, so it ends in the DomainError below
+    with np.errstate(over="ignore", divide="ignore"):
+        x_nqp = plateau / amplitude
         grad = np.array([1.0 / amplitude, 0.0, -plateau / amplitude**2])
-        variance = float(grad @ lm.covariance @ grad)
-        derived["x_nqp_sigma"] = math.sqrt(max(variance, 0.0))
     crossover = None
-    if math.isfinite(x_nqp):  # plateau / amplitude can overflow
+    if math.isfinite(x_nqp):
         crossover = thermal_crossover(x_nqp, delta_from_tc(tc))
-    if crossover is not None:
-        derived["crossover_K"] = crossover
-    elif x_nqp > 0:
+    if crossover is None and x_nqp > 0:
         raise DomainError(
             f"no thermal crossover for the fitted x_nqp = {x_nqp:.6g} "
             f"and Tc = {tc:.6g} K inside [10 mK, Delta/2]"
         )
+    derived = {"x_nqp_inferred": float(x_nqp)}
+    if lm.covariance is not None:
+        variance = float(grad @ lm.covariance @ grad)
+        derived["x_nqp_sigma"] = math.sqrt(max(variance, 0.0))
+    if crossover is not None:
+        derived["crossover_K"] = crossover
     names = ("gamma_plateau_per_s", "tc_K", "amplitude_per_s")
     return _fit_report("t1_vs_temperature", names, lm, len(data), derived,
                        t1_rate_model)

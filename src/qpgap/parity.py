@@ -12,15 +12,18 @@ once and cuts every pixel into segments between events.  It sums the
 segment weights of each (offset charge, parity) state a pixel visits, in
 time order, and adds one Lorentzian per visited state, in the order the
 pixel first visits them, so a pixel that switches hundreds of times adds
-two or three terms.  The terms go into the scan in blocks of pixel rows.
-The result is bit-identical to a per-pixel loop that sums each state's
-dwell in time order and adds the states in first-visit order; a loop
-that adds one Lorentzian per segment gives the same bits wherever a
-pixel visits each state at most once.  Detection finds the thresholds of
-a block of rows at once, tests the local-maximum condition only at the
-samples above them, and clusters the survivors; it keeps the results as
-arrays, which the verdict and the CLI's peak table read, and builds a
-per-row :class:`PeakSet` only on request.
+two or three terms.  The terms go into the scan in blocks of pixel rows,
+and each block's noise is drawn into one buffer that the whole scan
+reuses.  The result is bit-identical to a per-pixel loop that sums each
+state's dwell in time order and adds the states in first-visit order; a
+loop that adds one Lorentzian per segment gives the same bits wherever a
+pixel visits each state at most once.  Detection sorts each block of
+rows once, into one reused buffer, and reads both the row medians and
+the MADs (median absolute deviations) of its thresholds from that sort.
+It tests the local-maximum condition only at the samples above the
+thresholds and clusters the survivors; it keeps the results as arrays,
+which the verdict and the CLI's peak table read, and builds a per-row
+:class:`PeakSet` only on request.
 
 All random draws derive from a single master seed through independent
 spawned streams, so traces and scans are reproducible bit for bit
@@ -40,7 +43,7 @@ from .errors import CoverageError, DomainError, non_negative, positive
 # loader reads them
 from .noise import (DEFAULT_PIXEL_SECONDS, DEFAULT_TLS_RATE,
                     MAX_SCAN_SAMPLES, NoiseModel)
-from .numerics import sort_median
+from .numerics import sort_median_mad
 from .transmon import TransmonParams, transition_frequency
 
 _EVEN = 0
@@ -52,8 +55,8 @@ _PARITY_NAMES = {"even": _EVEN, "odd": _ODD}
 _BLOCK = 4096
 
 # Scans are synthesized and graded in blocks of this many pixel rows, which
-# bounds the per-block temporaries (gathered Lorentzians, noise draws,
-# detection masks).
+# bounds the per-block temporaries (gathered Lorentzians, detection masks)
+# and sizes the one noise buffer and the one sort buffer of a scan.
 _ROWS = 256
 
 # The most work one input may ask for: expected events (rate x duration)
@@ -405,19 +408,28 @@ def synthesize_scan(
         np.random.SeedSequence(seed).spawn(1)[0]
     )
     amplitudes = np.empty((n_pixels, len(freqs)))
+    noise = np.empty((min(_ROWS, n_pixels), len(freqs)))
     for first in range(0, n_pixels, _ROWS):
         # every row takes its first term in place, then its later terms
         # in order, the rows that have a k-th term together
         rows = amplitudes[first:first + _ROWS]
         heads = head[first:first + _ROWS]
         terms = n_terms[first:first + _ROWS]
-        np.take(denominators, state[heads], axis=0, out=rows)
+        # the states index the table, and mode="raise" would copy via a
+        # temporary block
+        np.take(denominators, state[heads], axis=0, out=rows, mode="clip")
         np.divide(dwell[heads, None], rows, out=rows)
         for k in range(1, terms.max()):
             sub = np.flatnonzero(terms > k)
             kth = heads[sub] + k
             rows[sub] += dwell[kth, None] / denominators[state[kth]]
-        rows += noise_rng.normal(0.0, 1.0 / snr, size=rows.shape)
+        # bit for bit normal(0.0, 1.0 / snr): numpy draws 0.0 + scale * z,
+        # and the 0.0 only turns -0.0 into 0.0, which the positive row
+        # absorbs
+        draws = noise[:len(rows)]
+        noise_rng.standard_normal(out=draws)
+        draws *= 1.0 / snr
+        rows += draws
 
     midpoints = (pixel_starts + (pixel_starts + config.pixel_seconds)) / 2.0
     branch_freqs = branches[
@@ -459,12 +471,11 @@ def _detect_rows(
     counts = np.zeros(n_rows, dtype=np.intp)
     positions = np.full((n_rows, 2), np.nan)
     thresholds = np.empty(n_rows)
+    ordered = np.empty((min(_ROWS, n_rows), n_freq))
     for first in range(0, n_rows, _ROWS):
         block = amplitudes[first:first + _ROWS]
-        median = sort_median(block)
-        deviation = block - median[:, None]
-        sigma = 1.4826 * sort_median(np.abs(deviation, out=deviation))
-        threshold = median + threshold_k * sigma
+        median, mad = sort_median_mad(block, ordered)
+        threshold = median + threshold_k * (1.4826 * mad)
         thresholds[first:first + _ROWS] = threshold
 
         # Local maxima among the samples above threshold: a sample tops its
@@ -539,6 +550,8 @@ def detect_peaks(
     row = np.asarray(amplitudes, dtype=float)
     if freqs.shape != row.shape or row.ndim != 1:
         raise DomainError("frequencies and amplitudes must be equal 1-d arrays")
+    if not len(row):
+        raise DomainError("amplitudes hold no samples")
     return _peak_sets(
         *_detect_rows(freqs, row[None, :], linewidth_mhz, threshold_k)
     )[0]

@@ -247,12 +247,14 @@ def test_rule_bounds(rule, zero_ok, wording):
         assert rule("x", 0.0) is None and rule("x", -0.0) is None
 
 
-def test_fit_t1_names_an_overflowed_x_nqp(monkeypatch):
-    # plateau / amplitude overflows to inf: the fit reports no crossover
-    fitted = LMResult(np.array([1e10, 1.2, 1e-300]), None, 0.0, 1, True)
+@pytest.mark.parametrize("covariance", [None, np.eye(3)])
+def test_fit_t1_names_an_overflowed_x_nqp(monkeypatch, covariance):
+    # plateau / amplitude and its gradient overflow to inf without a
+    # warning: the fit reports no crossover
+    fitted = LMResult(np.array([1e10, 1.2, 1e-300]), covariance, 0.0, 1, True)
     monkeypatch.setattr(fitting, "least_squares", lambda *a, **k: fitted)
     series = synthetic_t1_series(2e4, 1.2, 4e10, np.linspace(0.03, 0.3, 5))
-    with np.errstate(over="ignore"), pytest.raises(
+    with pytest.raises(
         DomainError,
         match="^no thermal crossover for the fitted x_nqp = inf and Tc = 1.2 K",
     ):

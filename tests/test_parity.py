@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,8 @@ def test_detect_peaks_validates_arguments():
         detect_peaks(freqs, np.zeros(10), linewidth_mhz=1.0)
     with pytest.raises(DomainError):
         detect_peaks(freqs, np.zeros(11), linewidth_mhz=1.0, threshold_k=0.0)
+    with pytest.raises(DomainError, match="^amplitudes hold no samples$"):
+        detect_peaks(np.array([]), np.array([]), linewidth_mhz=1.0)
 
 
 # ------------------------------------------------------ lifetime verdicts
@@ -929,3 +932,30 @@ def test_scan_budget_refuses_one_pixel_past_the_limit():
                 _flat_charge(duration), config,
             )
 
+
+def test_protected_scan_allocates_no_scan_sized_temporary():
+    # a 1000 s protected scan, 5000 x 161: synthesis holds the scan plus
+    # per-block temporaries, and grading per-block temporaries alone
+    duration = 1000.0
+    parity = simulate_parity(0.001, duration, seed=17)
+    charge = simulate_offset_charge(
+        NoiseModel(gamma_parity_per_s=0.001), duration, seed=18
+    )
+    config = _scan_config(duration)
+    tracemalloc.start()
+    try:
+        scan = synthesize_scan(
+            SENSITIVE, parity, charge, config,
+            linewidth_mhz=1.0, snr=20.0, seed=19,
+        )
+        _, synthesis_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        estimate_parity_lifetime(scan)
+        _, grading_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scan.amplitudes.shape == (5000, 161)
+    block = _ROWS * scan.amplitudes[0].nbytes
+    assert synthesis_peak <= scan.amplitudes.nbytes + 4 * block
+    assert grading_peak - base <= 4 * block
