@@ -6,11 +6,13 @@ For each checkout (default: the one holding this script) the package is
 copied from ``src/`` into a temporary directory without ``__pycache__``
 and timed in fresh interpreters, with one BLAS thread:
 
-* ``import numpy, scipy`` and ``import qpgap.cli``, timed inside the child
-  around the import statement.  ``compiled`` runs set
-  ``PYTHONDONTWRITEBYTECODE=1`` on the bare copy, so every run compiles
-  the package's modules, as a fresh checkout does; ``cached`` runs use a
-  second copy whose bytecode was written beforehand.
+* ``import numpy`` (what a command imports before the package) and
+  ``import qpgap.cli``, timed inside the child around the import
+  statement.  ``compiled`` runs set ``PYTHONDONTWRITEBYTECODE=1`` on the
+  bare copy, so every run compiles the package's modules, as a fresh
+  checkout does; ``cached`` runs use a second copy whose bytecode was
+  written beforehand.  The report records ``sys.flags.dont_write_bytecode``
+  as each mode's child sees it.
 * the seven commands of the benchmark's ``cli_cold`` workload
   (``COMMANDS`` of ``perfbench/cli_cold.py`` beside this script), as
   ``python -m qpgap.cli`` with ``PYTHONDONTWRITEBYTECODE=1`` on the bare
@@ -19,7 +21,8 @@ and timed in fresh interpreters, with one BLAS thread:
 Every case of every checkout runs once per round, interleaved, for
 ``--runs`` rounds, with the checkout order rotating each round.  Prints
 the min, quartiles and median of each case in ms, then the ``qpgap.*``
-modules each command loads.  ``--json FILE`` also writes the samples.
+and ``scipy.*`` modules each command loads.  ``--json FILE`` also writes
+the samples.
 """
 
 from __future__ import annotations
@@ -42,10 +45,11 @@ HERE = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(HERE / "perfbench"))
 from cli_cold import COMMANDS, OUT  # noqa: E402
 
-IMPORTS = {"import numpy, scipy": "numpy, scipy", "import qpgap.cli": "qpgap.cli"}
+IMPORTS = {"import numpy": "numpy", "import qpgap.cli": "qpgap.cli"}
 IMPORT_PROBE = ("import time; t = time.perf_counter(); import {modules}; "
                 "print(time.perf_counter() - t)")
-# runs a command as ``python -m qpgap.cli`` does, then lists qpgap's modules
+# runs a command as ``python -m qpgap.cli`` does, then lists qpgap's and
+# scipy's modules
 MODULES_PROBE = (
     "import json, runpy, sys\n"
     "sys.argv = ['qpgap', *json.loads(sys.argv[1])]\n"
@@ -54,7 +58,7 @@ MODULES_PROBE = (
     "except SystemExit:\n"
     "    pass\n"
     "sys.stderr.write(json.dumps(sorted(\n"
-    "    m for m in sys.modules if m.split('.')[0] == 'qpgap')))\n"
+    "    m for m in sys.modules if m.split('.')[0] in ('qpgap', 'scipy'))))\n"
 )
 
 
@@ -105,6 +109,14 @@ class Checkout:
         elapsed = time.perf_counter() - start
         shutil.rmtree(self.out, ignore_errors=True)
         return 1e3 * elapsed
+
+    def dont_write_bytecode(self, cached: bool) -> bool:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; print(sys.flags.dont_write_bytecode)"],
+            env=self.env(cached), capture_output=True, text=True, check=True,
+        )
+        return bool(int(proc.stdout))
 
     def modules(self, command: str) -> list[str]:
         proc = subprocess.run(
@@ -169,6 +181,9 @@ def main() -> int:
         "runs": args.runs,
         "checkouts": [
             {"root": str(checkout.root),
+             "dont_write_bytecode": {
+                 mode: checkout.dont_write_bytecode(cached)
+                 for mode, cached in (("compiled", False), ("cached", True))},
              "cases": {name: {**summary(values), "samples_ms": values}
                        for name, values in sample.items()},
              "modules": module}

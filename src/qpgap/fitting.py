@@ -333,11 +333,16 @@ def fit_t1_vs_temperature(data: DataSeries) -> FitResult:
     lm = least_squares(*_t1_problem(data), guess, bounds=bounds)
 
     plateau, tc, amplitude = lm.x
-    # at an amplitude near its 1e-300 bound these overflow; an infinite
-    # x_nqp has no crossover, so it ends in the DomainError below
-    with np.errstate(over="ignore", divide="ignore"):
+    # at an amplitude near its 1e-300 bound these overflow: an infinite
+    # x_nqp has no crossover and a variance that is not finite has no
+    # sigma, and both end in a DomainError below.  A zero plateau leaves
+    # x_nqp no amplitude term, not 0/0 where amplitude**2 underflows.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x_nqp = plateau / amplitude
-        grad = np.array([1.0 / amplitude, 0.0, -plateau / amplitude**2])
+        slope = -plateau / amplitude**2 if plateau else 0.0
+        grad = np.array([1.0 / amplitude, 0.0, slope])
+        if lm.covariance is not None:
+            variance = float(grad @ lm.covariance @ grad)
     crossover = None
     if math.isfinite(x_nqp):
         crossover = thermal_crossover(x_nqp, delta_from_tc(tc))
@@ -348,7 +353,8 @@ def fit_t1_vs_temperature(data: DataSeries) -> FitResult:
         )
     derived = {"x_nqp_inferred": float(x_nqp)}
     if lm.covariance is not None:
-        variance = float(grad @ lm.covariance @ grad)
+        if not math.isfinite(variance):
+            raise DomainError(f"x_nqp = {x_nqp:.6g} has variance {variance}")
         derived["x_nqp_sigma"] = math.sqrt(max(variance, 0.0))
     if crossover is not None:
         derived["crossover_K"] = crossover

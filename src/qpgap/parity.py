@@ -242,6 +242,17 @@ class SpectroscopyScan(Record):
         "linewidth_mhz", "snr", "pixel_seconds", "seed",
     )
 
+    def _check(self) -> None:
+        # shapes only: an isfinite pass would read every sample of a scan
+        shape = np.shape(self.amplitudes)
+        if len(shape) != 2 or not shape[1]:
+            raise DomainError(f"amplitudes need 2 axes, 1+ columns: {shape}")
+        if np.shape(self.frequencies_ghz) != shape[1:]:
+            raise DomainError("frequencies_ghz needs one entry per column")
+        for name in ("pixel_starts_s", "branch_freqs_ghz"):
+            if np.shape(getattr(self, name))[:1] != shape[:1]:
+                raise DomainError(f"{name} needs one row per pixel")
+
     @property
     def n_pixels(self) -> int:
         return self.amplitudes.shape[0]

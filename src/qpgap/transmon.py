@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import numpy as np
-import scipy
 
 from ._record import Record
 from .errors import (
@@ -30,8 +29,8 @@ from .numerics import least_squares, root_find
 from .units import CONSTANTS
 
 
-def _load_flapack():
-    """scipy's compiled LAPACK module, loaded without ``scipy.linalg``.
+def _load_flapack(packages):
+    """scipy's compiled LAPACK module, loaded from ``packages``' ``linalg/``.
 
     ``scipy.linalg.lapack`` re-exports the routines of this extension, but
     importing it first runs the ``scipy.linalg`` package, whose array-API
@@ -40,12 +39,10 @@ def _load_flapack():
     is registered under its full name, so a later ``import scipy.linalg``
     reuses it.
     """
-    search = [os.path.join(entry, "linalg") for entry in scipy.__path__]
+    search = [os.path.join(entry, "linalg") for entry in packages]
     spec = importlib.machinery.PathFinder.find_spec("_flapack", search)
     if spec is None:
-        raise ImportError(
-            f"scipy's LAPACK extension _flapack not found in {search}"
-        )
+        raise ImportError(f"LAPACK extension _flapack not found in {search}")
     spec.name = "scipy.linalg._flapack"
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
@@ -53,9 +50,30 @@ def _load_flapack():
     return module
 
 
-_flapack = _load_flapack()
-dstebz = _flapack.dstebz
-dstein = _flapack.dstein
+@functools.cache
+def _lapack():
+    """scipy's LAPACK module, loaded at the first eigensolve.
+
+    The directories of the scipy package come from its import spec, so
+    scipy's own ``__init__`` does not run, and commands that make no
+    eigensolve load nothing of scipy.  Skipping that ``__init__`` gives up
+    little: its numpy-version check only warns, the extension's own
+    ``import_array`` still refuses a numpy of the wrong C ABI, and its
+    distributor hook is empty in Linux and macOS wheels.  Some wheels
+    (delvewheel builds for Windows) set up their shared-library paths
+    there, so a failed direct load runs ``import scipy`` and tries again.
+    A module already in ``sys.modules`` is reused.
+    """
+    if "scipy.linalg._flapack" in sys.modules:
+        return sys.modules["scipy.linalg._flapack"]
+    spec = importlib.util.find_spec("scipy")
+    try:
+        return _load_flapack(spec.submodule_search_locations if spec else [])
+    except ImportError:
+        import scipy
+
+        return _load_flapack(scipy.__path__)
+
 
 # Levels kept in perturbative cavity-shift sums.  Going to 12 levels moves
 # the shift of every shipped device configuration by less than 1 percent.
@@ -206,7 +224,8 @@ def _tridiagonal_eigh(
         raise DomainError(
             f"levels={levels} exceeds Hilbert space dimension {len(diagonal)}"
         )
-    m, energies, iblock, isplit, info = dstebz(
+    lapack = _lapack()
+    m, energies, iblock, isplit, info = lapack.dstebz(
         diagonal, off_diagonal, 2, 0.0, 1.0, 1, levels, 0.0,
         "B" if vectors else "E",
     )
@@ -214,7 +233,9 @@ def _tridiagonal_eigh(
     energies = energies[:m]
     if not vectors:
         return energies
-    states, info = dstein(diagonal, off_diagonal, energies, iblock, isplit)
+    states, info = lapack.dstein(
+        diagonal, off_diagonal, energies, iblock, isplit
+    )
     _check_info("dstein", info)
     # dstebz orders by split-off block; the caller wants ascending energies
     order = np.argsort(energies)

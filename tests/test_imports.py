@@ -1,4 +1,5 @@
-"""Which of the package's modules a cold run loads, and the lazy package."""
+"""Which modules of the package and of scipy a cold run loads, and the lazy
+package."""
 
 import json
 import os
@@ -19,9 +20,12 @@ BASE = {
     "qpgap.noise", "qpgap.numerics", "qpgap.quasiparticles", "qpgap.thermal",
     "qpgap.transmon", "qpgap.units",
 }
+# scipy's LAPACK extension, loaded at a command's first eigensolve without
+# the scipy package itself
+LAPACK = {"scipy.linalg._flapack"}
 
-# runs argv without, then with --svg, printing qpgap's modules after each
-# (and numpy.ma, which np.median imports, if loaded)
+# runs argv without, then with --svg, printing qpgap's and scipy's modules
+# after each (and numpy.ma, which np.median imports, if loaded)
 _COMMAND_PROBE = """
 import json, sys
 from qpgap.cli import main
@@ -32,7 +36,7 @@ for extra in ([], ["--svg"]):
     assert main(argv + extra) == 0
     loaded.append(sorted(
         m for m in sys.modules
-        if m.split(".")[0] == "qpgap" or m == "numpy.ma"
+        if m.split(".")[0] in ("qpgap", "scipy") or m == "numpy.ma"
     ))
 print(json.dumps(loaded))
 """
@@ -51,10 +55,10 @@ def _python(code: str, *args: str) -> str:
 @pytest.mark.parametrize(
     "argv, extra",
     [
-        (["spectrum", "configs/device_1p.json"], set()),
-        (["qp", "configs/device_1p.json"], set()),
+        (["spectrum", "configs/device_1p.json"], LAPACK),
+        (["qp", "configs/device_1p.json"], LAPACK),
         (["parity-sim", "configs/device_2np.json", "--duration", "2"],
-         {"qpgap.parity", "qpgap._floatcsv"}),
+         {"qpgap.parity", "qpgap._floatcsv", *LAPACK}),
         (["fit", "t1", "data/t1_vs_temperature_1np.csv",
           "configs/device_1np.json"], {"qpgap.fitting"}),
         (["fit", "t2", "data/t2star_vs_temperature_1p.csv",
@@ -82,6 +86,14 @@ def test_qp_loads_no_numpy_polynomial(tmp_path):
     )
     argv = ["qp", "configs/device_1p.json", "--out", str(tmp_path)]
     assert _python(code, json.dumps(argv)).splitlines()[-1] == "[]"
+
+
+def test_cli_import_loads_nothing_of_scipy():
+    code = (
+        "import sys, qpgap.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert _python(code).splitlines() == ["[]"]
 
 
 def test_bare_import_loads_no_submodule_and_resolves_them():

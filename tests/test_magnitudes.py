@@ -7,6 +7,7 @@ argument, and the error must name the bad one.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,26 @@ def test_fit_t1_names_an_overflowed_x_nqp(monkeypatch, covariance):
         match="^no thermal crossover for the fitted x_nqp = inf and Tc = 1.2 K",
     ):
         fitting.fit_t1_vs_temperature(series)
+
+
+def test_fit_t1_zero_plateau_has_no_nan_sigma(monkeypatch):
+    # x_nqp = 0 at an amplitude of 1e-200, whose square underflows to 0:
+    # the gradient's amplitude entry is 0, not 0/0
+    series = synthetic_t1_series(2e4, 1.2, 4e10, np.linspace(0.03, 0.3, 5))
+
+    def fit(covariance):
+        x = np.array([0.0, 1.2, 1e-200])
+        fitted = LMResult(x, covariance, 0.0, 1, True)
+        monkeypatch.setattr(fitting, "least_squares", lambda *a, **k: fitted)
+        return fitting.fit_t1_vs_temperature(series)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        derived = fit(np.diag([1e-300, 1.0, 1.0])).derived
+        with pytest.raises(DomainError, match="^x_nqp = 0 has variance inf$"):
+            fit(np.eye(3))
+    assert derived["x_nqp_inferred"] == 0.0
+    assert derived["x_nqp_sigma"] == pytest.approx(1e50, rel=1e-15)
 
 
 @pytest.mark.parametrize("x_nqp", [0.0, 1e-300, 0.5])

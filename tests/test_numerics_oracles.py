@@ -226,30 +226,33 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
 def test_scipy_linalg_imports_after_transmon_and_agrees():
     code = (
         "import sys, qpgap.transmon as t\n"
-        "assert 'scipy.linalg' not in sys.modules\n"
-        "import scipy.linalg\n"
         "params = t.TransmonParams(EJ=14.0 * 0.3, EC=0.3, ng=0.25)\n"
         "d, e = t._tridiagonal_bands(params)\n"
         "ours = t._tridiagonal_eigh(d, e, 3, vectors=True)\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "import scipy.linalg\n"
         "theirs = scipy.linalg.eigh_tridiagonal(\n"
         "    d, e, select='i', select_range=(0, 2), check_finite=False)\n"
         "print(all(a.tobytes() == b.tobytes() for a, b in zip(ours, theirs)))\n"
-        "print(scipy.linalg.lapack.dstebz is t.dstebz)\n"
+        "print(scipy.linalg.lapack.dstebz is t._lapack().dstebz)\n"
     )
     assert _run_python(code).stdout.split() == ["True", "True"]
 
 
 def test_missing_lapack_extension_names_the_searched_directory(tmp_path):
-    # a scipy package without the compiled LAPACK module
+    # a scipy package without the compiled LAPACK module: the first solve
+    # searches it directly, then again after running its __init__
     (tmp_path / "scipy").mkdir()
-    (tmp_path / "scipy" / "__init__.py").write_text("")
+    (tmp_path / "scipy" / "__init__.py").write_text("print('init ran')")
     code = (
+        "import qpgap.transmon as t\n"
         "try:\n"
-        "    import qpgap.transmon\n"
+        "    t.eigenspectrum(t.TransmonParams(EJ=14.0, EC=1.0))\n"
         "except ImportError as error:\n"
         "    print(error)\n"
     )
     out = _run_python(code, str(tmp_path)).stdout
+    assert out.startswith("init ran\n")
     assert "_flapack" in out
     assert str(tmp_path / "scipy" / "linalg") in out
 
@@ -296,13 +299,13 @@ def test_tridiagonal_eigh_matches_scipy_bit_for_bit(
 
 @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
 def test_lapack_info_is_a_convergence_error(fresh_memo, monkeypatch, routine):
-    original = getattr(qpgap.transmon, routine)
+    original = getattr(qpgap.transmon._lapack(), routine)
 
     def failing(*args):
         *results, _ = original(*args)
         return (*results, 1)
 
-    monkeypatch.setattr(qpgap.transmon, routine, failing)
+    monkeypatch.setattr(qpgap.transmon._lapack(), routine, failing)
     with pytest.raises(ConvergenceError, match=f"{routine} failed .* = 1"):
         qpgap.transmon._eigensystem(TransmonParams(EJ=14.0, EC=1.0), 3)
 
@@ -321,14 +324,14 @@ def test_memoized_results_are_read_only(fresh_memo):
 
 
 def test_call_sequence_solves_each_point_once(fresh_memo, monkeypatch):
-    original = qpgap.transmon.dstebz
+    original = qpgap.transmon._lapack().dstebz
     calls = []
 
     def counting(d, e, select, vl, vu, il, iu, tol, order):
         calls.append((d.tobytes(), e.tobytes(), iu, order))
         return original(d, e, select, vl, vu, il, iu, tol, order)
 
-    monkeypatch.setattr(qpgap.transmon, "dstebz", counting)
+    monkeypatch.setattr(qpgap.transmon._lapack(), "dstebz", counting)
     params = TransmonParams(EJ=7.417, EC=0.403)
     coupling = CavityCoupling(g_mhz=122.0, nu_r_ghz=7.24, q_loaded=2.0e4)
     # the spectrum subcommand's grid, even and odd branch

@@ -743,6 +743,30 @@ def _dyadic_scan(rows, branch_freqs):
     )
 
 
+def test_scan_record_rejects_mismatched_shapes():
+    # a scan with no frequency columns used to reach estimate_parity_lifetime
+    # and fail there with an IndexError
+    rows = np.zeros((3, len(_DYADIC_FREQS)))
+    branches = np.tile([4.05, 4.1], (3, 1))
+    bad = [
+        dict(amplitudes=np.zeros((3, 0)), frequencies_ghz=_DYADIC_FREQS[:0]),
+        dict(amplitudes=rows[0]),
+        dict(frequencies_ghz=_DYADIC_FREQS[1:]),
+        dict(pixel_starts_s=np.arange(2) * 0.2),
+        dict(branch_freqs_ghz=branches[:2]),
+        dict(branch_freqs_ghz=np.float64(4.05)),
+    ]
+    for fields in bad:
+        with pytest.raises(DomainError):
+            SpectroscopyScan(**{
+                "frequencies_ghz": _DYADIC_FREQS,
+                "pixel_starts_s": np.arange(3) * 0.2, "amplitudes": rows,
+                "branch_freqs_ghz": branches, "linewidth_mhz": _DYADIC_LW_MHZ,
+                "snr": 20.0, "pixel_seconds": 0.2, "seed": 0, **fields,
+            })
+    assert _dyadic_scan(rows, branches).n_pixels == 3
+
+
 def test_pixels_visiting_each_state_once_keep_the_per_segment_bits():
     # no pixel comes back to a state it has left, so summing per state
     # adds the same terms in the same order as summing per segment
