@@ -1,6 +1,7 @@
 """Cold-start timings of the qpgap CLI, in fresh interpreters.
 
     python3 scripts/cold_start.py [--root CHECKOUT ...] [--runs N] [--json FILE]
+                                  [--compile]
 
 For each checkout (default: the one holding this script) the package is
 copied from ``src/`` into a temporary directory without ``__pycache__``
@@ -23,6 +24,12 @@ Every case of every checkout runs once per round, interleaved, for
 the min, quartiles and median of each case in ms, then the ``qpgap.*``
 and ``scipy.*`` modules each command loads.  ``--json FILE`` also writes
 the samples.
+
+``--compile`` times no process.  It times ``compile()`` of each ``qpgap``
+module that a command loads (the ``MODULES_PROBE`` list), in this
+process, once per round and checkout, interleaved, and prints for each
+command the sum of its modules' best-of-``--runs`` times, then each
+module's best time.
 """
 
 from __future__ import annotations
@@ -48,13 +55,13 @@ from cli_cold import COMMANDS, OUT  # noqa: E402
 IMPORTS = {"import numpy": "numpy", "import qpgap.cli": "qpgap.cli"}
 IMPORT_PROBE = ("import time; t = time.perf_counter(); import {modules}; "
                 "print(time.perf_counter() - t)")
-# runs a command as ``python -m qpgap.cli`` does, then lists qpgap's and
-# scipy's modules
+# runs a command as ``python -m qpgap.cli`` does (as ``__main__``, in
+# sys.modules), then lists qpgap's and scipy's modules
 MODULES_PROBE = (
     "import json, runpy, sys\n"
     "sys.argv = ['qpgap', *json.loads(sys.argv[1])]\n"
     "try:\n"
-    "    runpy.run_module('qpgap.cli', run_name='__main__')\n"
+    "    runpy.run_module('qpgap.cli', run_name='__main__', alter_sys=True)\n"
     "except SystemExit:\n"
     "    pass\n"
     "sys.stderr.write(json.dumps(sorted(\n"
@@ -141,6 +148,46 @@ def cases(checkout: Checkout) -> dict:
     return timed
 
 
+def module_file(package: Path, module: str) -> Path:
+    """The source file of ``qpgap`` module ``module`` under ``package``."""
+    name = module.partition(".")[2]
+    return package / (f"{name}.py" if name else "__init__.py")
+
+
+def compile_times(checkouts: list[Checkout], runs: int) -> list[dict]:
+    """Each checkout's command -> modules, best compile ms per module, and
+    best compile ms summed per command."""
+    # ``python -m qpgap.cli`` compiles cli.py as ``__main__``, which the
+    # probe's ``sys.modules`` does not list under its own name
+    loaded = [{command: sorted({"qpgap.cli", *(
+                   m for m in checkout.modules(command)
+                   if m.split(".")[0] == "qpgap")})
+               for command in COMMANDS} for checkout in checkouts]
+    sources = []
+    for checkout, commands in zip(checkouts, loaded):
+        names = sorted({m for modules in commands.values() for m in modules})
+        package = checkout.compiled / "qpgap"
+        sources.append({m: (module_file(package, m).read_text(),
+                            str(module_file(package, m))) for m in names})
+    best = [dict.fromkeys(source, float("inf")) for source in sources]
+    for round_index in range(runs):
+        for i in [(i + round_index) % len(checkouts)
+                  for i in range(len(checkouts))]:
+            for name, (text, filename) in sources[i].items():
+                start = time.perf_counter()
+                # dont_inherit: not this script's ``annotations`` future
+                compile(text, filename, "exec", dont_inherit=True)
+                elapsed = 1e3 * (time.perf_counter() - start)
+                best[i][name] = min(best[i][name], elapsed)
+    return [
+        {"modules_ms": times,
+         "commands_ms": {command: sum(times[m] for m in modules)
+                         for command, modules in commands.items()},
+         "modules": commands}
+        for times, commands in zip(best, loaded)
+    ]
+
+
 def summary(samples: list[float]) -> dict:
     # quantiles needs two samples; a single sample is its own quartiles
     q1, median, q3 = (
@@ -157,12 +204,16 @@ def main() -> int:
     parser.add_argument("--runs", type=int, default=15,
                         help="rounds of every case (default 15)")
     parser.add_argument("--json", type=Path, help="also write the samples")
+    parser.add_argument("--compile", action="store_true",
+                        help="time compile() of each command's modules only")
     args = parser.parse_args()
     roots = args.root or [HERE]
 
     with tempfile.TemporaryDirectory() as scratch:
         checkouts = [Checkout(root.resolve(), Path(scratch), f"checkout{i}")
                      for i, root in enumerate(roots)]
+        if args.compile:
+            return report_compile(checkouts, args)
         timers = [cases(checkout) for checkout in checkouts]
         samples = [{name: [] for name in timer} for timer in timers]
         for round_index in range(args.runs):
@@ -197,6 +248,28 @@ def main() -> int:
                   f"{stats['median']:7.1f} {stats['q3']:7.1f}")
         for command, names in entry["modules"].items():
             print(f"  modules {command}: {' '.join(names)}")
+    if args.json is not None:
+        args.json.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+def report_compile(checkouts: list[Checkout], args) -> int:
+    results = compile_times(checkouts, args.runs)
+    report = {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "runs": args.runs,
+        "checkouts": [{"root": str(checkout.root), **result}
+                      for checkout, result in zip(checkouts, results)],
+    }
+    for entry in report["checkouts"]:
+        print(f"{entry['root']}  (compile(), best of {args.runs}, ms)")
+        for command, total in entry["commands_ms"].items():
+            count = len(entry["modules"][command])
+            print(f"  {command:32s} {total:7.2f}  ({count} modules)")
+        for name, best in sorted(entry["modules_ms"].items()):
+            print(f"  {name:32s} {best:7.2f}")
     if args.json is not None:
         args.json.write_text(json.dumps(report, indent=1) + "\n")
     return 0

@@ -26,27 +26,28 @@ _EXPORTS = {
         "CONSTANTS", "Constants", "EnergyValue", "ev_to_ghz", "ev_to_kelvin",
         "ghz_to_ev", "ghz_to_kelvin", "kelvin_to_ev", "kelvin_to_ghz",
     ),
-    "numerics": ("LMResult", "least_squares"),
+    "device": (
+        "CavityCoupling", "FrequencyTargets", "GapProfile", "GapSegment",
+        "NoiseModel", "QPEnvironment", "StackSegment", "ThicknessTcTable",
+        "TransmonParams", "tc_from_thickness",
+    ),
     "thermal": (
-        "bcs_dos", "bose_occupation", "delta_from_tc",
+        "bcs_dos", "bose_occupation", "crossover_temperature", "delta_from_tc",
         "temperature_from_occupation", "temperature_from_population",
-        "thermal_qp_term", "two_level_population",
+        "thermal_crossover", "thermal_qp_fraction", "thermal_qp_term",
+        "two_level_population",
     ),
     "transmon": (
-        "CavityCoupling", "FrequencyTargets", "Spectrum", "TransmonParams",
-        "build_hamiltonian", "charge_dispersion", "charge_matrix_elements",
-        "chi_shift", "dispersive_shift", "eigenspectrum",
-        "ej_from_normal_resistance", "fit_ej_ec", "normal_resistance_from_ej",
-        "parity_frequencies", "parity_splitting", "resonator_dispersion",
-        "transition_frequency",
+        "Spectrum", "build_hamiltonian", "charge_dispersion",
+        "charge_matrix_elements", "chi_shift", "dispersive_shift",
+        "eigenspectrum", "ej_from_normal_resistance", "fit_ej_ec",
+        "normal_resistance_from_ej", "parity_frequencies", "parity_splitting",
+        "resonator_dispersion", "transition_frequency",
     ),
     "quasiparticles": (
-        "GapProfile", "GapSegment", "GeometryVerdict", "QPEnvironment",
-        "SideVerdict", "StackSegment", "ThicknessTcTable",
-        "above_barrier_fraction", "barrier_adequate", "crossover_temperature",
-        "delta_ev_from_tc", "diffusion_length", "nqp_decay_rate",
-        "parity_rate_model", "profile_from_stack", "tau_eps",
-        "tc_from_thickness", "thermal_crossover", "thermal_qp_fraction",
+        "GeometryVerdict", "SideVerdict", "above_barrier_fraction",
+        "barrier_adequate", "delta_ev_from_tc", "diffusion_length",
+        "nqp_decay_rate", "parity_rate_model", "profile_from_stack", "tau_eps",
         "trap_adequate", "volume_density", "x_qp_from_density",
         "x_qp_from_rate",
     ),
@@ -56,12 +57,12 @@ _EXPORTS = {
         "estimate_parity_lifetime", "scan_window", "simulate_offset_charge",
         "simulate_parity", "synthesize_scan",
     ),
-    "noise": ("NoiseModel",),
     "fitting": (
-        "DataSeries", "FitResult", "ThermometryResult", "dataseries_from_csv",
-        "dataseries_to_csv", "fit_t1_vs_temperature", "fit_t2_vs_temperature",
-        "pure_dephasing_from_echo", "resonator_thermometry",
-        "shot_noise_dephasing", "t1_rate_model", "t2_rate_model",
+        "DataSeries", "FitResult", "LMResult", "ThermometryResult",
+        "dataseries_from_csv", "dataseries_to_csv", "fit_t1_vs_temperature",
+        "fit_t2_vs_temperature", "least_squares", "pure_dephasing_from_echo",
+        "resonator_thermometry", "shot_noise_dephasing", "t1_rate_model",
+        "t2_rate_model",
     ),
     "config": (
         "DeviceConfig", "ScanSettings", "config_hash", "load_device_config",
@@ -71,7 +72,7 @@ _EXPORTS = {
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "datasets", "svgplot"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "datasets", "numerics", "svgplot"}
 
 __all__ = ["__version__", *_MODULE_OF]
 

@@ -15,16 +15,12 @@ import math
 from pathlib import Path
 
 from ._record import Record
-from .errors import ConfigError, DomainError, GeometryError, QpgapError
-from .noise import DEFAULT_PIXEL_SECONDS, MAX_SCAN_SAMPLES, NoiseModel
-from .quasiparticles import (
-    GapProfile,
-    QPEnvironment,
-    StackSegment,
-    ThicknessTcTable,
-    parity_rate_model,
+from .device import (
+    DEFAULT_PIXEL_SECONDS, MAX_SCAN_SAMPLES, CavityCoupling, FrequencyTargets,
+    GapProfile, NoiseModel, QPEnvironment, StackSegment, ThicknessTcTable,
+    TransmonParams,
 )
-from .transmon import CavityCoupling, FrequencyTargets, TransmonParams, fit_ej_ec
+from .errors import ConfigError, DomainError, GeometryError, QpgapError
 
 SCHEMA_VERSION = 1
 
@@ -351,6 +347,8 @@ def _resolve_transmon(data, text: str) -> TransmonParams:
     ng = _fields(rest, ("transmon",), text, _TRANSMON_NG)
     targets = _fields(data["targets"], ("transmon", "targets"), text, _TARGETS)
     targets = _record(FrequencyTargets, "transmon", text, **targets)
+    from .transmon import fit_ej_ec
+
     fitted = _record(fit_ej_ec, "transmon", text, targets=targets)
     return _record(TransmonParams, "transmon", text,
                    EJ=fitted.EJ, EC=fitted.EC, **ng)
@@ -391,6 +389,8 @@ def load_device_document(document: dict, text: str = "") -> DeviceConfig:
     noise = section("noise", _NOISE)
     computed = "gamma_parity_per_s" not in noise
     if computed:
+        from .quasiparticles import parity_rate_model
+
         noise["gamma_parity_per_s"] = parity_rate_model(profile, env)
 
     return DeviceConfig(

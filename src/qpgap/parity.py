@@ -39,12 +39,12 @@ import numpy as np
 
 from ._record import Record
 from .errors import CoverageError, DomainError, non_negative, positive
-# the noise rates and the scan limit live in .noise, where the config
-# loader reads them
-from .noise import (DEFAULT_PIXEL_SECONDS, DEFAULT_TLS_RATE,
-                    MAX_SCAN_SAMPLES, NoiseModel)
+# the noise rates, the scan limit and the records live in .device, where
+# the config loader reads them
+from .device import (DEFAULT_PIXEL_SECONDS, DEFAULT_TLS_RATE,
+                     MAX_SCAN_SAMPLES, NoiseModel, TransmonParams)
 from .numerics import sort_median_mad
-from .transmon import TransmonParams, transition_frequency
+from .transmon import transition_frequency
 
 _EVEN = 0
 _ODD = 1
@@ -87,16 +87,38 @@ def _exponential_arrivals(
     return merged[merged < duration_s]
 
 
+def _check_event_times(name: str, times) -> None:
+    """Raise unless ``times`` is 1-d and sorted; equal neighbours pass.
+
+    At the largest rates ``t + wait`` can round to ``t``, and synthesis
+    drops the zero-width segment two equal times make.  The check reads
+    the event times once and no scan sample.
+    """
+    times = np.asarray(times)
+    if times.ndim != 1:
+        raise DomainError(f"{name} must be 1-d, got shape {times.shape}")
+    if not np.all(times[1:] >= times[:-1]):
+        raise DomainError(f"{name} must be sorted (non-decreasing)")
+
+
 class ParityTrace(Record):
     """Telegraph record of charge parity over [0, duration).
 
-    ``switch_times`` are the strictly increasing parity-flip instants;
-    parity starts at ``initial_parity`` (0 even, 1 odd) and flips at each.
+    ``switch_times`` are the sorted (non-decreasing) parity-flip
+    instants; parity starts at ``initial_parity`` (0 even, 1 odd) and
+    flips at each.
     """
 
     __slots__ = ("switch_times", "duration_s", "initial_parity", "seed")
     _hidden = ("seed",)
     _defaults = {"initial_parity": _EVEN, "seed": None}
+
+    def _check(self) -> None:
+        _check_event_times("switch_times", self.switch_times)
+        if self.initial_parity not in (_EVEN, _ODD):
+            raise DomainError(
+                f"initial parity must be 0 or 1, got {self.initial_parity!r}"
+            )
 
     def parity_at(self, t: float) -> int:
         """Parity (0 even, 1 odd) at time ``t``."""
@@ -133,6 +155,11 @@ class ChargeTrace(Record):
     __slots__ = ("jump_times", "ng_values", "duration_s", "seed")
     _hidden = ("seed",)
     _defaults = {"seed": None}
+
+    def _check(self) -> None:
+        _check_event_times("jump_times", self.jump_times)
+        if np.shape(self.ng_values) != (len(self.jump_times) + 1,):
+            raise DomainError("ng_values needs one entry more than jump_times")
 
     def ng_at(self, t: float) -> float:
         idx = int(np.searchsorted(self.jump_times, t, side="right"))

@@ -14,156 +14,24 @@ import math
 import numpy as np
 
 from ._record import Record
-from .errors import (
-    BracketError, DomainError, GeometryError, non_negative, positive
+# the records live in .device, where the config loader reads them, and
+# the thermal crossover in .thermal
+from .device import (
+    DEFAULT_ENVIRONMENT, DEFAULT_T_QP, DEFAULT_THICKNESS_TABLE, GapProfile,
+    GapSegment, QPEnvironment, StackSegment, ThicknessTcTable,
+    tc_from_thickness,
 )
-from .numerics import root_find
-from .thermal import delta_from_tc, thermal_qp_term
+from .errors import DomainError, GeometryError, non_negative, positive
+from .thermal import (
+    crossover_temperature, delta_from_tc, thermal_crossover,
+    thermal_qp_fraction, thermal_qp_term,
+)
 from .units import CONSTANTS
 
 DEFAULT_BASE_RATE = 1.0e3
 # Thermal-activation prefactor calibrated so the engineered-gap device's
 # parity lifetime crosses one 0.2 s measurement pixel near 150 mK.
 DEFAULT_THERMAL_PREFACTOR = 3.4e7
-# Effective quasiparticle temperature near the gap edge; calibration
-# constant chosen so the default barrier suppresses the unprotected rate
-# by six orders of magnitude.
-DEFAULT_T_QP = 0.040
-
-_CROSSOVER_T_MIN = 0.010
-
-
-class ThicknessTcTable(Record):
-    """Clamped piecewise-linear map from film thickness to Tc.
-
-    Anchors are (thickness_nm, tc_kelvin) pairs, strictly increasing in
-    thickness and non-increasing in Tc (thinner aluminum has the higher
-    critical temperature).  Thicknesses outside the anchor range clamp to
-    the nearest anchor.
-    """
-
-    __slots__ = ("anchors",)
-    _defaults = {"anchors": ((25.0, 1.6), (40.0, 1.3))}
-
-    def _check(self) -> None:
-        if len(self.anchors) < 2:
-            raise DomainError("thickness table needs at least two anchors")
-        thicknesses = [t for t, _ in self.anchors]
-        tcs = [tc for _, tc in self.anchors]
-        if any(t <= 0 for t in thicknesses) or any(tc <= 0 for tc in tcs):
-            raise DomainError("table anchors must be positive")
-        if any(b <= a for a, b in zip(thicknesses, thicknesses[1:])):
-            raise DomainError("anchor thicknesses must strictly increase")
-        if any(b > a for a, b in zip(tcs, tcs[1:])):
-            raise DomainError("Tc must be non-increasing with thickness")
-
-    def tc(self, thickness_nm: float) -> float:
-        """Critical temperature (kelvin) for a film of given thickness."""
-        positive("thickness", thickness_nm)
-        thicknesses = [t for t, _ in self.anchors]
-        tcs = [tc for _, tc in self.anchors]
-        return float(np.interp(thickness_nm, thicknesses, tcs))
-
-
-DEFAULT_THICKNESS_TABLE = ThicknessTcTable()
-
-
-def tc_from_thickness(
-    thickness_nm: float, table: ThicknessTcTable | None = None
-) -> float:
-    """Critical temperature (kelvin) from film thickness via the table."""
-    return (table or DEFAULT_THICKNESS_TABLE).tc(thickness_nm)
-
-
-class GapSegment(Record):
-    """One homogeneous superconducting segment: length (um) and gap (kelvin)."""
-
-    __slots__ = ("length_um", "delta_k")
-
-    def _check(self) -> None:
-        if not 0 < self.length_um < math.inf:
-            raise GeometryError(
-                f"segment length must be positive and finite, got {self.length_um}"
-            )
-        if not 0 < self.delta_k < math.inf:
-            raise GeometryError(
-                f"segment gap must be positive and finite, got {self.delta_k}"
-            )
-
-
-class GapProfile(Record):
-    """Piecewise-constant gap along the electrodes with one junction.
-
-    ``junction_um`` must coincide with an interior segment boundary, so at
-    least one segment lies on each side of the junction.
-    """
-
-    __slots__ = ("segments", "junction_um")
-
-    def _check(self) -> None:
-        if len(self.segments) < 2:
-            raise GeometryError("profile needs at least two segments")
-        self.junction_index  # raises when the junction is off a boundary
-
-    def boundaries_um(self) -> list[float]:
-        """Cumulative segment boundaries, starting at 0."""
-        edges = [0.0]
-        for seg in self.segments:
-            edges.append(edges[-1] + seg.length_um)
-        return edges
-
-    @property
-    def junction_index(self) -> int:
-        """Number of segments to the left of the junction."""
-        edges = self.boundaries_um()
-        tol = 1e-9 * max(1.0, edges[-1])
-        for i in range(1, len(edges) - 1):
-            if abs(edges[i] - self.junction_um) <= tol:
-                return i
-        boundaries = ", ".join(f"{b:g}" for b in edges[1:-1])
-        raise GeometryError(
-            f"junction at {self.junction_um:g} um is not an interior "
-            f"segment boundary (boundaries: {boundaries})"
-        )
-
-    def side_segments(self, side: str) -> tuple[GapSegment, ...]:
-        """Segments on one side of the junction, junction-adjacent first."""
-        index = self.junction_index
-        if side == "left":
-            return tuple(reversed(self.segments[:index]))
-        if side == "right":
-            return self.segments[index:]
-        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-
-    def adjacent_deltas(self) -> tuple[float, float]:
-        """(left, right) gaps of the two segments meeting at the junction."""
-        index = self.junction_index
-        return self.segments[index - 1].delta_k, self.segments[index].delta_k
-
-    @property
-    def junction_delta_k(self) -> float:
-        """Junction gap, taken as the smaller adjacent electrode gap."""
-        return min(self.adjacent_deltas())
-
-
-class StackSegment(Record):
-    """Fabrication-stack segment: length plus thickness or an explicit gap."""
-
-    __slots__ = ("length_um", "thickness_nm", "delta_k")
-    _defaults = {"thickness_nm": None, "delta_k": None}
-
-    def _check(self) -> None:
-        if (self.thickness_nm is None) == (self.delta_k is None):
-            raise GeometryError(
-                "specify exactly one of thickness_nm or delta_K per segment"
-            )
-
-    def resolve(self, table: ThicknessTcTable | None = None) -> GapSegment:
-        """The segment with its gap, from the thickness table if not given."""
-        delta = self.delta_k
-        if delta is None:
-            delta = delta_from_tc(tc_from_thickness(self.thickness_nm, table))
-        return GapSegment(self.length_um, delta)
 
 
 def profile_from_stack(
@@ -183,58 +51,6 @@ def profile_from_stack(
     resolved = tuple(seg.resolve(table) for seg in segments)
     junction_um = sum(seg.length_um for seg in resolved[:junction_index])
     return GapProfile(resolved, junction_um)
-
-
-class QPEnvironment(Record):
-    """Quasiparticle environment: density, transport, and thermal scales.
-
-    Attributes
-    ----------
-    x_nqp:
-        Non-equilibrium quasiparticle fraction (dimensionless), >= 0.
-    diffusion_m2_per_s:
-        Quasiparticle diffusion constant.
-    tau_anchors:
-        (energy_kelvin, tau_seconds) anchors of the energy-relaxation
-        time, at least two, with tau strictly decreasing in energy.
-        Interpolation is a power law through adjacent anchors.
-    xi_um:
-        Coherence length, the thickness scale of a gap step.
-    nu0_per_ev_um3:
-        Single-spin density of states at the Fermi level.
-    t_qp_kelvin:
-        Effective quasiparticle temperature near the gap edge.
-    """
-
-    __slots__ = (
-        "x_nqp", "diffusion_m2_per_s", "tau_anchors", "xi_um",
-        "nu0_per_ev_um3", "t_qp_kelvin",
-    )
-    _defaults = {
-        "x_nqp": 8.0e-7, "diffusion_m2_per_s": 0.01,
-        "tau_anchors": ((0.5, 1.0e-5), (14.0, 1.0e-11)), "xi_um": 0.1,
-        "nu0_per_ev_um3": 1.6e10, "t_qp_kelvin": DEFAULT_T_QP,
-    }
-
-    def _check(self) -> None:
-        non_negative("x_nqp", self.x_nqp)
-        positive("diffusion constant", self.diffusion_m2_per_s)
-        positive("coherence length", self.xi_um)
-        positive("density of states", self.nu0_per_ev_um3)
-        positive("quasiparticle temperature", self.t_qp_kelvin)
-        if len(self.tau_anchors) < 2:
-            raise DomainError("tau_anchors needs at least two points")
-        energies = [e for e, _ in self.tau_anchors]
-        taus = [tau for _, tau in self.tau_anchors]
-        if any(e <= 0 for e in energies) or any(t <= 0 for t in taus):
-            raise DomainError("tau anchors must be positive")
-        if any(b <= a for a, b in zip(energies, energies[1:])):
-            raise DomainError("anchor energies must strictly increase")
-        if any(b >= a for a, b in zip(taus, taus[1:])):
-            raise DomainError("tau must strictly decrease with energy")
-
-
-DEFAULT_ENVIRONMENT = QPEnvironment()
 
 
 def tau_eps(energy_kelvin: float, env: QPEnvironment | None = None) -> float:
@@ -264,51 +80,6 @@ def diffusion_length(
     env = env or DEFAULT_ENVIRONMENT
     tau = tau_eps(energy_kelvin, env)
     return math.sqrt(env.diffusion_m2_per_s * tau) * 1e6
-
-
-def thermal_qp_fraction(
-    t_kelvin: float, delta_kelvin: float, x_nqp: float = 0.0
-) -> float:
-    """Total quasiparticle fraction: non-equilibrium floor plus thermal term."""
-    non_negative("x_nqp", x_nqp)
-    return x_nqp + thermal_qp_term(t_kelvin, delta_kelvin)
-
-
-def crossover_temperature(x_nqp: float, delta_kelvin: float) -> float:
-    """Temperature (kelvin) where the thermal fraction equals ``x_nqp``.
-
-    Searches [10 mK, Delta/2]; raises a bracket error when the thermal
-    curve does not cross ``x_nqp`` inside that window.
-    """
-    positive("x_nqp", x_nqp)
-    positive("delta", delta_kelvin)
-    if delta_kelvin / 2.0 <= _CROSSOVER_T_MIN:
-        raise DomainError(
-            f"crossover search needs Delta/2 above the "
-            f"{_CROSSOVER_T_MIN * 1e3:g} mK floor, got Delta = "
-            f"{delta_kelvin:.6g} K"
-        )
-    return root_find(
-        lambda t: thermal_qp_term(t, delta_kelvin) - x_nqp,
-        _CROSSOVER_T_MIN,
-        delta_kelvin / 2.0,
-        abs_tol=1e-10,
-    )
-
-
-def thermal_crossover(x_nqp: float, delta_kelvin: float) -> float | None:
-    """The crossover temperature, or None where there is none to report.
-
-    None at x_nqp = 0, which the thermal fraction exceeds at every
-    temperature, and where the thermal curve does not cross ``x_nqp``
-    inside [10 mK, Delta/2].  Invalid magnitudes and a gap too small for
-    the window still raise.
-    """
-    non_negative("x_nqp", x_nqp)
-    try:
-        return crossover_temperature(x_nqp, delta_kelvin) if x_nqp else None
-    except BracketError:
-        return None
 
 
 def nqp_decay_rate(

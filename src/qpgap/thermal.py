@@ -1,15 +1,18 @@
-"""BCS gap relations and thermal occupation functions."""
+"""BCS gap relations, thermal occupation functions and the thermal crossover."""
 
 from __future__ import annotations
 
 import math
 
-from .errors import DomainError, positive
+from .errors import BracketError, DomainError, non_negative, positive
+from .numerics import root_find
 from .units import CONSTANTS
 
 # Above this ratio hf/kBT the Bose denominator exp(x)-1 equals exp(x) to
 # better than double precision, so the log-space branch is exact.
 _LARGE_EXPONENT = 40.0
+
+_CROSSOVER_T_MIN = 0.010
 
 
 def delta_from_tc(tc_kelvin: float, bcs_ratio: float | None = None) -> float:
@@ -93,3 +96,48 @@ def thermal_qp_term(t_kelvin: float, delta_kelvin: float) -> float:
     # where a numpy scalar would print a RuntimeWarning
     ratio = float(delta_kelvin) / float(t_kelvin)
     return math.sqrt(2.0 * math.pi / ratio) * math.exp(-ratio)
+
+
+def thermal_qp_fraction(
+    t_kelvin: float, delta_kelvin: float, x_nqp: float = 0.0
+) -> float:
+    """Total quasiparticle fraction: non-equilibrium floor plus thermal term."""
+    non_negative("x_nqp", x_nqp)
+    return x_nqp + thermal_qp_term(t_kelvin, delta_kelvin)
+
+
+def crossover_temperature(x_nqp: float, delta_kelvin: float) -> float:
+    """Temperature (kelvin) where the thermal fraction equals ``x_nqp``.
+
+    Searches [10 mK, Delta/2]; raises a bracket error when the thermal
+    curve does not cross ``x_nqp`` inside that window.
+    """
+    positive("x_nqp", x_nqp)
+    positive("delta", delta_kelvin)
+    if delta_kelvin / 2.0 <= _CROSSOVER_T_MIN:
+        raise DomainError(
+            f"crossover search needs Delta/2 above the "
+            f"{_CROSSOVER_T_MIN * 1e3:g} mK floor, got Delta = "
+            f"{delta_kelvin:.6g} K"
+        )
+    return root_find(
+        lambda t: thermal_qp_term(t, delta_kelvin) - x_nqp,
+        _CROSSOVER_T_MIN,
+        delta_kelvin / 2.0,
+        abs_tol=1e-10,
+    )
+
+
+def thermal_crossover(x_nqp: float, delta_kelvin: float) -> float | None:
+    """The crossover temperature, or None where there is none to report.
+
+    None at x_nqp = 0, which the thermal fraction exceeds at every
+    temperature, and where the thermal curve does not cross ``x_nqp``
+    inside [10 mK, Delta/2].  Invalid magnitudes and a gap too small for
+    the window still raise.
+    """
+    non_negative("x_nqp", x_nqp)
+    try:
+        return crossover_temperature(x_nqp, delta_kelvin) if x_nqp else None
+    except BracketError:
+        return None

@@ -17,15 +17,10 @@ import sys
 import numpy as np
 
 from ._record import Record
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    NearResonanceError,
-    UnderdeterminedError,
-    non_negative,
-    positive,
-)
-from .numerics import least_squares, root_find
+# the records live in .device, where the config loader reads them
+from .device import CavityCoupling, FrequencyTargets, TransmonParams
+from .errors import ConvergenceError, DomainError, NearResonanceError, positive
+from .numerics import root_find
 from .units import CONSTANTS
 
 
@@ -79,80 +74,10 @@ def _lapack():
 # the shift of every shipped device configuration by less than 1 percent.
 DEFAULT_SHIFT_LEVELS = 10
 
-_MIN_CUT = 10
-
-# Largest EJ/EC accepted: the charge basis grows as sqrt(EJ/EC), and at
-# this ratio it already holds about 11k states (effective_n_cut ~ 5.6k).
-MAX_EJ_OVER_EC = 1e7
-
 # Solves kept by the memo.  One call sequence, a spectrum grid of 26 offset
 # charges (even and odd branch) plus the sweet-spot dispersions and cavity
 # shifts, makes 55 distinct solves.
 _SOLVE_CACHE_SIZE = 128
-
-
-class TransmonParams(Record):
-    """Transmon parameters in GHz with offset charge in 2e units.
-
-    Parameters
-    ----------
-    EJ:
-        Josephson energy in GHz, finite and >= 0.
-    EC:
-        Charging energy in GHz, finite and > 0, with EJ/EC at most
-        ``MAX_EJ_OVER_EC``.
-    ng:
-        Dimensionless offset charge in Cooper-pair units, finite.
-    n_cut:
-        Requested charge-basis cutoff.  The effective cutoff is raised
-        automatically when this is too small for converged spectra.
-    """
-
-    __slots__ = ("EJ", "EC", "ng", "n_cut")
-
-    def __init__(self, EJ: float, EC: float, ng: float = 0.0, n_cut: int = 0):
-        # set one by one, not through _assign: a record per solve, and the
-        # loop in _assign costs about 1 us more
-        set_field = object.__setattr__
-        set_field(self, "EJ", EJ)
-        set_field(self, "EC", EC)
-        set_field(self, "ng", ng)
-        set_field(self, "n_cut", n_cut)
-        non_negative("EJ", EJ)
-        positive("EC", EC)
-        if self.EJ > MAX_EJ_OVER_EC * self.EC:
-            raise DomainError(
-                f"EJ/EC must be at most {MAX_EJ_OVER_EC:g}, got EJ = "
-                f"{self.EJ} GHz and EC = {self.EC} GHz"
-            )
-        if not math.isfinite(self.ng):
-            raise DomainError(f"ng must be finite, got {self.ng}")
-        non_negative("n_cut", n_cut)
-
-    @property
-    def effective_n_cut(self) -> int:
-        """Charge cutoff actually used: ceil(5 sqrt(EJ/8EC)) + 10 or larger."""
-        auto = math.ceil(5.0 * math.sqrt(self.EJ / (8.0 * self.EC))) + _MIN_CUT
-        return max(self.n_cut, auto)
-
-    def with_ng(self, ng: float) -> "TransmonParams":
-        return TransmonParams(self.EJ, self.EC, ng, self.n_cut)
-
-
-class CavityCoupling(Record):
-    """Readout cavity parameters: g in MHz, nu_r in GHz, loaded quality factor."""
-
-    __slots__ = ("g_mhz", "nu_r_ghz", "q_loaded")
-
-    def _check(self) -> None:
-        positive("g", self.g_mhz)
-        positive("nu_r", self.nu_r_ghz)
-        positive("Q", self.q_loaded)
-
-    @property
-    def kappa_mhz(self) -> float:
-        """Cavity linewidth nu_r/Q in MHz."""
-        return self.nu_r_ghz / self.q_loaded * 1e3
 
 
 class Spectrum(Record):
@@ -162,7 +87,7 @@ class Spectrum(Record):
     _hidden = ("params",)
 
     def __init__(self, energies: np.ndarray, params: TransmonParams):
-        # one per eigenspectrum call; see TransmonParams.__init__
+        # one per eigenspectrum call; see device.TransmonParams.__init__
         object.__setattr__(self, "energies", energies)
         object.__setattr__(self, "params", params)
 
@@ -445,42 +370,6 @@ def resonator_dispersion(
     return abs(at_half - at_zero) * 1e3
 
 
-class FrequencyTargets(Record):
-    """Measured transition frequencies (GHz) used to infer EJ and EC.
-
-    ``f_ge_ng0`` is required.  ``f_ge_ng05`` is the ge frequency at the
-    opposite charge sweet spot; ``f_ef`` is the ef frequency at ng = 0.
-    At least one of the two optional targets must be present.
-    """
-
-    __slots__ = ("f_ge_ng0", "f_ge_ng05", "f_ef")
-    _defaults = {"f_ge_ng05": None, "f_ef": None}
-
-    def _check(self) -> None:
-        positive("f_ge", self.f_ge_ng0)
-        if self.f_ge_ng05 is None and self.f_ef is None:
-            raise UnderdeterminedError(
-                "a single ge frequency cannot determine both EJ and EC; "
-                "provide f_ge_ng05 or f_ef"
-            )
-        if self.f_ge_ng05 is not None:
-            positive("f_ge_ng05", self.f_ge_ng05)
-            dispersion = abs(self.f_ge_ng0 - self.f_ge_ng05)
-            if dispersion >= min(self.f_ge_ng0, self.f_ge_ng05):
-                raise DomainError(
-                    "inconsistent targets: charge dispersion "
-                    f"{dispersion:.4g} GHz is not small against the ge "
-                    "frequency"
-                )
-        if self.f_ef is not None:
-            positive("f_ef", self.f_ef)
-            if self.f_ef >= self.f_ge_ng0:
-                raise DomainError(
-                    "inconsistent targets: f_ef must lie below f_ge "
-                    "(transmon anharmonicity is negative)"
-                )
-
-
 _RATIO_BRACKET = (math.log(1.5), math.log(2000.0))
 
 
@@ -588,6 +477,8 @@ def fit_ej_ec(targets: FrequencyTargets) -> TransmonParams:
     """
     fitted = _solve_ratio(targets)
     if targets.f_ge_ng05 is not None and targets.f_ef is not None:
+        from .fitting import least_squares
+
         lm = least_squares(
             lambda x: _target_residuals(_log_params(x), targets),
             lambda x: _target_jacobian(_log_params(x), targets),

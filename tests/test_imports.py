@@ -1,6 +1,8 @@
-"""Which modules of the package and of scipy a cold run loads, and the lazy
-package."""
+"""Which modules of the package and of scipy a cold run loads, the lazy
+package, and the names that moved between modules."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -16,9 +18,8 @@ SRC = str(REPO / "src")
 
 # the modules every command loads: the CLI, the config and what it reads
 BASE = {
-    "qpgap", "qpgap._record", "qpgap.cli", "qpgap.config", "qpgap.errors",
-    "qpgap.noise", "qpgap.numerics", "qpgap.quasiparticles", "qpgap.thermal",
-    "qpgap.transmon", "qpgap.units",
+    "qpgap", "qpgap._record", "qpgap.cli", "qpgap.config", "qpgap.device",
+    "qpgap.errors", "qpgap.numerics", "qpgap.thermal", "qpgap.units",
 }
 # scipy's LAPACK extension, loaded at a command's first eigensolve without
 # the scipy package itself
@@ -55,15 +56,18 @@ def _python(code: str, *args: str) -> str:
 @pytest.mark.parametrize(
     "argv, extra",
     [
-        (["spectrum", "configs/device_1p.json"], LAPACK),
-        (["qp", "configs/device_1p.json"], LAPACK),
+        (["spectrum", "configs/device_1p.json"],
+         {"qpgap._spectrum", "qpgap.transmon", *LAPACK}),
+        (["qp", "configs/device_1p.json"],
+         {"qpgap._qp", "qpgap.quasiparticles", "qpgap.transmon", *LAPACK}),
         (["parity-sim", "configs/device_2np.json", "--duration", "2"],
-         {"qpgap.parity", "qpgap._floatcsv", *LAPACK}),
+         {"qpgap._parity_sim", "qpgap.parity", "qpgap._floatcsv",
+          "qpgap.transmon", *LAPACK}),
         (["fit", "t1", "data/t1_vs_temperature_1np.csv",
-          "configs/device_1np.json"], {"qpgap.fitting"}),
+          "configs/device_1np.json"], {"qpgap._fit", "qpgap.fitting"}),
         (["fit", "t2", "data/t2star_vs_temperature_1p.csv",
           "configs/device_1p.json", "--t1-data",
-          "data/t1_vs_temperature_1p.csv"], {"qpgap.fitting"}),
+          "data/t1_vs_temperature_1p.csv"], {"qpgap._fit", "qpgap.fitting"}),
     ],
     ids=["spectrum", "qp", "parity-sim", "fit-t1", "fit-t2"],
 )
@@ -120,7 +124,7 @@ def test_star_import_binds_all():
 
 
 def test_lazy_names_are_the_module_objects():
-    assert qpgap.least_squares is qpgap.numerics.least_squares
+    assert qpgap.least_squares is qpgap.fitting.least_squares
     assert qpgap.NoiseModel is qpgap.parity.NoiseModel
     assert qpgap.TransmonParams is qpgap.transmon.TransmonParams
     assert qpgap.__version__ == "0.1.0"
@@ -130,3 +134,70 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         qpgap.nonexistent
     assert "transmon" in dir(qpgap) and "NoiseModel" in dir(qpgap)
+
+
+# name -> (the module it moved to, the modules it moved from, which still
+# provide it)
+MOVED = {
+    "TransmonParams": ("device", ("transmon", "parity")),
+    "CavityCoupling": ("device", ("transmon",)),
+    "FrequencyTargets": ("device", ("transmon",)),
+    "ThicknessTcTable": ("device", ("quasiparticles",)),
+    "DEFAULT_THICKNESS_TABLE": ("device", ("quasiparticles",)),
+    "tc_from_thickness": ("device", ("quasiparticles",)),
+    "GapSegment": ("device", ("quasiparticles",)),
+    "GapProfile": ("device", ("quasiparticles",)),
+    "StackSegment": ("device", ("quasiparticles",)),
+    "QPEnvironment": ("device", ("quasiparticles",)),
+    "DEFAULT_ENVIRONMENT": ("device", ("quasiparticles",)),
+    "DEFAULT_T_QP": ("device", ("quasiparticles",)),
+    "NoiseModel": ("device", ("parity",)),
+    "DEFAULT_TLS_RATE": ("device", ("parity",)),
+    "DEFAULT_PIXEL_SECONDS": ("device", ("parity",)),
+    "MAX_SCAN_SAMPLES": ("device", ("parity",)),
+    "thermal_qp_fraction": ("thermal", ("quasiparticles",)),
+    "crossover_temperature": ("thermal", ("quasiparticles",)),
+    "thermal_crossover": ("thermal", ("quasiparticles",)),
+}
+
+
+def _module(name: str):
+    return importlib.import_module(f"qpgap.{name}")
+
+
+@pytest.mark.parametrize("name", sorted(MOVED))
+def test_moved_names_resolve_in_their_old_modules(name):
+    home, old_modules = MOVED[name]
+    value = getattr(_module(home), name)
+    for old in old_modules:
+        assert getattr(_module(old), name) is value, old
+
+
+def test_benchmark_imports_of_the_package_resolve():
+    # every ``from qpgap.<module> import <name>`` of the benchmark's files
+    imported = []
+    for path in sorted((REPO / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.startswith("qpgap.")):
+                imported += [(node.module, alias.name) for alias in node.names]
+    assert ("qpgap.quasiparticles", "crossover_temperature") in imported
+    assert ("qpgap.transmon", "TransmonParams") in imported
+    missing = [(module, name) for module, name in imported
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+
+
+def test_package_keeps_its_public_names():
+    assert len(qpgap.__all__) == 99
+    assert {"LMResult", "least_squares"} <= set(qpgap.__all__)
+
+
+def test_lm_solver_lives_only_in_fitting():
+    holders = sorted(
+        path.stem for path in (REPO / "src" / "qpgap").glob("*.py")
+        if path.stem != "__init__"
+        and {"least_squares", "LMResult", "_covariance"}
+        & set(vars(_module(path.stem)))
+    )
+    assert holders == ["fitting"]

@@ -20,8 +20,8 @@ from qpgap.fitting import (
     resonator_thermometry,
     shot_noise_dephasing,
 )
-from qpgap.noise import NoiseModel
-from qpgap.numerics import LMResult
+from qpgap.device import NoiseModel
+from qpgap.fitting import LMResult
 from qpgap.parity import (
     ScanConfig,
     detect_peaks,

@@ -767,6 +767,44 @@ def test_scan_record_rejects_mismatched_shapes():
     assert _dyadic_scan(rows, branches).n_pixels == 3
 
 
+def test_trace_records_reject_unsorted_times_and_bad_shapes():
+    # a charge trace one value short used to reach synthesize_scan and fail
+    # there with an IndexError; unsorted switch times were accepted
+    with pytest.raises(DomainError, match="ng_values"):
+        ChargeTrace(jump_times=[1.0], ng_values=[0.1], duration_s=2)
+    with pytest.raises(DomainError, match="sorted"):
+        ParityTrace(switch_times=[0.5, 0.2], duration_s=1.0)
+    bad_parity = [
+        dict(switch_times=np.array([[0.2, 0.5]])),
+        dict(switch_times=np.array([0.2, np.nan])),
+        dict(initial_parity=2),
+    ]
+    for fields in bad_parity:
+        with pytest.raises(DomainError):
+            ParityTrace(**{"switch_times": np.array([0.2, 0.5]),
+                           "duration_s": 1.0, **fields})
+    bad_charge = [
+        dict(jump_times=np.array([0.6, 0.4])),
+        dict(jump_times=np.array([[0.4, 0.6]])),
+        dict(ng_values=np.array([0.1, 0.2, 0.3, 0.4])),
+        dict(ng_values=np.array([[0.1, 0.2, 0.3]])),
+    ]
+    for fields in bad_charge:
+        with pytest.raises(DomainError):
+            ChargeTrace(**{"jump_times": np.array([0.4, 0.6]),
+                           "ng_values": np.array([0.1, 0.2, 0.3]),
+                           "duration_s": 1.0, **fields})
+
+
+def test_coincident_event_times_are_accepted():
+    # at the largest rates t + wait can round to t; synthesis drops the
+    # zero-width segment, so equal neighbours are not an error
+    parity = ParityTrace(switch_times=np.array([0.05, 0.3, 0.3, 0.9]),
+                         duration_s=1.0)
+    charge = _charge([0.3, 0.3], [0.0, 0.45, 0.2], 1.0)
+    _assert_matches_reference(SENSITIVE, parity, charge, _scan_config(1.0))
+
+
 def test_pixels_visiting_each_state_once_keep_the_per_segment_bits():
     # no pixel comes back to a state it has left, so summing per state
     # adds the same terms in the same order as summing per segment

@@ -16,8 +16,7 @@ import pytest
 import qpgap
 from qpgap._record import Record
 from qpgap.config import DeviceConfig, ScanSettings
-from qpgap.fitting import DataSeries, FitResult, ThermometryResult
-from qpgap.numerics import LMResult
+from qpgap.fitting import DataSeries, FitResult, LMResult, ThermometryResult
 from qpgap.parity import (
     ChargeTrace, LifetimeEstimate, NoiseModel, ParityTrace, PeakSet,
     ScanConfig, SpectroscopyScan,
