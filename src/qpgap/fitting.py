@@ -79,6 +79,8 @@ def least_squares(
 
     Raises
     ------
+    DomainError
+        If the initial guess is not finite or lies outside the bounds.
     RankDeficiencyError
         If a Jacobian column is exactly zero (a parameter that leaves the
         residuals unchanged), which makes the scaled normal equations
@@ -88,16 +90,16 @@ def least_squares(
     """
     x = np.asarray(x0, dtype=float).copy()
     n = len(x)
-    if bounds is None:
-        lower = np.full(n, -np.inf)
-        upper = np.full(n, np.inf)
-    else:
+    if not np.isfinite(x).all():
+        raise DomainError(f"initial guess {x.tolist()} is not finite")
+    bounded = bounds is not None
+    if bounded:
         if len(bounds) != n:
             raise DomainError("bounds length must match parameter count")
         lower = np.array([b[0] for b in bounds], dtype=float)
         upper = np.array([b[1] for b in bounds], dtype=float)
-    if np.any(x < lower) or np.any(x > upper):
-        raise DomainError(f"initial guess {x.tolist()} violates bounds")
+        if np.any(x < lower) or np.any(x > upper):
+            raise DomainError(f"initial guess {x.tolist()} violates bounds")
 
     residual = np.asarray(residual_fn(x), dtype=float)
     ssr = float(residual @ residual)
@@ -109,36 +111,48 @@ def least_squares(
         jac = np.asarray(jacobian_fn(x), dtype=float)
         normal = jac.T @ jac
         gradient = jac.T @ residual
-        diag = normal.diagonal().copy()
-        if (diag == 0.0).any():
+        diag = normal.diagonal()
+        if not diag.all():
             dead = int(np.flatnonzero(diag == 0.0)[0])
             raise RankDeficiencyError(
                 f"parameter {dead} has zero influence on the residuals",
                 best=LMResult(x, None, ssr, iterations, False),
             )
-        free = ~(
-            ((x <= lower) & (gradient > 0.0))
-            | ((x >= upper) & (gradient < 0.0))
-        )
-        if not free.any():
-            # every parameter is pinned at a bound that the gradient
-            # pushes against: a constrained stationary point
-            converged = True
-            break
+        # parameters at a bound that the gradient pushes against are
+        # frozen; the system shrinks to the free ones only when one is
+        free = None
+        if bounded:
+            pinned = (
+                ((x <= lower) & (gradient > 0.0))
+                | ((x >= upper) & (gradient < 0.0))
+            )
+            if pinned.any():
+                if pinned.all():
+                    # a constrained stationary point
+                    converged = True
+                    break
+                free = ~pinned
+        if free is None:
+            reduced, scaling, descent = normal, np.diag(diag), -gradient
+        else:
+            reduced = normal[free][:, free]
+            scaling = np.diag(diag[free])
+            descent = -gradient[free]
         # the damping loop only rescales the diagonal term
-        reduced = normal[free][:, free]
-        scaling = np.diag(diag[free])
-        descent = -gradient[free]
         accepted = False
         while lam <= _LAMBDA_MAX:
             try:
-                delta_free = np.linalg.solve(reduced + lam * scaling, descent)
+                delta = np.linalg.solve(reduced + lam * scaling, descent)
             except np.linalg.LinAlgError:
                 lam *= _LAMBDA_UP
                 continue
-            delta = np.zeros(n)
-            delta[free] = delta_free
-            trial = np.clip(x + delta, lower, upper)
+            if free is not None:
+                full = np.zeros(n)
+                full[free] = delta
+                delta = full
+            trial = x + delta
+            if bounded:
+                trial = np.clip(trial, lower, upper)
             if not np.isfinite(trial).all():
                 # an overflowed step: the models reject a NaN or inf
                 # parameter, so it is a failed trial, not an evaluation
@@ -149,8 +163,10 @@ def least_squares(
             trial_ssr = float(trial_residual @ trial_residual)
             if trial_ssr <= ssr:
                 rel_change = (ssr - trial_ssr) / max(ssr, 1e-300)
-                rel_move = float(
-                    np.max(np.abs(step) / np.maximum(np.abs(x), 1e-300))
+                # x and step are finite, so no NaN meets max
+                rel_move = max(
+                    abs(s) / max(abs(v), 1e-300)
+                    for s, v in zip(step.tolist(), x.tolist())
                 )
                 x = trial
                 residual = trial_residual

@@ -78,6 +78,9 @@ DEFAULT_SHIFT_LEVELS = 10
 # charges (even and odd branch) plus the sweet-spot dispersions and cavity
 # shifts, makes 55 distinct solves.
 _SOLVE_CACHE_SIZE = 128
+# Charge grids kept, one per cutoff.  The automatic cutoff of the whole
+# inversion bracket, EJ/EC from 1.5 to 2000, spans 13 to 90.
+_GRID_CACHE_SIZE = 128
 
 
 class Spectrum(Record):
@@ -104,10 +107,24 @@ class Spectrum(Record):
         return self.transition(1, 2)
 
 
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _charge_grid(cut: int) -> np.ndarray:
+    """The charge states -cut .. cut as floats, shared and read-only."""
+    grid = np.arange(-cut, cut + 1, dtype=float)
+    grid.flags.writeable = False
+    return grid
+
+
 def _tridiagonal_bands(params: TransmonParams) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal 4 EC (n - ng)^2 and off-diagonal -EJ/2 of the Hamiltonian.
+
+    The bits of ``4.0 * EC * (charge - ng) ** 2``, computed in the one
+    array the subtraction allocates.
+    """
     cut = params.effective_n_cut
-    charge = np.arange(-cut, cut + 1, dtype=float)
-    diagonal = 4.0 * params.EC * (charge - params.ng) ** 2
+    diagonal = _charge_grid(cut) - params.ng
+    np.multiply(diagonal, diagonal, out=diagonal)
+    diagonal *= 4.0 * params.EC
     off_diagonal = np.full(2 * cut, -params.EJ / 2.0)
     return diagonal, off_diagonal
 
@@ -249,8 +266,7 @@ def parity_splitting(params: TransmonParams) -> float:
 
 
 def _charge_elements(params: TransmonParams, vectors: np.ndarray) -> np.ndarray:
-    cut = params.effective_n_cut
-    charge = np.arange(-cut, cut + 1, dtype=float) - params.ng
+    charge = _charge_grid(params.effective_n_cut) - params.ng
     return np.abs(vectors.T @ (charge[:, None] * vectors))
 
 
@@ -279,37 +295,49 @@ def _level_shifts(
     """Cavity shifts lambda_l (MHz) of the requested levels, in order.
 
     One eigensystem supplies both the level energies and the charge
-    matrix elements.
+    matrix elements.  The sums run over Python floats, the IEEE arithmetic
+    of numpy's scalars at less cost per operation.  A shift that leaves
+    the float range raises :class:`DomainError` naming the level pair.
     """
     for level in requested:
         if level >= levels:
             raise DomainError(f"level {level} outside truncation {levels}")
     energies, vectors = _eigensystem(params, levels)
-    elements = _charge_elements(params, vectors)
-    norm = elements[0, 1]
+    energies = energies.tolist()
+    elements = _charge_elements(params, vectors).tolist()
+    norm = elements[0][1]
     if norm == 0.0:  # at EJ = 0 the charge states do not mix
         raise DomainError(
             "cavity shifts scale g by the charge matrix element <0|n|1>, "
             f"which vanishes at EJ = {params.EJ} GHz, ng = {params.ng}"
         )
     g_ghz = coupling.g_mhz / 1e3
+    nu_r = coupling.nu_r_ghz
     shifts = []
     for level in requested:
         shift = 0.0
         for other in range(levels):
             if other == level:
                 continue
-            g_lj = g_ghz * elements[level, other] / norm
+            g_lj = g_ghz * elements[level][other] / norm
             detuning = energies[level] - energies[other]
             for sign in (-1.0, 1.0):
-                denom = detuning + sign * coupling.nu_r_ghz
+                denom = detuning + sign * nu_r
                 if abs(denom) <= 10.0 * g_lj:
                     raise NearResonanceError(
                         f"levels ({level}, {other}) are near-resonant with "
                         f"the cavity: |detuning -/+ nu_r| = {abs(denom):.4g} "
                         f"GHz vs 10 g_lj = {10.0 * g_lj:.4g} GHz"
                     )
-                shift += g_lj**2 / denom
+                # past the check above a term is below g_lj / 10, so
+                # only g_lj**2 can leave the float range
+                try:
+                    shift += g_lj**2 / denom
+                except OverflowError:
+                    raise DomainError(
+                        f"the cavity shift of level {level} overflows at "
+                        f"levels ({level}, {other}): g_lj = {g_lj:.4g} GHz"
+                    ) from None
         shifts.append(shift * 1e3)
     return shifts
 
@@ -370,7 +398,38 @@ def resonator_dispersion(
     return abs(at_half - at_zero) * 1e3
 
 
-_RATIO_BRACKET = (math.log(1.5), math.log(2000.0))
+# EJ/EC of the inversion bracket, and its logarithms, which the root find
+# searches
+_RATIO_RANGE = (1.5, 2000.0)
+_RATIO_BRACKET = (math.log(_RATIO_RANGE[0]), math.log(_RATIO_RANGE[1]))
+
+
+def _unit_pair(ratio: float, dispersion: bool) -> tuple[float, float]:
+    """(f_ge(ng=0), f_ge(ng=0.5)) or (f_ge, f_ef) of the unit-EC transmon."""
+    unit = TransmonParams(EJ=ratio, EC=1.0)
+    if dispersion:
+        half = unit.with_ng(0.5)
+        return transition_frequency(unit), transition_frequency(half)
+    spectrum = eigenspectrum(unit, levels=3)
+    return spectrum.f_ge, spectrum.f_ef
+
+
+def _observable(a: float, b: float, dispersion: bool) -> float:
+    """Relative ge dispersion |a - b| / mean, or the ratio f_ef / f_ge."""
+    return abs(a - b) / ((a + b) / 2.0) if dispersion else b / a
+
+
+@functools.cache
+def _bracket_observables(dispersion: bool) -> tuple[float, float]:
+    """The scale-free observable at both ends of the bracket, per kind.
+
+    They do not depend on the targets, and the end at EJ/EC = 2000 is the
+    largest solve of an inversion, so each kind computes them once.
+    """
+    return tuple(
+        _observable(*_unit_pair(math.exp(x), dispersion), dispersion)
+        for x in _RATIO_BRACKET
+    )
 
 
 def _solve_ratio(targets: FrequencyTargets) -> TransmonParams:
@@ -379,7 +438,9 @@ def _solve_ratio(targets: FrequencyTargets) -> TransmonParams:
     A scale-free observable of the unit-EC transmon pins EJ/EC in a 1-d
     root find: the relative ge dispersion for (ng0, ng05) targets, else
     f_ef/f_ge.  The measured scale (mean ge frequency, or f_ge) then sets
-    EC.  With both optional targets present the ng05 pair is used.
+    EC.  With both optional targets present the ng05 pair is used.  A
+    target whose observable no EJ/EC in the bracket reaches raises
+    :class:`DomainError`.
     """
     dispersion = targets.f_ge_ng05 is not None
     measured = (
@@ -387,28 +448,35 @@ def _solve_ratio(targets: FrequencyTargets) -> TransmonParams:
         targets.f_ge_ng05 if dispersion else targets.f_ef,
     )
 
-    def unit_pair(ratio: float) -> tuple[float, float]:
-        unit = TransmonParams(EJ=ratio, EC=1.0)
-        if dispersion:
-            half = unit.with_ng(0.5)
-            return transition_frequency(unit), transition_frequency(half)
-        spectrum = eigenspectrum(unit, levels=3)
-        return spectrum.f_ge, spectrum.f_ef
-
-    def observable(a: float, b: float) -> float:
-        return abs(a - b) / ((a + b) / 2.0) if dispersion else b / a
-
     def scale(a: float, b: float) -> float:
         return (a + b) / 2.0 if dispersion else a
 
-    target = observable(*measured)
-    log_ratio = root_find(
-        lambda x: observable(*unit_pair(math.exp(x))) - target,
-        *_RATIO_BRACKET,
-        abs_tol=1e-12,
-    )
+    target = _observable(*measured, dispersion)
+    ends = _bracket_observables(dispersion)
+    # root_find's sign rule on its end values: a zero end is a root
+    at_lower, at_upper = (value - target for value in ends)
+    if at_lower != 0.0 and at_upper != 0.0 and (
+            (at_lower < 0.0) == (at_upper < 0.0)):
+        name = ("relative ge dispersion |f_ge(ng=0) - f_ge(ng=0.5)| / mean"
+                if dispersion else "ratio f_ef / f_ge")
+        raise DomainError(
+            f"targets admit no transmon with EJ/EC in [{_RATIO_RANGE[0]:g}, "
+            f"{_RATIO_RANGE[1]:g}]: their {name} is {target:.6g}, outside "
+            f"[{min(ends):.6g}, {max(ends):.6g}]"
+        )
+    # root_find evaluates the bracket ends first: the cache serves them
+    known = dict(zip(_RATIO_BRACKET, ends))
+
+    def residual(x: float) -> float:
+        value = known.get(x)
+        if value is None:
+            pair = _unit_pair(math.exp(x), dispersion)
+            value = _observable(*pair, dispersion)
+        return value - target
+
+    log_ratio = root_find(residual, *_RATIO_BRACKET, abs_tol=1e-12)
     ratio = math.exp(log_ratio)
-    ec = scale(*measured) / scale(*unit_pair(ratio))
+    ec = scale(*measured) / scale(*_unit_pair(ratio, dispersion))
     return TransmonParams(EJ=ratio * ec, EC=ec)
 
 
@@ -434,8 +502,7 @@ def _level_gradients(params: TransmonParams, levels: int) -> np.ndarray:
     the truncated basis at a fixed cutoff.
     """
     _, vectors = _eigensystem(params, levels)
-    cut = params.effective_n_cut
-    charge = np.arange(-cut, cut + 1, dtype=float) - params.ng
+    charge = _charge_grid(params.effective_n_cut) - params.ng
     d_ec = 4.0 * (charge**2 @ vectors**2)
     d_ej = -np.sum(vectors[:-1] * vectors[1:], axis=0)
     return np.column_stack([params.EJ * d_ej, params.EC * d_ec])

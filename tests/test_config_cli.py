@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,46 @@ def test_targets_errors_name_the_transmon_line(configs_dir):
         f"line {error.line}: transmon: a single ge frequency cannot"
     )
     assert lines[error.line - 1].strip().startswith('"transmon":')
+
+
+@pytest.mark.parametrize(
+    "targets, observable",
+    [
+        ({"f_ge_ng0_GHz": 4.4, "f_ge_ng05_GHz": 4.4},
+         "relative ge dispersion"),
+        ({"f_ge_ng0_GHz": 4.4, "f_ef_GHz": 0.1}, "ratio f_ef / f_ge"),
+    ],
+    ids=["ng05", "ef"],
+)
+def test_targets_outside_the_ratio_range_exit_2(
+    configs_dir, tmp_path, capsys, targets, observable
+):
+    doc = _document(configs_dir, "device_2p.json")
+    doc["transmon"]["targets"] = targets
+    error, lines = _load_error(doc)
+    assert str(error).startswith(
+        f"line {error.line}: transmon: targets admit no transmon with "
+        f"EJ/EC in [1.5, 2000]: their {observable}"
+    )
+    assert lines[error.line - 1].strip().startswith('"transmon":')
+    config = tmp_path / "range.json"
+    config.write_text(json.dumps(doc, indent=1))
+    err = _assert_clean_exit_2(_run(["spectrum", config]), capsys)
+    assert err == f"error: {error}\n"
+
+
+def test_overflowing_cavity_shift_exits_2(configs_dir, tmp_path, capsys):
+    doc = _document(configs_dir, "device_1p.json")
+    doc["cavity"].update(g_MHz=1e160, nu_r_GHz=1e200)
+    doc.pop("dephasing", None)
+    config = tmp_path / "overflow.json"
+    config.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run(["spectrum", config, "--format", "json"])
+    err = _assert_clean_exit_2(code, capsys)
+    assert err.count("\n") == 1
+    assert "cavity shift of level 1 overflows at levels (1, 0)" in err
 
 
 @pytest.mark.parametrize(

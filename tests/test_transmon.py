@@ -518,3 +518,133 @@ def test_chi_is_half_the_level_shift_difference_exactly():
     lam_e = dispersive_shift(params, _coupling(), level=1)
     lam_g = dispersive_shift(params, _coupling(), level=0)
     assert chi_shift(params, _coupling()) == (lam_e - lam_g) / 2.0
+
+
+# ------------------------------------------------------ reference kernels
+
+
+def _band_params():
+    """Random points plus EJ = 0, a raised cutoff and negative ng."""
+    rng = np.random.default_rng(23)
+    points = [
+        TransmonParams(EJ=0.0, EC=0.3, ng=0.25),
+        TransmonParams(EJ=4.0, EC=0.2, ng=-0.37, n_cut=60),
+        TransmonParams(EJ=400.0, EC=0.2, ng=-1.5),
+    ]
+    for _ in range(40):
+        ec = float(rng.uniform(0.05, 1.0))
+        points.append(TransmonParams(
+            EJ=ec * float(np.exp(rng.uniform(0.0, np.log(2000.0)))),
+            EC=ec,
+            ng=float(rng.uniform(-2.0, 2.0)),
+            n_cut=int(rng.integers(0, 80)),
+        ))
+    return points
+
+
+def test_bands_match_the_closed_form_bit_for_bit():
+    for params in _band_params():
+        cut = params.effective_n_cut
+        diagonal, off_diagonal = transmon._tridiagonal_bands(params)
+        charge = np.arange(-cut, cut + 1.0)
+        expected = 4.0 * params.EC * (charge - params.ng) ** 2
+        assert diagonal.tobytes() == expected.tobytes(), params
+        assert off_diagonal.tobytes() == np.full(
+            2 * cut, -params.EJ / 2.0).tobytes(), params
+        # the diagonal is the caller's own array, not the shared grid
+        grid = transmon._charge_grid(cut)
+        assert not np.shares_memory(diagonal, grid)
+        assert diagonal.flags.writeable and not grid.flags.writeable
+        assert grid.tobytes() == np.arange(-cut, cut + 1.0).tobytes()
+
+
+def _reference_level_shift(params, coupling, level, levels):
+    """lambda_l (MHz) summed over numpy scalars, the loop's former form."""
+    energies, vectors = transmon._eigensystem(params, levels)
+    cut = params.effective_n_cut
+    charge = np.arange(-cut, cut + 1, dtype=float) - params.ng
+    elements = np.abs(vectors.T @ (charge[:, None] * vectors))
+    norm = elements[0, 1]
+    g_ghz = coupling.g_mhz / 1e3
+    shift = 0.0
+    for other in range(levels):
+        if other == level:
+            continue
+        g_lj = g_ghz * elements[level, other] / norm
+        detuning = energies[level] - energies[other]
+        for sign in (-1.0, 1.0):
+            shift += g_lj**2 / (detuning + sign * coupling.nu_r_ghz)
+    return shift * 1e3
+
+
+def test_level_shifts_match_the_numpy_scalar_sum_bit_for_bit():
+    coupling = CavityCoupling(g_mhz=122.0, nu_r_ghz=7.24, q_loaded=2.0e4)
+    checked = 0
+    for params in _band_params()[1:]:
+        for level in (0, 1):
+            try:
+                shift = dispersive_shift(params, coupling, level)
+            except NearResonanceError:
+                continue
+            expected = _reference_level_shift(
+                params, coupling, level, transmon.DEFAULT_SHIFT_LEVELS)
+            assert float(shift).hex() == float(expected).hex(), params
+            checked += 1
+    assert checked > 40
+
+
+def test_shift_beyond_the_float_range_is_a_domain_error():
+    params = TransmonParams(EJ=7.417, EC=0.403)
+    huge = CavityCoupling(g_mhz=1e160, nu_r_ghz=1e200, q_loaded=2.0e4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"overflows at levels \(0, 1\)"):
+            dispersive_shift(params, huge, level=0)
+        # the largest coupling whose square is finite: every term is below
+        # g_lj / 10, so the shift is finite too
+        edge = CavityCoupling(g_mhz=1e156, nu_r_ghz=1e200, q_loaded=2.0e4)
+        assert math.isfinite(dispersive_shift(params, edge, level=0))
+
+
+@pytest.mark.parametrize("kind", ["ng05", "ef"])
+def test_ratio_inversion_with_cached_bracket_matches_a_fresh_root_find(kind):
+    # the parent algorithm: the observable at every Brent iterate,
+    # the bracket ends included, with nothing cached
+    dispersion = kind == "ng05"
+    for ratio in (3.0, 14.0, 60.0, 145.0):
+        truth = TransmonParams(EJ=ratio * 0.3, EC=0.3)
+        targets = _targets_of(truth, kind)
+        measured = (targets.f_ge_ng0,
+                    targets.f_ge_ng05 if dispersion else targets.f_ef)
+        target = transmon._observable(*measured, dispersion)
+        log_ratio = transmon.root_find(
+            lambda x: transmon._observable(
+                *transmon._unit_pair(math.exp(x), dispersion), dispersion
+            ) - target,
+            *transmon._RATIO_BRACKET,
+            abs_tol=1e-12,
+        )
+        scale = (lambda a, b: (a + b) / 2.0) if dispersion else (
+            lambda a, b: a)
+        ec = scale(*measured) / scale(
+            *transmon._unit_pair(math.exp(log_ratio), dispersion))
+        fitted = fit_ej_ec(targets)
+        assert fitted.EJ == math.exp(log_ratio) * ec
+        assert fitted.EC == ec
+
+
+def test_warm_inversions_solve_no_bracket_end(monkeypatch):
+    ends = {math.exp(x) for x in transmon._RATIO_BRACKET}
+    fit_ej_ec(_targets_of(TransmonParams(EJ=4.2, EC=0.3), "ng05"))
+    fit_ej_ec(_targets_of(TransmonParams(EJ=18.0, EC=0.3), "ef"))
+    ratios = []
+    original = transmon._unit_pair
+
+    def recording(ratio, dispersion):
+        ratios.append(ratio)
+        return original(ratio, dispersion)
+
+    monkeypatch.setattr(transmon, "_unit_pair", recording)
+    for kind in ("ng05", "ef"):
+        fit_ej_ec(_targets_of(TransmonParams(EJ=5.1, EC=0.25), kind))
+    assert ratios and not ends & set(ratios)
