@@ -17,13 +17,14 @@ and timed in fresh interpreters, with one BLAS thread:
 * the seven commands of the benchmark's ``cli_cold`` workload
   (``COMMANDS`` of ``perfbench/cli_cold.py`` beside this script), as
   ``python -m qpgap.cli`` with ``PYTHONDONTWRITEBYTECODE=1`` on the bare
-  copy, timed as the child's wall time.
+  copy, timed as the child's wall time.  Each run also records the
+  child's peak resident set size (``ru_maxrss`` from ``os.wait4``).
 
 Every case of every checkout runs once per round, interleaved, for
 ``--runs`` rounds, with the checkout order rotating each round.  Prints
-the min, quartiles and median of each case in ms, then the ``qpgap.*``
-and ``scipy.*`` modules each command loads.  ``--json FILE`` also writes
-the samples.
+the min, quartiles and median of each case in ms (and of each command's
+peak RSS in MB), then the ``qpgap.*`` and ``scipy.*`` modules each
+command loads.  ``--json FILE`` also writes the samples.
 
 ``--compile`` times no process.  It times ``compile()`` of each ``qpgap``
 module that a command loads (the ``MODULES_PROBE`` list), in this
@@ -80,6 +81,7 @@ class Checkout:
         subprocess.run([sys.executable, "-m", "compileall", "-q",
                         str(self.cached)], check=True)
         self.out = scratch / label / "out"
+        self.peak_rss_mb = {command: [] for command in COMMANDS}
 
     def _copy(self, target: Path) -> Path:
         shutil.copytree(self.root / "src", target,
@@ -109,12 +111,21 @@ class Checkout:
         return 1e3 * float(proc.stdout)
 
     def time_command(self, command: str) -> float:
+        """The wall time of one run of ``command`` in ms; its peak RSS
+        goes to ``peak_rss_mb``."""
+        argv = [sys.executable, "-m", "qpgap.cli", *self.argv(command)]
         start = time.perf_counter()
-        subprocess.run([sys.executable, "-m", "qpgap.cli",
-                        *self.argv(command)], cwd=self.root,
-                       env=self.env(False), capture_output=True, check=True)
+        proc = subprocess.Popen(argv, cwd=self.root, env=self.env(False),
+                                stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        # wait4 reaps the child and returns its own resource usage
+        _, status, usage = os.wait4(proc.pid, 0)
         elapsed = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode:
+            raise subprocess.CalledProcessError(proc.returncode, argv)
         shutil.rmtree(self.out, ignore_errors=True)
+        self.peak_rss_mb[command].append(usage.ru_maxrss / 1024.0)
         return 1e3 * elapsed
 
     def dont_write_bytecode(self, cached: bool) -> bool:
@@ -237,6 +248,9 @@ def main() -> int:
                  for mode, cached in (("compiled", False), ("cached", True))},
              "cases": {name: {**summary(values), "samples_ms": values}
                        for name, values in sample.items()},
+             "peak_rss_mb": {command: {**summary(values), "samples": values}
+                             for command, values in
+                             checkout.peak_rss_mb.items()},
              "modules": module}
             for checkout, sample, module in zip(checkouts, samples, modules)
         ],
@@ -245,6 +259,10 @@ def main() -> int:
         print(f"{entry['root']}  ({args.runs} runs, ms: min q1 median q3)")
         for name, stats in entry["cases"].items():
             print(f"  {name:32s} {stats['min']:7.1f} {stats['q1']:7.1f} "
+                  f"{stats['median']:7.1f} {stats['q3']:7.1f}")
+        print("  peak RSS, MB: min q1 median q3")
+        for command, stats in entry["peak_rss_mb"].items():
+            print(f"  {command:32s} {stats['min']:7.1f} {stats['q1']:7.1f} "
                   f"{stats['median']:7.1f} {stats['q3']:7.1f}")
         for command, names in entry["modules"].items():
             print(f"  modules {command}: {' '.join(names)}")

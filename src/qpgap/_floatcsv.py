@@ -19,11 +19,12 @@ the trailing zeros dropped.  Those cells are formatted a block at a time:
 
 Every other cell (zero, non-finite, another exponent, a half-integer
 product or one rounding to eleven digits) is written as ``%.10g`` and
-the block's text is %-formatted with their values, so the text is byte
-for byte ``"%.10g,...,%.10g\\n" % tuple(row)`` for each row.
-The work arrays are allocated once per table and reused for every block:
-fresh arrays map fresh memory pages, and those page faults alone took as
-long as the formatting.
+the block's bytes are %-formatted with their values, so they are byte
+for byte ``b"%.10g,...,%.10g\\n" % tuple(row)`` for each row.  The
+first column comes as its own array, so a table need not be copied to
+join it.  The work arrays are allocated once per table and reused for
+every block: fresh arrays map fresh memory pages, and those page faults
+alone took as long as the formatting.
 """
 
 from __future__ import annotations
@@ -65,33 +66,39 @@ _SCALE = np.array([10.0 ** (9 - exp) for exp in _EXPONENTS])
 _MINUS = np.uint64(ord("-") << 8)
 
 
-def format_blocks(table: np.ndarray, rows: int):
-    """Yield ``"".join("%.10g,...,%.10g\\n" % tuple(row) for row in block)``
-    for each block of ``rows`` rows of a 2-d float ``table`` with at least
-    one column."""
-    width = table.shape[1]
-    if len(table) == 0:
-        return
-    size = min(rows, len(table)) * width
-    values, magnitude, exponent, scaled, number, part = (
-        np.empty(size) for _ in range(6)
-    )
-    slot, first, second, third = (
-        np.empty(size, dtype=np.intp) for _ in range(4)
-    )
-    fast, slow, test, zero = (np.empty(size, dtype=bool) for _ in range(4))
-    word, lookup = (np.empty(size, dtype=np.uint64) for _ in range(2))
-    # a word pair per cell, then one for the newline that ends a block
-    words = np.zeros((size + 1, 2), dtype=np.uint64)
-    separator = np.full(size, ord(","), dtype=np.uint64)
-    separator[::width] = ord("\n")
-    separator[0] = 0
-    hole = separator | np.uint64(_HOLE << 8)
+class _Formatter:
+    """The work arrays of ``rows`` rows of ``width`` cells, and the
+    formatting of a block of at most that many rows into them."""
 
-    for start in range(0, len(table), rows):
-        block = table[start:start + rows]
-        n_cells = block.size
-        values[:n_cells] = block.ravel()
+    def __init__(self, width: int, rows: int):
+        self.width = width
+        self.rows = rows
+        size = rows * width
+        self.floats = [np.empty(size) for _ in range(6)]
+        self.indices = [np.empty(size, dtype=np.intp) for _ in range(4)]
+        self.masks = [np.empty(size, dtype=bool) for _ in range(4)]
+        self.word, self.lookup = (np.empty(size, dtype=np.uint64)
+                                  for _ in range(2))
+        # a word pair per cell, then one for the newline that ends a block
+        self.words = np.zeros((size + 1, 2), dtype=np.uint64)
+        self.separator = np.full(size, ord(","), dtype=np.uint64)
+        self.separator[::width] = ord("\n")
+        self.separator[0] = 0
+        self.hole = self.separator | np.uint64(_HOLE << 8)
+
+    def format(self, column: np.ndarray, table: np.ndarray) -> bytes:
+        """``b"%.10g,%.10g,...,%.10g\\n" % (c, *row)`` of each (c, row) of
+        a column and a table of at most ``rows`` rows, joined."""
+        values, magnitude, exponent, scaled, number, part = self.floats
+        slot, first, second, third = self.indices
+        fast, slow, test, zero = self.masks
+        word, lookup, words = self.word, self.lookup, self.words
+        separator, hole = self.separator, self.hole
+        size = len(values)
+        n_cells = len(table) * self.width
+        cells = values[:n_cells].reshape(len(table), self.width)
+        cells[:, 0] = column
+        cells[:, 1:] = table
         values[n_cells:] = 0.5  # a filler formatted here, never written
 
         np.abs(values, out=magnitude)
@@ -130,7 +137,8 @@ def format_blocks(table: np.ndarray, rows: int):
         np.take(_FIRST, first, out=word)
         word |= np.take(_PREFIX, slot, out=lookup)
         word |= separator
-        np.bitwise_or(word, _MINUS, out=word, where=np.less(values, 0, out=test))
+        # the sign byte of each negative cell, as 0 or 1 times _MINUS
+        word |= np.multiply(np.less(values, 0, out=test), _MINUS, out=lookup)
         np.copyto(word, hole, where=slow)
         words[:size, 0] = word
         np.take(_SECOND, second, out=word)
@@ -143,4 +151,23 @@ def format_blocks(table: np.ndarray, rows: int):
         python = values[:n_cells][slow[:n_cells]]
         if len(python):
             text %= tuple(python.tolist())
-        yield text.decode("ascii")
+        return text
+
+
+def format_blocks(blocks, rows: int):
+    """Yield the CSV bytes of a table given as ``(column, table)`` blocks,
+    at most ``rows`` rows at a time.
+
+    Each block is a 1-d float ``column`` and a 2-d float ``table`` with one
+    row per entry of the column; every table has the same width.  The
+    bytes of a row are ``b"%.10g,%.10g,...,%.10g\\n" % (c, *row)``.  The
+    work arrays are sized to the first block, up to ``rows`` rows, and
+    made again only for a later block that is taller.
+    """
+    formatter = None
+    for column, table in blocks:
+        for start in range(0, len(table), rows):
+            part = table[start:start + rows]
+            if formatter is None or formatter.rows < len(part):
+                formatter = _Formatter(part.shape[1] + 1, len(part))
+            yield formatter.format(column[start:start + rows], part)

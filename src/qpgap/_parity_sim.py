@@ -11,8 +11,8 @@ from .cli import _dump_json, _emit, _float_csv_chunks, _fmt, _records
 from .config import DeviceConfig
 from .errors import ConfigError
 from .parity import (
-    ScanConfig, estimate_parity_lifetime, scan_window, simulate_offset_charge,
-    simulate_parity, synthesize_scan,
+    _ROWS, _THRESHOLD_K, ScanConfig, _RowDetection, _ScanSynthesis,
+    scan_window, simulate_offset_charge, simulate_parity,
 )
 
 
@@ -27,18 +27,21 @@ _PEAK_ROW_FORMATS = (
 
 
 def _peaks_csv(starts: np.ndarray, counts: np.ndarray,
-               positions: np.ndarray) -> str:
+               positions: np.ndarray):
     """``_csv_table(_PEAKS, rows)`` of the detector arrays, one %-format
-    per row.  ``positions`` ascend along each row with NaN last, as
+    per row, yielded a block of ``_ROWS`` rows at a time.  ``positions``
+    ascend along each row with NaN last, as
     :func:`qpgap.parity.estimate_parity_lifetime` leaves them."""
-    known = np.count_nonzero(~np.isnan(positions), axis=1).tolist()
-    rows = zip(starts.tolist(), counts.tolist(), positions.tolist(), known)
-    lines = [",".join(_PEAKS) + "\n"]
-    lines += [
-        _PEAK_ROW_FORMATS[n] % (index, start, count, *pair[:n])
-        for index, (start, count, pair, n) in enumerate(rows)
-    ]
-    return "".join(lines)
+    yield ",".join(_PEAKS) + "\n"
+    known = np.count_nonzero(~np.isnan(positions), axis=1)
+    for first in range(0, len(counts), _ROWS):
+        block = slice(first, first + _ROWS)
+        rows = zip(starts[block].tolist(), counts[block].tolist(),
+                   positions[block].tolist(), known[block].tolist())
+        yield "".join(
+            _PEAK_ROW_FORMATS[n] % (index, start, count, *pair[:n])
+            for index, (start, count, pair, n) in enumerate(rows, first)
+        )
 
 
 def run(args, config: DeviceConfig) -> int:
@@ -63,19 +66,38 @@ def run(args, config: DeviceConfig) -> int:
         n_freq=settings.n_freq,
         pixel_seconds=settings.pixel_seconds,
     )
-    scan = synthesize_scan(
-        config.params,
-        parity_trace,
-        charge_trace,
-        scan_config,
-        linewidth_mhz=settings.linewidth_mhz,
-        snr=settings.snr,
-        seed=seed + 2,
+    # every input error is raised here, before any output is written
+    synthesis = _ScanSynthesis(
+        config.params, parity_trace, charge_trace, scan_config,
+        settings.linewidth_mhz, settings.snr, seed + 2,
     )
-    estimate = estimate_parity_lifetime(scan)
+    n_pixels, freqs = synthesis.n_pixels, synthesis.frequencies_ghz
+    starts = synthesis.pixel_starts_s
+    detection = _RowDetection(
+        freqs, n_pixels, settings.linewidth_mhz, _THRESHOLD_K
+    )
+    # the scan is graded (and written) as it is made; only --svg keeps it
+    # whole, for the heatmap, and otherwise every block reuses one buffer
+    table = np.empty((n_pixels if args.svg else min(_ROWS, n_pixels),
+                      len(freqs)))
+
+    def graded_blocks():
+        for first, rows in synthesis.blocks(table):
+            detection.grade(first, rows)
+            yield starts[first:first + len(rows)], rows
+
+    blocks = graded_blocks()
+    if args.format == "csv":
+        header = ["time_s"] + [f"f_{_fmt(f)}" for f in freqs]
+        _emit(args, "scan.csv", _float_csv_chunks(header, blocks))
+    for _ in blocks:  # --format json grades the scan without writing it
+        pass
+    estimate = detection.verdict(
+        synthesis.branch_freqs_ghz, synthesis.pixel_seconds
+    )
 
     metadata = {
-        **scan.metadata(),
+        **synthesis.metadata(),
         "config": config.name,
         "config_hash": config.source_hash,
         "gamma_parity_per_s": config.noise.gamma_parity_per_s,
@@ -96,18 +118,15 @@ def run(args, config: DeviceConfig) -> int:
         peak_rows = [
             [index, start, count, *positions]
             for index, (start, count, positions) in enumerate(zip(
-                scan.pixel_starts_s.tolist(), estimate.counts.tolist(),
+                starts.tolist(), estimate.counts.tolist(),
                 estimate.positions_ghz.tolist(),
             ))
         ]
         document = {**metadata, "peaks": _records(_PEAKS, peak_rows)}
         _emit(args, "scan_meta.json", _dump_json(document))
     else:
-        header = ["time_s"] + [f"f_{_fmt(f)}" for f in scan.frequencies_ghz]
-        table = np.column_stack([scan.pixel_starts_s, scan.amplitudes])
-        _emit(args, "scan.csv", _float_csv_chunks(header, table))
         _emit(args, "peaks.csv", _peaks_csv(
-            scan.pixel_starts_s, estimate.counts, estimate.positions_ghz
+            starts, estimate.counts, estimate.positions_ghz
         ))
         _emit(args, "scan_meta.json", _dump_json(metadata))
 
@@ -115,12 +134,10 @@ def run(args, config: DeviceConfig) -> int:
         from . import svgplot
 
         svg = svgplot.heatmap(
-            scan.amplitudes.T, scan.frequencies_ghz, scan.pixel_starts_s,
+            table.T, freqs, starts,
             "frequency (GHz)", "time (s)", f"{config.name} parity scan",
         )
         _emit(args, "scan.svg", svg)
 
     sys.stdout.write(estimate.describe() + "\n")
     return 0
-
-

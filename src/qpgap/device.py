@@ -54,8 +54,9 @@ class TransmonParams(Record):
     ng:
         Dimensionless offset charge in Cooper-pair units, finite.
     n_cut:
-        Requested charge-basis cutoff.  The effective cutoff is raised
-        automatically when this is too small for converged spectra.
+        Requested charge-basis cutoff, an integer >= 0.  The effective
+        cutoff is raised automatically when this is too small for
+        converged spectra.
     """
 
     __slots__ = ("EJ", "EC", "ng", "n_cut")
@@ -77,7 +78,13 @@ class TransmonParams(Record):
             )
         if not math.isfinite(self.ng):
             raise DomainError(f"ng must be finite, got {self.ng}")
-        non_negative("n_cut", n_cut)
+        # a float cutoff would reach the basis size unrounded
+        if type(n_cut) is not int and not isinstance(n_cut, np.integer) or (
+            n_cut < 0
+        ):
+            raise DomainError(
+                f"n_cut must be a non-negative integer, got {n_cut!r}"
+            )
 
     @property
     def effective_n_cut(self) -> int:

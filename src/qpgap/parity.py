@@ -25,6 +25,13 @@ thresholds and clusters the survivors; it keeps the results as arrays,
 which the verdict and the CLI's peak table read, and builds a per-row
 :class:`PeakSet` only on request.
 
+Both sides are per-block kernels, :class:`_ScanSynthesis` and
+:class:`_RowDetection`, whose verdict is the second half of
+:func:`estimate_parity_lifetime`.  :func:`synthesize_scan` and
+:func:`estimate_parity_lifetime` loop over them for a whole scan, and the
+``parity-sim`` command drives the same kernels to grade and write each
+block as it is made, without holding the scan.
+
 All random draws derive from a single master seed through independent
 spawned streams, so traces and scans are reproducible bit for bit
 regardless of execution order.
@@ -58,6 +65,10 @@ _BLOCK = 4096
 # bounds the per-block temporaries (gathered Lorentzians, detection masks)
 # and sizes the one noise buffer and the one sort buffer of a scan.
 _ROWS = 256
+
+# The detection threshold in robust standard deviations above a row's
+# median, unless a caller gives another.
+_THRESHOLD_K = 5.0
 
 # The most work one input may ask for: expected events (rate x duration)
 # of one Poisson process, and scan samples (``noise.MAX_SCAN_SAMPLES``).
@@ -292,7 +303,7 @@ class SpectroscopyScan(Record):
         return {
             "seed": self.seed,
             "n_pixels": self.n_pixels,
-            "n_freq": int(self.amplitudes.shape[1]),
+            "n_freq": len(self.frequencies_ghz),
             "f_min_ghz": float(self.frequencies_ghz[0]),
             "f_max_ghz": float(self.frequencies_ghz[-1]),
             "pixel_seconds": self.pixel_seconds,
@@ -383,6 +394,135 @@ def _pixel_terms(
             state[first_visit])
 
 
+class _ScanSynthesis:
+    """A scan ready to synthesize, one block of ``_ROWS`` pixel rows at a
+    time.
+
+    The constructor checks every input and builds every per-scan table
+    (the branch table, the Lorentzian denominators, the terms of each
+    pixel, the model branches at the pixel midpoints), so an input that
+    fails does so before the first row is made.  :meth:`blocks` then fills
+    the rows in pixel order; each block draws its noise from the one
+    stream into one reused buffer, so a row does not depend on where the
+    blocks are written.  The object carries every field of
+    :class:`SpectroscopyScan` except ``amplitudes``.
+    """
+
+    def __init__(
+        self,
+        params: TransmonParams,
+        parity_trace: ParityTrace,
+        charge_trace: ChargeTrace,
+        config: ScanConfig,
+        linewidth_mhz: float,
+        snr: float,
+        seed: int,
+    ):
+        positive("linewidth", linewidth_mhz)
+        positive("snr", snr)
+        if abs(parity_trace.duration_s - charge_trace.duration_s) > 1e-9:
+            raise DomainError(
+                "parity and charge traces cover different durations"
+            )
+        pixels = parity_trace.duration_s / config.pixel_seconds + 1e-9
+        if pixels < 1:
+            raise DomainError("trace shorter than one pixel")
+        if not pixels * config.n_freq <= MAX_SCAN_SAMPLES:
+            raise DomainError(
+                f"scan of {pixels:.3g} pixels x {config.n_freq} frequencies "
+                f"exceeds {MAX_SCAN_SAMPLES:.3g} samples"
+            )
+        n_pixels = int(pixels)
+
+        freqs = config.frequencies()
+        branches, ng_slot = _branch_table(
+            params, charge_trace.visited_values(), freqs
+        )
+        hwhm_ghz = linewidth_mhz / 2e3
+        # Lorentzian denominator of state 2 * (branch-table row) + parity
+        self._denominators = (
+            1.0 + ((freqs - branches.reshape(-1, 1)) / hwhm_ghz) ** 2
+        )
+
+        # Switches and jumps merged into one event list; ``states[m]`` is
+        # the joint state after the first m events.
+        jump_times = charge_trace.jump_times
+        times = np.concatenate([jump_times, parity_trace.switch_times])
+        order = np.argsort(times, kind="stable")
+        times = times[order]
+        flips = np.zeros(len(times) + 1, dtype=np.intp)
+        np.cumsum(order >= len(jump_times), out=flips[1:])
+        states = 2 * ng_slot[np.arange(len(flips)) - flips]
+        states += (flips + parity_trace.initial_parity) & 1
+
+        pixel_starts = np.arange(n_pixels) * config.pixel_seconds
+        self._head, self._n_terms, self._dwell, self._state = _pixel_terms(
+            times, states, pixel_starts, config.pixel_seconds,
+            len(self._denominators),
+        )
+        self._noise_rng = np.random.default_rng(
+            np.random.SeedSequence(seed).spawn(1)[0]
+        )
+        self._noise = np.empty((min(_ROWS, n_pixels), len(freqs)))
+
+        ends = pixel_starts + config.pixel_seconds
+        midpoints = (pixel_starts + ends) / 2.0
+        self.frequencies_ghz = freqs
+        self.pixel_starts_s = pixel_starts
+        self.branch_freqs_ghz = branches[
+            ng_slot[np.searchsorted(jump_times, midpoints, side="right")]
+        ]
+        self.linewidth_mhz = linewidth_mhz
+        self.snr = snr
+        self.pixel_seconds = config.pixel_seconds
+        self.seed = seed
+
+    @property
+    def n_pixels(self) -> int:
+        return len(self.pixel_starts_s)
+
+    # the scan's metadata reads no amplitude
+    metadata = SpectroscopyScan.metadata
+
+    def blocks(self, out: np.ndarray):
+        """Fill the scan's rows into ``out`` a block at a time, yielding
+        each block's first pixel index and its rows once they are filled.
+
+        ``out`` has the scan's shape, or one block's (``min(_ROWS,
+        n_pixels)`` rows), which every block then reuses.
+        """
+        n_pixels = self.n_pixels
+        for first in range(0, n_pixels, _ROWS):
+            start = first if len(out) == n_pixels else 0
+            rows = out[start:start + min(_ROWS, n_pixels - first)]
+            self._fill(first, rows)
+            yield first, rows
+
+    def _fill(self, first: int, rows: np.ndarray) -> None:
+        """Synthesize the pixel rows from ``first`` on into ``rows``."""
+        # every row takes its first term in place, then its later terms
+        # in order, the rows that have a k-th term together
+        dwell, state = self._dwell, self._state
+        denominators = self._denominators
+        heads = self._head[first:first + len(rows)]
+        terms = self._n_terms[first:first + len(rows)]
+        # the states index the table, and mode="raise" would copy via a
+        # temporary block
+        np.take(denominators, state[heads], axis=0, out=rows, mode="clip")
+        np.divide(dwell[heads, None], rows, out=rows)
+        for k in range(1, terms.max()):
+            sub = np.flatnonzero(terms > k)
+            kth = heads[sub] + k
+            rows[sub] += dwell[kth, None] / denominators[state[kth]]
+        # bit for bit normal(0.0, 1.0 / snr): numpy draws 0.0 + scale * z,
+        # and the 0.0 only turns -0.0 into 0.0, which the positive row
+        # absorbs
+        draws = self._noise[:len(rows)]
+        self._noise_rng.standard_normal(out=draws)
+        draws *= 1.0 / self.snr
+        rows += draws
+
+
 def synthesize_scan(
     params: TransmonParams,
     parity_trace: ParityTrace,
@@ -405,79 +545,17 @@ def synthesize_scan(
         If any branch frequency visited during the scan falls outside the
         frequency grid.
     """
-    positive("linewidth", linewidth_mhz)
-    positive("snr", snr)
-    if abs(parity_trace.duration_s - charge_trace.duration_s) > 1e-9:
-        raise DomainError("parity and charge traces cover different durations")
-    pixels = parity_trace.duration_s / config.pixel_seconds + 1e-9
-    if pixels < 1:
-        raise DomainError("trace shorter than one pixel")
-    if not pixels * config.n_freq <= MAX_SCAN_SAMPLES:
-        raise DomainError(
-            f"scan of {pixels:.3g} pixels x {config.n_freq} frequencies "
-            f"exceeds {MAX_SCAN_SAMPLES:.3g} samples"
-        )
-    n_pixels = int(pixels)
-
-    freqs = config.frequencies()
-    branches, ng_slot = _branch_table(
-        params, charge_trace.visited_values(), freqs
+    synthesis = _ScanSynthesis(
+        params, parity_trace, charge_trace, config, linewidth_mhz, snr, seed
     )
-    hwhm_ghz = linewidth_mhz / 2e3
-    # Lorentzian denominator of state 2 * (branch-table row) + parity
-    denominators = 1.0 + ((freqs - branches.reshape(-1, 1)) / hwhm_ghz) ** 2
-
-    # Switches and jumps merged into one event list; ``states[m]`` is the
-    # joint state after the first m events.
-    jump_times = charge_trace.jump_times
-    times = np.concatenate([jump_times, parity_trace.switch_times])
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    flips = np.zeros(len(times) + 1, dtype=np.intp)
-    np.cumsum(order >= len(jump_times), out=flips[1:])
-    states = 2 * ng_slot[np.arange(len(flips)) - flips]
-    states += (flips + parity_trace.initial_parity) & 1
-
-    pixel_starts = np.arange(n_pixels) * config.pixel_seconds
-    head, n_terms, dwell, state = _pixel_terms(
-        times, states, pixel_starts, config.pixel_seconds, len(denominators)
-    )
-    noise_rng = np.random.default_rng(
-        np.random.SeedSequence(seed).spawn(1)[0]
-    )
-    amplitudes = np.empty((n_pixels, len(freqs)))
-    noise = np.empty((min(_ROWS, n_pixels), len(freqs)))
-    for first in range(0, n_pixels, _ROWS):
-        # every row takes its first term in place, then its later terms
-        # in order, the rows that have a k-th term together
-        rows = amplitudes[first:first + _ROWS]
-        heads = head[first:first + _ROWS]
-        terms = n_terms[first:first + _ROWS]
-        # the states index the table, and mode="raise" would copy via a
-        # temporary block
-        np.take(denominators, state[heads], axis=0, out=rows, mode="clip")
-        np.divide(dwell[heads, None], rows, out=rows)
-        for k in range(1, terms.max()):
-            sub = np.flatnonzero(terms > k)
-            kth = heads[sub] + k
-            rows[sub] += dwell[kth, None] / denominators[state[kth]]
-        # bit for bit normal(0.0, 1.0 / snr): numpy draws 0.0 + scale * z,
-        # and the 0.0 only turns -0.0 into 0.0, which the positive row
-        # absorbs
-        draws = noise[:len(rows)]
-        noise_rng.standard_normal(out=draws)
-        draws *= 1.0 / snr
-        rows += draws
-
-    midpoints = (pixel_starts + (pixel_starts + config.pixel_seconds)) / 2.0
-    branch_freqs = branches[
-        ng_slot[np.searchsorted(jump_times, midpoints, side="right")]
-    ]
+    amplitudes = np.empty((synthesis.n_pixels, config.n_freq))
+    for _ in synthesis.blocks(amplitudes):
+        pass
     return SpectroscopyScan(
-        frequencies_ghz=freqs,
-        pixel_starts_s=pixel_starts,
+        frequencies_ghz=synthesis.frequencies_ghz,
+        pixel_starts_s=synthesis.pixel_starts_s,
         amplitudes=amplitudes,
-        branch_freqs_ghz=branch_freqs,
+        branch_freqs_ghz=synthesis.branch_freqs_ghz,
         linewidth_mhz=linewidth_mhz,
         snr=snr,
         pixel_seconds=config.pixel_seconds,
@@ -491,30 +569,41 @@ class PeakSet(Record):
     __slots__ = ("count", "positions_ghz", "threshold")
 
 
-def _detect_rows(
-    freqs: np.ndarray,
-    amplitudes: np.ndarray,
-    linewidth_mhz: float,
-    threshold_k: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Threshold-and-cluster peak detection on every row of ``amplitudes``.
+class _RowDetection:
+    """Threshold-and-cluster peak detection on the rows of a scan, one
+    block of at most ``_ROWS`` rows at a time.
 
-    Returns per-row peak counts, (n_rows, 2) peak positions in ascending
-    order padded with NaN, and thresholds.  Rows are processed in blocks.
+    :meth:`grade` fills each row's entry of the per-row arrays ``counts``
+    (0, 1 or 2 peaks), ``positions_ghz`` ((n_rows, 2), ascending, NaN
+    where a row has fewer peaks) and ``thresholds``.  A row's entries
+    depend on that row alone, so the blocks may be any size up to
+    ``_ROWS``.  :meth:`verdict` grades the filled arrays.
     """
-    positive("threshold_k", threshold_k)
-    positive("linewidth", linewidth_mhz)
-    lw_ghz = linewidth_mhz / 1e3
-    n_rows, n_freq = amplitudes.shape
-    counts = np.zeros(n_rows, dtype=np.intp)
-    positions = np.full((n_rows, 2), np.nan)
-    thresholds = np.empty(n_rows)
-    ordered = np.empty((min(_ROWS, n_rows), n_freq))
-    for first in range(0, n_rows, _ROWS):
-        block = amplitudes[first:first + _ROWS]
-        median, mad = sort_median_mad(block, ordered)
-        threshold = median + threshold_k * (1.4826 * mad)
-        thresholds[first:first + _ROWS] = threshold
+
+    def __init__(
+        self,
+        freqs: np.ndarray,
+        n_rows: int,
+        linewidth_mhz: float,
+        threshold_k: float,
+    ):
+        positive("threshold_k", threshold_k)
+        positive("linewidth", linewidth_mhz)
+        self.freqs = freqs
+        self.threshold_k = threshold_k
+        self.lw_ghz = linewidth_mhz / 1e3
+        self.counts = np.zeros(n_rows, dtype=np.intp)
+        self.positions_ghz = np.full((n_rows, 2), np.nan)
+        self.thresholds = np.empty(n_rows)
+        self._ordered = np.empty((min(_ROWS, n_rows), len(freqs)))
+
+    def grade(self, first: int, block: np.ndarray) -> None:
+        """Detect the peaks of ``block``, the rows from ``first`` on."""
+        n_freq = block.shape[1]
+        freqs, counts, positions = self.freqs, self.counts, self.positions_ghz
+        median, mad = sort_median_mad(block, self._ordered)
+        threshold = median + self.threshold_k * (1.4826 * mad)
+        self.thresholds[first:first + len(block)] = threshold
 
         # Local maxima among the samples above threshold: a sample tops its
         # left neighbour and at least equals its right one; the first and
@@ -530,7 +619,7 @@ def _detect_rows(
         )
         row, amp, pos = row[is_max], amp[is_max], freqs[col[is_max]]
         if len(row) == 0:
-            continue
+            return
 
         # A candidate joins its row's previous candidate's cluster when it
         # lies within one linewidth of it; a cluster peaks at its first
@@ -538,7 +627,7 @@ def _detect_rows(
         opens = np.empty(len(row), dtype=bool)
         opens[0] = True
         np.not_equal(row[1:], row[:-1], out=opens[1:])
-        opens[1:] |= ~(pos[1:] - pos[:-1] <= lw_ghz)
+        opens[1:] |= ~(pos[1:] - pos[:-1] <= self.lw_ghz)
         best = np.lexsort((-amp, np.cumsum(opens)))[opens]
         row, amp, pos = row[best], amp[best], pos[best]
 
@@ -551,8 +640,66 @@ def _detect_rows(
         counts[row[rank == 0]] = 1
         counts[row[rank == 1]] = 2
         positions[row[kept], rank[kept]] = pos[kept]
-    positions.sort(axis=1)
-    return counts, positions, thresholds
+        positions[first:first + len(block)].sort(axis=1)
+
+    def verdict(
+        self, branch_freqs_ghz: np.ndarray, pixel_seconds: float
+    ) -> "LifetimeEstimate":
+        """The parity-lifetime verdict of the graded rows, one pixel each,
+        with the model (even, odd) branches of each pixel."""
+        counts, positions = self.counts, self.positions_ghz
+        # Single-peak rows are attributed to the nearer model branch (even
+        # on a tie) unless the branches are unresolved or the peak is far
+        # from both.
+        lw_ghz = self.lw_ghz
+        single = counts == 1
+        f_even, f_odd = branch_freqs_ghz[single].T
+        position = positions[single, 0]
+        d_even = np.abs(position - f_even)
+        d_odd = np.abs(position - f_odd)
+        odd = d_odd < d_even
+        attributable = ~(np.abs(f_even - f_odd) < lw_ghz) & ~(
+            np.where(odd, d_odd, d_even) > 3.0 * lw_ghz
+        )
+        assigned = odd[attributable]
+        alternations = int(np.count_nonzero(assigned[1:] != assigned[:-1]))
+
+        n_pixels = len(counts)
+        duration_s = n_pixels * pixel_seconds
+        two_peak_fraction = float(np.mean(counts == 2))
+        if two_peak_fraction >= 0.9:
+            kind, seconds, alternations = "upper_bound", pixel_seconds, 0
+        elif alternations > 0:
+            kind, seconds = "estimate", duration_s / alternations
+        elif len(assigned) >= 0.5 * n_pixels:
+            kind, seconds = "lower_bound", duration_s
+        else:
+            kind, seconds = "inconclusive", math.nan
+        return LifetimeEstimate(
+            kind=kind,
+            seconds=seconds,
+            alternations=alternations,
+            two_peak_fraction=two_peak_fraction,
+            single_peak_fraction=float(np.mean(counts == 1)),
+            counts=counts,
+            positions_ghz=positions,
+            thresholds=self.thresholds,
+        )
+
+
+def _detect_rows(
+    freqs: np.ndarray,
+    amplitudes: np.ndarray,
+    linewidth_mhz: float,
+    threshold_k: float,
+) -> _RowDetection:
+    """Threshold-and-cluster peak detection on every row of ``amplitudes``,
+    a block of ``_ROWS`` rows at a time."""
+    detection = _RowDetection(freqs, len(amplitudes), linewidth_mhz,
+                              threshold_k)
+    for first in range(0, len(amplitudes), _ROWS):
+        detection.grade(first, amplitudes[first:first + _ROWS])
+    return detection
 
 
 def _peak_sets(
@@ -574,7 +721,7 @@ def detect_peaks(
     frequencies_ghz: np.ndarray,
     amplitudes: np.ndarray,
     linewidth_mhz: float,
-    threshold_k: float = 5.0,
+    threshold_k: float = _THRESHOLD_K,
 ) -> PeakSet:
     """Threshold-and-cluster peak detection on one scan row.
 
@@ -590,8 +737,9 @@ def detect_peaks(
         raise DomainError("frequencies and amplitudes must be equal 1-d arrays")
     if not len(row):
         raise DomainError("amplitudes hold no samples")
+    detection = _detect_rows(freqs, row[None, :], linewidth_mhz, threshold_k)
     return _peak_sets(
-        *_detect_rows(freqs, row[None, :], linewidth_mhz, threshold_k)
+        detection.counts, detection.positions_ghz, detection.thresholds
     )[0]
 
 
@@ -643,7 +791,7 @@ class LifetimeEstimate(Record):
 
 
 def estimate_parity_lifetime(
-    scan: SpectroscopyScan, threshold_k: float = 5.0
+    scan: SpectroscopyScan, threshold_k: float = _THRESHOLD_K
 ) -> LifetimeEstimate:
     """Classify a scan into a parity-lifetime verdict.
 
@@ -653,40 +801,6 @@ def estimate_parity_lifetime(
     alternation count of that branch sequence, or is bounded below by the
     scan duration when the branch never alternates.
     """
-    counts, positions, thresholds = _detect_rows(
+    return _detect_rows(
         scan.frequencies_ghz, scan.amplitudes, scan.linewidth_mhz, threshold_k
-    )
-    # Single-peak rows are attributed to the nearer model branch (even on
-    # a tie) unless the branches are unresolved or the peak is far from both.
-    lw_ghz = scan.linewidth_mhz / 1e3
-    single = counts == 1
-    f_even, f_odd = scan.branch_freqs_ghz[single].T
-    position = positions[single, 0]
-    d_even = np.abs(position - f_even)
-    d_odd = np.abs(position - f_odd)
-    odd = d_odd < d_even
-    attributable = ~(np.abs(f_even - f_odd) < lw_ghz) & ~(
-        np.where(odd, d_odd, d_even) > 3.0 * lw_ghz
-    )
-    assigned = odd[attributable]
-    alternations = int(np.count_nonzero(assigned[1:] != assigned[:-1]))
-
-    two_peak_fraction = float(np.mean(counts == 2))
-    if two_peak_fraction >= 0.9:
-        kind, seconds, alternations = "upper_bound", scan.pixel_seconds, 0
-    elif alternations > 0:
-        kind, seconds = "estimate", scan.duration_s / alternations
-    elif len(assigned) >= 0.5 * scan.n_pixels:
-        kind, seconds = "lower_bound", scan.duration_s
-    else:
-        kind, seconds = "inconclusive", math.nan
-    return LifetimeEstimate(
-        kind=kind,
-        seconds=seconds,
-        alternations=alternations,
-        two_peak_fraction=two_peak_fraction,
-        single_peak_fraction=float(np.mean(counts == 1)),
-        counts=counts,
-        positions_ghz=positions,
-        thresholds=thresholds,
-    )
+    ).verdict(scan.branch_freqs_ghz, scan.pixel_seconds)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from qpgap import config as config_module
+from qpgap import svgplot
 from qpgap.cli import (
     _csv_table,
     _dump_json,
@@ -20,7 +22,18 @@ from qpgap.cli import (
 )
 from qpgap.config import load_device_config, load_device_document
 from qpgap.errors import ConfigError
-from qpgap.parity import MAX_EXPECTED_EVENTS, MAX_SCAN_SAMPLES
+from qpgap.parity import (
+    _ROWS,
+    DEFAULT_PIXEL_SECONDS,
+    MAX_EXPECTED_EVENTS,
+    MAX_SCAN_SAMPLES,
+    ScanConfig,
+    estimate_parity_lifetime,
+    scan_window,
+    simulate_offset_charge,
+    simulate_parity,
+    synthesize_scan,
+)
 from qpgap.transmon import TransmonParams, transition_frequency
 
 DEVICES = (
@@ -490,6 +503,143 @@ def test_parity_sim_json_stdout(configs_dir, capsys):
     document = json.loads(captured.out[: captured.out.rindex("}") + 1])
     assert document["peaks"][0]["count"] in (1, 2)
     assert document["config"] == "3P"
+
+
+def _table_outputs(config_path, duration: float, fmt: str, svg: bool):
+    """The files and stdout of ``parity-sim`` built the library's way: the
+    whole scan from ``synthesize_scan``, graded by
+    ``estimate_parity_lifetime`` and written with ``_csv_table``."""
+    config = load_device_config(config_path)
+    seed, settings = config.seed, config.scan
+    parity_trace = simulate_parity(
+        config.noise.gamma_parity_per_s, duration, seed=seed
+    )
+    charge_trace = simulate_offset_charge(
+        config.noise, duration, seed=seed + 1, ng_initial=config.params.ng
+    )
+    f_min, f_max = scan_window(
+        config.params, settings.linewidth_mhz, settings.pad_linewidths
+    )
+    scan = synthesize_scan(
+        config.params, parity_trace, charge_trace,
+        ScanConfig(f_min, f_max, settings.n_freq, settings.pixel_seconds),
+        linewidth_mhz=settings.linewidth_mhz, snr=settings.snr,
+        seed=seed + 2,
+    )
+    estimate = estimate_parity_lifetime(scan)
+    metadata = {
+        **scan.metadata(),
+        "config": config.name,
+        "config_hash": config.source_hash,
+        "gamma_parity_per_s": config.noise.gamma_parity_per_s,
+        "gamma_parity_computed": config.gamma_parity_computed,
+        "true_switch_count": parity_trace.switch_count,
+        "verdict": estimate.describe(),
+        "estimate": {
+            "kind": estimate.kind,
+            "seconds": estimate.seconds,
+            "alternations": estimate.alternations,
+            "two_peak_fraction": estimate.two_peak_fraction,
+            "single_peak_fraction": estimate.single_peak_fraction,
+        },
+    }
+    peaks_header = ["pixel", "time_s", "count", "f1_GHz", "f2_GHz"]
+    peak_rows = [
+        [index, start, peaks.count, *peaks.positions_ghz,
+         *[None] * (2 - peaks.count)]
+        for index, (start, peaks) in enumerate(
+            zip(scan.pixel_starts_s.tolist(), estimate.peaks)
+        )
+    ]
+    if fmt == "json":
+        peak_records = [dict(zip(peaks_header, row)) for row in peak_rows]
+        files = {"scan_meta.json": _dump_json(
+            {**metadata, "peaks": peak_records})}
+    else:
+        header = ["time_s"] + [f"f_{f:.10g}" for f in scan.frequencies_ghz]
+        table = np.column_stack([scan.pixel_starts_s, scan.amplitudes])
+        files = {
+            "scan.csv": _csv_table(header, table.tolist()),
+            "peaks.csv": _csv_table(peaks_header, peak_rows),
+            "scan_meta.json": _dump_json(metadata),
+        }
+    if svg:
+        files["scan.svg"] = svgplot.heatmap(
+            scan.amplitudes.T, scan.frequencies_ghz, scan.pixel_starts_s,
+            "frequency (GHz)", "time (s)", f"{config.name} parity scan",
+        )
+    files = {name: text.encode() for name, text in files.items()}
+    return scan.n_pixels, files, estimate.describe() + "\n"
+
+
+@pytest.mark.parametrize(
+    "config, pixels, fmt, svg",
+    [
+        ("device_3p.json", 1, "csv", True),
+        ("device_2np.json", _ROWS, "csv", False),
+        ("device_2np.json", _ROWS + 1, "csv", True),
+        ("device_3p.json", 5000, "csv", False),
+        ("device_2np.json", _ROWS + 1, "json", False),
+        ("device_3p.json", 5000, "json", False),
+    ],
+)
+def test_streamed_scan_matches_the_table_path(
+    configs_dir, tmp_path, capsys, config, pixels, fmt, svg
+):
+    # parity-sim synthesizes, grades and writes the scan a block at a
+    # time; every byte equals the whole-table path's
+    duration = pixels * DEFAULT_PIXEL_SECONDS
+    argv = ["parity-sim", configs_dir / config, "--duration", repr(duration),
+            "--format", fmt, "--out", tmp_path]
+    assert _run(argv + ["--svg"] * svg) == 0
+    stdout = capsys.readouterr().out
+    n_pixels, files, verdict = _table_outputs(
+        configs_dir / config, duration, fmt, svg
+    )
+    assert n_pixels == pixels
+    assert stdout == verdict
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == (
+        files
+    )
+
+
+def test_parity_sim_input_errors_come_before_any_output(
+    configs_dir, tmp_path, capsys
+):
+    # the scan is written as it is made, so every check runs first: here
+    # the sample cap (5e7 pixels x 161 frequencies)
+    out = tmp_path / "out"
+    code = _run(["parity-sim", configs_dir / "device_3p.json",
+                 "--duration", "1e7", "--out", out])
+    assert "samples" in _assert_clean_exit_2(code, capsys)
+    assert list(out.iterdir()) == []
+
+
+def _traced_peak(argv) -> int:
+    """The traced allocation peak of ``argv``'s second run in-process."""
+    assert _run(argv) == 0  # imports and memos are not the scan's
+    tracemalloc.start()
+    try:
+        assert _run(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_parity_sim_memory_does_not_grow_with_the_scan(
+    configs_dir, tmp_path, capsys
+):
+    # a 1000 s 3P scan is 5000 x 161 samples, 6.4 MB; the CLI holds a few
+    # blocks of it and the per-row counts, positions and thresholds
+    config = configs_dir / "device_3p.json"
+    short, long = (
+        _traced_peak(["parity-sim", config, "--duration", duration,
+                      "--out", tmp_path / duration])
+        for duration in ("1000", "2000")
+    )
+    assert short <= 4e6
+    assert long - short <= 1e6
 
 
 def test_fit_t1_files(configs_dir, data_dir, tmp_path, capsys):
@@ -1082,6 +1232,11 @@ def test_overflowing_pixel_count_exits_2(configs_dir, tmp_path, capsys):
     assert "samples" in _assert_clean_exit_2(code, capsys)
 
 
+def _float_csv_bytes(header, table):
+    # the scan's form: the time column and the amplitudes apart
+    return b"".join(_float_csv_chunks(header, [(table[:, 0], table[:, 1:])]))
+
+
 def test_float_csv_matches_per_cell_formatting():
     rng = np.random.default_rng(3)
     cells = np.concatenate([
@@ -1092,10 +1247,10 @@ def test_float_csv_matches_per_cell_formatting():
     ])
     table = cells.reshape(-1, 4)
     header = ["time_s", "f_a", "f_b", "f_c"]
-    text = "".join(_float_csv_chunks(header, table))
-    assert text == _csv_table(header, table.tolist())
+    text = _float_csv_bytes(header, table)
+    assert text == _csv_table(header, table.tolist()).encode()
     empty = np.empty((0, 4))
-    assert "".join(_float_csv_chunks(header, empty)) == _csv_table(header, [])
+    assert _float_csv_bytes(header, empty) == _csv_table(header, []).encode()
 
 
 def test_float_csv_matches_per_cell_formatting_below_one():
@@ -1124,14 +1279,28 @@ def test_float_csv_matches_per_cell_formatting_below_one():
     cells = cells[: len(cells) // 7 * 7]
     table = cells.reshape(-1, 7)
     header = [f"c{i}" for i in range(7)]
-    text = "".join(_float_csv_chunks(header, table))
-    assert text == _csv_table(header, table.tolist())
+    text = _float_csv_bytes(header, table)
+    assert text == _csv_table(header, table.tolist()).encode()
 
 
 def test_float_csv_is_written_in_row_blocks():
     header = ["time_s", "f_a", "f_b"]
     table = np.arange(600 * 3, dtype=float).reshape(600, 3) / 7.0
-    chunks = list(_float_csv_chunks(header, table))
-    # the header, then blocks of 256 rows
-    assert [chunk.count("\n") for chunk in chunks] == [1, 256, 256, 88]
-    assert "".join(chunks) == _csv_table(header, table.tolist())
+    chunks = list(_float_csv_chunks(header, [(table[:, 0], table[:, 1:])]))
+    # the header, then blocks of 64 rows
+    assert [chunk.count(b"\n") for chunk in chunks] == [1, *[64] * 9, 24]
+    assert b"".join(chunks) == _csv_table(header, table.tolist()).encode()
+
+
+def test_float_csv_joins_blocks_of_any_height():
+    # the work arrays are sized to the first block, and made again for a
+    # taller one
+    header = ["time_s", "f_a", "f_b"]
+    table = np.arange(300 * 3, dtype=float).reshape(300, 3) / -7.0
+    blocks = [(table[a:b, 0], table[a:b, 1:])
+              for a, b in ((0, 10), (10, 250), (250, 300))]
+    chunks = list(_float_csv_chunks(header, blocks))
+    assert [chunk.count(b"\n") for chunk in chunks] == [
+        1, 10, 64, 64, 64, 48, 50,
+    ]
+    assert b"".join(chunks) == _csv_table(header, table.tolist()).encode()

@@ -330,6 +330,14 @@ def test_lifetime_peaks_are_cached():
     assert peaks == (PeakSet(1, (4.2,), 0.5), PeakSet(2, (4.2, 4.8), 0.6))
 
 
+@pytest.mark.parametrize("n_cut", [30.5, 30.0, -1, True, "30"])
+def test_transmon_cutoff_must_be_a_non_negative_integer(n_cut):
+    # 30.5 or 30.0 would reach np.full as a float basis size
+    with pytest.raises(qpgap.DomainError, match="^n_cut must be a non-neg"):
+        TransmonParams(EJ=1.0, EC=1.0, n_cut=n_cut)
+    assert TransmonParams(EJ=1.0, EC=1.0, n_cut=np.int64(30)).n_cut == 30
+
+
 def test_checks_run_on_construction():
     with pytest.raises(qpgap.DomainError):
         TransmonParams(-1.0, 0.3)
