@@ -1,7 +1,7 @@
 """Cold-start timings of the qpgap CLI, in fresh interpreters.
 
     python3 scripts/cold_start.py [--root CHECKOUT ...] [--runs N] [--json FILE]
-                                  [--compile]
+                                  [--compile | --imports]
 
 For each checkout (default: the one holding this script) the package is
 copied from ``src/`` into a temporary directory without ``__pycache__``
@@ -18,13 +18,24 @@ and timed in fresh interpreters, with one BLAS thread:
   (``COMMANDS`` of ``perfbench/cli_cold.py`` beside this script), as
   ``python -m qpgap.cli`` with ``PYTHONDONTWRITEBYTECODE=1`` on the bare
   copy, timed as the child's wall time.  Each run also records the
-  child's peak resident set size (``ru_maxrss`` from ``os.wait4``).
+  child's peak resident set size and minor page faults (``ru_maxrss``
+  and ``ru_minflt`` from ``os.wait4``).
 
 Every case of every checkout runs once per round, interleaved, for
 ``--runs`` rounds, with the checkout order rotating each round.  Prints
 the min, quartiles and median of each case in ms (and of each command's
-peak RSS in MB), then the ``qpgap.*`` and ``scipy.*`` modules each
-command loads.  ``--json FILE`` also writes the samples.
+peak RSS in MB and minor faults), then the ``qpgap.*`` and ``scipy.*``
+modules each command loads.  ``--json FILE`` also writes the samples.
+
+``--imports`` times only the package's own imports, which a whole
+command's wall time cannot resolve to a millisecond: each sample pays
+``import numpy`` too, whose spread is wider than that.  A child first
+imports numpy and every standard-library module that the package's
+modules import (read from each checkout's source), then times
+``import qpgap.cli`` alone, and ``import qpgap.cli`` with each
+subcommand's module (``qpgap._spectrum`` and so on), with
+``PYTHONDONTWRITEBYTECODE=1`` on the bare copy, so each run compiles
+what it imports.  The cases run interleaved as above.
 
 ``--compile`` times no process.  It times ``compile()`` of each ``qpgap``
 module that a command loads (the ``MODULES_PROBE`` list), in this
@@ -36,6 +47,7 @@ module's best time.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -56,6 +68,9 @@ from cli_cold import COMMANDS, OUT  # noqa: E402
 IMPORTS = {"import numpy": "numpy", "import qpgap.cli": "qpgap.cli"}
 IMPORT_PROBE = ("import time; t = time.perf_counter(); import {modules}; "
                 "print(time.perf_counter() - t)")
+# the subcommands and the module ``qpgap.cli`` imports to run each
+SUBCOMMANDS = {argv[0]: f"qpgap._{argv[0].replace('-', '_')}"
+               for argv in COMMANDS.values()}
 # runs a command as ``python -m qpgap.cli`` does (as ``__main__``, in
 # sys.modules), then lists qpgap's and scipy's modules
 MODULES_PROBE = (
@@ -82,6 +97,7 @@ class Checkout:
                         str(self.cached)], check=True)
         self.out = scratch / label / "out"
         self.peak_rss_mb = {command: [] for command in COMMANDS}
+        self.minor_faults = {command: [] for command in COMMANDS}
 
     def _copy(self, target: Path) -> Path:
         shutil.copytree(self.root / "src", target,
@@ -102,17 +118,36 @@ class Checkout:
     def argv(self, command: str) -> list[str]:
         return [a.replace(OUT, str(self.out)) for a in COMMANDS[command]]
 
-    def time_import(self, modules: str, cached: bool) -> float:
+    def time_import(self, modules: str, cached: bool,
+                    preloaded: str = "") -> float:
+        """ms of ``import modules`` in a fresh child that has imported
+        ``preloaded`` (comma-separated) beforehand."""
+        code = IMPORT_PROBE.format(modules=modules)
+        if preloaded:
+            code = f"import {preloaded}; {code}"
         proc = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE.format(modules=modules)],
-            cwd=self.root, env=self.env(cached), capture_output=True,
-            text=True, check=True,
+            [sys.executable, "-c", code], cwd=self.root,
+            env=self.env(cached), capture_output=True, text=True, check=True,
         )
         return 1e3 * float(proc.stdout)
 
+    def stdlib_imports(self) -> set[str]:
+        """The standard-library modules that the package's modules import,
+        at any depth of their code."""
+        names = set()
+        for path in (self.compiled / "qpgap").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names.add(node.module)
+        return {name for name in names
+                if name.partition(".")[0] in sys.stdlib_module_names
+                and name != "__future__"}
+
     def time_command(self, command: str) -> float:
         """The wall time of one run of ``command`` in ms; its peak RSS
-        goes to ``peak_rss_mb``."""
+        goes to ``peak_rss_mb`` and its minor faults to ``minor_faults``."""
         argv = [sys.executable, "-m", "qpgap.cli", *self.argv(command)]
         start = time.perf_counter()
         proc = subprocess.Popen(argv, cwd=self.root, env=self.env(False),
@@ -126,6 +161,7 @@ class Checkout:
             raise subprocess.CalledProcessError(proc.returncode, argv)
         shutil.rmtree(self.out, ignore_errors=True)
         self.peak_rss_mb[command].append(usage.ru_maxrss / 1024.0)
+        self.minor_faults[command].append(usage.ru_minflt)
         return 1e3 * elapsed
 
     def dont_write_bytecode(self, cached: bool) -> bool:
@@ -156,6 +192,18 @@ def cases(checkout: Checkout) -> dict:
                 lambda m=modules, c=cached: checkout.time_import(m, c))
     for command in COMMANDS:
         timed[command] = lambda c=command: checkout.time_command(c)
+    return timed
+
+
+def import_cases(checkout: Checkout, preloaded: str) -> dict:
+    """Case name -> a call that times one import of the package in a
+    child that has imported ``preloaded``, in ms."""
+    timed = {"qpgap.cli": lambda: checkout.time_import(
+        "qpgap.cli", False, preloaded)}
+    for name, module in SUBCOMMANDS.items():
+        timed[f"qpgap.cli + {name}"] = (
+            lambda m=module: checkout.time_import(
+                f"qpgap.cli, {m}", False, preloaded))
     return timed
 
 
@@ -215,8 +263,11 @@ def main() -> int:
     parser.add_argument("--runs", type=int, default=15,
                         help="rounds of every case (default 15)")
     parser.add_argument("--json", type=Path, help="also write the samples")
-    parser.add_argument("--compile", action="store_true",
-                        help="time compile() of each command's modules only")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--compile", action="store_true",
+                      help="time compile() of each command's modules only")
+    mode.add_argument("--imports", action="store_true",
+                      help="time only the package's imports, after numpy")
     args = parser.parse_args()
     roots = args.root or [HERE]
 
@@ -225,14 +276,10 @@ def main() -> int:
                      for i, root in enumerate(roots)]
         if args.compile:
             return report_compile(checkouts, args)
-        timers = [cases(checkout) for checkout in checkouts]
-        samples = [{name: [] for name in timer} for timer in timers]
-        for round_index in range(args.runs):
-            order = [(i + round_index) % len(checkouts)
-                     for i in range(len(checkouts))]
-            for name in timers[0]:
-                for i in order:
-                    samples[i][name].append(timers[i][name]())
+        if args.imports:
+            return report_imports(checkouts, args)
+        samples = interleave(checkouts, [cases(c) for c in checkouts],
+                             args.runs)
         modules = [{command: checkout.modules(command) for command in COMMANDS}
                    for checkout in checkouts]
 
@@ -251,21 +298,72 @@ def main() -> int:
              "peak_rss_mb": {command: {**summary(values), "samples": values}
                              for command, values in
                              checkout.peak_rss_mb.items()},
+             "minor_faults": {command: {**summary(values), "samples": values}
+                              for command, values in
+                              checkout.minor_faults.items()},
              "modules": module}
             for checkout, sample, module in zip(checkouts, samples, modules)
         ],
     }
     for entry in report["checkouts"]:
         print(f"{entry['root']}  ({args.runs} runs, ms: min q1 median q3)")
-        for name, stats in entry["cases"].items():
-            print(f"  {name:32s} {stats['min']:7.1f} {stats['q1']:7.1f} "
-                  f"{stats['median']:7.1f} {stats['q3']:7.1f}")
+        print_summaries(entry["cases"])
         print("  peak RSS, MB: min q1 median q3")
-        for command, stats in entry["peak_rss_mb"].items():
-            print(f"  {command:32s} {stats['min']:7.1f} {stats['q1']:7.1f} "
-                  f"{stats['median']:7.1f} {stats['q3']:7.1f}")
+        print_summaries(entry["peak_rss_mb"])
+        print("  minor page faults: min q1 median q3")
+        print_summaries(entry["minor_faults"], digits=0)
         for command, names in entry["modules"].items():
             print(f"  modules {command}: {' '.join(names)}")
+    if args.json is not None:
+        args.json.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+def interleave(checkouts: list[Checkout], timers: list[dict],
+               runs: int) -> list[dict]:
+    """Each checkout's case -> samples: every case of every checkout once
+    per round, with the checkout order rotating each round."""
+    samples = [{name: [] for name in timer} for timer in timers]
+    for round_index in range(runs):
+        order = [(i + round_index) % len(checkouts)
+                 for i in range(len(checkouts))]
+        for name in timers[0]:
+            for i in order:
+                samples[i][name].append(timers[i][name]())
+    return samples
+
+
+def print_summaries(entries: dict, digits: int = 1) -> None:
+    for name, stats in entries.items():
+        print(f"  {name:32s}", *(f"{stats[key]:7.{digits}f}"
+                                 for key in ("min", "q1", "median", "q3")))
+
+
+def report_imports(checkouts: list[Checkout], args) -> int:
+    # every checkout's child preloads the same modules
+    preloaded = ", ".join(sorted(
+        {"numpy"}.union(*(c.stdlib_imports() for c in checkouts))))
+    samples = interleave(
+        checkouts, [import_cases(c, preloaded) for c in checkouts], args.runs)
+    report = {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "runs": args.runs,
+        "preloaded": preloaded,
+        "checkouts": [
+            {"root": str(checkout.root),
+             "dont_write_bytecode": checkout.dont_write_bytecode(False),
+             "cases": {name: {**summary(values), "samples_ms": values}
+                       for name, values in sample.items()}}
+            for checkout, sample in zip(checkouts, samples)
+        ],
+    }
+    print(f"preloaded: {preloaded}")
+    for entry in report["checkouts"]:
+        print(f"{entry['root']}  ({args.runs} runs, package imports after "
+              "numpy, ms: min q1 median q3)")
+        print_summaries(entry["cases"])
     if args.json is not None:
         args.json.write_text(json.dumps(report, indent=1) + "\n")
     return 0

@@ -23,8 +23,8 @@ _EXPORTS = {
         "RankDeficiencyError", "UnderdeterminedError",
     ),
     "units": (
-        "CONSTANTS", "Constants", "EnergyValue", "ev_to_ghz", "ev_to_kelvin",
-        "ghz_to_ev", "ghz_to_kelvin", "kelvin_to_ev", "kelvin_to_ghz",
+        "CONSTANTS", "Constants", "EnergyValue", "kelvin_to_ev",
+        "kelvin_to_ghz",
     ),
     "device": (
         "CavityCoupling", "FrequencyTargets", "GapProfile", "GapSegment",
@@ -32,29 +32,25 @@ _EXPORTS = {
         "TransmonParams", "tc_from_thickness",
     ),
     "thermal": (
-        "bcs_dos", "bose_occupation", "crossover_temperature", "delta_from_tc",
+        "bose_occupation", "crossover_temperature", "delta_from_tc",
         "temperature_from_occupation", "temperature_from_population",
         "thermal_crossover", "thermal_qp_fraction", "thermal_qp_term",
-        "two_level_population",
     ),
     "transmon": (
-        "Spectrum", "build_hamiltonian", "charge_dispersion",
-        "charge_matrix_elements", "chi_shift", "dispersive_shift",
+        "Spectrum", "charge_dispersion", "chi_shift", "dispersive_shift",
         "eigenspectrum", "ej_from_normal_resistance", "fit_ej_ec",
-        "normal_resistance_from_ej", "parity_frequencies", "parity_splitting",
-        "resonator_dispersion", "transition_frequency",
+        "normal_resistance_from_ej", "resonator_dispersion",
+        "transition_frequency",
     ),
     "quasiparticles": (
         "GeometryVerdict", "SideVerdict", "above_barrier_fraction",
         "barrier_adequate", "delta_ev_from_tc", "diffusion_length",
-        "nqp_decay_rate", "parity_rate_model", "profile_from_stack", "tau_eps",
-        "trap_adequate", "volume_density", "x_qp_from_density",
-        "x_qp_from_rate",
+        "nqp_decay_rate", "parity_rate_model", "tau_eps", "trap_adequate",
+        "volume_density", "x_qp_from_rate",
     ),
     "parity": (
-        "ChargeTrace", "LifetimeEstimate", "ParityTrace", "PeakSet",
-        "ScanConfig", "SpectroscopyScan", "detect_peaks",
-        "estimate_parity_lifetime", "scan_window", "simulate_offset_charge",
+        "ChargeTrace", "LifetimeEstimate", "ParityTrace", "ScanConfig",
+        "SpectroscopyScan", "estimate_parity_lifetime", "scan_window", "simulate_offset_charge",
         "simulate_parity", "synthesize_scan",
     ),
     "fitting": (

@@ -40,10 +40,14 @@ from .errors import ConfigError, ConvergenceError, QpgapError
 
 
 # Rows of a float table formatted and written at a time.  The work
-# arrays take about 130 bytes a cell: 1.4 MB for 64 rows of the
-# 162-column scan, 5.5 MB for 256.  On the 5000-row 3P scan 64 rows
-# formatted within 10 % of 256 rows' time, and 16 rows took 30 % longer.
-_CSV_ROWS = 64
+# arrays take about 130 bytes a cell (0.7 MB for 32 rows of the 162-column
+# scan), and each block makes three bytes objects of about 16 bytes a
+# cell.  At 64 rows those were 146-166 KB each, which glibc maps and
+# returns to the system, so every block faulted them in again: a cold
+# 1000 s 3P parity-sim took 12.5k minor page faults, and 6.1k at 32 rows,
+# where they are reused from the heap.  Warm and in-process, 32 rows
+# format the 5000-row scan about 6 % slower than 64.
+_CSV_ROWS = 32
 
 # The most points --ng-points or --t-points accepts.  A spectrum point
 # costs two eigensolves (5000 points take about 1 s), so the cap keeps a

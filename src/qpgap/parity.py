@@ -22,8 +22,7 @@ rows once, into one reused buffer, and reads both the row medians and
 the MADs (median absolute deviations) of its thresholds from that sort.
 It tests the local-maximum condition only at the samples above the
 thresholds and clusters the survivors; it keeps the results as arrays,
-which the verdict and the CLI's peak table read, and builds a per-row
-:class:`PeakSet` only on request.
+which the verdict and the CLI's peak table read.
 
 Both sides are per-block kernels, :class:`_ScanSynthesis` and
 :class:`_RowDetection`, whose verdict is the second half of
@@ -40,7 +39,6 @@ regardless of execution order.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -131,26 +129,6 @@ class ParityTrace(Record):
                 f"initial parity must be 0 or 1, got {self.initial_parity!r}"
             )
 
-    def parity_at(self, t: float) -> int:
-        """Parity (0 even, 1 odd) at time ``t``."""
-        flips = int(np.searchsorted(self.switch_times, t, side="right"))
-        return (self.initial_parity + flips) % 2
-
-    def dwell_fractions(self, t0: float, t1: float) -> tuple[float, float]:
-        """Exact (even, odd) dwell fractions inside the window [t0, t1]."""
-        if not 0.0 <= t0 < t1 <= self.duration_s + 1e-12:
-            raise DomainError(f"window [{t0}, {t1}] outside trace")
-        lo = int(np.searchsorted(self.switch_times, t0, side="right"))
-        hi = int(np.searchsorted(self.switch_times, t1, side="left"))
-        edges = [t0, *self.switch_times[lo:hi], t1]
-        dwell = [0.0, 0.0]
-        parity = (self.initial_parity + lo) % 2
-        for start, end in zip(edges[:-1], edges[1:]):
-            dwell[parity] += end - start
-            parity = (parity + 1) % 2
-        total = t1 - t0
-        return dwell[_EVEN] / total, dwell[_ODD] / total
-
     @property
     def switch_count(self) -> int:
         return len(self.switch_times)
@@ -171,10 +149,6 @@ class ChargeTrace(Record):
         _check_event_times("jump_times", self.jump_times)
         if np.shape(self.ng_values) != (len(self.jump_times) + 1,):
             raise DomainError("ng_values needs one entry more than jump_times")
-
-    def ng_at(self, t: float) -> float:
-        idx = int(np.searchsorted(self.jump_times, t, side="right"))
-        return float(self.ng_values[idx])
 
     def visited_values(self) -> np.ndarray:
         return np.asarray(self.ng_values, dtype=float)
@@ -563,12 +537,6 @@ def synthesize_scan(
     )
 
 
-class PeakSet(Record):
-    """Detected peaks in one scan row: count (capped at 2) and positions."""
-
-    __slots__ = ("count", "positions_ghz", "threshold")
-
-
 class _RowDetection:
     """Threshold-and-cluster peak detection on the rows of a scan, one
     block of at most ``_ROWS`` rows at a time.
@@ -694,36 +662,7 @@ def _detect_rows(
     threshold_k: float,
 ) -> _RowDetection:
     """Threshold-and-cluster peak detection on every row of ``amplitudes``,
-    a block of ``_ROWS`` rows at a time."""
-    detection = _RowDetection(freqs, len(amplitudes), linewidth_mhz,
-                              threshold_k)
-    for first in range(0, len(amplitudes), _ROWS):
-        detection.grade(first, amplitudes[first:first + _ROWS])
-    return detection
-
-
-def _peak_sets(
-    counts: np.ndarray, positions: np.ndarray, thresholds: np.ndarray
-) -> tuple[PeakSet, ...]:
-    """One PeakSet per row from the arrays of :func:`_detect_rows`."""
-    return tuple(
-        PeakSet(count=count, positions_ghz=(low, high)[:count], threshold=level)
-        for count, low, high, level in zip(
-            counts.tolist(),
-            positions[:, 0].tolist(),
-            positions[:, 1].tolist(),
-            thresholds.tolist(),
-        )
-    )
-
-
-def detect_peaks(
-    frequencies_ghz: np.ndarray,
-    amplitudes: np.ndarray,
-    linewidth_mhz: float,
-    threshold_k: float = _THRESHOLD_K,
-) -> PeakSet:
-    """Threshold-and-cluster peak detection on one scan row.
+    a block of ``_ROWS`` rows at a time.
 
     Local maxima above median + k robust standard deviations (MAD scaled
     by 1.4826 for Gaussian consistency) are clustered within one linewidth;
@@ -731,16 +670,11 @@ def detect_peaks(
     strongest peaks are kept.  At the default k the false-positive rate on
     pure noise rows is below 1 in 100.
     """
-    freqs = np.asarray(frequencies_ghz, dtype=float)
-    row = np.asarray(amplitudes, dtype=float)
-    if freqs.shape != row.shape or row.ndim != 1:
-        raise DomainError("frequencies and amplitudes must be equal 1-d arrays")
-    if not len(row):
-        raise DomainError("amplitudes hold no samples")
-    detection = _detect_rows(freqs, row[None, :], linewidth_mhz, threshold_k)
-    return _peak_sets(
-        detection.counts, detection.positions_ghz, detection.thresholds
-    )[0]
+    detection = _RowDetection(freqs, len(amplitudes), linewidth_mhz,
+                              threshold_k)
+    for first in range(0, len(amplitudes), _ROWS):
+        detection.grade(first, amplitudes[first:first + _ROWS])
+    return detection
 
 
 class LifetimeEstimate(Record):
@@ -753,20 +687,13 @@ class LifetimeEstimate(Record):
     The detection pass is kept as arrays, one entry per scan row in pixel
     order: ``counts`` (0, 1 or 2 peaks), ``positions_ghz`` ((n_rows, 2),
     ascending, NaN where a row has fewer peaks) and ``thresholds``.
-    ``peaks`` builds one :class:`PeakSet` per row from them on first read.
     """
 
     __slots__ = (
         "kind", "seconds", "alternations", "two_peak_fraction",
         "single_peak_fraction", "counts", "positions_ghz", "thresholds",
-        "__dict__",  # holds the cached ``peaks``
     )
     _hidden = _uncompared = ("counts", "positions_ghz", "thresholds")
-
-    @cached_property
-    def peaks(self) -> tuple[PeakSet, ...]:
-        """The detected peaks of every scan row, in pixel order."""
-        return _peak_sets(self.counts, self.positions_ghz, self.thresholds)
 
     def describe(self) -> str:
         if self.kind == "upper_bound":

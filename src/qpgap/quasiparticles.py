@@ -21,7 +21,7 @@ from .device import (
     GapSegment, QPEnvironment, StackSegment, ThicknessTcTable,
     tc_from_thickness,
 )
-from .errors import DomainError, GeometryError, non_negative, positive
+from .errors import DomainError, non_negative, positive
 from .thermal import (
     crossover_temperature, delta_from_tc, thermal_crossover,
     thermal_qp_fraction, thermal_qp_term,
@@ -32,25 +32,6 @@ DEFAULT_BASE_RATE = 1.0e3
 # Thermal-activation prefactor calibrated so the engineered-gap device's
 # parity lifetime crosses one 0.2 s measurement pixel near 150 mK.
 DEFAULT_THERMAL_PREFACTOR = 3.4e7
-
-
-def profile_from_stack(
-    segments: list[StackSegment] | tuple[StackSegment, ...],
-    junction_index: int,
-    table: ThicknessTcTable | None = None,
-) -> GapProfile:
-    """Build a :class:`GapProfile` from a fabrication stack.
-
-    ``junction_index`` counts segments to the left of the junction, so it
-    must satisfy 1 <= junction_index <= len(segments) - 1.
-    """
-    if not 1 <= junction_index <= len(segments) - 1:
-        raise GeometryError(
-            f"junction index {junction_index} leaves no segment on one side"
-        )
-    resolved = tuple(seg.resolve(table) for seg in segments)
-    junction_um = sum(seg.length_um for seg in resolved[:junction_index])
-    return GapProfile(resolved, junction_um)
 
 
 def tau_eps(energy_kelvin: float, env: QPEnvironment | None = None) -> float:
@@ -130,16 +111,6 @@ def volume_density(
     positive("nu0", nu0_per_ev_um3)
     positive("delta", delta_ev)
     return x_qp * 2.0 * nu0_per_ev_um3 * delta_ev
-
-
-def x_qp_from_density(
-    n_per_um3: float, nu0_per_ev_um3: float, delta_ev: float
-) -> float:
-    """Quasiparticle fraction from a volume density (inverse of volume_density)."""
-    non_negative("density", n_per_um3)
-    positive("nu0", nu0_per_ev_um3)
-    positive("delta", delta_ev)
-    return n_per_um3 / (2.0 * nu0_per_ev_um3 * delta_ev)
 
 
 # Panel edges of the gap-edge rule, as the fall of the Boltzmann exponent

@@ -31,18 +31,6 @@ def delta_from_tc(tc_kelvin: float, bcs_ratio: float | None = None) -> float:
     return ratio * tc_kelvin
 
 
-def bcs_dos(energy: float, delta: float) -> float:
-    """Normalized BCS quasiparticle density of states.
-
-    Returns E/sqrt(E^2 - Delta^2) for E > Delta and 0 at or below the
-    gap edge.  ``energy`` and ``delta`` must share one unit.
-    """
-    positive("delta", delta)
-    if energy <= delta:
-        return 0.0
-    return energy / math.sqrt(energy * energy - delta * delta)
-
-
 def bose_occupation(f_ghz: float, t_kelvin: float) -> float:
     """Bose-Einstein occupation of a mode at ``f_ghz`` and bath ``t_kelvin``.
 
@@ -57,21 +45,11 @@ def bose_occupation(f_ghz: float, t_kelvin: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def two_level_population(f_ghz: float, t_kelvin: float) -> float:
-    """Thermal excited-state population of a two-level system."""
-    positive("frequency", f_ghz)
-    positive("temperature", t_kelvin)
-    x = f_ghz * CONSTANTS.h_over_kB / t_kelvin
-    if x > _LARGE_EXPONENT:
-        return math.exp(-x)
-    return 1.0 / (1.0 + math.exp(x))
-
-
 def temperature_from_population(f_ghz: float, p_excited: float) -> float:
     """Effective temperature (kelvin) from a two-level excited population.
 
-    Inverts :func:`two_level_population`; only populations strictly
-    between 0 and 1/2 correspond to a finite positive temperature.
+    Inverts p = 1 / (1 + exp(hf/kBT)); only populations strictly between
+    0 and 1/2 correspond to a finite positive temperature.
     """
     positive("frequency", f_ghz)
     if not 0.0 < p_excited < 0.5:

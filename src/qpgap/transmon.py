@@ -129,22 +129,6 @@ def _tridiagonal_bands(params: TransmonParams) -> tuple[np.ndarray, np.ndarray]:
     return diagonal, off_diagonal
 
 
-def build_hamiltonian(params: TransmonParams) -> np.ndarray:
-    """Dense charge-basis Hamiltonian matrix in GHz.
-
-    Returns
-    -------
-    ndarray
-        Symmetric tridiagonal matrix of dimension 2*effective_n_cut + 1.
-    """
-    diagonal, off_diagonal = _tridiagonal_bands(params)
-    matrix = np.diag(diagonal)
-    idx = np.arange(len(off_diagonal))
-    matrix[idx, idx + 1] = off_diagonal
-    matrix[idx + 1, idx] = off_diagonal
-    return matrix
-
-
 def _check_info(routine: str, info: int) -> None:
     if info != 0:
         raise ConvergenceError(f"LAPACK {routine} failed with info = {info}")
@@ -249,41 +233,11 @@ def charge_dispersion(params: TransmonParams, transition: str = "ge") -> float:
     return abs(f_half - f_zero)
 
 
-def parity_frequencies(params: TransmonParams) -> tuple[float, float]:
-    """ge frequencies (GHz) of the even and odd charge-parity branches.
-
-    The odd branch sees the offset charge shifted by half a Cooper pair.
-    """
-    f_even = transition_frequency(params)
-    f_odd = transition_frequency(params.with_ng(params.ng + 0.5))
-    return f_even, f_odd
-
-
-def parity_splitting(params: TransmonParams) -> float:
-    """Absolute even/odd ge frequency difference in GHz."""
-    f_even, f_odd = parity_frequencies(params)
-    return abs(f_even - f_odd)
-
-
 def _charge_elements(params: TransmonParams, vectors: np.ndarray) -> np.ndarray:
+    """Magnitudes |<i| n |j>| of the charge operator (n - ng) between the
+    eigenstates in the columns of ``vectors``, a symmetric matrix."""
     charge = _charge_grid(params.effective_n_cut) - params.ng
     return np.abs(vectors.T @ (charge[:, None] * vectors))
-
-
-def charge_matrix_elements(params: TransmonParams, levels: int) -> np.ndarray:
-    """Magnitudes |<i| n |j>| of the charge operator between eigenstates.
-
-    The charge operator is diagonal in the charge basis with entries
-    (n - ng).  In the harmonic limit |<0| n |1>| approaches
-    (EJ / 32 EC)^(1/4).
-
-    Returns
-    -------
-    ndarray
-        (levels, levels) symmetric matrix of magnitudes.
-    """
-    _, vectors = _eigensystem(params, levels)
-    return _charge_elements(params, vectors)
 
 
 def _level_shifts(

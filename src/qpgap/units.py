@@ -50,11 +50,6 @@ CONSTANTS = Constants()
 _UNITS = ("GHz", "K", "eV")
 
 
-def ghz_to_kelvin(f_ghz: float) -> float:
-    """Convert an energy expressed as a frequency (GHz) to kelvin."""
-    return f_ghz * CONSTANTS.h_over_kB
-
-
 def kelvin_to_ghz(e_kelvin: float) -> float:
     """Convert an energy expressed in kelvin to a frequency (GHz)."""
     return e_kelvin * CONSTANTS.kB_over_h
@@ -65,22 +60,11 @@ def kelvin_to_ev(e_kelvin: float) -> float:
     return e_kelvin * CONSTANTS.kB_in_eV
 
 
-def ev_to_kelvin(e_ev: float) -> float:
-    """Convert an energy expressed in electronvolt to kelvin."""
-    return e_ev / CONSTANTS.kB_in_eV
-
-
-def ghz_to_ev(f_ghz: float) -> float:
-    """Convert an energy expressed as a frequency (GHz) to electronvolt."""
-    return kelvin_to_ev(ghz_to_kelvin(f_ghz))
-
-
-def ev_to_ghz(e_ev: float) -> float:
-    """Convert an energy expressed in electronvolt to a frequency (GHz)."""
-    return kelvin_to_ghz(ev_to_kelvin(e_ev))
-
-
-_TO_KELVIN = {"GHz": ghz_to_kelvin, "K": lambda x: x, "eV": ev_to_kelvin}
+_TO_KELVIN = {
+    "GHz": lambda x: x * CONSTANTS.h_over_kB,
+    "K": lambda x: x,
+    "eV": lambda x: x / CONSTANTS.kB_in_eV,
+}
 _FROM_KELVIN = {"GHz": kelvin_to_ghz, "K": lambda x: x, "eV": kelvin_to_ev}
 
 

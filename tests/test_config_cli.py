@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -545,11 +546,11 @@ def _table_outputs(config_path, duration: float, fmt: str, svg: bool):
     }
     peaks_header = ["pixel", "time_s", "count", "f1_GHz", "f2_GHz"]
     peak_rows = [
-        [index, start, peaks.count, *peaks.positions_ghz,
-         *[None] * (2 - peaks.count)]
-        for index, (start, peaks) in enumerate(
-            zip(scan.pixel_starts_s.tolist(), estimate.peaks)
-        )
+        [index, start, count, *positions[:count], *[None] * (2 - count)]
+        for index, (start, count, positions) in enumerate(zip(
+            scan.pixel_starts_s.tolist(), estimate.counts.tolist(),
+            estimate.positions_ghz.tolist(),
+        ))
     ]
     if fmt == "json":
         peak_records = [dict(zip(peaks_header, row)) for row in peak_rows]
@@ -1153,6 +1154,31 @@ def test_argument_errors_exit_2(configs_dir, data_dir, tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (["spectrum", "--ng-points", "1"], {"spectrum.csv": 3}),
+        (["qp", "--t-points", "1"], {"qp_summary.csv": 22, "qp_grid.csv": 2}),
+    ],
+    ids=["spectrum", "qp"],
+)
+def test_one_point_grids_write_every_file(configs_dir, tmp_path, capsys,
+                                          argv, lines):
+    # the smallest grid each command accepts, plotted
+    out = tmp_path / "out"
+    command, *options = argv
+    code = _run([command, configs_dir / "device_1np.json", *options,
+                 "--svg", "--out", out])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert sorted(path.name for path in out.iterdir()) == sorted(
+        [*lines, f"{command}.svg"])
+    for name, count in lines.items():
+        assert (out / name).read_text().count("\n") == count
+    ElementTree.parse(out / f"{command}.svg")
+
+
 def test_help_and_version_exit_0(capsys):
     for argv in (["--version"], ["qp", "--help"]):
         with pytest.raises(SystemExit) as exit_info:
@@ -1287,8 +1313,8 @@ def test_float_csv_is_written_in_row_blocks():
     header = ["time_s", "f_a", "f_b"]
     table = np.arange(600 * 3, dtype=float).reshape(600, 3) / 7.0
     chunks = list(_float_csv_chunks(header, [(table[:, 0], table[:, 1:])]))
-    # the header, then blocks of 64 rows
-    assert [chunk.count(b"\n") for chunk in chunks] == [1, *[64] * 9, 24]
+    # the header, then blocks of 32 rows
+    assert [chunk.count(b"\n") for chunk in chunks] == [1, *[32] * 18, 24]
     assert b"".join(chunks) == _csv_table(header, table.tolist()).encode()
 
 
@@ -1301,6 +1327,6 @@ def test_float_csv_joins_blocks_of_any_height():
               for a, b in ((0, 10), (10, 250), (250, 300))]
     chunks = list(_float_csv_chunks(header, blocks))
     assert [chunk.count(b"\n") for chunk in chunks] == [
-        1, 10, 64, 64, 64, 48, 50,
+        1, 10, *[32] * 7, 16, 32, 18,
     ]
     assert b"".join(chunks) == _csv_table(header, table.tolist()).encode()

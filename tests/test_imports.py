@@ -189,7 +189,7 @@ def test_benchmark_imports_of_the_package_resolve():
 
 
 def test_package_keeps_its_public_names():
-    assert len(qpgap.__all__) == 99
+    assert len(qpgap.__all__) == 85
     assert {"LMResult", "least_squares"} <= set(qpgap.__all__)
 
 

@@ -24,7 +24,7 @@ from qpgap.device import NoiseModel
 from qpgap.fitting import LMResult
 from qpgap.parity import (
     ScanConfig,
-    detect_peaks,
+    _detect_rows,
     estimate_parity_lifetime,
     simulate_offset_charge,
     simulate_parity,
@@ -44,17 +44,14 @@ from qpgap.quasiparticles import (
     thermal_crossover,
     thermal_qp_fraction,
     volume_density,
-    x_qp_from_density,
     x_qp_from_rate,
 )
 from qpgap.thermal import (
-    bcs_dos,
     bose_occupation,
     delta_from_tc,
     temperature_from_occupation,
     temperature_from_population,
     thermal_qp_term,
-    two_level_population,
 )
 from qpgap.transmon import (
     CavityCoupling,
@@ -92,13 +89,8 @@ CASES = {
     "delta_from_tc.Tc": ("Tc", lambda v: delta_from_tc(v)),
     "delta_from_tc.bcs_ratio": (
         "bcs_ratio", lambda v: delta_from_tc(1.2, bcs_ratio=v)),
-    "bcs_dos.delta": ("delta", lambda v: bcs_dos(2.0, v)),
     "bose_occupation.f": ("frequency", lambda v: bose_occupation(v, 0.05)),
     "bose_occupation.T": ("temperature", lambda v: bose_occupation(5.0, v)),
-    "two_level_population.f": (
-        "frequency", lambda v: two_level_population(v, 0.05)),
-    "two_level_population.T": (
-        "temperature", lambda v: two_level_population(5.0, v)),
     "temperature_from_population.f": (
         "frequency", lambda v: temperature_from_population(v, 0.1)),
     "temperature_from_occupation.f": (
@@ -144,12 +136,6 @@ CASES = {
     "volume_density.nu0": ("nu0", lambda v: volume_density(1e-6, v, 2e-4)),
     "volume_density.delta": (
         "delta", lambda v: volume_density(1e-6, 1.6e10, v)),
-    "x_qp_from_density.density": (
-        "density", lambda v: x_qp_from_density(v, 1.6e10, 2e-4)),
-    "x_qp_from_density.nu0": (
-        "nu0", lambda v: x_qp_from_density(1.0, v, 2e-4)),
-    "x_qp_from_density.delta": (
-        "delta", lambda v: x_qp_from_density(1.0, 1.6e10, v)),
     "above_barrier_fraction.step": (
         "gap step", lambda v: above_barrier_fraction(v, 0.1, 2.0)),
     "above_barrier_fraction.T_qp": (
@@ -207,11 +193,12 @@ CASES = {
         "pixel time", lambda v: ScanConfig(6.0, 7.0, pixel_seconds=v)),
     "synthesize_scan.linewidth": ("linewidth", lambda v: _scan(linewidth_mhz=v)),
     "synthesize_scan.snr": ("snr", lambda v: _scan(snr=v)),
-    "detect_peaks.linewidth": (
-        "linewidth", lambda v: detect_peaks(np.arange(5.0), np.ones(5), v)),
-    "detect_peaks.threshold_k": (
+    "_detect_rows.linewidth": (
+        "linewidth",
+        lambda v: _detect_rows(np.arange(5.0), np.ones((1, 5)), v, 5.0)),
+    "_detect_rows.threshold_k": (
         "threshold_k",
-        lambda v: detect_peaks(np.arange(5.0), np.ones(5), 1.0, v)),
+        lambda v: _detect_rows(np.arange(5.0), np.ones((1, 5)), 1.0, v)),
     "estimate_parity_lifetime.threshold_k": (
         "threshold_k", lambda v: estimate_parity_lifetime(_scan(), v)),
     "NoiseModel.parity_rate": ("parity rate", lambda v: NoiseModel(v)),

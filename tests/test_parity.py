@@ -4,31 +4,27 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qpgap import parity as parity_module
 from qpgap.errors import CoverageError, DomainError
 from qpgap.parity import (
     _ROWS,
+    _THRESHOLD_K,
     DEFAULT_PIXEL_SECONDS,
     MAX_EXPECTED_EVENTS,
     MAX_SCAN_SAMPLES,
     ChargeTrace,
     NoiseModel,
     ParityTrace,
-    PeakSet,
     ScanConfig,
     SpectroscopyScan,
-    detect_peaks,
+    _detect_rows,
     estimate_parity_lifetime,
     scan_window,
     simulate_offset_charge,
     simulate_parity,
     synthesize_scan,
 )
-from qpgap.transmon import (
-    TransmonParams,
-    parity_frequencies,
-    transition_frequency,
-)
+from qpgap.transmon import TransmonParams, transition_frequency
+from oracles import dwell_fractions, ng_at, parity_frequencies
 
 SENSITIVE = TransmonParams(EJ=5.92, EC=0.400)  # 26 MHz parity splitting
 INSENSITIVE = TransmonParams(EJ=21.67, EC=0.150)
@@ -68,12 +64,12 @@ def test_parity_trace_times_sorted_and_bounded():
 def test_zero_rate_never_switches():
     trace = simulate_parity(0.0, 100.0, seed=1)
     assert trace.switch_count == 0
-    assert trace.parity_at(50.0) == 0
+    assert dwell_fractions(trace, 0.0, 100.0) == (1.0, 0.0)
 
 
 def test_initial_parity_is_honored():
     trace = simulate_parity(0.0, 10.0, seed=1, initial_parity="odd")
-    assert trace.parity_at(5.0) == 1
+    assert dwell_fractions(trace, 0.0, 10.0) == (0.0, 1.0)
     with pytest.raises(DomainError):
         simulate_parity(1.0, 10.0, seed=1, initial_parity="up")
 
@@ -93,33 +89,24 @@ def test_switch_counts_are_poisson():
     assert abs(counts.var() - lam) < 4.0 * var_se
 
 
-def test_parity_at_follows_switches():
-    trace = ParityTrace(
-        switch_times=np.array([1.0, 3.0]), duration_s=5.0
-    )
-    assert trace.parity_at(0.5) == 0
-    assert trace.parity_at(2.0) == 1
-    assert trace.parity_at(4.0) == 0
-
-
 def test_dwell_fractions_are_exact():
     trace = ParityTrace(
         switch_times=np.array([0.3, 0.7]), duration_s=1.0
     )
-    even, odd = trace.dwell_fractions(0.0, 1.0)
+    even, odd = dwell_fractions(trace, 0.0, 1.0)
     assert even == pytest.approx(0.6, abs=1e-15)
     assert odd == pytest.approx(0.4, abs=1e-15)
-    assert trace.dwell_fractions(0.0, 0.25) == (1.0, 0.0)
-    assert trace.dwell_fractions(0.35, 0.65) == (0.0, 1.0)
+    assert dwell_fractions(trace, 0.0, 0.25) == (1.0, 0.0)
+    assert dwell_fractions(trace, 0.35, 0.65) == (0.0, 1.0)
     with pytest.raises(DomainError):
-        trace.dwell_fractions(0.5, 2.0)
+        dwell_fractions(trace, 0.5, 2.0)
 
 
 def test_offset_charge_trace_shape():
     model = NoiseModel(gamma_parity_per_s=1.0, tls_rate_per_s=0.5)
     trace = simulate_offset_charge(model, 100.0, seed=11, ng_initial=0.2)
     assert len(trace.ng_values) == len(trace.jump_times) + 1
-    assert trace.ng_at(0.0) == pytest.approx(0.2)
+    assert ng_at(trace, 0.0) == pytest.approx(0.2)
     values = trace.visited_values()
     assert np.all((values >= 0.0) & (values < 1.0))
     assert trace.jump_times.size > 10  # ~50 expected jumps
@@ -245,14 +232,34 @@ def test_scan_rejects_mismatched_traces():
 # --------------------------------------------------------- peak detection
 
 
+def _detect(freqs, rows, linewidth_mhz, threshold_k=_THRESHOLD_K):
+    return _detect_rows(freqs, np.atleast_2d(rows), linewidth_mhz,
+                        threshold_k)
+
+
+def _peak_rows(detection):
+    """(count, positions, threshold) of each row of a detection or an
+    estimate, positions ascending."""
+    positions = detection.positions_ghz
+    return [
+        (count, (low, high)[:count], threshold)
+        for count, low, high, threshold in zip(
+            detection.counts.tolist(), positions[:, 0].tolist(),
+            positions[:, 1].tolist(), detection.thresholds.tolist(),
+        )
+    ]
+
+
+def _row_peaks(freqs, row, linewidth_mhz):
+    """(count, positions, threshold) of one row detected on its own."""
+    return _peak_rows(_detect(freqs, row, linewidth_mhz))[0]
+
+
 def test_noise_rows_rarely_trigger_peaks():
     rng = np.random.default_rng(12345)
     freqs = np.linspace(4.3, 4.5, 161)
     rows = rng.normal(0.0, 0.05, size=(10_000, 161))
-    hits = sum(
-        detect_peaks(freqs, row, linewidth_mhz=1.0).count > 0
-        for row in rows
-    )
+    hits = np.count_nonzero(_detect(freqs, rows, linewidth_mhz=1.0).counts)
     assert hits / 10_000 < 0.01
 
 
@@ -263,10 +270,10 @@ def test_single_peak_position_recovered():
     rng = np.random.default_rng(7)
     row = 1.0 / (1.0 + ((freqs - center) / hwhm) ** 2)
     row += rng.normal(0.0, 0.05, size=freqs.size)
-    peaks = detect_peaks(freqs, row, linewidth_mhz=1.0)
-    assert peaks.count == 1
+    count, positions, _ = _row_peaks(freqs, row, linewidth_mhz=1.0)
+    assert count == 1
     step = freqs[1] - freqs[0]
-    assert abs(peaks.positions_ghz[0] - center) <= 0.5 * step + 1e-12
+    assert abs(positions[0] - center) <= 0.5 * step + 1e-12
 
 
 def test_two_peaks_resolved():
@@ -276,20 +283,18 @@ def test_two_peaks_resolved():
     row = 0.5 / (1.0 + ((freqs - 4.36) / hwhm) ** 2)
     row += 0.5 / (1.0 + ((freqs - 4.44) / hwhm) ** 2)
     row += rng.normal(0.0, 0.05, size=freqs.size)
-    peaks = detect_peaks(freqs, row, linewidth_mhz=1.0)
-    assert peaks.count == 2
-    assert peaks.positions_ghz[0] == pytest.approx(4.36, abs=0.002)
-    assert peaks.positions_ghz[1] == pytest.approx(4.44, abs=0.002)
+    count, positions, _ = _row_peaks(freqs, row, linewidth_mhz=1.0)
+    assert count == 2
+    assert positions[0] == pytest.approx(4.36, abs=0.002)
+    assert positions[1] == pytest.approx(4.44, abs=0.002)
 
 
-def test_detect_peaks_validates_arguments():
+def test_detection_validates_arguments():
     freqs = np.linspace(4.3, 4.5, 11)
-    with pytest.raises(DomainError):
-        detect_peaks(freqs, np.zeros(10), linewidth_mhz=1.0)
-    with pytest.raises(DomainError):
-        detect_peaks(freqs, np.zeros(11), linewidth_mhz=1.0, threshold_k=0.0)
-    with pytest.raises(DomainError, match="^amplitudes hold no samples$"):
-        detect_peaks(np.array([]), np.array([]), linewidth_mhz=1.0)
+    with pytest.raises(DomainError, match="^threshold_k must be "):
+        _detect(freqs, np.zeros(11), linewidth_mhz=1.0, threshold_k=0.0)
+    with pytest.raises(DomainError, match="^linewidth must be "):
+        _detect(freqs, np.zeros(11), linewidth_mhz=0.0)
 
 
 # ------------------------------------------------------ lifetime verdicts
@@ -313,8 +318,8 @@ def test_fast_switching_gives_upper_bound():
     scan = _run_scan(1000.0, duration=4.0, seed=40)
     parity = simulate_parity(1000.0, 4.0, seed=40)
     for i in range(scan.n_pixels):
-        even, odd = parity.dwell_fractions(
-            i * scan.pixel_seconds, (i + 1) * scan.pixel_seconds
+        even, odd = dwell_fractions(
+            parity, i * scan.pixel_seconds, (i + 1) * scan.pixel_seconds
         )
         assert abs(even - 0.5) < 0.10
     estimate = estimate_parity_lifetime(scan)
@@ -367,10 +372,10 @@ def test_estimate_keeps_the_per_row_peaks():
     scan = _run_scan(0.01, duration=20.0, seed=61, n_freq=61)
     estimate = estimate_parity_lifetime(scan)
     rows = [
-        detect_peaks(scan.frequencies_ghz, row, scan.linewidth_mhz)
+        _row_peaks(scan.frequencies_ghz, row, scan.linewidth_mhz)
         for row in scan.amplitudes
     ]
-    assert list(estimate.peaks) == rows
+    assert _peak_rows(estimate) == rows
 
 
 # ------------------------------------------- oracle for the array-wise path
@@ -454,14 +459,15 @@ def _reference_scan(params, parity_trace, charge_trace, config,
         for (ng, parity), weight in terms:
             center = branches(ng)[parity]
             row += weight / (1.0 + ((freqs - center) / hwhm_ghz) ** 2)
-        ng_mid = charge_trace.ng_at((t0 + t1) / 2.0)
+        ng_mid = ng_at(charge_trace, (t0 + t1) / 2.0)
         branch_freqs[i] = branches(ng_mid)
         amplitudes[i] = row + noise_rng.normal(0.0, 1.0 / snr, size=len(freqs))
     return amplitudes, branch_freqs
 
 
 def _reference_peaks(freqs, row, linewidth_mhz, threshold_k=5.0):
-    """The per-row threshold-and-cluster detector."""
+    """The per-row threshold-and-cluster detector: (count, positions,
+    threshold) of one row."""
     median = float(np.median(row))
     sigma = 1.4826 * float(np.median(np.abs(row - median)))
     threshold = median + threshold_k * sigma
@@ -472,7 +478,7 @@ def _reference_peaks(freqs, row, linewidth_mhz, threshold_k=5.0):
     is_max[-1] = row[-1] > row[-2]
     candidates = np.flatnonzero(is_max & (row > threshold))
     if len(candidates) == 0:
-        return PeakSet(count=0, positions_ghz=(), threshold=threshold)
+        return 0, (), threshold
     lw_ghz = linewidth_mhz / 1e3
     clusters = [[int(candidates[0])]]
     for idx in candidates[1:]:
@@ -486,8 +492,7 @@ def _reference_peaks(freqs, row, linewidth_mhz, threshold_k=5.0):
         peaks.append((row[best], freqs[best]))
     peaks.sort(reverse=True)
     kept = sorted(pos for _, pos in peaks[:2])
-    return PeakSet(count=len(kept), positions_ghz=tuple(kept),
-                   threshold=threshold)
+    return len(kept), tuple(kept), threshold
 
 
 def _reference_estimate(scan, threshold_k=5.0):
@@ -498,15 +503,15 @@ def _reference_estimate(scan, threshold_k=5.0):
                          threshold_k)
         for row in scan.amplitudes
     ]
-    counts = np.array([p.count for p in peaks])
+    counts = np.array([count for count, _, _ in peaks])
     assigned = []
-    for i, row_peaks in enumerate(peaks):
-        if row_peaks.count != 1:
+    for i, (count, positions, _) in enumerate(peaks):
+        if count != 1:
             continue
         f_even, f_odd = scan.branch_freqs_ghz[i]
         if abs(f_even - f_odd) < lw_ghz:
             continue
-        position = row_peaks.positions_ghz[0]
+        position = positions[0]
         distances = (abs(position - f_even), abs(position - f_odd))
         branch = int(np.argmin(distances))
         if distances[branch] > 3.0 * lw_ghz:
@@ -543,7 +548,7 @@ def _assert_matches_reference(params, parity, charge, config,
                                atol=1e-13)
     estimate = estimate_parity_lifetime(scan)
     peaks, verdict = _reference_estimate(scan)
-    assert list(estimate.peaks) == peaks
+    assert _peak_rows(estimate) == peaks
     kind, seconds, alternations, two, single = verdict
     assert (estimate.kind, estimate.alternations) == (kind, alternations)
     assert (estimate.two_peak_fraction, estimate.single_peak_fraction) == (
@@ -657,9 +662,9 @@ def _cluster_rows():
 
 
 def _comparable(peaks):
-    """A PeakSet as a tuple in which NaN thresholds compare equal."""
-    threshold = "nan" if math.isnan(peaks.threshold) else peaks.threshold
-    return peaks.count, peaks.positions_ghz, threshold
+    """A row's peaks with a NaN threshold that compares equal."""
+    count, positions, threshold = peaks
+    return count, positions, "nan" if math.isnan(threshold) else threshold
 
 
 @pytest.mark.parametrize("width", [161, 160])
@@ -687,25 +692,26 @@ def test_batched_detection_matches_reference(linewidth_mhz, width):
         seed=0,
     )
     expected = [_comparable(peaks) for peaks in expected]
-    found = estimate_parity_lifetime(scan).peaks
+    found = _peak_rows(estimate_parity_lifetime(scan))
     assert [_comparable(peaks) for peaks in found] == expected
     for row, peaks in zip(rows, expected):
-        assert _comparable(detect_peaks(freqs, row, linewidth_mhz)) == peaks
+        assert _comparable(_row_peaks(freqs, row, linewidth_mhz)) == peaks
     assert {peaks[0] for peaks in expected} == {0, 1, 2}
 
 
 def test_cluster_rows_pick_first_maximum_and_top_two():
     freqs, rows = _cluster_rows()
-    found = [detect_peaks(freqs, row, linewidth_mhz=5.0) for row in rows]
-    assert found[0].count == 0
-    assert found[1].positions_ghz == (freqs[40],)
-    assert found[2].positions_ghz == (freqs[30], freqs[120])
-    assert found[3].positions_ghz == (freqs[60], freqs[100])
-    assert found[4].positions_ghz == (freqs[50],)
+    found = [_row_peaks(freqs, row, linewidth_mhz=5.0) for row in rows]
+    positions = [peaks[1] for peaks in found]
+    assert found[0][0] == 0
+    assert positions[1] == (freqs[40],)
+    assert positions[2] == (freqs[30], freqs[120])
+    assert positions[3] == (freqs[60], freqs[100])
+    assert positions[4] == (freqs[50],)
     # equal amplitudes: the higher frequencies win
-    assert found[5].positions_ghz == (freqs[60], freqs[100])
-    assert found[6].positions_ghz == (freqs[80],)
-    assert found[7].positions_ghz == (freqs[12], freqs[90])
+    assert positions[5] == (freqs[60], freqs[100])
+    assert positions[6] == (freqs[80],)
+    assert positions[7] == (freqs[12], freqs[90])
 
 
 def test_jumps_at_pixel_midpoints_match_reference():
@@ -873,7 +879,7 @@ def test_edge_and_tied_maxima_match_reference():
     expected = [
         _reference_peaks(_DYADIC_FREQS, row, _DYADIC_LW_MHZ) for row in rows
     ]
-    assert [p.positions_ghz for p in expected] == [
+    assert [positions for _, positions, _ in expected] == [
         (),
         (_DYADIC_FREQS[0],),
         (_DYADIC_FREQS[-2],),
@@ -883,19 +889,19 @@ def test_edge_and_tied_maxima_match_reference():
         (_DYADIC_FREQS[91],),
         (_DYADIC_FREQS[0], _DYADIC_FREQS[-1]),
     ]
-    found = [detect_peaks(_DYADIC_FREQS, row, _DYADIC_LW_MHZ) for row in rows]
+    found = [_row_peaks(_DYADIC_FREQS, row, _DYADIC_LW_MHZ) for row in rows]
     assert found == expected
     # the rows of one block: a row's first and last samples sit next to
     # its neighbours' last and first ones in memory
     scan = _dyadic_scan(rows, np.tile([4.01, 4.1], (len(rows), 1)))
-    assert list(estimate_parity_lifetime(scan).peaks) == expected
+    assert _peak_rows(estimate_parity_lifetime(scan)) == expected
 
 
 def test_gap_of_exactly_one_linewidth_joins_the_cluster():
     row = np.zeros(161)
     row[[40, 41, 42, 100]] = [0.9, 0.2, 1.0, 0.8]
-    peaks = detect_peaks(_DYADIC_FREQS, row, _DYADIC_LW_MHZ)
-    assert peaks.positions_ghz == (_DYADIC_FREQS[42], _DYADIC_FREQS[100])
+    peaks = _row_peaks(_DYADIC_FREQS, row, _DYADIC_LW_MHZ)
+    assert peaks[1] == (_DYADIC_FREQS[42], _DYADIC_FREQS[100])
     assert peaks == _reference_peaks(_DYADIC_FREQS, row, _DYADIC_LW_MHZ)
 
 
@@ -914,25 +920,6 @@ def test_equidistant_peak_is_attributed_to_even_branch():
     assert (estimate.kind, estimate.alternations) == ("estimate", 9)
     _, verdict = _reference_estimate(scan)
     assert verdict[:3] == (estimate.kind, estimate.seconds, 9)
-
-
-def test_estimate_builds_peak_sets_only_when_read(monkeypatch):
-    built = []
-
-    def counting_peak_set(**fields):
-        built.append(fields)
-        return PeakSet(**fields)
-
-    monkeypatch.setattr(parity_module, "PeakSet", counting_peak_set)
-    scan = _run_scan(0.01, duration=20.0, seed=61, n_freq=61)
-    estimate = estimate_parity_lifetime(scan)
-    assert built == []
-    peaks = estimate.peaks
-    assert len(built) == scan.n_pixels
-    assert estimate.peaks is peaks  # built once, then cached
-    assert len(built) == scan.n_pixels
-    counts = [p.count for p in peaks]
-    assert counts == estimate.counts.tolist()
 
 
 def test_row_wise_and_slot_loop_blocks_match_reference():

@@ -28,18 +28,16 @@ from qpgap.quasiparticles import (
     diffusion_length,
     nqp_decay_rate,
     parity_rate_model,
-    profile_from_stack,
     tau_eps,
     tc_from_thickness,
     thermal_qp_fraction,
     trap_adequate,
     volume_density,
-    x_qp_from_density,
     x_qp_from_rate,
 )
 from qpgap.thermal import delta_from_tc
 from qpgap.transmon import TransmonParams, transition_frequency
-from qpgap.units import kelvin_to_ev, kelvin_to_ghz
+from qpgap.units import kelvin_to_ghz
 
 DELTA_130 = delta_from_tc(1.30)  # 2.2932 K
 DELTA_131 = delta_from_tc(1.31)  # 2.31084 K
@@ -56,8 +54,14 @@ def _stack(underlayer_nm: float | None) -> list[StackSegment]:
     ]
 
 
-PROTECTED = profile_from_stack(_stack(40.0), 2)
-UNPROTECTED = profile_from_stack(_stack(None), 2)
+def _profile(underlayer_nm: float | None) -> GapProfile:
+    # the junction sits between the thin strip and the top electrode
+    segments = tuple(seg.resolve() for seg in _stack(underlayer_nm))
+    return GapProfile(segments, junction_um=23.0)
+
+
+PROTECTED = _profile(40.0)
+UNPROTECTED = _profile(None)
 
 
 # ------------------------------------------------------------- densities
@@ -121,14 +125,6 @@ def test_volume_density_band_from_input_ranges():
     high = volume_density(1.8e-6, 1.72e10, delta_ev)
     assert round(low) == 5
     assert round(high) == 12
-
-
-def test_volume_density_round_trip():
-    delta_ev = kelvin_to_ev(DELTA_130)
-    n = volume_density(8.0e-7, 1.6e10, delta_ev)
-    assert x_qp_from_density(n, 1.6e10, delta_ev) == pytest.approx(
-        8.0e-7, rel=1e-12
-    )
 
 
 def test_density_functions_reject_bad_inputs():
@@ -377,8 +373,6 @@ def test_profile_geometry_errors():
         StackSegment(10.0)
     with pytest.raises(GeometryError):
         StackSegment(10.0, thickness_nm=25.0, delta_k=2.3)
-    with pytest.raises(GeometryError):
-        profile_from_stack(_stack(40.0), 0)
 
 
 def test_side_segments_order_from_junction_outward():

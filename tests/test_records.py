@@ -7,7 +7,6 @@ not affect it, and each ``repr`` is pinned to its text.
 
 import copy
 import dataclasses
-import functools
 import pickle
 
 import numpy as np
@@ -18,8 +17,8 @@ from qpgap._record import Record
 from qpgap.config import DeviceConfig, ScanSettings
 from qpgap.fitting import DataSeries, FitResult, LMResult, ThermometryResult
 from qpgap.parity import (
-    ChargeTrace, LifetimeEstimate, NoiseModel, ParityTrace, PeakSet,
-    ScanConfig, SpectroscopyScan,
+    ChargeTrace, LifetimeEstimate, NoiseModel, ParityTrace, ScanConfig,
+    SpectroscopyScan,
 )
 from qpgap.quasiparticles import (
     GapProfile, GapSegment, GeometryVerdict, QPEnvironment, SideVerdict,
@@ -65,7 +64,6 @@ SAMPLES = {
     "SpectroscopyScan": lambda: SpectroscopyScan(
         _array(4, 5, 6), _array(0), np.ones((1, 3)), _array(4.2, 4.8)[None],
         1.0, 20.0, 0.2, 9),
-    "PeakSet": lambda: PeakSet(2, (4.2, 4.8), 0.5),
     "LifetimeEstimate": lambda: LifetimeEstimate(
         "estimate", 1.5, 4, 0.1, 0.8, np.array([1, 2]),
         _array(4.2, np.nan, 4.2, 4.8).reshape(2, 2), _array(0.5, 0.6)),
@@ -156,7 +154,6 @@ REPRS = {
         'branch_freqs_ghz=array([[4.2, 4.8]]), linewidth_mhz=1.0, snr=20.0, '
         'pixel_seconds=0.2, seed=9)'
     ),
-    "PeakSet": 'PeakSet(count=2, positions_ghz=(4.2, 4.8), threshold=0.5)',
     "LifetimeEstimate": (
         "LifetimeEstimate(kind='estimate', seconds=1.5, alternations=4, "
         'two_peak_fraction=0.1, single_peak_fraction=0.8)'
@@ -318,16 +315,6 @@ def test_defaults_must_name_fields():
         class Odd(Record):
             __slots__ = ("a",)
             _defaults = {"a": 0, "b": 1}
-
-
-def test_lifetime_peaks_are_cached():
-    estimate = SAMPLES["LifetimeEstimate"]()
-    assert isinstance(
-        vars(LifetimeEstimate)["peaks"], functools.cached_property
-    )
-    peaks = estimate.peaks
-    assert peaks is estimate.peaks
-    assert peaks == (PeakSet(1, (4.2,), 0.5), PeakSet(2, (4.2, 4.8), 0.6))
 
 
 @pytest.mark.parametrize("n_cut", [30.5, 30.0, -1, True, "30"])

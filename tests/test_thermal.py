@@ -5,14 +5,13 @@ import pytest
 
 from qpgap.errors import DomainError
 from qpgap.thermal import (
-    bcs_dos,
     bose_occupation,
     delta_from_tc,
     temperature_from_occupation,
     temperature_from_population,
     thermal_qp_term,
-    two_level_population,
 )
+from qpgap.units import CONSTANTS
 
 
 def test_gap_from_tc():
@@ -25,22 +24,6 @@ def test_gap_rejects_non_positive_tc():
         delta_from_tc(0.0)
     with pytest.raises(DomainError):
         delta_from_tc(-1.0)
-
-
-def test_dos_vanishes_below_and_at_gap_edge():
-    assert bcs_dos(0.5, 1.0) == 0.0
-    assert bcs_dos(1.0, 1.0) == 0.0
-
-
-def test_dos_above_gap_matches_closed_form():
-    delta = 2.0
-    for e in (2.0001, 2.5, 5.0, 50.0):
-        expected = e / math.sqrt(e * e - delta * delta)
-        assert bcs_dos(e, delta) == pytest.approx(expected, rel=1e-12)
-
-
-def test_dos_approaches_unity_far_above_gap():
-    assert bcs_dos(1e6, 1.0) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_bose_occupation_reference_points():
@@ -72,7 +55,8 @@ def test_bose_rejects_bad_arguments():
 
 def test_two_level_population_and_inverse_round_trip():
     for t in (0.03, 0.05, 0.086, 0.2):
-        p = two_level_population(4.39, t)
+        # the thermal excited population of a two-level system
+        p = 1.0 / (1.0 + math.exp(4.39 * CONSTANTS.h_over_kB / t))
         assert 0.0 < p < 0.5
         assert temperature_from_population(4.39, p) == pytest.approx(
             t, rel=1e-10

@@ -14,20 +14,17 @@ from qpgap.transmon import (
     CavityCoupling,
     FrequencyTargets,
     TransmonParams,
-    build_hamiltonian,
     charge_dispersion,
-    charge_matrix_elements,
     chi_shift,
     dispersive_shift,
     eigenspectrum,
     ej_from_normal_resistance,
     fit_ej_ec,
     normal_resistance_from_ej,
-    parity_frequencies,
-    parity_splitting,
     resonator_dispersion,
     transition_frequency,
 )
+from oracles import build_hamiltonian, parity_frequencies
 
 # (EJ, EC, quoted f_ge midpoint, quoted eps_ge) for the five shipped devices
 DEVICES = {
@@ -58,6 +55,16 @@ def test_hamiltonian_structure():
     np.testing.assert_allclose(np.diag(h), 4.0 * 0.3 * (charges - 0.2) ** 2)
     np.testing.assert_allclose(np.diag(h, 1), -5.0)
     np.testing.assert_allclose(h, h.T)
+
+
+def test_tridiagonal_solve_matches_the_dense_hamiltonian():
+    for ej, ec, _, _ in DEVICES.values():
+        for ng in (0.0, 0.31, 0.5):
+            p = TransmonParams(EJ=ej, EC=ec, ng=ng)
+            dense = np.linalg.eigvalsh(build_hamiltonian(p))[:4]
+            np.testing.assert_allclose(
+                eigenspectrum(p, levels=4).energies, dense, rtol=0, atol=1e-9
+            )
 
 
 def test_auto_cutoff_grows_with_ej_over_ec():
@@ -118,7 +125,7 @@ def test_spectrum_validates_level_count():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda p, n: charge_matrix_elements(p, n),
+        lambda p, n: transmon._eigensystem(p, n),
         lambda p, n: dispersive_shift(p, _coupling(), level=0, levels=n),
         lambda p, n: chi_shift(p, _coupling(), levels=n),
         lambda p, n: resonator_dispersion(p, _coupling(), levels=n),
@@ -127,7 +134,7 @@ def test_spectrum_validates_level_count():
         ),
     ],
     ids=[
-        "charge_matrix_elements",
+        "eigensystem",
         "dispersive_shift",
         "chi_shift",
         "resonator_dispersion_ground",
@@ -218,22 +225,32 @@ def test_parity_branches_cross_at_quarter_charge():
     assert f_even == pytest.approx(f_odd, abs=1e-9)
 
 
+def _parity_splitting(p: TransmonParams) -> float:
+    f_even, f_odd = parity_frequencies(p)
+    return abs(f_even - f_odd)
+
+
 def test_parity_splitting_maximal_at_sweet_spots():
     p = TransmonParams(EJ=7.417, EC=0.403)
     eps = charge_dispersion(p, "ge")
-    assert parity_splitting(p) == pytest.approx(eps, abs=1e-12)
-    assert parity_splitting(p.with_ng(0.5)) == pytest.approx(eps, abs=1e-12)
+    assert _parity_splitting(p) == pytest.approx(eps, abs=1e-12)
+    assert _parity_splitting(p.with_ng(0.5)) == pytest.approx(eps, abs=1e-12)
     for ng in (0.1, 0.2, 0.35):
-        assert parity_splitting(p.with_ng(ng)) <= eps + 1e-12
+        assert _parity_splitting(p.with_ng(ng)) <= eps + 1e-12
 
 
 def test_quoted_device_splitting_scale():
     # charge-sensitive devices show 10-30 MHz splitting at ng = 0
-    splitting = parity_splitting(TransmonParams(EJ=7.417, EC=0.403))
+    splitting = _parity_splitting(TransmonParams(EJ=7.417, EC=0.403))
     assert 0.005 < splitting < 0.030
 
 
 # ------------------------------------------------------ matrix elements
+
+
+def charge_matrix_elements(p: TransmonParams, levels: int) -> np.ndarray:
+    # the |<i| n |j>| that scale the cavity couplings of the shift sums
+    return transmon._charge_elements(p, transmon._eigensystem(p, levels)[1])
 
 
 def test_matrix_elements_symmetric_and_nonnegative():

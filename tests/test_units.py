@@ -7,10 +7,6 @@ from qpgap.thermal import delta_from_tc
 from qpgap.units import (
     CONSTANTS,
     EnergyValue,
-    ev_to_ghz,
-    ev_to_kelvin,
-    ghz_to_ev,
-    ghz_to_kelvin,
     kelvin_to_ev,
     kelvin_to_ghz,
 )
@@ -29,15 +25,23 @@ def test_kb_over_h_and_inverse_are_exact_reciprocals():
     )
 
 
+def _convert(value: float, unit: str, to: str) -> float:
+    return EnergyValue(value, unit).to(to).value
+
+
 def test_ghz_kelvin_round_trip():
     for f in (0.001, 1.0, 7.24, 100.0):
-        assert ghz_to_kelvin(kelvin_to_ghz(f)) == pytest.approx(f, rel=1e-14)
-        assert kelvin_to_ghz(ghz_to_kelvin(f)) == pytest.approx(f, rel=1e-14)
+        assert _convert(kelvin_to_ghz(f), "GHz", "K") == pytest.approx(
+            f, rel=1e-14)
+        assert kelvin_to_ghz(_convert(f, "GHz", "K")) == pytest.approx(
+            f, rel=1e-14)
 
 
 def test_ev_round_trips():
-    assert ev_to_kelvin(kelvin_to_ev(2.31)) == pytest.approx(2.31, rel=1e-14)
-    assert ev_to_ghz(ghz_to_ev(48.0)) == pytest.approx(48.0, rel=1e-14)
+    assert _convert(kelvin_to_ev(2.31), "eV", "K") == pytest.approx(
+        2.31, rel=1e-14)
+    assert _convert(_convert(48.0, "GHz", "eV"), "eV", "GHz") == (
+        pytest.approx(48.0, rel=1e-14))
 
 
 def test_one_kelvin_in_ghz():
@@ -72,4 +76,5 @@ def test_bcs_ratio_must_be_positive():
 
 
 def test_conversions_propagate_nan():
-    assert math.isnan(ghz_to_kelvin(math.nan))
+    assert math.isnan(kelvin_to_ghz(math.nan))
+    assert math.isnan(_convert(math.nan, "GHz", "K"))
