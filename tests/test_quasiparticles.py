@@ -37,7 +37,7 @@ from qpgap.quasiparticles import (
 )
 from qpgap.thermal import delta_from_tc
 from qpgap.transmon import TransmonParams, transition_frequency
-from qpgap.units import kelvin_to_ghz
+from qpgap.units import kelvin_to_ev, kelvin_to_ghz
 
 DELTA_130 = delta_from_tc(1.30)  # 2.2932 K
 DELTA_131 = delta_from_tc(1.31)  # 2.31084 K
@@ -125,6 +125,13 @@ def test_volume_density_band_from_input_ranges():
     high = volume_density(1.8e-6, 1.72e10, delta_ev)
     assert round(low) == 5
     assert round(high) == 12
+
+
+def test_volume_density_round_trip():
+    # n = 2 nu0 Delta x_qp, inverted in closed form
+    delta_ev = kelvin_to_ev(DELTA_130)
+    n = volume_density(8.0e-7, 1.6e10, delta_ev)
+    assert n / (2.0 * 1.6e10 * delta_ev) == pytest.approx(8.0e-7, rel=1e-12)
 
 
 def test_density_functions_reject_bad_inputs():

@@ -76,6 +76,19 @@ def test_population_inverse_rejects_out_of_range():
         temperature_from_population(4.39, 0.5)
 
 
+@pytest.mark.parametrize(
+    "p_excited", [-0.1, 0.0, 0.5, 1.0, math.nan, math.inf],
+    ids=["negative", "zero", "half", "one", "nan", "inf"],
+)
+def test_population_inverse_names_the_open_interval(p_excited):
+    # only 0 < p < 1/2 is a finite positive temperature; NaN fails both
+    # comparisons
+    with pytest.raises(
+        DomainError, match=r"^excited population must lie in \(0, 0\.5\), got "
+    ):
+        temperature_from_population(4.39, p_excited)
+
+
 def test_occupation_thermometry_round_trip():
     for t in (0.05, 0.086, 0.15):
         n = bose_occupation(7.24, t)

@@ -67,6 +67,25 @@ def test_tridiagonal_solve_matches_the_dense_hamiltonian():
             )
 
 
+@pytest.mark.parametrize("device", sorted(DEVICES))
+def test_tridiagonal_eigenvectors_match_the_dense_hamiltonian(device):
+    # the vectors the cavity shift sums read: orthonormal columns that
+    # the dense matrix maps onto themselves times their energies
+    ej, ec, _, _ = DEVICES[device]
+    for ng in (0.0, 0.31, 0.5):
+        p = TransmonParams(EJ=ej, EC=ec, ng=ng)
+        h = build_hamiltonian(p)
+        energies, vectors = transmon._eigensystem(p, 4)
+        assert vectors.shape == (h.shape[0], 4)
+        np.testing.assert_allclose(
+            vectors.T @ vectors, np.eye(4), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            h @ vectors, vectors * energies, rtol=0,
+            atol=1e-12 * np.abs(h).max(),
+        )
+
+
 def test_auto_cutoff_grows_with_ej_over_ec():
     p = TransmonParams(EJ=7.417, EC=0.403)
     floor = math.ceil(5.0 * math.sqrt(7.417 / (8 * 0.403))) + 10

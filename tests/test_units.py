@@ -63,6 +63,32 @@ def test_energy_value_conversions():
     assert back.value == pytest.approx(1.0, rel=1e-12)
 
 
+# one kelvin expressed in each unit
+_ONE_KELVIN = {"GHz": CONSTANTS.kB_over_h, "K": 1.0, "eV": CONSTANTS.kB_in_eV}
+_UNIT_PAIRS = [(a, b) for a in _ONE_KELVIN for b in _ONE_KELVIN]
+
+
+@pytest.mark.parametrize(
+    "unit, to", _UNIT_PAIRS, ids=[f"{a}-{b}" for a, b in _UNIT_PAIRS]
+)
+def test_energy_value_converts_by_the_constants_and_back(unit, to):
+    scale = _ONE_KELVIN[to] / _ONE_KELVIN[unit]
+    for value in (1e-3, 1.0, 2.31, 48.0):
+        there = EnergyValue(value, unit).to(to)
+        assert there.unit == to
+        assert there.value == pytest.approx(value * scale, rel=1e-14)
+        assert there.to(unit).value == pytest.approx(value, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "unit, to", _UNIT_PAIRS, ids=[f"{a}-{b}" for a, b in _UNIT_PAIRS]
+)
+def test_energy_value_carries_non_finite_values(unit, to):
+    assert math.isnan(_convert(math.nan, unit, to))
+    assert _convert(math.inf, unit, to) == math.inf
+    assert _convert(-math.inf, unit, to) == -math.inf
+
+
 def test_energy_value_rejects_unknown_unit():
     with pytest.raises(DomainError):
         EnergyValue(1.0, "J")
