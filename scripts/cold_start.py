@@ -1,7 +1,7 @@
 """Cold-start timings of the qpgap CLI, in fresh interpreters.
 
     python3 scripts/cold_start.py [--root CHECKOUT ...] [--runs N] [--json FILE]
-                                  [--compile | --imports]
+                                  [--compile | --imports] [--no-site]
 
 For each checkout (default: the one holding this script) the package is
 copied from ``src/`` into a temporary directory without ``__pycache__``
@@ -37,6 +37,14 @@ subcommand's module (``qpgap._spectrum`` and so on), with
 ``PYTHONDONTWRITEBYTECODE=1`` on the bare copy, so each run compiles
 what it imports.  The cases run interleaved as above.
 
+``--no-site`` runs every child of this script as ``python -S``, with the
+directories numpy and scipy are imported from on ``PYTHONPATH`` after
+the package copy, so no ``.pth`` file of the host's ``site-packages``
+runs.  Such a file can import standard-library modules (``pathlib``,
+``re``, ``typing``, ...) before the package does, which hides what the
+package's own imports of them cost.  The mode changes only how this
+script starts its own children.
+
 ``--compile`` times no process.  It times ``compile()`` of each ``qpgap``
 module that a command loads (the ``MODULES_PROBE`` list), in this
 process, once per round and checkout, interleaved, and prints for each
@@ -48,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib.util
 import json
 import os
 import platform
@@ -85,12 +94,24 @@ MODULES_PROBE = (
 )
 
 
+def site_directories() -> list[str]:
+    """The directories numpy and scipy are imported from."""
+    return sorted({
+        os.path.dirname(os.path.dirname(importlib.util.find_spec(name).origin))
+        for name in ("numpy", "scipy")
+    })
+
+
 class Checkout:
     """One checkout's package copies and the environments that run them."""
 
-    def __init__(self, root: Path, scratch: Path, label: str):
+    def __init__(self, root: Path, scratch: Path, label: str,
+                 no_site: bool = False):
         self.root = root
         self.label = label
+        # the interpreter and the import path after the package copy
+        self.python = [sys.executable, *(["-S"] if no_site else [])]
+        self.site = site_directories() if no_site else []
         self.compiled = self._copy(scratch / label / "compiled")
         self.cached = self._copy(scratch / label / "cached")
         subprocess.run([sys.executable, "-m", "compileall", "-q",
@@ -106,7 +127,8 @@ class Checkout:
 
     def env(self, cached: bool) -> dict:
         env = dict(os.environ)
-        env["PYTHONPATH"] = str(self.cached if cached else self.compiled)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(self.cached if cached else self.compiled), *self.site])
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS"):
             env[var] = "1"
@@ -126,7 +148,7 @@ class Checkout:
         if preloaded:
             code = f"import {preloaded}; {code}"
         proc = subprocess.run(
-            [sys.executable, "-c", code], cwd=self.root,
+            [*self.python, "-c", code], cwd=self.root,
             env=self.env(cached), capture_output=True, text=True, check=True,
         )
         return 1e3 * float(proc.stdout)
@@ -148,7 +170,7 @@ class Checkout:
     def time_command(self, command: str) -> float:
         """The wall time of one run of ``command`` in ms; its peak RSS
         goes to ``peak_rss_mb`` and its minor faults to ``minor_faults``."""
-        argv = [sys.executable, "-m", "qpgap.cli", *self.argv(command)]
+        argv = [*self.python, "-m", "qpgap.cli", *self.argv(command)]
         start = time.perf_counter()
         proc = subprocess.Popen(argv, cwd=self.root, env=self.env(False),
                                 stdout=subprocess.DEVNULL,
@@ -166,7 +188,7 @@ class Checkout:
 
     def dont_write_bytecode(self, cached: bool) -> bool:
         proc = subprocess.run(
-            [sys.executable, "-c",
+            [*self.python, "-c",
              "import sys; print(sys.flags.dont_write_bytecode)"],
             env=self.env(cached), capture_output=True, text=True, check=True,
         )
@@ -174,7 +196,7 @@ class Checkout:
 
     def modules(self, command: str) -> list[str]:
         proc = subprocess.run(
-            [sys.executable, "-c", MODULES_PROBE,
+            [*self.python, "-c", MODULES_PROBE,
              json.dumps(self.argv(command))],
             cwd=self.root, env=self.env(False), capture_output=True,
             text=True, check=True,
@@ -268,11 +290,15 @@ def main() -> int:
                       help="time compile() of each command's modules only")
     mode.add_argument("--imports", action="store_true",
                       help="time only the package's imports, after numpy")
+    parser.add_argument("--no-site", action="store_true",
+                        help="run the children as python -S, with numpy's "
+                        "and scipy's directories on PYTHONPATH")
     args = parser.parse_args()
     roots = args.root or [HERE]
 
     with tempfile.TemporaryDirectory() as scratch:
-        checkouts = [Checkout(root.resolve(), Path(scratch), f"checkout{i}")
+        checkouts = [Checkout(root.resolve(), Path(scratch), f"checkout{i}",
+                              args.no_site)
                      for i, root in enumerate(roots)]
         if args.compile:
             return report_compile(checkouts, args)
@@ -288,6 +314,7 @@ def main() -> int:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "runs": args.runs,
+        "no_site": args.no_site,
         "checkouts": [
             {"root": str(checkout.root),
              "dont_write_bytecode": {
@@ -306,7 +333,9 @@ def main() -> int:
         ],
     }
     for entry in report["checkouts"]:
-        print(f"{entry['root']}  ({args.runs} runs, ms: min q1 median q3)")
+        site = ", python -S" if args.no_site else ""
+        print(f"{entry['root']}  ({args.runs} runs{site}, ms: min q1 median "
+              "q3)")
         print_summaries(entry["cases"])
         print("  peak RSS, MB: min q1 median q3")
         print_summaries(entry["peak_rss_mb"])
@@ -350,6 +379,7 @@ def report_imports(checkouts: list[Checkout], args) -> int:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "runs": args.runs,
+        "no_site": args.no_site,
         "preloaded": preloaded,
         "checkouts": [
             {"root": str(checkout.root),
@@ -360,9 +390,10 @@ def report_imports(checkouts: list[Checkout], args) -> int:
         ],
     }
     print(f"preloaded: {preloaded}")
+    site = ", python -S" if args.no_site else ""
     for entry in report["checkouts"]:
-        print(f"{entry['root']}  ({args.runs} runs, package imports after "
-              "numpy, ms: min q1 median q3)")
+        print(f"{entry['root']}  ({args.runs} runs{site}, package imports "
+              "after numpy, ms: min q1 median q3)")
         print_summaries(entry["cases"])
     if args.json is not None:
         args.json.write_text(json.dumps(report, indent=1) + "\n")

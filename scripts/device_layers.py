@@ -41,13 +41,17 @@ def worker(root: Path, seed: int, ops: int) -> dict:
     """Samples of one interpreter: span and operation durations in ms."""
     sys.path[:0] = [str(root / "src"), str(HERE / "perfbench")]
     import device_sweep
-    from qpgap import transmon
     from tracer import Tracer
+
+    try:
+        from qpgap import _inversion as inversion
+    except ImportError:  # a checkout whose inversion is in transmon
+        from qpgap import transmon as inversion
 
     workload = device_sweep.Workload(seed, root)
     items = [workload.item(index) for index in range(ops)]
     workload.run(workload.warmup, Tracer(False))
-    cache = getattr(transmon, "_bracket_observables", None)
+    cache = getattr(inversion, "_bracket_observables", None)
     before = cache.cache_info() if cache else None
     tracer = Tracer(True)
     op_ms = []

@@ -23,7 +23,7 @@ _EXPORTS = {
         "RankDeficiencyError", "UnderdeterminedError",
     ),
     "units": (
-        "CONSTANTS", "Constants", "EnergyValue", "kelvin_to_ev",
+        "CONSTANTS", "Constants", "delta_from_tc", "kelvin_to_ev",
         "kelvin_to_ghz",
     ),
     "device": (
@@ -32,14 +32,13 @@ _EXPORTS = {
         "TransmonParams", "tc_from_thickness",
     ),
     "thermal": (
-        "bose_occupation", "crossover_temperature", "delta_from_tc",
+        "bose_occupation", "crossover_temperature",
         "temperature_from_occupation", "temperature_from_population",
         "thermal_crossover", "thermal_qp_fraction", "thermal_qp_term",
     ),
     "transmon": (
         "Spectrum", "charge_dispersion", "chi_shift", "dispersive_shift",
-        "eigenspectrum", "ej_from_normal_resistance", "fit_ej_ec",
-        "normal_resistance_from_ej", "resonator_dispersion",
+        "eigenspectrum", "fit_ej_ec", "resonator_dispersion",
         "transition_frequency",
     ),
     "quasiparticles": (
@@ -55,7 +54,7 @@ _EXPORTS = {
     ),
     "fitting": (
         "DataSeries", "FitResult", "LMResult", "ThermometryResult",
-        "dataseries_from_csv", "dataseries_to_csv", "fit_t1_vs_temperature",
+        "dataseries_from_csv", "fit_t1_vs_temperature",
         "fit_t2_vs_temperature", "least_squares", "pure_dephasing_from_echo",
         "resonator_thermometry", "shot_noise_dephasing", "t1_rate_model",
         "t2_rate_model",

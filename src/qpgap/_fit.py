@@ -9,10 +9,7 @@ from .cli import (
 )
 from .config import DeviceConfig
 from .errors import ConfigError
-from .fitting import (
-    dataseries_from_csv, fit_t1_vs_temperature, fit_t2_vs_temperature,
-    pure_dephasing_from_echo,
-)
+from .fitting import dataseries_from_csv, fit_t1_vs_temperature
 
 
 _RESIDUALS = [
@@ -25,6 +22,9 @@ def run(args, config: DeviceConfig) -> int:
         data = dataseries_from_csv(args.data, kind="t1")
         result = fit_t1_vs_temperature(data)
     else:
+        # the T2* model is compiled for a t2 fit alone
+        from ._dephasing import fit_t2_vs_temperature, pure_dephasing_from_echo
+
         data = dataseries_from_csv(args.data, kind="t2star")
         chi, kappa = _resolve_chi_kappa(config)
         if args.t1_data is not None:

@@ -14,12 +14,27 @@ no timestamps are written.
 This module holds the output helpers, the parser and :func:`main`.  Each
 command's body and tables are a private module (``_spectrum``, ``_qp``,
 ``_parity_sim``, ``_fit``) that ``main`` imports for that command alone,
-with the physics it runs: ``spectrum`` and ``qp`` load ``transmon``,
-``qp`` alone ``quasiparticles``, ``parity-sim`` alone ``parity``, and
-``fit`` alone ``fitting`` (and ``transmon`` only for a chi shift the
-config does not override).  Every command loads the config and its
-records (``device``), and ``svgplot`` is imported only for ``--svg``, so
-a cold run loads no module it does not use.
+with the physics it runs:
+
+* every command loads the config and its records (``config``,
+  ``device``, ``units``, ``errors``, ``_record``);
+* ``spectrum``, ``qp`` and ``parity-sim`` load ``transmon``;
+* ``qp`` alone loads ``quasiparticles``, and ``qp`` and ``fit`` load
+  ``thermal`` and the root finder of ``numerics``;
+* ``parity-sim`` alone loads ``parity``, and ``_floatcsv`` for
+  ``scan.csv``;
+* ``fit`` alone loads ``fitting``, ``fit t2`` alone its T2* model
+  (``_dephasing``), and ``transmon`` only for a chi shift the config
+  does not override;
+* a config given as frequency targets loads the (EJ, EC) inversion
+  (``_inversion``), a config error the source-line finder (``_lines``),
+  and ``--svg`` loads ``svgplot``.
+
+So a cold run loads no module it does not use.  Output directories and
+files are handled through ``os.path`` and the config hash through the
+interpreter's own sha256 module, so no command but ``parity-sim``
+(whose ``numpy.random`` needs it) loads ``hashlib``, and none imports
+``pathlib``.
 """
 
 from __future__ import annotations
@@ -30,7 +45,6 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -106,7 +120,7 @@ def _emit(args, filename: str, chunks) -> None:
     chunks = iter(chunks)
     head = next(chunks, "")
     mode = "wb" if isinstance(head, bytes) else "w"
-    with open(args.out / filename, mode) as handle:
+    with open(os.path.join(args.out, filename), mode) as handle:
         handle.write(head)
         handle.writelines(chunks)
 
@@ -172,7 +186,8 @@ def _prepare_out(args) -> None:
             raise ConfigError("csv scan output requires --out")
         return
     try:
-        args.out.mkdir(parents=True, exist_ok=True)
+        # an empty --out names the working directory
+        os.makedirs(args.out or os.curdir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}") from exc
 
@@ -207,7 +222,7 @@ def _positive(cast, limit=math.inf):
 def _add_common(parser):
     parser.add_argument("config", help="device config JSON file")
     parser.add_argument(
-        "--out", type=Path, help="output directory (default: stdout)"
+        "--out", help="output directory (default: stdout)"
     )
     parser.add_argument(
         "--format", choices=("csv", "json"), default="csv",

@@ -4,15 +4,15 @@ A device config is a JSON document (schema_version 1) bundling the
 transmon, its readout cavity, the electrode gap profile, the
 quasiparticle environment, and noise/scan settings.  Section-level
 validation reports the first line of the offending key in the source
-text so errors point somewhere useful.
+text so errors point somewhere useful.  A key given twice in one object
+is an error too, where JSON parsers would quietly keep the last value.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from pathlib import Path
+import os
 
 from ._record import Record
 from .device import (
@@ -23,6 +23,17 @@ from .device import (
 from .errors import ConfigError, DomainError, GeometryError, QpgapError
 
 SCHEMA_VERSION = 1
+
+# The interpreter's own sha256 module gives the digest of hashlib.sha256
+# without loading hashlib, whose OpenSSL binding costs a cold command
+# 3-5 ms.
+try:
+    from _sha256 import sha256 as _sha256
+except ImportError:  # Python 3.12 renamed it
+    try:
+        from _sha2 import sha256 as _sha256
+    except ImportError:  # an interpreter built without it
+        from hashlib import sha256 as _sha256
 
 
 class ScanSettings(Record):
@@ -74,63 +85,25 @@ class DeviceConfig(Record):
 
 
 def config_hash(document: dict) -> str:
-    """Stable hash of a parsed config document."""
+    """Stable hash of a parsed config document: the sha256 of its
+    canonical JSON text."""
     canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def _source_lines(text: str) -> dict:
-    """The line of every key and list element of the JSON ``text``.
-
-    Keys are found by their path, a tuple of keys and list indices, so a
-    key that many objects repeat gets the line of its own object.  A
-    key's line is the one its name is on, an element's the one it starts
-    on.  Only error paths read this; ``text`` that is not JSON keeps the
-    lines read before the fault.
-    """
-    lines = {}
-    scan = json.JSONDecoder().scan_once
-    mark = [0, 1]  # a position and its line; the positions read only grow
-
-    def line(pos: int) -> int:
-        mark[1] += text.count("\n", mark[0], pos)
-        mark[0] = pos
-        return mark[1]
-
-    def skip(pos: int) -> int:
-        return json.decoder.WHITESPACE.match(text, pos).end()
-
-    def value(pos: int, path: tuple) -> int:
-        """Read the value at ``pos``; return the position past it."""
-        pos = skip(pos)
-        close = {"{": "}", "[": "]"}.get(text[pos])
-        if close is None:
-            return scan(text, pos)[1]
-        pos = skip(pos + 1)
-        index = 0
-        while text[pos] != close:
-            if close == "}":
-                key, pos = json.decoder.scanstring(text, pos + 1)
-                lines[path + (key,)] = line(pos)
-                pos = value(skip(pos) + 1, path + (key,))
-            else:
-                lines[path + (index,)] = line(pos)
-                pos = value(pos, path + (index,))
-            index += 1
-            pos = skip(pos)
-            if text[pos] == ",":
-                pos = skip(pos + 1)
-        return pos + 1
-
-    try:
-        value(0, ())
-    except (IndexError, ValueError, StopIteration, RecursionError):
-        pass
-    return lines
+    return _sha256(canonical.encode()).hexdigest()
 
 
 def _line_of(text: str, path: tuple) -> int | None:
-    return _source_lines(text).get(path)
+    from ._lines import source_lines
+
+    return source_lines(text).get(path)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice is a ConfigError,
+    where ``json.loads`` would keep the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ConfigError("duplicate key")
+    return obj
 
 
 def _where(path: tuple) -> str:
@@ -302,7 +275,9 @@ def _fields(data, path: tuple, text: str, table) -> dict:
     name = _where(path)
 
     def line(key: str | None = None) -> int | None:
-        lines = _source_lines(text)
+        from ._lines import source_lines
+
+        lines = source_lines(text)
         return lines.get(path + (key,)) or lines.get(path)
 
     if not isinstance(data, dict):
@@ -347,7 +322,7 @@ def _resolve_transmon(data, text: str) -> TransmonParams:
     ng = _fields(rest, ("transmon",), text, _TRANSMON_NG)
     targets = _fields(data["targets"], ("transmon", "targets"), text, _TARGETS)
     targets = _record(FrequencyTargets, "transmon", text, **targets)
-    from .transmon import fit_ej_ec
+    from ._inversion import fit_ej_ec
 
     fitted = _record(fit_ej_ec, "transmon", text, targets=targets)
     return _record(TransmonParams, "transmon", text,
@@ -409,23 +384,33 @@ def load_device_document(document: dict, text: str = "") -> DeviceConfig:
     )
 
 
-def load_device_config(path: str | Path) -> DeviceConfig:
+def load_device_config(path: str | os.PathLike) -> DeviceConfig:
     """Load and validate a device config file.
 
-    JSON syntax errors and schema violations raise :class:`ConfigError`
-    with a line number when one is known.
+    JSON syntax errors, a key repeated in one object and schema
+    violations raise :class:`ConfigError` with a line number when one is
+    known.
     """
-    path = Path(path)
+    path = os.fspath(path)
     try:
-        text = path.read_text()
+        with open(path) as handle:
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
-        document = json.loads(text)
+        document = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: {exc.msg}", exc.lineno) from exc
     except RecursionError:
         raise ConfigError(f"{path}: JSON nested too deeply") from None
+    except ConfigError as exc:
+        from ._lines import repeated_key
+
+        found = repeated_key(text)
+        if found is None:
+            raise ConfigError(f"{path}: {exc}") from None
+        key, line = found
+        raise ConfigError(f"{path}: duplicate key {_where(key)}", line) from None
     try:
         return load_device_document(document, text)
     except ConfigError:

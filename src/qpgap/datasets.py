@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
+from ._dephasing import t2_rate_model
 from .errors import non_negative
-from .fitting import DataSeries, dataseries_to_csv, t1_rate_model, t2_rate_model
+from .fitting import DataSeries, t1_rate_model
 
 
 def _noisy_series(
@@ -60,52 +59,3 @@ def synthetic_t2_series(
         t, n0, gamma_offset_per_s, chi_mhz, kappa_mhz, nu_r_ghz, t1_model
     )
     return _noisy_series("t2star", t, rates, noise_fraction, seed)
-
-
-# quasiparticle decay coefficient (rate at x_qp = 1) of the two example
-# devices, frozen so the shipped CSVs regenerate byte for byte
-_DECAY_COEFF_1NP = 35869.33484 / 8e-7
-_DECAY_COEFF_1P = 32114.29584 / 8e-7
-
-
-def write_example_datasets(out_dir: str | Path) -> list[Path]:
-    """Regenerate the bundled example CSVs under ``out_dir``.
-
-    Writes t1_vs_temperature_1np.csv, t1_vs_temperature_1p.csv, and
-    t2star_vs_temperature_1p.csv with the seeds and truth parameters the
-    shipped files were drawn from, and returns the paths written.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    temps_t1 = np.linspace(0.025, 0.35, 14)
-
-    t1_1np = synthetic_t1_series(
-        1e6 / 12.0, 1.31, _DECAY_COEFF_1NP, temps_t1,
-        noise_fraction=0.05, seed=42,
-    )
-    t1_1p = synthetic_t1_series(
-        1e6 / 45.0, 1.31, _DECAY_COEFF_1P, temps_t1,
-        noise_fraction=0.05, seed=44,
-    )
-
-    def t1_model(t_kelvin: float) -> float:
-        rate = t1_rate_model(
-            np.asarray([t_kelvin]), 1e6 / 45.0, 1.31, _DECAY_COEFF_1P
-        )
-        return 1.0 / float(rate[0])
-
-    t2_1p = synthetic_t2_series(
-        0.027, 2.0e4, 0.55, 0.36, 7.24, t1_model,
-        np.linspace(0.025, 0.25, 12), noise_fraction=0.03, seed=43,
-    )
-
-    paths = []
-    for name, series in (
-        ("t1_vs_temperature_1np.csv", t1_1np),
-        ("t1_vs_temperature_1p.csv", t1_1p),
-        ("t2star_vs_temperature_1p.csv", t2_1p),
-    ):
-        path = out_dir / name
-        dataseries_to_csv(series, path)
-        paths.append(path)
-    return paths

@@ -3,9 +3,10 @@
 A config's transmon, its readout cavity and frequency targets, the gap
 profile and the stack it is built from, the quasiparticle environment
 and the noise rates are records of this module.  Of the physics it
-imports only :mod:`qpgap.thermal`, whose BCS relation gives a stack
+imports only the BCS relation of :mod:`qpgap.units`, which gives a stack
 segment its gap, so the config loader builds a device without compiling
-the eigensolver, the gap-edge quadrature or the parity simulator;
+the thermal functions, the root finder, the eigensolver, the gap-edge
+quadrature or the parity simulator;
 :mod:`qpgap.transmon`, :mod:`qpgap.quasiparticles` and
 :mod:`qpgap.parity` re-export the names they compute with.
 """
@@ -20,7 +21,7 @@ from ._record import Record
 from .errors import (
     DomainError, GeometryError, UnderdeterminedError, non_negative, positive
 )
-from .thermal import delta_from_tc
+from .units import delta_from_tc
 
 DEFAULT_TLS_RATE = 1.0 / 180.0
 DEFAULT_PIXEL_SECONDS = 0.2

@@ -3,9 +3,10 @@
 A physical magnitude (a temperature, a gap, a rate, a length) is valid
 when it is finite and positive, or finite and non-negative where zero
 means "absent".  :func:`positive` and :func:`non_negative` hold that rule
-once for the range-checked scalar arguments of ``thermal``,
-``quasiparticles``, ``transmon``, ``fitting``, ``parity``, ``device`` and
-``datasets``: NaN and infinities fail it with a :class:`DomainError`
+once for the range-checked scalar arguments of ``units`` (the gap
+relation), ``thermal``, ``quasiparticles``, ``_dephasing`` (the T2* half
+of ``fitting``), ``parity``, ``device`` and ``datasets``: NaN and
+infinities fail it with a :class:`DomainError`
 naming the argument.  Array, list and ordering rules, gap segments
 (:class:`GeometryError`) and an infinite T1 in the T2 budget (a zero
 rate) are checked where they are used; unit conversions check nothing.

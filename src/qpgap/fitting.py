@@ -8,16 +8,19 @@ weighted residuals together with their Jacobian; so does the
 three-target (EJ, EC) refinement of :func:`qpgap.transmon.fit_ej_ec`,
 which imports it on use.  Data series are sorted on load so a fit is
 invariant under any reordering of its input points.
+
+The T2*(T) fit, its shot-noise model and the resonator thermometry live
+in the private module ``_dephasing``, which only ``fit t2`` loads; their
+names resolve here on first access.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
+import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,15 +28,13 @@ import numpy as np
 from ._record import Record
 from .errors import (
     ConfigError, ConvergenceError, DomainError, RankDeficiencyError,
-    non_negative, positive,
 )
 from .numerics import sort_median
-from .thermal import (
-    bose_occupation, delta_from_tc, temperature_from_occupation,
-    thermal_crossover, thermal_qp_term,
-)
+from .thermal import delta_from_tc, thermal_crossover, thermal_qp_term
 
 _SERIES_KINDS = ("t1", "t2star", "t2echo")
+# the columns a data CSV may hold, in the order a row is read
+_CSV_COLUMNS = ("T_K", "value_us", "rate_per_s", "sigma")
 
 DEFAULT_MAX_ITER = 200
 # the relative step and relative decrease of the squared residual that
@@ -284,23 +285,36 @@ def _first_bad_point(
     return index, next(reason for reason, ok in checks if not ok[index])
 
 
-def dataseries_from_csv(path: str | Path, kind: str) -> DataSeries:
+def dataseries_from_csv(path: str | os.PathLike, kind: str) -> DataSeries:
     """Load a series from CSV with columns T_K, value_us|rate_per_s[, sigma].
 
     ``sigma`` shares the unit of the value column.  Raises
-    :class:`ConfigError` naming the offending row on malformed input.
+    :class:`ConfigError` naming the offending row on malformed input or a
+    row longer than the header, and the offending column on a header that
+    names a column twice or names one the loader does not read.
     """
-    path = Path(path)
+    path = os.fspath(path)
     try:
-        text = path.read_text()
+        with open(path) as handle:
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    # lines end at "\n" only, as read_text writes them: splitlines would
+    # lines end at "\n" only, as text mode reads them: splitlines would
     # also split at form feeds, off the file's line numbers
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
         raise ConfigError(f"{path}: empty file")
     reader.fieldnames = fields = [name.strip() for name in reader.fieldnames]
+    # a repeated name would keep its last column, an unknown one (a
+    # misspelt sigma) would be dropped without a word
+    for i, name in enumerate(fields):
+        if name not in _CSV_COLUMNS:
+            raise ConfigError(
+                f"{path}: unknown column {name!r}; expected "
+                f"{', '.join(_CSV_COLUMNS)}"
+            )
+        if name in fields[:i]:
+            raise ConfigError(f"{path}: duplicate column {name!r}")
     if "T_K" not in fields:
         raise ConfigError(f"{path}: missing required column T_K")
     has_us = "value_us" in fields
@@ -308,11 +322,15 @@ def dataseries_from_csv(path: str | Path, kind: str) -> DataSeries:
         raise ConfigError(
             f"{path}: need exactly one of value_us or rate_per_s columns"
         )
-    columns = [name for name in ("T_K", "value_us", "rate_per_s", "sigma")
-               if name in fields]
+    columns = [name for name in _CSV_COLUMNS if name in fields]
     # the reader skips blank lines: each row is named by its line number
     rows, line_numbers = [], []
     for row in reader:
+        if None in row:  # the reader's key for cells past the header's
+            raise ConfigError(
+                f"{path}: row {reader.line_num} has more cells than the "
+                f"header's {len(fields)} columns"
+            )
         try:
             rows.append([float(row[name]) for name in columns])
         except (TypeError, ValueError) as exc:
@@ -336,22 +354,6 @@ def dataseries_from_csv(path: str | Path, kind: str) -> DataSeries:
         rate = value
         value, sigma = 1.0 / rate, None if sigma is None else sigma / rate**2
     return DataSeries(kind=kind, t_kelvin=t, value_s=value, sigma_s=sigma)
-
-
-def dataseries_to_csv(series: DataSeries, path: str | Path) -> None:
-    """Write a series as CSV with T_K and value_us (plus sigma when set)."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        header = ["T_K", "value_us"]
-        if series.sigma_s is not None:
-            header.append("sigma")
-        writer.writerow(header)
-        for i in range(len(series)):
-            row = [f"{series.t_kelvin[i]:.6g}", f"{series.value_s[i] * 1e6:.9g}"]
-            if series.sigma_s is not None:
-                row.append(f"{series.sigma_s[i] * 1e6:.9g}")
-            writer.writerow(row)
 
 
 # a dataclass, not a Record: perfbench/selftest.py perturbs a fit
@@ -550,211 +552,18 @@ def fit_t1_vs_temperature(data: DataSeries) -> FitResult:
                        t1_rate_model)
 
 
-def shot_noise_dephasing(
-    chi_mhz: float, kappa_mhz: float, n_th: float
-) -> float:
-    """Photon shot-noise dephasing rate (1/s) of a dispersively read qubit.
-
-    Gamma_phi = (kappa/2) Re[sqrt((1 + 2 i chi/kappa)^2 +
-    8 i chi n_th / kappa) - 1], with chi and kappa converted to angular
-    rates internally.  Exactly zero at n_th = 0.
-    """
-    n_th_array = np.array([n_th], dtype=float)
-    return float(_shot_noise_rates(chi_mhz, kappa_mhz, n_th_array)[0])
+# the public names of ._dephasing
+_DEPHASING = frozenset({
+    "ThermometryResult", "fit_t2_vs_temperature", "pure_dephasing_from_echo",
+    "resonator_thermometry", "shot_noise_dephasing", "t2_rate_model",
+})
 
 
-def _shot_noise_root(chi_mhz: float, kappa_mhz: float, n_th: np.ndarray):
-    """r = 2 chi/kappa and sqrt((1 + i r)^2 + 4 i r n_th) per photon number."""
-    ratio = 2.0 * chi_mhz / kappa_mhz
-    return ratio, np.sqrt((1.0 + 1j * ratio) ** 2 + 4j * ratio * n_th)
+def __getattr__(name: str):
+    if name not in _DEPHASING:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import _dephasing
 
-
-def _shot_noise_rates(
-    chi_mhz: float, kappa_mhz: float, n_th: np.ndarray
-) -> np.ndarray:
-    """:func:`shot_noise_dephasing` over an array of photon numbers."""
-    positive("kappa", kappa_mhz)
-    negative = n_th < 0
-    if negative.any():
-        raise DomainError(f"n_th must be non-negative, got {n_th[negative][0]}")
-    _, root = _shot_noise_root(chi_mhz, kappa_mhz, n_th)
-    kappa_angular = 2.0 * math.pi * kappa_mhz * 1e6
-    rates = (kappa_angular / 2.0) * (root - 1.0).real
-    rates[n_th == 0.0] = 0.0
-    return rates
-
-
-def _shot_noise_slopes(
-    chi_mhz: float, kappa_mhz: float, n_th: np.ndarray
-) -> np.ndarray:
-    """d Gamma_phi / d n_th = kappa_angular Re[i r / sqrt(inner)]."""
-    ratio, root = _shot_noise_root(chi_mhz, kappa_mhz, n_th)
-    kappa_angular = 2.0 * math.pi * kappa_mhz * 1e6
-    return kappa_angular * (1j * ratio / root).real
-
-
-class ThermometryResult(Record):
-    """Photon occupation and effective temperature behind a dephasing rate."""
-
-    __slots__ = ("n_th", "temperature_k", "at_lower_limit")
-
-
-def resonator_thermometry(
-    gamma_phi_per_s: float,
-    chi_mhz: float,
-    kappa_mhz: float,
-    nu_r_ghz: float,
-) -> ThermometryResult:
-    """Invert the shot-noise rate to a photon number and temperature.
-
-    The inversion of :func:`shot_noise_dephasing` is exact: with
-    r = 2|chi|/kappa and x = Gamma_phi/(pi kappa) (kappa in Hz), the square
-    root there has real part a = 1 + x, which gives
-    n_th = x(2 + x)(a^2 + r^2) / (2r(a sqrt(x(2 + x) + r^2) + r)), a form
-    without cancellation.  The Bose inversion then gives the temperature.
-    A zero rate returns the n_th = 0, T = 0 lower limit with the flag set.
-    """
-    non_negative("rate", gamma_phi_per_s)
-    positive("kappa", kappa_mhz)
-    if chi_mhz == 0.0:
-        raise DomainError("chi = 0 MHz: the rate does not depend on n_th")
-    if gamma_phi_per_s == 0.0:
-        return ThermometryResult(n_th=0.0, temperature_k=0.0, at_lower_limit=True)
-    r = 2.0 * abs(chi_mhz) / kappa_mhz
-    x = gamma_phi_per_s / (math.pi * kappa_mhz * 1e6)
-    a = 1.0 + x
-    growth = x * (2.0 + x)
-    root = a * math.sqrt(growth + r * r) + r
-    n_th = growth * (a * a + r * r) / (2.0 * r * root)
-    if not math.isfinite(n_th):
-        raise DomainError(f"n_th for {gamma_phi_per_s} 1/s is out of float range")
-    return ThermometryResult(
-        n_th=n_th,
-        temperature_k=temperature_from_occupation(nu_r_ghz, n_th),
-        at_lower_limit=False,
-    )
-
-
-def pure_dephasing_from_echo(t2star_s: float, t2echo_s: float) -> float:
-    """Pure dephasing rate (1/s) from Ramsey and echo coherence times."""
-    positive("T2*", t2star_s)
-    positive("T2echo", t2echo_s)
-    if t2star_s > t2echo_s:
-        raise DomainError(
-            f"T2* = {t2star_s:g} s exceeds T2echo = {t2echo_s:g} s; "
-            "the pure dephasing rate would be negative"
-        )
-    return 1.0 / t2star_s - 1.0 / t2echo_s
-
-
-def t2_rate_model(
-    t_kelvin: np.ndarray,
-    n0: float,
-    gamma_offset_per_s: float,
-    chi_mhz: float,
-    kappa_mhz: float,
-    nu_r_ghz: float,
-    t1_model: Callable[[float], float],
-) -> np.ndarray:
-    """Ramsey rate model: T1 contribution, photon shot noise, and an offset."""
-    terms = _t2_terms(np.asarray(t_kelvin, dtype=float), nu_r_ghz, t1_model)
-    return _t2_rates(terms, n0, gamma_offset_per_s, chi_mhz, kappa_mhz)
-
-
-def _t2_terms(
-    t: np.ndarray, nu_r_ghz: float, t1_model: Callable[[float], float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The parameter-free parts of the T2* model at each temperature.
-
-    Returns the T1 contribution 1/(2 T1) and the readout mode's Bose
-    occupation, calling ``t1_model`` once per point in order.
-    """
-    t1_term = np.empty(len(t))
-    occupation = np.empty(len(t))
-    for i, temperature in enumerate(t.tolist()):
-        t1_seconds = t1_model(temperature)
-        if not t1_seconds > 0:
-            raise DomainError(
-                f"T1 model gives {t1_seconds} s at {temperature} K"
-            )
-        t1_term[i] = 1.0 / (2.0 * t1_seconds)
-        occupation[i] = bose_occupation(nu_r_ghz, temperature)
-    return t1_term, occupation
-
-
-def _t2_rates(terms, n0, gamma_offset_per_s, chi_mhz, kappa_mhz) -> np.ndarray:
-    """The T2* rate model on precomputed :func:`_t2_terms`."""
-    t1_term, occupation = terms
-    shot_noise = _shot_noise_rates(chi_mhz, kappa_mhz, occupation + n0)
-    return t1_term + shot_noise + gamma_offset_per_s
-
-
-def _t2_jacobian(terms, n0, chi_mhz, kappa_mhz) -> np.ndarray:
-    """Columns d/dn0 and d/dgamma_offset of :func:`_t2_rates`."""
-    _, occupation = terms
-    jac = np.empty((len(occupation), 2))
-    jac[:, 0] = _shot_noise_slopes(chi_mhz, kappa_mhz, occupation + n0)
-    jac[:, 1] = 1.0
-    return jac
-
-
-def _t2_problem(data: DataSeries, chi_mhz, kappa_mhz, terms):
-    """Weighted residual and Jacobian callables of a T2*(T) fit."""
-    return _weighted(
-        lambda params: _t2_rates(terms, *params, chi_mhz, kappa_mhz),
-        lambda params: _t2_jacobian(terms, params[0], chi_mhz, kappa_mhz),
-        *data.rates(),
-    )
-
-
-def fit_t2_vs_temperature(
-    data: DataSeries,
-    chi_mhz: float,
-    kappa_mhz: float,
-    nu_r_ghz: float,
-    t1_model: Callable[[float], float],
-) -> FitResult:
-    """Fit excess photon number and a residual dephasing offset to T2*(T).
-
-    The model is 1/T2*(T) = 1/(2 T1(T)) + Gamma_phi(chi, kappa,
-    n_th(T) + n0) + gamma_offset, with n_th(T) the Bose occupation of the
-    readout mode.  The derived block reports the effective resonator
-    temperature whose occupation equals the fitted n0.  ``t1_model`` is
-    called once per distinct data temperature.
-    """
-    if data.kind != "t2star":
-        raise DomainError(f"expected a t2star series, got {data.kind!r}")
-    if len(data) < 3:
-        raise DomainError(f"need at least 3 points, got {len(data)}")
-    # the T1 term and the Bose occupations do not depend on the fitted
-    # parameters; repeated temperatures share one t1_model call
-    terms = _t2_terms(data.t_kelvin, nu_r_ghz, functools.cache(t1_model))
-    base = _t2_rates(terms, 0.0, 0.0, chi_mhz, kappa_mhz)
-    excess = data.rates()[0] - base
-    offset0 = max(float(np.min(excess)), 0.0)
-    slope = shot_noise_dephasing(chi_mhz, kappa_mhz, 1e-6) / 1e-6
-    if not slope > 0:
-        raise DomainError(
-            f"chi = {chi_mhz} MHz leaves T2* insensitive to the photon number"
-        )
-    n0_guess = (float(sort_median(excess)) - offset0) / slope
-    n0_guess = min(max(n0_guess, 1e-4), 0.5)
-    guess = np.array([n0_guess, offset0])
-    bounds = [(0.0, 2.0), (0.0, np.inf)]
-    lm = least_squares(
-        *_t2_problem(data, chi_mhz, kappa_mhz, terms), guess, bounds=bounds
-    )
-
-    n0 = float(lm.x[0])
-    derived = {}
-    if n0 > 0:
-        derived["t_resonator_effective_K"] = temperature_from_occupation(
-            nu_r_ghz, n0
-        )
-    return _fit_report(
-        "t2star_vs_temperature", ("n0", "gamma_offset_per_s"), lm, len(data),
-        derived,
-        lambda t_kelvin, *params: t2_rate_model(
-            t_kelvin, *params, chi_mhz, kappa_mhz, nu_r_ghz, t1_model
-        ),
-    )
+    value = getattr(_dephasing, name)
+    globals()[name] = value
+    return value

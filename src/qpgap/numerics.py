@@ -1,4 +1,4 @@
-"""Bracketed root finding and sorted medians.
+"""Bracketed root finding and the sorted median.
 
 ``root_find`` is a line-for-line port of scipy's ``brentq.c``, so it
 returns the same bits as ``scipy.optimize.brentq``.  It turns a NaN
@@ -6,9 +6,9 @@ function value, a bracket without a sign change and an exhausted
 iteration budget into exceptions, so callers never consume a root that
 was not found.
 
-``sort_median`` is ``np.median`` over the last axis from one sort, and
-``sort_median_mad`` reads a block's row medians and median absolute
-deviations from one sort into a buffer the caller reuses.
+``sort_median`` is ``np.median`` over the last axis from one sort.  The
+scan detector's row medians and median absolute deviations, read from
+one sort, are ``qpgap.parity.sort_median_mad``.
 """
 
 from __future__ import annotations
@@ -105,15 +105,6 @@ def root_find(
     )
 
 
-def _sorted_median(ordered: np.ndarray) -> np.ndarray:
-    """``sort_median`` of rows already sorted (a NaN sorts last)."""
-    half = ordered.shape[-1] // 2
-    middle = ordered[..., half]
-    if not ordered.shape[-1] % 2:
-        middle = (ordered[..., half - 1] + middle) / 2
-    return np.where(np.isnan(ordered[..., -1]), np.nan, middle)
-
-
 def sort_median(values: np.ndarray) -> np.ndarray:
     """``np.median(values, axis=-1)``, NaN where a row holds one.
 
@@ -121,40 +112,9 @@ def sort_median(values: np.ndarray) -> np.ndarray:
     find NaNs, and ``np.median`` imports ``numpy.ma`` on its first call,
     which cost a cold ``fit`` run more than 20 ms.
     """
-    return _sorted_median(np.sort(values, axis=-1))
-
-
-def sort_median_mad(
-    values: np.ndarray, buffer: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row medians and median absolute deviations of a 2-d ``values``.
-
-    Bit for bit ``median = sort_median(values)`` and
-    ``sort_median(np.abs(values - median[:, None]))``, from one sort:
-    the rows are copied into the first rows of ``buffer`` (a float array
-    at least as tall as ``values`` and exactly as wide), which are left
-    holding the sorted deviations.
-    """
-    n = values.shape[1]
-    ordered = buffer[:len(values)]
-    np.copyto(ordered, values)
-    ordered.sort(axis=1)
-    median = _sorted_median(ordered)
-    ordered -= median[:, None]
-
-    # Rounding keeps x - m non-decreasing along a sorted row, so |x - m|
-    # falls, then rises, and the k smallest deviations are k neighbours:
-    # the k-th smallest is the least, over runs of k, of the larger end
-    # max(m - x[i], x[i+k-1] - m), as fl(m - x) = -fl(x - m).  NaN
-    # anywhere in a row reaches its minimum.  The negation gives a zero
-    # deviation and a NaN the sign bit that |x - m| clears; abs clears it.
-    def kth_smallest(k: int) -> np.ndarray:
-        ends = np.negative(ordered[:, :n - k + 1])
-        np.maximum(ends, ordered[:, k - 1:], out=ends)
-        return np.abs(ends.min(axis=1))
-
-    half = n // 2
-    mad = kth_smallest(half + 1)
-    if not n % 2:
-        mad = (kth_smallest(half) + mad) / 2
-    return median, mad
+    ordered = np.sort(values, axis=-1)
+    half = ordered.shape[-1] // 2
+    middle = ordered[..., half]
+    if not ordered.shape[-1] % 2:
+        middle = (ordered[..., half - 1] + middle) / 2
+    return np.where(np.isnan(ordered[..., -1]), np.nan, middle)

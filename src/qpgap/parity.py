@@ -48,7 +48,6 @@ from .errors import CoverageError, DomainError, non_negative, positive
 # the config loader reads them
 from .device import (DEFAULT_PIXEL_SECONDS, DEFAULT_TLS_RATE,
                      MAX_SCAN_SAMPLES, NoiseModel, TransmonParams)
-from .numerics import sort_median_mad
 from .transmon import transition_frequency
 
 _EVEN = 0
@@ -535,6 +534,45 @@ def synthesize_scan(
         pixel_seconds=config.pixel_seconds,
         seed=seed,
     )
+
+
+def sort_median_mad(
+    values: np.ndarray, buffer: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row medians and median absolute deviations of a 2-d ``values``.
+
+    Bit for bit ``median = qpgap.numerics.sort_median(values)`` and
+    ``sort_median(np.abs(values - median[:, None]))``, from one sort:
+    the rows are copied into the first rows of ``buffer`` (a float array
+    at least as tall as ``values`` and exactly as wide), which are left
+    holding the sorted deviations.
+    """
+    n = values.shape[1]
+    ordered = buffer[:len(values)]
+    np.copyto(ordered, values)
+    ordered.sort(axis=1)
+    half = n // 2
+    median = ordered[:, half]
+    if not n % 2:
+        median = (ordered[:, half - 1] + median) / 2
+    median = np.where(np.isnan(ordered[:, -1]), np.nan, median)
+    ordered -= median[:, None]
+
+    # Rounding keeps x - m non-decreasing along a sorted row, so |x - m|
+    # falls, then rises, and the k smallest deviations are k neighbours:
+    # the k-th smallest is the least, over runs of k, of the larger end
+    # max(m - x[i], x[i+k-1] - m), as fl(m - x) = -fl(x - m).  NaN
+    # anywhere in a row reaches its minimum.  The negation gives a zero
+    # deviation and a NaN the sign bit that |x - m| clears; abs clears it.
+    def kth_smallest(k: int) -> np.ndarray:
+        ends = np.negative(ordered[:, :n - k + 1])
+        np.maximum(ends, ordered[:, k - 1:], out=ends)
+        return np.abs(ends.min(axis=1))
+
+    mad = kth_smallest(half + 1)
+    if not n % 2:
+        mad = (kth_smallest(half) + mad) / 2
+    return median, mad
 
 
 class _RowDetection:

@@ -1,4 +1,5 @@
-"""BCS gap relations, thermal occupation functions and the thermal crossover."""
+"""Thermal occupation functions, the thermal crossover and the BCS gap
+relation (which lives in :mod:`qpgap.units` and is re-exported here)."""
 
 from __future__ import annotations
 
@@ -6,29 +7,14 @@ import math
 
 from .errors import BracketError, DomainError, non_negative, positive
 from .numerics import root_find
-from .units import CONSTANTS
+# the gap relation lives in .units, beside the BCS ratio
+from .units import CONSTANTS, delta_from_tc
 
 # Above this ratio hf/kBT the Bose denominator exp(x)-1 equals exp(x) to
 # better than double precision, so the log-space branch is exact.
 _LARGE_EXPONENT = 40.0
 
 _CROSSOVER_T_MIN = 0.010
-
-
-def delta_from_tc(tc_kelvin: float, bcs_ratio: float | None = None) -> float:
-    """Superconducting gap (kelvin) from the critical temperature.
-
-    Parameters
-    ----------
-    tc_kelvin:
-        Critical temperature in kelvin, > 0.
-    bcs_ratio:
-        Gap ratio Delta/(kB Tc); defaults to the weak-coupling value.
-    """
-    positive("Tc", tc_kelvin)
-    ratio = CONSTANTS.bcs_ratio if bcs_ratio is None else bcs_ratio
-    positive("bcs_ratio", ratio)
-    return ratio * tc_kelvin
 
 
 def bose_occupation(f_ghz: float, t_kelvin: float) -> float:

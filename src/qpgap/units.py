@@ -1,15 +1,18 @@
-"""Physical constants and energy-unit conversions.
+"""Physical constants, energy-unit conversions and the BCS gap relation.
 
 All conversion factors derive from the exact 2019 SI defining constants,
 so forward and inverse conversions are reciprocal to machine precision.
 Every other module takes its physical constants from here; no conversion
-factor is written out anywhere else in the package.
+factor is written out anywhere else in the package.  The gap relation
+:func:`delta_from_tc` lives beside the ratio it reads, so the config
+loader gives a stack segment its gap without loading :mod:`qpgap.thermal`,
+which re-exports it.
 """
 
 from __future__ import annotations
 
 from ._record import Record
-from .errors import DomainError
+from .errors import positive
 
 # 2019 SI exact values
 _KB_J_PER_K = 1.380649e-23
@@ -32,7 +35,7 @@ class Constants(Record):
         von Klitzing resistance h/e^2, ohm.
     bcs_ratio:
         Weak-coupling gap ratio Delta/(kB Tc) used by every module;
-        ``thermal.delta_from_tc`` also takes an explicit ratio.
+        :func:`delta_from_tc` also takes an explicit ratio.
     """
 
     __slots__ = ("kB_over_h", "h_over_kB", "kB_in_eV", "RK", "bcs_ratio")
@@ -47,8 +50,6 @@ class Constants(Record):
 
 CONSTANTS = Constants()
 
-_UNITS = ("GHz", "K", "eV")
-
 
 def kelvin_to_ghz(e_kelvin: float) -> float:
     """Convert an energy expressed in kelvin to a frequency (GHz)."""
@@ -60,30 +61,17 @@ def kelvin_to_ev(e_kelvin: float) -> float:
     return e_kelvin * CONSTANTS.kB_in_eV
 
 
-_TO_KELVIN = {
-    "GHz": lambda x: x * CONSTANTS.h_over_kB,
-    "K": lambda x: x,
-    "eV": lambda x: x / CONSTANTS.kB_in_eV,
-}
-_FROM_KELVIN = {"GHz": kelvin_to_ghz, "K": lambda x: x, "eV": kelvin_to_ev}
+def delta_from_tc(tc_kelvin: float, bcs_ratio: float | None = None) -> float:
+    """Superconducting gap (kelvin) from the critical temperature.
 
-
-class EnergyValue(Record):
-    """An energy tagged with its unit ("GHz", "K", or "eV")."""
-
-    __slots__ = ("value", "unit")
-
-    def _check(self) -> None:
-        if self.unit not in _UNITS:
-            raise DomainError(
-                f"unknown energy unit {self.unit!r}; expected one of {_UNITS}"
-            )
-
-    def to(self, unit: str) -> "EnergyValue":
-        """Return the same energy expressed in ``unit``."""
-        if unit not in _UNITS:
-            raise DomainError(
-                f"unknown energy unit {unit!r}; expected one of {_UNITS}"
-            )
-        kelvin = _TO_KELVIN[self.unit](self.value)
-        return EnergyValue(_FROM_KELVIN[unit](kelvin), unit)
+    Parameters
+    ----------
+    tc_kelvin:
+        Critical temperature in kelvin, > 0.
+    bcs_ratio:
+        Gap ratio Delta/(kB Tc); defaults to the weak-coupling value.
+    """
+    positive("Tc", tc_kelvin)
+    ratio = CONSTANTS.bcs_ratio if bcs_ratio is None else bcs_ratio
+    positive("bcs_ratio", ratio)
+    return ratio * tc_kelvin

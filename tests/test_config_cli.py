@@ -184,6 +184,42 @@ def test_repeated_keys_name_their_own_line(configs_dir):
     assert '"thickness_nm": 25.0' in lines[error.line]
 
 
+_SEGMENT_1 = '{"length_um": 3.0,'
+
+
+@pytest.mark.parametrize(
+    "edits, key, line",
+    [
+        # json.loads would keep g = 1 MHz
+        ([('"g_MHz": 130.0,', '"g_MHz": 130.0,\n  "g_MHz": 1.0,')],
+         "cavity.g_MHz", 6),
+        ([(_SEGMENT_1, _SEGMENT_1 + '\n  "length_um": 30.0,')],
+         "gap_profile.segments[1].length_um", 10),
+        ([('"seed": 101', '"seed": 101,\n  "seed": 7')], "seed", 18),
+        # the first repeat in reading order, though the segment's object
+        # closes first
+        ([('"name": "1NP",', '"name": "1NP",\n  "name": "x",'),
+          (_SEGMENT_1, _SEGMENT_1 + ' "length_um": 3.0,')], "name", 4),
+    ],
+    ids=["cavity", "segment", "top-level", "first-in-reading-order"],
+)
+def test_a_key_given_twice_exits_2_on_its_line(
+    configs_dir, tmp_path, capsys, edits, key, line
+):
+    text = (configs_dir / "device_1np.json").read_text()
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as caught:
+        load_device_config(path)
+    assert str(caught.value) == f"line {line}: {path}: duplicate key {key}"
+    assert caught.value.line == line
+    err = _assert_clean_exit_2(_run(["spectrum", path]), capsys)
+    assert err == f"error: {caught.value}\n"
+
+
 @pytest.mark.parametrize(
     "path, value, message",
     [
@@ -671,6 +707,27 @@ def test_fit_t1_json_report(configs_dir, data_dir, tmp_path):
         1.63e-6, rel=0.05
     )
     assert report["config_hash"]
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("T_K,value_us,sigma_us", "unknown column 'sigma_us'"),
+        ("T_K,value_us,value_us", "duplicate column 'value_us'"),
+    ],
+    ids=["misspelt-sigma", "repeated-value"],
+)
+def test_fit_rejects_a_header_it_would_misread(
+    configs_dir, data_dir, tmp_path, capsys, header, message
+):
+    # a misspelt sigma column used to be dropped: fit t1 on 1NP then ran
+    # unweighted and reported gamma_plateau +- 127852 /s, not +- 1569 /s
+    lines = (data_dir / "t1_vs_temperature_1np.csv").read_text().splitlines()
+    data = tmp_path / "t1.csv"
+    data.write_text("\n".join([header, *lines[1:]]) + "\n")
+    code = _run(["fit", "t1", data, configs_dir / "device_1np.json"])
+    err = _assert_clean_exit_2(code, capsys)
+    assert err.startswith(f"error: {data}: {message}")
 
 
 def test_fit_without_sigma_column_leaves_sigma_empty(

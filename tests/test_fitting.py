@@ -1,10 +1,12 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qpgap.datasets import synthetic_t1_series, synthetic_t2_series
-from qpgap import fitting
+from qpgap import _dephasing, fitting
 from qpgap.errors import (
     ConfigError,
     ConvergenceError,
@@ -14,7 +16,6 @@ from qpgap.errors import (
 from qpgap.fitting import (
     DataSeries,
     dataseries_from_csv,
-    dataseries_to_csv,
     fit_t1_vs_temperature,
     fit_t2_vs_temperature,
     least_squares,
@@ -26,6 +27,16 @@ from qpgap.fitting import (
 )
 
 TEMPS = np.linspace(0.025, 0.35, 14)
+EXAMPLES = (Path(__file__).resolve().parent.parent / "scripts"
+            / "example_datasets.py")
+
+
+def _example_datasets():
+    """``scripts/example_datasets.py``, the writer of the shipped CSVs."""
+    spec = importlib.util.spec_from_file_location("example_datasets", EXAMPLES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _t1_curve(plateau: float, tc: float, amplitude: float):
@@ -111,7 +122,7 @@ def test_rates_view_propagates_sigma():
 def test_csv_round_trip(tmp_path):
     series = synthetic_t1_series(1e5, 1.3, 5e10, TEMPS, 0.05, seed=1)
     path = tmp_path / "series.csv"
-    dataseries_to_csv(series, path)
+    _example_datasets().dataseries_to_csv(series, path)
     back = dataseries_from_csv(path, "t1")
     np.testing.assert_allclose(back.t_kelvin, series.t_kelvin, rtol=1e-5)
     np.testing.assert_allclose(back.value_s, series.value_s, rtol=1e-6)
@@ -139,6 +150,40 @@ def test_csv_errors_name_the_row(tmp_path):
     path.write_text("T_K,value_us\n")
     with pytest.raises(ConfigError, match="no data rows"):
         dataseries_from_csv(path, "t1")
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("T_K,value_us,value_us", "duplicate column 'value_us'"),
+        ("T_K, value_us,value_us ", "duplicate column 'value_us'"),
+        ("T_K,T_K,value_us", "duplicate column 'T_K'"),
+        ("T_K,value_us,sigma_us", "unknown column 'sigma_us'; expected "
+         "T_K, value_us, rate_per_s, sigma"),
+        ("T_K,value_us,", "unknown column ''; expected "
+         "T_K, value_us, rate_per_s, sigma"),
+    ],
+    ids=["value", "value-spaced", "T_K", "misspelt-sigma", "empty-name"],
+)
+def test_csv_header_names_each_known_column_once(tmp_path, header, message):
+    # a repeated name would keep its last column and an unknown one would
+    # be dropped: a misspelt sigma column fits unweighted
+    path = tmp_path / "header.csv"
+    path.write_text(f"{header}\n0.1,12,1\n0.2,30,2\n")
+    with pytest.raises(ConfigError) as caught:
+        dataseries_from_csv(path, "t1")
+    assert str(caught.value) == f"{path}: {message}"
+
+
+def test_csv_row_longer_than_the_header_names_the_row(tmp_path):
+    # a sigma cell under no sigma header would be dropped: the fit would
+    # run unweighted
+    path = tmp_path / "long.csv"
+    path.write_text("T_K,value_us\n0.1,12\n\n0.2,30,2\n0.3,31\n")
+    with pytest.raises(ConfigError) as caught:
+        dataseries_from_csv(path, "t1")
+    assert str(caught.value) == (
+        f"{path}: row 4 has more cells than the header's 2 columns")
 
 
 def test_csv_header_names_are_stripped(tmp_path):
@@ -331,8 +376,8 @@ T2_TEMPS = np.linspace(0.025, 0.25, 12)
 
 
 def _t2_jacobian_case(series, t1_model, params, check_jacobian):
-    terms = fitting._t2_terms(series.t_kelvin, 7.24, t1_model)
-    residual, jacobian = fitting._t2_problem(series, 0.55, 0.36, terms)
+    terms = _dephasing._t2_terms(series.t_kelvin, 7.24, t1_model)
+    residual, jacobian = _dephasing._t2_problem(series, 0.55, 0.36, terms)
     check_jacobian(residual, jacobian, params)
 
 
@@ -573,9 +618,7 @@ def test_t1_fit_coverage_over_seeds():
 
 
 def test_bundled_datasets_regenerate_byte_identically(data_dir, tmp_path):
-    from qpgap.datasets import write_example_datasets
-
-    for path in write_example_datasets(tmp_path):
+    for path in _example_datasets().write_example_datasets(tmp_path):
         assert path.read_bytes() == (data_dir / path.name).read_bytes()
 
 

@@ -1,10 +1,14 @@
-"""Which modules of the package and of scipy a cold run loads, the lazy
-package, and the names that moved between modules."""
+"""Which modules of the package, of scipy and of the standard library a
+cold run loads, the lazy package, the names that moved between modules,
+and that a cold run writes no bytecode."""
 
 import ast
+import hashlib
 import importlib
+import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,8 +23,11 @@ SRC = str(REPO / "src")
 # the modules every command loads: the CLI, the config and what it reads
 BASE = {
     "qpgap", "qpgap._record", "qpgap.cli", "qpgap.config", "qpgap.device",
-    "qpgap.errors", "qpgap.numerics", "qpgap.thermal", "qpgap.units",
+    "qpgap.errors", "qpgap.units",
 }
+# the thermal functions and the root finder they use, which qp and the
+# fits run and spectrum and parity-sim do not
+THERMAL = {"qpgap.numerics", "qpgap.thermal"}
 # scipy's LAPACK extension, loaded at a command's first eigensolve without
 # the scipy package itself
 LAPACK = {"scipy.linalg._flapack"}
@@ -43,12 +50,28 @@ print(json.dumps(loaded))
 """
 
 
-def _python(code: str, *args: str) -> str:
-    """stdout of ``code`` run in a fresh interpreter with ``src/`` first."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+def _site_packages() -> list[str]:
+    """The directories numpy and scipy are imported from."""
+    return sorted({
+        os.path.dirname(os.path.dirname(importlib.util.find_spec(name).origin))
+        for name in ("numpy", "scipy")
+    })
+
+
+def _python(code: str, *args: str, no_site: bool = False) -> str:
+    """stdout of ``code`` run in a fresh interpreter with ``src/`` first.
+
+    With ``no_site`` the interpreter runs ``-S``, so no ``.pth`` file of
+    the host preloads a module, and finds numpy and scipy by their
+    directories alone.
+    """
+    if no_site:
+        flags, path = ["-S"], [SRC, *_site_packages()]
+    else:
+        flags, path = [], [SRC, os.environ.get("PYTHONPATH")]
     return subprocess.run(
-        [sys.executable, "-c", code, *args], cwd=REPO,
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, *flags, "-c", code, *args], cwd=REPO,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
         capture_output=True, text=True, check=True, timeout=120,
     ).stdout
 
@@ -58,18 +81,26 @@ def _python(code: str, *args: str) -> str:
     [
         (["spectrum", "configs/device_1p.json"],
          {"qpgap._spectrum", "qpgap.transmon", *LAPACK}),
+        # a transmon given as frequency targets runs the inversion
+        (["spectrum", "configs/device_2p.json"],
+         {"qpgap._spectrum", "qpgap.transmon", "qpgap._inversion",
+          "qpgap.numerics", *LAPACK}),
         (["qp", "configs/device_1p.json"],
-         {"qpgap._qp", "qpgap.quasiparticles", "qpgap.transmon", *LAPACK}),
+         {"qpgap._qp", "qpgap.quasiparticles", "qpgap.transmon", *THERMAL,
+          *LAPACK}),
         (["parity-sim", "configs/device_2np.json", "--duration", "2"],
          {"qpgap._parity_sim", "qpgap.parity", "qpgap._floatcsv",
           "qpgap.transmon", *LAPACK}),
         (["fit", "t1", "data/t1_vs_temperature_1np.csv",
-          "configs/device_1np.json"], {"qpgap._fit", "qpgap.fitting"}),
+          "configs/device_1np.json"],
+         {"qpgap._fit", "qpgap.fitting", *THERMAL}),
         (["fit", "t2", "data/t2star_vs_temperature_1p.csv",
           "configs/device_1p.json", "--t1-data",
-          "data/t1_vs_temperature_1p.csv"], {"qpgap._fit", "qpgap.fitting"}),
+          "data/t1_vs_temperature_1p.csv"],
+         {"qpgap._fit", "qpgap.fitting", "qpgap._dephasing", *THERMAL}),
     ],
-    ids=["spectrum", "qp", "parity-sim", "fit-t1", "fit-t2"],
+    ids=["spectrum", "spectrum-targets", "qp", "parity-sim", "fit-t1",
+         "fit-t2"],
 )
 def test_each_command_loads_only_its_modules(tmp_path, argv, extra):
     argv = [*argv, "--out", str(tmp_path)]
@@ -77,6 +108,104 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, extra):
                             .splitlines()[-1])
     assert set(plain) == BASE | extra
     assert set(svg) == BASE | extra | {"qpgap.svgplot"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "configs/device_2np.json", "--svg"],
+        ["spectrum", "configs/device_2p.json"],
+        ["qp", "configs/device_1p.json"],
+        ["fit", "t1", "data/t1_vs_temperature_1np.csv",
+         "configs/device_1np.json"],
+        ["fit", "t2", "data/t2star_vs_temperature_1p.csv",
+         "configs/device_1p.json", "--t1-data",
+         "data/t1_vs_temperature_1p.csv"],
+    ],
+    ids=["spectrum-svg", "spectrum-targets", "qp", "fit-t1", "fit-t2"],
+)
+def test_short_commands_load_no_hashlib_or_pathlib(tmp_path, argv):
+    # the config hash takes the interpreter's own sha256 module, and files
+    # are opened by name; under -S no .pth file has loaded pathlib first
+    code = (
+        "import json, sys\n"
+        "from qpgap.cli import main\n"
+        "assert main(json.loads(sys.argv[1])) == 0\n"
+        "print(sorted({'hashlib', '_hashlib', 'pathlib'} & set(sys.modules)))\n"
+    )
+    argv = [*argv, "--out", str(tmp_path)]
+    out = _python(code, json.dumps(argv), no_site=True)
+    assert out.splitlines()[-1] == "[]"
+
+
+def _has_targets(path: Path) -> bool:
+    return "targets" in json.loads(path.read_text())["transmon"]
+
+
+def test_inversion_loads_only_for_a_config_with_targets():
+    # the configs without targets are loaded first, in one interpreter
+    paths = sorted((REPO / "configs").glob("*.json"), key=_has_targets)
+    code = (
+        "import json, sys\n"
+        "from qpgap.config import load_device_config\n"
+        "loaded = []\n"
+        "for path in sys.argv[1:]:\n"
+        "    load_device_config(path)\n"
+        "    loaded.append('qpgap._inversion' in sys.modules)\n"
+        "print(json.dumps(loaded))\n"
+    )
+    loaded = json.loads(_python(code, *map(str, paths)).splitlines()[-1])
+    assert loaded == [_has_targets(path) for path in paths]
+    assert False in loaded and True in loaded
+
+
+def test_config_hash_is_the_sha256_of_the_canonical_json():
+    paths = sorted((REPO / "configs").glob("*.json"))
+    expected = []
+    for path in paths:
+        canonical = json.dumps(json.loads(path.read_text()), sort_keys=True,
+                               separators=(",", ":"))
+        expected.append(hashlib.sha256(canonical.encode()).hexdigest())
+    from qpgap.config import load_device_config
+
+    assert [load_device_config(path).source_hash for path in paths] == expected
+    # with the interpreter's own sha256 module blocked, hashlib's
+    code = (
+        "import json, sys\n"
+        "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+        "import hashlib\n"
+        "from qpgap import config\n"
+        "assert config._sha256 is hashlib.sha256\n"
+        "print(json.dumps([config.load_device_config(path).source_hash\n"
+        "                  for path in sys.argv[1:]]))\n"
+    )
+    hashes = json.loads(_python(code, *map(str, paths)).splitlines()[-1])
+    assert hashes == expected
+
+
+def test_a_cold_command_writes_no_bytecode(tmp_path):
+    copy = tmp_path / "src"
+    shutil.copytree(REPO / "src", copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONPATH": str(copy),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    code = (
+        "import runpy, sys, qpgap\n"
+        "print(qpgap.__file__)\n"
+        "sys.argv = ['qpgap', *sys.argv[1:]]\n"
+        "runpy.run_module('qpgap.cli', run_name='__main__')\n"
+    )
+    argv = ["spectrum", "configs/device_2p.json", "--svg",
+            "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=REPO, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == str(copy / "qpgap" / "__init__.py")
+    assert sorted(copy.rglob("__pycache__")) == []
+    assert sorted(copy.rglob("*.pyc")) == []
 
 
 def test_qp_loads_no_numpy_polynomial(tmp_path):
@@ -158,6 +287,14 @@ MOVED = {
     "thermal_qp_fraction": ("thermal", ("quasiparticles",)),
     "crossover_temperature": ("thermal", ("quasiparticles",)),
     "thermal_crossover": ("thermal", ("quasiparticles",)),
+    "delta_from_tc": ("units", ("thermal",)),
+    "fit_ej_ec": ("_inversion", ("transmon",)),
+    "ThermometryResult": ("_dephasing", ("fitting",)),
+    "fit_t2_vs_temperature": ("_dephasing", ("fitting",)),
+    "pure_dephasing_from_echo": ("_dephasing", ("fitting",)),
+    "resonator_thermometry": ("_dephasing", ("fitting",)),
+    "shot_noise_dephasing": ("_dephasing", ("fitting",)),
+    "t2_rate_model": ("_dephasing", ("fitting",)),
 }
 
 
@@ -189,7 +326,7 @@ def test_benchmark_imports_of_the_package_resolve():
 
 
 def test_package_keeps_its_public_names():
-    assert len(qpgap.__all__) == 85
+    assert len(qpgap.__all__) == 81
     assert {"LMResult", "least_squares"} <= set(qpgap.__all__)
 
 

@@ -57,8 +57,6 @@ from qpgap.transmon import (
     CavityCoupling,
     FrequencyTargets,
     TransmonParams,
-    ej_from_normal_resistance,
-    normal_resistance_from_ej,
 )
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -163,14 +161,6 @@ CASES = {
         "f_ge_ng05", lambda v: FrequencyTargets(f_ge_ng0=6.6, f_ge_ng05=v)),
     "FrequencyTargets.f_ef": (
         "f_ef", lambda v: FrequencyTargets(f_ge_ng0=6.6, f_ef=v)),
-    "ej_from_normal_resistance.Rn": (
-        "Rn", lambda v: ej_from_normal_resistance(v, 45.0)),
-    "ej_from_normal_resistance.delta": (
-        "delta", lambda v: ej_from_normal_resistance(8e3, v)),
-    "normal_resistance_from_ej.EJ": (
-        "EJ", lambda v: normal_resistance_from_ej(v, 45.0)),
-    "normal_resistance_from_ej.delta": (
-        "delta", lambda v: normal_resistance_from_ej(20.0, v)),
     # fitting
     "shot_noise_dephasing.kappa": (
         "kappa", lambda v: shot_noise_dephasing(0.5, v, 0.01)),

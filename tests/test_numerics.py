@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qpgap.errors import BracketError
-from qpgap.numerics import root_find, sort_median, sort_median_mad
+from qpgap.numerics import root_find, sort_median
+from qpgap.parity import sort_median_mad
 
 
 def test_root_find_simple_quadratic():

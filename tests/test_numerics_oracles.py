@@ -20,6 +20,7 @@ import scipy.linalg
 import scipy.optimize
 import scipy.special
 
+import qpgap._inversion
 import qpgap.numerics
 import qpgap.quasiparticles
 import qpgap.thermal
@@ -52,7 +53,7 @@ def brent_calls(monkeypatch):
         calls.append((func, lower, upper, abs_tol, max_iter, root))
         return root
 
-    for module in (qpgap.numerics, qpgap.thermal, qpgap.transmon):
+    for module in (qpgap.numerics, qpgap.thermal, qpgap._inversion):
         monkeypatch.setattr(module, "root_find", recording)
     return calls
 

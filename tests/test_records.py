@@ -27,7 +27,7 @@ from qpgap.quasiparticles import (
 from qpgap.transmon import (
     CavityCoupling, FrequencyTargets, Spectrum, TransmonParams,
 )
-from qpgap.units import Constants, EnergyValue
+from qpgap.units import Constants
 
 
 def _array(*values):
@@ -40,7 +40,6 @@ def _side(side):
 
 SAMPLES = {
     "Constants": lambda: Constants(),
-    "EnergyValue": lambda: EnergyValue(1.5, "GHz"),
     "LMResult": lambda: LMResult(_array(1, 2), np.eye(2), 0.25, 7, True),
     "TransmonParams": lambda: TransmonParams(15.0, 0.3, 0.25, 12),
     "CavityCoupling": lambda: CavityCoupling(80.0, 7.2, 2000.0),
@@ -95,7 +94,6 @@ REPRS = {
         'h_over_kB=0.04799243073366221, kB_in_eV=8.617333262145179e-05, '
         'RK=25812.807459304513, bcs_ratio=1.764)'
     ),
-    "EnergyValue": "EnergyValue(value=1.5, unit='GHz')",
     "LMResult": (
         'LMResult(x=array([1., 2.]), covariance=array([[1., 0.],\n       [0., '
         '1.]]), ssr=0.25, iterations=7, converged=True)'

@@ -9,7 +9,7 @@ from qpgap.errors import (
     NearResonanceError,
     UnderdeterminedError,
 )
-from qpgap import transmon
+from qpgap import _inversion, transmon
 from qpgap.transmon import (
     CavityCoupling,
     FrequencyTargets,
@@ -18,9 +18,7 @@ from qpgap.transmon import (
     chi_shift,
     dispersive_shift,
     eigenspectrum,
-    ej_from_normal_resistance,
     fit_ej_ec,
-    normal_resistance_from_ej,
     resonator_dispersion,
     transition_frequency,
 )
@@ -425,38 +423,6 @@ def test_fit_rejects_inconsistent_targets():
         FrequencyTargets(f_ge_ng0=4.4, f_ef=5.0)  # positive anharmonicity
 
 
-# ------------------------------------------------------ junction relation
-
-
-def test_normal_resistance_for_large_junction():
-    rn = normal_resistance_from_ej(21.67, 47.6)
-    assert rn == pytest.approx(7090.0, rel=0.01)
-
-
-def test_junction_relation_round_trip():
-    for ej in (5.92, 13.69, 21.67):
-        rn = normal_resistance_from_ej(ej, 47.78)
-        assert ej_from_normal_resistance(rn, 47.78) == pytest.approx(
-            ej, rel=1e-12
-        )
-
-
-def test_ej_linear_in_gap_and_inverse_in_resistance():
-    assert ej_from_normal_resistance(7000.0, 95.2) == pytest.approx(
-        2.0 * ej_from_normal_resistance(7000.0, 47.6), rel=1e-12
-    )
-    assert ej_from_normal_resistance(14000.0, 47.6) == pytest.approx(
-        0.5 * ej_from_normal_resistance(7000.0, 47.6), rel=1e-12
-    )
-
-
-def test_junction_relation_rejects_bad_inputs():
-    with pytest.raises(DomainError):
-        ej_from_normal_resistance(0.0, 47.6)
-    with pytest.raises(DomainError):
-        ej_from_normal_resistance(7000.0, -1.0)
-
-
 def _targets_of(truth: TransmonParams, kind: str) -> FrequencyTargets:
     at_zero = eigenspectrum(truth, levels=3)
     f_ge_ng05 = transition_frequency(truth.with_ng(0.5))
@@ -519,11 +485,11 @@ def test_log_ej_ec_jacobian_matches_central_differences(check_jacobian):
     )
     for params, goal in ((truth, targets), (fit_ej_ec(skewed), skewed)):
         check_jacobian(
-            lambda x: transmon._target_residuals(
-                transmon._log_params(x), goal
+            lambda x: _inversion._target_residuals(
+                _inversion._log_params(x), goal
             ),
-            lambda x: transmon._target_jacobian(
-                transmon._log_params(x), goal
+            lambda x: _inversion._target_jacobian(
+                _inversion._log_params(x), goal
             ),
             [math.log(params.EJ), math.log(params.EC)],
         )
@@ -652,35 +618,35 @@ def test_ratio_inversion_with_cached_bracket_matches_a_fresh_root_find(kind):
         targets = _targets_of(truth, kind)
         measured = (targets.f_ge_ng0,
                     targets.f_ge_ng05 if dispersion else targets.f_ef)
-        target = transmon._observable(*measured, dispersion)
-        log_ratio = transmon.root_find(
-            lambda x: transmon._observable(
-                *transmon._unit_pair(math.exp(x), dispersion), dispersion
+        target = _inversion._observable(*measured, dispersion)
+        log_ratio = _inversion.root_find(
+            lambda x: _inversion._observable(
+                *_inversion._unit_pair(math.exp(x), dispersion), dispersion
             ) - target,
-            *transmon._RATIO_BRACKET,
+            *_inversion._RATIO_BRACKET,
             abs_tol=1e-12,
         )
         scale = (lambda a, b: (a + b) / 2.0) if dispersion else (
             lambda a, b: a)
         ec = scale(*measured) / scale(
-            *transmon._unit_pair(math.exp(log_ratio), dispersion))
+            *_inversion._unit_pair(math.exp(log_ratio), dispersion))
         fitted = fit_ej_ec(targets)
         assert fitted.EJ == math.exp(log_ratio) * ec
         assert fitted.EC == ec
 
 
 def test_warm_inversions_solve_no_bracket_end(monkeypatch):
-    ends = {math.exp(x) for x in transmon._RATIO_BRACKET}
+    ends = {math.exp(x) for x in _inversion._RATIO_BRACKET}
     fit_ej_ec(_targets_of(TransmonParams(EJ=4.2, EC=0.3), "ng05"))
     fit_ej_ec(_targets_of(TransmonParams(EJ=18.0, EC=0.3), "ef"))
     ratios = []
-    original = transmon._unit_pair
+    original = _inversion._unit_pair
 
     def recording(ratio, dispersion):
         ratios.append(ratio)
         return original(ratio, dispersion)
 
-    monkeypatch.setattr(transmon, "_unit_pair", recording)
+    monkeypatch.setattr(_inversion, "_unit_pair", recording)
     for kind in ("ng05", "ef"):
         fit_ej_ec(_targets_of(TransmonParams(EJ=5.1, EC=0.25), kind))
     assert ratios and not ends & set(ratios)
