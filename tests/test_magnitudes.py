@@ -38,6 +38,7 @@ from qpgap.quasiparticles import (
     above_barrier_fraction,
     barrier_adequate,
     crossover_temperature,
+    diffusion_length,
     nqp_decay_rate,
     parity_rate_model,
     tau_eps,
@@ -97,6 +98,10 @@ CASES = {
         "occupation", lambda v: temperature_from_occupation(5.0, v)),
     "thermal_qp_term.T": ("temperature", lambda v: thermal_qp_term(v, 1.0)),
     "thermal_qp_term.delta": ("delta", lambda v: thermal_qp_term(0.1, v)),
+    "thermal_qp_fraction.T": (
+        "temperature", lambda v: thermal_qp_fraction(v, 2.0)),
+    "thermal_qp_fraction.delta": (
+        "delta", lambda v: thermal_qp_fraction(0.1, v)),
     # quasiparticles
     "ThicknessTcTable.tc": (
         "thickness", lambda v: DEFAULT_THICKNESS_TABLE.tc(v)),
@@ -112,6 +117,7 @@ CASES = {
         "quasiparticle temperature",
         lambda v: QPEnvironment(t_qp_kelvin=v)),
     "tau_eps.energy": ("energy", lambda v: tau_eps(v)),
+    "diffusion_length.energy": ("energy", lambda v: diffusion_length(v)),
     "thermal_qp_fraction.x_nqp": (
         "x_nqp", lambda v: thermal_qp_fraction(0.1, 2.0, x_nqp=v)),
     "crossover_temperature.x_nqp": (
@@ -129,6 +135,14 @@ CASES = {
     "nqp_decay_rate.x_qp": ("x_qp", lambda v: _nqp_rate(x_qp=v)),
     "x_qp_from_rate.rate": (
         "rate", lambda v: x_qp_from_rate(v, 20.0, 0.3, 6.6, 45.0)),
+    "x_qp_from_rate.EJ": (
+        "EJ", lambda v: x_qp_from_rate(1e3, v, 0.3, 6.6, 45.0)),
+    "x_qp_from_rate.EC": (
+        "EC", lambda v: x_qp_from_rate(1e3, 20.0, v, 6.6, 45.0)),
+    "x_qp_from_rate.f_ge": (
+        "f_ge", lambda v: x_qp_from_rate(1e3, 20.0, 0.3, v, 45.0)),
+    "x_qp_from_rate.delta": (
+        "delta", lambda v: x_qp_from_rate(1e3, 20.0, 0.3, 6.6, v)),
     "volume_density.x_qp": (
         "x_qp", lambda v: volume_density(v, 1.6e10, 2e-4)),
     "volume_density.nu0": ("nu0", lambda v: volume_density(1e-6, v, 2e-4)),

@@ -20,6 +20,22 @@ def test_kb_over_h_and_inverse_are_exact_reciprocals():
     )
 
 
+def test_ghz_kelvin_round_trip():
+    for f in (0.001, 1.0, 7.24, 100.0):
+        assert kelvin_to_ghz(f * CONSTANTS.h_over_kB) == pytest.approx(
+            f, rel=1e-14)
+        assert kelvin_to_ghz(f) * CONSTANTS.h_over_kB == pytest.approx(
+            f, rel=1e-14)
+
+
+def test_ev_round_trips():
+    assert kelvin_to_ev(2.31) / CONSTANTS.kB_in_eV == pytest.approx(
+        2.31, rel=1e-14)
+    in_ev = kelvin_to_ev(48.0 * CONSTANTS.h_over_kB)
+    assert kelvin_to_ghz(in_ev / CONSTANTS.kB_in_eV) == pytest.approx(
+        48.0, rel=1e-14)
+
+
 def test_one_kelvin_in_ghz():
     assert kelvin_to_ghz(1.0) == pytest.approx(20.836619, abs=5e-7)
 
