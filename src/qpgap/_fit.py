@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cli import (
-    _csv_table, _dump_json, _emit, _fmt, _plot, _records, _resolve_chi_kappa,
-)
+from ._output import _csv_table, _dump_json, _emit, _fmt, _plot, _records
 from .config import DeviceConfig
 from .errors import ConfigError
 from .fitting import dataseries_from_csv, fit_t1_vs_temperature
@@ -26,7 +24,7 @@ def run(args, config: DeviceConfig) -> int:
         from ._dephasing import fit_t2_vs_temperature, pure_dephasing_from_echo
 
         data = dataseries_from_csv(args.data, kind="t2star")
-        chi, kappa = _resolve_chi_kappa(config)
+        chi, kappa = config.chi_kappa_mhz()
         if args.t1_data is not None:
             t1_fit = fit_t1_vs_temperature(
                 dataseries_from_csv(args.t1_data, kind="t1")

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from .cli import _dump_json, _emit, _float_csv_chunks, _fmt, _records
+from ._output import _dump_json, _emit, _fmt, _records
 from .config import DeviceConfig
 from .errors import ConfigError
 from .parity import (
@@ -88,8 +88,11 @@ def run(args, config: DeviceConfig) -> int:
 
     blocks = graded_blocks()
     if args.format == "csv":
+        # the array formatter is compiled for scan.csv alone
+        from ._floatcsv import format_blocks
+
         header = ["time_s"] + [f"f_{_fmt(f)}" for f in freqs]
-        _emit(args, "scan.csv", _float_csv_chunks(header, blocks))
+        _emit(args, "scan.csv", format_blocks(header, blocks))
     for _ in blocks:  # --format json grades the scan without writing it
         pass
     estimate = detection.verdict(

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cli import _csv_table, _dump_json, _emit, _plot, _records
+from ._output import _csv_table, _dump_json, _emit, _plot, _records
 from .config import DeviceConfig
 from .quasiparticles import (
     barrier_adequate, diffusion_length, nqp_decay_rate, parity_rate_model,

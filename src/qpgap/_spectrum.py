@@ -7,9 +7,7 @@ import sys
 
 import numpy as np
 
-from .cli import (
-    _csv_table, _dump_json, _emit, _fmt, _plot, _records, _resolve_chi_kappa,
-)
+from ._output import _csv_table, _dump_json, _emit, _fmt, _plot, _records
 from .config import DeviceConfig
 from .errors import NearResonanceError
 from .transmon import charge_dispersion, eigenspectrum, resonator_dispersion
@@ -39,7 +37,7 @@ def run(args, config: DeviceConfig) -> int:
     eps_ge = charge_dispersion(params, "ge")
     eps_ef = charge_dispersion(params, "ef")
     try:
-        chi, _ = _resolve_chi_kappa(config)
+        chi, _ = config.chi_kappa_mhz()
     except NearResonanceError:
         chi = None
     try:

@@ -83,6 +83,20 @@ class DeviceConfig(Record):
             gamma_parity_computed,
         )
 
+    def chi_kappa_mhz(self) -> tuple[float, float]:
+        """The dispersive shift and the cavity linewidth in MHz: the
+        ``dephasing`` overrides where given, else the shift of the
+        transmon and cavity and the cavity's own linewidth."""
+        chi = self.chi_override_mhz
+        if chi is None:
+            from .transmon import chi_shift
+
+            chi = chi_shift(self.params, self.cavity)
+        kappa = self.kappa_override_mhz
+        if kappa is None:
+            kappa = self.cavity.kappa_mhz
+        return chi, kappa
+
 
 def config_hash(document: dict) -> str:
     """Stable hash of a parsed config document: the sha256 of its

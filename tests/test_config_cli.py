@@ -15,12 +15,9 @@ import pytest
 
 from qpgap import config as config_module
 from qpgap import svgplot
-from qpgap.cli import (
-    _csv_table,
-    _dump_json,
-    _float_csv_chunks,
-    main,
-)
+from qpgap._floatcsv import format_blocks
+from qpgap._output import _csv_table, _dump_json
+from qpgap.cli import main
 from qpgap.config import load_device_config, load_device_document
 from qpgap.errors import ConfigError
 from qpgap.parity import (
@@ -1317,7 +1314,7 @@ def test_overflowing_pixel_count_exits_2(configs_dir, tmp_path, capsys):
 
 def _float_csv_bytes(header, table):
     # the scan's form: the time column and the amplitudes apart
-    return b"".join(_float_csv_chunks(header, [(table[:, 0], table[:, 1:])]))
+    return b"".join(format_blocks(header, [(table[:, 0], table[:, 1:])]))
 
 
 def test_float_csv_matches_per_cell_formatting():
@@ -1369,7 +1366,7 @@ def test_float_csv_matches_per_cell_formatting_below_one():
 def test_float_csv_is_written_in_row_blocks():
     header = ["time_s", "f_a", "f_b"]
     table = np.arange(600 * 3, dtype=float).reshape(600, 3) / 7.0
-    chunks = list(_float_csv_chunks(header, [(table[:, 0], table[:, 1:])]))
+    chunks = list(format_blocks(header, [(table[:, 0], table[:, 1:])]))
     # the header, then blocks of 32 rows
     assert [chunk.count(b"\n") for chunk in chunks] == [1, *[32] * 18, 24]
     assert b"".join(chunks) == _csv_table(header, table.tolist()).encode()
@@ -1382,7 +1379,7 @@ def test_float_csv_joins_blocks_of_any_height():
     table = np.arange(300 * 3, dtype=float).reshape(300, 3) / -7.0
     blocks = [(table[a:b, 0], table[a:b, 1:])
               for a, b in ((0, 10), (10, 250), (250, 300))]
-    chunks = list(_float_csv_chunks(header, blocks))
+    chunks = list(format_blocks(header, blocks))
     assert [chunk.count(b"\n") for chunk in chunks] == [
         1, 10, *[32] * 7, 16, 32, 18,
     ]

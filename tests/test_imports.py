@@ -20,10 +20,11 @@ import qpgap
 REPO = Path(__file__).resolve().parent.parent
 SRC = str(REPO / "src")
 
-# the modules every command loads: the CLI, the config and what it reads
+# the modules every command loads: the CLI, its output helpers, the
+# config and what it reads
 BASE = {
-    "qpgap", "qpgap._record", "qpgap.cli", "qpgap.config", "qpgap.device",
-    "qpgap.errors", "qpgap.units",
+    "qpgap", "qpgap._output", "qpgap._record", "qpgap.cli", "qpgap.config",
+    "qpgap.device", "qpgap.errors", "qpgap.units",
 }
 # the thermal functions and the root finder they use, which qp and the
 # fits run and spectrum and parity-sim do not
@@ -206,6 +207,52 @@ def test_a_cold_command_writes_no_bytecode(tmp_path):
     assert proc.stdout.splitlines()[0] == str(copy / "qpgap" / "__init__.py")
     assert sorted(copy.rglob("__pycache__")) == []
     assert sorted(copy.rglob("*.pyc")) == []
+
+
+def _imports_cli(node) -> bool:
+    """Whether an import statement of a ``qpgap`` module names ``qpgap.cli``."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "qpgap.cli" for alias in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    # the package's modules sit directly in qpgap, so "." is qpgap
+    module = ".".join(filter(None, ["qpgap" if node.level else "",
+                                    node.module]))
+    return module == "qpgap.cli" or (
+        module == "qpgap" and any(alias.name == "cli" for alias in node.names)
+    )
+
+
+def test_no_module_imports_the_cli():
+    # the commands take their output helpers from _output, so cli -> command
+    # -> cli is no cycle
+    importers = sorted(
+        path.name for path in (REPO / "src" / "qpgap").glob("*.py")
+        if any(_imports_cli(node)
+               for node in ast.walk(ast.parse(path.read_text())))
+    )
+    assert importers == []
+    forms = ["from .cli import main", "from . import cli", "import qpgap.cli",
+             "from qpgap.cli import main", "from qpgap import cli"]
+    assert all(_imports_cli(ast.parse(form).body[0]) for form in forms)
+
+
+def test_cli_run_as_main_runs_once(tmp_path):
+    # ``python -m qpgap.cli`` runs cli.py as __main__, and nothing imports
+    # it again as qpgap.cli
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['qpgap', *sys.argv[1:]]\n"
+        "try:\n"
+        "    runpy.run_module('qpgap.cli', run_name='__main__',\n"
+        "                     alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print('qpgap.cli' in sys.modules)\n"
+    )
+    argv = ["qp", "configs/device_1p.json", "--out", str(tmp_path)]
+    assert _python(code, *argv).splitlines()[-1] == "False"
+    assert (tmp_path / "qp_grid.csv").is_file()
 
 
 def test_qp_loads_no_numpy_polynomial(tmp_path):
