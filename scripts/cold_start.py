@@ -47,9 +47,10 @@ script starts its own children.
 
 ``--compile`` times no process.  It times ``compile()`` of each ``qpgap``
 module that a command loads (the ``MODULES_PROBE`` list), in this
-process, once per round and checkout, interleaved, and prints for each
-command the sum of its modules' best-of-``--runs`` times, then each
-module's best time.
+process, once per round and checkout, interleaved module by module (a
+module compiles on every checkout before the next module starts), and
+prints for each command the sum of its modules' best-of-``--runs``
+times, then each module's best time.
 """
 
 from __future__ import annotations
@@ -250,16 +251,14 @@ def compile_times(checkouts: list[Checkout], runs: int) -> list[dict]:
         package = checkout.compiled / "qpgap"
         sources.append({m: (module_file(package, m).read_text(),
                             str(module_file(package, m))) for m in names})
-    best = [dict.fromkeys(source, float("inf")) for source in sources]
-    for round_index in range(runs):
-        for i in [(i + round_index) % len(checkouts)
-                  for i in range(len(checkouts))]:
-            for name, (text, filename) in sources[i].items():
-                start = time.perf_counter()
-                # dont_inherit: not this script's ``annotations`` future
-                compile(text, filename, "exec", dont_inherit=True)
-                elapsed = 1e3 * (time.perf_counter() - start)
-                best[i][name] = min(best[i][name], elapsed)
+    # each module alternates between the checkouts within a round, so a
+    # host slowdown lands on both sides rather than on one checkout's burst
+    samples = interleave(checkouts, [
+        {name: lambda t=text, f=filename: time_compile(t, f)
+         for name, (text, filename) in source.items()}
+        for source in sources], runs)
+    best = [{name: min(values) for name, values in sample.items()}
+            for sample in samples]
     return [
         {"modules_ms": times,
          "commands_ms": {command: sum(times[m] for m in modules)
@@ -267,6 +266,14 @@ def compile_times(checkouts: list[Checkout], runs: int) -> list[dict]:
          "modules": commands}
         for times, commands in zip(best, loaded)
     ]
+
+
+def time_compile(text: str, filename: str) -> float:
+    """ms of one ``compile()`` of a module's source."""
+    start = time.perf_counter()
+    # dont_inherit: not this script's ``annotations`` future
+    compile(text, filename, "exec", dont_inherit=True)
+    return 1e3 * (time.perf_counter() - start)
 
 
 def summary(samples: list[float]) -> dict:
@@ -348,17 +355,19 @@ def main() -> int:
     return 0
 
 
-def interleave(checkouts: list[Checkout], timers: list[dict],
-               runs: int) -> list[dict]:
+def interleave(checkouts: list, timers: list[dict], runs: int) -> list[dict]:
     """Each checkout's case -> samples: every case of every checkout once
-    per round, with the checkout order rotating each round."""
+    per round, with the checkout order rotating each round.  A case runs
+    on every checkout that has it before the next case starts."""
     samples = [{name: [] for name in timer} for timer in timers]
+    names = dict.fromkeys(name for timer in timers for name in timer)
     for round_index in range(runs):
         order = [(i + round_index) % len(checkouts)
                  for i in range(len(checkouts))]
-        for name in timers[0]:
+        for name in names:
             for i in order:
-                samples[i][name].append(timers[i][name]())
+                if name in timers[i]:
+                    samples[i][name].append(timers[i][name]())
     return samples
 
 

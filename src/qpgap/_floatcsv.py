@@ -6,11 +6,14 @@ Its cells are mostly amplitudes between 0.001 and 1, which ``%.10g``
 writes as ``0.`` and up to two zeros, then ten significant digits with
 the trailing zeros dropped.  Those cells are formatted a block at a time:
 
-* the magnitude, scaled by an exact power of ten to ten integer digits,
-  is rounded to an integer in float arithmetic.  The product is within
-  half an ulp of the exact one and every half-integer below 2**34 is a
-  float, so that rounding is the correctly rounded one unless the
-  product is itself a half-integer;
+* two comparisons (below 0.1, below 0.01) pick the exponent of each
+  magnitude, and the magnitude, scaled by that exponent's exact power of
+  ten to ten integer digits, is rounded to an integer in float
+  arithmetic.  The product is within half an ulp of the exact one and
+  every half-integer below 2**34 is a float, so that rounding is the
+  correctly rounded one unless the product is itself a half-integer.  A
+  rounded product between 1e9 and 1e10 has ten digits, so the exponent
+  was the cell's own;
 * each cell is 16 bytes, two words built from lookup tables: the
   separator before it, its sign, ``0.`` and the leading zeros, then its
   digits in groups of 2, 4 and 4.  A group followed only by zero groups
@@ -32,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 # Rows of a float table formatted and written at a time.  The work
-# arrays take about 130 bytes a cell (0.7 MB for 32 rows of the 162-column
+# arrays take about 125 bytes a cell (0.65 MB for 32 rows of the 162-column
 # scan), and each block makes three bytes objects of about 16 bytes a
 # cell.  At 64 rows those were 146-166 KB each, which glibc maps and
 # returns to the system, so every block faulted them in again: a cold
@@ -84,7 +87,7 @@ class _Formatter:
         self.width = width
         self.rows = rows
         size = rows * width
-        self.floats = [np.empty(size) for _ in range(6)]
+        self.floats = [np.empty(size) for _ in range(5)]
         self.indices = [np.empty(size, dtype=np.intp) for _ in range(4)]
         self.masks = [np.empty(size, dtype=bool) for _ in range(4)]
         self.word, self.lookup = (np.empty(size, dtype=np.uint64)
@@ -99,7 +102,7 @@ class _Formatter:
     def format(self, column: np.ndarray, table: np.ndarray) -> bytes:
         """``b"%.10g,%.10g,...,%.10g\\n" % (c, *row)`` of each (c, row) of
         a column and a table of at most ``rows`` rows, joined."""
-        values, magnitude, exponent, scaled, number, part = self.floats
+        values, magnitude, scaled, number, part = self.floats
         slot, first, second, third = self.indices
         fast, slow, test, zero = self.masks
         word, lookup, words = self.word, self.lookup, self.words
@@ -112,19 +115,15 @@ class _Formatter:
         values[n_cells:] = 0.5  # a filler formatted here, never written
 
         np.abs(values, out=magnitude)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            np.log10(magnitude, out=exponent)
-            np.floor(exponent, out=exponent)
-            # the exponent's slot; fmax and fmin map nan to 0
-            np.subtract(-1.0, exponent, out=part)
-            np.fmax(part, 0.0, out=part)
-            np.fmin(part, len(_EXPONENTS) - 1, out=part)
-            slot[:] = part
+        # the exponent's slot: 0 from 0.1 up (and nan), 1 below, 2 below 0.01
+        slot[:] = np.less(magnitude, 0.1, out=test)
+        slot += np.less(magnitude, 0.01, out=test)
+        # the product overflows to inf for the largest magnitudes, and an
+        # infinite one minus its rounding is nan
+        with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(magnitude, np.take(_SCALE, slot, out=part), out=scaled)
             np.rint(scaled, out=number)
-            np.greater_equal(exponent, _EXPONENTS[-1], out=fast)
-            fast &= np.less_equal(exponent, _EXPONENTS[0], out=test)
-            fast &= np.greater(number, 1e9, out=test)
+            np.greater(number, 1e9, out=fast)
             fast &= np.less(number, 1e10, out=test)
             np.abs(np.subtract(scaled, number, out=part), out=part)
             fast &= np.less(part, 0.5, out=test)
