@@ -30,35 +30,37 @@ def shot_noise_dephasing(
     rates internally.  Exactly zero at n_th = 0.
     """
     n_th_array = np.array([n_th], dtype=float)
-    return float(_shot_noise_rates(chi_mhz, kappa_mhz, n_th_array)[0])
+    shot = _shot_noise_root(chi_mhz, kappa_mhz, n_th_array)
+    return float(_shot_noise_rates(kappa_mhz, shot)[0])
 
 
 def _shot_noise_root(chi_mhz: float, kappa_mhz: float, n_th: np.ndarray):
-    """r = 2 chi/kappa and sqrt((1 + i r)^2 + 4 i r n_th) per photon number."""
-    ratio = 2.0 * chi_mhz / kappa_mhz
-    return ratio, np.sqrt((1.0 + 1j * ratio) ** 2 + 4j * ratio * n_th)
+    """n_th, r = 2 chi/kappa and sqrt((1 + i r)^2 + 4 i r n_th) per photon
+    number, the terms the shot-noise rates and their slopes share.
 
-
-def _shot_noise_rates(
-    chi_mhz: float, kappa_mhz: float, n_th: np.ndarray
-) -> np.ndarray:
-    """:func:`shot_noise_dephasing` over an array of photon numbers."""
+    Raises :class:`DomainError` unless kappa > 0 and every n_th >= 0.
+    """
     positive("kappa", kappa_mhz)
     negative = n_th < 0
     if negative.any():
         raise DomainError(f"n_th must be non-negative, got {n_th[negative][0]}")
-    _, root = _shot_noise_root(chi_mhz, kappa_mhz, n_th)
+    ratio = 2.0 * chi_mhz / kappa_mhz
+    return n_th, ratio, np.sqrt((1.0 + 1j * ratio) ** 2 + 4j * ratio * n_th)
+
+
+def _shot_noise_rates(kappa_mhz: float, shot) -> np.ndarray:
+    """:func:`shot_noise_dephasing` over the photon numbers of ``shot``, a
+    :func:`_shot_noise_root`."""
+    n_th, _, root = shot
     kappa_angular = 2.0 * math.pi * kappa_mhz * 1e6
     rates = (kappa_angular / 2.0) * (root - 1.0).real
     rates[n_th == 0.0] = 0.0
     return rates
 
 
-def _shot_noise_slopes(
-    chi_mhz: float, kappa_mhz: float, n_th: np.ndarray
-) -> np.ndarray:
+def _shot_noise_slopes(kappa_mhz: float, shot) -> np.ndarray:
     """d Gamma_phi / d n_th = kappa_angular Re[i r / sqrt(inner)]."""
-    ratio, root = _shot_noise_root(chi_mhz, kappa_mhz, n_th)
+    _, ratio, root = shot
     kappa_angular = 2.0 * math.pi * kappa_mhz * 1e6
     return kappa_angular * (1j * ratio / root).real
 
@@ -128,7 +130,8 @@ def t2_rate_model(
 ) -> np.ndarray:
     """Ramsey rate model: T1 contribution, photon shot noise, and an offset."""
     terms = _t2_terms(np.asarray(t_kelvin, dtype=float), nu_r_ghz, t1_model)
-    return _t2_rates(terms, n0, gamma_offset_per_s, chi_mhz, kappa_mhz)
+    shot = _t2_shot(terms, n0, chi_mhz, kappa_mhz)
+    return _t2_rates(terms, shot, gamma_offset_per_s, kappa_mhz)
 
 
 def _t2_terms(
@@ -152,27 +155,39 @@ def _t2_terms(
     return t1_term, occupation
 
 
-def _t2_rates(terms, n0, gamma_offset_per_s, chi_mhz, kappa_mhz) -> np.ndarray:
-    """The T2* rate model on precomputed :func:`_t2_terms`."""
-    t1_term, occupation = terms
-    shot_noise = _shot_noise_rates(chi_mhz, kappa_mhz, occupation + n0)
-    return t1_term + shot_noise + gamma_offset_per_s
+def _t2_shot(terms, n0, chi_mhz, kappa_mhz):
+    """The :func:`_shot_noise_root` at n_th = occupation + n0."""
+    return _shot_noise_root(chi_mhz, kappa_mhz, terms[1] + n0)
 
 
-def _t2_jacobian(terms, n0, chi_mhz, kappa_mhz) -> np.ndarray:
+def _t2_rates(terms, shot, gamma_offset_per_s, kappa_mhz) -> np.ndarray:
+    """The T2* rate model on precomputed :func:`_t2_terms` and
+    :func:`_t2_shot`."""
+    shot_noise = _shot_noise_rates(kappa_mhz, shot)
+    return terms[0] + shot_noise + gamma_offset_per_s
+
+
+def _t2_jacobian(shot, kappa_mhz) -> np.ndarray:
     """Columns d/dn0 and d/dgamma_offset of :func:`_t2_rates`."""
-    _, occupation = terms
-    jac = np.empty((len(occupation), 2))
-    jac[:, 0] = _shot_noise_slopes(chi_mhz, kappa_mhz, occupation + n0)
+    jac = np.empty((len(shot[0]), 2))
+    jac[:, 0] = _shot_noise_slopes(kappa_mhz, shot)
     jac[:, 1] = 1.0
     return jac
 
 
 def _t2_problem(data: DataSeries, chi_mhz, kappa_mhz, terms):
-    """Weighted residual and Jacobian callables of a T2*(T) fit."""
+    """Weighted residual and Jacobian callables of a T2*(T) fit.
+
+    Both take the shot-noise terms from a one-entry memo keyed by n0, so
+    the Jacobian at an accepted point, and the covariance's at the
+    optimum, reuse the terms of the residual call that accepted it.  The
+    occupations are not negative, so n0 = 0 and -0 give the same bits.
+    """
+    shot = functools.lru_cache(maxsize=1)(
+        lambda n0: _t2_shot(terms, n0, chi_mhz, kappa_mhz))
     return _weighted(
-        lambda params: _t2_rates(terms, *params, chi_mhz, kappa_mhz),
-        lambda params: _t2_jacobian(terms, params[0], chi_mhz, kappa_mhz),
+        lambda params: _t2_rates(terms, shot(params[0]), params[1], kappa_mhz),
+        lambda params: _t2_jacobian(shot(params[0]), kappa_mhz),
         *data.rates(),
     )
 
@@ -199,7 +214,8 @@ def fit_t2_vs_temperature(
     # the T1 term and the Bose occupations do not depend on the fitted
     # parameters; repeated temperatures share one t1_model call
     terms = _t2_terms(data.t_kelvin, nu_r_ghz, functools.cache(t1_model))
-    base = _t2_rates(terms, 0.0, 0.0, chi_mhz, kappa_mhz)
+    base = _t2_rates(terms, _t2_shot(terms, 0.0, chi_mhz, kappa_mhz), 0.0,
+                     kappa_mhz)
     excess = data.rates()[0] - base
     offset0 = max(float(np.min(excess)), 0.0)
     slope = shot_noise_dephasing(chi_mhz, kappa_mhz, 1e-6) / 1e-6

@@ -52,8 +52,47 @@ def _prepare_out(args) -> None:
         raise ConfigError(f"cannot create output directory: {exc}") from exc
 
 
+def _columns() -> int:
+    """The terminal width ``shutil.get_terminal_size`` reports.
+
+    COLUMNS when it is a positive integer, else the width of the terminal
+    on stdout, else 80: shutil's rule for the columns, without importing
+    shutil, which loads fnmatch and the zlib, bz2 and lzma modules.
+    """
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns > 0:
+        return columns
+    try:
+        columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+    except (AttributeError, ValueError, OSError):
+        columns = 0
+    return columns or 80
+
+
+class _Formatter(argparse.HelpFormatter):
+    """argparse's help layout, at the width argparse would take.
+
+    argparse makes a formatter for every argument it adds, and without a
+    width each one imports shutil to measure the terminal.
+    """
+
+    def __init__(self, prog):
+        super().__init__(prog, width=_columns() - 2)
+
+
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors exit 2 as ``error: <message>``."""
+    """Argument parser whose usage errors exit 2 as ``error: <message>``.
+
+    Its subparsers are ``_Parser``s too, and all of them lay out help with
+    :class:`_Formatter`.
+    """
+
+    def __init__(self, **kwargs):
+        kwargs.setdefault("formatter_class", _Formatter)
+        super().__init__(**kwargs)
 
     def error(self, message):
         raise ConfigError(message)

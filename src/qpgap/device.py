@@ -63,13 +63,7 @@ class TransmonParams(Record):
     __slots__ = ("EJ", "EC", "ng", "n_cut")
 
     def __init__(self, EJ: float, EC: float, ng: float = 0.0, n_cut: int = 0):
-        # set one by one, not through _assign: a record per solve, and the
-        # loop in _assign costs about 1 us more
-        set_field = object.__setattr__
-        set_field(self, "EJ", EJ)
-        set_field(self, "EC", EC)
-        set_field(self, "ng", ng)
-        set_field(self, "n_cut", n_cut)
+        _fill(self, EJ, EC, ng, n_cut)
         non_negative("EJ", EJ)
         positive("EC", EC)
         if self.EJ > MAX_EJ_OVER_EC * self.EC:
@@ -77,8 +71,7 @@ class TransmonParams(Record):
                 f"EJ/EC must be at most {MAX_EJ_OVER_EC:g}, got EJ = "
                 f"{self.EJ} GHz and EC = {self.EC} GHz"
             )
-        if not math.isfinite(self.ng):
-            raise DomainError(f"ng must be finite, got {self.ng}")
+        _check_ng(ng)
         # a float cutoff would reach the basis size unrounded
         if type(n_cut) is not int and not isinstance(n_cut, np.integer) or (
             n_cut < 0
@@ -94,7 +87,30 @@ class TransmonParams(Record):
         return max(self.n_cut, auto)
 
     def with_ng(self, ng: float) -> "TransmonParams":
-        return TransmonParams(self.EJ, self.EC, ng, self.n_cut)
+        """This record at offset charge ``ng``.
+
+        Only ng is checked: EJ, EC and n_cut passed this record's checks.
+        """
+        _check_ng(ng)
+        return _fill(object.__new__(TransmonParams), self.EJ, self.EC, ng,
+                     self.n_cut)
+
+
+def _fill(record: TransmonParams, EJ, EC, ng, n_cut) -> TransmonParams:
+    """Set the fields of a new :class:`TransmonParams`, without checks."""
+    # one by one, not through _assign: a record per solve, and the loop
+    # in _assign costs about 1 us more
+    set_field = object.__setattr__
+    set_field(record, "EJ", EJ)
+    set_field(record, "EC", EC)
+    set_field(record, "ng", ng)
+    set_field(record, "n_cut", n_cut)
+    return record
+
+
+def _check_ng(ng: float) -> None:
+    if not math.isfinite(ng):
+        raise DomainError(f"ng must be finite, got {ng}")
 
 
 class CavityCoupling(Record):

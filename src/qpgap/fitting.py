@@ -17,6 +17,7 @@ names resolve here on first access.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import os
@@ -24,6 +25,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+# np.linalg.solve's own gufunc for one right-hand side: called directly, it
+# skips solve's argument checks and conversions, most of a 3x3 solve's cost
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from ._record import Record
 from .errors import (
@@ -143,7 +147,7 @@ def least_squares(
         accepted = False
         while lam <= _LAMBDA_MAX:
             try:
-                delta = np.linalg.solve(reduced + lam * scaling, descent)
+                delta = _solve(reduced + lam * scaling, descent)
             except np.linalg.LinAlgError:
                 lam *= _LAMBDA_UP
                 continue
@@ -153,7 +157,7 @@ def least_squares(
                 delta = full
             trial = x + delta
             if bounded:
-                trial = np.clip(trial, lower, upper)
+                trial = _clip(trial, lower, upper)
             if not np.isfinite(trial).all():
                 # an overflowed step: the models reject a NaN or inf
                 # parameter, so it is a failed trial, not an evaluation
@@ -197,6 +201,32 @@ def least_squares(
             best=result,
         )
     return result
+
+
+def _singular(err, flag):
+    """The errstate callback of :func:`_solve`, numpy's for a singular solve."""
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(matrix, rhs)`` of a float64 square ``matrix``.
+
+    The call solve makes, to the ``dd->d`` loop of
+    ``numpy.linalg._umath_linalg.solve1`` under the same errstate, so the
+    bits are solve's and a singular system raises LinAlgError.  The
+    damped steps pass a fresh C-contiguous float64 matrix and a 1-d
+    right-hand side, which solve's checks and conversions would accept
+    unchanged.
+    """
+    with np.errstate(call=_singular, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _solve1(matrix, rhs, signature="dd->d")
+
+
+def _clip(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The bits of ``np.clip(x, lower, upper)``, NaN and signed zeros too,
+    at half its call cost."""
+    return np.minimum(np.maximum(x, lower), upper)
 
 
 def _covariance(jac, ssr: float) -> np.ndarray | None:
@@ -443,17 +473,20 @@ def t1_rate_model(
     amplitude_per_s: float,
 ) -> np.ndarray:
     """Relaxation-rate model: plateau plus thermally activated term."""
-    _, thermal = _thermal_terms(np.asarray(t_kelvin, dtype=float), tc_kelvin)
-    return gamma_plateau_per_s + amplitude_per_s * thermal
+    terms = _thermal_terms(np.asarray(t_kelvin, dtype=float), tc_kelvin)
+    return _t1_rates(terms, gamma_plateau_per_s, amplitude_per_s)
 
 
-def _t1_jacobian(
-    t: np.ndarray, gamma_plateau_per_s: float, tc_kelvin: float,
-    amplitude_per_s: float,
-) -> np.ndarray:
-    """Columns d/dGamma_plateau, d/dTc and d/dA of :func:`t1_rate_model`."""
-    ratio, thermal = _thermal_terms(t, tc_kelvin)
-    jac = np.empty((len(t), 3))
+def _t1_rates(terms, gamma_plateau_per_s, amplitude_per_s) -> np.ndarray:
+    """:func:`t1_rate_model` on the :func:`_thermal_terms` of its Tc."""
+    return gamma_plateau_per_s + amplitude_per_s * terms[1]
+
+
+def _t1_jacobian(terms, tc_kelvin: float, amplitude_per_s: float) -> np.ndarray:
+    """Columns d/dGamma_plateau, d/dTc and d/dA of :func:`t1_rate_model`,
+    on the :func:`_thermal_terms` of Tc."""
+    ratio, thermal = terms
+    jac = np.empty((len(ratio), 3))
     jac[:, 0] = 1.0
     # where Delta/T overflows, the thermal term and its slope are both 0
     growth = np.minimum(ratio + 0.5, np.finfo(float).max)
@@ -463,11 +496,18 @@ def _t1_jacobian(
 
 
 def _t1_problem(data: DataSeries):
-    """Weighted residual and Jacobian callables of a T1(T) fit."""
-    t = data.t_kelvin
+    """Weighted residual and Jacobian callables of a T1(T) fit.
+
+    Both take the thermal terms from a one-entry memo keyed by Tc, so the
+    Jacobian at an accepted point, and the covariance's at the optimum,
+    reuse the terms of the residual call that accepted it.  Tc stays in
+    its bounds [0.05, 20] K, where equal values have equal bits.
+    """
+    terms = functools.lru_cache(maxsize=1)(
+        functools.partial(_thermal_terms, data.t_kelvin))
     return _weighted(
-        lambda params: t1_rate_model(t, *params),
-        lambda params: _t1_jacobian(t, *params),
+        lambda params: _t1_rates(terms(params[1]), params[0], params[2]),
+        lambda params: _t1_jacobian(terms(params[1]), params[1], params[2]),
         *data.rates(),
     )
 

@@ -79,8 +79,9 @@ DEFAULT_SHIFT_LEVELS = 10
 # charges (even and odd branch) plus the sweet-spot dispersions and cavity
 # shifts, makes 55 distinct solves.
 _SOLVE_CACHE_SIZE = 128
-# Charge grids kept, one per cutoff.  The automatic cutoff of the whole
-# inversion bracket, EJ/EC from 1.5 to 2000, spans 13 to 90.
+# Charge grids kept, one per cutoff, and off-diagonals, one per (cutoff,
+# EJ).  The automatic cutoff of the whole inversion bracket, EJ/EC from
+# 1.5 to 2000, spans 13 to 90.
 _GRID_CACHE_SIZE = 128
 
 
@@ -116,18 +117,29 @@ def _charge_grid(cut: int) -> np.ndarray:
     return grid
 
 
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _hopping(cut: int, EJ: float) -> np.ndarray:
+    """The off-diagonal -EJ/2 of a 2 cut + 1 state band, shared and read-only.
+
+    It does not depend on ng, so a grid over offset charge reuses one.
+    """
+    band = np.full(2 * cut, -EJ / 2.0)
+    band.flags.writeable = False
+    return band
+
+
 def _tridiagonal_bands(params: TransmonParams) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal 4 EC (n - ng)^2 and off-diagonal -EJ/2 of the Hamiltonian.
 
     The bits of ``4.0 * EC * (charge - ng) ** 2``, computed in the one
-    array the subtraction allocates.
+    array the subtraction allocates; the off-diagonal is the shared
+    read-only one of :func:`_hopping`.
     """
     cut = params.effective_n_cut
     diagonal = _charge_grid(cut) - params.ng
     np.multiply(diagonal, diagonal, out=diagonal)
     diagonal *= 4.0 * params.EC
-    off_diagonal = np.full(2 * cut, -params.EJ / 2.0)
-    return diagonal, off_diagonal
+    return diagonal, _hopping(cut, params.EJ)
 
 
 def _check_info(routine: str, info: int) -> None:

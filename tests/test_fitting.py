@@ -401,7 +401,8 @@ def test_t1_jacobian_is_finite_where_the_gap_ratio_overflows():
     # at T = 5e-324 K, Delta/T is inf and the thermal term underflows to 0
     t = np.array([5e-324, 0.1, 0.2])
     with np.errstate(all="raise"):
-        jac = fitting._t1_jacobian(t, 2.0e4, 0.55, 1.5e6)
+        jac = fitting._t1_jacobian(fitting._thermal_terms(t, 0.55), 0.55,
+                                   1.5e6)
     assert np.isfinite(jac).all()
     assert jac[0].tolist() == [1.0, 0.0, 0.0]
 
@@ -425,6 +426,76 @@ def test_t2_jacobian_at_criterion_truth(check_jacobian):
         *T2_TRUTH, 0.55, 0.36, 7.24, t1_model, T2_TEMPS, 0.03, seed=0
     )
     _t2_jacobian_case(series, t1_model, T2_TRUTH, check_jacobian)
+
+
+# The points of the memo tests: a trial a, a rejected trial b at another
+# memo key, c at a's key with its other parameters changed, in LM order:
+# the residual and Jacobian at a, the rejected b, the Jacobian back at a
+# after b, then c.
+def _lm_order(a, b, c):
+    return [("residual", a), ("jacobian", a), ("residual", b),
+            ("jacobian", a), ("jacobian", a), ("residual", c),
+            ("jacobian", c), ("residual", a), ("jacobian", b)]
+
+
+def _check_memo_order(problem, fresh, points):
+    residual, jacobian = problem
+    calls = {"residual": residual, "jacobian": jacobian}
+    for kind, point in _lm_order(*points):
+        x = np.array(point)
+        assert calls[kind](x).tobytes() == fresh[kind](x).tobytes(), (
+            kind, point)
+
+
+def test_t1_memo_gives_the_bits_of_fresh_calls():
+    series = synthetic_t1_series(*T1_TRUTH, TEMPS, 0.05, seed=3)
+    t = series.t_kelvin
+    rates, sigmas = series.rates()
+    weights = 1.0 / sigmas
+    fresh = {
+        "residual": lambda p: (t1_rate_model(t, *p) - rates) * weights,
+        "jacobian": lambda p: fitting._t1_jacobian(
+            fitting._thermal_terms(t, p[1]), p[1], p[2]) * weights[:, None],
+    }
+    a = T1_TRUTH
+    b = (T1_TRUTH[0], T1_TRUTH[1] * 1.01, T1_TRUTH[2])
+    c = (T1_TRUTH[0] * 2.0, T1_TRUTH[1], T1_TRUTH[2] * 0.5)
+    _check_memo_order(fitting._t1_problem(series), fresh, (a, b, c))
+
+
+def test_t2_memo_gives_the_bits_of_fresh_calls():
+    t1_model = _t1_curve(2.2e4, 1.31, 4.0e10)
+    series = synthetic_t2_series(
+        *T2_TRUTH, 0.55, 0.36, 7.24, t1_model, T2_TEMPS, 0.03, seed=3
+    )
+    t = series.t_kelvin
+    rates, sigmas = series.rates()
+    weights = 1.0 / sigmas
+    terms = _dephasing._t2_terms(t, 7.24, t1_model)
+
+    def model(p):
+        return t2_rate_model(t, *p, 0.55, 0.36, 7.24, t1_model)
+
+    def fresh_jacobian(p):
+        shot = _dephasing._t2_shot(terms, p[0], 0.55, 0.36)
+        return _dephasing._t2_jacobian(shot, 0.36) * weights[:, None]
+
+    fresh = {"residual": lambda p: (model(p) - rates) * weights,
+             "jacobian": fresh_jacobian}
+    problem = _dephasing._t2_problem(series, 0.55, 0.36, terms)
+    a, b, c = T2_TRUTH, (0.0, T2_TRUTH[1]), (T2_TRUTH[0], 0.0)
+    _check_memo_order(problem, fresh, (a, b, c))
+    # a negative n_th raises as the model does, and leaves no memo entry
+    negative = np.array([-1.0, 0.0])
+    with pytest.raises(DomainError) as expected:
+        model(negative)
+    residual, jacobian = problem
+    for call in (residual, jacobian, residual):
+        with pytest.raises(DomainError) as raised:
+            call(negative)
+        assert str(raised.value) == str(expected.value)
+    assert "n_th must be non-negative" in str(expected.value)
+    _check_memo_order(problem, fresh, (a, b, c))
 
 
 # ------------------------------------------------------------ shot noise

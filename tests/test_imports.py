@@ -2,6 +2,7 @@
 cold run loads, the lazy package, the names that moved between modules,
 and that a cold run writes no bytecode."""
 
+import argparse
 import ast
 import hashlib
 import importlib
@@ -137,6 +138,72 @@ def test_short_commands_load_no_hashlib_or_pathlib(tmp_path, argv):
     argv = [*argv, "--out", str(tmp_path)]
     out = _python(code, json.dumps(argv), no_site=True)
     assert out.splitlines()[-1] == "[]"
+
+
+# shutil and the modules it imports.  Without a width, argparse imports
+# shutil to measure the terminal for each argument it adds.
+SHUTIL = {"shutil", "fnmatch", "zlib", "bz2", "lzma"}
+
+
+def test_commands_load_no_shutil(tmp_path):
+    # one interpreter runs every subcommand, parity-sim last: numpy.random,
+    # which only parity-sim loads, imports zlib itself
+    runs = [
+        ["spectrum", "configs/device_2p.json", "--svg"],
+        ["qp", "configs/device_1p.json"],
+        ["fit", "t1", "data/t1_vs_temperature_1np.csv",
+         "configs/device_1np.json"],
+        ["fit", "t2", "data/t2star_vs_temperature_1p.csv",
+         "configs/device_1p.json", "--t1-data",
+         "data/t1_vs_temperature_1p.csv"],
+        ["parity-sim", "configs/device_2np.json", "--duration", "2"],
+    ]
+    code = (
+        "import json, sys\n"
+        "from qpgap.cli import main\n"
+        "loaded = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0\n"
+        "    loaded.append(sorted(set(json.loads(sys.argv[2]))\n"
+        "                         & set(sys.modules)))\n"
+        "print(json.dumps([loaded, 'numpy.random' in sys.modules]))\n"
+    )
+    runs = [[*argv, "--out", str(tmp_path)] for argv in runs]
+    out = _python(code, json.dumps(runs), json.dumps(sorted(SHUTIL)),
+                  no_site=True)
+    assert json.loads(out.splitlines()[-1]) == [[[], [], [], [], ["zlib"]],
+                                                 True]
+
+
+def _helps(parser) -> list[str]:
+    """The help text of ``parser`` and of each of its subcommands."""
+    (subparsers,) = parser._subparsers._group_actions
+    return [parser.format_help(),
+            *(sub.format_help() for sub in subparsers.choices.values())]
+
+
+@pytest.mark.parametrize("columns", ["60", "200"])
+def test_help_matches_stock_argparse(monkeypatch, columns):
+    from qpgap import cli
+
+    monkeypatch.setenv("COLUMNS", columns)
+    ours = _helps(cli.build_parser())
+    monkeypatch.setattr(cli, "_Formatter", argparse.HelpFormatter)
+    stock = _helps(cli.build_parser())
+    assert ours == stock
+    assert max(len(line) for text in ours for line in text.splitlines()) <= (
+        int(columns) - 2)
+
+
+@pytest.mark.parametrize("columns", [None, "60", "200", "0", "-5", "wide"])
+def test_help_width_follows_shutil(monkeypatch, columns):
+    from qpgap import cli
+
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    assert cli._columns() == shutil.get_terminal_size().columns
 
 
 def _has_targets(path: Path) -> bool:

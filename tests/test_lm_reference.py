@@ -262,3 +262,82 @@ def test_small_problems_match_the_reference(problem, x0, kwargs):
 def test_non_finite_initial_guess_is_a_domain_error():
     with pytest.raises(DomainError, match="not finite"):
         fitting.least_squares(_line, _line_jacobian, [math.inf, 0.0])
+
+
+# ------------------------------------------------ the damped-step solve
+
+
+def _damped_systems(rng, n):
+    """Damped normal systems of random Jacobians, as the LM loop forms them.
+
+    Column scales span 1e-8 to 1e8.  Half the Jacobians have a column
+    within 1e-10 (relative) of another, which leaves the normal matrix
+    near-singular, damped by lambda down to the solver's floor of 1e-12.
+    """
+    for k in range(100):
+        jac = rng.normal(size=(13, n)) * 10.0 ** rng.uniform(-8, 8, size=n)
+        if k % 2:
+            jac[:, 1] = jac[:, 0] * (1.0 + 1e-10 * rng.normal(size=13))
+        normal = jac.T @ jac
+        scaling = np.diag(normal.diagonal())
+        descent = -(jac.T @ rng.normal(size=13))
+        for lam in (1e-12, 1e-6, 1e-3, 1.0, 1e6):
+            yield normal + lam * scaling, descent
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_damped_step_solve_matches_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for matrix, rhs in _damped_systems(rng, n):
+        expected = np.linalg.solve(matrix, rhs)
+        assert fitting._solve(matrix, rhs).tobytes() == expected.tobytes()
+    # a nearly singular matrix, not a normal one: an ill-conditioned LU
+    u = rng.normal(size=n)
+    matrix = np.outer(u, u) + 1e-13 * np.eye(n)
+    rhs = rng.normal(size=n)
+    assert (fitting._solve(matrix, rhs).tobytes()
+            == np.linalg.solve(matrix, rhs).tobytes())
+
+
+def test_singular_damped_system_escalates_lambda(monkeypatch):
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    for solve in (np.linalg.solve, fitting._solve):
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            solve(singular, np.ones(2))
+
+    def singular_first(solve, seen):
+        # the first damped system is swapped for the singular one
+        def patched(matrix, rhs):
+            seen.append(matrix.copy())
+            return solve(singular if len(seen) == 1 else matrix, rhs)
+        return patched
+
+    ours, theirs = [], []
+    monkeypatch.setattr(fitting, "_solve", singular_first(fitting._solve, ours))
+    monkeypatch.setattr(np.linalg, "solve",
+                        singular_first(np.linalg.solve, theirs))
+    x0 = [-1.2, 1.0]
+    assert _outcome(fitting.least_squares, _banana, _banana_jacobian, x0) == (
+        _outcome(reference_least_squares, _banana, _banana_jacobian, x0))
+    # the singular solve raised, and the next system has lambda 10x larger
+    normal = _banana_jacobian(x0).T @ _banana_jacobian(x0)
+    scaling = np.diag(normal.diagonal())
+    lam = _LAMBDA_INIT
+    assert ours[0].tobytes() == (normal + lam * scaling).tobytes()
+    lam *= _LAMBDA_UP
+    assert ours[1].tobytes() == (normal + lam * scaling).tobytes()
+    assert [m.tobytes() for m in ours] == [m.tobytes() for m in theirs]
+
+
+def test_trial_clip_matches_np_clip_bit_for_bit():
+    rng = np.random.default_rng(7)
+    specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e308]
+    for _ in range(300):
+        n = int(rng.integers(1, 4))
+        x = rng.choice(specials + list(rng.normal(size=8) * 10.0), size=n)
+        ends = np.sort(rng.choice(
+            [-np.inf, np.inf, 0.0, -0.0, 1e-300] + list(rng.normal(size=6)),
+            size=(n, 2)), axis=1)
+        lower, upper = ends[:, 0].copy(), ends[:, 1].copy()
+        expected = np.clip(x, lower, upper)
+        assert fitting._clip(x, lower, upper).tobytes() == expected.tobytes()

@@ -560,6 +560,40 @@ def test_bands_match_the_closed_form_bit_for_bit():
         assert grid.tobytes() == np.arange(-cut, cut + 1.0).tobytes()
 
 
+def test_off_diagonal_is_shared_across_ng_and_read_only():
+    params = TransmonParams(EJ=12.5, EC=0.31, n_cut=40)
+    _, off_diagonal = transmon._tridiagonal_bands(params)
+    for ng in (0.25, 0.5, -1.75):
+        assert transmon._tridiagonal_bands(params.with_ng(ng))[1] is (
+            off_diagonal)
+    assert not off_diagonal.flags.writeable
+    with pytest.raises(ValueError):
+        off_diagonal[0] = 0.0
+
+
+def test_with_ng_record_equals_a_checked_one():
+    # the solve memo is keyed by the record: equal records, equal hashes
+    base = TransmonParams(EJ=12.5, EC=0.31, ng=0.1, n_cut=40)
+    for ng in (0.0, 0.5, -1.25, 3.0, np.float64(0.25), 7):
+        moved = base.with_ng(ng)
+        built = TransmonParams(base.EJ, base.EC, ng, base.n_cut)
+        assert type(moved) is TransmonParams
+        assert moved == built and hash(moved) == hash(built)
+        assert repr(moved) == repr(built)
+        assert moved.effective_n_cut == built.effective_n_cut
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_with_ng_rejects_a_non_finite_ng(bad):
+    base = TransmonParams(EJ=12.5, EC=0.31)
+    with pytest.raises(DomainError) as expected:
+        TransmonParams(base.EJ, base.EC, bad, base.n_cut)
+    with pytest.raises(DomainError) as raised:
+        base.with_ng(bad)
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value) == f"ng must be finite, got {bad}"
+
+
 def _reference_level_shift(params, coupling, level, levels):
     """lambda_l (MHz) summed over numpy scalars, the loop's former form."""
     energies, vectors = transmon._eigensystem(params, levels)
