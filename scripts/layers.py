@@ -25,11 +25,15 @@ checkout counts the same):
 
 * ``device_sweep``: the inversions whose bracket ends came from the
   bracket cache (``served``) of all inversions;
-* ``parity_scan``: the Lorentzian terms of each regime's scans.
-  ``segments`` is the count a loop over each pixel's segments adds (one
-  per piece between events), ``states`` the count a sum over each
-  pixel's distinct (offset charge, parity) states adds.  Both depend
-  only on the traces, so every checkout shares them.
+* ``parity_scan``: the Lorentzian terms and the detections of each
+  regime's scans.  ``segments`` is the count a loop over each pixel's
+  segments adds (one per piece between events), ``states`` the count a
+  sum over each pixel's distinct (offset charge, parity) states adds.
+  Both depend only on the traces.  ``maxima`` counts the local maxima
+  above each row's threshold that grading passes to its per-scan
+  cluster pass, ``clusters`` the clusters that pass makes of them; both
+  are read from the scan and the estimate's thresholds.  Every checkout
+  shares all four.
 
 ``--json FILE`` also writes the samples.
 """
@@ -65,20 +69,45 @@ def bracket_cache(run) -> dict:
             - before.hits - before.misses}
 
 
-def lorentzian_terms(run) -> dict:
-    """Lorentzian terms of each regime's scans (segments, states)."""
+def scan_counts(run) -> dict:
+    """Lorentzian terms (segments, states) and detections (maxima,
+    clusters) of each regime's scans."""
     terms = {}
 
     def count(item, out):
         scan = out["scan"]
-        counts = terms.setdefault(item[0], {"segments": 0, "states": 0})
-        segments, states = term_counts(out["parity"], out["charge"],
-                                       scan.n_pixels, scan.pixel_seconds)
-        counts["segments"] += segments
-        counts["states"] += states
+        counts = terms.setdefault(item[0], dict.fromkeys(
+            ("segments", "states", "maxima", "clusters"), 0))
+        found = (
+            *term_counts(out["parity"], out["charge"], scan.n_pixels,
+                         scan.pixel_seconds),
+            *detection_counts(scan, out["estimate"].thresholds),
+        )
+        for key, value in zip(counts, found):
+            counts[key] += value
 
     run(count)
     return terms
+
+
+def detection_counts(scan, thresholds) -> tuple[int, int]:
+    """(maxima, clusters) of one scan: its local maxima above threshold,
+    and the runs of one row's maxima with no gap wider than a linewidth."""
+    import numpy as np
+
+    amps = scan.amplitudes
+    # a sample tops its left neighbour and at least equals its right one;
+    # the first column must top its right neighbour, the last its left
+    padded = np.pad(amps, ((0, 0), (1, 1)), constant_values=-np.inf)
+    left, right = padded[:, :-2], padded[:, 2:]
+    tops_right = amps >= right
+    tops_right[:, 0] = amps[:, 0] > right[:, 0]
+    row, col = np.nonzero((amps > thresholds[:, None]) & (amps > left)
+                          & tops_right)
+    pos = np.asarray(scan.frequencies_ghz)[col]
+    joins = (row[1:] == row[:-1]) & (
+        pos[1:] - pos[:-1] <= scan.linewidth_mhz / 1e3)
+    return len(row), len(row) - int(np.count_nonzero(joins))
 
 
 def term_counts(parity, charge, n_pixels: int, pixel_seconds: float):
@@ -105,7 +134,7 @@ def term_counts(parity, charge, n_pixels: int, pixel_seconds: float):
 
 # workload -> its counter: called with a ``run(count)`` that times the
 # operations and passes each (item, output) to ``count``, untimed
-COUNTERS = {"device_sweep": bracket_cache, "parity_scan": lorentzian_terms}
+COUNTERS = {"device_sweep": bracket_cache, "parity_scan": scan_counts}
 
 
 def worker(name: str, root: Path, seed: int, ops: int) -> dict:

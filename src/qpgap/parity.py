@@ -21,8 +21,10 @@ pixel visits each state at most once.  Detection sorts each block of
 rows once, into one reused buffer, and reads both the row medians and
 the MADs (median absolute deviations) of its thresholds from that sort.
 It tests the local-maximum condition only at the samples above the
-thresholds and clusters the survivors; it keeps the results as arrays,
-which the verdict and the CLI's peak table read.
+thresholds and fills each row's threshold.  The survivors of every block
+wait for one pass per scan, which clusters and ranks them without a sort
+and fills each row's peak count and positions.  The results are kept as
+arrays, which the verdict and the CLI's peak table read.
 
 Both sides are per-block kernels, :class:`_ScanSynthesis` and
 :class:`_RowDetection`, whose verdict is the second half of
@@ -258,6 +260,9 @@ class SpectroscopyScan(Record):
         shape = np.shape(self.amplitudes)
         if len(shape) != 2 or not shape[1]:
             raise DomainError(f"amplitudes need 2 axes, 1+ columns: {shape}")
+        if not shape[0]:
+            # a scan shorter than one pixel; its verdict would grade no row
+            raise DomainError("scan has no pixel rows")
         if np.shape(self.frequencies_ghz) != shape[1:]:
             raise DomainError("frequencies_ghz needs one entry per column")
         for name in ("pixel_starts_s", "branch_freqs_ghz"):
@@ -575,15 +580,48 @@ def sort_median_mad(
     return median, mad
 
 
+def _starts(keys: np.ndarray) -> np.ndarray:
+    """True at the first of ``keys`` and where a key differs from the one
+    before it."""
+    opens = np.empty(len(keys), dtype=bool)
+    opens[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=opens[1:])
+    return opens
+
+
+def _run_largest(values: np.ndarray, opens: np.ndarray,
+                 last: bool) -> np.ndarray:
+    """Index of the first (or the ``last``) largest of each run of
+    ``values``, a run opening where ``opens`` is True."""
+    run = np.cumsum(opens)
+    top = np.maximum.reduceat(values, np.flatnonzero(opens))
+    hits = np.flatnonzero(values == top[run - 1])
+    run = run[hits]
+    if last:
+        return hits[_starts(run[::-1])[::-1]]
+    return hits[_starts(run)]
+
+
+def _grown(values: np.ndarray, kept: int, size: int) -> np.ndarray:
+    """A new array of ``size`` entries that starts with the first
+    ``kept`` of ``values``."""
+    grown = np.empty(size, dtype=values.dtype)
+    grown[:kept] = values[:kept]
+    return grown
+
+
 class _RowDetection:
     """Threshold-and-cluster peak detection on the rows of a scan, one
     block of at most ``_ROWS`` rows at a time.
 
-    :meth:`grade` fills each row's entry of the per-row arrays ``counts``
-    (0, 1 or 2 peaks), ``positions_ghz`` ((n_rows, 2), ascending, NaN
-    where a row has fewer peaks) and ``thresholds``.  A row's entries
-    depend on that row alone, so the blocks may be any size up to
-    ``_ROWS``.  :meth:`verdict` grades the filled arrays.
+    The per-row arrays are ``thresholds``, ``counts`` (0, 1 or 2 peaks)
+    and ``positions_ghz`` ((n_rows, 2), ascending, NaN where a row has
+    fewer peaks).  :meth:`grade` fills each row's threshold and keeps the
+    row's local maxima; the per-scan pass :meth:`_cluster` then fills
+    ``counts`` and ``positions_ghz`` for every row graded since its last
+    run.  :meth:`verdict` runs the pass and grades the filled arrays, and
+    :func:`_detect_rows` runs it before it returns.  A row's entries depend
+    on that row alone, so the blocks may be any size up to ``_ROWS``.
     """
 
     def __init__(
@@ -602,11 +640,16 @@ class _RowDetection:
         self.positions_ghz = np.full((n_rows, 2), np.nan)
         self.thresholds = np.empty(n_rows)
         self._ordered = np.empty((min(_ROWS, n_rows), len(freqs)))
+        # The first ``_n_maxima`` entries hold the flat scan index and the
+        # amplitude of each local maximum graded since the last
+        # :meth:`_cluster`; two a row fit, and a scan with more grows them.
+        self._index = np.empty(2 * n_rows, dtype=np.intp)
+        self._amp = np.empty(2 * n_rows)
+        self._n_maxima = 0
 
     def grade(self, first: int, block: np.ndarray) -> None:
         """Detect the peaks of ``block``, the rows from ``first`` on."""
         n_freq = block.shape[1]
-        freqs, counts, positions = self.freqs, self.counts, self.positions_ghz
         median, mad = sort_median_mad(block, self._ordered)
         threshold = median + self.threshold_k * (1.4826 * mad)
         self.thresholds[first:first + len(block)] = threshold
@@ -617,42 +660,61 @@ class _RowDetection:
         flat = block.reshape(-1)
         index = np.flatnonzero(block > threshold[:, None])
         amp = flat[index]
-        row, col = np.divmod(index, n_freq)
+        col = index % n_freq
         first_col, last_col = col == 0, col == n_freq - 1
         right = flat.take(index + 1, mode="clip")
         is_max = (first_col | (amp > flat.take(index - 1, mode="clip"))) & (
             last_col | np.where(first_col, amp > right, amp >= right)
         )
-        row, amp, pos = row[is_max], amp[is_max], freqs[col[is_max]]
-        if len(row) == 0:
+        index, amp = index[is_max], amp[is_max]
+        index += first * n_freq
+        start = self._n_maxima
+        end = self._n_maxima = start + len(index)
+        if end > len(self._amp):
+            self._index = _grown(self._index, start, 2 * end)
+            self._amp = _grown(self._amp, start, 2 * end)
+        self._index[start:end] = index
+        self._amp[start:end] = amp
+
+    def _cluster(self) -> None:
+        """Cluster and rank the local maxima :meth:`grade` collected since
+        the last pass, filling their rows' ``counts`` and ``positions_ghz``.
+
+        A row's maxima follow in column order, so along the ascending grid
+        a cluster opens at a row's first maximum and after each gap of
+        more than one linewidth, and peaks at its first largest maximum.
+        A row keeps its two largest peaks, the higher frequency first
+        among equals, which is the last largest peak in column order.
+        """
+        n, self._n_maxima = self._n_maxima, 0
+        if not n:
             return
-
-        # A candidate joins its row's previous candidate's cluster when it
-        # lies within one linewidth of it; a cluster peaks at its first
-        # maximum (the stable sort keeps column order among equals).
-        opens = np.empty(len(row), dtype=bool)
-        opens[0] = True
-        np.not_equal(row[1:], row[:-1], out=opens[1:])
+        row, col = np.divmod(self._index[:n], len(self.freqs))
+        amp = self._amp[:n]
+        pos = self.freqs[col]
+        opens = _starts(row)
         opens[1:] |= ~(pos[1:] - pos[:-1] <= self.lw_ghz)
-        best = np.lexsort((-amp, np.cumsum(opens)))[opens]
-        row, amp, pos = row[best], amp[best], pos[best]
-
-        # Each row keeps its two strongest peaks by (amplitude, frequency).
-        order = np.lexsort((-pos, -amp, row))
-        row, pos = row[order], pos[order]
-        rank = np.arange(len(row)) - np.searchsorted(row, row)
-        kept = rank < 2
-        row = row + first
-        counts[row[rank == 0]] = 1
-        counts[row[rank == 1]] = 2
-        positions[row[kept], rank[kept]] = pos[kept]
-        positions[first:first + len(block)].sort(axis=1)
+        peak = _run_largest(amp, opens, last=False)
+        row, amp, pos = row[peak], amp[peak], pos[peak]
+        opens = _starts(row)
+        top = _run_largest(amp, opens, last=True)
+        # every candidate is above a threshold, so -inf marks the first
+        # peak; a row with no other peak returns it again
+        amp[top] = -np.inf
+        runner = _run_largest(amp, opens, last=True)
+        pair = runner != top
+        row = row[top]
+        self.counts[row] = 1 + pair
+        positions = self.positions_ghz
+        positions[row, 0] = pos[np.minimum(top, runner)]
+        positions[row[pair], 1] = pos[np.maximum(top, runner)[pair]]
 
     def verdict(
         self, branch_freqs_ghz: np.ndarray, pixel_seconds: float
     ) -> "LifetimeEstimate":
         """The parity-lifetime verdict of the graded rows, one pixel each,
         with the model (even, odd) branches of each pixel."""
+        self._cluster()
         counts, positions = self.counts, self.positions_ghz
         # Single-peak rows are attributed to the nearer model branch (even
         # on a tie) unless the branches are unresolved or the peak is far
@@ -712,6 +774,7 @@ def _detect_rows(
                               threshold_k)
     for first in range(0, len(amplitudes), _ROWS):
         detection.grade(first, amplitudes[first:first + _ROWS])
+    detection._cluster()
     return detection
 
 

@@ -36,7 +36,10 @@ def test_layer_worker_records_every_span_the_layer_metrics_read(
     assert set(result["counter"]) == counter_keys
     if name == "parity_scan":
         for counts in result["counter"].values():
+            assert set(counts) == {"segments", "states", "maxima",
+                                   "clusters"}
             assert 0 < counts["states"] <= counts["segments"]
+            assert 0 < counts["clusters"] <= counts["maxima"]
     else:
         assert 0 <= result["counter"]["served"] <= result["counter"]["inversions"]
     assert len(result["op_ms"]) == ops
@@ -50,3 +53,29 @@ def test_layer_worker_records_every_span_the_layer_metrics_read(
     # a span the worker did not record is a KeyError here
     metrics = workload.layer_metrics(_Spans(result["ms"]), summaries)
     assert all(math.isfinite(value) for value, _ in metrics.values())
+
+
+def test_detection_counts_are_the_maxima_the_detector_clusters(
+        monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "scripts"))
+    layers = importlib.import_module("layers")
+    from qpgap.parity import (_ROWS, NoiseModel, ScanConfig, _RowDetection,
+                              scan_window, simulate_offset_charge,
+                              simulate_parity, synthesize_scan)
+    from qpgap.transmon import TransmonParams
+
+    params = TransmonParams(EJ=5.92, EC=0.400)
+    f_min, f_max = scan_window(params, 1.0)
+    scan = synthesize_scan(
+        params, simulate_parity(0.05, 200.0, seed=3),
+        simulate_offset_charge(NoiseModel(0.05), 200.0, seed=4),
+        ScanConfig(f_min_ghz=f_min, f_max_ghz=f_max), snr=20.0, seed=5,
+    )
+    detection = _RowDetection(scan.frequencies_ghz, scan.n_pixels, 1.0, 5.0)
+    for first in range(0, scan.n_pixels, _ROWS):
+        detection.grade(first, scan.amplitudes[first:first + _ROWS])
+    maxima = detection._n_maxima
+    detection._cluster()
+    found, clusters = layers.detection_counts(scan, detection.thresholds)
+    assert found == maxima
+    assert detection.counts.sum() <= clusters <= maxima

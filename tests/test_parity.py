@@ -17,6 +17,7 @@ from qpgap.parity import (
     ScanConfig,
     SpectroscopyScan,
     _detect_rows,
+    _RowDetection,
     estimate_parity_lifetime,
     scan_window,
     simulate_offset_charge,
@@ -773,6 +774,13 @@ def test_scan_record_rejects_mismatched_shapes():
     assert _dyadic_scan(rows, branches).n_pixels == 3
 
 
+def test_scan_record_rejects_zero_rows():
+    # a scan with no pixel rows used to grade as "parity lifetime >= 0 s",
+    # with NaN peak fractions and two RuntimeWarnings
+    with pytest.raises(DomainError, match="no pixel rows"):
+        _dyadic_scan(np.zeros((0, len(_DYADIC_FREQS))), np.zeros((0, 2)))
+
+
 def test_trace_records_reject_unsorted_times_and_bad_shapes():
     # a charge trace one value short used to reach synthesize_scan and fail
     # there with an IndexError; unsorted switch times were accepted
@@ -903,6 +911,73 @@ def test_gap_of_exactly_one_linewidth_joins_the_cluster():
     peaks = _row_peaks(_DYADIC_FREQS, row, _DYADIC_LW_MHZ)
     assert peaks[1] == (_DYADIC_FREQS[42], _DYADIC_FREQS[100])
     assert peaks == _reference_peaks(_DYADIC_FREQS, row, _DYADIC_LW_MHZ)
+
+
+def _pass_rows(width):
+    """2 * _ROWS + 37 rows whose local maxima cross the per-scan cluster
+    pass from three blocks: integer spikes on a zero floor (heavy ties and
+    a MAD of zero), ±0, 1 and +inf spikes on a floor of -1 (both zeros
+    above threshold), noisy rows, and maxima in the last column of row r
+    and the first of row r + 1, inside a block and across each block
+    boundary."""
+    rng = np.random.default_rng(29)
+    n_rows = 2 * _ROWS + 37
+    spikes = rng.random((n_rows, width)) < 0.3
+    rows = np.where(spikes, rng.integers(1, 4, (n_rows, width)), 0.0)
+    rows[1::3] = np.where(
+        spikes[1::3],
+        rng.choice([0.0, -0.0, 1.0, np.inf], (len(rows[1::3]), width)),
+        -1.0,
+    )
+    rows[2::3] = rng.normal(0.0, 0.05, (len(rows[2::3]), width))
+    noisy = spikes[2::3]
+    rows[2::3] += np.where(noisy, rng.integers(0, 2, noisy.shape), 0)
+    ends = [5, _ROWS - 1, 2 * _ROWS - 1, n_rows - 2]
+    rows[ends] = rows[[r + 1 for r in ends]] = 0.0
+    rows[ends, -1] = 5.0
+    rows[[r + 1 for r in ends], 0] = 5.0
+    return rows, ends
+
+
+@pytest.mark.parametrize("width", [3, 4, 61, 161, 162])
+@pytest.mark.parametrize("linewidth_mhz", [0.5, 1.0, 30.0])
+def test_per_scan_pass_matches_reference(linewidth_mhz, width):
+    freqs = 4.0 + np.arange(width) / 1024
+    rows, ends = _pass_rows(width)
+    with np.errstate(invalid="ignore"):  # inf - inf in the deviations
+        expected = [
+            _comparable(_reference_peaks(freqs, row, linewidth_mhz))
+            for row in rows
+        ]
+        found = _peak_rows(_detect(freqs, rows, linewidth_mhz))
+    assert [_comparable(peaks) for peaks in found] == expected
+    # two clusters need a gap of more than a linewidth, and a row of 3 or
+    # 4 samples has only its largest above its threshold
+    paired = width > 4 and freqs[-1] - freqs[0] > linewidth_mhz / 1e3
+    assert {peaks[0] for peaks in expected} >= ({1, 2} if paired else {1})
+    # a maximum in row r's last column and one in row r + 1's first are
+    # within a linewidth (at 30 MHz), and still peaks of their own rows
+    for r in ends:
+        assert found[r][:2] == (1, (freqs[-1],))
+        assert found[r + 1][:2] == (1, (freqs[0],))
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 7, _ROWS])
+def test_detection_arrays_do_not_depend_on_the_block_size(rows_per_block):
+    freqs = 4.0 + np.arange(161) / 1024
+    rows, _ = _pass_rows(len(freqs))
+    with np.errstate(invalid="ignore"):  # inf - inf in the deviations
+        # _detect_rows grades blocks of _ROWS rows and runs no verdict
+        whole = _detect_rows(freqs, rows, 1.0, _THRESHOLD_K)
+        detection = _RowDetection(freqs, len(rows), 1.0, _THRESHOLD_K)
+        for first in range(0, len(rows), rows_per_block):
+            detection.grade(first, rows[first:first + rows_per_block])
+    assert np.count_nonzero(whole.counts == 2)
+    detection.verdict(np.tile([4.05, 4.1], (len(rows), 1)), 0.2)
+    for name in ("counts", "positions_ghz", "thresholds"):
+        assert getattr(detection, name).tobytes() == (
+            getattr(whole, name).tobytes()
+        )
 
 
 def test_equidistant_peak_is_attributed_to_even_branch():
