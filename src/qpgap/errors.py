@@ -24,7 +24,7 @@ class DomainError(QpgapError, ValueError):
 
 
 class BracketError(DomainError):
-    """A root-finding bracket does not enclose a sign change."""
+    """A bracket or search window holds no root of the equation."""
 
 
 class UnderdeterminedError(DomainError):

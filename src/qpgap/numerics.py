@@ -4,7 +4,8 @@
 returns the same bits as ``scipy.optimize.brentq``.  It turns a NaN
 function value, a bracket without a sign change and an exhausted
 iteration budget into exceptions, so callers never consume a root that
-was not found.
+was not found.  Its one caller is the (EJ, EC) inversion; the thermal
+crossover is solved in closed form in :mod:`qpgap.thermal`.
 
 ``sort_median`` is ``np.median`` over the last axis from one sort.  The
 scan detector's row medians and median absolute deviations, read from

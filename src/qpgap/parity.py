@@ -215,11 +215,15 @@ class ScanConfig(Record):
     def _check(self) -> None:
         if not self.f_max_ghz > self.f_min_ghz:
             raise DomainError("frequency window is empty")
-        if self.n_freq < 3:
-            raise DomainError(f"n_freq must be >= 3, got {self.n_freq}")
-        if self.n_freq > MAX_SCAN_SAMPLES:
+        n_freq = self.n_freq
+        # the rule of TransmonParams.n_cut: a float or bool count would
+        # reach np.linspace unchecked
+        if type(n_freq) is not int and not isinstance(n_freq, np.integer) or (
+            not 3 <= n_freq <= MAX_SCAN_SAMPLES
+        ):
             raise DomainError(
-                f"n_freq must be at most {MAX_SCAN_SAMPLES}, got {self.n_freq}"
+                f"n_freq must be an integer from 3 to {MAX_SCAN_SAMPLES}, "
+                f"got {n_freq!r}"
             )
         positive("pixel time", self.pixel_seconds)
 
@@ -245,9 +249,10 @@ class SpectroscopyScan(Record):
     """Synthetic parity-resolved spectroscopy record.
 
     ``amplitudes`` has one row per time pixel and one column per grid
-    frequency.  ``branch_freqs_ghz`` carries the model (even, odd) branch
-    frequencies at each pixel midpoint, the curves a measurement would
-    overlay on the scan.
+    frequency; ``frequencies_ghz`` is finite and strictly ascending.
+    ``branch_freqs_ghz`` carries the model (even, odd) branch frequencies
+    at each pixel midpoint, the curves a measurement would overlay on the
+    scan, one row per pixel.
     """
 
     __slots__ = (
@@ -256,18 +261,27 @@ class SpectroscopyScan(Record):
     )
 
     def _check(self) -> None:
-        # shapes only: an isfinite pass would read every sample of a scan
+        # the amplitudes by shape only: an isfinite pass would read every
+        # sample of a scan
         shape = np.shape(self.amplitudes)
         if len(shape) != 2 or not shape[1]:
             raise DomainError(f"amplitudes need 2 axes, 1+ columns: {shape}")
         if not shape[0]:
             # a scan shorter than one pixel; its verdict would grade no row
             raise DomainError("scan has no pixel rows")
-        if np.shape(self.frequencies_ghz) != shape[1:]:
+        freqs = np.asarray(self.frequencies_ghz)
+        if freqs.shape != shape[1:]:
             raise DomainError("frequencies_ghz needs one entry per column")
-        for name in ("pixel_starts_s", "branch_freqs_ghz"):
-            if np.shape(getattr(self, name))[:1] != shape[:1]:
-                raise DomainError(f"{name} needs one row per pixel")
+        # the detector joins a row's maxima by their frequency gaps
+        if not (np.isfinite(freqs).all() and np.all(freqs[1:] > freqs[:-1])):
+            raise DomainError(
+                "frequencies_ghz must be finite and strictly ascending"
+            )
+        if np.shape(self.pixel_starts_s)[:1] != shape[:1]:
+            raise DomainError("pixel_starts_s needs one row per pixel")
+        if np.shape(self.branch_freqs_ghz) != (shape[0], 2):
+            raise DomainError("branch_freqs_ghz needs shape (n_pixels, 2)")
+        positive("pixel_seconds", self.pixel_seconds)
 
     @property
     def n_pixels(self) -> int:

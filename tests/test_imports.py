@@ -27,9 +27,9 @@ BASE = {
     "qpgap", "qpgap._output", "qpgap._record", "qpgap.cli", "qpgap.config",
     "qpgap.device", "qpgap.errors", "qpgap.units",
 }
-# the thermal functions and the root finder they use, which qp and the
-# fits run and spectrum and parity-sim do not
-THERMAL = {"qpgap.numerics", "qpgap.thermal"}
+# what both fits load: the thermal functions (which qp runs too) and the
+# sorted median of numerics
+FIT = {"qpgap._fit", "qpgap.fitting", "qpgap.numerics", "qpgap.thermal"}
 # scipy's LAPACK extension, loaded at a command's first eigensolve without
 # the scipy package itself
 LAPACK = {"scipy.linalg._flapack"}
@@ -88,18 +88,18 @@ def _python(code: str, *args: str, no_site: bool = False) -> str:
          {"qpgap._spectrum", "qpgap.transmon", "qpgap._inversion",
           "qpgap.numerics", *LAPACK}),
         (["qp", "configs/device_1p.json"],
-         {"qpgap._qp", "qpgap.quasiparticles", "qpgap.transmon", *THERMAL,
-          *LAPACK}),
+         {"qpgap._qp", "qpgap.quasiparticles", "qpgap.transmon",
+          "qpgap.thermal", *LAPACK}),
         (["parity-sim", "configs/device_2np.json", "--duration", "2"],
          {"qpgap._parity_sim", "qpgap.parity", "qpgap._floatcsv",
           "qpgap.transmon", *LAPACK}),
         (["fit", "t1", "data/t1_vs_temperature_1np.csv",
           "configs/device_1np.json"],
-         {"qpgap._fit", "qpgap.fitting", *THERMAL}),
+         FIT),
         (["fit", "t2", "data/t2star_vs_temperature_1p.csv",
           "configs/device_1p.json", "--t1-data",
           "data/t1_vs_temperature_1p.csv"],
-         {"qpgap._fit", "qpgap.fitting", "qpgap._dephasing", *THERMAL}),
+         {"qpgap._dephasing", *FIT}),
     ],
     ids=["spectrum", "spectrum-targets", "qp", "parity-sim", "fit-t1",
          "fit-t2"],

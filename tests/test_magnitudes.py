@@ -128,6 +128,8 @@ CASES = {
         "x_nqp", lambda v: thermal_crossover(v, 2.0)),
     "thermal_crossover.delta": (
         "delta", lambda v: thermal_crossover(1e-6, v)),
+    "thermal_crossover.delta_at_zero_x_nqp": (
+        "delta", lambda v: thermal_crossover(0.0, v)),
     "nqp_decay_rate.EJ": ("EJ", lambda v: _nqp_rate(ej_ghz=v)),
     "nqp_decay_rate.EC": ("EC", lambda v: _nqp_rate(ec_ghz=v)),
     "nqp_decay_rate.f_ge": ("f_ge", lambda v: _nqp_rate(f_ge_ghz=v)),
@@ -273,11 +275,24 @@ def test_fit_t1_zero_plateau_has_no_nan_sigma(monkeypatch):
     assert derived["x_nqp_sigma"] == pytest.approx(1e50, rel=1e-15)
 
 
-@pytest.mark.parametrize("x_nqp", [0.0, 1e-300, 0.5])
+@pytest.mark.parametrize("x_nqp", [0.0, 5e-324, 1e-300, 1e-200, 0.5])
 def test_thermal_crossover_is_none_outside_the_window(x_nqp):
-    # 0 lies below the thermal fraction everywhere; 1e-300 and 0.5 cross
-    # it below 10 mK and above Delta/2
+    # 0 lies below the thermal fraction everywhere; the tiny x_nqp (whose
+    # square underflows) cross it below 10 mK, and 0.5 above Delta/2
     assert thermal_crossover(x_nqp, 2.0) is None
+
+
+@pytest.mark.parametrize("delta", [-1.0, 0.0])
+def test_thermal_crossover_at_zero_x_nqp_checks_the_gap(delta):
+    with pytest.raises(DomainError, match="^delta must be positive"):
+        thermal_crossover(0.0, delta)
+
+
+def test_thermal_crossover_of_a_large_gap_at_a_tiny_x_nqp():
+    # x_th(10 mK) underflows to 0 at Delta = 10 K, yet the crossing is found
+    t_cross = thermal_crossover(1e-300, 10.0)
+    assert t_cross == pytest.approx(0.0145259, rel=1e-5)
+    assert thermal_qp_term(t_cross, 10.0) == pytest.approx(1e-300, rel=1e-12)
 
 
 def test_thermal_crossover_inside_the_window():
@@ -287,3 +302,5 @@ def test_thermal_crossover_inside_the_window():
 def test_thermal_crossover_keeps_the_small_gap_error():
     with pytest.raises(DomainError, match="^crossover search needs Delta/2"):
         thermal_crossover(1e-6, 0.02)
+    # at x_nqp = 0 there is no crossover to report, and so no error
+    assert thermal_crossover(0.0, 0.02) is None

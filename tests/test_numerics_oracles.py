@@ -23,13 +23,12 @@ import scipy.special
 import qpgap._inversion
 import qpgap.numerics
 import qpgap.quasiparticles
-import qpgap.thermal
 import qpgap.transmon
 from qpgap.errors import ConvergenceError, DomainError
 from qpgap.fitting import resonator_thermometry, shot_noise_dephasing
 from qpgap.numerics import root_find
 from qpgap.quasiparticles import _gap_edge_integrals, crossover_temperature
-from qpgap.thermal import delta_from_tc
+from qpgap.thermal import delta_from_tc, thermal_qp_term
 from qpgap.transmon import (
     CavityCoupling,
     FrequencyTargets,
@@ -53,7 +52,7 @@ def brent_calls(monkeypatch):
         calls.append((func, lower, upper, abs_tol, max_iter, root))
         return root
 
-    for module in (qpgap.numerics, qpgap.thermal, qpgap._inversion):
+    for module in (qpgap.numerics, qpgap._inversion):
         monkeypatch.setattr(module, "root_find", recording)
     return calls
 
@@ -87,8 +86,18 @@ def test_ratio_inversion_matches_brentq_bit_for_bit(brent_calls, ratio, kind):
 
 @pytest.mark.parametrize("x_nqp", [1e-8, 8e-7, 1e-5])
 def test_crossover_temperature_matches_brentq(brent_calls, x_nqp):
-    crossover_temperature(x_nqp, delta_from_tc(1.31))
-    _assert_same_bits_as_brentq(brent_calls)
+    # the closed-form crossover makes no root_find call; brentq on the
+    # forward fraction, solved to float resolution, is its oracle
+    delta = delta_from_tc(1.31)
+    result = crossover_temperature(x_nqp, delta)
+    assert not brent_calls
+    oracle = scipy.optimize.brentq(
+        lambda t: thermal_qp_term(t, delta) - x_nqp,
+        0.01,
+        delta / 2.0,
+        xtol=1e-300,
+    )
+    assert result == pytest.approx(oracle, rel=1e-13)
 
 
 @pytest.mark.parametrize("gamma_phi", [1e2, 56e3, 1e6])

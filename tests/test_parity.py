@@ -215,6 +215,15 @@ def test_scan_config_rejects_nan():
         ScanConfig(f_min_ghz=math.nan, f_max_ghz=4.5)
 
 
+@pytest.mark.parametrize("n_freq", [3.5, 161.0, True, np.int64(2)])
+def test_scan_config_rejects_a_non_integer_n_freq(n_freq):
+    # 3.5 used to escape np.linspace as a bare TypeError, and True read
+    # "must be >= 3, got True"
+    with pytest.raises(DomainError, match="^n_freq must be an integer from 3"):
+        ScanConfig(f_min_ghz=4.0, f_max_ghz=4.5, n_freq=n_freq)
+    assert ScanConfig(4.0, 4.5, n_freq=np.int64(3)).frequencies().size == 3
+
+
 @pytest.mark.parametrize("field", ["linewidth_mhz", "snr"])
 def test_scan_rejects_nan_linewidth_and_snr(field):
     parity = simulate_parity(0.0, 1.0, seed=1)
@@ -772,6 +781,56 @@ def test_scan_record_rejects_mismatched_shapes():
                 "snr": 20.0, "pixel_seconds": 0.2, "seed": 0, **fields,
             })
     assert _dyadic_scan(rows, branches).n_pixels == 3
+
+
+def _scan_fields(**fields):
+    # 40 rows of one peak each, on the even branch: "lower_bound", 40 x 1 s
+    rows = np.zeros((40, len(_DYADIC_FREQS)))
+    rows[:, 80] = 1.0
+    return {
+        "frequencies_ghz": _DYADIC_FREQS, "pixel_starts_s": np.arange(40.0),
+        "amplitudes": rows,
+        "branch_freqs_ghz": np.tile([_DYADIC_FREQS[80], 4.1], (40, 1)),
+        "linewidth_mhz": _DYADIC_LW_MHZ, "snr": 20.0, "pixel_seconds": 1.0,
+        "seed": 0, **fields,
+    }
+
+
+def test_scan_fields_grade_a_lower_bound():
+    estimate = estimate_parity_lifetime(SpectroscopyScan(**_scan_fields()))
+    assert (estimate.kind, estimate.seconds) == ("lower_bound", 40.0)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "descending", "repeated"])
+def test_scan_record_rejects_unordered_or_non_finite_frequencies(bad):
+    # the detector joins maxima by their frequency gap: a NaN frequency
+    # used to grade as a clean "lower_bound 40 s", and a reversed grid
+    # joined every maximum of a row into one cluster
+    freqs = _DYADIC_FREQS.copy()
+    if bad == "descending":
+        freqs = freqs[::-1]
+    else:
+        freqs[7] = {"nan": np.nan, "inf": np.inf, "repeated": freqs[6]}[bad]
+    with pytest.raises(
+        DomainError, match="^frequencies_ghz must be finite and strictly"
+    ):
+        SpectroscopyScan(**_scan_fields(frequencies_ghz=freqs))
+
+
+@pytest.mark.parametrize("shape", [(40,), (40, 3), (40, 1)])
+def test_scan_record_rejects_a_branch_table_not_of_two_columns(shape):
+    # (n,) and (n, 3) used to escape the verdict as a bare ValueError
+    with pytest.raises(
+        DomainError, match=r"^branch_freqs_ghz needs shape \(n_pixels, 2\)"
+    ):
+        SpectroscopyScan(**_scan_fields(branch_freqs_ghz=np.full(shape, 4.05)))
+
+
+@pytest.mark.parametrize("seconds", [-1.0, 0.0, math.nan, math.inf])
+def test_scan_record_rejects_a_bad_pixel_time(seconds):
+    # -1 used to grade "lower_bound -40 s", and NaN a lifetime of nan
+    with pytest.raises(DomainError, match="^pixel_seconds must be positive"):
+        SpectroscopyScan(**_scan_fields(pixel_seconds=seconds))
 
 
 def test_scan_record_rejects_zero_rows():
