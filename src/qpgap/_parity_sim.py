@@ -11,8 +11,8 @@ from ._output import _dump_json, _emit, _fmt, _records
 from .config import DeviceConfig
 from .errors import ConfigError
 from .parity import (
-    _ROWS, _THRESHOLD_K, ScanConfig, _RowDetection, _ScanSynthesis,
-    scan_window, simulate_offset_charge, simulate_parity,
+    _ROWS, ScanConfig, _RowDetection, _ScanSynthesis, scan_window,
+    simulate_offset_charge, simulate_parity,
 )
 
 
@@ -73,9 +73,7 @@ def run(args, config: DeviceConfig) -> int:
     )
     n_pixels, freqs = synthesis.n_pixels, synthesis.frequencies_ghz
     starts = synthesis.pixel_starts_s
-    detection = _RowDetection(
-        freqs, n_pixels, settings.linewidth_mhz, _THRESHOLD_K
-    )
+    detection = _RowDetection(freqs, n_pixels, settings.linewidth_mhz)
     # the scan is graded (and written) as it is made; only --svg keeps it
     # whole, for the heatmap, and otherwise every block reuses one buffer
     table = np.empty((n_pixels if args.svg else min(_ROWS, n_pixels),

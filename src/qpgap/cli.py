@@ -38,7 +38,9 @@ MAX_GRID_POINTS = 100_000
 
 
 def _prepare_out(args) -> None:
-    """Check the output flags and create ``--out``, before any work."""
+    """Check the flags and create ``--out``, before any work."""
+    if args.command == "fit" and args.kind == "t1" and args.t1_data is not None:
+        raise ConfigError("--t1-data applies to fit t2 only")
     if args.out is None:
         if args.svg:
             raise ConfigError("--svg requires --out")

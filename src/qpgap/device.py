@@ -165,6 +165,18 @@ class FrequencyTargets(Record):
                 )
 
 
+def _check_pairs(name: str, pairs) -> None:
+    """Raise :class:`DomainError` unless each entry of ``pairs`` is a pair
+    of finite numbers, the rule the config loader applies to its anchors."""
+    for pair in pairs:
+        try:
+            finite = len(pair) == 2 and all(map(math.isfinite, pair))
+        except TypeError:  # not a sequence, or not numbers
+            finite = False
+        if not finite:
+            raise DomainError(f"{name} must be pairs of finite numbers, "
+                              f"got {pair!r}")
+
 
 class ThicknessTcTable(Record):
     """Clamped piecewise-linear map from film thickness to Tc.
@@ -181,6 +193,7 @@ class ThicknessTcTable(Record):
     def _check(self) -> None:
         if len(self.anchors) < 2:
             raise DomainError("thickness table needs at least two anchors")
+        _check_pairs("thickness table anchors", self.anchors)
         thicknesses = [t for t, _ in self.anchors]
         tcs = [tc for _, tc in self.anchors]
         if any(t <= 0 for t in thicknesses) or any(tc <= 0 for tc in tcs):
@@ -236,6 +249,8 @@ class GapProfile(Record):
     def _check(self) -> None:
         if len(self.segments) < 2:
             raise GeometryError("profile needs at least two segments")
+        if not all(isinstance(seg, GapSegment) for seg in self.segments):
+            raise GeometryError("profile segments must be GapSegment records")
         self.junction_index  # raises when the junction is off a boundary
 
     def boundaries_um(self) -> list[float]:
@@ -338,6 +353,7 @@ class QPEnvironment(Record):
         positive("quasiparticle temperature", self.t_qp_kelvin)
         if len(self.tau_anchors) < 2:
             raise DomainError("tau_anchors needs at least two points")
+        _check_pairs("tau_anchors", self.tau_anchors)
         energies = [e for e, _ in self.tau_anchors]
         taus = [tau for _, tau in self.tau_anchors]
         if any(e <= 0 for e in energies) or any(t <= 0 for t in taus):

@@ -68,7 +68,6 @@ def least_squares(
     jacobian_fn: Callable[[np.ndarray], np.ndarray],
     x0: Sequence[float],
     bounds: Sequence[tuple[float, float]] | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> LMResult:
     """Levenberg-Marquardt minimization of a residual vector.
 
@@ -76,7 +75,8 @@ def least_squares(
     derivatives of ``residual_fn`` at ``x``.  Iterates damped
     normal-equation steps with Marquardt scaling until the relative step
     falls below 1e-10 or the relative decrease of the squared residual
-    falls below 1e-12.  Box bounds are handled by an active set:
+    falls below 1e-12, for at most ``DEFAULT_MAX_ITER`` iterations.  Box
+    bounds (infinite without ``bounds``) are handled by an active set:
     parameters pinned at a bound with the gradient pointing outward are
     frozen for that iteration, and accepted steps are clipped back into
     the box, so a parameter fixed by equal bounds stays where it is.  The
@@ -97,14 +97,14 @@ def least_squares(
     n = len(x)
     if not np.isfinite(x).all():
         raise DomainError(f"initial guess {x.tolist()} is not finite")
-    bounded = bounds is not None
-    if bounded:
-        if len(bounds) != n:
-            raise DomainError("bounds length must match parameter count")
-        lower = np.array([b[0] for b in bounds], dtype=float)
-        upper = np.array([b[1] for b in bounds], dtype=float)
-        if np.any(x < lower) or np.any(x > upper):
-            raise DomainError(f"initial guess {x.tolist()} violates bounds")
+    if bounds is None:
+        bounds = [(-math.inf, math.inf)] * n
+    if len(bounds) != n:
+        raise DomainError("bounds length must match parameter count")
+    lower = np.array([b[0] for b in bounds], dtype=float)
+    upper = np.array([b[1] for b in bounds], dtype=float)
+    if np.any(x < lower) or np.any(x > upper):
+        raise DomainError(f"initial guess {x.tolist()} violates bounds")
 
     residual = np.asarray(residual_fn(x), dtype=float)
     ssr = float(residual @ residual)
@@ -112,7 +112,7 @@ def least_squares(
     converged = False
     iterations = 0
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, DEFAULT_MAX_ITER + 1):
         jac = np.asarray(jacobian_fn(x), dtype=float)
         normal = jac.T @ jac
         gradient = jac.T @ residual
@@ -126,17 +126,16 @@ def least_squares(
         # parameters at a bound that the gradient pushes against are
         # frozen; the system shrinks to the free ones only when one is
         free = None
-        if bounded:
-            pinned = (
-                ((x <= lower) & (gradient > 0.0))
-                | ((x >= upper) & (gradient < 0.0))
-            )
-            if pinned.any():
-                if pinned.all():
-                    # a constrained stationary point
-                    converged = True
-                    break
-                free = ~pinned
+        pinned = (
+            ((x <= lower) & (gradient > 0.0))
+            | ((x >= upper) & (gradient < 0.0))
+        )
+        if pinned.any():
+            if pinned.all():
+                # a constrained stationary point
+                converged = True
+                break
+            free = ~pinned
         if free is None:
             reduced, scaling, descent = normal, np.diag(diag), -gradient
         else:
@@ -155,9 +154,7 @@ def least_squares(
                 full = np.zeros(n)
                 full[free] = delta
                 delta = full
-            trial = x + delta
-            if bounded:
-                trial = _clip(trial, lower, upper)
+            trial = _clip(x + delta, lower, upper)
             if not np.isfinite(trial).all():
                 # an overflowed step: the models reject a NaN or inf
                 # parameter, so it is a failed trial, not an evaluation
@@ -197,7 +194,8 @@ def least_squares(
     )
     if not converged:
         raise ConvergenceError(
-            f"no convergence after {max_iter} iterations (ssr={ssr:.6e})",
+            f"no convergence after {DEFAULT_MAX_ITER} iterations "
+            f"(ssr={ssr:.6e})",
             best=result,
         )
     return result

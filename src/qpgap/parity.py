@@ -54,7 +54,6 @@ from .transmon import transition_frequency
 
 _EVEN = 0
 _ODD = 1
-_PARITY_NAMES = {"even": _EVEN, "odd": _ODD}
 
 # A run of exponential waits is drawn in blocks of this size until the
 # cumulative time passes the requested duration.
@@ -66,7 +65,7 @@ _BLOCK = 4096
 _ROWS = 256
 
 # The detection threshold in robust standard deviations above a row's
-# median, unless a caller gives another.
+# median.
 _THRESHOLD_K = 5.0
 
 # The most work one input may ask for: expected events (rate x duration)
@@ -125,10 +124,14 @@ class ParityTrace(Record):
 
     def _check(self) -> None:
         _check_event_times("switch_times", self.switch_times)
-        if self.initial_parity not in (_EVEN, _ODD):
-            raise DomainError(
-                f"initial parity must be 0 or 1, got {self.initial_parity!r}"
-            )
+        positive("duration", self.duration_s)
+        parity = self.initial_parity
+        # the rule of TransmonParams.n_cut: synthesis adds the parity to
+        # integer flip counts
+        if type(parity) is not int and not isinstance(parity, np.integer) or (
+            parity not in (_EVEN, _ODD)
+        ):
+            raise DomainError(f"initial parity must be 0 or 1, got {parity!r}")
 
     @property
     def switch_count(self) -> int:
@@ -148,6 +151,7 @@ class ChargeTrace(Record):
 
     def _check(self) -> None:
         _check_event_times("jump_times", self.jump_times)
+        positive("duration", self.duration_s)
         if np.shape(self.ng_values) != (len(self.jump_times) + 1,):
             raise DomainError("ng_values needs one entry more than jump_times")
 
@@ -159,27 +163,18 @@ def simulate_parity(
     gamma_per_s: float,
     duration_s: float,
     seed: int,
-    initial_parity: str = "even",
 ) -> ParityTrace:
-    """Draw a telegraph parity trace with exponential dwell times.
+    """Draw a telegraph parity trace with exponential dwell times, starting
+    even.
 
     A zero rate returns a trace with no switches.  The same seed gives an
     identical trace on every platform and thread count.
     """
     non_negative("rate", gamma_per_s)
     positive("duration", duration_s)
-    if initial_parity not in _PARITY_NAMES:
-        raise DomainError(
-            f"initial parity must be 'even' or 'odd', got {initial_parity!r}"
-        )
     rng = np.random.default_rng(seed)
     times = _exponential_arrivals(gamma_per_s, duration_s, rng)
-    return ParityTrace(
-        switch_times=times,
-        duration_s=duration_s,
-        initial_parity=_PARITY_NAMES[initial_parity],
-        seed=seed,
-    )
+    return ParityTrace(switch_times=times, duration_s=duration_s, seed=seed)
 
 
 def simulate_offset_charge(
@@ -213,8 +208,8 @@ class ScanConfig(Record):
     _defaults = {"n_freq": 161, "pixel_seconds": DEFAULT_PIXEL_SECONDS}
 
     def _check(self) -> None:
-        if not self.f_max_ghz > self.f_min_ghz:
-            raise DomainError("frequency window is empty")
+        if not -math.inf < self.f_min_ghz < self.f_max_ghz < math.inf:
+            raise DomainError("frequency window must be finite and non-empty")
         n_freq = self.n_freq
         # the rule of TransmonParams.n_cut: a float or bool count would
         # reach np.linspace unchecked
@@ -643,12 +638,9 @@ class _RowDetection:
         freqs: np.ndarray,
         n_rows: int,
         linewidth_mhz: float,
-        threshold_k: float,
     ):
-        positive("threshold_k", threshold_k)
         positive("linewidth", linewidth_mhz)
         self.freqs = freqs
-        self.threshold_k = threshold_k
         self.lw_ghz = linewidth_mhz / 1e3
         self.counts = np.zeros(n_rows, dtype=np.intp)
         self.positions_ghz = np.full((n_rows, 2), np.nan)
@@ -665,7 +657,7 @@ class _RowDetection:
         """Detect the peaks of ``block``, the rows from ``first`` on."""
         n_freq = block.shape[1]
         median, mad = sort_median_mad(block, self._ordered)
-        threshold = median + self.threshold_k * (1.4826 * mad)
+        threshold = median + _THRESHOLD_K * (1.4826 * mad)
         self.thresholds[first:first + len(block)] = threshold
 
         # Local maxima among the samples above threshold: a sample tops its
@@ -773,19 +765,17 @@ def _detect_rows(
     freqs: np.ndarray,
     amplitudes: np.ndarray,
     linewidth_mhz: float,
-    threshold_k: float,
 ) -> _RowDetection:
     """Threshold-and-cluster peak detection on every row of ``amplitudes``,
     a block of ``_ROWS`` rows at a time.
 
-    Local maxima above median + k robust standard deviations (MAD scaled
-    by 1.4826 for Gaussian consistency) are clustered within one linewidth;
-    each cluster contributes one peak at its strongest sample, and the two
-    strongest peaks are kept.  At the default k the false-positive rate on
-    pure noise rows is below 1 in 100.
+    Local maxima above median + ``_THRESHOLD_K`` (5) robust standard
+    deviations (MAD scaled by 1.4826 for Gaussian consistency) are
+    clustered within one linewidth; each cluster contributes one peak at
+    its strongest sample, and the two strongest peaks are kept.  The
+    false-positive rate on pure noise rows is below 1 in 100.
     """
-    detection = _RowDetection(freqs, len(amplitudes), linewidth_mhz,
-                              threshold_k)
+    detection = _RowDetection(freqs, len(amplitudes), linewidth_mhz)
     for first in range(0, len(amplitudes), _ROWS):
         detection.grade(first, amplitudes[first:first + _ROWS])
     detection._cluster()
@@ -832,9 +822,7 @@ class LifetimeEstimate(Record):
         )
 
 
-def estimate_parity_lifetime(
-    scan: SpectroscopyScan, threshold_k: float = _THRESHOLD_K
-) -> LifetimeEstimate:
+def estimate_parity_lifetime(scan: SpectroscopyScan) -> LifetimeEstimate:
     """Classify a scan into a parity-lifetime verdict.
 
     Pixels showing both branches in at least 90 percent of rows bound the
@@ -844,5 +832,5 @@ def estimate_parity_lifetime(
     scan duration when the branch never alternates.
     """
     return _detect_rows(
-        scan.frequencies_ghz, scan.amplitudes, scan.linewidth_mhz, threshold_k
+        scan.frequencies_ghz, scan.amplitudes, scan.linewidth_mhz
     ).verdict(scan.branch_freqs_ghz, scan.pixel_seconds)

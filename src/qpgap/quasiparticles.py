@@ -32,6 +32,8 @@ DEFAULT_BASE_RATE = 1.0e3
 # Thermal-activation prefactor calibrated so the engineered-gap device's
 # parity lifetime crosses one 0.2 s measurement pixel near 150 mK.
 DEFAULT_THERMAL_PREFACTOR = 3.4e7
+# A protecting barrier segment is at least this many coherence lengths long.
+_SAFETY_FACTOR = 5.0
 
 
 def tau_eps(energy_kelvin: float, env: QPEnvironment | None = None) -> float:
@@ -263,21 +265,18 @@ def _grade_sides(profile: GapProfile, rule, combine) -> GeometryVerdict:
 
 
 def barrier_adequate(
-    profile: GapProfile,
-    env: QPEnvironment | None = None,
-    safety_factor: float = 5.0,
+    profile: GapProfile, env: QPEnvironment | None = None
 ) -> GeometryVerdict:
     """Check whether the junction is protected by a gap barrier.
 
     A side protects the junction when its junction-adjacent segment has
     the higher of the two adjacent gaps, rises by a positive step over
-    that side's minimum gap, and is at least ``safety_factor`` coherence
-    lengths long.  One protected side suffices: the raised gap blocks
-    low-energy tunneling in both directions.
+    that side's minimum gap, and is at least ``_SAFETY_FACTOR`` (5)
+    coherence lengths long.  One protected side suffices: the raised gap
+    blocks low-energy tunneling in both directions.
     """
     env = env or DEFAULT_ENVIRONMENT
-    positive("safety factor", safety_factor)
-    required = safety_factor * env.xi_um
+    required = _SAFETY_FACTOR * env.xi_um
     adjacent_max = max(profile.adjacent_deltas())
 
     def rule(segments):
@@ -319,20 +318,17 @@ def parity_rate_model(
     profile: GapProfile,
     env: QPEnvironment | None = None,
     t_kelvin: float = 0.025,
-    base_rate_per_s: float = DEFAULT_BASE_RATE,
-    thermal_prefactor_per_s: float = DEFAULT_THERMAL_PREFACTOR,
 ) -> float:
     """Charge-parity switching rate (1/s) for a gap profile.
 
-    The unprotected base rate is suppressed by the fraction of
-    quasiparticles energetic enough to cross the weakest protecting gap
-    step, and a thermally activated term (prefactor calibrated, not
-    predicted) takes over as the bath temperature rises.  Without a
-    protecting barrier the full base rate applies.
+    The unprotected base rate ``DEFAULT_BASE_RATE`` is suppressed by the
+    fraction of quasiparticles energetic enough to cross the weakest
+    protecting gap step, and a thermally activated term (prefactor
+    ``DEFAULT_THERMAL_PREFACTOR``, calibrated, not predicted) takes over as
+    the bath temperature rises.  Without a protecting barrier the full
+    base rate applies.
     """
     env = env or DEFAULT_ENVIRONMENT
-    non_negative("base rate", base_rate_per_s)
-    non_negative("thermal prefactor", thermal_prefactor_per_s)
     verdict = barrier_adequate(profile, env)
     steps = [
         side.delta_delta_k
@@ -341,10 +337,10 @@ def parity_rate_model(
     ]
     weakest_step = min(steps) if steps else 0.0
     junction_delta = profile.junction_delta_k
-    barrier_term = base_rate_per_s * above_barrier_fraction(
+    barrier_term = DEFAULT_BASE_RATE * above_barrier_fraction(
         weakest_step, env.t_qp_kelvin, junction_delta
     )
-    thermal_term = thermal_prefactor_per_s * thermal_qp_term(
+    thermal_term = DEFAULT_THERMAL_PREFACTOR * thermal_qp_term(
         t_kelvin, junction_delta
     )
     return barrier_term + thermal_term

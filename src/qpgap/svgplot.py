@@ -13,6 +13,8 @@ import numpy as np
 _WIDTH = 720
 _HEIGHT = 480
 _MARGIN = 60
+# The most heatmap cells per axis; a longer axis is downsampled.
+_MAX_CELLS = 400
 
 # Dark-blue to yellow ramp sampled at the ends and midpoint of viridis.
 _RAMP = ((68, 1, 84), (33, 145, 140), (253, 231, 37))
@@ -33,10 +35,11 @@ def color_for(index: int) -> str:
     return _color((index % 3) / 2.0)
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
+    """About five round tick values from ``lo`` to ``hi``."""
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / count
+    raw = (hi - lo) / 5
     magnitude = 10 ** math.floor(math.log10(raw))
     step = min(
         (m * magnitude for m in (1, 2, 5, 10)),
@@ -144,9 +147,9 @@ def heatmap(
     x_label: str,
     y_label: str,
     title: str,
-    max_cells: int = 400,
 ) -> str:
-    """Render a matrix as colored cells, downsampling to ``max_cells`` per axis.
+    """Render a matrix as colored cells, downsampling to ``_MAX_CELLS``
+    (400) per axis.
 
     ``matrix`` is indexed [x, y]; downsampling takes the cell maximum so
     narrow spectroscopic peaks survive.
@@ -158,7 +161,7 @@ def heatmap(
     def _starts(axis_len: int) -> np.ndarray:
         """First index of each cell; at most one cell per index, so the
         starts strictly increase and no cell is empty."""
-        bins = min(axis_len, max_cells)
+        bins = min(axis_len, _MAX_CELLS)
         return np.linspace(0, axis_len, bins + 1).astype(int)[:-1]
 
     # the CLI passes a scan as [frequency, time]; reducing the long time

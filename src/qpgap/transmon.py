@@ -257,15 +257,16 @@ def _level_shifts(
     params: TransmonParams,
     coupling: CavityCoupling,
     requested: tuple[int, ...],
-    levels: int,
 ) -> list[float]:
-    """Cavity shifts lambda_l (MHz) of the requested levels, in order.
+    """Cavity shifts lambda_l (MHz) of the requested levels, in order, each
+    summed over the lowest ``DEFAULT_SHIFT_LEVELS`` eigenstates.
 
     One eigensystem supplies both the level energies and the charge
     matrix elements.  The sums run over Python floats, the IEEE arithmetic
     of numpy's scalars at less cost per operation.  A shift that leaves
     the float range raises :class:`DomainError` naming the level pair.
     """
+    levels = DEFAULT_SHIFT_LEVELS
     for level in requested:
         if level >= levels:
             raise DomainError(f"level {level} outside truncation {levels}")
@@ -313,15 +314,14 @@ def dispersive_shift(
     params: TransmonParams,
     coupling: CavityCoupling,
     level: int,
-    levels: int = DEFAULT_SHIFT_LEVELS,
 ) -> float:
     """Second-order cavity shift lambda_l for one qubit level, in MHz.
 
     lambda_l sums g_lj^2 [1/(f_l - f_j - nu_r) + 1/(f_l - f_j + nu_r)]
     over the other levels, with g_lj = g |<l|n|j>| / |<0|n|1>|.  The sum
-    is truncated at ``levels`` eigenstates; widening the truncation to 12
-    levels changes the result by under 1 percent for transmon-regime
-    parameters.
+    is truncated at ``DEFAULT_SHIFT_LEVELS`` (10) eigenstates; widening
+    the truncation to 12 levels changes the result by under 1 percent for
+    transmon-regime parameters.
 
     Raises
     ------
@@ -329,16 +329,12 @@ def dispersive_shift(
         If any included transition from ``level`` lies within ten coupling
         matrix elements of the cavity frequency.
     """
-    return _level_shifts(params, coupling, (level,), levels)[0]
+    return _level_shifts(params, coupling, (level,))[0]
 
 
-def chi_shift(
-    params: TransmonParams,
-    coupling: CavityCoupling,
-    levels: int = DEFAULT_SHIFT_LEVELS,
-) -> float:
+def chi_shift(params: TransmonParams, coupling: CavityCoupling) -> float:
     """Dispersive shift chi = (lambda_e - lambda_g)/2 in MHz."""
-    lam_e, lam_g = _level_shifts(params, coupling, (1, 0), levels)
+    lam_e, lam_g = _level_shifts(params, coupling, (1, 0))
     return (lam_e - lam_g) / 2.0
 
 
@@ -346,7 +342,6 @@ def resonator_dispersion(
     params: TransmonParams,
     coupling: CavityCoupling,
     method: str = "ground",
-    levels: int = DEFAULT_SHIFT_LEVELS,
 ) -> float:
     """Charge dispersion transferred to the readout resonator, in kHz.
 
@@ -355,11 +350,11 @@ def resonator_dispersion(
     alternative ``method="chi"`` uses the swing of chi instead.
     """
     if method == "ground":
-        at_zero = dispersive_shift(params.with_ng(0.0), coupling, 0, levels)
-        at_half = dispersive_shift(params.with_ng(0.5), coupling, 0, levels)
+        at_zero = dispersive_shift(params.with_ng(0.0), coupling, 0)
+        at_half = dispersive_shift(params.with_ng(0.5), coupling, 0)
     elif method == "chi":
-        at_zero = chi_shift(params.with_ng(0.0), coupling, levels)
-        at_half = chi_shift(params.with_ng(0.5), coupling, levels)
+        at_zero = chi_shift(params.with_ng(0.0), coupling)
+        at_half = chi_shift(params.with_ng(0.5), coupling)
     else:
         raise DomainError(f"unknown method {method!r}")
     return abs(at_half - at_zero) * 1e3

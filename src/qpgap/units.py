@@ -34,8 +34,7 @@ class Constants(Record):
     RK:
         von Klitzing resistance h/e^2, ohm.
     bcs_ratio:
-        Weak-coupling gap ratio Delta/(kB Tc) used by every module;
-        :func:`delta_from_tc` also takes an explicit ratio.
+        Weak-coupling gap ratio Delta/(kB Tc) used by every module.
     """
 
     __slots__ = ("kB_over_h", "h_over_kB", "kB_in_eV", "RK", "bcs_ratio")
@@ -61,17 +60,8 @@ def kelvin_to_ev(e_kelvin: float) -> float:
     return e_kelvin * CONSTANTS.kB_in_eV
 
 
-def delta_from_tc(tc_kelvin: float, bcs_ratio: float | None = None) -> float:
-    """Superconducting gap (kelvin) from the critical temperature.
-
-    Parameters
-    ----------
-    tc_kelvin:
-        Critical temperature in kelvin, > 0.
-    bcs_ratio:
-        Gap ratio Delta/(kB Tc); defaults to the weak-coupling value.
-    """
+def delta_from_tc(tc_kelvin: float) -> float:
+    """Superconducting gap (kelvin), ``CONSTANTS.bcs_ratio`` times the
+    critical temperature ``tc_kelvin`` (positive and finite)."""
     positive("Tc", tc_kelvin)
-    ratio = CONSTANTS.bcs_ratio if bcs_ratio is None else bcs_ratio
-    positive("bcs_ratio", ratio)
-    return ratio * tc_kelvin
+    return CONSTANTS.bcs_ratio * tc_kelvin

@@ -799,6 +799,23 @@ def test_fit_t2_uses_measured_t1_fallback(configs_dir, data_dir, capsys):
     assert "n0" in capsys.readouterr().out
 
 
+def test_fit_t1_rejects_t1_data_before_any_work(
+    configs_dir, data_dir, tmp_path, capsys
+):
+    # the flag was ignored, and a FILE that did not exist exited 0
+    out = tmp_path / "out"
+    for t1_data in (data_dir / "t1_vs_temperature_1p.csv",
+                    tmp_path / "missing.csv"):
+        code = _run([
+            "fit", "t1", data_dir / "t1_vs_temperature_1np.csv",
+            configs_dir / "device_1np.json", "--t1-data", t1_data,
+            "--out", out,
+        ])
+        err = _assert_clean_exit_2(code, capsys)
+        assert err == "error: --t1-data applies to fit t2 only\n"
+    assert not out.exists()
+
+
 def test_fit_t2_without_t1_source_fails(configs_dir, data_dir, tmp_path, capsys):
     doc = _document(configs_dir, "device_1p.json")
     del doc["measured"]

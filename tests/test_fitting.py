@@ -353,7 +353,7 @@ def test_unused_parameter_raises_rank_deficiency():
         least_squares(residual, jacobian, [0.0, 1.0])
 
 
-def test_iteration_cap_raises_with_best_point():
+def test_iteration_cap_raises_with_best_point(monkeypatch):
     # banana valley needs many more than two iterations
     def residual(p):
         return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
@@ -361,8 +361,9 @@ def test_iteration_cap_raises_with_best_point():
     def jacobian(p):
         return np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]])
 
+    monkeypatch.setattr("qpgap.fitting.DEFAULT_MAX_ITER", 2)
     with pytest.raises(ConvergenceError) as info:
-        least_squares(residual, jacobian, [-1.2, 1.0], max_iter=2)
+        least_squares(residual, jacobian, [-1.2, 1.0])
     best = info.value.best
     start = np.array([10.0 * (1.0 - 1.44), 2.2])
     assert best.ssr < float(start @ start)

@@ -7,6 +7,7 @@ import ast
 import hashlib
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import shutil
@@ -437,6 +438,66 @@ def test_benchmark_imports_of_the_package_resolve():
     missing = [(module, name) for module, name in imported
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def _benchmark_calls(tree):
+    """(line, name, target, positional count or None, keywords) of every
+    call in ``tree`` of a name imported from qpgap, or of an attribute of
+    an imported qpgap module; the count is None after a ``*`` argument."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+            node.module.split(".")[0] == "qpgap"
+        ):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                imported[alias.asname or alias.name] = getattr(
+                    module, alias.name
+                )
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in imported:
+            name, target = func.id, imported[func.id]
+        elif (isinstance(func, ast.Attribute)
+              and isinstance(func.value, ast.Name)
+              and inspect.ismodule(imported.get(func.value.id))):
+            name = f"{func.value.id}.{func.attr}"
+            target = getattr(imported[func.value.id], func.attr)
+        else:
+            continue
+        keywords = [kw.arg for kw in node.keywords if kw.arg is not None]
+        starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+        yield (node.lineno, name, target,
+               None if starred else len(node.args), keywords)
+
+
+def test_benchmark_calls_of_the_package_bind():
+    # every keyword a benchmark file passes to a qpgap function or record
+    # binds, and no call passes more positional arguments than it takes:
+    # a trimmed signature that would break the benchmark fails here
+    from qpgap._record import Record
+
+    called, unbound = set(), []
+    for path in sorted((REPO / "perfbench").glob("*.py")):
+        calls = _benchmark_calls(ast.parse(path.read_text()))
+        for line, name, target, count, keywords in calls:
+            called.add(name)
+            if isinstance(target, type) and issubclass(target, Record):
+                fields = target._fields
+                if set(keywords) - set(fields) or (count or 0) > len(fields):
+                    unbound.append(f"{path.name}:{line} {name}")
+                continue
+            try:
+                inspect.signature(target).bind_partial(
+                    *[None] * (count or 0), **dict.fromkeys(keywords)
+                )
+            except TypeError as exc:
+                unbound.append(f"{path.name}:{line} {name}: {exc}")
+    assert {"simulate_parity", "estimate_parity_lifetime", "ScanConfig",
+            "resonator_dispersion", "parity_rate_model", "cli.main"} <= called
+    assert unbound == []
 
 
 def test_package_keeps_its_public_names():

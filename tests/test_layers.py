@@ -71,7 +71,7 @@ def test_detection_counts_are_the_maxima_the_detector_clusters(
         simulate_offset_charge(NoiseModel(0.05), 200.0, seed=4),
         ScanConfig(f_min_ghz=f_min, f_max_ghz=f_max), snr=20.0, seed=5,
     )
-    detection = _RowDetection(scan.frequencies_ghz, scan.n_pixels, 1.0, 5.0)
+    detection = _RowDetection(scan.frequencies_ghz, scan.n_pixels, 1.0)
     for first in range(0, scan.n_pixels, _ROWS):
         detection.grade(first, scan.amplitudes[first:first + _ROWS])
     maxima = detection._n_maxima

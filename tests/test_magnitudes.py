@@ -23,24 +23,21 @@ from qpgap.fitting import (
 from qpgap.device import NoiseModel
 from qpgap.fitting import LMResult
 from qpgap.parity import (
+    ChargeTrace,
+    ParityTrace,
     ScanConfig,
     _detect_rows,
-    estimate_parity_lifetime,
     simulate_offset_charge,
     simulate_parity,
     synthesize_scan,
 )
 from qpgap.quasiparticles import (
     DEFAULT_THICKNESS_TABLE,
-    GapProfile,
-    GapSegment,
     QPEnvironment,
     above_barrier_fraction,
-    barrier_adequate,
     crossover_temperature,
     diffusion_length,
     nqp_decay_rate,
-    parity_rate_model,
     tau_eps,
     thermal_crossover,
     thermal_qp_fraction,
@@ -61,9 +58,6 @@ from qpgap.transmon import (
 )
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
-PROFILE = GapProfile(
-    segments=(GapSegment(50.0, 2.2), GapSegment(50.0, 1.9)), junction_um=50.0
-)
 PARAMS = TransmonParams(EJ=20.0, EC=0.3)
 SCAN = ScanConfig(f_min_ghz=6.0, f_max_ghz=7.0, n_freq=11, pixel_seconds=0.5)
 
@@ -86,8 +80,6 @@ def _nqp_rate(**bad):
 CASES = {
     # thermal
     "delta_from_tc.Tc": ("Tc", lambda v: delta_from_tc(v)),
-    "delta_from_tc.bcs_ratio": (
-        "bcs_ratio", lambda v: delta_from_tc(1.2, bcs_ratio=v)),
     "bose_occupation.f": ("frequency", lambda v: bose_occupation(v, 0.05)),
     "bose_occupation.T": ("temperature", lambda v: bose_occupation(5.0, v)),
     "temperature_from_population.f": (
@@ -156,13 +148,6 @@ CASES = {
         "T_qp", lambda v: above_barrier_fraction(0.3, v, 2.0)),
     "above_barrier_fraction.delta": (
         "delta", lambda v: above_barrier_fraction(0.3, 0.1, v)),
-    "barrier_adequate.safety_factor": (
-        "safety factor", lambda v: barrier_adequate(PROFILE, safety_factor=v)),
-    "parity_rate_model.base_rate": (
-        "base rate", lambda v: parity_rate_model(PROFILE, base_rate_per_s=v)),
-    "parity_rate_model.thermal_prefactor": (
-        "thermal prefactor",
-        lambda v: parity_rate_model(PROFILE, thermal_prefactor_per_s=v)),
     # transmon
     "TransmonParams.EJ": ("EJ", lambda v: TransmonParams(EJ=v, EC=0.3)),
     "TransmonParams.EC": ("EC", lambda v: TransmonParams(EJ=20.0, EC=v)),
@@ -195,18 +180,15 @@ CASES = {
         "duration", lambda v: simulate_parity(10.0, v, seed=0)),
     "simulate_offset_charge.duration": (
         "duration", lambda v: simulate_offset_charge(NoiseModel(0.0), v, 0)),
+    "ParityTrace.duration": ("duration", lambda v: ParityTrace([], v)),
+    "ChargeTrace.duration": ("duration", lambda v: ChargeTrace([], [0.0], v)),
     "ScanConfig.pixel_seconds": (
         "pixel time", lambda v: ScanConfig(6.0, 7.0, pixel_seconds=v)),
     "synthesize_scan.linewidth": ("linewidth", lambda v: _scan(linewidth_mhz=v)),
     "synthesize_scan.snr": ("snr", lambda v: _scan(snr=v)),
     "_detect_rows.linewidth": (
         "linewidth",
-        lambda v: _detect_rows(np.arange(5.0), np.ones((1, 5)), v, 5.0)),
-    "_detect_rows.threshold_k": (
-        "threshold_k",
-        lambda v: _detect_rows(np.arange(5.0), np.ones((1, 5)), 1.0, v)),
-    "estimate_parity_lifetime.threshold_k": (
-        "threshold_k", lambda v: estimate_parity_lifetime(_scan(), v)),
+        lambda v: _detect_rows(np.arange(5.0), np.ones((1, 5)), v)),
     "NoiseModel.parity_rate": ("parity rate", lambda v: NoiseModel(v)),
     "NoiseModel.tls_rate": ("TLS rate", lambda v: NoiseModel(0.0, v)),
     # datasets

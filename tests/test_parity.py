@@ -69,10 +69,10 @@ def test_zero_rate_never_switches():
 
 
 def test_initial_parity_is_honored():
-    trace = simulate_parity(0.0, 10.0, seed=1, initial_parity="odd")
+    assert simulate_parity(1.0, 10.0, seed=1).initial_parity == 0
+    trace = ParityTrace(switch_times=np.empty(0), duration_s=10.0,
+                        initial_parity=np.int64(1))
     assert dwell_fractions(trace, 0.0, 10.0) == (0.0, 1.0)
-    with pytest.raises(DomainError):
-        simulate_parity(1.0, 10.0, seed=1, initial_parity="up")
 
 
 def test_switch_counts_are_poisson():
@@ -213,6 +213,10 @@ def test_scan_config_rejects_nan():
         ScanConfig(f_min_ghz=4.0, f_max_ghz=4.5, pixel_seconds=math.nan)
     with pytest.raises(DomainError):
         ScanConfig(f_min_ghz=math.nan, f_max_ghz=4.5)
+    # an infinite end was accepted, and the grid read [nan, inf, ...]
+    for window in ((4.0, math.inf), (-math.inf, 4.5), (4.5, 4.0)):
+        with pytest.raises(DomainError, match="^frequency window must be"):
+            ScanConfig(*window)
 
 
 @pytest.mark.parametrize("n_freq", [3.5, 161.0, True, np.int64(2)])
@@ -242,9 +246,8 @@ def test_scan_rejects_mismatched_traces():
 # --------------------------------------------------------- peak detection
 
 
-def _detect(freqs, rows, linewidth_mhz, threshold_k=_THRESHOLD_K):
-    return _detect_rows(freqs, np.atleast_2d(rows), linewidth_mhz,
-                        threshold_k)
+def _detect(freqs, rows, linewidth_mhz):
+    return _detect_rows(freqs, np.atleast_2d(rows), linewidth_mhz)
 
 
 def _peak_rows(detection):
@@ -301,8 +304,6 @@ def test_two_peaks_resolved():
 
 def test_detection_validates_arguments():
     freqs = np.linspace(4.3, 4.5, 11)
-    with pytest.raises(DomainError, match="^threshold_k must be "):
-        _detect(freqs, np.zeros(11), linewidth_mhz=1.0, threshold_k=0.0)
     with pytest.raises(DomainError, match="^linewidth must be "):
         _detect(freqs, np.zeros(11), linewidth_mhz=0.0)
 
@@ -677,11 +678,16 @@ def _comparable(peaks):
     return count, positions, "nan" if math.isnan(threshold) else threshold
 
 
+@pytest.mark.parametrize("threshold_k", [_THRESHOLD_K, 3.0])
 @pytest.mark.parametrize("width", [161, 160])
 @pytest.mark.parametrize("linewidth_mhz", [1.0, 5.0])
-def test_batched_detection_matches_reference(linewidth_mhz, width):
+def test_batched_detection_matches_reference(
+    monkeypatch, linewidth_mhz, width, threshold_k
+):
     # odd and even row lengths take different median paths; a NaN sample
-    # makes its row's median NaN, as np.median does
+    # makes its row's median NaN, as np.median does; the detector reads
+    # the threshold constant at each call
+    monkeypatch.setattr("qpgap.parity._THRESHOLD_K", threshold_k)
     freqs, rows = _cluster_rows()
     rng = np.random.default_rng(23)
     noisy = rng.normal(0.0, 0.05, size=(600, freqs.size))
@@ -690,7 +696,8 @@ def test_batched_detection_matches_reference(linewidth_mhz, width):
     noisy[7, 33] = np.nan
     rows = np.vstack([rows, noisy])[:, :width]
     freqs = freqs[:width]
-    expected = [_reference_peaks(freqs, row, linewidth_mhz) for row in rows]
+    expected = [_reference_peaks(freqs, row, linewidth_mhz, threshold_k)
+                for row in rows]
     scan = SpectroscopyScan(
         frequencies_ghz=freqs,
         pixel_starts_s=np.arange(len(rows)) * 0.2,
@@ -851,6 +858,13 @@ def test_trace_records_reject_unsorted_times_and_bad_shapes():
         dict(switch_times=np.array([[0.2, 0.5]])),
         dict(switch_times=np.array([0.2, np.nan])),
         dict(initial_parity=2),
+        # a float parity escaped synthesis as a bare TypeError from
+        # bitwise_and, and a bool read as 0 or 1
+        dict(initial_parity=1.0),
+        dict(initial_parity=np.float64(0.0)),
+        dict(initial_parity=True),
+        # non-finite durations are rows of test_magnitudes.py
+        dict(duration_s=0.0),
     ]
     for fields in bad_parity:
         with pytest.raises(DomainError):
@@ -861,6 +875,7 @@ def test_trace_records_reject_unsorted_times_and_bad_shapes():
         dict(jump_times=np.array([[0.4, 0.6]])),
         dict(ng_values=np.array([0.1, 0.2, 0.3, 0.4])),
         dict(ng_values=np.array([[0.1, 0.2, 0.3]])),
+        dict(duration_s=0.0),
     ]
     for fields in bad_charge:
         with pytest.raises(DomainError):
@@ -1027,8 +1042,8 @@ def test_detection_arrays_do_not_depend_on_the_block_size(rows_per_block):
     rows, _ = _pass_rows(len(freqs))
     with np.errstate(invalid="ignore"):  # inf - inf in the deviations
         # _detect_rows grades blocks of _ROWS rows and runs no verdict
-        whole = _detect_rows(freqs, rows, 1.0, _THRESHOLD_K)
-        detection = _RowDetection(freqs, len(rows), 1.0, _THRESHOLD_K)
+        whole = _detect_rows(freqs, rows, 1.0)
+        detection = _RowDetection(freqs, len(rows), 1.0)
         for first in range(0, len(rows), rows_per_block):
             detection.grade(first, rows[first:first + rows_per_block])
     assert np.count_nonzero(whole.counts == 2)
@@ -1076,7 +1091,7 @@ def test_row_wise_and_slot_loop_blocks_match_reference():
 
 def test_initial_parity_error_names_the_value():
     with pytest.raises(DomainError, match="got 'up'"):
-        simulate_parity(1.0, 1.0, seed=1, initial_parity="up")
+        ParityTrace(switch_times=[], duration_s=1.0, initial_parity="up")
 
 
 # ------------------------------------------------------------ work bounds

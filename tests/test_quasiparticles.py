@@ -183,6 +183,20 @@ def test_diffusion_length_uses_environment():
     )
 
 
+# anchors a hand-built record may hold: a NaN passed every ordering test
+# and interpolated to NaN, and a one-element pair escaped unpacking as a
+# bare ValueError
+BAD_ANCHORS = [
+    ((math.nan, 1e-5), (14.0, 1e-11)),
+    ((0.5, math.nan), (14.0, 1e-11)),
+    ((0.5, 1e-5), (math.inf, 1e-11)),
+    ((0.5,), (14.0, 1e-11)),
+    ((0.5, 1e-5, 1.0), (14.0, 1e-11)),
+    (0.5, (14.0, 1e-11)),
+    (("0.5", 1e-5), (14.0, 1e-11)),
+]
+
+
 def test_environment_validates_anchors():
     with pytest.raises(DomainError):
         QPEnvironment(tau_anchors=((0.5, 1e-5),))
@@ -190,6 +204,9 @@ def test_environment_validates_anchors():
         QPEnvironment(tau_anchors=((0.5, 1e-5), (14.0, 2e-5)))
     with pytest.raises(DomainError):
         QPEnvironment(x_nqp=-1e-7)
+    for anchors in BAD_ANCHORS:
+        with pytest.raises(DomainError, match="^tau_anchors must be pairs"):
+            QPEnvironment(tau_anchors=anchors)
 
 
 # --------------------------------------------------- barrier transmission
@@ -261,6 +278,9 @@ def test_thickness_table_validation():
         ThicknessTcTable(anchors=((25.0, 1.3), (40.0, 1.6)))
     with pytest.raises(DomainError):
         ThicknessTcTable(anchors=((25.0, 1.6),))
+    for anchors in BAD_ANCHORS:
+        with pytest.raises(DomainError, match="^thickness table anchors must"):
+            ThicknessTcTable(anchors=anchors)
     with pytest.raises(DomainError):
         tc_from_thickness(0.0)
 
@@ -372,6 +392,10 @@ def test_profile_geometry_errors():
         GapProfile((seg,), 5.0)
     with pytest.raises(GeometryError):
         GapProfile((seg, seg), 7.0)  # junction off the interior boundary
+    for segments in ((1, 2), (seg, (10.0, 2.3)), (seg, None)):
+        # these used to escape as a bare AttributeError
+        with pytest.raises(GeometryError, match="^profile segments must be"):
+            GapProfile(segments, 10.0)
     with pytest.raises(GeometryError):
         GapSegment(-1.0, 2.3)
     with pytest.raises(GeometryError):
@@ -409,7 +433,7 @@ def test_barrier_verdict_for_unprotected_stack():
     assert not verdict.left.adequate and not verdict.right.adequate
 
 
-def test_barrier_needs_length():
+def test_barrier_needs_length(monkeypatch):
     short = GapProfile(
         (
             GapSegment(20.0, DELTA_130),
@@ -419,7 +443,8 @@ def test_barrier_needs_length():
         20.3,
     )
     assert not barrier_adequate(short).adequate
-    assert barrier_adequate(short, safety_factor=2.0).adequate
+    monkeypatch.setattr("qpgap.quasiparticles._SAFETY_FACTOR", 2.0)
+    assert barrier_adequate(short).adequate
 
 
 def test_flat_profile_is_unprotected():
@@ -489,10 +514,8 @@ def test_rate_model_thermal_crossing_near_150_mk():
     assert 0.120 < t_cross < 0.180
 
 
-def test_rate_model_respects_prefactors():
-    rate = parity_rate_model(
-        UNPROTECTED, base_rate_per_s=2.0e3, thermal_prefactor_per_s=0.0
-    )
+def test_rate_model_respects_prefactors(monkeypatch):
+    monkeypatch.setattr("qpgap.quasiparticles.DEFAULT_BASE_RATE", 2.0e3)
+    monkeypatch.setattr("qpgap.quasiparticles.DEFAULT_THERMAL_PREFACTOR", 0.0)
+    rate = parity_rate_model(UNPROTECTED)
     assert rate == pytest.approx(2.0e3, rel=1e-12)
-    with pytest.raises(DomainError):
-        parity_rate_model(UNPROTECTED, base_rate_per_s=-1.0)

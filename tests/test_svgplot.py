@@ -66,7 +66,8 @@ def _reference_heatmap(matrix, x_values, y_values, x_label, y_label, title,
         ((101, 7), 10),
     ],
 )
-def test_heatmap_matches_the_per_cell_reference(shape, max_cells):
+def test_heatmap_matches_the_per_cell_reference(monkeypatch, shape, max_cells):
+    monkeypatch.setattr(svgplot, "_MAX_CELLS", max_cells)
     rng = np.random.default_rng(sum(shape) + max_cells)
     matrix = rng.normal(0.0, 0.05, size=shape)
     matrix[rng.integers(0, shape[0], 5), rng.integers(0, shape[1], 5)] += 1.0
@@ -74,16 +75,17 @@ def test_heatmap_matches_the_per_cell_reference(shape, max_cells):
     y = np.arange(shape[1]) * 0.2
     args = (matrix, x, y, "frequency (GHz)", "time (s)", "scan")
     expected = _reference_heatmap(*args, max_cells=max_cells)
-    assert svgplot.heatmap(*args, max_cells=max_cells) == expected
+    assert svgplot.heatmap(*args) == expected
     # the transposed view the CLI passes
     transposed = (np.ascontiguousarray(matrix.T).T,) + args[1:]
-    assert svgplot.heatmap(*transposed, max_cells=max_cells) == expected
+    assert svgplot.heatmap(*transposed) == expected
 
 
-def test_heatmap_of_a_constant_matrix_matches_the_reference():
+def test_heatmap_of_a_constant_matrix_matches_the_reference(monkeypatch):
+    monkeypatch.setattr(svgplot, "_MAX_CELLS", 4)
     matrix = np.full((9, 6), 0.25)
     args = (matrix, np.arange(9.0), np.arange(6.0), "x", "y", "flat")
-    assert svgplot.heatmap(*args, max_cells=4) == _reference_heatmap(
+    assert svgplot.heatmap(*args) == _reference_heatmap(
         *args, max_cells=4
     )
 

@@ -11,12 +11,14 @@ from qpgap.thermal import (
     temperature_from_population,
     thermal_qp_term,
 )
-from qpgap.units import CONSTANTS
+from qpgap.units import CONSTANTS, Constants
 
 
-def test_gap_from_tc():
+def test_gap_from_tc(monkeypatch):
     assert delta_from_tc(1.31) == pytest.approx(1.764 * 1.31, rel=1e-12)
-    assert delta_from_tc(1.0, bcs_ratio=2.0) == 2.0
+    # the ratio is read from the constants at each call
+    monkeypatch.setattr("qpgap.units.CONSTANTS", Constants(bcs_ratio=2.0))
+    assert delta_from_tc(1.0) == 2.0
 
 
 def test_gap_rejects_non_positive_tc():

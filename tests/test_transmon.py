@@ -142,13 +142,11 @@ def test_spectrum_validates_level_count():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda p, n: transmon._eigensystem(p, n),
-        lambda p, n: dispersive_shift(p, _coupling(), level=0, levels=n),
-        lambda p, n: chi_shift(p, _coupling(), levels=n),
-        lambda p, n: resonator_dispersion(p, _coupling(), levels=n),
-        lambda p, n: resonator_dispersion(
-            p, _coupling(), method="chi", levels=n
-        ),
+        lambda p: transmon._eigensystem(p, 50),
+        lambda p: dispersive_shift(p, _coupling(), level=0),
+        lambda p: chi_shift(p, _coupling()),
+        lambda p: resonator_dispersion(p, _coupling()),
+        lambda p: resonator_dispersion(p, _coupling(), method="chi"),
     ],
     ids=[
         "eigensystem",
@@ -158,12 +156,14 @@ def test_spectrum_validates_level_count():
         "resonator_dispersion_chi",
     ],
 )
-def test_levels_above_dimension_is_a_domain_error(call):
-    # the same check as test_spectrum_validates_level_count, via eigensystems
+def test_levels_above_dimension_is_a_domain_error(monkeypatch, call):
+    # the same check as test_spectrum_validates_level_count, via
+    # eigensystems; the shift sums read their truncation at each call
+    monkeypatch.setattr(transmon, "DEFAULT_SHIFT_LEVELS", 50)
     p = TransmonParams(EJ=1.0, EC=1.0)
     assert 2 * p.effective_n_cut + 1 < 50
     with pytest.raises(DomainError, match="exceeds Hilbert space dimension"):
-        call(p, 50)
+        call(p)
 
 
 def test_negative_ej_rejected():
@@ -312,6 +312,26 @@ def test_chi_values_for_shipped_devices():
     for ej, ec, g, chi_quoted, tol in cases.values():
         chi = chi_shift(TransmonParams(EJ=ej, EC=ec), _coupling(g))
         assert chi == pytest.approx(chi_quoted, rel=tol)
+
+
+def test_twelve_levels_move_the_shipped_shifts_under_one_percent(monkeypatch):
+    # the truncation dispersive_shift documents, read at each call
+    devices = ((21.67, 0.150, 130.0), (7.417, 0.403, 122.0),
+               (13.69, 0.150, 153.0), (6.92, 0.429, 122.0))
+
+    def shifts():
+        return [
+            (dispersive_shift(TransmonParams(ej, ec), _coupling(g), 0),
+             chi_shift(TransmonParams(ej, ec), _coupling(g)))
+            for ej, ec, g in devices
+        ]
+
+    assert transmon.DEFAULT_SHIFT_LEVELS == 10
+    ten = shifts()
+    monkeypatch.setattr(transmon, "DEFAULT_SHIFT_LEVELS", 12)
+    for wide, narrow in zip(shifts(), ten):
+        assert wide != narrow
+        assert wide == pytest.approx(narrow, rel=0.01)
 
 
 def test_coupling_requires_positive_g():

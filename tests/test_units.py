@@ -2,8 +2,6 @@ import math
 
 import pytest
 
-from qpgap.errors import DomainError
-from qpgap.thermal import delta_from_tc
 from qpgap.units import CONSTANTS, kelvin_to_ev, kelvin_to_ghz
 
 
@@ -44,11 +42,6 @@ def test_gap_scale_conversion():
     # 2.2932 K is the 1.3 K-Tc film gap; its frequency sits near 47.8 GHz
     assert kelvin_to_ghz(2.2932) == pytest.approx(47.7825, abs=1e-3)
     assert kelvin_to_ev(2.2932) == pytest.approx(1.9761e-4, rel=1e-3)
-
-
-def test_bcs_ratio_must_be_positive():
-    with pytest.raises(DomainError):
-        delta_from_tc(1.0, bcs_ratio=0.0)
 
 
 def test_conversions_propagate_nan():
