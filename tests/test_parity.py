@@ -213,10 +213,14 @@ def test_scan_config_rejects_nan():
         ScanConfig(f_min_ghz=4.0, f_max_ghz=4.5, pixel_seconds=math.nan)
     with pytest.raises(DomainError):
         ScanConfig(f_min_ghz=math.nan, f_max_ghz=4.5)
+
+
+@pytest.mark.parametrize("window", [(4.0, math.inf), (-math.inf, 4.5),
+                                    (4.5, 4.0)])
+def test_scan_config_rejects_a_non_finite_or_reversed_window(window):
     # an infinite end was accepted, and the grid read [nan, inf, ...]
-    for window in ((4.0, math.inf), (-math.inf, 4.5), (4.5, 4.0)):
-        with pytest.raises(DomainError, match="^frequency window must be"):
-            ScanConfig(*window)
+    with pytest.raises(DomainError, match="^frequency window must be"):
+        ScanConfig(*window)
 
 
 @pytest.mark.parametrize("n_freq", [3.5, 161.0, True, np.int64(2)])
@@ -858,11 +862,6 @@ def test_trace_records_reject_unsorted_times_and_bad_shapes():
         dict(switch_times=np.array([[0.2, 0.5]])),
         dict(switch_times=np.array([0.2, np.nan])),
         dict(initial_parity=2),
-        # a float parity escaped synthesis as a bare TypeError from
-        # bitwise_and, and a bool read as 0 or 1
-        dict(initial_parity=1.0),
-        dict(initial_parity=np.float64(0.0)),
-        dict(initial_parity=True),
         # non-finite durations are rows of test_magnitudes.py
         dict(duration_s=0.0),
     ]
@@ -1087,6 +1086,17 @@ def test_row_wise_and_slot_loop_blocks_match_reference():
         SENSITIVE, parity, charge, _scan_config(duration, n_freq=61)
     )
     assert scan.n_pixels == n_pixels
+
+
+@pytest.mark.parametrize(
+    "parity", [1.0, np.float64(0.0), True], ids=["float", "float64", "bool"]
+)
+def test_trace_rejects_an_initial_parity_that_is_not_an_int(parity):
+    # a float parity escaped synthesis as a bare TypeError from
+    # bitwise_and, and a bool read as 0 or 1
+    with pytest.raises(DomainError, match="^initial parity must be 0 or 1"):
+        ParityTrace(switch_times=[0.2, 0.5], duration_s=1.0,
+                    initial_parity=parity)
 
 
 def test_initial_parity_error_names_the_value():

@@ -204,9 +204,12 @@ def test_environment_validates_anchors():
         QPEnvironment(tau_anchors=((0.5, 1e-5), (14.0, 2e-5)))
     with pytest.raises(DomainError):
         QPEnvironment(x_nqp=-1e-7)
-    for anchors in BAD_ANCHORS:
-        with pytest.raises(DomainError, match="^tau_anchors must be pairs"):
-            QPEnvironment(tau_anchors=anchors)
+
+
+@pytest.mark.parametrize("anchors", BAD_ANCHORS)
+def test_environment_rejects_anchors_that_are_not_finite_pairs(anchors):
+    with pytest.raises(DomainError, match="^tau_anchors must be pairs"):
+        QPEnvironment(tau_anchors=anchors)
 
 
 # --------------------------------------------------- barrier transmission
@@ -278,11 +281,14 @@ def test_thickness_table_validation():
         ThicknessTcTable(anchors=((25.0, 1.3), (40.0, 1.6)))
     with pytest.raises(DomainError):
         ThicknessTcTable(anchors=((25.0, 1.6),))
-    for anchors in BAD_ANCHORS:
-        with pytest.raises(DomainError, match="^thickness table anchors must"):
-            ThicknessTcTable(anchors=anchors)
     with pytest.raises(DomainError):
         tc_from_thickness(0.0)
+
+
+@pytest.mark.parametrize("anchors", BAD_ANCHORS)
+def test_thickness_table_rejects_anchors_that_are_not_finite_pairs(anchors):
+    with pytest.raises(DomainError, match="^thickness table anchors must"):
+        ThicknessTcTable(anchors=anchors)
 
 
 # -------------------------------------------------------------- profiles
@@ -392,10 +398,6 @@ def test_profile_geometry_errors():
         GapProfile((seg,), 5.0)
     with pytest.raises(GeometryError):
         GapProfile((seg, seg), 7.0)  # junction off the interior boundary
-    for segments in ((1, 2), (seg, (10.0, 2.3)), (seg, None)):
-        # these used to escape as a bare AttributeError
-        with pytest.raises(GeometryError, match="^profile segments must be"):
-            GapProfile(segments, 10.0)
     with pytest.raises(GeometryError):
         GapSegment(-1.0, 2.3)
     with pytest.raises(GeometryError):
@@ -404,6 +406,17 @@ def test_profile_geometry_errors():
         StackSegment(10.0)
     with pytest.raises(GeometryError):
         StackSegment(10.0, thickness_nm=25.0, delta_k=2.3)
+
+
+@pytest.mark.parametrize(
+    "segments",
+    [(1, 2), (GapSegment(10.0, 2.3), (10.0, 2.3)), (GapSegment(10.0, 2.3), None)],
+    ids=["numbers", "tuple", "none"],
+)
+def test_profile_rejects_entries_that_are_not_segments(segments):
+    # these used to escape as a bare AttributeError
+    with pytest.raises(GeometryError, match="^profile segments must be"):
+        GapProfile(segments, 10.0)
 
 
 def test_side_segments_order_from_junction_outward():
