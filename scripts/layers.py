@@ -24,7 +24,9 @@ interpreter's count of the workload's counter (each interpreter of a
 checkout counts the same):
 
 * ``device_sweep``: the inversions whose bracket ends came from the
-  bracket cache (``served``) of all inversions;
+  bracket cache (``served``) of all inversions, and the eigen memo's
+  misses (``solves_per_op``, one eigensolve each) and hits
+  (``memo_hits_per_op``) per operation, from ``transmon._solve``;
 * ``parity_scan``: the Lorentzian terms and the detections of each
   regime's scans.  ``segments`` is the count a loop over each pixel's
   segments adds (one per piece between events), ``states`` the count a
@@ -56,17 +58,24 @@ from cold_start import interleave, summary
 HERE = Path(__file__).resolve().parent.parent
 
 
-def bracket_cache(run) -> dict:
+def device_counts(run) -> dict:
     """Inversions whose bracket ends came from the bracket cache (served),
-    of all inversions."""
+    of all inversions; and the eigen memo's misses (solves) and hits per
+    operation."""
     from qpgap._inversion import _bracket_observables as cache
+    from qpgap.transmon import _solve as memo
 
-    before = cache.cache_info()
-    run(lambda item, out: None)
-    after = cache.cache_info()
+    ops = []
+    before, memo_before = cache.cache_info(), memo.cache_info()
+    run(lambda item, out: ops.append(item))
+    after, memo_after = cache.cache_info(), memo.cache_info()
     return {"served": after.hits - before.hits,
             "inversions": after.hits + after.misses
-            - before.hits - before.misses}
+            - before.hits - before.misses,
+            "solves_per_op": (memo_after.misses - memo_before.misses)
+            / len(ops),
+            "memo_hits_per_op": (memo_after.hits - memo_before.hits)
+            / len(ops)}
 
 
 def scan_counts(run) -> dict:
@@ -134,7 +143,7 @@ def term_counts(parity, charge, n_pixels: int, pixel_seconds: float):
 
 # workload -> its counter: called with a ``run(count)`` that times the
 # operations and passes each (item, output) to ``count``, untimed
-COUNTERS = {"device_sweep": bracket_cache, "parity_scan": scan_counts}
+COUNTERS = {"device_sweep": device_counts, "parity_scan": scan_counts}
 
 
 def worker(name: str, root: Path, seed: int, ops: int) -> dict:

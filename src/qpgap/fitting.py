@@ -3,11 +3,15 @@
 ``least_squares`` is a self-contained Levenberg-Marquardt engine: the
 caller supplies the Jacobian in closed form, steps use Marquardt
 diagonal scaling, box bounds are kept by step clipping, and the
-iteration is deterministic float for float.  Each fit hands it its
-weighted residuals together with their Jacobian; so does the
-three-target (EJ, EC) refinement of :func:`qpgap.transmon.fit_ej_ec`,
-which imports it on use.  Data series are sorted on load so a fit is
-invariant under any reordering of its input points.
+iteration is deterministic float for float.  The numbers of an
+iteration (J^T J, J^T r, the damped step, the clipped trial and its
+residual) come from numpy array operations; its active-bound,
+trial-finiteness and relative-step tests compare Python floats of the
+few parameters.  Each fit hands it its weighted residuals together with
+their Jacobian; so does the three-target (EJ, EC) refinement of
+:func:`qpgap.transmon.fit_ej_ec`, which imports it on use.  Data series
+are sorted on load so a fit is invariant under any reordering of its
+input points.
 
 The T2*(T) fit, its shot-noise model and the resonator thermometry live
 in the private module ``_dephasing``, which only ``fit t2`` loads; their
@@ -105,6 +109,10 @@ def least_squares(
     upper = np.array([b[1] for b in bounds], dtype=float)
     if np.any(x < lower) or np.any(x > upper):
         raise DomainError(f"initial guess {x.tolist()} violates bounds")
+    # the bound, finiteness and step tests of an iteration compare a few
+    # Python floats, the IEEE comparisons of numpy's at less cost per call
+    limits = list(zip(lower.tolist(), upper.tolist()))
+    xs = x.tolist()
 
     residual = np.asarray(residual_fn(x), dtype=float)
     ssr = float(residual @ residual)
@@ -126,16 +134,16 @@ def least_squares(
         # parameters at a bound that the gradient pushes against are
         # frozen; the system shrinks to the free ones only when one is
         free = None
-        pinned = (
-            ((x <= lower) & (gradient > 0.0))
-            | ((x >= upper) & (gradient < 0.0))
-        )
-        if pinned.any():
-            if pinned.all():
+        pinned = [
+            (v <= lo and g > 0.0) or (v >= hi and g < 0.0)
+            for v, g, (lo, hi) in zip(xs, gradient.tolist(), limits)
+        ]
+        if any(pinned):
+            if all(pinned):
                 # a constrained stationary point
                 converged = True
                 break
-            free = ~pinned
+            free = [i for i, frozen in enumerate(pinned) if not frozen]
         if free is None:
             reduced, scaling, descent = normal, np.diag(diag), -gradient
         else:
@@ -155,22 +163,22 @@ def least_squares(
                 full[free] = delta
                 delta = full
             trial = _clip(x + delta, lower, upper)
-            if not np.isfinite(trial).all():
+            trial_xs = trial.tolist()
+            if not all(map(math.isfinite, trial_xs)):
                 # an overflowed step: the models reject a NaN or inf
                 # parameter, so it is a failed trial, not an evaluation
                 lam *= _LAMBDA_UP
                 continue
-            step = trial - x
             trial_residual = np.asarray(residual_fn(trial), dtype=float)
             trial_ssr = float(trial_residual @ trial_residual)
             if trial_ssr <= ssr:
                 rel_change = (ssr - trial_ssr) / max(ssr, 1e-300)
-                # x and step are finite, so no NaN meets max
+                # x and trial are finite, so no NaN meets max
                 rel_move = max(
-                    abs(s) / max(abs(v), 1e-300)
-                    for s, v in zip(step.tolist(), x.tolist())
+                    abs(t - v) / max(abs(v), 1e-300)
+                    for t, v in zip(trial_xs, xs)
                 )
-                x = trial
+                x, xs = trial, trial_xs
                 residual = trial_residual
                 ssr = trial_ssr
                 lam = max(lam / _LAMBDA_DOWN, 1e-12)

@@ -96,18 +96,25 @@ def _exponential_arrivals(
     return merged[merged < duration_s]
 
 
-def _check_event_times(name: str, times) -> None:
-    """Raise unless ``times`` is 1-d and sorted; equal neighbours pass.
+def _check_event_times(name: str, times, duration_s: float) -> None:
+    """Raise unless ``times`` is 1-d, sorted and inside [0, duration);
+    equal neighbours pass.
 
     At the largest rates ``t + wait`` can round to ``t``, and synthesis
     drops the zero-width segment two equal times make.  The check reads
-    the event times once and no scan sample.
+    the event times once and no scan sample; once they are sorted, the
+    first and last entries bound the rest.
     """
     times = np.asarray(times)
     if times.ndim != 1:
         raise DomainError(f"{name} must be 1-d, got shape {times.shape}")
     if not np.all(times[1:] >= times[:-1]):
         raise DomainError(f"{name} must be sorted (non-decreasing)")
+    if len(times) and not (times[0] >= 0.0 and times[-1] < duration_s):
+        raise DomainError(
+            f"{name} must lie in [0, duration) = [0, {duration_s}), got "
+            f"[{times[0]}, {times[-1]}]"
+        )
 
 
 class ParityTrace(Record):
@@ -123,8 +130,8 @@ class ParityTrace(Record):
     _defaults = {"initial_parity": _EVEN, "seed": None}
 
     def _check(self) -> None:
-        _check_event_times("switch_times", self.switch_times)
         positive("duration", self.duration_s)
+        _check_event_times("switch_times", self.switch_times, self.duration_s)
         parity = self.initial_parity
         # the rule of TransmonParams.n_cut: synthesis adds the parity to
         # integer flip counts
@@ -150,8 +157,8 @@ class ChargeTrace(Record):
     _defaults = {"seed": None}
 
     def _check(self) -> None:
-        _check_event_times("jump_times", self.jump_times)
         positive("duration", self.duration_s)
+        _check_event_times("jump_times", self.jump_times, self.duration_s)
         if np.shape(self.ng_values) != (len(self.jump_times) + 1,):
             raise DomainError("ng_values needs one entry more than jump_times")
 

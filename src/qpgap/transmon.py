@@ -3,7 +3,10 @@
 The qubit is modeled in the Cooper-pair charge basis, where the
 Hamiltonian is symmetric tridiagonal: 4 EC (n - ng)^2 on the diagonal and
 -EJ/2 on the off-diagonals.  All energies are in GHz, offset charge ng is
-in Cooper-pair units, and a parity flip shifts ng by 0.5.
+in Cooper-pair units, and a parity flip shifts ng by 0.5.  Every
+eigensolve goes through the memoized ``_solve``, the one LAPACK call
+site: bisection by ``dstebz``, and inverse iteration by ``dstein`` when
+eigenvectors are asked for.
 
 The inversion of measured frequencies to (EJ, EC), :func:`fit_ej_ec`,
 lives in the private module ``_inversion``, which only a config given as
@@ -102,11 +105,11 @@ class Spectrum(Record):
 
     @property
     def f_ge(self) -> float:
-        return self.transition(0, 1)
+        return float(self.energies[1] - self.energies[0])
 
     @property
     def f_ef(self) -> float:
-        return self.transition(1, 2)
+        return float(self.energies[2] - self.energies[1])
 
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
@@ -128,69 +131,53 @@ def _hopping(cut: int, EJ: float) -> np.ndarray:
     return band
 
 
-def _tridiagonal_bands(params: TransmonParams) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal 4 EC (n - ng)^2 and off-diagonal -EJ/2 of the Hamiltonian.
+@functools.lru_cache(maxsize=_SOLVE_CACHE_SIZE)
+def _solve(params: TransmonParams, levels: int, vectors: bool):
+    """Lowest ``levels`` energies (and eigenvectors, as columns) of the
+    charge-basis Hamiltonian, memoized: the one LAPACK call site.
 
-    The bits of ``4.0 * EC * (charge - ng) ** 2``, computed in the one
-    array the subtraction allocates; the off-diagonal is the shared
-    read-only one of :func:`_hopping`.
+    The diagonal 4 EC (n - ng)^2 is computed in the one array the
+    subtraction allocates; the off-diagonal is the shared read-only band
+    of :func:`_hopping`.  Bisection by ``dstebz`` and, for an eigensystem
+    only, inverse iteration by ``dstein`` are the calls that
+    ``scipy.linalg.eigvalsh_tridiagonal`` and ``eigh_tridiagonal`` make
+    with ``select="i"``, with the same arguments, so the results are
+    bit-identical, without the wrappers' argument handling.  The returned
+    arrays are shared by every caller and read-only.
     """
     cut = params.effective_n_cut
+    if levels < 2:
+        raise DomainError(f"levels must be >= 2, got {levels}")
+    if levels > 2 * cut + 1:
+        raise DomainError(
+            f"levels={levels} exceeds Hilbert space dimension {2 * cut + 1}"
+        )
     diagonal = _charge_grid(cut) - params.ng
     np.multiply(diagonal, diagonal, out=diagonal)
     diagonal *= 4.0 * params.EC
-    return diagonal, _hopping(cut, params.EJ)
-
-
-def _check_info(routine: str, info: int) -> None:
-    if info != 0:
-        raise ConvergenceError(f"LAPACK {routine} failed with info = {info}")
-
-
-def _tridiagonal_eigh(
-    diagonal: np.ndarray, off_diagonal: np.ndarray, levels: int, vectors: bool
-):
-    """Lowest ``levels`` eigenvalues (and eigenvectors) of a tridiagonal band.
-
-    Makes the LAPACK calls of ``scipy.linalg.eigvalsh_tridiagonal`` and
-    ``eigh_tridiagonal`` with ``select="i"`` (bisection by ``dstebz``,
-    inverse iteration by ``dstein``) with the same arguments, so the
-    results are bit-identical, without the wrappers' argument handling.
-    """
-    if levels < 2:
-        raise DomainError(f"levels must be >= 2, got {levels}")
-    if levels > len(diagonal):
-        raise DomainError(
-            f"levels={levels} exceeds Hilbert space dimension {len(diagonal)}"
-        )
+    off_diagonal = _hopping(cut, params.EJ)
     lapack = _lapack()
     m, energies, iblock, isplit, info = lapack.dstebz(
         diagonal, off_diagonal, 2, 0.0, 1.0, 1, levels, 0.0,
         "B" if vectors else "E",
     )
-    _check_info("dstebz", info)
+    if info:
+        raise ConvergenceError(f"LAPACK dstebz failed with info = {info}")
     energies = energies[:m]
     if not vectors:
+        energies.flags.writeable = False
         return energies
     states, info = lapack.dstein(
         diagonal, off_diagonal, energies, iblock, isplit
     )
-    _check_info("dstein", info)
+    if info:
+        raise ConvergenceError(f"LAPACK dstein failed with info = {info}")
     # dstebz orders by split-off block; the caller wants ascending energies
     order = np.argsort(energies)
-    return energies[order], states[:, order]
-
-
-@functools.lru_cache(maxsize=_SOLVE_CACHE_SIZE)
-def _solve(params: TransmonParams, levels: int, vectors: bool):
-    """Memoized :func:`_tridiagonal_eigh` of the charge-basis Hamiltonian.
-
-    The returned arrays are shared by every caller and read-only.
-    """
-    result = _tridiagonal_eigh(*_tridiagonal_bands(params), levels, vectors)
-    for array in result if vectors else (result,):
-        array.flags.writeable = False
-    return result
+    energies, states = energies[order], states[:, order]
+    energies.flags.writeable = False
+    states.flags.writeable = False
+    return energies, states
 
 
 def eigenspectrum(params: TransmonParams, levels: int = 3) -> Spectrum:
@@ -268,8 +255,12 @@ def _level_shifts(
     """
     levels = DEFAULT_SHIFT_LEVELS
     for level in requested:
-        if level >= levels:
-            raise DomainError(f"level {level} outside truncation {levels}")
+        # an int or numpy integer, as for TransmonParams.n_cut, and no
+        # bool; a negative level would index from the end
+        if isinstance(level, bool) or not (
+                isinstance(level, (int, np.integer)) and 0 <= level < levels):
+            raise DomainError(
+                f"level {level!r} is not an int in [0, {levels})")
     energies, vectors = _eigensystem(params, levels)
     energies = energies.tolist()
     elements = _charge_elements(params, vectors).tolist()

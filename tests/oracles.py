@@ -8,13 +8,22 @@ clarity rather than speed.
 import numpy as np
 
 from qpgap.errors import DomainError
-from qpgap.transmon import _tridiagonal_bands, transition_frequency
+from qpgap.transmon import transition_frequency
+
+
+def tridiagonal_bands(params) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal 4 EC (n - ng)^2 and off-diagonal -EJ/2 of the charge-basis
+    Hamiltonian, from the closed form."""
+    cut = params.effective_n_cut
+    charge = np.arange(-cut, cut + 1.0)
+    return (4.0 * params.EC * (charge - params.ng) ** 2,
+            np.full(2 * cut, -params.EJ / 2.0))
 
 
 def build_hamiltonian(params) -> np.ndarray:
     """Dense charge-basis Hamiltonian matrix in GHz, of dimension
     2*effective_n_cut + 1."""
-    diagonal, off_diagonal = _tridiagonal_bands(params)
+    diagonal, off_diagonal = tridiagonal_bands(params)
     matrix = np.diag(diagonal)
     idx = np.arange(len(off_diagonal))
     matrix[idx, idx + 1] = off_diagonal

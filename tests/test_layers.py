@@ -24,7 +24,8 @@ class _Spans:
 # targets config (config.load_targets) at operation 3 and parity_scan
 # reaches the protected regime at operation 2
 @pytest.mark.parametrize("name, ops, counter_keys", [
-    ("device_sweep", 4, {"served", "inversions"}),
+    ("device_sweep", 4,
+     {"served", "inversions", "solves_per_op", "memo_hits_per_op"}),
     ("parity_scan", 3, {"fast", "moderate", "protected"}),
 ])
 def test_layer_worker_records_every_span_the_layer_metrics_read(
@@ -42,6 +43,9 @@ def test_layer_worker_records_every_span_the_layer_metrics_read(
             assert 0 < counts["clusters"] <= counts["maxima"]
     else:
         assert 0 <= result["counter"]["served"] <= result["counter"]["inversions"]
+        # every point solves its spectrum grid: 26 offset charges x 2
+        assert result["counter"]["solves_per_op"] >= 52
+        assert result["counter"]["memo_hits_per_op"] > 0
     assert len(result["op_ms"]) == ops
     tracer = importlib.import_module("tracer")
     workload = importlib.import_module(name).Workload(1, REPO)

@@ -9,6 +9,7 @@ convergence flag, and the same error with the same best point.
 """
 
 import math
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,20 @@ def _banana_jacobian(p):
     return np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]])
 
 
+def _beyond_max(p):
+    # zero at p = 2e308; the square of the residual and of the Jacobian
+    # stay inside the float range, while the Gauss-Newton step from
+    # 1.5e308 is 5e307.  Like the rate models, it refuses a parameter
+    # that is not finite, so an overflowed trial must not reach it.
+    if not np.isfinite(p).all():
+        raise DomainError(f"parameter {p.tolist()} is not finite")
+    return np.array([2e-154 * (p[0] - 1.5e308) - 1e154])
+
+
+def _beyond_max_jacobian(p):
+    return np.array([[2e-154]])
+
+
 @pytest.mark.parametrize(
     "problem, x0, kwargs",
     [
@@ -250,17 +265,29 @@ def _banana_jacobian(p):
         ((lambda p: np.full(3, p[0]) - 1.0,
           lambda p: np.column_stack([np.ones(3), np.zeros(3)])),
          [0.0, 1.0], {}),
+        # the slope starts at its lower bound with a positive gradient, so
+        # it stays pinned there while the intercept moves
+        ((_line, _line_jacobian), [3.5, 0.5],
+         {"bounds": [(3.5, 10.0), (-math.inf, math.inf)]}),
+        # the optimum lies past the float range: the first trials overflow
+        # to inf and are rejected until the damping shortens the step
+        ((_beyond_max, _beyond_max_jacobian), [1.5e308], {"overflow": True}),
     ],
     ids=["pinned", "active-bound", "all-pinned", "banana", "cap",
-         "banana-bounded", "rank"],
+         "banana-bounded", "rank", "lower-bound", "overflow"],
 )
 def test_small_problems_match_the_reference(monkeypatch, problem, x0, kwargs):
     # the solver reads its iteration cap at each call
     if "max_iter" in kwargs:
         monkeypatch.setattr(fitting, "DEFAULT_MAX_ITER", kwargs["max_iter"])
+    kwargs = dict(kwargs)
+    overflow = kwargs.pop("overflow", False)
     solver_kwargs = {k: v for k, v in kwargs.items() if k != "max_iter"}
-    ours = _outcome(fitting.least_squares, *problem, x0, **solver_kwargs)
-    assert ours == _outcome(reference_least_squares, *problem, x0, **kwargs)
+    # an overflowing trial warns in both loops, and warnings fail the tests
+    with np.errstate(over="ignore") if overflow else nullcontext():
+        ours = _outcome(fitting.least_squares, *problem, x0, **solver_kwargs)
+        theirs = _outcome(reference_least_squares, *problem, x0, **kwargs)
+    assert ours == theirs
 
 
 def test_non_finite_initial_guess_is_a_domain_error():

@@ -40,6 +40,7 @@ from qpgap.transmon import (
     resonator_dispersion,
     transition_frequency,
 )
+from oracles import tridiagonal_bands
 
 
 @pytest.fixture
@@ -213,10 +214,13 @@ def test_scipy_linalg_imports_after_transmon_and_agrees():
     code = (
         "import sys, qpgap.transmon as t\n"
         "params = t.TransmonParams(EJ=14.0 * 0.3, EC=0.3, ng=0.25)\n"
-        "d, e = t._tridiagonal_bands(params)\n"
-        "ours = t._tridiagonal_eigh(d, e, 3, vectors=True)\n"
+        "ours = t._eigensystem(params, 3)\n"
         "assert 'scipy.linalg' not in sys.modules\n"
-        "import scipy.linalg\n"
+        "import numpy as np, scipy.linalg\n"
+        "cut = params.effective_n_cut\n"
+        "charge = np.arange(-cut, cut + 1.0)\n"
+        "d = 4.0 * params.EC * (charge - params.ng) ** 2\n"
+        "e = np.full(len(d) - 1, -params.EJ / 2.0)\n"
         "theirs = scipy.linalg.eigh_tridiagonal(\n"
         "    d, e, select='i', select_range=(0, 2), check_finite=False)\n"
         "print(all(a.tobytes() == b.tobytes() for a, b in zip(ours, theirs)))\n"
@@ -259,7 +263,7 @@ def test_tridiagonal_eigh_matches_scipy_bit_for_bit(
 ):
     # EJ = 0 leaves the matrix diagonal: LAPACK splits it into 1x1 blocks
     params = TransmonParams(EJ=ratio * 0.3, EC=0.3, ng=ng)
-    diagonal, off_diagonal = qpgap.transmon._tridiagonal_bands(params)
+    diagonal, off_diagonal = tridiagonal_bands(params)
     select = dict(select="i", select_range=(0, levels - 1), check_finite=False)
     oracle = scipy.linalg.eigvalsh_tridiagonal(
         diagonal, off_diagonal, **select
@@ -268,19 +272,15 @@ def test_tridiagonal_eigh_matches_scipy_bit_for_bit(
         diagonal, off_diagonal, **select
     )
 
-    energies = qpgap.transmon._tridiagonal_eigh(
-        diagonal, off_diagonal, levels, vectors=False
-    )
-    assert energies.tobytes() == oracle.tobytes()
-    system = qpgap.transmon._tridiagonal_eigh(
-        diagonal, off_diagonal, levels, vectors=True
-    )
-    memoized = qpgap.transmon._eigensystem(params, levels)
-    for pair in (system, memoized):
-        assert pair[0].tobytes() == oracle_energies.tobytes()
-        assert pair[1].shape == oracle_vectors.shape
-        assert pair[1].tobytes() == oracle_vectors.tobytes()
-    assert eigenspectrum(params, levels).energies.tobytes() == oracle.tobytes()
+    # a memo miss, then the memo's shared result
+    for _ in range(2):
+        energies = eigenspectrum(params, levels).energies
+        assert energies.tobytes() == oracle.tobytes()
+        system = qpgap.transmon._eigensystem(params, levels)
+        assert system[0].tobytes() == oracle_energies.tobytes()
+        assert system[1].shape == oracle_vectors.shape
+        assert system[1].tobytes() == oracle_vectors.tobytes()
+    assert qpgap.transmon._solve.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("routine", ["dstebz", "dstein"])

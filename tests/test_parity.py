@@ -1099,6 +1099,22 @@ def test_trace_rejects_an_initial_parity_that_is_not_an_int(parity):
                     initial_parity=parity)
 
 
+@pytest.mark.parametrize("time", [-5.0, 1.0], ids=["negative", "duration"])
+@pytest.mark.parametrize("record", ["parity", "charge"])
+def test_trace_rejects_an_event_time_outside_the_duration(record, time):
+    # a switch at -5 s flipped every pixel of a scan to the odd branch
+    times = np.array([0.2, time]) if time > 0.0 else np.array([time, 0.2])
+    if record == "parity":
+        name = "switch_times"
+        build = lambda: ParityTrace(switch_times=times, duration_s=1.0)
+    else:
+        name = "jump_times"
+        build = lambda: ChargeTrace(jump_times=times,
+                                    ng_values=[0.1, 0.3, 0.6], duration_s=1.0)
+    with pytest.raises(DomainError, match=rf"^{name} must lie in \[0, "):
+        build()
+
+
 def test_initial_parity_error_names_the_value():
     with pytest.raises(DomainError, match="got 'up'"):
         ParityTrace(switch_times=[], duration_s=1.0, initial_parity="up")

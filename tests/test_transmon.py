@@ -22,7 +22,7 @@ from qpgap.transmon import (
     resonator_dispersion,
     transition_frequency,
 )
-from oracles import build_hamiltonian, parity_frequencies
+from oracles import build_hamiltonian, parity_frequencies, tridiagonal_bands
 
 # (EJ, EC, quoted f_ge midpoint, quoted eps_ge) for the five shipped devices
 DEVICES = {
@@ -164,6 +164,17 @@ def test_levels_above_dimension_is_a_domain_error(monkeypatch, call):
     assert 2 * p.effective_n_cut + 1 < 50
     with pytest.raises(DomainError, match="exceeds Hilbert space dimension"):
         call(p)
+
+
+@pytest.mark.parametrize(
+    "level", [-1, 10, 1.0, True], ids=["negative", "ten", "float", "bool"]
+)
+def test_dispersive_shift_rejects_a_level_outside_the_truncation(level):
+    # -1 read level 9's shift through negative indexing, and a float level
+    # escaped as a bare TypeError
+    params = TransmonParams(EJ=7.417, EC=0.403)
+    with pytest.raises(DomainError, match=rf"^level {level!r} is not an int"):
+        dispersive_shift(params, _coupling(), level)
 
 
 def test_negative_ej_rejected():
@@ -564,28 +575,51 @@ def _band_params():
     return points
 
 
-def test_bands_match_the_closed_form_bit_for_bit():
-    for params in _band_params():
+def _recorded_bands(monkeypatch, points):
+    """The (diagonal, off-diagonal) pair each solve of ``points`` hands to
+    LAPACK, each point solved afresh."""
+    original = transmon._lapack().dstebz
+    bands = []
+
+    def recording(d, e, *args):
+        bands.append((d, e))
+        return original(d, e, *args)
+
+    monkeypatch.setattr(transmon._lapack(), "dstebz", recording)
+    transmon._solve.cache_clear()
+    try:
+        for params in points:
+            eigenspectrum(params, levels=2)
+    finally:
+        transmon._solve.cache_clear()
+    return bands
+
+
+def test_bands_match_the_closed_form_bit_for_bit(monkeypatch):
+    points = _band_params()
+    bands = _recorded_bands(monkeypatch, points)
+    assert len(bands) == len(points)
+    for params, (diagonal, off_diagonal) in zip(points, bands):
         cut = params.effective_n_cut
-        diagonal, off_diagonal = transmon._tridiagonal_bands(params)
-        charge = np.arange(-cut, cut + 1.0)
-        expected = 4.0 * params.EC * (charge - params.ng) ** 2
+        expected, expected_off = tridiagonal_bands(params)
         assert diagonal.tobytes() == expected.tobytes(), params
-        assert off_diagonal.tobytes() == np.full(
-            2 * cut, -params.EJ / 2.0).tobytes(), params
-        # the diagonal is the caller's own array, not the shared grid
+        assert off_diagonal.tobytes() == expected_off.tobytes(), params
+        # the diagonal is the solve's own array, not the shared grid
         grid = transmon._charge_grid(cut)
         assert not np.shares_memory(diagonal, grid)
         assert diagonal.flags.writeable and not grid.flags.writeable
         assert grid.tobytes() == np.arange(-cut, cut + 1.0).tobytes()
 
 
-def test_off_diagonal_is_shared_across_ng_and_read_only():
+def test_off_diagonal_is_shared_across_ng_and_read_only(monkeypatch):
     params = TransmonParams(EJ=12.5, EC=0.31, n_cut=40)
-    _, off_diagonal = transmon._tridiagonal_bands(params)
-    for ng in (0.25, 0.5, -1.75):
-        assert transmon._tridiagonal_bands(params.with_ng(ng))[1] is (
-            off_diagonal)
+    bands = _recorded_bands(monkeypatch, [
+        params.with_ng(ng) for ng in (0.0, 0.25, 0.5, -1.75)
+    ])
+    off_diagonal = transmon._hopping(params.effective_n_cut, params.EJ)
+    assert len(bands) == 4
+    for _, band in bands:
+        assert band is off_diagonal
     assert not off_diagonal.flags.writeable
     with pytest.raises(ValueError):
         off_diagonal[0] = 0.0
