@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._dephasing import t2_rate_model
-from .errors import non_negative
+from .errors import integer, non_negative
 from .fitting import DataSeries, t1_rate_model
 
 
@@ -19,6 +19,7 @@ def _noisy_series(
     see correctly calibrated weights.
     """
     non_negative("noise fraction", noise_fraction)
+    integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     sigma = noise_fraction * rates
     noisy = rates + rng.normal(0.0, 1.0, size=len(t)) * sigma

@@ -19,7 +19,8 @@ import numpy as np
 
 from ._record import Record
 from .errors import (
-    DomainError, GeometryError, UnderdeterminedError, non_negative, positive
+    DomainError, GeometryError, UnderdeterminedError, integer, non_negative,
+    positive,
 )
 from .units import delta_from_tc
 
@@ -40,6 +41,9 @@ _MIN_CUT = 10
 # Largest EJ/EC accepted: the charge basis grows as sqrt(EJ/EC), and at
 # this ratio it already holds about 11k states (effective_n_cut ~ 5.6k).
 MAX_EJ_OVER_EC = 1e7
+# Largest n_cut accepted: the automatic cutoff at MAX_EJ_OVER_EC (5601),
+# so a requested cutoff asks for no larger basis than EJ/EC may.
+MAX_N_CUT = math.ceil(5.0 * math.sqrt(MAX_EJ_OVER_EC / 8.0)) + _MIN_CUT
 
 
 class TransmonParams(Record):
@@ -55,9 +59,9 @@ class TransmonParams(Record):
     ng:
         Dimensionless offset charge in Cooper-pair units, finite.
     n_cut:
-        Requested charge-basis cutoff, an integer >= 0.  The effective
-        cutoff is raised automatically when this is too small for
-        converged spectra.
+        Requested charge-basis cutoff, an integer from 0 to
+        ``MAX_N_CUT``.  The effective cutoff is raised automatically when
+        this is too small for converged spectra.
     """
 
     __slots__ = ("EJ", "EC", "ng", "n_cut")
@@ -72,13 +76,7 @@ class TransmonParams(Record):
                 f"{self.EJ} GHz and EC = {self.EC} GHz"
             )
         _check_ng(ng)
-        # a float cutoff would reach the basis size unrounded
-        if type(n_cut) is not int and not isinstance(n_cut, np.integer) or (
-            n_cut < 0
-        ):
-            raise DomainError(
-                f"n_cut must be a non-negative integer, got {n_cut!r}"
-            )
+        integer("n_cut", n_cut, 0, MAX_N_CUT)
 
     @property
     def effective_n_cut(self) -> int:

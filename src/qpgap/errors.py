@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the rule for a magnitude.
+"""Exception types shared across the package, and the rules for a
+magnitude and an integer.
 
 A physical magnitude (a temperature, a gap, a rate, a length) is valid
 when it is finite and positive, or finite and non-negative where zero
@@ -7,12 +8,19 @@ once for the range-checked scalar arguments of ``units`` (the gap
 relation), ``thermal``, ``quasiparticles``, ``_dephasing`` (the T2* half
 of ``fitting``), ``parity``, ``device`` and ``datasets``: NaN and
 infinities fail it with a :class:`DomainError`
-naming the argument.  Array, list and ordering rules, gap segments
-(:class:`GeometryError`) and an infinite T1 in the T2 budget (a zero
-rate) are checked where they are used; unit conversions check nothing.
+naming the argument.  An integer argument is valid when it is an
+``int`` or numpy integer, not a bool, inside its range; :func:`integer`
+holds that rule for the transmon's cutoff ``n_cut``, level counts,
+transition indices and shift levels, a trace's initial parity, a scan's
+``n_freq`` and the seeds of the simulators and synthetic datasets.
+Array, list and ordering rules, gap segments (:class:`GeometryError`)
+and an infinite T1 in the T2 budget (a zero rate) are checked where they
+are used; unit conversions check nothing.
 """
 
 import math
+
+import numpy as np
 
 
 class QpgapError(Exception):
@@ -80,3 +88,18 @@ def non_negative(name: str, value: float) -> None:
         raise DomainError(
             f"{name} must be non-negative and finite, got {value}"
         )
+
+
+def integer(name: str, value: int, low: int, high: int | None = None) -> None:
+    """Raise :class:`DomainError` unless ``value`` is an ``int`` or numpy
+    integer, not a bool, from ``low`` to ``high`` (no upper end if None).
+
+    A float would reach an array size or an index unrounded, and a bool
+    would read as 0 or 1.
+    """
+    if (type(value) is int or isinstance(value, np.integer)) and (
+        low <= value and (high is None or value <= high)
+    ):
+        return
+    span = f">= {low}" if high is None else f"from {low} to {high}"
+    raise DomainError(f"{name} must be an integer {span}, got {value!r}")

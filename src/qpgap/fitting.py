@@ -55,6 +55,10 @@ _LAMBDA_UP = 10.0
 _LAMBDA_DOWN = 10.0
 _LAMBDA_MAX = 1e14
 
+# x + delta of an LM trial: a sum that overflows is a rejected trial, not a
+# warning.  The decorated ufunc costs half of a with-statement's errstate.
+_add_quietly = np.errstate(over="ignore")(np.add)
+
 
 class LMResult(Record):
     """Raw optimizer output: parameters, covariance, and diagnostics."""
@@ -162,7 +166,7 @@ def least_squares(
                 full = np.zeros(n)
                 full[free] = delta
                 delta = full
-            trial = _clip(x + delta, lower, upper)
+            trial = _clip(_add_quietly(x, delta), lower, upper)
             trial_xs = trial.tolist()
             if not all(map(math.isfinite, trial_xs)):
                 # an overflowed step: the models reject a NaN or inf
@@ -236,17 +240,21 @@ def _clip(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 
 def _covariance(jac, ssr: float) -> np.ndarray | None:
-    """Covariance ssr/(m - n) (J^T J)^-1, or None when J^T J is singular."""
+    """Covariance ssr/(m - n) (J^T J)^-1, or None when J^T J is singular
+    or the covariance leaves the float range."""
     jac = np.asarray(jac, dtype=float)
     m, n = jac.shape
     try:
         inverse = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(inverse)):
-        return None
     scale = ssr / (m - n) if m > n else ssr
-    return inverse * scale
+    # an inf or NaN in the inverse stays non-finite in the product
+    with np.errstate(over="ignore", invalid="ignore"):
+        covariance = inverse * scale
+    if not np.all(np.isfinite(covariance)):
+        return None
+    return covariance
 
 
 class DataSeries(Record):

@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 from ._record import Record
-from .errors import CoverageError, DomainError, non_negative, positive
+from .errors import CoverageError, DomainError, integer, non_negative, positive
 # the noise rates, the scan limit and the records live in .device, where
 # the config loader reads them
 from .device import (DEFAULT_PIXEL_SECONDS, DEFAULT_TLS_RATE,
@@ -132,13 +132,8 @@ class ParityTrace(Record):
     def _check(self) -> None:
         positive("duration", self.duration_s)
         _check_event_times("switch_times", self.switch_times, self.duration_s)
-        parity = self.initial_parity
-        # the rule of TransmonParams.n_cut: synthesis adds the parity to
-        # integer flip counts
-        if type(parity) is not int and not isinstance(parity, np.integer) or (
-            parity not in (_EVEN, _ODD)
-        ):
-            raise DomainError(f"initial parity must be 0 or 1, got {parity!r}")
+        # synthesis adds the parity to integer flip counts
+        integer("initial parity", self.initial_parity, _EVEN, _ODD)
 
     @property
     def switch_count(self) -> int:
@@ -179,6 +174,7 @@ def simulate_parity(
     """
     non_negative("rate", gamma_per_s)
     positive("duration", duration_s)
+    integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     times = _exponential_arrivals(gamma_per_s, duration_s, rng)
     return ParityTrace(switch_times=times, duration_s=duration_s, seed=seed)
@@ -196,6 +192,7 @@ def simulate_offset_charge(
     adds a uniform(0, 1) shift to ng, reduced modulo 1.
     """
     positive("duration", duration_s)
+    integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     times = _exponential_arrivals(model.tls_rate_per_s, duration_s, rng)
     values = np.empty(len(times) + 1)
@@ -217,16 +214,7 @@ class ScanConfig(Record):
     def _check(self) -> None:
         if not -math.inf < self.f_min_ghz < self.f_max_ghz < math.inf:
             raise DomainError("frequency window must be finite and non-empty")
-        n_freq = self.n_freq
-        # the rule of TransmonParams.n_cut: a float or bool count would
-        # reach np.linspace unchecked
-        if type(n_freq) is not int and not isinstance(n_freq, np.integer) or (
-            not 3 <= n_freq <= MAX_SCAN_SAMPLES
-        ):
-            raise DomainError(
-                f"n_freq must be an integer from 3 to {MAX_SCAN_SAMPLES}, "
-                f"got {n_freq!r}"
-            )
+        integer("n_freq", self.n_freq, 3, MAX_SCAN_SAMPLES)
         positive("pixel time", self.pixel_seconds)
 
     def frequencies(self) -> np.ndarray:
@@ -414,6 +402,7 @@ class _ScanSynthesis:
     ):
         positive("linewidth", linewidth_mhz)
         positive("snr", snr)
+        integer("seed", seed, 0)
         if abs(parity_trace.duration_s - charge_trace.duration_s) > 1e-9:
             raise DomainError(
                 "parity and charge traces cover different durations"

@@ -25,7 +25,7 @@ import numpy as np
 from ._record import Record
 # the records live in .device, where the config loader reads them
 from .device import CavityCoupling, FrequencyTargets, TransmonParams
-from .errors import ConvergenceError, DomainError, NearResonanceError
+from .errors import ConvergenceError, DomainError, NearResonanceError, integer
 
 
 def _load_flapack(packages):
@@ -100,7 +100,11 @@ class Spectrum(Record):
         object.__setattr__(self, "params", params)
 
     def transition(self, i: int, j: int) -> float:
-        """Transition frequency E_j - E_i in GHz."""
+        """Transition frequency E_j - E_i in GHz, for level indices ``i``
+        and ``j`` from 0 to ``len(energies) - 1``."""
+        top = len(self.energies) - 1
+        integer("i", i, 0, top)
+        integer("j", j, 0, top)
         return float(self.energies[j] - self.energies[i])
 
     @property
@@ -144,10 +148,11 @@ def _solve(params: TransmonParams, levels: int, vectors: bool):
     with ``select="i"``, with the same arguments, so the results are
     bit-identical, without the wrappers' argument handling.  The returned
     arrays are shared by every caller and read-only.
+
+    The callers check ``levels`` before the memo, which keys ``3.0`` and
+    ``3`` alike.
     """
     cut = params.effective_n_cut
-    if levels < 2:
-        raise DomainError(f"levels must be >= 2, got {levels}")
     if levels > 2 * cut + 1:
         raise DomainError(
             f"levels={levels} exceeds Hilbert space dimension {2 * cut + 1}"
@@ -188,7 +193,7 @@ def eigenspectrum(params: TransmonParams, levels: int = 3) -> Spectrum:
     params:
         Transmon parameters.
     levels:
-        Number of levels to return, >= 2.
+        Number of levels to return, an integer >= 2.
 
     Returns
     -------
@@ -196,18 +201,24 @@ def eigenspectrum(params: TransmonParams, levels: int = 3) -> Spectrum:
         Energies in GHz, ascending, referenced to the raw Hamiltonian, in a
         read-only array.
     """
+    integer("levels", levels, 2)
     return Spectrum(energies=_solve(params, levels, False), params=params)
 
 
 def _eigensystem(params: TransmonParams, levels: int):
     """Lowest ``levels`` energies and eigenvectors (columns), read-only."""
+    integer("levels", levels, 2)
     return _solve(params, levels, True)
 
 
 def transition_frequency(
     params: TransmonParams, i: int = 0, j: int = 1
 ) -> float:
-    """Transition frequency E_j - E_i in GHz at the params' offset charge."""
+    """Transition frequency E_j - E_i in GHz at the params' offset charge,
+    for level indices ``i`` and ``j`` >= 0, not both 0: it solves
+    max(i, j) + 1 levels, and :func:`eigenspectrum` solves 2 or more."""
+    integer("i", i, 0)
+    integer("j", j, 0)
     return eigenspectrum(params, levels=max(i, j) + 1).transition(i, j)
 
 
@@ -255,12 +266,8 @@ def _level_shifts(
     """
     levels = DEFAULT_SHIFT_LEVELS
     for level in requested:
-        # an int or numpy integer, as for TransmonParams.n_cut, and no
-        # bool; a negative level would index from the end
-        if isinstance(level, bool) or not (
-                isinstance(level, (int, np.integer)) and 0 <= level < levels):
-            raise DomainError(
-                f"level {level!r} is not an int in [0, {levels})")
+        # a negative level would index from the end
+        integer("level", level, 0, levels - 1)
     energies, vectors = _eigensystem(params, levels)
     energies = energies.tolist()
     elements = _charge_elements(params, vectors).tolist()

@@ -287,6 +287,13 @@ def test_linear_covariance_matches_closed_form():
     np.testing.assert_allclose(result.covariance, expected, rtol=1e-4)
 
 
+def test_covariance_that_overflows_is_none():
+    # inv(J^T J) = 5e299 is finite, and its product with ssr/(m - n) =
+    # 1e300 overflowed to [[inf]] with an "overflow in multiply" warning
+    covariance = fitting._covariance(np.array([[1e-150], [1e-150]]), 1e300)
+    assert covariance is None
+
+
 def test_nonlinear_round_trip():
     x_data = np.linspace(0.0, 5.0, 40)
     y = 2.5 * np.exp(-1.3 * x_data)

@@ -1,8 +1,10 @@
-"""Every scalar magnitude rejects NaN and infinities with a DomainError.
+"""Every scalar magnitude rejects NaN and infinities, and every checked
+integer argument a negative, fractional or bool value, with a
+DomainError.
 
-One case per argument that goes through ``errors.positive`` or
-``errors.non_negative``: each call passes valid values for every other
-argument, and the error must name the bad one.
+One case per argument that goes through ``errors.positive``,
+``errors.non_negative`` or ``errors.integer``: each call passes valid
+values for every other argument, and the error must name the bad one.
 """
 
 import math
@@ -13,8 +15,8 @@ import numpy as np
 import pytest
 
 from qpgap import fitting
-from qpgap.datasets import synthetic_t1_series
-from qpgap.errors import DomainError, non_negative, positive
+from qpgap.datasets import synthetic_t1_series, synthetic_t2_series
+from qpgap.errors import DomainError, integer, non_negative, positive
 from qpgap.fitting import (
     pure_dephasing_from_echo,
     resonator_thermometry,
@@ -55,6 +57,7 @@ from qpgap.transmon import (
     CavityCoupling,
     FrequencyTargets,
     TransmonParams,
+    transition_frequency,
 )
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -62,11 +65,11 @@ PARAMS = TransmonParams(EJ=20.0, EC=0.3)
 SCAN = ScanConfig(f_min_ghz=6.0, f_max_ghz=7.0, n_freq=11, pixel_seconds=0.5)
 
 
-def _scan(linewidth_mhz=1.0, snr=10.0):
+def _scan(linewidth_mhz=1.0, snr=10.0, seed=2):
     return synthesize_scan(
         PARAMS, simulate_parity(0.0, 1.0, seed=0),
         simulate_offset_charge(NoiseModel(0.0, 0.0), 1.0, seed=1), SCAN,
-        linewidth_mhz=linewidth_mhz, snr=snr, seed=2,
+        linewidth_mhz=linewidth_mhz, snr=snr, seed=seed,
     )
 
 
@@ -221,6 +224,54 @@ def test_rule_bounds(rule, zero_ok, wording):
             rule("x", bad)
     if zero_ok:
         assert rule("x", 0.0) is None and rule("x", -0.0) is None
+
+
+TEMPS = np.linspace(0.03, 0.3, 5)
+
+# (argument name as the error spells it, call with the bad value), for
+# the integer arguments that had no check of their own
+INTEGER_CASES = {
+    "simulate_parity.seed": (
+        "seed", lambda v: simulate_parity(10.0, 1.0, seed=v)),
+    "simulate_offset_charge.seed": (
+        "seed", lambda v: simulate_offset_charge(NoiseModel(0.0), 1.0, v)),
+    "synthesize_scan.seed": ("seed", lambda v: _scan(seed=v)),
+    "synthetic_t1_series.seed": (
+        "seed", lambda v: synthetic_t1_series(2e4, 1.2, 4e10, TEMPS, seed=v)),
+    "synthetic_t2_series.seed": (
+        "seed",
+        lambda v: synthetic_t2_series(0.03, 2e4, 0.5, 0.4, 7.2,
+                                      lambda t: 1e-4, TEMPS, seed=v)),
+    "transition_frequency.i": (
+        "i", lambda v: transition_frequency(PARAMS, v, 1)),
+    "transition_frequency.j": (
+        "j", lambda v: transition_frequency(PARAMS, 0, v)),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, True],
+                         ids=["negative", "fraction", "bool"])
+@pytest.mark.parametrize("case", sorted(INTEGER_CASES))
+def test_bad_integer_raises_domain_error_naming_it(case, bad):
+    # a seed of -1 or 1.5 escaped numpy as a bare ValueError or TypeError
+    # and True seeded as 1; transition_frequency(p, -1, 1) returned 0.0
+    name, call = INTEGER_CASES[case]
+    with pytest.raises(DomainError,
+                       match=f"^{name} must be an integer >= 0, got "):
+        call(bad)
+
+
+def test_integer_rule_bounds():
+    for good, high in [(0, None), (3, 3), (10**30, None), (np.int64(2), 3),
+                       (np.uint8(1), 1)]:
+        assert integer("x", good, 0, high) is None
+    for bad, high in [(-1, None), (4, 3), (np.int64(-1), None),
+                      (1.0, None), (np.float64(1.0), 3), (True, None),
+                      (np.True_, 3), ("1", None), (None, 3)]:
+        span = ">= 0" if high is None else "from 0 to 3"
+        with pytest.raises(DomainError,
+                           match=f"^x must be an integer {span}, got "):
+            integer("x", bad, 0, high)
 
 
 @pytest.mark.parametrize("covariance", [None, np.eye(3)])

@@ -1094,7 +1094,8 @@ def test_row_wise_and_slot_loop_blocks_match_reference():
 def test_trace_rejects_an_initial_parity_that_is_not_an_int(parity):
     # a float parity escaped synthesis as a bare TypeError from
     # bitwise_and, and a bool read as 0 or 1
-    with pytest.raises(DomainError, match="^initial parity must be 0 or 1"):
+    with pytest.raises(DomainError,
+                       match="^initial parity must be an integer from 0 to 1"):
         ParityTrace(switch_times=[0.2, 0.5], duration_s=1.0,
                     initial_parity=parity)
 

@@ -15,6 +15,7 @@ import pytest
 import qpgap
 from qpgap._record import Record
 from qpgap.config import DeviceConfig, ScanSettings
+from qpgap.device import MAX_EJ_OVER_EC, MAX_N_CUT
 from qpgap.fitting import DataSeries, FitResult, LMResult, ThermometryResult
 from qpgap.parity import (
     ChargeTrace, LifetimeEstimate, NoiseModel, ParityTrace, ScanConfig,
@@ -315,12 +316,22 @@ def test_defaults_must_name_fields():
             _defaults = {"a": 0, "b": 1}
 
 
-@pytest.mark.parametrize("n_cut", [30.5, 30.0, -1, True, "30"])
+@pytest.mark.parametrize("n_cut", [30.5, 30.0, -1, True, "30", MAX_N_CUT + 1])
 def test_transmon_cutoff_must_be_a_non_negative_integer(n_cut):
-    # 30.5 or 30.0 would reach np.full as a float basis size
-    with pytest.raises(qpgap.DomainError, match="^n_cut must be a non-neg"):
+    # 30.5 or 30.0 would reach np.full as a float basis size, and a cutoff
+    # of 10**12 would ask the first solve for 2e12 charge states
+    message = f"^n_cut must be an integer from 0 to {MAX_N_CUT}, got "
+    with pytest.raises(qpgap.DomainError, match=message):
         TransmonParams(EJ=1.0, EC=1.0, n_cut=n_cut)
     assert TransmonParams(EJ=1.0, EC=1.0, n_cut=np.int64(30)).n_cut == 30
+
+
+def test_transmon_cutoff_cap_is_the_automatic_cutoff_at_the_largest_ratio():
+    # by construction only: no basis of this size is solved
+    assert MAX_N_CUT == 5601
+    largest = TransmonParams(EJ=MAX_EJ_OVER_EC, EC=1.0)
+    assert largest.effective_n_cut == MAX_N_CUT
+    assert TransmonParams(EJ=1.0, EC=1.0, n_cut=MAX_N_CUT).n_cut == MAX_N_CUT
 
 
 def test_checks_run_on_construction():

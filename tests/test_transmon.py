@@ -130,6 +130,34 @@ def test_truncation_convergence_below_nano_ghz():
         np.testing.assert_allclose(e1, e2, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "levels", [3.7, 3.0, "3", True, 1],
+    ids=["fraction", "float", "string", "bool", "one"],
+)
+@pytest.mark.parametrize(
+    "solve", [eigenspectrum, transmon._eigensystem],
+    ids=["eigenspectrum", "eigensystem"],
+)
+def test_level_count_must_be_an_integer_of_at_least_two(solve, levels):
+    # 3.7 returned 3 levels and "3" escaped as a bare TypeError; the memo
+    # keys 3.0 as 3, so the check must refuse 3.0 on a memo hit too
+    params = TransmonParams(EJ=7.417, EC=0.403)
+    solve(params, 3)
+    with pytest.raises(DomainError, match="^levels must be an integer >= 2"):
+        solve(params, levels)
+
+
+@pytest.mark.parametrize(
+    "i, j, name", [(0, 5, "j"), (-1, 1, "i")], ids=["beyond", "negative"]
+)
+def test_spectrum_transition_rejects_an_index_outside_the_spectrum(i, j, name):
+    # (0, 5) escaped as a bare IndexError, and -1 read the top level
+    spectrum = eigenspectrum(TransmonParams(EJ=7.417, EC=0.403), levels=3)
+    with pytest.raises(DomainError,
+                       match=f"^{name} must be an integer from 0 to 2"):
+        spectrum.transition(i, j)
+
+
 def test_spectrum_validates_level_count():
     p = TransmonParams(EJ=1.0, EC=1.0, n_cut=3)
     dim = 2 * p.effective_n_cut + 1
@@ -173,7 +201,8 @@ def test_dispersive_shift_rejects_a_level_outside_the_truncation(level):
     # -1 read level 9's shift through negative indexing, and a float level
     # escaped as a bare TypeError
     params = TransmonParams(EJ=7.417, EC=0.403)
-    with pytest.raises(DomainError, match=rf"^level {level!r} is not an int"):
+    with pytest.raises(DomainError,
+                       match="^level must be an integer from 0 to 9"):
         dispersive_shift(params, _coupling(), level)
 
 
