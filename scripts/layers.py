@@ -27,15 +27,17 @@ checkout counts the same):
   bracket cache (``served``) of all inversions, and the eigen memo's
   misses (``solves_per_op``, one eigensolve each) and hits
   (``memo_hits_per_op``) per operation, from ``transmon._solve``;
-* ``parity_scan``: the Lorentzian terms and the detections of each
-  regime's scans.  ``segments`` is the count a loop over each pixel's
-  segments adds (one per piece between events), ``states`` the count a
-  sum over each pixel's distinct (offset charge, parity) states adds.
-  Both depend only on the traces.  ``maxima`` counts the local maxima
-  above each row's threshold that grading passes to its per-scan
-  cluster pass, ``clusters`` the clusters that pass makes of them; both
-  are read from the scan and the estimate's thresholds.  Every checkout
-  shares all four.
+* ``parity_scan``: the blocks, the Lorentzian terms and the detections
+  of each regime's scans.  ``blocks`` counts the blocks of pixel rows
+  that synthesis and grading each make of a scan.  ``segments`` is the
+  count a loop over each pixel's segments adds (one per piece between
+  events), ``states`` the count a sum over each pixel's distinct
+  (offset charge, parity) states adds.  Both depend only on the traces.
+  ``maxima`` counts the local maxima above each row's threshold that
+  grading passes to its per-scan cluster pass, ``clusters`` the clusters
+  that pass makes of them; both are read from the scan and the
+  estimate's thresholds.  Every checkout
+  shares the last four.
 
 ``--json FILE`` also writes the samples.
 """
@@ -79,15 +81,16 @@ def device_counts(run) -> dict:
 
 
 def scan_counts(run) -> dict:
-    """Lorentzian terms (segments, states) and detections (maxima,
+    """Blocks, Lorentzian terms (segments, states) and detections (maxima,
     clusters) of each regime's scans."""
     terms = {}
 
     def count(item, out):
         scan = out["scan"]
         counts = terms.setdefault(item[0], dict.fromkeys(
-            ("segments", "states", "maxima", "clusters"), 0))
+            ("blocks", "segments", "states", "maxima", "clusters"), 0))
         found = (
+            -(-scan.n_pixels // block_rows(len(scan.frequencies_ghz))),
             *term_counts(out["parity"], out["charge"], scan.n_pixels,
                          scan.pixel_seconds),
             *detection_counts(scan, out["estimate"].thresholds),
@@ -97,6 +100,16 @@ def scan_counts(run) -> dict:
 
     run(count)
     return terms
+
+
+def block_rows(n_freq: int) -> int:
+    """Pixel rows in one scan block of the imported ``qpgap``: its
+    sample-budget rule, or the fixed ``_ROWS`` of a checkout older than
+    the rule."""
+    from qpgap import parity
+
+    rule = getattr(parity, "_block_rows", None)
+    return parity._ROWS if rule is None else rule(n_freq)
 
 
 def detection_counts(scan, thresholds) -> tuple[int, int]:

@@ -11,7 +11,7 @@ from ._output import _dump_json, _emit, _fmt, _records
 from .config import DeviceConfig
 from .errors import ConfigError
 from .parity import (
-    _ROWS, ScanConfig, _RowDetection, _ScanSynthesis, scan_window,
+    ScanConfig, _RowDetection, _ScanSynthesis, scan_window,
     simulate_offset_charge, simulate_parity,
 )
 
@@ -27,15 +27,15 @@ _PEAK_ROW_FORMATS = (
 
 
 def _peaks_csv(starts: np.ndarray, counts: np.ndarray,
-               positions: np.ndarray):
+               positions: np.ndarray, size: int):
     """``_csv_table(_PEAKS, rows)`` of the detector arrays, one %-format
-    per row, yielded a block of ``_ROWS`` rows at a time.  ``positions``
+    per row, yielded a block of ``size`` rows at a time.  ``positions``
     ascend along each row with NaN last, as
     :func:`qpgap.parity.estimate_parity_lifetime` leaves them."""
     yield ",".join(_PEAKS) + "\n"
     known = np.count_nonzero(~np.isnan(positions), axis=1)
-    for first in range(0, len(counts), _ROWS):
-        block = slice(first, first + _ROWS)
+    for first in range(0, len(counts), size):
+        block = slice(first, first + size)
         rows = zip(starts[block].tolist(), counts[block].tolist(),
                    positions[block].tolist(), known[block].tolist())
         yield "".join(
@@ -76,7 +76,7 @@ def run(args, config: DeviceConfig) -> int:
     detection = _RowDetection(freqs, n_pixels, settings.linewidth_mhz)
     # the scan is graded (and written) as it is made; only --svg keeps it
     # whole, for the heatmap, and otherwise every block reuses one buffer
-    table = np.empty((n_pixels if args.svg else min(_ROWS, n_pixels),
+    table = np.empty((n_pixels if args.svg else synthesis.block_rows,
                       len(freqs)))
 
     def graded_blocks():
@@ -127,7 +127,8 @@ def run(args, config: DeviceConfig) -> int:
         _emit(args, "scan_meta.json", _dump_json(document))
     else:
         _emit(args, "peaks.csv", _peaks_csv(
-            starts, estimate.counts, estimate.positions_ghz
+            starts, estimate.counts, estimate.positions_ghz,
+            synthesis.block_rows,
         ))
         _emit(args, "scan_meta.json", _dump_json(metadata))
 

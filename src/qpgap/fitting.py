@@ -218,6 +218,9 @@ def _singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
+# a decorator, at half the per-call cost of a with-statement's errstate
+@np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
 def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``np.linalg.solve(matrix, rhs)`` of a float64 square ``matrix``.
 
@@ -228,9 +231,7 @@ def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     right-hand side, which solve's checks and conversions would accept
     unchanged.
     """
-    with np.errstate(call=_singular, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        return _solve1(matrix, rhs, signature="dd->d")
+    return _solve1(matrix, rhs, signature="dd->d")
 
 
 def _clip(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:

@@ -59,10 +59,20 @@ _ODD = 1
 # cumulative time passes the requested duration.
 _BLOCK = 4096
 
-# Scans are synthesized and graded in blocks of this many pixel rows, which
-# bounds the per-block temporaries (gathered Lorentzians, detection masks)
-# and sizes the one noise buffer and the one sort buffer of a scan.
-_ROWS = 256
+# Scans are synthesized and graded in blocks of as many whole pixel rows
+# as fit in this many samples, and at least one row.  Each block pays the
+# same numpy call overhead, which a fixed sample count spreads over the
+# same work whatever the scan width; and the per-block temporaries
+# (gathered Lorentzians, detection masks), the one noise buffer and the
+# one sort buffer of a scan are bounded by samples, not rows.  At 161
+# columns a block is 256 rows.
+_BLOCK_SAMPLES = 256 * 161
+
+
+def _block_rows(n_freq: int) -> int:
+    """Pixel rows in one scan block of ``n_freq`` columns."""
+    return max(1, _BLOCK_SAMPLES // n_freq)
+
 
 # The detection threshold in robust standard deviations above a row's
 # median.
@@ -377,8 +387,8 @@ def _pixel_terms(
 
 
 class _ScanSynthesis:
-    """A scan ready to synthesize, one block of ``_ROWS`` pixel rows at a
-    time.
+    """A scan ready to synthesize, one block of ``block_rows`` pixel rows
+    (:func:`_block_rows`, at most the scan's) at a time.
 
     The constructor checks every input and builds every per-scan table
     (the branch table, the Lorentzian denominators, the terms of each
@@ -446,7 +456,8 @@ class _ScanSynthesis:
         self._noise_rng = np.random.default_rng(
             np.random.SeedSequence(seed).spawn(1)[0]
         )
-        self._noise = np.empty((min(_ROWS, n_pixels), len(freqs)))
+        self.block_rows = min(_block_rows(len(freqs)), n_pixels)
+        self._noise = np.empty((self.block_rows, len(freqs)))
 
         ends = pixel_starts + config.pixel_seconds
         midpoints = (pixel_starts + ends) / 2.0
@@ -471,13 +482,13 @@ class _ScanSynthesis:
         """Fill the scan's rows into ``out`` a block at a time, yielding
         each block's first pixel index and its rows once they are filled.
 
-        ``out`` has the scan's shape, or one block's (``min(_ROWS,
-        n_pixels)`` rows), which every block then reuses.
+        ``out`` has the scan's shape, or one block's (``block_rows``
+        rows), which every block then reuses.
         """
-        n_pixels = self.n_pixels
-        for first in range(0, n_pixels, _ROWS):
+        n_pixels, size = self.n_pixels, self.block_rows
+        for first in range(0, n_pixels, size):
             start = first if len(out) == n_pixels else 0
-            rows = out[start:start + min(_ROWS, n_pixels - first)]
+            rows = out[start:start + min(size, n_pixels - first)]
             self._fill(first, rows)
             yield first, rows
 
@@ -574,10 +585,18 @@ def sort_median_mad(
     # max(m - x[i], x[i+k-1] - m), as fl(m - x) = -fl(x - m).  NaN
     # anywhere in a row reaches its minimum.  The negation gives a zero
     # deviation and a NaN the sign bit that |x - m| clears; abs clears it.
+    # A reduction pays a call per inner loop: along axis 1, one per row;
+    # along axis 0 of a C-ordered array, one per run, across all rows.  So
+    # the ends are laid out run by run (transposed) when a block has more
+    # rows than a row has runs.  A minimum is exact in either order.
     def kth_smallest(k: int) -> np.ndarray:
-        ends = np.negative(ordered[:, :n - k + 1])
-        np.maximum(ends, ordered[:, k - 1:], out=ends)
-        return np.abs(ends.min(axis=1))
+        runs = n - k + 1
+        lower, upper, axis = ordered[:, :runs], ordered[:, k - 1:], 1
+        if len(ordered) > runs:
+            lower, upper, axis = lower.T, upper.T, 0
+        ends = np.negative(lower, order="C")
+        np.maximum(ends, upper, out=ends)
+        return np.abs(ends.min(axis=axis))
 
     mad = kth_smallest(half + 1)
     if not n % 2:
@@ -617,7 +636,7 @@ def _grown(values: np.ndarray, kept: int, size: int) -> np.ndarray:
 
 class _RowDetection:
     """Threshold-and-cluster peak detection on the rows of a scan, one
-    block of at most ``_ROWS`` rows at a time.
+    block of at most :func:`_block_rows` rows at a time.
 
     The per-row arrays are ``thresholds``, ``counts`` (0, 1 or 2 peaks)
     and ``positions_ghz`` ((n_rows, 2), ascending, NaN where a row has
@@ -626,7 +645,7 @@ class _RowDetection:
     ``counts`` and ``positions_ghz`` for every row graded since its last
     run.  :meth:`verdict` runs the pass and grades the filled arrays, and
     :func:`_detect_rows` runs it before it returns.  A row's entries depend
-    on that row alone, so the blocks may be any size up to ``_ROWS``.
+    on that row alone, so the blocks may be any size up to that.
     """
 
     def __init__(
@@ -641,7 +660,9 @@ class _RowDetection:
         self.counts = np.zeros(n_rows, dtype=np.intp)
         self.positions_ghz = np.full((n_rows, 2), np.nan)
         self.thresholds = np.empty(n_rows)
-        self._ordered = np.empty((min(_ROWS, n_rows), len(freqs)))
+        self._ordered = np.empty(
+            (min(_block_rows(len(freqs)), n_rows), len(freqs))
+        )
         # The first ``_n_maxima`` entries hold the flat scan index and the
         # amplitude of each local maximum graded since the last
         # :meth:`_cluster`; two a row fit, and a scan with more grows them.
@@ -763,7 +784,7 @@ def _detect_rows(
     linewidth_mhz: float,
 ) -> _RowDetection:
     """Threshold-and-cluster peak detection on every row of ``amplitudes``,
-    a block of ``_ROWS`` rows at a time.
+    a block of :func:`_block_rows` rows at a time.
 
     Local maxima above median + ``_THRESHOLD_K`` (5) robust standard
     deviations (MAD scaled by 1.4826 for Gaussian consistency) are
@@ -772,8 +793,9 @@ def _detect_rows(
     false-positive rate on pure noise rows is below 1 in 100.
     """
     detection = _RowDetection(freqs, len(amplitudes), linewidth_mhz)
-    for first in range(0, len(amplitudes), _ROWS):
-        detection.grade(first, amplitudes[first:first + _ROWS])
+    size = _block_rows(len(freqs))
+    for first in range(0, len(amplitudes), size):
+        detection.grade(first, amplitudes[first:first + size])
     detection._cluster()
     return detection
 

@@ -215,11 +215,11 @@ def transition_frequency(
     params: TransmonParams, i: int = 0, j: int = 1
 ) -> float:
     """Transition frequency E_j - E_i in GHz at the params' offset charge,
-    for level indices ``i`` and ``j`` >= 0, not both 0: it solves
-    max(i, j) + 1 levels, and :func:`eigenspectrum` solves 2 or more."""
+    for level indices ``i`` and ``j`` >= 0: it solves max(i, j, 1) + 1
+    levels, as :func:`eigenspectrum` solves 2 or more."""
     integer("i", i, 0)
     integer("j", j, 0)
-    return eigenspectrum(params, levels=max(i, j) + 1).transition(i, j)
+    return eigenspectrum(params, levels=max(i, j, 1) + 1).transition(i, j)
 
 
 def charge_dispersion(params: TransmonParams, transition: str = "ge") -> float:

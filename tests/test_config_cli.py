@@ -21,11 +21,11 @@ from qpgap.cli import main
 from qpgap.config import load_device_config, load_device_document
 from qpgap.errors import ConfigError
 from qpgap.parity import (
-    _ROWS,
     DEFAULT_PIXEL_SECONDS,
     MAX_EXPECTED_EVENTS,
     MAX_SCAN_SAMPLES,
     ScanConfig,
+    _block_rows,
     estimate_parity_lifetime,
     scan_window,
     simulate_offset_charge,
@@ -610,10 +610,10 @@ def _table_outputs(config_path, duration: float, fmt: str, svg: bool):
     "config, pixels, fmt, svg",
     [
         ("device_3p.json", 1, "csv", True),
-        ("device_2np.json", _ROWS, "csv", False),
-        ("device_2np.json", _ROWS + 1, "csv", True),
+        ("device_2np.json", _block_rows(161), "csv", False),
+        ("device_2np.json", _block_rows(161) + 1, "csv", True),
         ("device_3p.json", 5000, "csv", False),
-        ("device_2np.json", _ROWS + 1, "json", False),
+        ("device_2np.json", _block_rows(161) + 1, "json", False),
         ("device_3p.json", 5000, "json", False),
     ],
 )

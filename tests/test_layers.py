@@ -36,9 +36,16 @@ def test_layer_worker_records_every_span_the_layer_metrics_read(
 
     assert set(result["counter"]) == counter_keys
     if name == "parity_scan":
-        for counts in result["counter"].values():
-            assert set(counts) == {"segments", "states", "maxima",
-                                   "clusters"}
+        from qpgap.parity import _block_rows
+        scans = importlib.import_module(name)  # on sys.path from the worker
+        for regime, counts in result["counter"].items():
+            assert set(counts) == {"blocks", "segments", "states",
+                                   "maxima", "clusters"}
+            # one scan of each regime
+            *_, duration, n_freq = scans.REGIMES[regime]
+            n_pixels = round(duration / scans.PIXEL_SECONDS)
+            assert counts["blocks"] == math.ceil(
+                n_pixels / _block_rows(n_freq))
             assert 0 < counts["states"] <= counts["segments"]
             assert 0 < counts["clusters"] <= counts["maxima"]
     else:
@@ -63,9 +70,10 @@ def test_detection_counts_are_the_maxima_the_detector_clusters(
         monkeypatch):
     monkeypatch.syspath_prepend(str(REPO / "scripts"))
     layers = importlib.import_module("layers")
-    from qpgap.parity import (_ROWS, NoiseModel, ScanConfig, _RowDetection,
-                              scan_window, simulate_offset_charge,
-                              simulate_parity, synthesize_scan)
+    from qpgap.parity import (NoiseModel, ScanConfig, _block_rows,
+                              _RowDetection, scan_window,
+                              simulate_offset_charge, simulate_parity,
+                              synthesize_scan)
     from qpgap.transmon import TransmonParams
 
     params = TransmonParams(EJ=5.92, EC=0.400)
@@ -76,8 +84,9 @@ def test_detection_counts_are_the_maxima_the_detector_clusters(
         ScanConfig(f_min_ghz=f_min, f_max_ghz=f_max), snr=20.0, seed=5,
     )
     detection = _RowDetection(scan.frequencies_ghz, scan.n_pixels, 1.0)
-    for first in range(0, scan.n_pixels, _ROWS):
-        detection.grade(first, scan.amplitudes[first:first + _ROWS])
+    size = _block_rows(161)
+    for first in range(0, scan.n_pixels, size):
+        detection.grade(first, scan.amplitudes[first:first + size])
     maxima = detection._n_maxima
     detection._cluster()
     found, clusters = layers.detection_counts(scan, detection.thresholds)

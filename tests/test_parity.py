@@ -6,7 +6,6 @@ import pytest
 
 from qpgap.errors import CoverageError, DomainError
 from qpgap.parity import (
-    _ROWS,
     _THRESHOLD_K,
     DEFAULT_PIXEL_SECONDS,
     MAX_EXPECTED_EVENTS,
@@ -16,6 +15,7 @@ from qpgap.parity import (
     ParityTrace,
     ScanConfig,
     SpectroscopyScan,
+    _block_rows,
     _detect_rows,
     _RowDetection,
     estimate_parity_lifetime,
@@ -617,7 +617,8 @@ def test_one_pixel_scan_matches_reference():
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 40.0])
 def test_partial_row_block_matches_reference(gamma):
-    n_pixels = _ROWS + 3
+    # one full block of 61-column rows and 3 rows of a second
+    n_pixels = _block_rows(61) + 3
     duration = n_pixels * DEFAULT_PIXEL_SECONDS
     parity = simulate_parity(gamma, duration, seed=81)
     charge = simulate_offset_charge(
@@ -987,14 +988,15 @@ def test_gap_of_exactly_one_linewidth_joins_the_cluster():
 
 
 def _pass_rows(width):
-    """2 * _ROWS + 37 rows whose local maxima cross the per-scan cluster
-    pass from three blocks: integer spikes on a zero floor (heavy ties and
-    a MAD of zero), ±0, 1 and +inf spikes on a floor of -1 (both zeros
-    above threshold), noisy rows, and maxima in the last column of row r
-    and the first of row r + 1, inside a block and across each block
-    boundary."""
+    """2 * _block_rows(width) + 37 rows whose local maxima cross the
+    per-scan cluster pass from three blocks: integer spikes on a zero
+    floor (heavy ties and a MAD of zero), ±0, 1 and +inf spikes on a
+    floor of -1 (both zeros above threshold), noisy rows, and maxima in
+    the last column of row r and the first of row r + 1, inside a block
+    and across each block boundary."""
     rng = np.random.default_rng(29)
-    n_rows = 2 * _ROWS + 37
+    size = _block_rows(width)
+    n_rows = 2 * size + 37
     spikes = rng.random((n_rows, width)) < 0.3
     rows = np.where(spikes, rng.integers(1, 4, (n_rows, width)), 0.0)
     rows[1::3] = np.where(
@@ -1005,7 +1007,7 @@ def _pass_rows(width):
     rows[2::3] = rng.normal(0.0, 0.05, (len(rows[2::3]), width))
     noisy = spikes[2::3]
     rows[2::3] += np.where(noisy, rng.integers(0, 2, noisy.shape), 0)
-    ends = [5, _ROWS - 1, 2 * _ROWS - 1, n_rows - 2]
+    ends = [5, size - 1, 2 * size - 1, n_rows - 2]
     rows[ends] = rows[[r + 1 for r in ends]] = 0.0
     rows[ends, -1] = 5.0
     rows[[r + 1 for r in ends], 0] = 5.0
@@ -1035,12 +1037,13 @@ def test_per_scan_pass_matches_reference(linewidth_mhz, width):
         assert found[r + 1][:2] == (1, (freqs[0],))
 
 
-@pytest.mark.parametrize("rows_per_block", [1, 7, _ROWS])
+@pytest.mark.parametrize("rows_per_block", [1, 7, _block_rows(161)])
 def test_detection_arrays_do_not_depend_on_the_block_size(rows_per_block):
     freqs = 4.0 + np.arange(161) / 1024
     rows, _ = _pass_rows(len(freqs))
     with np.errstate(invalid="ignore"):  # inf - inf in the deviations
-        # _detect_rows grades blocks of _ROWS rows and runs no verdict
+        # _detect_rows grades blocks of _block_rows(161) rows and runs no
+        # verdict
         whole = _detect_rows(freqs, rows, 1.0)
         detection = _RowDetection(freqs, len(rows), 1.0)
         for first in range(0, len(rows), rows_per_block):
@@ -1071,14 +1074,15 @@ def test_equidistant_peak_is_attributed_to_even_branch():
 
 
 def test_row_wise_and_slot_loop_blocks_match_reference():
-    # 300 switches inside pixel 0 of the first block of 256 rows (one
-    # pixel revisiting two states 150 times each, next to 255 single-state
+    # 300 switches inside pixel 0 of the first block of 61-column rows
+    # (one pixel revisiting two states 150 times each, next to single-state
     # pixels); the second block of 44 rows has a few switches, so some of
     # its rows add a second term and the others only their first
-    n_pixels = _ROWS + 44
+    size = _block_rows(61)
+    n_pixels = size + 44
     duration = n_pixels * DEFAULT_PIXEL_SECONDS
     dense = np.linspace(0.0, DEFAULT_PIXEL_SECONDS, 302)[1:-1]
-    sparse = _ROWS * DEFAULT_PIXEL_SECONDS + np.array([0.3, 1.1, 4.7, 6.05])
+    sparse = size * DEFAULT_PIXEL_SECONDS + np.array([0.3, 1.1, 4.7, 6.05])
     parity = ParityTrace(switch_times=np.concatenate([dense, sparse]),
                          duration_s=duration)
     charge = _charge([0.1, 30.0, 55.0], [0.1, 0.35, 0.6, 0.2], duration)
@@ -1181,6 +1185,48 @@ def test_protected_scan_allocates_no_scan_sized_temporary():
     finally:
         tracemalloc.stop()
     assert scan.amplitudes.shape == (5000, 161)
-    block = _ROWS * scan.amplitudes[0].nbytes
+    block = _block_rows(161) * scan.amplitudes[0].nbytes
     assert synthesis_peak <= scan.amplitudes.nbytes + 4 * block
     assert grading_peak - base <= 4 * block
+
+
+def test_wide_scan_allocates_blocks_of_samples_not_rows():
+    # 200 pixels x 20,000 frequencies, a 32 MB scan of two rows a block.
+    # Synthesis holds the scan plus a few blocks: the noise buffer, the
+    # temporaries of a block's later terms, and the Lorentzian table of
+    # the scan's two states on the frequency grid (one block between
+    # them).  Grading holds a few blocks plus the per-row arrays and the
+    # per-maximum arrays of the cluster pass.
+    duration = 200 * DEFAULT_PIXEL_SECONDS
+    parity = simulate_parity(0.5, duration, seed=41)
+    charge = simulate_offset_charge(
+        NoiseModel(gamma_parity_per_s=0.5), duration, seed=42
+    )
+    config = _scan_config(duration, n_freq=20_000)
+    tracemalloc.start()
+    try:
+        scan = synthesize_scan(
+            SENSITIVE, parity, charge, config,
+            linewidth_mhz=1.0, snr=20.0, seed=43,
+        )
+        _, synthesis_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        estimate = estimate_parity_lifetime(scan)
+        _, grading_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    amps = scan.amplitudes
+    assert amps.shape == (200, 20_000)
+    assert parity.switch_count and not len(charge.jump_times)
+    block = _block_rows(20_000) * amps[0].nbytes
+    assert synthesis_peak - amps.nbytes <= 6 * block
+    # the interior local maxima above threshold, which the cluster pass
+    # reads: a few hundred a row along the noisy top of each peak
+    mid = amps[:, 1:-1]
+    maxima = np.count_nonzero(
+        (mid > amps[:, :-2]) & (mid >= amps[:, 2:])
+        & (mid > estimate.thresholds[:, None])
+    )
+    assert maxima > 100 * len(amps)
+    assert grading_peak - base <= 4 * block + 96 * maxima + 64 * len(amps)

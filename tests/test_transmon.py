@@ -158,6 +158,14 @@ def test_spectrum_transition_rejects_an_index_outside_the_spectrum(i, j, name):
         spectrum.transition(i, j)
 
 
+def test_transition_from_a_level_to_itself_is_zero():
+    # (0, 0) asked eigenspectrum for 1 level and raised "levels must be
+    # ...", naming an argument the caller never passed
+    p = TransmonParams(EJ=7.417, EC=0.403)
+    f = transition_frequency(p, 0, 0)
+    assert f == eigenspectrum(p, 2).transition(0, 0) == 0.0
+
+
 def test_spectrum_validates_level_count():
     p = TransmonParams(EJ=1.0, EC=1.0, n_cut=3)
     dim = 2 * p.effective_n_cut + 1
