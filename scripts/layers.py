@@ -36,8 +36,7 @@ checkout counts the same):
   ``maxima`` counts the local maxima above each row's threshold that
   grading passes to its per-scan cluster pass, ``clusters`` the clusters
   that pass makes of them; both are read from the scan and the
-  estimate's thresholds.  Every checkout
-  shares the last four.
+  estimate's thresholds.  Every checkout shares the last four.
 
 ``--json FILE`` also writes the samples.
 """
@@ -83,6 +82,8 @@ def device_counts(run) -> dict:
 def scan_counts(run) -> dict:
     """Blocks, Lorentzian terms (segments, states) and detections (maxima,
     clusters) of each regime's scans."""
+    from qpgap.parity import _block_rows
+
     terms = {}
 
     def count(item, out):
@@ -90,7 +91,7 @@ def scan_counts(run) -> dict:
         counts = terms.setdefault(item[0], dict.fromkeys(
             ("blocks", "segments", "states", "maxima", "clusters"), 0))
         found = (
-            -(-scan.n_pixels // block_rows(len(scan.frequencies_ghz))),
+            -(-scan.n_pixels // _block_rows(len(scan.frequencies_ghz))),
             *term_counts(out["parity"], out["charge"], scan.n_pixels,
                          scan.pixel_seconds),
             *detection_counts(scan, out["estimate"].thresholds),
@@ -100,16 +101,6 @@ def scan_counts(run) -> dict:
 
     run(count)
     return terms
-
-
-def block_rows(n_freq: int) -> int:
-    """Pixel rows in one scan block of the imported ``qpgap``: its
-    sample-budget rule, or the fixed ``_ROWS`` of a checkout older than
-    the rule."""
-    from qpgap import parity
-
-    rule = getattr(parity, "_block_rows", None)
-    return parity._ROWS if rule is None else rule(n_freq)
 
 
 def detection_counts(scan, thresholds) -> tuple[int, int]:

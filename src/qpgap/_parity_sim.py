@@ -25,17 +25,21 @@ _PEAK_ROW_FORMATS = (
     "%d,%.10g,%d,,\n", "%d,%.10g,%d,%.10g,\n", "%d,%.10g,%d,%.10g,%.10g\n",
 )
 
+# peaks.csv rows are formatted this many at a time: a row is 5 cells
+# whatever the scan's width, so its blocks keep a row count of their own
+_PEAK_ROWS = 256
+
 
 def _peaks_csv(starts: np.ndarray, counts: np.ndarray,
-               positions: np.ndarray, size: int):
+               positions: np.ndarray):
     """``_csv_table(_PEAKS, rows)`` of the detector arrays, one %-format
-    per row, yielded a block of ``size`` rows at a time.  ``positions``
+    per row, yielded a block of ``_PEAK_ROWS`` rows at a time.  ``positions``
     ascend along each row with NaN last, as
     :func:`qpgap.parity.estimate_parity_lifetime` leaves them."""
     yield ",".join(_PEAKS) + "\n"
     known = np.count_nonzero(~np.isnan(positions), axis=1)
-    for first in range(0, len(counts), size):
-        block = slice(first, first + size)
+    for first in range(0, len(counts), _PEAK_ROWS):
+        block = slice(first, first + _PEAK_ROWS)
         rows = zip(starts[block].tolist(), counts[block].tolist(),
                    positions[block].tolist(), known[block].tolist())
         yield "".join(
@@ -127,8 +131,7 @@ def run(args, config: DeviceConfig) -> int:
         _emit(args, "scan_meta.json", _dump_json(document))
     else:
         _emit(args, "peaks.csv", _peaks_csv(
-            starts, estimate.counts, estimate.positions_ghz,
-            synthesis.block_rows,
+            starts, estimate.counts, estimate.positions_ghz
         ))
         _emit(args, "scan_meta.json", _dump_json(metadata))
 

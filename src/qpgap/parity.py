@@ -585,18 +585,13 @@ def sort_median_mad(
     # max(m - x[i], x[i+k-1] - m), as fl(m - x) = -fl(x - m).  NaN
     # anywhere in a row reaches its minimum.  The negation gives a zero
     # deviation and a NaN the sign bit that |x - m| clears; abs clears it.
-    # A reduction pays a call per inner loop: along axis 1, one per row;
-    # along axis 0 of a C-ordered array, one per run, across all rows.  So
-    # the ends are laid out run by run (transposed) when a block has more
-    # rows than a row has runs.  A minimum is exact in either order.
+    # The ends are laid out run by run (transposed, C-ordered), so the
+    # minimum reduces along axis 0 in one inner loop per run across all
+    # rows, not one per row.  A minimum is exact in any order.
     def kth_smallest(k: int) -> np.ndarray:
-        runs = n - k + 1
-        lower, upper, axis = ordered[:, :runs], ordered[:, k - 1:], 1
-        if len(ordered) > runs:
-            lower, upper, axis = lower.T, upper.T, 0
-        ends = np.negative(lower, order="C")
-        np.maximum(ends, upper, out=ends)
-        return np.abs(ends.min(axis=axis))
+        ends = np.negative(ordered[:, :n - k + 1].T, order="C")
+        np.maximum(ends, ordered[:, k - 1:].T, out=ends)
+        return np.abs(ends.min(axis=0))
 
     mad = kth_smallest(half + 1)
     if not n % 2:

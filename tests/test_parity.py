@@ -6,6 +6,7 @@ import pytest
 
 from qpgap.errors import CoverageError, DomainError
 from qpgap.parity import (
+    _BLOCK_SAMPLES,
     _THRESHOLD_K,
     DEFAULT_PIXEL_SECONDS,
     MAX_EXPECTED_EVENTS,
@@ -1016,7 +1017,11 @@ def _pass_rows(width):
 
 @pytest.mark.parametrize("width", [3, 4, 61, 161, 162])
 @pytest.mark.parametrize("linewidth_mhz", [0.5, 1.0, 30.0])
-def test_per_scan_pass_matches_reference(linewidth_mhz, width):
+def test_per_scan_pass_matches_reference(monkeypatch, linewidth_mhz, width):
+    # blocks of at most 256 rows, so every width crosses two block
+    # boundaries in at most 549 rows; 161 columns and wider keep the rule
+    monkeypatch.setattr("qpgap.parity._BLOCK_SAMPLES",
+                        min(256 * width, _BLOCK_SAMPLES))
     freqs = 4.0 + np.arange(width) / 1024
     rows, ends = _pass_rows(width)
     with np.errstate(invalid="ignore"):  # inf - inf in the deviations
