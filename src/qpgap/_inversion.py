@@ -17,7 +17,7 @@ from .device import FrequencyTargets, TransmonParams
 from .errors import DomainError
 from .numerics import root_find
 from .transmon import (
-    _charge_grid, _eigensystem, eigenspectrum, transition_frequency,
+    _charge_offsets, _eigensystem, eigenspectrum, transition_frequency,
 )
 
 
@@ -125,7 +125,7 @@ def _level_gradients(params: TransmonParams, levels: int) -> np.ndarray:
     the truncated basis at a fixed cutoff.
     """
     _, vectors = _eigensystem(params, levels)
-    charge = _charge_grid(params.effective_n_cut) - params.ng
+    charge = _charge_offsets(params.effective_n_cut, params.ng)
     d_ec = 4.0 * (charge**2 @ vectors**2)
     d_ej = -np.sum(vectors[:-1] * vectors[1:], axis=0)
     return np.column_stack([params.EJ * d_ej, params.EC * d_ec])

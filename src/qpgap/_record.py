@@ -7,17 +7,15 @@ a key that is not a slot fails at class creation).  A missing, unknown
 or surplus argument is a ``TypeError`` naming the record.  Once the
 fields are set, ``_check()`` runs: a record overrides it to raise on
 field values it rejects, and the base accepts any.  A record that
-converts its arguments or builds a fresh mutable default writes its own
-``__init__`` instead.
+converts its arguments writes its own ``__init__`` instead.
 
 The base supplies what a frozen dataclass generates, without generating
 code: a ``repr`` of ``Name(field=value, ...)``, equality and hashing on
 the field values, and assignment or deletion raising
 ``dataclasses.FrozenInstanceError``.  ``_hidden`` names fields left out
 of the ``repr`` and ``_uncompared`` fields left out of ``==`` and the
-hash.  A record with a ``functools.cached_property`` also lists
-``"__dict__"`` in its slots.  ``copy`` and ``pickle`` rebuild a record
-from its field values without running its checks.
+hash.  ``copy`` and ``pickle`` rebuild a record from its field values
+without running its checks.
 """
 
 from __future__ import annotations
@@ -43,9 +41,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(
-            name for name in cls.__dict__["__slots__"] if name != "__dict__"
-        )
+        cls._fields = tuple(cls.__dict__["__slots__"])
         unknown = sorted(set(cls._defaults) - set(cls._fields))
         if unknown:
             raise TypeError(

@@ -49,39 +49,17 @@ class ScanSettings(Record):
 
 
 class DeviceConfig(Record):
-    """Validated device description ready for the physics modules.
-
-    ``measured`` defaults to a new empty dict.
-    """
+    """Validated device description ready for the physics modules."""
 
     __slots__ = (
         "name", "params", "cavity", "profile", "env", "noise", "scan", "seed",
         "chi_override_mhz", "kappa_override_mhz", "measured", "source_hash",
         "gamma_parity_computed",
     )
-
-    def __init__(
-        self,
-        name: str,
-        params: TransmonParams,
-        cavity: CavityCoupling,
-        profile: GapProfile,
-        env: QPEnvironment,
-        noise: NoiseModel,
-        scan: ScanSettings,
-        seed: int,
-        chi_override_mhz: float | None = None,
-        kappa_override_mhz: float | None = None,
-        measured: dict | None = None,
-        source_hash: str = "",
-        gamma_parity_computed: bool = False,
-    ):
-        self._assign(
-            name, params, cavity, profile, env, noise, scan, seed,
-            chi_override_mhz, kappa_override_mhz,
-            {} if measured is None else measured, source_hash,
-            gamma_parity_computed,
-        )
+    _defaults = {
+        "chi_override_mhz": None, "kappa_override_mhz": None,
+        "source_hash": "", "gamma_parity_computed": False,
+    }
 
     def chi_kappa_mhz(self) -> tuple[float, float]:
         """The dispersive shift and the cavity linewidth in MHz: the

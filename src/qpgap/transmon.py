@@ -3,10 +3,13 @@
 The qubit is modeled in the Cooper-pair charge basis, where the
 Hamiltonian is symmetric tridiagonal: 4 EC (n - ng)^2 on the diagonal and
 -EJ/2 on the off-diagonals.  All energies are in GHz, offset charge ng is
-in Cooper-pair units, and a parity flip shifts ng by 0.5.  Every
-eigensolve goes through the memoized ``_solve``, the one LAPACK call
-site: bisection by ``dstebz``, and inverse iteration by ``dstein`` when
-eigenvectors are asked for.
+in Cooper-pair units, and a parity flip shifts ng by 0.5.  Past
+|ng| = 1.5 the basis is offset by ng - round(ng) in place of ng, so the
+spectrum is periodic in ng; up to 1.5, which holds every offset charge
+the commands solve, ng is used as given.  Every eigensolve goes
+through the memoized ``_solve``, the one LAPACK call site: bisection by
+``dstebz``, and inverse iteration by ``dstein`` when eigenvectors are
+asked for.
 
 The inversion of measured frequencies to (EJ, EC), :func:`fit_ej_ec`,
 lives in the private module ``_inversion``, which only a config given as
@@ -124,6 +127,18 @@ def _charge_grid(cut: int) -> np.ndarray:
     return grid
 
 
+def _charge_offsets(cut: int, ng: float) -> np.ndarray:
+    """The offsets n - ng of the charge states -cut .. cut, a new array.
+
+    Past |ng| = 1.5 the basis is offset by ng - round(ng), so the spectrum
+    is periodic in ng and a large ng neither overflows nor loses its
+    fraction; every offset charge a command solves lies in [0, 1.5].
+    """
+    if abs(ng) > 1.5:
+        ng -= round(ng)
+    return _charge_grid(cut) - ng
+
+
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _hopping(cut: int, EJ: float) -> np.ndarray:
     """The off-diagonal -EJ/2 of a 2 cut + 1 state band, shared and read-only.
@@ -140,11 +155,11 @@ def _solve(params: TransmonParams, levels: int, vectors: bool):
     """Lowest ``levels`` energies (and eigenvectors, as columns) of the
     charge-basis Hamiltonian, memoized: the one LAPACK call site.
 
-    The diagonal 4 EC (n - ng)^2 is computed in the one array the
-    subtraction allocates; the off-diagonal is the shared read-only band
-    of :func:`_hopping`.  Bisection by ``dstebz`` and, for an eigensystem
-    only, inverse iteration by ``dstein`` are the calls that
-    ``scipy.linalg.eigvalsh_tridiagonal`` and ``eigh_tridiagonal`` make
+    The diagonal 4 EC (n - ng)^2 is computed in the one array
+    :func:`_charge_offsets` allocates; the off-diagonal is the shared
+    read-only band of :func:`_hopping`.  Bisection by ``dstebz`` and, for
+    an eigensystem only, inverse iteration by ``dstein`` are the calls
+    that ``scipy.linalg.eigvalsh_tridiagonal`` and ``eigh_tridiagonal`` make
     with ``select="i"``, with the same arguments, so the results are
     bit-identical, without the wrappers' argument handling.  The returned
     arrays are shared by every caller and read-only.
@@ -157,7 +172,7 @@ def _solve(params: TransmonParams, levels: int, vectors: bool):
         raise DomainError(
             f"levels={levels} exceeds Hilbert space dimension {2 * cut + 1}"
         )
-    diagonal = _charge_grid(cut) - params.ng
+    diagonal = _charge_offsets(cut, params.ng)
     np.multiply(diagonal, diagonal, out=diagonal)
     diagonal *= 4.0 * params.EC
     off_diagonal = _hopping(cut, params.EJ)
@@ -247,7 +262,7 @@ def charge_dispersion(params: TransmonParams, transition: str = "ge") -> float:
 def _charge_elements(params: TransmonParams, vectors: np.ndarray) -> np.ndarray:
     """Magnitudes |<i| n |j>| of the charge operator (n - ng) between the
     eigenstates in the columns of ``vectors``, a symmetric matrix."""
-    charge = _charge_grid(params.effective_n_cut) - params.ng
+    charge = _charge_offsets(params.effective_n_cut, params.ng)
     return np.abs(vectors.T @ (charge[:, None] * vectors))
 
 

@@ -11,13 +11,21 @@ from qpgap.errors import DomainError
 from qpgap.transmon import transition_frequency
 
 
+def charge_offsets(params) -> np.ndarray:
+    """n - ng over the charge states -cut .. cut; past |ng| = 1.5 the
+    basis is offset by ng - round(ng), as the package documents."""
+    cut = params.effective_n_cut
+    ng = params.ng
+    if abs(ng) > 1.5:
+        ng -= round(ng)
+    return np.arange(-cut, cut + 1.0) - ng
+
+
 def tridiagonal_bands(params) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal 4 EC (n - ng)^2 and off-diagonal -EJ/2 of the charge-basis
     Hamiltonian, from the closed form."""
-    cut = params.effective_n_cut
-    charge = np.arange(-cut, cut + 1.0)
-    return (4.0 * params.EC * (charge - params.ng) ** 2,
-            np.full(2 * cut, -params.EJ / 2.0))
+    return (4.0 * params.EC * charge_offsets(params) ** 2,
+            np.full(2 * params.effective_n_cut, -params.EJ / 2.0))
 
 
 def build_hamiltonian(params) -> np.ndarray:

@@ -388,6 +388,24 @@ def _run(argv) -> int:
     return main([str(a) for a in argv])
 
 
+def test_spectrum_at_a_large_offset_charge_has_the_shift_of_its_fraction(
+    configs_dir, tmp_path
+):
+    # at ng = 1e16 the shift had blamed a vanishing <0|n|1> and exited 2
+    chi = []
+    for ng in (1e16, 0.0):
+        doc = _document(configs_dir)
+        doc["transmon"]["ng"] = ng
+        path = tmp_path / f"{ng}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / f"out_{ng}"
+        assert _run(["spectrum", path, "--format", "json", "--out", out]) == 0
+        summary = json.loads((out / "spectrum.json").read_text())["summary"]
+        chi.append(summary["chi_MHz"])
+    assert chi[0] is not None
+    assert chi[0] == chi[1]
+
+
 def test_spectrum_stdout(configs_dir, capsys):
     code = _run(["spectrum", configs_dir / "device_2np.json"])
     out = capsys.readouterr().out

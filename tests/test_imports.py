@@ -35,21 +35,39 @@ FIT = {"qpgap._fit", "qpgap.fitting", "qpgap.numerics", "qpgap.thermal"}
 # the scipy package itself
 LAPACK = {"scipy.linalg._flapack"}
 
-# runs argv without, then with --svg, printing qpgap's and scipy's modules
-# after each (and numpy.ma, which np.median imports, if loaded)
-_COMMAND_PROBE = """
-import json, sys
-from qpgap.cli import main
+# the command line of each shared probe, one per distinct command the
+# layout tests run
+COMMANDS = {
+    "spectrum-1p": ["spectrum", "configs/device_1p.json"],
+    "spectrum-2np": ["spectrum", "configs/device_2np.json"],
+    "spectrum-2p": ["spectrum", "configs/device_2p.json"],
+    "qp": ["qp", "configs/device_1p.json"],
+    "parity-sim": ["parity-sim", "configs/device_2np.json", "--duration", "2"],
+    "fit-t1": ["fit", "t1", "data/t1_vs_temperature_1np.csv",
+               "configs/device_1np.json"],
+    "fit-t2": ["fit", "t2", "data/t2star_vs_temperature_1p.csv",
+               "configs/device_1p.json", "--t1-data",
+               "data/t1_vs_temperature_1p.csv"],
+}
 
-argv = json.loads(sys.argv[1])
-loaded = []
-for extra in ([], ["--svg"]):
-    assert main(argv + extra) == 0
-    loaded.append(sorted(
-        m for m in sys.modules
-        if m.split(".")[0] in ("qpgap", "scipy") or m == "numpy.ma"
-    ))
-print(json.dumps(loaded))
+# prints sorted(sys.modules) after ``import qpgap.cli``, after the command
+# line argv[1] runs, then after it runs again with --svg; with no command
+# line, after a bare ``import qpgap``, and then the names of two submodules
+# the package resolves on access
+_PROBE = """
+import json, sys
+argv, records = json.loads(sys.argv[1]), []
+if argv:
+    from qpgap.cli import main
+    records.append(sorted(sys.modules))
+    for extra in ([], ["--svg"]):
+        assert main(argv + extra) == 0
+        records.append(sorted(sys.modules))
+else:
+    import qpgap
+    records.append(sorted(sys.modules))
+    records.append([qpgap.transmon.__name__, qpgap.svgplot.__name__])
+print(json.dumps(records))
 """
 
 
@@ -61,84 +79,98 @@ def _site_packages() -> list[str]:
     })
 
 
-def _python(code: str, *args: str, no_site: bool = False) -> str:
-    """stdout of ``code`` run in a fresh interpreter with ``src/`` first.
+@pytest.fixture(scope="session")
+def probes(tmp_path_factory) -> dict:
+    """(stdout, stderr, return code) of each probe: one per command line of
+    ``COMMANDS``, and ``"import"`` for the bare import.
 
-    With ``no_site`` the interpreter runs ``-S``, so no ``.pth`` file of
-    the host preloads a module, and finds numpy and scipy by their
-    directories alone.
+    Each probe is a cold ``python -S`` interpreter, so no ``.pth`` file of
+    the host preloads a module; it finds numpy and scipy by their
+    directories alone and runs BLAS and OpenMP on one thread.  All are
+    started before any is read.
     """
-    if no_site:
-        flags, path = ["-S"], [SRC, *_site_packages()]
-    else:
-        flags, path = [], [SRC, os.environ.get("PYTHONPATH")]
+    env = {
+        **os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join([SRC, *_site_packages()]),
+    }
+    procs = {}
+    try:
+        for name, argv in {**COMMANDS, "import": []}.items():
+            if argv:
+                argv = [*argv, "--out", str(tmp_path_factory.mktemp(name))]
+            procs[name] = subprocess.Popen(
+                [sys.executable, "-S", "-c", _PROBE, json.dumps(argv)],
+                cwd=REPO, env=env, text=True,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            )
+        return {name: (*proc.communicate(timeout=120), proc.returncode)
+                for name, proc in procs.items()}
+    finally:
+        for proc in procs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
+
+def _records(probes: dict, name: str) -> list[list[str]]:
+    """What the probe ``name`` printed: its module lists, in order."""
+    stdout, stderr, code = probes[name]
+    assert code == 0, stderr
+    return json.loads(stdout.splitlines()[-1])
+
+
+def _python(code: str, *args: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter with ``src/`` first."""
+    path = [SRC, os.environ.get("PYTHONPATH")]
     return subprocess.run(
-        [sys.executable, *flags, "-c", code, *args], cwd=REPO,
+        [sys.executable, "-c", code, *args], cwd=REPO,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
         capture_output=True, text=True, check=True, timeout=120,
     ).stdout
 
 
 @pytest.mark.parametrize(
-    "argv, extra",
+    "name, extra",
     [
-        (["spectrum", "configs/device_1p.json"],
-         {"qpgap._spectrum", "qpgap.transmon", *LAPACK}),
+        ("spectrum-1p", {"qpgap._spectrum", "qpgap.transmon", *LAPACK}),
         # a transmon given as frequency targets runs the inversion
-        (["spectrum", "configs/device_2p.json"],
+        ("spectrum-2p",
          {"qpgap._spectrum", "qpgap.transmon", "qpgap._inversion",
           "qpgap.numerics", *LAPACK}),
-        (["qp", "configs/device_1p.json"],
+        ("qp",
          {"qpgap._qp", "qpgap.quasiparticles", "qpgap.transmon",
           "qpgap.thermal", *LAPACK}),
-        (["parity-sim", "configs/device_2np.json", "--duration", "2"],
+        ("parity-sim",
          {"qpgap._parity_sim", "qpgap.parity", "qpgap._floatcsv",
           "qpgap.transmon", *LAPACK}),
-        (["fit", "t1", "data/t1_vs_temperature_1np.csv",
-          "configs/device_1np.json"],
-         FIT),
-        (["fit", "t2", "data/t2star_vs_temperature_1p.csv",
-          "configs/device_1p.json", "--t1-data",
-          "data/t1_vs_temperature_1p.csv"],
-         {"qpgap._dephasing", *FIT}),
+        ("fit-t1", FIT),
+        ("fit-t2", {"qpgap._dephasing", *FIT}),
     ],
     ids=["spectrum", "spectrum-targets", "qp", "parity-sim", "fit-t1",
          "fit-t2"],
 )
-def test_each_command_loads_only_its_modules(tmp_path, argv, extra):
-    argv = [*argv, "--out", str(tmp_path)]
-    plain, svg = json.loads(_python(_COMMAND_PROBE, json.dumps(argv))
-                            .splitlines()[-1])
-    assert set(plain) == BASE | extra
-    assert set(svg) == BASE | extra | {"qpgap.svgplot"}
+def test_each_command_loads_only_its_modules(probes, name, extra):
+    # qpgap's and scipy's modules (and numpy.ma, which np.median imports,
+    # if loaded) after the plain run, then after the --svg run
+    plain, svg = (
+        {m for m in loaded
+         if m.split(".")[0] in ("qpgap", "scipy") or m == "numpy.ma"}
+        for loaded in _records(probes, name)[1:]
+    )
+    assert plain == BASE | extra
+    assert svg == BASE | extra | {"qpgap.svgplot"}
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["spectrum", "configs/device_2np.json", "--svg"],
-        ["spectrum", "configs/device_2p.json"],
-        ["qp", "configs/device_1p.json"],
-        ["fit", "t1", "data/t1_vs_temperature_1np.csv",
-         "configs/device_1np.json"],
-        ["fit", "t2", "data/t2star_vs_temperature_1p.csv",
-         "configs/device_1p.json", "--t1-data",
-         "data/t1_vs_temperature_1p.csv"],
-    ],
+    "name", ["spectrum-2np", "spectrum-2p", "qp", "fit-t1", "fit-t2"],
     ids=["spectrum-svg", "spectrum-targets", "qp", "fit-t1", "fit-t2"],
 )
-def test_short_commands_load_no_hashlib_or_pathlib(tmp_path, argv):
+def test_short_commands_load_no_hashlib_or_pathlib(probes, name):
     # the config hash takes the interpreter's own sha256 module, and files
-    # are opened by name; under -S no .pth file has loaded pathlib first
-    code = (
-        "import json, sys\n"
-        "from qpgap.cli import main\n"
-        "assert main(json.loads(sys.argv[1])) == 0\n"
-        "print(sorted({'hashlib', '_hashlib', 'pathlib'} & set(sys.modules)))\n"
-    )
-    argv = [*argv, "--out", str(tmp_path)]
-    out = _python(code, json.dumps(argv), no_site=True)
-    assert out.splitlines()[-1] == "[]"
+    # are opened by name; read after the probe's --svg run
+    loaded = _records(probes, name)[-1]
+    assert sorted({"hashlib", "_hashlib", "pathlib"} & set(loaded)) == []
 
 
 # shutil and the modules it imports.  Without a width, argparse imports
@@ -146,34 +178,12 @@ def test_short_commands_load_no_hashlib_or_pathlib(tmp_path, argv):
 SHUTIL = {"shutil", "fnmatch", "zlib", "bz2", "lzma"}
 
 
-def test_commands_load_no_shutil(tmp_path):
-    # one interpreter runs every subcommand, parity-sim last: numpy.random,
-    # which only parity-sim loads, imports zlib itself
-    runs = [
-        ["spectrum", "configs/device_2p.json", "--svg"],
-        ["qp", "configs/device_1p.json"],
-        ["fit", "t1", "data/t1_vs_temperature_1np.csv",
-         "configs/device_1np.json"],
-        ["fit", "t2", "data/t2star_vs_temperature_1p.csv",
-         "configs/device_1p.json", "--t1-data",
-         "data/t1_vs_temperature_1p.csv"],
-        ["parity-sim", "configs/device_2np.json", "--duration", "2"],
-    ]
-    code = (
-        "import json, sys\n"
-        "from qpgap.cli import main\n"
-        "loaded = []\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    assert main(argv) == 0\n"
-        "    loaded.append(sorted(set(json.loads(sys.argv[2]))\n"
-        "                         & set(sys.modules)))\n"
-        "print(json.dumps([loaded, 'numpy.random' in sys.modules]))\n"
-    )
-    runs = [[*argv, "--out", str(tmp_path)] for argv in runs]
-    out = _python(code, json.dumps(runs), json.dumps(sorted(SHUTIL)),
-                  no_site=True)
-    assert json.loads(out.splitlines()[-1]) == [[[], [], [], [], ["zlib"]],
-                                                 True]
+def test_commands_load_no_shutil(probes):
+    # numpy.random, which only parity-sim loads, imports zlib itself
+    loaded = {name: set(_records(probes, name)[-1]) for name in COMMANDS}
+    assert {name: SHUTIL & modules for name, modules in loaded.items()} == {
+        **dict.fromkeys(COMMANDS, set()), "parity-sim": {"zlib"}}
+    assert "numpy.random" in loaded["parity-sim"]
 
 
 def _helps(parser) -> list[str]:
@@ -323,36 +333,24 @@ def test_cli_run_as_main_runs_once(tmp_path):
     assert (tmp_path / "qp_grid.csv").is_file()
 
 
-def test_qp_loads_no_numpy_polynomial(tmp_path):
+def test_qp_loads_no_numpy_polynomial(probes):
     # the gap-edge integrals of qp's barrier fractions and of a parity rate
     # computed from the profile take their Legendre rule from a table
-    code = (
-        "import json, sys\n"
-        "from qpgap.cli import main\n"
-        "assert main(json.loads(sys.argv[1])) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('numpy.poly')))\n"
-    )
-    argv = ["qp", "configs/device_1p.json", "--out", str(tmp_path)]
-    assert _python(code, json.dumps(argv)).splitlines()[-1] == "[]"
+    loaded = _records(probes, "qp")[-1]
+    assert [m for m in loaded if m.startswith("numpy.poly")] == []
 
 
-def test_cli_import_loads_nothing_of_scipy():
-    code = (
-        "import sys, qpgap.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
-    assert _python(code).splitlines() == ["[]"]
+def test_cli_import_loads_nothing_of_scipy(probes):
+    # read in each command probe before its command runs
+    for name in COMMANDS:
+        loaded = _records(probes, name)[0]
+        assert [m for m in loaded if m.split(".")[0] == "scipy"] == [], name
 
 
-def test_bare_import_loads_no_submodule_and_resolves_them():
-    code = (
-        "import sys, qpgap\n"
-        "print(sorted(m for m in sys.modules if m.startswith('qpgap.')))\n"
-        "print(qpgap.transmon.__name__, qpgap.svgplot.__name__)\n"
-    )
-    assert _python(code).splitlines() == [
-        "[]", "qpgap.transmon qpgap.svgplot",
-    ]
+def test_bare_import_loads_no_submodule_and_resolves_them(probes):
+    loaded, names = _records(probes, "import")
+    assert [m for m in loaded if m.startswith("qpgap.")] == []
+    assert names == ["qpgap.transmon", "qpgap.svgplot"]
 
 
 def test_every_exported_name_resolves():

@@ -259,8 +259,8 @@ def test_fit_result_stays_a_dataclass():
 
 
 # records that build their fields themselves: the two made per eigensolve,
-# and the two that convert arguments or make a fresh default
-OWN_INIT = {"TransmonParams", "Spectrum", "DataSeries", "DeviceConfig"}
+# and the one that converts its arguments
+OWN_INIT = {"TransmonParams", "Spectrum", "DataSeries"}
 BASE_INIT = sorted(
     name for name in SAMPLES
     if isinstance(SAMPLES[name](), Record) and name not in OWN_INIT
@@ -343,4 +343,5 @@ def test_checks_run_on_construction():
         GapProfile((GapSegment(1.0, 2.0), GapSegment(1.0, 1.0)), 0.5)
     series = DataSeries("t1", _array(0.2, 0.1), _array(2e-5, 1e-5))
     assert series.t_kelvin.tolist() == [0.1, 0.2]
-    assert DeviceConfig(*[None] * 8).measured == {}
+    with pytest.raises(TypeError, match="DeviceConfig.*'measured'"):
+        DeviceConfig(*[None] * 8)

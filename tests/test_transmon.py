@@ -22,7 +22,9 @@ from qpgap.transmon import (
     resonator_dispersion,
     transition_frequency,
 )
-from oracles import build_hamiltonian, parity_frequencies, tridiagonal_bands
+from oracles import (
+    build_hamiltonian, charge_offsets, parity_frequencies, tridiagonal_bands,
+)
 
 # (EJ, EC, quoted f_ge midpoint, quoted eps_ge) for the five shipped devices
 DEVICES = {
@@ -282,6 +284,24 @@ def test_spectrum_is_even_in_ng():
         f_pos = transition_frequency(p.with_ng(ng))
         f_neg = transition_frequency(p.with_ng(-ng))
         assert f_pos == pytest.approx(f_neg, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "ng, fraction",
+    [(12345.25, 0.25), (-12345.25, -0.25), (1e16, 0.0), (1e300, 0.0)],
+)
+def test_a_large_offset_charge_solves_as_its_fraction(ng, fraction):
+    # past |ng| = 1.5 the basis is offset by ng - round(ng), bit for bit;
+    # the basis offset by ng itself lost the fraction of 12345.25, found
+    # <0|n|1> = 0 at 1e16 and overflowed at 1e300
+    params = TransmonParams(EJ=7.417, EC=0.403)  # the 2NP transmon
+    coupling = CavityCoupling(g_mhz=122.0, nu_r_ghz=7.24, q_loaded=2.0e4)
+    large, small = params.with_ng(ng), params.with_ng(fraction)
+    assert np.array_equal(eigenspectrum(large, 5).energies,
+                          eigenspectrum(small, 5).energies)
+    for level in (0, 1):
+        assert (dispersive_shift(large, coupling, level)
+                == dispersive_shift(small, coupling, level))
 
 
 def test_parity_branches_cross_at_quarter_charge():
@@ -688,8 +708,7 @@ def test_with_ng_rejects_a_non_finite_ng(bad):
 def _reference_level_shift(params, coupling, level, levels):
     """lambda_l (MHz) summed over numpy scalars, the loop's former form."""
     energies, vectors = transmon._eigensystem(params, levels)
-    cut = params.effective_n_cut
-    charge = np.arange(-cut, cut + 1, dtype=float) - params.ng
+    charge = charge_offsets(params)
     elements = np.abs(vectors.T @ (charge[:, None] * vectors))
     norm = elements[0, 1]
     g_ghz = coupling.g_mhz / 1e3
