@@ -119,9 +119,12 @@ class _Formatter:
         slot[:] = np.less(magnitude, 0.1, out=test)
         slot += np.less(magnitude, 0.01, out=test)
         # the product overflows to inf for the largest magnitudes, and an
-        # infinite one minus its rounding is nan
+        # infinite one minus its rounding is nan.  Every np.take index here
+        # is in range, and mode="clip" writes straight to ``out``, which
+        # the default mode="raise" buffers.
         with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(magnitude, np.take(_SCALE, slot, out=part), out=scaled)
+            np.take(_SCALE, slot, out=part, mode="clip")
+            np.multiply(magnitude, part, out=scaled)
             np.rint(scaled, out=number)
             np.greater(number, 1e9, out=fast)
             fast &= np.less(number, 1e10, out=test)
@@ -143,15 +146,15 @@ class _Formatter:
         zero &= np.equal(second, 10**4, out=test)
         np.add(first, 100, out=first, where=zero)
 
-        np.take(_FIRST, first, out=word)
-        word |= np.take(_PREFIX, slot, out=lookup)
+        np.take(_FIRST, first, out=word, mode="clip")
+        word |= np.take(_PREFIX, slot, out=lookup, mode="clip")
         word |= separator
         # the sign byte of each negative cell, as 0 or 1 times _MINUS
         word |= np.multiply(np.less(values, 0, out=test), _MINUS, out=lookup)
         np.copyto(word, hole, where=slow)
         words[:size, 0] = word
-        np.take(_SECOND, second, out=word)
-        word |= np.take(_THIRD, third, out=lookup)
+        np.take(_SECOND, second, out=word, mode="clip")
+        word |= np.take(_THIRD, third, out=lookup, mode="clip")
         np.copyto(word, 0, where=slow)
         words[:size, 1] = word
         words[n_cells] = (ord("\n"), 0)

@@ -11,14 +11,21 @@ Exit codes: 0 on success, 2 for invalid input or configuration, 3 for
 numerical failure.  Output is deterministic for a fixed config and seed;
 no timestamps are written.
 
-This module holds the parser and :func:`main`.  Each command's body and
-tables are a private module (``_spectrum``, ``_qp``, ``_parity_sim``,
-``_fit``) that ``main`` imports for that command alone; the output
-helpers they share are in ``_output``.  README's "Import layout" lists
-the modules each command loads.
+This module holds the parser, :func:`main` and :func:`entry`, the process
+entry of ``python -m qpgap.cli`` and the ``qpgap`` script.  Each
+command's body and tables are a private module (``_spectrum``, ``_qp``,
+``_parity_sim``, ``_fit``) that ``main`` imports for that command alone;
+the output helpers they share are in ``_output``.  README's "Import
+layout" lists the modules each command loads.
 """
 
 from __future__ import annotations
+
+import gc
+
+if __name__ == "__main__":
+    # before the imports below, which reach numpy through config: see entry
+    gc.disable()
 
 import argparse
 import importlib
@@ -219,5 +226,24 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry():
+    """Run :func:`main` on ``sys.argv`` and exit the process with its code.
+
+    A command is one short process, and CPython's cyclic garbage collector
+    only costs it time: it makes collection passes while numpy imports,
+    and interpreter shutdown collects over every module again, even with
+    the collector disabled.  So the collector is off while the command
+    runs (from before the imports under ``python -m qpgap.cli``), and
+    ``gc.freeze`` moves every object to the permanent generation before
+    exit, which shutdown's collections skip.  ``sys.exit`` still flushes
+    the streams and runs ``atexit``.  In-process callers use :func:`main`,
+    which leaves the collector alone.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -30,6 +30,27 @@ def _color(value: float) -> str:
     return f"rgb({channels[0]},{channels[1]},{channels[2]})"
 
 
+def _colors(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """:func:`_color` of each value, array-wise: the distinct colors, and
+    the index of each value's color among them.
+
+    The channels take ``_color``'s float steps, and ``np.rint`` rounds
+    half to even as ``round`` does, so the colors are the same.
+    """
+    v = np.clip(values, 0.0, 1.0)[..., None]
+    low = v < 0.5
+    frac = np.where(low, v * 2.0, (v - 0.5) * 2.0)
+    ramp = np.array(_RAMP)
+    a = np.where(low, ramp[0], ramp[1])
+    b = np.where(low, ramp[1], ramp[2])
+    channels = np.rint(a + (b - a) * frac).astype(int)
+    keys, index = np.unique(channels @ [1 << 16, 1 << 8, 1],
+                            return_inverse=True)
+    palette = [f"rgb({k >> 16},{k >> 8 & 255},{k & 255})"
+               for k in keys.tolist()]
+    return palette, index.reshape(np.shape(values))
+
+
 def color_for(index: int) -> str:
     """Distinct stroke color for a small series index."""
     return _color((index % 3) / 2.0)
@@ -173,6 +194,9 @@ def heatmap(
     )
     n_x, n_y = reduced.shape
     lo, hi = float(reduced.min()), float(reduced.max())
+    if not math.isfinite(hi - lo):
+        # no color for a non-finite cell, nor for the shades beside one
+        raise ValueError("heatmap cells must be finite")
     span = hi - lo if hi > lo else 1.0
 
     parts, sx, sy = _axes(
@@ -184,16 +208,17 @@ def heatmap(
     )
     cell_w = (_WIDTH - 2 * _MARGIN) / n_x
     cell_h = (_HEIGHT - 2 * _MARGIN) / n_y
-    for i in range(n_x):
-        shades = ((reduced[i] - lo) / span).tolist()
-        for j in range(n_y):
-            color = _color(shades[j])
-            cx = _MARGIN + i * cell_w
-            cy = _HEIGHT - _MARGIN - (j + 1) * cell_h
-            parts.append(
-                f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{cell_w + 0.05:.2f}" '
-                f'height="{cell_h + 0.05:.2f}" fill="{color}"/>'
-            )
+    # each color, column x and row y is formatted once
+    palette, index = _colors((reduced - lo) / span)
+    rows = [
+        f'" y="{_HEIGHT - _MARGIN - (j + 1) * cell_h:.2f}" '
+        f'width="{cell_w + 0.05:.2f}" height="{cell_h + 0.05:.2f}" fill="'
+        for j in range(n_y)
+    ]
+    for i, column in enumerate(index.tolist()):
+        cell = f'<rect x="{_MARGIN + i * cell_w:.2f}'
+        parts.extend([f'{cell}{row}{palette[k]}"/>'
+                      for row, k in zip(rows, column)])
     body = "\n".join(parts)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import math
 import os
@@ -1086,6 +1087,76 @@ def test_unwritable_output_file_exits_2(configs_dir, tmp_path, capsys):
                  tmp_path])
     assert "error: cannot write output: [Errno 21]" in _assert_clean_exit_2(
         code, capsys)
+
+
+# Runs the CLI in a fresh interpreter, as ``python -m qpgap.cli`` does
+# ("module"), or as the installed ``qpgap`` script calls its
+# "module:function" entry point, and writes the exit code,
+# ``gc.isenabled()`` and ``gc.get_freeze_count()`` after it as the last
+# line of stderr.
+_ENTRY_PROBE = """
+import gc, importlib, json, runpy, sys
+target, args = sys.argv[1], json.loads(sys.argv[2])
+sys.argv = ["qpgap", *args]
+try:
+    if target == "module":
+        runpy.run_module("qpgap.cli", run_name="__main__")
+    else:
+        module, function = target.split(":")
+        sys.exit(getattr(importlib.import_module(module), function)())
+except SystemExit as exc:
+    code = exc.code
+sys.stdout.flush()
+print(json.dumps([code, gc.isenabled(), gc.get_freeze_count()]),
+      file=sys.stderr)
+"""
+
+
+def _script_entry() -> str:
+    """The ``module:function`` that pyproject's ``qpgap`` script calls."""
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    return re.search(r'^qpgap = "(.+)"$', pyproject.read_text(), re.M)[1]
+
+
+def _entry_process(target, argv):
+    result = subprocess.run(
+        [sys.executable, "-c", _ENTRY_PROBE, target,
+         json.dumps([str(a) for a in argv])],
+        capture_output=True, text=True, timeout=120,
+    )
+    *errors, state = result.stderr.splitlines()
+    return result.stdout, errors, json.loads(state)
+
+
+@pytest.mark.parametrize("script", [False, True], ids=["module", "script"])
+def test_process_entry_exits_with_the_collector_off_and_frozen(
+    configs_dir, capsys, script
+):
+    argv = ["qp", configs_dir / "device_1p.json"]
+    stdout, errors, (code, enabled, frozen) = _entry_process(
+        _script_entry() if script else "module", argv
+    )
+    assert (code, enabled, errors) == (0, False, [])
+    assert frozen > 0
+    assert _run(argv) == 0
+    assert stdout == capsys.readouterr().out
+
+
+def test_process_entry_on_a_bad_config_exits_2_with_one_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    stdout, errors, (code, enabled, frozen) = _entry_process(
+        "module", ["spectrum", path]
+    )
+    assert (code, enabled, stdout) == (2, False, "")
+    assert frozen > 0
+    assert len(errors) == 1 and errors[0].startswith("error: "), errors
+
+
+def test_in_process_main_leaves_the_collector_alone(configs_dir, capsys):
+    state = gc.isenabled(), gc.get_freeze_count()
+    assert _run(["qp", configs_dir / "device_1p.json"]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == state
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),

@@ -100,3 +100,26 @@ def test_heatmap_of_one_row_widens_its_time_axis():
                                "time (s)", "one pixel")
     assert svg.count("<rect") == 2 + 7
     assert "\n".join(axes) in svg
+
+
+def test_heatmap_colors_on_exact_ramp_ties_match_the_reference():
+    # shades k/400 from 0 to 1 (padded with 1s to 13 x 31 cells, under the
+    # cell cap): 19 of them put a channel exactly on a half, which
+    # rounds to even, 64.5 to 64 and 57.5 to 58
+    assert 68 + (33 - 68) * (0.05 * 2.0) == 64.5
+    assert 68 + (33 - 68) * (0.15 * 2.0) == 57.5
+    matrix = np.ones(13 * 31)
+    matrix[:401] = np.arange(401) / 400
+    matrix = matrix.reshape(13, 31)
+    args = (matrix, np.arange(13.0), np.arange(31.0), "x", "y", "ties")
+    svg = svgplot.heatmap(*args)
+    assert svg == _reference_heatmap(*args)
+    assert 'fill="rgb(64,' in svg and 'fill="rgb(58,' in svg
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_heatmap_rejects_a_non_finite_cell(bad):
+    matrix = np.linspace(0.0, 1.0, 12).reshape(4, 3)
+    matrix[2, 1] = bad
+    with pytest.raises(ValueError):
+        svgplot.heatmap(matrix, np.arange(4.0), np.arange(3.0), "x", "y", "t")
